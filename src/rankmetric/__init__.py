@@ -19,7 +19,7 @@ from .keysize import CryptoRow, build_table, crypto_row, key_size_kb, \
     max_errors, reference_table, wf_dec, wf_error, wf_struc
 from .linalg import InconsistentSystemError, fq_kernel, fq_matmul, fq_rank, \
     fq_solve, fq_transpose, fqn_kernel, fqn_rank, fqn_solve, moore_matrix, \
-    phi, phi_inv, rank_of, transpose_vector, vector_rank
+    phi, phi_inv, transpose_vector, vector_rank
 from .linpoly import lin_compose_mod, lin_eval, lin_normalize, lin_qdeg, \
     min_subspace_poly, root_space_basis
 from .simulate import SimConfig, SimReport, failure_bound, \
@@ -38,7 +38,7 @@ __all__ = [
     "key_equation_remainder", "key_size_kb", "lin_compose_mod", "lin_eval",
     "lin_normalize", "lin_qdeg", "make_field", "max_errors",
     "min_subspace_poly", "moore_matrix", "reference_table", "phi", "phi_inv",
-    "rank_of", "recover_error", "root_space_basis", "run_scenario",
+    "recover_error", "root_space_basis", "run_scenario",
     "sample_full_rank", "sample_rank_error", "sample_space_symmetric",
     "sample_symmetric_invertible", "sample_uniform_invertible",
     "transpose_vector", "vector_rank", "wf_dec", "wf_error", "wf_struc",

@@ -134,17 +134,23 @@ def _check_count_args(n: int, t: int, q: int):
         raise ValueError(f"need 0 <= t <= n, got t={t}, n={n}")
 
 
-def gaussian_binomial(n: int, t: int, q: int) -> CountResult:
-    """Number of t-dimensional subspaces of F_q^n:
-    prod_{i<t} (q^n - q^i) / (q^t - q^i)."""
-    _check_count_args(n, t, q)
+def _gaussian_binomial(m: int, r: int, q: int) -> int:
+    """prod_{i<r} (q^m - q^i) / (q^r - q^i), and 0 unless 0 <= r <= m."""
+    if not 0 <= r <= m:
+        return 0
     num = 1
     den = 1
-    for i in range(t):
-        num *= q ** n - q ** i
-        den *= q ** t - q ** i
+    for i in range(r):
+        num *= q ** m - q ** i
+        den *= q ** r - q ** i
     assert num % den == 0
-    return CountResult.of(num // den)
+    return num // den
+
+
+def gaussian_binomial(n: int, t: int, q: int) -> CountResult:
+    """Number of t-dimensional subspaces of F_q^n."""
+    _check_count_args(n, t, q)
+    return CountResult.of(_gaussian_binomial(n, t, q))
 
 
 def count_space_symmetric(n: int, t: int, q: int) -> CountResult:

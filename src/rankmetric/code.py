@@ -11,7 +11,7 @@ construction so a bad basis fails fast.
 from __future__ import annotations
 
 from .field import FieldCtx
-from .linalg import moore_matrix, transpose_vector
+from .linalg import _matmul, fq_transpose, moore_matrix, transpose_vector
 from .wso import WsoBasis, find_wso_basis, is_weak_self_orthogonal
 
 
@@ -39,14 +39,9 @@ class GabidulinCode:
 
     def _assert_parity(self):
         ctx = self.ctx
-        add, mul = ctx.add, ctx.mul
-        for grow in self._G:
-            for hrow in self._H:
-                acc = 0
-                for a, b in zip(grow, hrow):
-                    acc = add(acc, mul(a, b))
-                if acc != 0:
-                    raise ValueError("generator/parity-check product is nonzero")
+        GHt = _matmul(ctx.add, ctx.mul, self._G, fq_transpose(self._H))
+        if any(any(row) for row in GHt):
+            raise ValueError("generator/parity-check product is nonzero")
 
     def generator_matrix(self):
         return [row[:] for row in self._G]
@@ -62,16 +57,7 @@ class GabidulinCode:
         if len(u) != self.k:
             raise ValueError(f"message must have length {self.k}")
         ctx = self.ctx
-        add, mul = ctx.add, ctx.mul
-        G = self._G
-        out = []
-        for j in range(self.n):
-            acc = 0
-            for s in range(self.k):
-                if u[s]:
-                    acc = add(acc, mul(u[s], G[s][j]))
-            out.append(acc)
-        return tuple(out)
+        return tuple(_matmul(ctx.add, ctx.mul, [u], self._G)[0])
 
     def _syndrome_against(self, y, H) -> tuple[int, ...]:
         ctx = self.ctx

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from .code import GabidulinCode
 from .field import FieldCtx
 from .linalg import (InconsistentSystemError, _coord_solver,
-                     _kernel_from_rref, _ops_fqn, _rref, fqn_solve)
+                     _kernel_from_rref, _ops_fqn, _rref, fqn_solve,
+                     fqn_vec_fq_mat)
 from .linpoly import lin_compose_mod, lin_normalize, root_space_basis
 
 
@@ -100,20 +101,44 @@ def recover_error(code: GabidulinCode, a, s2):
     d, _ = fqn_solve(ctx, M, rhs)
     solver = _coord_solver(ctx, code.alpha)
     B = [solver.coords(frob(dl, -k)) for dl in d]
-    add, mul = ctx.add, ctx.mul
-    e = []
-    for j in range(n):
-        acc = 0
-        for l in range(t):
-            c = B[l][j]
-            if c:
-                acc = add(acc, mul(a[l], c))
-        e.append(acc)
-    return tuple(e)
+    return fqn_vec_fq_mat(ctx, a, B)
 
 
 def _max_trial_rank(n: int, k: int) -> int:
     return min(2 * (n - k) // 3, n - k - 1)
+
+
+def _joint_decode(code: GabidulinCode, words, s1, s2, recover):
+    """Trial-rank countdown shared by decode and interleaved_decode.
+
+    s1 and s2 are the stacked syndrome pair.  recover maps the root-space
+    basis of the accepted span polynomial to one error per received word and
+    raises InconsistentSystemError when they do not exist.  Returns
+    (status, codewords, errors, trial trace); codewords and errors are None
+    on failure.
+    """
+    ctx = code.ctx
+    if not any(s1) and not any(s2):
+        return "decoded", words, ((0,) * code.n,) * len(words), ()
+    trace = []
+    for t in range(_max_trial_rank(code.n, code.k), 0, -1):
+        rank, kernel = joint_kernel(ctx, s1, s2, t)
+        trace.append((t, rank))
+        if rank != t:
+            continue
+        gamma = lin_normalize(kernel[0])
+        roots = root_space_basis(ctx, gamma)
+        if len(roots) != t:
+            break
+        try:
+            errors = recover(roots)
+        except InconsistentSystemError:
+            break
+        sub = ctx.sub
+        codewords = tuple(tuple(sub(a, b) for a, b in zip(y, e))
+                          for y, e in zip(words, errors))
+        return "decoded", codewords, errors, tuple(trace)
+    return "failure", None, None, tuple(trace)
 
 
 def decode(code: GabidulinCode, y) -> DecodeOutcome:
@@ -123,29 +148,13 @@ def decode(code: GabidulinCode, y) -> DecodeOutcome:
     are values, not exceptions.  The trial trace records (t, rank) for every
     trial rank examined.
     """
-    ctx = code.ctx
     y = tuple(y)
     s1, s2 = code.syndromes(y)
-    if not any(s2):
-        return DecodeOutcome("decoded", y, (0,) * code.n, ())
-    trace = []
-    for t in range(_max_trial_rank(code.n, code.k), 0, -1):
-        rank, kernel = joint_kernel(ctx, s1, s2, t)
-        trace.append((t, rank))
-        if rank != t:
-            continue
-        gamma = lin_normalize(kernel[0])
-        roots = root_space_basis(ctx, gamma)
-        if len(roots) != t:
-            return DecodeOutcome("failure", None, None, tuple(trace))
-        try:
-            e = recover_error(code, roots, s2)
-        except InconsistentSystemError:
-            return DecodeOutcome("failure", None, None, tuple(trace))
-        sub = ctx.sub
-        c = tuple(sub(a, b) for a, b in zip(y, e))
-        return DecodeOutcome("decoded", c, e, tuple(trace))
-    return DecodeOutcome("failure", None, None, tuple(trace))
+    status, codewords, errors, trace = _joint_decode(
+        code, (y,), s1, s2, lambda a: (recover_error(code, a, s2),))
+    if codewords is None:
+        return DecodeOutcome(status, None, None, trace)
+    return DecodeOutcome(status, codewords[0], errors[0], trace)
 
 
 def interleaved_decode(code: GabidulinCode, y1, y2) -> InterleavedOutcome:
@@ -154,30 +163,8 @@ def interleaved_decode(code: GabidulinCode, y1, y2) -> InterleavedOutcome:
     Both syndromes come from the ordinary parity check; the stacked system,
     span-polynomial extraction and per-word error recovery then proceed as in
     single-word decoding."""
-    ctx = code.ctx
-    y1, y2 = tuple(y1), tuple(y2)
-    s1 = code.syndrome(y1)
-    s2 = code.syndrome(y2)
-    if not any(s1) and not any(s2):
-        return InterleavedOutcome("decoded", (y1, y2),
-                                  ((0,) * code.n, (0,) * code.n), ())
-    trace = []
-    for t in range(_max_trial_rank(code.n, code.k), 0, -1):
-        rank, kernel = joint_kernel(ctx, s1, s2, t)
-        trace.append((t, rank))
-        if rank != t:
-            continue
-        gamma = lin_normalize(kernel[0])
-        roots = root_space_basis(ctx, gamma)
-        if len(roots) != t:
-            return InterleavedOutcome("failure", None, None, tuple(trace))
-        try:
-            e1 = recover_error(code, roots, s1)
-            e2 = recover_error(code, roots, s2)
-        except InconsistentSystemError:
-            return InterleavedOutcome("failure", None, None, tuple(trace))
-        sub = ctx.sub
-        c1 = tuple(sub(a, b) for a, b in zip(y1, e1))
-        c2 = tuple(sub(a, b) for a, b in zip(y2, e2))
-        return InterleavedOutcome("decoded", (c1, c2), (e1, e2), tuple(trace))
-    return InterleavedOutcome("failure", None, None, tuple(trace))
+    words = (tuple(y1), tuple(y2))
+    s1, s2 = code.syndrome(words[0]), code.syndrome(words[1])
+    return InterleavedOutcome(*_joint_decode(
+        code, words, s1, s2,
+        lambda a: (recover_error(code, a, s1), recover_error(code, a, s2))))

@@ -199,21 +199,24 @@ def fqn_solve(ctx: FieldCtx, M, rhs):
     return _solve(_ops_fqn(ctx), M, rhs)
 
 
-def fq_matmul(ctx: FieldCtx, A, B):
-    badd, _, bmul, _ = _ops_fq(ctx)
+def _matmul(add, mul, A, B):
+    """Product A B of row-list matrices under the given scalar ops."""
     cols = len(B[0]) if B else 0
     out = []
     for row in A:
         orow = [0] * cols
         for l, a in enumerate(row):
-            if a == 0:
-                continue
-            brow = B[l]
-            for j in range(cols):
-                if brow[j]:
-                    orow[j] = badd(orow[j], bmul(a, brow[j]))
+            if a:
+                brow = B[l]
+                for j in range(cols):
+                    if brow[j]:
+                        orow[j] = add(orow[j], mul(a, brow[j]))
         out.append(orow)
     return out
+
+
+def fq_matmul(ctx: FieldCtx, A, B):
+    return _matmul(ctx.base_add, ctx.base_mul, A, B)
 
 
 def fq_transpose(M):
@@ -221,51 +224,13 @@ def fq_transpose(M):
 
 
 def fqn_matmul(ctx: FieldCtx, X, Y):
-    """Product of two matrices over F_{q^n}."""
-    add, mul = ctx.add, ctx.mul
-    cols = len(Y[0]) if Y else 0
-    out = []
-    for row in X:
-        orow = [0] * cols
-        for l, v in enumerate(row):
-            if v:
-                yrow = Y[l]
-                for j in range(cols):
-                    if yrow[j]:
-                        orow[j] = add(orow[j], mul(v, yrow[j]))
-        out.append(orow)
-    return out
-
-
-def fqn_matmul_fq(ctx: FieldCtx, X, P):
-    """Product of an F_{q^n} matrix with an F_q matrix (scalars embed as-is)."""
-    add, mul = ctx.add, ctx.mul
-    cols = len(P[0]) if P else 0
-    out = []
-    for row in X:
-        orow = [0] * cols
-        for l, v in enumerate(row):
-            if v:
-                prow = P[l]
-                for j in range(cols):
-                    if prow[j]:
-                        orow[j] = add(orow[j], mul(v, prow[j]))
-        out.append(orow)
-    return out
+    """Product of two matrices over F_{q^n}; F_q entries embed as-is."""
+    return _matmul(ctx.add, ctx.mul, X, Y)
 
 
 def fqn_vec_fq_mat(ctx: FieldCtx, v, M):
     """Row vector over F_{q^n} times a matrix over F_q."""
-    add, mul = ctx.add, ctx.mul
-    cols = len(M[0]) if M else 0
-    out = [0] * cols
-    for i, x in enumerate(v):
-        if x:
-            mrow = M[i]
-            for j in range(cols):
-                if mrow[j]:
-                    out[j] = add(out[j], mul(x, mrow[j]))
-    return tuple(out)
+    return tuple(_matmul(ctx.add, ctx.mul, [v], M)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +290,7 @@ def phi(ctx: FieldCtx, a, alpha):
     if len(a) != ctx.n:
         raise ValueError(f"vector must have length {ctx.n}")
     solver = _coord_solver(ctx, tuple(alpha))
-    cols = [solver.coords(x) for x in a]
-    return [[cols[j][i] for j in range(ctx.n)] for i in range(ctx.n)]
+    return fq_transpose([solver.coords(x) for x in a])
 
 
 def phi_inv(ctx: FieldCtx, A, alpha):
@@ -334,23 +298,12 @@ def phi_inv(ctx: FieldCtx, A, alpha):
     n = ctx.n
     if len(A) != n or any(len(row) != n for row in A):
         raise ValueError(f"matrix must be {n}x{n}")
-    add, mul = ctx.add, ctx.mul
-    out = []
-    for j in range(n):
-        acc = 0
-        for i in range(n):
-            c = A[i][j]
-            if c:
-                acc = add(acc, mul(alpha[i], c))
-        out.append(acc)
-    return tuple(out)
+    return fqn_vec_fq_mat(ctx, alpha, A)
 
 
 def transpose_vector(ctx: FieldCtx, a, alpha):
     """Vector whose expansion matrix is the transpose of that of a."""
-    A = phi(ctx, a, alpha)
-    return phi_inv(ctx, [[A[j][i] for j in range(ctx.n)] for i in range(ctx.n)],
-                   alpha)
+    return phi_inv(ctx, fq_transpose(phi(ctx, a, alpha)), alpha)
 
 
 def moore_matrix(ctx: FieldCtx, v, rows: int, shift: int = 0):
@@ -376,32 +329,10 @@ def vector_rank(ctx: FieldCtx, v, alpha=None) -> int:
     return fq_rank(ctx, M)
 
 
-def rank_of(ctx: FieldCtx, x, alpha=None, field: str = "fqn") -> int:
-    """Rank dispatcher: flat sequences are vectors over F_{q^n}; nested
-    sequences are matrices over the field named by `field` ("fq"/"fqn")."""
-    if x and isinstance(x[0], (list, tuple)):
-        return fq_rank(ctx, x) if field == "fq" else fqn_rank(ctx, x)
-    return vector_rank(ctx, x, alpha)
-
-
 # ---------------------------------------------------------------------------
-# Serialization: F_q matrices as row-major CSV of ints; F_{q^n} vectors and
-# matrices as ':'-joined coefficient strings, comma separated, rows on lines.
+# Serialization: F_{q^n} vectors as comma-separated ':'-joined coefficient
+# strings.
 # ---------------------------------------------------------------------------
-
-def fq_matrix_csv(M) -> str:
-    return "\n".join(",".join(str(v) for v in row) for row in M)
-
-
-def parse_fq_matrix(ctx: FieldCtx, text: str):
-    rows = []
-    for line in text.strip().splitlines():
-        row = [int(v) for v in line.strip().split(",")]
-        if any(not 0 <= v < ctx.q for v in row):
-            raise ValueError("matrix entry out of range")
-        rows.append(row)
-    return rows
-
 
 def fqn_vector_str(ctx: FieldCtx, v) -> str:
     return ",".join(ctx.elem_str(x) for x in v)
@@ -410,6 +341,3 @@ def fqn_vector_str(ctx: FieldCtx, v) -> str:
 def parse_fqn_vector(ctx: FieldCtx, text: str):
     return tuple(ctx.parse_elem(part) for part in text.strip().split(","))
 
-
-def fqn_matrix_csv(ctx: FieldCtx, M) -> str:
-    return "\n".join(fqn_vector_str(ctx, row) for row in M)

@@ -33,22 +33,6 @@ def lin_eval(ctx: FieldCtx, f, x: int) -> int:
     return acc
 
 
-def lin_add(ctx: FieldCtx, f, g):
-    add = ctx.add
-    m = max(len(f), len(g))
-    out = []
-    for i in range(m):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out.append(add(a, b))
-    return lin_normalize(out)
-
-
-def lin_scale(ctx: FieldCtx, c: int, f):
-    mul = ctx.mul
-    return lin_normalize(mul(c, v) for v in f)
-
-
 def lin_compose_mod(ctx: FieldCtx, outer, inner, mod_qdeg: int):
     """Coefficients 0..mod_qdeg-1 of outer(inner(x)).
 
@@ -89,18 +73,6 @@ def min_subspace_poly(ctx: FieldCtx, gens):
         padded = tuple(f) + (0,)
         f = tuple(sub(s, mul(scale, c)) for s, c in zip(shifted, padded))
     return lin_normalize(f)
-
-
-def lin_poly_str(ctx: FieldCtx, f) -> str:
-    """Comma-separated coefficient strings, index 0 first."""
-    return ",".join(ctx.elem_str(c) for c in f)
-
-
-def parse_lin_poly(ctx: FieldCtx, text: str):
-    text = text.strip()
-    if not text:
-        return ()
-    return lin_normalize(ctx.parse_elem(part) for part in text.split(","))
 
 
 def root_space_basis(ctx: FieldCtx, f):

@@ -31,13 +31,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .channel import sample_full_rank, sample_space_symmetric, \
-    sample_uniform_invertible
+from .channel import _gaussian_binomial, sample_full_rank, \
+    sample_space_symmetric, sample_uniform_invertible
 from .code import GabidulinCode
 from .decoder import decode, interleaved_decode
 from .field import make_field
-from .linalg import fqn_matmul, fqn_matmul_fq, fqn_rank, fqn_vec_fq_mat, \
-    fq_transpose, moore_matrix
+from .linalg import fq_transpose, fqn_matmul, fqn_rank, fqn_vec_fq_mat, \
+    moore_matrix
 from .wso import find_wso_basis
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -64,17 +64,6 @@ def failure_bound(q: int, n: int) -> float:
     return 4 / q ** n
 
 
-def _gauss_exact(m: int, r: int, Q: int) -> int:
-    if r < 0 or r > m:
-        return 0
-    num = 1
-    den = 1
-    for i in range(r):
-        num *= Q ** m - Q ** i
-        den *= Q ** r - Q ** i
-    return num // den
-
-
 def intersection_probability(t_dim: int, ell: int, omega: int, Qbase: int) -> float:
     """Probability that two uniform ell-dimensional subspaces of a t_dim-
     dimensional space over the field of order Qbase intersect in dimension
@@ -91,10 +80,10 @@ def intersection_probability(t_dim: int, ell: int, omega: int, Qbase: int) -> fl
     Q = Qbase
     num = 0
     for i in range(omega, ell + 1):
-        num += (_gauss_exact(t_dim - ell, ell - i, Q)
-                * _gauss_exact(ell, i, Q)
+        num += (_gaussian_binomial(t_dim - ell, ell - i, Q)
+                * _gaussian_binomial(ell, i, Q)
                 * Q ** ((ell - i) ** 2))
-    den = _gauss_exact(t_dim, ell, Q)
+    den = _gaussian_binomial(t_dim, ell, Q)
     return float(Fraction(num, den))
 
 
@@ -120,6 +109,8 @@ class SimConfig:
         tmax = 2 * (self.n - self.k) // 3
         if not 0 <= self.t <= tmax:
             raise ValueError(f"need 0 <= t <= {tmax}, got t={self.t}")
+        if self.t == 0 and self.scenario != 1:
+            raise ValueError(f"scenario {self.scenario} needs t >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -184,10 +175,10 @@ def _trial_uniform_coupling(code: GabidulinCode, t: int, rng) -> tuple[bool, boo
     P = sample_uniform_invertible(ctx, t, rng)
     Q = sample_uniform_invertible(ctx, t, rng)
     frob = ctx.frob
-    Mt = fqn_matmul_fq(ctx, moore_matrix(ctx, a, n - k - t), P)
+    Mt = fqn_matmul(ctx, moore_matrix(ctx, a, n - k - t), P)
     top = [[frob(v, t + 1) for v in row] for row in Mt]
-    bottom = fqn_matmul_fq(ctx, [[frob(v, t + k) for v in row] for row in Mt], Q)
-    right = [list(col) for col in zip(*moore_matrix(ctx, a, t + 1))]
+    bottom = fqn_matmul(ctx, [[frob(v, t + k) for v in row] for row in Mt], Q)
+    right = fq_transpose(moore_matrix(ctx, a, t + 1))
     S = fqn_matmul(ctx, top + bottom, right)
     return fqn_rank(ctx, S) != t, False
 

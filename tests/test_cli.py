@@ -173,6 +173,9 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "codec", "encode", "--q", "2", "--n", "2",
                            "--k", "1", "--modulus", "1:0:1")
     assert code == 1 and "reducible" in err
+    code, _, err = run_cli(capsys, "simulate", "--scenario", "3", "--q", "2",
+                           "--n", "8", "--k", "2", "--t", "0")
+    assert code == 1 and "scenario 3 needs t >= 1" in err
 
 
 def test_out_file_env_dir(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,7 @@ from rankmetric import (GabidulinCode, InconsistentSystemError,
                         sample_symmetric_invertible, transpose_vector)
 from rankmetric.channel import sample_uniform_invertible
 from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
-                               fqn_matmul_fq, fqn_vec_fq_mat, moore_matrix)
+                               fqn_vec_fq_mat, moore_matrix)
 
 
 def _rand_codeword(code, rng):
@@ -75,9 +75,9 @@ def test_key_equation_and_decomposition(code_8_2, F256):
         Ma = moore_matrix(F256, a, 8 - k - t)
         left1 = [[F256.frob(v, t + 1) for v in row] for row in Ma]
         left2 = [[F256.frob(v, t + k) for v in row] for row in Ma]
-        assert S1 == fqn_matmul(F256, fqn_matmul_fq(F256, left1, err.P), Mt1T)
+        assert S1 == fqn_matmul(F256, fqn_matmul(F256, left1, err.P), Mt1T)
         assert S2 == fqn_matmul(
-            F256, fqn_matmul_fq(F256, left2, fq_transpose(err.P)), Mt1T)
+            F256, fqn_matmul(F256, left2, fq_transpose(err.P)), Mt1T)
         for S in (S1, S2):
             for row in S:
                 acc = 0
@@ -206,6 +206,23 @@ def test_decode_failure_is_a_value(code_8_2, F256):
         assert out.codeword is None and out.error is None
         assert out.trial_trace and out.trial_trace[0][0] == 4
         assert out.trial_trace[0][1] <= 3
+
+
+def test_interleaved_failure_is_a_value(code_8_2, F256):
+    # a shared support of rank 5, one above t_max = 4: the stacked rank still
+    # matches the first trial, so the root space or the recovery must reject
+    rng = random.Random(76)
+    for _ in range(20):
+        A = sample_full_rank(F256, 8, 5, rng)
+        a = fqn_vec_fq_mat(F256, code_8_2.alpha, A)
+        ys = []
+        for _ in range(2):
+            e = fqn_vec_fq_mat(F256, a, sample_full_rank(F256, 5, 8, rng))
+            ys.append(_corrupt(F256, _rand_codeword(code_8_2, rng), e))
+        out = interleaved_decode(code_8_2, ys[0], ys[1])
+        assert out.status == "failure"
+        assert out.codewords is None and out.errors is None
+        assert out.trial_trace == ((4, 4),)
 
 
 def test_symmetric_inner_factor_guaranteed_beyond_unique_radius(code_8_3, F256):

@@ -4,10 +4,9 @@ import pytest
 
 from rankmetric import (InconsistentSystemError, fq_kernel, fq_matmul,
                         fq_rank, fq_solve, fq_transpose, fqn_kernel, fqn_rank,
-                        fqn_solve, moore_matrix, phi, phi_inv, rank_of,
+                        fqn_solve, moore_matrix, phi, phi_inv,
                         transpose_vector, vector_rank)
-from rankmetric.linalg import (fqn_matrix_csv, fqn_vector_str, fq_matrix_csv,
-                               fqn_vec_fq_mat, parse_fq_matrix,
+from rankmetric.linalg import (fqn_vector_str, fqn_vec_fq_mat,
                                parse_fqn_vector)
 
 
@@ -132,13 +131,6 @@ def test_vector_rank(F256, wso256):
             F256, phi(F256, a, wso256.alpha))
 
 
-def test_rank_of_dispatcher(F256, wso256):
-    assert rank_of(F256, (0,) * 8) == 0
-    assert rank_of(F256, [[1, 0], [0, 1]], field="fq") == 2
-    m = moore_matrix(F256, wso256.alpha, 3)
-    assert rank_of(F256, m, field="fqn") == 3
-
-
 def test_kernel_edge_cases(F4):
     assert fq_kernel(F4, [[1, 0], [0, 1]]) == []
     z = [[0, 0, 0], [0, 0, 0]]
@@ -213,14 +205,7 @@ def test_matmul_helpers(F4):
 
 
 def test_serialization(F4):
-    M = [[1, 0], [1, 1]]
-    text = fq_matrix_csv(M)
-    assert text == "1,0\n1,1"
-    assert parse_fq_matrix(F4, text) == M
     v = (2, 3)
     s = fqn_vector_str(F4, v)
     assert s == "0:1,1:1"
     assert parse_fqn_vector(F4, s) == v
-    assert fqn_matrix_csv(F4, [v, (0, 1)]) == "0:1,1:1\n0:0,1:0"
-    with pytest.raises(ValueError):
-        parse_fq_matrix(F4, "3,0")

@@ -111,6 +111,9 @@ def test_config_validation():
         SimConfig(scenario=1, q=2, n=8, k=2, t=4, trials=0, seed=0)
     with pytest.raises(ValueError):
         SimConfig(scenario=1, q=2, n=8, k=8, t=0, trials=10, seed=0)
+    for scenario in (2, 3):
+        with pytest.raises(ValueError, match=f"scenario {scenario} needs t"):
+            SimConfig(scenario=scenario, q=2, n=8, k=2, t=0, trials=10, seed=0)
 
 
 def test_shard_determinism_and_merge():
