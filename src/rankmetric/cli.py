@@ -18,7 +18,7 @@ from .channel import count_rank, count_space_symmetric, count_symmetric, \
     gaussian_binomial
 from .code import GabidulinCode
 from .decoder import decode
-from .field import make_field
+from .field import _prime_power, make_field
 from .keysize import ERROR_TYPES, build_table, reference_table
 from .linalg import fqn_vector_str, parse_fqn_vector
 from .simulate import SimConfig, SimReport, failure_bound, \
@@ -137,7 +137,14 @@ def _cmd_count(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.scenario == 4:
+        _prime_power(args.q)
+        if not 1 <= args.k < args.n:
+            raise ValueError(f"need 1 <= k < n, got k={args.k}, n={args.n}")
         t, nk = args.t, args.n - args.k
+        lo, hi = (nk + 1) // 2, 2 * nk // 3  # where the closed form is defined
+        if not lo <= t <= hi:
+            raise ValueError(f"scenario 4 needs ceil((n-k)/2) = {lo} <= t <= "
+                             f"floor(2(n-k)/3) = {hi}, got t={t}")
         prob = intersection_probability(t, nk - t, 2 * nk - 3 * t + 1,
                                         args.q ** args.n)
         bound = failure_bound(args.q, args.n)

@@ -12,29 +12,17 @@ Defining polynomials are picked deterministically: the lexicographically
 smallest monic irreducible of the required degree, comparing coefficient
 tuples constant term first.  A caller-supplied modulus is verified instead.
 
-For q^n up to 2^20 the context builds exp/log tables over a fixed
+Both levels (F_q when e > 1, and F_{q^n}) get exp/log tables over a fixed
 multiplicative generator, so multiplication, inversion and Frobenius powers
-become table lookups.  Larger fields fall back to polynomial arithmetic.
+are table lookups.  The tables bound the field: q^n must be at most 2^20,
+and a larger order raises ValueError naming that budget.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-TABLE_LIMIT = 1 << 20
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+ORDER_LIMIT = 1 << 20
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -74,28 +62,26 @@ def _factor(m: int) -> list[int]:
 class _ScalarOps:
     """Arithmetic for a coefficient field, used by the polynomial helpers."""
 
-    __slots__ = ("q", "add", "sub", "mul", "inv", "neg")
+    __slots__ = ("q", "add", "sub", "mul", "inv")
 
-    def __init__(self, q, add, sub, mul, inv, neg):
+    def __init__(self, q, add, sub, mul, inv):
         self.q = q
         self.add = add
         self.sub = sub
         self.mul = mul
         self.inv = inv
-        self.neg = neg
 
 
 def _prime_ops(p: int) -> _ScalarOps:
     if p == 2:
         return _ScalarOps(2, lambda a, b: a ^ b, lambda a, b: a ^ b,
-                          lambda a, b: a & b, lambda a: 1, lambda a: a)
+                          lambda a, b: a & b, lambda a: 1)
     return _ScalarOps(
         p,
         lambda a, b: (a + b) % p,
         lambda a, b: (a - b) % p,
         lambda a, b: (a * b) % p,
         lambda a: pow(a, p - 2, p),
-        lambda a: (-a) % p,
     )
 
 
@@ -215,29 +201,141 @@ def _smallest_irreducible(fo: _ScalarOps, d: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible polynomial of degree {d} found")  # pragma: no cover
 
 
+def _add_digits(p: int, a: int, b: int, sign: int) -> int:
+    """Base-p digit-wise a + sign * b."""
+    out = 0
+    mult = 1
+    while a or b:
+        out += (a % p + sign * (b % p)) % p * mult
+        mult *= p
+        a //= p
+        b //= p
+    return out
+
+
+def _mul_digits(fo: _ScalarOps, mod, base: int, a: int, b: int) -> int:
+    da = []
+    while a:
+        da.append(a % base)
+        a //= base
+    db = []
+    while b:
+        db.append(b % base)
+        b //= base
+    prod = _pmod(fo, _pmul(fo, tuple(da), tuple(db)), mod)
+    out = 0
+    for c in reversed(prod):
+        out = out * base + c
+    return out
+
+
+def _tabled(p: int, fo: _ScalarOps, mod):
+    """Tabled arithmetic of F[x]/(mod) over the coefficient field F of fo.
+
+    Elements are packed ints whose base-|F| digits are the residue
+    coefficients.  Products are computed only while building exp/log tables
+    over the smallest primitive packed int (a bit-shift multiplier over F_2,
+    the packed-digit polynomial product otherwise); mul and inv then look
+    them up.  Returns (ops, exp, log).
+    """
+    base, deg = fo.q, len(mod) - 1
+    order = base ** deg
+    if base == 2:
+        bits = sum(1 << i for i, c in enumerate(mod) if c)
+
+        def mul_raw(a, b):
+            r = 0
+            while b:
+                if b & 1:
+                    r ^= a
+                b >>= 1
+                a <<= 1
+                if (a >> deg) & 1:
+                    a ^= bits
+            return r
+    else:
+        def mul_raw(a, b):
+            return _mul_digits(fo, mod, base, a, b)
+
+    def raw_pow(g, m):
+        r = 1
+        while m:
+            if m & 1:
+                r = mul_raw(r, g)
+            g = mul_raw(g, g)
+            m >>= 1
+        return r
+
+    L = order - 1
+    prime_parts = _factor(L)
+    # order 2 has no candidate above 1, and 1 generates its group
+    gen = next((g for g in range(2, order)
+                if all(raw_pow(g, L // r) != 1 for r in prime_parts)), 1)
+    exp = [0] * (2 * L)
+    log = [-1] * order
+    v = 1
+    for i in range(L):
+        exp[i] = v
+        exp[i + L] = v
+        log[v] = i
+        v = mul_raw(v, gen)
+
+    def mul(a, b, _exp=exp, _log=log):
+        if a == 0 or b == 0:
+            return 0
+        return _exp[_log[a] + _log[b]]
+
+    def inv(a, _exp=exp, _log=log, _L=L):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return _exp[_L - _log[a]]
+
+    if p == 2:
+        add = sub = lambda a, b: a ^ b
+    else:
+        add = lambda a, b: _add_digits(p, a, b, 1)
+        sub = lambda a, b: _add_digits(p, a, b, -1)
+    return _ScalarOps(order, add, sub, mul, inv), exp, log
+
+
 class FieldCtx:
     """Immutable description of F_q and F_{q^n} with packed-int arithmetic.
 
     Attributes:
         p, e, q: base field characteristic, extension exponent, order (q = p^e)
         n: extension degree
-        order: q^n
+        order: q^n, at most ORDER_LIMIT = 2^20
         modulus: defining polynomial of F_{q^n} over F_q, constant term first,
             length n+1, monic
     """
 
     def __init__(self, q: int, n: int, modulus=None):
-        p, e = _prime_power(q)
         if n < 1:
             raise ValueError(f"extension degree n={n} must be >= 1")
+        # n > 20 forces q^n > 2^20 for every q >= 2 without computing q^n
+        if n > 20 or q ** n > ORDER_LIMIT:
+            raise ValueError(
+                f"field order {q}^{n} exceeds the table budget 2^20")
+        p, e = _prime_power(q)
         self.p = p
         self.e = e
         self.q = q
         self.n = n
         self.order = q ** n
 
-        self._init_base()
-        fo = self._fq_ops
+        fo = _prime_ops(p)
+        if e > 1:
+            fo = _tabled(p, fo, _smallest_irreducible(fo, e))[0]
+        self.base_add = fo.add
+        self.base_sub = fo.sub
+        self.base_mul = fo.mul
+
+        def base_inv(a, _inv=fo.inv):
+            if a == 0:
+                raise ZeroDivisionError("inverse of zero in F_q")
+            return _inv(a)
+
+        self.base_inv = base_inv
 
         if modulus is None:
             modulus = _smallest_irreducible(fo, n)
@@ -252,228 +350,36 @@ class FieldCtx:
                 raise ValueError(f"modulus {modulus} is reducible over F_{q}")
         self.modulus = modulus
 
-        self._init_extension()
+        ops, exp, log = _tabled(p, fo, modulus)
+        self._exp, self._log = exp, log
+        self.add, self.sub = ops.add, ops.sub
+        self.mul, self.inv = ops.mul, ops.inv
+        self.neg = lambda a, _sub=ops.sub: _sub(0, a)
 
-    # -- base field -------------------------------------------------------
+        L = self.order - 1
+        qpow = [pow(q, i, L) for i in range(n)]
 
-    def _init_base(self):
-        p, e, q = self.p, self.e, self.q
-        pops = _prime_ops(p)
-        if e == 1:
-            self.base_modulus = None
-            self._fq_ops = pops
-        else:
-            base_mod = _smallest_irreducible(pops, e)
-            self.base_modulus = base_mod
-            exp, log = self._build_tables(
-                q, lambda a, b: self._mul_digits(pops, base_mod, p, e, a, b))
-            L = q - 1
-            if p == 2:
-                badd = lambda a, b: a ^ b
-                bsub = badd
-                bneg = lambda a: a
-            else:
-                badd = lambda a, b: self._add_digits(p, e, a, b, 1)
-                bsub = lambda a, b: self._add_digits(p, e, a, b, -1)
-                bneg = lambda a: self._add_digits(p, e, 0, a, -1)
+        def frob(x, i, _exp=exp, _log=log, _L=L, _qpow=qpow, _n=n):
+            if x == 0:
+                return 0
+            return _exp[_log[x] * _qpow[i % _n] % _L]
 
-            def bmul(a, b, _exp=exp, _log=log):
-                if a == 0 or b == 0:
-                    return 0
-                return _exp[_log[a] + _log[b]]
-
-            def binv(a, _exp=exp, _log=log, _L=L):
-                if a == 0:
-                    raise ZeroDivisionError("inverse of zero in F_q")
-                return _exp[_L - _log[a]]
-
-            self._fq_ops = _ScalarOps(q, badd, bsub, bmul, binv, bneg)
-        fo = self._fq_ops
-        self.base_add = fo.add
-        self.base_sub = fo.sub
-        self.base_mul = fo.mul
-        self.base_neg = fo.neg
-
-        def base_inv(a, _inv=fo.inv):
+        def power(a, m, _exp=exp, _log=log, _L=L):
             if a == 0:
-                raise ZeroDivisionError("inverse of zero in F_q")
-            return _inv(a)
-
-        self.base_inv = base_inv
-
-    @staticmethod
-    def _add_digits(p: int, ndigits: int, a: int, b: int, sign: int) -> int:
-        out = 0
-        mult = 1
-        for _ in range(ndigits):
-            d = (a % p + sign * (b % p)) % p
-            out += d * mult
-            mult *= p
-            a //= p
-            b //= p
-        return out
-
-    @staticmethod
-    def _mul_digits(fo: _ScalarOps, mod, base: int, ndigits: int,
-                    a: int, b: int) -> int:
-        da = []
-        while a:
-            da.append(a % base)
-            a //= base
-        db = []
-        while b:
-            db.append(b % base)
-            b //= base
-        prod = _pmod(fo, _pmul(fo, tuple(da), tuple(db)), mod)
-        out = 0
-        for c in reversed(prod):
-            out = out * base + c
-        return out
-
-    @staticmethod
-    def _build_tables(order: int, mul_raw):
-        """exp/log tables over a deterministic generator (smallest packed int)."""
-        L = order - 1
-        prime_parts = _factor(L)
-
-        def raw_pow(g, m):
-            r = 1
-            while m:
-                if m & 1:
-                    r = mul_raw(r, g)
-                g = mul_raw(g, g)
-                m >>= 1
-            return r
-
-        gen = None
-        for g in range(2, order):
-            if all(raw_pow(g, L // r) != 1 for r in prime_parts):
-                gen = g
-                break
-        if gen is None:  # pragma: no cover - L = 1 edge (order 2)
-            gen = 1
-        exp = [0] * (2 * L)
-        log = [-1] * order
-        v = 1
-        for i in range(L):
-            exp[i] = v
-            exp[i + L] = v
-            log[v] = i
-            v = mul_raw(v, gen)
-        return exp, log
-
-    # -- extension field ---------------------------------------------------
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.p == 2 and self.e == 1:
-            n = self.n
-            modbits = self._modulus_bits
-            r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if (a >> n) & 1:
-                    a ^= modbits
-            return r
-        return self._mul_digits(self._fq_ops, self.modulus, self.q, self.n, a, b)
-
-    def _init_extension(self):
-        q, n, order = self.q, self.n, self.order
-        p = self.p
-        if p == 2 and self.e == 1:
-            bits = 0
-            for i, c in enumerate(self.modulus):
-                if c:
-                    bits |= 1 << i
-            self._modulus_bits = bits
-
-        if p == 2:
-            self.add = lambda a, b: a ^ b
-            self.sub = self.add
-            self.neg = lambda a: a
-        else:
-            e_total = self.e * n
-            self.add = lambda a, b: self._add_digits(p, e_total, a, b, 1)
-            self.sub = lambda a, b: self._add_digits(p, e_total, a, b, -1)
-            self.neg = lambda a: self._add_digits(p, e_total, 0, a, -1)
-
-        L = order - 1
-        self._mult_order = L
-        self._qpow = [pow(q, i, L) if L > 1 else 0 for i in range(n)]
-
-        if order <= TABLE_LIMIT:
-            exp, log = self._build_tables(order, self._mul_raw)
-            self._exp, self._log = exp, log
-            qpow = self._qpow
-
-            def mul(a, b, _exp=exp, _log=log):
-                if a == 0 or b == 0:
-                    return 0
-                return _exp[_log[a] + _log[b]]
-
-            def inv(a, _exp=exp, _log=log, _L=L):
-                if a == 0:
+                if m == 0:
+                    return 1
+                if m < 0:
                     raise ZeroDivisionError("inverse of zero")
-                return _exp[_L - _log[a]]
+                return 0
+            return _exp[_log[a] * (m % _L) % _L]
 
-            def frob(x, i, _exp=exp, _log=log, _L=L, _qpow=qpow, _n=n):
-                if x == 0:
-                    return 0
-                return _exp[_log[x] * _qpow[i % _n] % _L]
-
-            def power(a, m, _exp=exp, _log=log, _L=L):
-                if a == 0:
-                    if m == 0:
-                        return 1
-                    if m < 0:
-                        raise ZeroDivisionError("inverse of zero")
-                    return 0
-                return _exp[_log[a] * (m % _L) % _L]
-
-            self.mul, self.inv, self.frob, self.power = mul, inv, frob, power
-        else:
-            self._exp = self._log = None
-            self.mul = self._mul_raw
-            self.inv = self._inv_generic
-            self.frob = self._frob_generic
-            self.power = self._power_generic
-
-        add = self.add
-        frob = self.frob
-
-        def trace(x, _n=n, _add=add, _frob=frob):
+        def trace(x, _n=n, _add=ops.add, _frob=frob):
             acc = x
             for i in range(1, _n):
                 acc = _add(acc, _frob(x, i))
             return acc
 
-        self.trace = trace
-
-    def _power_generic(self, a: int, m: int) -> int:
-        if a == 0:
-            if m == 0:
-                return 1
-            if m < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 0
-        m %= self._mult_order
-        r = 1
-        while m:
-            if m & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            m >>= 1
-        return r
-
-    def _inv_generic(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self._power_generic(a, self._mult_order - 1)
-
-    def _frob_generic(self, x: int, i: int) -> int:
-        return self._power_generic(x, self.q ** (i % self.n)) if x else 0
+        self.frob, self.power, self.trace = frob, power, trace
 
     # -- conversions and formatting ----------------------------------------
 

@@ -88,9 +88,9 @@ class CryptoRow:
 
 def crypto_row(sl: int, kind: str, n: int, k: int, lam: int,
                q: int = 2) -> CryptoRow:
+    struc = wf_struc(n, lam, q)  # rejects lambda < 1 before the division
     tprime = max_errors(kind, n, k) // lam
     dec = wf_dec(n, k, tprime, q)
-    struc = wf_struc(n, lam, q)
     err = wf_error(kind, n, tprime, q)
     return CryptoRow(sl, kind, n, k, lam, tprime, dec, struc, err,
                      key_size_kb(n, k, q), min(dec, struc, err) >= sl)

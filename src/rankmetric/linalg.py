@@ -314,17 +314,13 @@ def moore_matrix(ctx: FieldCtx, v, rows: int, shift: int = 0):
     return [[frob(x, r + shift) for x in v] for r in range(rows)]
 
 
-def vector_rank(ctx: FieldCtx, v, alpha=None) -> int:
+def vector_rank(ctx: FieldCtx, v) -> int:
     """Rank of a vector over F_{q^n}: dimension of the F_q-span of its entries.
 
-    Computed as the F_q-rank of the coordinate expansion; alpha defaults to
-    the polynomial basis, whose coordinates are the packed digits.
+    Computed as the F_q-rank of the expansion in the polynomial basis, whose
+    coordinates are the packed digits; the rank does not depend on the basis.
     """
-    if alpha is None:
-        cols = [ctx.coeffs(x) for x in v]
-    else:
-        solver = _coord_solver(ctx, tuple(alpha))
-        cols = [solver.coords(x) for x in v]
+    cols = [ctx.coeffs(x) for x in v]
     M = [[col[i] for col in cols] for i in range(ctx.n)]
     return fq_rank(ctx, M)
 

@@ -237,8 +237,7 @@ def _shard_ranges(trials: int, shards: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def run_scenario(cfg: SimConfig, shards: int = 1,
-                 max_workers: int | None = None) -> SimReport:
+def run_scenario(cfg: SimConfig, shards: int = 1) -> SimReport:
     """Run all trials of one scenario, optionally sharded across processes.
 
     Per-trial RNG streams depend only on (seed, trial index), so the report
@@ -252,7 +251,7 @@ def run_scenario(cfg: SimConfig, shards: int = 1,
     if shards == 1:
         results = [_run_range(cfg, *ranges[0])]
     else:
-        workers = max_workers or min(shards, os.cpu_count() or 1)
+        workers = min(shards, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_range, [cfg] * shards,
                                     [r[0] for r in ranges],

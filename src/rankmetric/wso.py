@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from .field import FieldCtx
 from .linalg import moore_matrix, vector_rank
 
-SEARCH_LIMIT = 1 << 20
-
 
 @dataclass(frozen=True)
 class WsoBasis:
@@ -183,9 +181,6 @@ def find_wso_basis(ctx: FieldCtx) -> WsoBasis:
     trace-orthonormal construction, then a tiny exhaustive scan; raises
     LookupError when every stage comes up empty.
     """
-    if ctx.order > SEARCH_LIMIT:
-        raise ValueError(
-            f"field order {ctx.order} exceeds the search budget {SEARCH_LIMIT}")
     found = _normal_scan(ctx)
     if found is not None:
         return found

@@ -93,6 +93,10 @@ def test_keysize_missing_args(capsys):
     code, _, err = run_cli(capsys, "keysize", "--sl", "192")
     assert code == 1
     assert "need" in err
+    for lam in ("0", "-1"):
+        code, _, err = run_cli(capsys, "keysize", "--sl", "192", "--type",
+                               "sym", "--n", "62", "--k", "31", "--lambda", lam)
+        assert code == 1 and "lambda must be >= 1" in err
 
 
 def test_find_basis_json(capsys):
@@ -176,6 +180,19 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "simulate", "--scenario", "3", "--q", "2",
                            "--n", "8", "--k", "2", "--t", "0")
     assert code == 1 and "scenario 3 needs t >= 1" in err
+    s4 = ("simulate", "--scenario", "4")
+    for args, msg in ((("--q", "6", "--n", "8", "--k", "2", "--t", "4"),
+                       "prime power"),
+                      (("--q", "1", "--n", "8", "--k", "2", "--t", "4"),
+                       "prime power"),
+                      (("--q", "2", "--n", "8", "--k", "8", "--t", "0"),
+                       "need 1 <= k < n"),
+                      (("--q", "2", "--n", "8", "--k", "2", "--t", "2"),
+                       "ceil((n-k)/2) = 3 <= t"),
+                      (("--q", "2", "--n", "8", "--k", "2", "--t", "5"),
+                       "t <= floor(2(n-k)/3) = 4")):
+        code, _, err = run_cli(capsys, *s4, *args)
+        assert code == 1 and msg in err
 
 
 def test_out_file_env_dir(tmp_path, capsys, monkeypatch):
