@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldCtx, _prime_power
-from .linalg import fq_matmul, fq_rank, fq_transpose, phi_inv
+from .linalg import _gf2_dot, _gf2_rref, _gf2_unpack, _gf2_vec_mat, \
+    fq_matmul, fq_rank, fq_transpose, phi_inv
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,30 @@ def _random_matrix(ctx: FieldCtx, rows: int, cols: int, rng):
     return [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
 
 
+def _gf2_full_rank(rows: int, cols: int, rng):
+    """Packed rows (bit j = column j) of a uniform full-rank matrix over F_2.
+
+    Entries are drawn in the order and with the calls of _random_matrix, so
+    a seed gives the same matrix as the generic path.
+    """
+    target = min(rows, cols)
+    draw = rng.randrange
+    while True:
+        M = []
+        for _ in range(rows):
+            m = 0
+            for j in range(cols):
+                if draw(2):
+                    m |= 1 << j
+            M.append(m)
+        if len(_gf2_rref(M[:])) == target:
+            return M
+
+
 def sample_full_rank(ctx: FieldCtx, rows: int, cols: int, rng):
     """Uniform matrix of full rank min(rows, cols)."""
+    if ctx.q == 2:
+        return _gf2_unpack(_gf2_full_rank(rows, cols, rng), cols)
     target = min(rows, cols)
     while True:
         M = _random_matrix(ctx, rows, cols, rng)
@@ -80,6 +103,9 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     matrices; every such E has exactly |GL_t(F_q)| factorizations, so
     E = A P A^T is uniform over the target ensemble.  The vector form is
     taken relative to alpha.
+
+    At q = 2 the matrices stay packed: with b = alpha (A P), entry j of the
+    vector form is the sum of the b_l over the set bits l of row j of A.
     """
     n = ctx.n
     if not 0 <= t <= n:
@@ -87,6 +113,14 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     if t == 0:
         E = [[0] * n for _ in range(n)]
         return SpaceSymError(0, [[] for _ in range(n)], [], E, (0,) * n)
+    if ctx.q == 2:
+        A = _gf2_full_rank(n, t, rng)
+        P = _gf2_full_rank(t, t, rng)
+        AP = [_gf2_dot(m, P) for m in A]
+        b = _gf2_vec_mat(alpha, AP, t)
+        e = tuple(_gf2_dot(m, b) for m in A)
+        E = [[(r & m).bit_count() & 1 for m in A] for r in AP]
+        return SpaceSymError(t, _gf2_unpack(A, t), _gf2_unpack(P, t), E, e)
     A = sample_full_rank(ctx, n, t, rng)
     P = sample_uniform_invertible(ctx, t, rng)
     E = fq_matmul(ctx, fq_matmul(ctx, A, P), fq_transpose(A))

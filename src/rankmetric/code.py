@@ -6,12 +6,17 @@ parity check of the code, and the one shifted by a single q-power is a
 parity check of the transposed code (the image of every codeword's expansion
 matrix under transposition).  Both facts are multiplied out and asserted at
 construction so a bad basis fails fast.
+
+Over F_2 both syndromes are F_2-linear in the n^2 bits of the received
+word, so the code tabulates that map once and a syndrome pair costs one XOR
+per set bit of the word.
 """
 
 from __future__ import annotations
 
 from .field import FieldCtx
-from .linalg import _matmul, fq_transpose, moore_matrix, transpose_vector
+from .linalg import _coord_solver, _gf2_dot, _matmul, fq_transpose, \
+    moore_matrix, transpose_vector
 from .wso import WsoBasis, find_wso_basis, is_weak_self_orthogonal
 
 
@@ -36,12 +41,38 @@ class GabidulinCode:
         self._H = moore_matrix(ctx, self.alpha, n - k, shift=k)
         self._Hhat = moore_matrix(ctx, self.alpha, n - k, shift=1)
         self._assert_parity()
+        self._syndrome_map = self._gf2_syndrome_map() if ctx.q == 2 else None
 
     def _assert_parity(self):
         ctx = self.ctx
         GHt = _matmul(ctx.add, ctx.mul, self._G, fq_transpose(self._H))
         if any(any(row) for row in GHt):
             raise ValueError("generator/parity-check product is nonzero")
+
+    def _gf2_syndrome_map(self):
+        """Syndrome pair of each unit error, packed; q = 2 only.
+
+        Entry [j][i] belongs to the word with w^i at position j.  Its s2 is
+        w^i H[r][j]; its s1 is alpha_j sum_m c_m(w^i) Hhat[r][m], with c the
+        alpha-coordinates, because transposing the word puts alpha_j c_m(y_j)
+        at position m.  Syndrome r of s1 sits at bits r*n, of s2 at
+        (n-k+r)*n.
+        """
+        ctx, n = self.ctx, self.n
+        mul = ctx.mul
+        solver = _coord_solver(ctx, self.alpha)
+        # hat[i][r] = sum_m c_m(w^i) Hhat[r][m]
+        hat = [[_gf2_dot(solver.mask(1 << i), row) for row in self._Hhat]
+               for i in range(n)]
+        out = []
+        for j, aj in enumerate(self.alpha):
+            entries = []
+            for i in range(n):
+                parts = [mul(aj, h) for h in hat[i]]
+                parts += [mul(1 << i, row[j]) for row in self._H]
+                entries.append(sum(v << (r * n) for r, v in enumerate(parts)))
+            out.append(entries)
+        return out
 
     def generator_matrix(self):
         return [row[:] for row in self._G]
@@ -84,8 +115,17 @@ class GabidulinCode:
         transposed code's parity check, the second is y H^T; codeword parts
         cancel in both, so each depends only on the error.
         """
-        if len(y) != self.n:
-            raise ValueError(f"word must have length {self.n}")
+        n = self.n
+        if len(y) != n:
+            raise ValueError(f"word must have length {n}")
+        table = self._syndrome_map
+        if table is not None:
+            acc = 0
+            for yj, entries in zip(y, table):
+                acc ^= _gf2_dot(yj, entries)
+            nk, full = n - self.k, (1 << n) - 1
+            s = [(acc >> (r * n)) & full for r in range(2 * nk)]
+            return tuple(s[:nk]), tuple(s[nk:])
         yhat = transpose_vector(self.ctx, y, self.alpha)
         s1 = self._syndrome_against(yhat, self._Hhat)
         s2 = self._syndrome_against(y, self._H)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .code import GabidulinCode
 from .field import FieldCtx
-from .linalg import (InconsistentSystemError, _coord_solver,
+from .linalg import (InconsistentSystemError, _coord_solver, _gf2_vec_mat,
                      _kernel_from_rref, _ops_fqn, _rref, fqn_solve,
                      fqn_vec_fq_mat)
 from .linpoly import lin_compose_mod, lin_normalize, root_space_basis
@@ -88,7 +88,8 @@ def recover_error(code: GabidulinCode, a, s2):
     overdetermined rows are kept so that a wrong support basis surfaces as an
     InconsistentSystemError instead of a silent miscorrection.  Row l of the
     combination matrix holds the basis coordinates of d_l^(q^-k), and the
-    error is the corresponding combination of the a_l.
+    error is the corresponding combination of the a_l; at q = 2 the rows
+    stay packed.
     """
     ctx = code.ctx
     n, k = code.n, code.k
@@ -100,6 +101,9 @@ def recover_error(code: GabidulinCode, a, s2):
     rhs = [frob(s2[j], -j) for j in range(n - k)]
     d, _ = fqn_solve(ctx, M, rhs)
     solver = _coord_solver(ctx, code.alpha)
+    if ctx.q == 2:
+        B = [solver.mask(frob(dl, -k)) for dl in d]
+        return tuple(_gf2_vec_mat(a, B, n))
     B = [solver.coords(frob(dl, -k)) for dl in d]
     return fqn_vec_fq_mat(ctx, a, B)
 

@@ -25,23 +25,67 @@ from typing import Iterable, Sequence
 ORDER_LIMIT = 1 << 20
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (Sorenson and Webster, 2015).
+PRIME_TEST_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin test; exact for m < PRIME_TEST_LIMIT."""
+    if m < 2:
+        return False
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(m: int, e: int) -> int:
+    """Largest r with r^e <= m, for m >= 1: Newton's method from above."""
+    r = 1 << -(-m.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + m // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def _prime_power(q: int) -> tuple[int, int]:
-    """Split q into (p, e) with p prime and q = p^e, or raise ValueError."""
+    """Split q into (p, e) with p prime and q = p^e, or raise ValueError.
+
+    Exponents are tried from the largest down, so the first exact root is
+    the smallest base r with q a power of r; q is a prime power exactly
+    when that r is prime.  A base at or above PRIME_TEST_LIMIT is rejected,
+    since the primality test is exact only below it.
+    """
     if q < 2:
         raise ValueError(f"q={q} is not a prime power")
-    p = 2
-    while p * p <= q and q % p != 0:
-        p += 1
-    if q % p != 0:
-        p = q  # q itself is prime
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise ValueError(f"q={q} is not a prime power")
-    return p, e
+    for e in range(q.bit_length() - 1, 0, -1):
+        r = _iroot(q, e)
+        if r < 2 or r ** e != q:
+            continue
+        if r >= PRIME_TEST_LIMIT:
+            raise ValueError(f"q={q} has a base above the primality test "
+                             f"bound {PRIME_TEST_LIMIT}")
+        if _is_prime(r):
+            return r, e
+        break
+    raise ValueError(f"q={q} is not a prime power")
 
 
 def _factor(m: int) -> list[int]:

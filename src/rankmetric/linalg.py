@@ -14,8 +14,6 @@ vectors, Moore matrices and rank computations.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .field import FieldCtx
 
 
@@ -38,19 +36,25 @@ def _gf2_pack(M):
     return out
 
 
+def _gf2_unpack(masks, cols):
+    return [[(m >> j) & 1 for j in range(cols)] for m in masks]
+
+
 def _gf2_rref(masks):
     """In-place RREF on bit-packed rows; returns pivot column list."""
     pivots = []
     r = 0
     nrows = len(masks)
-    limit = max((m.bit_length() for m in masks), default=0)
-    for c in range(limit):
+    for c in range(max(masks, default=0).bit_length()):
         bit = 1 << c
-        pr = next((i for i in range(r, nrows) if masks[i] & bit), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if masks[pr] & bit:
+                break
+        else:
             continue
-        masks[r], masks[pr] = masks[pr], masks[r]
-        mr = masks[r]
+        mr = masks[pr]
+        masks[pr] = masks[r]
+        masks[r] = mr
         for i in range(nrows):
             if i != r and masks[i] & bit:
                 masks[i] ^= mr
@@ -61,27 +65,53 @@ def _gf2_rref(masks):
     return pivots
 
 
-def _gf2_rank(M) -> int:
-    masks = _gf2_pack(M)
-    return len(_gf2_rref(masks))
+def _gf2_kernel(masks, ncols):
+    """Kernel basis of the packed rows, each vector packed the same way.
 
-
-def _gf2_kernel(M, ncols):
-    masks = _gf2_pack(M)
+    Eliminates `masks` in place.  One vector per free column, ascending, as
+    in _kernel_from_rref; at q = 2 a packed vector over ncols = n columns is
+    also the packed F_{2^n} element with those polynomial-basis digits.
+    """
     pivots = _gf2_rref(masks)
     pivset = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivset:
             continue
-        vec = [0] * ncols
-        vec[free] = 1
         fb = 1 << free
+        vec = fb
         for i, pc in enumerate(pivots):
             if masks[i] & fb:
-                vec[pc] = 1
+                vec |= 1 << pc
         basis.append(vec)
     return basis
+
+
+def _gf2_dot(m, v):
+    """XOR of v[l] over the set bits l of m.
+
+    A packed F_2 row times a vector whose entries add by XOR: F_{2^n}
+    elements, or packed rows (then the result is a row of a product).
+    """
+    acc = 0
+    for x in v:
+        if m & 1:
+            acc ^= x
+        m >>= 1
+    return acc
+
+
+def _gf2_vec_mat(v, masks, cols):
+    """Row vector v over F_{2^n} times the F_2 matrix with packed rows."""
+    out = [0] * cols
+    for x, m in zip(v, masks):
+        j = 0
+        while m:
+            if m & 1:
+                out[j] ^= x
+            m >>= 1
+            j += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +134,8 @@ def _rref(add, sub, mul, inv, M, ncols):
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], lead)]
+                rows[i] = [sub(a, mul(f, b)) if b else a
+                           for a, b in zip(rows[i], lead)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -166,7 +197,7 @@ def fq_rank(ctx: FieldCtx, M) -> int:
     if not M:
         return 0
     if ctx.q == 2:
-        return _gf2_rank(M)
+        return len(_gf2_rref(_gf2_pack(M)))
     return _rank(_ops_fq(ctx), M, len(M[0]))
 
 
@@ -175,7 +206,7 @@ def fq_kernel(ctx: FieldCtx, M):
         return []
     ncols = len(M[0])
     if ctx.q == 2:
-        return _gf2_kernel(M, ncols)
+        return _gf2_unpack(_gf2_kernel(_gf2_pack(M), ncols), ncols)
     return _kernel(_ops_fq(ctx), M, ncols)
 
 
@@ -238,10 +269,14 @@ def fqn_vec_fq_mat(ctx: FieldCtx, v, M):
 # ---------------------------------------------------------------------------
 
 class _CoordSolver:
-    """Coordinates of extension elements relative to a fixed basis alpha."""
+    """Coordinates of extension elements relative to a fixed basis alpha.
+
+    Holds q, n and the base-field ops, never a FieldCtx, so a cached solver
+    keeps no context and none of its exp/log tables alive.
+    """
 
     def __init__(self, ctx: FieldCtx, alpha):
-        n = ctx.n
+        n, q = ctx.n, ctx.q
         if len(alpha) != n:
             raise ValueError(f"basis must have {n} entries")
         # column j of the basis matrix = digit vector of alpha_j
@@ -253,23 +288,32 @@ class _CoordSolver:
         if pivots[:n] != list(range(n)):
             raise ValueError("alpha is not a basis")
         inv_rows = [r[n:] for r in rows[:n]]
-        self.ctx = ctx
+        self.q = q
         self.n = n
-        if ctx.p == 2 and ctx.e == 1:
-            self._masks = [sum(1 << j for j, v in enumerate(r) if v)
-                           for r in inv_rows]
+        if q == 2:
+            # column i of the inverse, packed: the coordinates of w^i
+            self._cols = _gf2_pack(fq_transpose(inv_rows))
             self.coords = self._coords_gf2
         else:
+            self._badd, self._bmul = ctx.base_add, ctx.base_mul
             self._inv = inv_rows
             self.coords = self._coords_generic
 
+    def mask(self, x: int) -> int:
+        """q = 2 only: the coordinates of x packed, bit m = coordinate m."""
+        return _gf2_dot(x, self._cols)
+
     def _coords_gf2(self, x: int):
-        return tuple((m & x).bit_count() & 1 for m in self._masks)
+        m = self.mask(x)
+        return tuple((m >> j) & 1 for j in range(self.n))
 
     def _coords_generic(self, x: int):
-        ctx = self.ctx
-        digits = ctx.coeffs(x)
-        badd, bmul = ctx.base_add, ctx.base_mul
+        q = self.q
+        digits = []
+        for _ in range(self.n):
+            digits.append(x % q)
+            x //= q
+        badd, bmul = self._badd, self._bmul
         out = []
         for row in self._inv:
             acc = 0
@@ -280,16 +324,31 @@ class _CoordSolver:
         return tuple(out)
 
 
-@lru_cache(maxsize=128)
+_SOLVERS: dict = {}
+_SOLVERS_KEPT = 128
+
+
 def _coord_solver(ctx: FieldCtx, alpha) -> _CoordSolver:
-    return _CoordSolver(ctx, alpha)
+    """The solver for alpha, shared by every context of the same field.
+
+    Keyed by the field's value (q, modulus) and alpha rather than by the
+    context object, so the cache holds no context; the oldest of
+    _SOLVERS_KEPT entries is dropped first.
+    """
+    key = (ctx.q, ctx.modulus, tuple(alpha))
+    solver = _SOLVERS.get(key)
+    if solver is None:
+        if len(_SOLVERS) >= _SOLVERS_KEPT:
+            del _SOLVERS[next(iter(_SOLVERS))]
+        solver = _SOLVERS[key] = _CoordSolver(ctx, key[2])
+    return solver
 
 
 def phi(ctx: FieldCtx, a, alpha):
     """n-by-n matrix over F_q whose column j holds the alpha-coordinates of a_j."""
     if len(a) != ctx.n:
         raise ValueError(f"vector must have length {ctx.n}")
-    solver = _coord_solver(ctx, tuple(alpha))
+    solver = _coord_solver(ctx, alpha)
     return fq_transpose([solver.coords(x) for x in a])
 
 

@@ -9,7 +9,7 @@ F_{q^n}, which is what makes root spaces and subspace polynomials work.
 from __future__ import annotations
 
 from .field import FieldCtx
-from .linalg import fq_kernel
+from .linalg import _gf2_kernel, fq_kernel
 
 
 def lin_normalize(coeffs) -> tuple[int, ...]:
@@ -80,11 +80,24 @@ def root_space_basis(ctx: FieldCtx, f):
 
     The linearized map x -> f(x) is expanded into the n-by-n matrix acting on
     polynomial-basis coordinates; kernel vectors are packed back into field
-    elements.  Returns at most qdeg(f) elements.
+    elements.  Returns at most qdeg(f) elements.  At q = 2 the images of the
+    w^j are the packed matrix columns and the kernel vectors are already the
+    packed elements.
     """
     if not lin_normalize(f):
         raise ValueError("root space of the zero polynomial is everything")
     n, q = ctx.n, ctx.q
+    if q == 2:
+        rows = [0] * n
+        for j in range(n):
+            x = lin_eval(ctx, f, 1 << j)
+            i = 0
+            while x:
+                if x & 1:
+                    rows[i] |= 1 << j
+                x >>= 1
+                i += 1
+        return _gf2_kernel(rows, n)
     cols = []
     for j in range(n):
         unit = q ** j  # packed polynomial-basis element w^j

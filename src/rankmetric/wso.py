@@ -13,7 +13,7 @@ Construction runs in stages:
    d = 1..floor(n/2), so all q^n candidates can be scanned.  For q = 2 the
    diagonal of M M^T is trace(b), forcing D = I; such a basis exists only
    when n is odd or n = 2 mod 4, so the scan provably comes up empty for
-   q = 2 with 4 | n.
+   q = 2 with 4 | n, and find_wso_basis skips it there.
 2. Char-2 fallback: build a basis whose trace form is orthonormal,
    Tr(a_i a_j) = delta_ij.  The Gram matrix of any basis under (x, y) ->
    Tr(xy) is symmetric, invertible and non-alternating, hence congruent to
@@ -177,13 +177,15 @@ def _exhaustive_scan(ctx: FieldCtx):
 def find_wso_basis(ctx: FieldCtx) -> WsoBasis:
     """Deterministic weak self-orthogonal basis for F_{q^n} over F_q.
 
-    Tries the normal-basis scan first, then the characteristic-2
-    trace-orthonormal construction, then a tiny exhaustive scan; raises
-    LookupError when every stage comes up empty.
+    Tries the normal-basis scan first (except for q = 2 with 4 | n, where
+    it cannot succeed), then the characteristic-2 trace-orthonormal
+    construction, then a tiny exhaustive scan; raises LookupError when every
+    stage comes up empty.
     """
-    found = _normal_scan(ctx)
-    if found is not None:
-        return found
+    if ctx.q != 2 or ctx.n % 4:
+        found = _normal_scan(ctx)
+        if found is not None:
+            return found
     if ctx.p == 2:
         alpha = _trace_orthonormal_basis(ctx)
         ok, diag = is_weak_self_orthogonal(ctx, alpha)

@@ -5,12 +5,13 @@ import random
 import pytest
 
 from rankmetric import (CountResult, count_rank, count_space_symmetric,
-                        count_symmetric, gaussian_binomial, make_field,
-                        sample_full_rank, sample_rank_error,
+                        count_symmetric, find_wso_basis, gaussian_binomial,
+                        make_field, sample_full_rank, sample_rank_error,
                         sample_space_symmetric, sample_symmetric_invertible,
                         sample_uniform_invertible)
 from rankmetric.channel import _log2_exact
-from rankmetric.linalg import fq_rank, fq_transpose, phi
+from rankmetric.linalg import _ops_fq, _rank, fq_matmul, fq_rank, \
+    fq_transpose, phi, phi_inv
 
 
 from oracles import census as _census
@@ -189,3 +190,34 @@ def test_sampler_range_validation(F256, wso256):
         sample_space_symmetric(F256, wso256.alpha, 9, rng)
     with pytest.raises(ValueError):
         sample_rank_error(F256, 8, -1, rng)
+
+
+def _replay_full_rank(ctx, rows, cols, rng):
+    """The generic full-rank draw written out: entries row by row with
+    randrange(2), rejection on the generic rank."""
+    while True:
+        M = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
+        if _rank(_ops_fq(ctx), M, cols) == min(rows, cols):
+            return M
+
+
+def _replay_space_symmetric(ctx, alpha, t, rng):
+    A = _replay_full_rank(ctx, ctx.n, t, rng)
+    P = _replay_full_rank(ctx, t, t, rng)
+    E = fq_matmul(ctx, fq_matmul(ctx, A, P), fq_transpose(A))
+    return A, P, E, phi_inv(ctx, E, alpha)
+
+
+@pytest.mark.parametrize("n,t", [(8, 4), (8, 1), (6, 6), (5, 3)])
+def test_gf2_sampler_matches_generic_replay(n, t):
+    ctx = make_field(2, n)
+    alpha = find_wso_basis(ctx).alpha
+    for seed in range(60):
+        rng = random.Random(seed)
+        replay = random.Random(seed)
+        err = sample_space_symmetric(ctx, alpha, t, rng)
+        assert (err.A, err.P, err.E, err.e) == _replay_space_symmetric(
+            ctx, alpha, t, replay)
+        assert sample_full_rank(ctx, t, n, rng) == _replay_full_rank(
+            ctx, t, n, replay)
+        assert rng.random() == replay.random()  # same number of draws

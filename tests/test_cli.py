@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rankmetric
 from rankmetric import make_field
 from rankmetric.cli import main
 from rankmetric.linalg import fqn_vector_str, parse_fqn_vector
@@ -19,6 +24,20 @@ def test_count(capsys):
                            "--n", "3", "--t", "1", "--q", "2")
     assert code == 0
     assert out.split()[0] == "7"
+
+
+def test_count_huge_prime_q_finishes():
+    # a 61-bit prime q once hung the prime-power check; run in a child
+    # process so that a hang fails the test instead of stalling the suite
+    q = 2 ** 61 - 1
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(rankmetric.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankmetric.cli", "count", "--kind", "rank",
+         "--n", "2", "--t", "1", "--q", str(q)],
+        capture_output=True, text=True, timeout=5, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] == str((q - 1) * (q + 1) ** 2)
 
 
 def test_count_gauss(capsys):

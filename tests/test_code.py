@@ -6,7 +6,7 @@ import pytest
 from rankmetric import (GabidulinCode, find_wso_basis, make_field,
                         moore_matrix, sample_space_symmetric,
                         transpose_vector, vector_rank)
-from rankmetric.linalg import fqn_vec_fq_mat
+from rankmetric.linalg import fq_transpose, fqn_matmul, fqn_vec_fq_mat
 
 
 def test_f4_generator_and_parity(F4):
@@ -142,3 +142,17 @@ def test_syndrome_matches_support_decomposition(code_8_2, F256):
             for l in range(t):
                 acc = F256.add(acc, F256.mul(a[l], F256.frob(bhat[l], k + j)))
             assert s2[j] == acc
+
+
+@pytest.mark.parametrize("n,k", [(8, 2), (16, 4)])
+def test_gf2_syndrome_map_matches_transposed_products(n, k):
+    ctx = make_field(2, n)
+    code = GabidulinCode(ctx, k)
+    hhat_t = fq_transpose(code.parity_check_transposed())
+    h_t = fq_transpose(code.parity_check())
+    rng = random.Random(n)
+    for _ in range(200):
+        y = tuple(ctx.rand_elem(rng) for _ in range(n))
+        yhat = transpose_vector(ctx, y, code.alpha)
+        assert code.syndromes(y) == (tuple(fqn_matmul(ctx, [yhat], hhat_t)[0]),
+                                     tuple(fqn_matmul(ctx, [y], h_t)[0]))

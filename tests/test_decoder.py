@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -285,3 +286,18 @@ def test_decode_with_odd_characteristic():
     y[0] = ctx.add(y[0], 1)
     out = decode(code, tuple(y))
     assert out.status == "failure"  # no trial rank available at n-k = 1
+
+
+@pytest.mark.parametrize("q,n,k,t", [(2, 8, 2, 4), (3, 5, 1, 2)])
+def test_decoding_keeps_no_field_context_alive(q, n, k, t):
+    # the coordinate-solver cache is keyed by field value, so once the code
+    # and its context are dropped, reference counting alone frees them
+    ctx = make_field(q, n)
+    code = GabidulinCode(ctx, k)
+    rng = random.Random(71)
+    err = sample_space_symmetric(ctx, code.alpha, t, rng)
+    y = _corrupt(ctx, _rand_codeword(code, rng), err.e)
+    assert decode(code, y).decoded
+    ref = weakref.ref(ctx)
+    del code, ctx
+    assert ref() is None

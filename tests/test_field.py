@@ -4,6 +4,7 @@ import random
 import pytest
 
 from rankmetric import make_field
+from rankmetric.field import PRIME_TEST_LIMIT, _prime_power
 
 
 # -- independent oracle for the default F_2 modulus: trial division against
@@ -86,6 +87,41 @@ def test_non_prime_power_rejected():
     for q in (1, 6, 12, 100):
         with pytest.raises(ValueError, match="prime power"):
             make_field(q, 2)
+
+
+def _prime_power_by_trial_division(q):
+    p = 2
+    while p * p <= q and q % p:
+        p += 1
+    if q % p:
+        p = q
+    e, m = 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    return (p, e) if m == 1 else None
+
+
+def test_prime_power_matches_trial_division():
+    for q in range(-1, 5000):
+        try:
+            got = _prime_power(q)
+        except ValueError:
+            got = None
+        assert got == (_prime_power_by_trial_division(q) if q >= 2 else None)
+
+
+def test_prime_power_large_inputs():
+    m61 = 2 ** 61 - 1
+    assert _prime_power(m61) == (m61, 1)
+    assert _prime_power(m61 ** 3) == (m61, 3)
+    assert _prime_power(3 ** 400) == (3, 400)
+    with pytest.raises(ValueError, match="not a prime power"):
+        _prime_power(m61 * 3)
+    with pytest.raises(ValueError, match="not a prime power"):
+        _prime_power((m61 * 3) ** 2)
+    with pytest.raises(ValueError, match=str(PRIME_TEST_LIMIT)):
+        _prime_power(2 ** 89 - 1)
 
 
 def test_f4_multiplication_example(F4):

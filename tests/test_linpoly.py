@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from rankmetric import (lin_compose_mod, lin_eval, lin_normalize, lin_qdeg,
-                        min_subspace_poly, root_space_basis, vector_rank)
+from rankmetric import (fq_kernel, lin_compose_mod, lin_eval, lin_normalize,
+                        lin_qdeg, make_field, min_subspace_poly,
+                        root_space_basis, vector_rank)
 
 
 def _full_compose(ctx, outer, inner):
@@ -134,3 +135,27 @@ def test_root_space_count_bounded_by_qdeg(F256):
         if not f:
             continue
         assert len(root_space_basis(F256, f)) <= lin_qdeg(f)
+
+
+def _root_space_by_fq_kernel(ctx, f):
+    """Root space through the matrix of f on polynomial-basis coordinates
+    and fq_kernel, each kernel vector packed back into an element."""
+    n, q = ctx.n, ctx.q
+    cols = [ctx.coeffs(lin_eval(ctx, f, q ** j)) for j in range(n)]
+    M = [[cols[j][i] for j in range(n)] for i in range(n)]
+    return [sum(v * q ** j for j, v in enumerate(vec))
+            for vec in fq_kernel(ctx, M)]
+
+
+@pytest.mark.parametrize("n", [3, 8, 9])
+def test_gf2_root_space_matches_fq_kernel_construction(n):
+    ctx = make_field(2, n)
+    rng = random.Random(n)
+    for _ in range(100):
+        f = lin_normalize(ctx.rand_elem(rng)
+                          for _ in range(rng.randrange(1, n + 1)))
+        if f:
+            assert root_space_basis(ctx, f) == _root_space_by_fq_kernel(ctx, f)
+        gens = [ctx.rand_elem(rng) for _ in range(rng.randrange(1, n))]
+        g = min_subspace_poly(ctx, gens)
+        assert root_space_basis(ctx, g) == _root_space_by_fq_kernel(ctx, g)

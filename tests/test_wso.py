@@ -4,6 +4,7 @@ import pytest
 
 from rankmetric import find_wso_basis, is_weak_self_orthogonal, make_field
 from rankmetric.linalg import fqn_matmul, moore_matrix
+from rankmetric.wso import _normal_scan
 
 
 def _moore_gram(ctx, alpha):
@@ -130,3 +131,17 @@ def test_normal_trace_shortcut_agrees_with_full_check():
             continue
         ok, _ = is_weak_self_orthogonal(ctx, b.alpha)
         assert ok
+
+
+def test_q2_with_4_dividing_n_skips_the_normal_scan():
+    # the scan provably finds nothing there, so find_wso_basis goes straight
+    # to the trace-orthonormal construction and returns the same basis
+    for n in (4, 8):
+        assert _normal_scan(make_field(2, n)) is None
+    expected = {
+        8: (2, 17, 32, 59, 115, 125, 248, 255),
+        12: (8, 139, 269, 455, 903, 1003, 2015, 2025, 4095, 4079, 4073, 4075),
+    }
+    for n, alpha in expected.items():
+        b = find_wso_basis(make_field(2, n))
+        assert b.alpha == alpha and b.method == "trace-orthonormal"
