@@ -8,8 +8,8 @@ work-factor/key-size calculators for a Gabidulin-based cryptosystem variant.
 
 from .channel import CountResult, SpaceSymError, count_rank, \
     count_space_symmetric, count_symmetric, gaussian_binomial, \
-    sample_full_rank, sample_rank_error, sample_space_symmetric, \
-    sample_symmetric_invertible, sample_uniform_invertible
+    sample_full_rank, sample_space_symmetric, sample_symmetric_invertible, \
+    sample_uniform_invertible
 from .code import GabidulinCode
 from .decoder import DecodeOutcome, InterleavedOutcome, \
     build_syndrome_matrix, decode, interleaved_decode, joint_kernel, \
@@ -18,8 +18,8 @@ from .field import FieldCtx, make_field
 from .keysize import CryptoRow, build_table, crypto_row, key_size_kb, \
     max_errors, reference_table, wf_dec, wf_error, wf_struc
 from .linalg import InconsistentSystemError, fq_kernel, fq_matmul, fq_rank, \
-    fq_solve, fq_transpose, fqn_kernel, fqn_rank, fqn_solve, moore_matrix, \
-    phi, phi_inv, transpose_vector, vector_rank
+    fq_transpose, fqn_kernel, fqn_rank, fqn_solve, moore_matrix, phi, \
+    phi_inv, transpose_vector, vector_rank
 from .linpoly import lin_compose_mod, lin_eval, lin_normalize, lin_qdeg, \
     min_subspace_poly, root_space_basis
 from .simulate import SimConfig, SimReport, failure_bound, \
@@ -32,14 +32,14 @@ __all__ = [
     "SpaceSymError", "WsoBasis", "build_syndrome_matrix", "build_table",
     "count_rank", "count_space_symmetric", "count_symmetric", "crypto_row",
     "decode", "failure_bound", "find_wso_basis", "fq_kernel", "fq_matmul",
-    "fq_rank", "fq_solve", "fq_transpose", "fqn_kernel", "fqn_rank",
+    "fq_rank", "fq_transpose", "fqn_kernel", "fqn_rank",
     "fqn_solve", "gaussian_binomial", "interleaved_decode",
     "intersection_probability", "is_weak_self_orthogonal", "joint_kernel",
     "key_equation_remainder", "key_size_kb", "lin_compose_mod", "lin_eval",
     "lin_normalize", "lin_qdeg", "make_field", "max_errors",
     "min_subspace_poly", "moore_matrix", "reference_table", "phi", "phi_inv",
     "recover_error", "root_space_basis", "run_scenario",
-    "sample_full_rank", "sample_rank_error", "sample_space_symmetric",
+    "sample_full_rank", "sample_space_symmetric",
     "sample_symmetric_invertible", "sample_uniform_invertible",
     "transpose_vector", "vector_rank", "wf_dec", "wf_error", "wf_struc",
     "wilson95",

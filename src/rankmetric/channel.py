@@ -108,6 +108,8 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     vector form is the sum of the b_l over the set bits l of row j of A.
     """
     n = ctx.n
+    if len(alpha) != n:
+        raise ValueError(f"basis must have {n} entries")
     if not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= {n}")
     if t == 0:
@@ -126,19 +128,6 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     E = fq_matmul(ctx, fq_matmul(ctx, A, P), fq_transpose(A))
     e = phi_inv(ctx, E, tuple(alpha))
     return SpaceSymError(t, A, P, E, e)
-
-
-def sample_rank_error(ctx: FieldCtx, n: int, t: int, rng):
-    """Uniform n-by-n matrix of rank exactly t, via E = A B with A, B uniform
-    full rank; the |GL_t| factorization multiplicity is constant, so E is
-    uniform."""
-    if not 0 <= t <= n:
-        raise ValueError(f"need 0 <= t <= {n}")
-    if t == 0:
-        return [[0] * n for _ in range(n)]
-    A = sample_full_rank(ctx, n, t, rng)
-    B = sample_full_rank(ctx, t, n, rng)
-    return fq_matmul(ctx, A, B)
 
 
 # ---------------------------------------------------------------------------

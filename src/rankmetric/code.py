@@ -15,8 +15,8 @@ per set bit of the word.
 from __future__ import annotations
 
 from .field import FieldCtx
-from .linalg import _coord_solver, _gf2_dot, _matmul, fq_transpose, \
-    moore_matrix, transpose_vector
+from .linalg import _CoordSolver, _gf2_dot, _matmul, fq_transpose, \
+    moore_matrix, phi_inv
 from .wso import WsoBasis, find_wso_basis, is_weak_self_orthogonal
 
 
@@ -41,6 +41,7 @@ class GabidulinCode:
         self._H = moore_matrix(ctx, self.alpha, n - k, shift=k)
         self._Hhat = moore_matrix(ctx, self.alpha, n - k, shift=1)
         self._assert_parity()
+        self._solver = _CoordSolver(ctx, self.alpha)
         self._syndrome_map = self._gf2_syndrome_map() if ctx.q == 2 else None
 
     def _assert_parity(self):
@@ -59,10 +60,9 @@ class GabidulinCode:
         (n-k+r)*n.
         """
         ctx, n = self.ctx, self.n
-        mul = ctx.mul
-        solver = _coord_solver(ctx, self.alpha)
+        mul, mask = ctx.mul, self._solver.mask
         # hat[i][r] = sum_m c_m(w^i) Hhat[r][m]
-        hat = [[_gf2_dot(solver.mask(1 << i), row) for row in self._Hhat]
+        hat = [[_gf2_dot(mask(1 << i), row) for row in self._Hhat]
                for i in range(n)]
         out = []
         for j, aj in enumerate(self.alpha):
@@ -85,10 +85,18 @@ class GabidulinCode:
 
     def encode(self, u) -> tuple[int, ...]:
         """Codeword u G for a length-k message over F_{q^n}."""
-        if len(u) != self.k:
-            raise ValueError(f"message must have length {self.k}")
+        self._check(u, self.k, "message")
         ctx = self.ctx
         return tuple(_matmul(ctx.add, ctx.mul, [u], self._G)[0])
+
+    def _check(self, v, length, what):
+        """Reject a wrong length or an entry outside F_{q^n}."""
+        if len(v) != length:
+            raise ValueError(f"{what} must have length {length}")
+        order = self.ctx.order
+        if min(v) < 0 or max(v) >= order:
+            raise ValueError(
+                f"{what} entries must lie in [0, q^n) = [0, {order})")
 
     def _syndrome_against(self, y, H) -> tuple[int, ...]:
         ctx = self.ctx
@@ -104,8 +112,7 @@ class GabidulinCode:
 
     def syndrome(self, y) -> tuple[int, ...]:
         """y H^T against the ordinary parity check."""
-        if len(y) != self.n:
-            raise ValueError(f"word must have length {self.n}")
+        self._check(y, self.n, "word")
         return self._syndrome_against(y, self._H)
 
     def syndromes(self, y) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -116,8 +123,7 @@ class GabidulinCode:
         cancel in both, so each depends only on the error.
         """
         n = self.n
-        if len(y) != n:
-            raise ValueError(f"word must have length {n}")
+        self._check(y, n, "word")
         table = self._syndrome_map
         if table is not None:
             acc = 0
@@ -126,7 +132,8 @@ class GabidulinCode:
             nk, full = n - self.k, (1 << n) - 1
             s = [(acc >> (r * n)) & full for r in range(2 * nk)]
             return tuple(s[:nk]), tuple(s[nk:])
-        yhat = transpose_vector(self.ctx, y, self.alpha)
+        coords = self._solver.coords
+        yhat = phi_inv(self.ctx, [coords(x) for x in y], self.alpha)
         s1 = self._syndrome_against(yhat, self._Hhat)
         s2 = self._syndrome_against(y, self._H)
         return s1, s2

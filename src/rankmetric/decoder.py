@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 from .code import GabidulinCode
 from .field import FieldCtx
-from .linalg import (InconsistentSystemError, _coord_solver, _gf2_vec_mat,
-                     _kernel_from_rref, _ops_fqn, _rref, fqn_solve,
-                     fqn_vec_fq_mat)
+from .linalg import (InconsistentSystemError, _gf2_vec_mat, fqn_kernel,
+                     fqn_solve, fqn_vec_fq_mat)
 from .linpoly import lin_compose_mod, lin_normalize, root_space_basis
 
 
@@ -75,10 +74,8 @@ def key_equation_remainder(ctx: FieldCtx, gamma, s):
 def joint_kernel(ctx: FieldCtx, s1, s2, t: int):
     """Rank and kernel basis of the stacked syndrome matrix at trial rank t."""
     S = build_syndrome_matrix(ctx, s1, t) + build_syndrome_matrix(ctx, s2, t)
-    ops = _ops_fqn(ctx)
-    rows, pivots = _rref(*ops, S, t + 1)
-    kernel = _kernel_from_rref(ops[1], rows, pivots, t + 1)
-    return len(pivots), kernel
+    kernel = fqn_kernel(ctx, S)
+    return t + 1 - len(kernel), kernel
 
 
 def recover_error(code: GabidulinCode, a, s2):
@@ -99,8 +96,8 @@ def recover_error(code: GabidulinCode, a, s2):
     frob = ctx.frob
     M = [[frob(al, -j) for al in a] for j in range(n - k)]
     rhs = [frob(s2[j], -j) for j in range(n - k)]
-    d, _ = fqn_solve(ctx, M, rhs)
-    solver = _coord_solver(ctx, code.alpha)
+    d = fqn_solve(ctx, M, rhs)
+    solver = code._solver
     if ctx.q == 2:
         B = [solver.mask(frob(dl, -k)) for dl in d]
         return tuple(_gf2_vec_mat(a, B, n))

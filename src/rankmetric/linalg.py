@@ -165,30 +165,6 @@ def _ops_fqn(ctx: FieldCtx):
     return ctx.add, ctx.sub, ctx.mul, ctx.inv
 
 
-def _rank(ops, M, ncols):
-    _, pivots = _rref(*ops, M, ncols)
-    return len(pivots)
-
-
-def _kernel(ops, M, ncols):
-    rows, pivots = _rref(*ops, M, ncols)
-    return _kernel_from_rref(ops[1], rows, pivots, ncols)
-
-
-def _solve(ops, M, rhs):
-    """One solution of M x = rhs plus a kernel basis; raises if inconsistent."""
-    ncols = len(M[0]) if M else 0
-    aug = [list(row) + [b] for row, b in zip(M, rhs)]
-    rows, pivots = _rref(*ops, aug, ncols + 1)
-    if pivots and pivots[-1] == ncols:
-        raise InconsistentSystemError("linear system has no solution")
-    x = [0] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][ncols]
-    kernel = _kernel_from_rref(ops[1], [r[:ncols] for r in rows], pivots, ncols)
-    return x, kernel
-
-
 # ---------------------------------------------------------------------------
 # Public F_q / F_{q^n} matrix operations.
 # ---------------------------------------------------------------------------
@@ -198,36 +174,41 @@ def fq_rank(ctx: FieldCtx, M) -> int:
         return 0
     if ctx.q == 2:
         return len(_gf2_rref(_gf2_pack(M)))
-    return _rank(_ops_fq(ctx), M, len(M[0]))
+    return len(_rref(*_ops_fq(ctx), M, len(M[0]))[1])
 
 
 def fq_kernel(ctx: FieldCtx, M):
     if not M:
         return []
     ncols = len(M[0])
-    if ctx.q == 2:
-        return _gf2_unpack(_gf2_kernel(_gf2_pack(M), ncols), ncols)
-    return _kernel(_ops_fq(ctx), M, ncols)
-
-
-def fq_solve(ctx: FieldCtx, M, rhs):
-    return _solve(_ops_fq(ctx), M, rhs)
+    rows, pivots = _rref(*_ops_fq(ctx), M, ncols)
+    return _kernel_from_rref(ctx.base_sub, rows, pivots, ncols)
 
 
 def fqn_rank(ctx: FieldCtx, M) -> int:
     if not M:
         return 0
-    return _rank(_ops_fqn(ctx), M, len(M[0]))
+    return len(_rref(*_ops_fqn(ctx), M, len(M[0]))[1])
 
 
 def fqn_kernel(ctx: FieldCtx, M):
     if not M:
         return []
-    return _kernel(_ops_fqn(ctx), M, len(M[0]))
+    rows, pivots = _rref(*_ops_fqn(ctx), M, len(M[0]))
+    return _kernel_from_rref(ctx.sub, rows, pivots, len(M[0]))
 
 
 def fqn_solve(ctx: FieldCtx, M, rhs):
-    return _solve(_ops_fqn(ctx), M, rhs)
+    """One solution of M x = rhs over F_{q^n}; raises if inconsistent."""
+    ncols = len(M[0]) if M else 0
+    aug = [list(row) + [b] for row, b in zip(M, rhs)]
+    rows, pivots = _rref(*_ops_fqn(ctx), aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        raise InconsistentSystemError("linear system has no solution")
+    x = [0] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = rows[i][ncols]
+    return x
 
 
 def _matmul(add, mul, A, B):
@@ -269,51 +250,35 @@ def fqn_vec_fq_mat(ctx: FieldCtx, v, M):
 # ---------------------------------------------------------------------------
 
 class _CoordSolver:
-    """Coordinates of extension elements relative to a fixed basis alpha.
-
-    Holds q, n and the base-field ops, never a FieldCtx, so a cached solver
-    keeps no context and none of its exp/log tables alive.
-    """
+    """Coordinates of extension elements relative to a fixed basis alpha."""
 
     def __init__(self, ctx: FieldCtx, alpha):
-        n, q = ctx.n, ctx.q
+        n = ctx.n
         if len(alpha) != n:
             raise ValueError(f"basis must have {n} entries")
         # column j of the basis matrix = digit vector of alpha_j
-        mat = [[ctx.coeffs(a)[i] for a in alpha] for i in range(n)]
+        mat = fq_transpose([ctx.coeffs(a) for a in alpha])
         aug = [row + [1 if i == j else 0 for j in range(n)]
                for i, row in enumerate(mat)]
-        ops = _ops_fq(ctx)
-        rows, pivots = _rref(*ops, aug, 2 * n)
+        rows, pivots = _rref(*_ops_fq(ctx), aug, 2 * n)
         if pivots[:n] != list(range(n)):
             raise ValueError("alpha is not a basis")
-        inv_rows = [r[n:] for r in rows[:n]]
-        self.q = q
-        self.n = n
-        if q == 2:
+        self.ctx = ctx
+        self._inv = [r[n:] for r in rows[:n]]
+        if ctx.q == 2:
             # column i of the inverse, packed: the coordinates of w^i
-            self._cols = _gf2_pack(fq_transpose(inv_rows))
-            self.coords = self._coords_gf2
-        else:
-            self._badd, self._bmul = ctx.base_add, ctx.base_mul
-            self._inv = inv_rows
-            self.coords = self._coords_generic
+            self._cols = _gf2_pack(fq_transpose(self._inv))
 
     def mask(self, x: int) -> int:
         """q = 2 only: the coordinates of x packed, bit m = coordinate m."""
         return _gf2_dot(x, self._cols)
 
-    def _coords_gf2(self, x: int):
-        m = self.mask(x)
-        return tuple((m >> j) & 1 for j in range(self.n))
-
-    def _coords_generic(self, x: int):
-        q = self.q
-        digits = []
-        for _ in range(self.n):
-            digits.append(x % q)
-            x //= q
-        badd, bmul = self._badd, self._bmul
+    # a plain method: stored on the instance, a bound method would make a
+    # reference cycle that keeps the context alive until a gc pass
+    def coords(self, x: int):
+        ctx = self.ctx
+        badd, bmul = ctx.base_add, ctx.base_mul
+        digits = ctx.coeffs(x)
         out = []
         for row in self._inv:
             acc = 0
@@ -324,37 +289,19 @@ class _CoordSolver:
         return tuple(out)
 
 
-_SOLVERS: dict = {}
-_SOLVERS_KEPT = 128
-
-
-def _coord_solver(ctx: FieldCtx, alpha) -> _CoordSolver:
-    """The solver for alpha, shared by every context of the same field.
-
-    Keyed by the field's value (q, modulus) and alpha rather than by the
-    context object, so the cache holds no context; the oldest of
-    _SOLVERS_KEPT entries is dropped first.
-    """
-    key = (ctx.q, ctx.modulus, tuple(alpha))
-    solver = _SOLVERS.get(key)
-    if solver is None:
-        if len(_SOLVERS) >= _SOLVERS_KEPT:
-            del _SOLVERS[next(iter(_SOLVERS))]
-        solver = _SOLVERS[key] = _CoordSolver(ctx, key[2])
-    return solver
-
-
 def phi(ctx: FieldCtx, a, alpha):
     """n-by-n matrix over F_q whose column j holds the alpha-coordinates of a_j."""
     if len(a) != ctx.n:
         raise ValueError(f"vector must have length {ctx.n}")
-    solver = _coord_solver(ctx, alpha)
-    return fq_transpose([solver.coords(x) for x in a])
+    coords = _CoordSolver(ctx, alpha).coords
+    return fq_transpose([coords(x) for x in a])
 
 
 def phi_inv(ctx: FieldCtx, A, alpha):
     """Vector a with a_j = sum_i alpha_i A[i][j]; inverse of phi."""
     n = ctx.n
+    if len(alpha) != n:
+        raise ValueError(f"basis must have {n} entries")
     if len(A) != n or any(len(row) != n for row in A):
         raise ValueError(f"matrix must be {n}x{n}")
     return fqn_vec_fq_mat(ctx, alpha, A)

@@ -60,7 +60,11 @@ def wilson95(failures: int, trials: int) -> tuple[float, float]:
 
 
 def failure_bound(q: int, n: int) -> float:
-    """Upper bound 4 / q^n on the decoding failure probability."""
+    """The 4 / q^n failure bound reported beside simulated rates.
+
+    It is not a bound everywhere: the exact scenario-1 rate at
+    (q, n, k, t) = (2, 4, 1, 2) is 150/210, against 0.25.
+    """
     return 4 / q ** n
 
 

@@ -59,3 +59,32 @@ def subspace_count(n, t, q):
             for coeffs in itertools.product(range(q), repeat=t))
         spans.add(span)
     return len(spans)
+
+
+def space_symmetric_gf2(n, t):
+    """Every n-by-n rank-t matrix E over F_2 whose row and column spaces
+    coincide, each exactly once, as E = A P A^T.
+
+    A runs over the reduced column-echelon n-by-t matrices of rank t (one
+    per t-dimensional column space) and P over GL_t(F_2); A has full column
+    rank, so E determines P.
+    """
+    gl = [P for P in (
+        [list(entries[i * t:(i + 1) * t]) for i in range(t)]
+        for entries in itertools.product(range(2), repeat=t * t))
+        if rank_mod_p(P, 2) == t]
+    for pivots in itertools.combinations(range(n), t):
+        # column i of A: 1 at pivots[i], 0 at the other pivots and above
+        free = [(r, i) for i, c in enumerate(pivots)
+                for r in range(c + 1, n) if r not in pivots]
+        for bits in itertools.product(range(2), repeat=len(free)):
+            A = [[0] * t for _ in range(n)]
+            for i, c in enumerate(pivots):
+                A[c][i] = 1
+            for (r, i), b in zip(free, bits):
+                A[r][i] = b
+            for P in gl:
+                AP = [[sum(a * p for a, p in zip(row, col)) % 2
+                       for col in zip(*P)] for row in A]
+                yield [[sum(x * y for x, y in zip(ap, a)) % 2 for a in A]
+                       for ap in AP]

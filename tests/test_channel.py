@@ -6,15 +6,14 @@ import pytest
 
 from rankmetric import (CountResult, count_rank, count_space_symmetric,
                         count_symmetric, find_wso_basis, gaussian_binomial,
-                        make_field, sample_full_rank, sample_rank_error,
-                        sample_space_symmetric, sample_symmetric_invertible,
-                        sample_uniform_invertible)
+                        make_field, sample_full_rank, sample_space_symmetric,
+                        sample_symmetric_invertible, sample_uniform_invertible)
 from rankmetric.channel import _log2_exact
-from rankmetric.linalg import _ops_fq, _rank, fq_matmul, fq_rank, \
-    fq_transpose, phi, phi_inv
+from rankmetric.linalg import fq_matmul, fq_rank, fq_transpose, phi, phi_inv
 
 
 from oracles import census as _census
+from oracles import rank_mod_p
 from oracles import subspace_count as _subspace_count
 
 
@@ -128,25 +127,6 @@ def test_space_symmetric_uniformity_tiny(F4):
         assert abs(c - N * p) <= 3 * sigma
 
 
-def test_rank_error_sampler(F4, F256):
-    rng = random.Random(54)
-    assert sample_rank_error(F256, 8, 0, rng) == [[0] * 8 for _ in range(8)]
-    for _ in range(200):
-        t = rng.randrange(0, 5)
-        assert fq_rank(F256, sample_rank_error(F256, 8, t, rng)) == t
-    counts = {}
-    N = 9000
-    for _ in range(N):
-        M = sample_rank_error(F4, 2, 1, rng)
-        counts[tuple(tuple(r) for r in M)] = counts.get(
-            tuple(tuple(r) for r in M), 0) + 1
-    assert len(counts) == 9  # brute-force count of rank-1 2x2 binaries
-    p = 1 / 9
-    sigma = math.sqrt(p * (1 - p) * N)
-    for c in counts.values():
-        assert abs(c - N * p) <= 3 * sigma
-
-
 def test_uniform_invertible(F4, F256):
     rng = random.Random(55)
     assert sample_uniform_invertible(F256, 1, rng) == [[1]]
@@ -188,16 +168,16 @@ def test_sampler_range_validation(F256, wso256):
     rng = random.Random(58)
     with pytest.raises(ValueError):
         sample_space_symmetric(F256, wso256.alpha, 9, rng)
-    with pytest.raises(ValueError):
-        sample_rank_error(F256, 8, -1, rng)
+    with pytest.raises(ValueError, match="basis must have 8 entries"):
+        sample_space_symmetric(F256, wso256.alpha[:7], 4, rng)
 
 
 def _replay_full_rank(ctx, rows, cols, rng):
     """The generic full-rank draw written out: entries row by row with
-    randrange(2), rejection on the generic rank."""
+    randrange(2), rejection on the oracle rank."""
     while True:
         M = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
-        if _rank(_ops_fq(ctx), M, cols) == min(rows, cols):
+        if rank_mod_p(M, 2) == min(rows, cols):
             return M
 
 

@@ -156,3 +156,17 @@ def test_gf2_syndrome_map_matches_transposed_products(n, k):
         yhat = transpose_vector(ctx, y, code.alpha)
         assert code.syndromes(y) == (tuple(fqn_matmul(ctx, [yhat], hhat_t)[0]),
                                      tuple(fqn_matmul(ctx, [y], h_t)[0]))
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 8, 2), (3, 5, 1)])
+def test_out_of_range_entries_rejected(q, n, k):
+    code = GabidulinCode(make_field(q, n), k)
+    order = q ** n
+    range_msg = rf"\[0, q\^n\) = \[0, {order}\)"
+    for bad in (order, -1, order ** 2):
+        word = (0,) * (n - 1) + (bad,)
+        for method in (code.syndrome, code.syndromes):
+            with pytest.raises(ValueError, match=range_msg):
+                method(word)
+        with pytest.raises(ValueError, match=range_msg):
+            code.encode((bad,) + (0,) * (k - 1))

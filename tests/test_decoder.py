@@ -4,14 +4,17 @@ import weakref
 import pytest
 
 from rankmetric import (GabidulinCode, InconsistentSystemError,
-                        build_syndrome_matrix, decode, interleaved_decode,
-                        joint_kernel, key_equation_remainder, lin_qdeg,
-                        make_field, min_subspace_poly, recover_error,
+                        build_syndrome_matrix, count_space_symmetric, decode,
+                        interleaved_decode, joint_kernel,
+                        key_equation_remainder, lin_qdeg, make_field,
+                        min_subspace_poly, phi_inv, recover_error,
                         sample_full_rank, sample_space_symmetric,
                         sample_symmetric_invertible, transpose_vector)
 from rankmetric.channel import sample_uniform_invertible
 from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
                                fqn_vec_fq_mat, moore_matrix)
+
+from oracles import space_symmetric_gf2
 
 
 def _rand_codeword(code, rng):
@@ -274,6 +277,15 @@ def test_decode_rejects_wrong_length(code_8_2):
         decode(code_8_2, (0,) * 5)
 
 
+def test_decode_rejects_out_of_range_entries(code_8_2):
+    for bad in (256, -1):
+        y = (bad,) + (0,) * 7
+        with pytest.raises(ValueError, match=r"\[0, q\^n\) = \[0, 256\)"):
+            decode(code_8_2, y)
+        with pytest.raises(ValueError, match=r"\[0, q\^n\) = \[0, 256\)"):
+            interleaved_decode(code_8_2, (0,) * 8, y)
+
+
 def test_decode_with_odd_characteristic():
     # small odd-q end-to-end: q = 3, n = 2, k = 1, rank-0 only (t_max = 0),
     # so check the passthrough branch and a failure on a corrupted word
@@ -290,8 +302,8 @@ def test_decode_with_odd_characteristic():
 
 @pytest.mark.parametrize("q,n,k,t", [(2, 8, 2, 4), (3, 5, 1, 2)])
 def test_decoding_keeps_no_field_context_alive(q, n, k, t):
-    # the coordinate-solver cache is keyed by field value, so once the code
-    # and its context are dropped, reference counting alone frees them
+    # the code owns its coordinate solver and nothing outside it refers to
+    # the context, so once both are dropped, reference counting frees them
     ctx = make_field(q, n)
     code = GabidulinCode(ctx, k)
     rng = random.Random(71)
@@ -301,3 +313,25 @@ def test_decoding_keeps_no_field_context_alive(q, n, k, t):
     ref = weakref.ref(ctx)
     del code, ctx
     assert ref() is None
+
+
+@pytest.mark.parametrize("n,k,t,errors,failing,symmetric,symmetric_failing", [
+    (4, 1, 2, 210, 150, 140, 140),
+    (5, 1, 2, 930, 0, 620, 0),
+    (6, 2, 2, 3906, 0, 2604, 0),
+])
+def test_scenario1_exact_failure_counts(n, k, t, errors, failing, symmetric,
+                                        symmetric_failing):
+    # every space-symmetric rank-t error over F_2, decoded as the received
+    # word of the zero codeword; a miscorrection counts as a failure
+    ctx = make_field(2, n)
+    code = GabidulinCode(ctx, k)
+    counts = [0, 0, 0, 0]
+    for E in space_symmetric_gf2(n, t):
+        out = decode(code, phi_inv(ctx, E, code.alpha))
+        bad = not out.decoded or any(out.codeword)
+        sym = all(E[i][j] == E[j][i] for i in range(n) for j in range(i))
+        for i, hit in enumerate((True, bad, sym, sym and bad)):
+            counts[i] += hit
+    assert counts == [errors, failing, symmetric, symmetric_failing]
+    assert errors == count_space_symmetric(n, t, 2).exact
