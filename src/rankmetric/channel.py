@@ -45,17 +45,21 @@ def _random_matrix(ctx: FieldCtx, rows: int, cols: int, rng):
 def _gf2_full_rank(rows: int, cols: int, rng):
     """Packed rows (bit j = column j) of a uniform full-rank matrix over F_2.
 
-    Entries are drawn in the order and with the calls of _random_matrix, so
+    Entries are drawn in the order and with the draws of _random_matrix, so
     a seed gives the same matrix as the generic path.
     """
     target = min(rows, cols)
-    draw = rng.randrange
+    bits = rng.getrandbits
     while True:
         M = []
         for _ in range(rows):
             m = 0
             for j in range(cols):
-                if draw(2):
+                # randrange(2); test_gf2_sampler_matches_generic_replay
+                r = bits(2)
+                while r > 1:
+                    r = bits(2)
+                if r:
                     m |= 1 << j
             M.append(m)
         if len(_gf2_rref(M[:])) == target:

@@ -178,6 +178,10 @@ def _cmd_simulate(args) -> int:
                 f"miscorrections {report.miscorrections}")
     print(text)
     _write_out(text, args.out_file)
+    if report.wilson95[0] > report.bound:
+        print(f"warning: wilson_lo {report.wilson95[0]:.6f} exceeds bound "
+              f"{report.bound:.6f}; 4/q^n is not a bound at (q, n, k, t) = "
+              f"({cfg.q}, {cfg.n}, {cfg.k}, {cfg.t})", file=sys.stderr)
     return 0
 
 

@@ -20,6 +20,7 @@ and a larger order raises ValueError naming that budget.
 
 from __future__ import annotations
 
+from operator import xor
 from typing import Iterable, Sequence
 
 ORDER_LIMIT = 1 << 20
@@ -335,7 +336,7 @@ def _tabled(p: int, fo: _ScalarOps, mod):
         return _exp[_L - _log[a]]
 
     if p == 2:
-        add = sub = lambda a, b: a ^ b
+        add = sub = xor
     else:
         add = lambda a, b: _add_digits(p, a, b, 1)
         sub = lambda a, b: _add_digits(p, a, b, -1)

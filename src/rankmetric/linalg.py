@@ -115,7 +115,7 @@ def _gf2_vec_mat(v, masks, cols):
 
 
 # ---------------------------------------------------------------------------
-# Generic elimination parameterized by scalar ops.
+# Elimination: generic in the scalar ops over F_q, tabled over F_{q^n}.
 # ---------------------------------------------------------------------------
 
 def _rref(add, sub, mul, inv, M, ncols):
@@ -161,8 +161,40 @@ def _ops_fq(ctx: FieldCtx):
     return ctx.base_add, ctx.base_sub, ctx.base_mul, ctx.base_inv
 
 
-def _ops_fqn(ctx: FieldCtx):
-    return ctx.add, ctx.sub, ctx.mul, ctx.inv
+def _fqn_rref(ctx: FieldCtx, M, ncols):
+    """_rref over F_{q^n} in the log domain of the tables of ctx.
+
+    The pivot row is scaled as exp[log v + L - log pivot]; every other row
+    subtracts exp[log f + log b] at the pivot row's nonzero entries b only,
+    with ctx.sub (XOR when p = 2).  Rows and pivots equal those of _rref fed
+    ctx.add, ctx.sub, ctx.mul and ctx.inv.
+    """
+    exp, log, L, sub = ctx._exp, ctx._log, ctx.order - 1, ctx.sub
+    rows = [list(r) for r in M]
+    pivots = []
+    nrows = len(rows)
+    for c in range(ncols):
+        r = len(pivots)
+        for pr in range(r, nrows):
+            if rows[pr][c]:
+                break
+        else:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        lead = rows[r]
+        s = L - log[lead[c]]
+        nz = [(j, (log[v] + s) % L) for j, v in enumerate(lead) if v]
+        for j, lb in nz:
+            lead[j] = exp[lb]
+        for row in rows:
+            if row[c] and row is not lead:
+                lf = log[row[c]]
+                for j, lb in nz:
+                    row[j] = sub(row[j], exp[lf + lb])
+        pivots.append(c)
+        if r + 1 == nrows:
+            break
+    return rows, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +220,13 @@ def fq_kernel(ctx: FieldCtx, M):
 def fqn_rank(ctx: FieldCtx, M) -> int:
     if not M:
         return 0
-    return len(_rref(*_ops_fqn(ctx), M, len(M[0]))[1])
+    return len(_fqn_rref(ctx, M, len(M[0]))[1])
 
 
 def fqn_kernel(ctx: FieldCtx, M):
     if not M:
         return []
-    rows, pivots = _rref(*_ops_fqn(ctx), M, len(M[0]))
+    rows, pivots = _fqn_rref(ctx, M, len(M[0]))
     return _kernel_from_rref(ctx.sub, rows, pivots, len(M[0]))
 
 
@@ -202,7 +234,7 @@ def fqn_solve(ctx: FieldCtx, M, rhs):
     """One solution of M x = rhs over F_{q^n}; raises if inconsistent."""
     ncols = len(M[0]) if M else 0
     aug = [list(row) + [b] for row, b in zip(M, rhs)]
-    rows, pivots = _rref(*_ops_fqn(ctx), aug, ncols + 1)
+    rows, pivots = _fqn_rref(ctx, aug, ncols + 1)
     if pivots and pivots[-1] == ncols:
         raise InconsistentSystemError("linear system has no solution")
     x = [0] * ncols

@@ -77,6 +77,35 @@ def test_simulate_csv_columns(capsys):
     assert row.startswith("3,2,8,2,2,200,")
 
 
+def test_simulate_warns_when_bound_is_exceeded(capsys):
+    # the exact scenario-1 rate at (2,4,1,2) is 150/210, far above 4/q^n
+    args = ["simulate", "--scenario", "1", "--q", "2", "--n", "4", "--k", "1",
+            "--t", "2", "--trials", "2000", "--seed", "1"]
+    code, out, err = run_cli(capsys, *args, "--out", "csv")
+    assert code == 0
+    assert out == ("scenario,q,n,k,t,trials,failures,rate,wilson_lo,"
+                   "wilson_hi,bound\n"
+                   "1,2,4,1,2,2000,1403,0.7015,0.681074,0.721153,0.25")
+    assert err == ("warning: wilson_lo 0.681074 exceeds bound 0.250000; "
+                   "4/q^n is not a bound at (q, n, k, t) = (2, 4, 1, 2)")
+    code, out, err = run_cli(capsys, *args, "--out", "json")
+    payload = json.loads(out)
+    del payload["wallclock_s"]
+    assert payload == {"scenario": 1, "q": 2, "n": 4, "k": 1, "t": 2,
+                       "trials": 2000, "seed": 1, "failures": 1403,
+                       "miscorrections": 0, "rate": 0.7015,
+                       "wilson_lo": payload["wilson_lo"],
+                       "wilson_hi": payload["wilson_hi"], "bound": 0.25}
+    assert (round(payload["wilson_lo"], 6), round(payload["wilson_hi"], 6)) \
+        == (0.681074, 0.721153)
+    assert "4/q^n is not a bound" in err
+    # no warning where the interval does not clear the bound
+    code, _, err = run_cli(capsys, "simulate", "--scenario", "1", "--q", "2",
+                           "--n", "5", "--k", "1", "--t", "2", "--trials",
+                           "200", "--seed", "1")
+    assert code == 0 and err == ""
+
+
 def test_simulate_shards_match_single(capsys):
     args = ["simulate", "--scenario", "2", "--q", "2", "--n", "8", "--k", "2",
             "--t", "4", "--trials", "600", "--seed", "5", "--out", "csv"]

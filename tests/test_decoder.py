@@ -1,15 +1,17 @@
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
-from rankmetric import (GabidulinCode, InconsistentSystemError,
+from rankmetric import (GabidulinCode, InconsistentSystemError, SimConfig,
                         build_syndrome_matrix, count_space_symmetric, decode,
                         interleaved_decode, joint_kernel,
                         key_equation_remainder, lin_qdeg, make_field,
                         min_subspace_poly, phi_inv, recover_error,
-                        sample_full_rank, sample_space_symmetric,
-                        sample_symmetric_invertible, transpose_vector)
+                        run_scenario, sample_full_rank,
+                        sample_space_symmetric, sample_symmetric_invertible,
+                        transpose_vector)
 from rankmetric.channel import sample_uniform_invertible
 from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
                                fqn_vec_fq_mat, moore_matrix)
@@ -335,3 +337,21 @@ def test_scenario1_exact_failure_counts(n, k, t, errors, failing, symmetric,
             counts[i] += hit
     assert counts == [errors, failing, symmetric, symmetric_failing]
     assert errors == count_space_symmetric(n, t, 2).exact
+    # a symmetric E fails exactly when 2t > n - 1
+    assert counts[3] == (counts[2] if 2 * t > n - 1 else 0)
+
+
+@pytest.mark.parametrize("n,k,t,exact", [
+    (4, 1, 2, Fraction(150, 210)),
+    (5, 1, 2, Fraction(0)),
+    (6, 2, 2, Fraction(0)),
+], ids=["n4k1t2", "n5k1t2", "n6k2t2"])
+def test_scenario1_monte_carlo_matches_exact_rate(n, k, t, exact):
+    # the end-to-end simulate path against the enumerated rates above
+    rep = run_scenario(SimConfig(scenario=1, q=2, n=n, k=k, t=t, trials=2000,
+                                 seed=1))
+    if exact:
+        lo, hi = rep.wilson95
+        assert lo <= exact <= hi
+    else:
+        assert rep.failures == 0

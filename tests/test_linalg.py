@@ -4,9 +4,10 @@ import pytest
 
 from rankmetric import (InconsistentSystemError, fq_kernel, fq_matmul,
                         fq_rank, fq_transpose, fqn_kernel, fqn_rank,
-                        fqn_solve, moore_matrix, phi, phi_inv,
+                        fqn_solve, make_field, moore_matrix, phi, phi_inv,
                         transpose_vector, vector_rank)
-from rankmetric.linalg import (fqn_vector_str, fqn_vec_fq_mat,
+from rankmetric.linalg import (_fqn_rref, _kernel_from_rref, _rref,
+                               fqn_vector_str, fqn_vec_fq_mat,
                                parse_fqn_vector)
 
 
@@ -210,3 +211,65 @@ def test_serialization(F4):
     s = fqn_vector_str(F4, v)
     assert s == "0:1,1:1"
     assert parse_fqn_vector(F4, s) == v
+
+
+def _random_test_matrix(ctx, rng):
+    """Random matrix of a random shape, often rank-deficient, with zero
+    columns or sparse."""
+    rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+    density = rng.choice((1.0, 0.5, 0.2))
+    M = [[ctx.rand_elem(rng) if rng.random() < density else 0
+          for _ in range(cols)] for _ in range(rows)]
+    kind = rng.randrange(4)
+    if kind == 1:  # a zero column
+        j = rng.randrange(cols)
+        for row in M:
+            row[j] = 0
+    elif kind == 2 and rows > 1:  # later rows combine the first one or two
+        r0 = rng.randrange(1, rows)
+        for i in range(r0, rows):
+            a, b = ctx.rand_elem(rng), ctx.rand_elem(rng)
+            M[i] = [ctx.add(ctx.mul(a, x), ctx.mul(b, y))
+                    for x, y in zip(M[0], M[min(1, r0 - 1)])]
+    elif kind == 3:  # entries from the base field only
+        M = [[x % ctx.q for x in row] for row in M]
+    return M
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (2, 16), (3, 4), (4, 3), (9, 2)])
+def test_tabled_elimination_matches_generic(q, n):
+    # the generic elimination fed the field's ops is the oracle
+    ctx = make_field(q, n)
+    ops = (ctx.add, ctx.sub, ctx.mul, ctx.inv)
+    rng = random.Random(q * 100 + n)
+    inconsistent = 0
+    for _ in range(300):
+        M = _random_test_matrix(ctx, rng)
+        cols = len(M[0])
+        rows, pivots = _rref(*ops, M, cols)
+        assert _fqn_rref(ctx, M, cols) == (rows, pivots)
+        assert fqn_rank(ctx, M) == len(pivots)
+        assert fqn_kernel(ctx, M) == _kernel_from_rref(ctx.sub, rows, pivots,
+                                                       cols)
+        # half the right-hand sides come from a solution, half are random
+        if rng.randrange(2):
+            x0 = [ctx.rand_elem(rng) for _ in range(cols)]
+            rhs = [0] * len(M)
+            for i, row in enumerate(M):
+                for a, b in zip(row, x0):
+                    rhs[i] = ctx.add(rhs[i], ctx.mul(a, b))
+        else:
+            rhs = [ctx.rand_elem(rng) for _ in M]
+        aug = [row + [b] for row, b in zip(M, rhs)]
+        assert _fqn_rref(ctx, aug, cols + 1) == _rref(*ops, aug, cols + 1)
+        arows, apivots = _rref(*ops, aug, cols + 1)
+        if apivots and apivots[-1] == cols:
+            inconsistent += 1
+            with pytest.raises(InconsistentSystemError):
+                fqn_solve(ctx, M, rhs)
+        else:
+            x = [0] * cols
+            for i, pc in enumerate(apivots):
+                x[pc] = arows[i][cols]
+            assert fqn_solve(ctx, M, rhs) == x
+    assert 0 < inconsistent < 300

@@ -159,3 +159,17 @@ def test_gf2_root_space_matches_fq_kernel_construction(n):
         gens = [ctx.rand_elem(rng) for _ in range(rng.randrange(1, n))]
         g = min_subspace_poly(ctx, gens)
         assert root_space_basis(ctx, g) == _root_space_by_fq_kernel(ctx, g)
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (3, 7), (4, 3), (9, 2)])
+def test_root_space_matches_fq_kernel_construction(q, n):
+    ctx = make_field(q, n)
+    rng = random.Random(q * 100 + n)
+    for _ in range(100):
+        f = lin_normalize(ctx.rand_elem(rng)
+                          for _ in range(rng.randrange(1, n + 1)))
+        if f:
+            assert root_space_basis(ctx, f) == _root_space_by_fq_kernel(ctx, f)
+        gens = [ctx.rand_elem(rng) for _ in range(rng.randrange(1, n))]
+        g = min_subspace_poly(ctx, gens)
+        assert root_space_basis(ctx, g) == _root_space_by_fq_kernel(ctx, g)
