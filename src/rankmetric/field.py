@@ -14,8 +14,10 @@ tuples constant term first.  A caller-supplied modulus is verified instead.
 
 Both levels (F_q when e > 1, and F_{q^n}) get exp/log tables over a fixed
 multiplicative generator, so multiplication, inversion and Frobenius powers
-are table lookups.  The tables bound the field: q^n must be at most 2^20,
-and a larger order raises ValueError naming that budget.
+are table lookups.  Addition and subtraction are XOR in characteristic 2;
+at odd p they are lookups too, through a table of Zech logarithms built
+beside exp/log.  The tables bound the field: q^n must be at most 2^20, and
+a larger order raises ValueError naming that budget.
 """
 
 from __future__ import annotations
@@ -246,18 +248,6 @@ def _smallest_irreducible(fo: _ScalarOps, d: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible polynomial of degree {d} found")  # pragma: no cover
 
 
-def _add_digits(p: int, a: int, b: int, sign: int) -> int:
-    """Base-p digit-wise a + sign * b."""
-    out = 0
-    mult = 1
-    while a or b:
-        out += (a % p + sign * (b % p)) % p * mult
-        mult *= p
-        a //= p
-        b //= p
-    return out
-
-
 def _mul_digits(fo: _ScalarOps, mod, base: int, a: int, b: int) -> int:
     da = []
     while a:
@@ -281,7 +271,10 @@ def _tabled(p: int, fo: _ScalarOps, mod):
     coefficients.  Products are computed only while building exp/log tables
     over the smallest primitive packed int (a bit-shift multiplier over F_2,
     the packed-digit polynomial product otherwise); mul and inv then look
-    them up.  Returns (ops, exp, log).
+    them up.  Addition is XOR in characteristic 2.  At odd p it uses the
+    Zech logarithms zech[i] = log(1 + w^i), -1 where 1 + w^i = 0:
+    w^a + w^b = w^(a + zech[b - a]), and subtraction adds log(-1) to the
+    exponent of the subtrahend.  Returns (ops, exp, log).
     """
     base, deg = fo.q, len(mod) - 1
     order = base ** deg
@@ -338,8 +331,31 @@ def _tabled(p: int, fo: _ScalarOps, mod):
     if p == 2:
         add = sub = xor
     else:
-        add = lambda a, b: _add_digits(p, a, b, 1)
-        sub = lambda a, b: _add_digits(p, a, b, -1)
+        # Zech logarithms: 1 + w^i differs from w^i only in its constant
+        # coefficient, and 1 + w^i = 0 reads log[0] = -1
+        fadd = fo.add
+        zech = [log[v - v % base + fadd(v % base, 1)] for v in exp[:L]]
+        # -1 is the constant p - 1 at both levels
+        lm1 = log[p - 1]
+
+        def add(a, b, _exp=exp, _log=log, _zech=zech, _L=L):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = _log[a]
+            z = _zech[(_log[b] - la) % _L]
+            return _exp[la + z] if z >= 0 else 0
+
+        def sub(a, b, _exp=exp, _log=log, _zech=zech, _L=L, _lm1=lm1):
+            if not b:
+                return a
+            lb = _log[b] + _lm1
+            if not a:
+                return _exp[lb]
+            la = _log[a]
+            z = _zech[(lb - la) % _L]
+            return _exp[la + z] if z >= 0 else 0
     return _ScalarOps(order, add, sub, mul, inv), exp, log
 
 

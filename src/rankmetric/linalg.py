@@ -282,10 +282,17 @@ def fqn_vec_fq_mat(ctx: FieldCtx, v, M):
 # ---------------------------------------------------------------------------
 
 class _CoordSolver:
-    """Coordinates of extension elements relative to a fixed basis alpha."""
+    """Coordinates of extension elements relative to a fixed basis alpha.
+
+    coords adds, over the base-q digits d of x, the precomputed packed int
+    d times a column of the inverse basis matrix.  Each base-p digit of each
+    coordinate has its own S-bit slot, with S wide enough that n digits of
+    at most p - 1 never carry into the next slot, so the digit sums are read
+    back mod p.
+    """
 
     def __init__(self, ctx: FieldCtx, alpha):
-        n = ctx.n
+        n, q, p, e = ctx.n, ctx.q, ctx.p, ctx.e
         if len(alpha) != n:
             raise ValueError(f"basis must have {n} entries")
         # column j of the basis matrix = digit vector of alpha_j
@@ -295,29 +302,49 @@ class _CoordSolver:
         rows, pivots = _rref(*_ops_fq(ctx), aug, 2 * n)
         if pivots[:n] != list(range(n)):
             raise ValueError("alpha is not a basis")
-        self.ctx = ctx
-        self._inv = [r[n:] for r in rows[:n]]
-        if ctx.q == 2:
+        inv = [r[n:] for r in rows[:n]]
+        S = (n * (p - 1)).bit_length()
+        # slot of base-p digit j of coordinate i starts at bit (i e + j) S
+        self._shifts = [s * S for s in range(n * e)]
+        self._slot = (1 << S) - 1
+        self.q, self.p, self.e = q, p, e
+        bmul = ctx.base_mul
+
+        def packed(coords):
+            acc = 0
+            for i, y in enumerate(coords):
+                for j in range(e):
+                    acc |= (y % p) << ((i * e + j) * S)
+                    y //= p
+            return acc
+
+        # _table[d][c]: c times column d of the inverse, packed
+        self._table = [[packed([bmul(c, row[d]) for row in inv])
+                        for c in range(q)] for d in range(n)]
+        if q == 2:
             # column i of the inverse, packed: the coordinates of w^i
-            self._cols = _gf2_pack(fq_transpose(self._inv))
+            self._cols = _gf2_pack(fq_transpose(inv))
 
     def mask(self, x: int) -> int:
         """q = 2 only: the coordinates of x packed, bit m = coordinate m."""
         return _gf2_dot(x, self._cols)
 
-    # a plain method: stored on the instance, a bound method would make a
-    # reference cycle that keeps the context alive until a gc pass
     def coords(self, x: int):
-        ctx = self.ctx
-        badd, bmul = ctx.base_add, ctx.base_mul
-        digits = ctx.coeffs(x)
+        q, p, slot = self.q, self.p, self._slot
+        acc = 0
+        for col in self._table:
+            acc += col[x % q]
+            x //= q
+        digits = [(acc >> s & slot) % p for s in self._shifts]
+        e = self.e
+        if e == 1:
+            return tuple(digits)
         out = []
-        for row in self._inv:
-            acc = 0
-            for c, d in zip(row, digits):
-                if c and d:
-                    acc = badd(acc, bmul(c, d))
-            out.append(acc)
+        for i in range(0, len(digits), e):
+            y = 0
+            for d in reversed(digits[i:i + e]):
+                y = y * p + d
+            out.append(y)
         return tuple(out)
 
 

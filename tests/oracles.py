@@ -27,6 +27,22 @@ def rank_mod_p(M, p):
     return rank
 
 
+def digit_add(p, a, b, sign=1):
+    """a + sign * b for packed elements of a field of characteristic p.
+
+    Field elements are packed as base-q digits with q = p^e, and each base-q
+    digit packs its F_q coefficients as base-p digits, so addition at either
+    level is base-p digit-wise addition mod p.
+    """
+    out, mult = 0, 1
+    while a or b:
+        out += (a % p + sign * (b % p)) % p * mult
+        mult *= p
+        a //= p
+        b //= p
+    return out
+
+
 def census(n, q):
     """Counts of n-by-n matrices over F_q by rank: all, symmetric, and
     row-space-equals-column-space."""

@@ -55,13 +55,15 @@ def test_c1_failure_rate_table_statistical():
     assert in_band[3], f"scenario 3 rate {rates[3]:.6f} not within 3 sigma of {refs[3]}"
     assert in_band[1], (
         f"scenario 1 rate {rates[1]:.6f} not within 3 sigma of {refs[1]}: "
-        "the genuine coupled channel carries an irreducible failure mass at "
-        "t = n - 2k (a symmetric inner factor, probability 1/45 over uniform "
-        "invertible 4x4 binary matrices, makes the two stacked Moore blocks "
-        "share a q-power row and collapses the trial rank; see "
-        "test_decoder.py::test_decode_failure_is_a_value). The reference "
-        "value is only reachable under the uniform-coupling idealization "
-        "measured by scenario 2.")
+        "the genuine coupled channel fails on every symmetric error "
+        "E = E^T when 2t > n - 1, as here (2t = 8, n - 1 = 7): a symmetric "
+        "inner factor, probability 1/45 over uniform invertible 4x4 binary "
+        "matrices, makes s1 and s2 syndromes of one vector, which see only "
+        "n - 1 distinct q-powers, and collapses the trial rank; the exact "
+        "counts in test_decoder.py::test_scenario1_exact_failure_counts fail "
+        "a symmetric E exactly when 2t > n - 1. The reference value is only "
+        "reachable under the uniform-coupling idealization measured by "
+        "scenario 2.")
 
 
 def test_c2_exact_table_values():

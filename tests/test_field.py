@@ -6,6 +6,8 @@ import pytest
 from rankmetric import make_field
 from rankmetric.field import PRIME_TEST_LIMIT, _prime_power
 
+from oracles import digit_add
+
 
 # -- independent oracle for the default F_2 modulus: trial division against
 #    all lower-degree irreducibles, polynomials as bitmask ints (bit i = x^i).
@@ -184,18 +186,14 @@ def _base_field_oracle(p, e):
     mod = next(tup + (1,) for tup in itertools.product(range(p), repeat=e)
                if all(_pack(tup + (1,), r) % p for r in range(p)))
 
-    def digitwise(sign):
-        return lambda a, b: _pack(
-            [(x + sign * y) % p
-             for x, y in zip(_digits(a, p, e), _digits(b, p, e))], p)
-
     def mul(a, b):
         return _pack(_schoolbook(
             _digits(a, p, e), _digits(b, p, e), mod,
             lambda x, y: (x + y) % p, lambda x, y: (x - y) % p,
             lambda x, y: x * y % p), p)
 
-    return digitwise(1), digitwise(-1), mul
+    return (lambda a, b: digit_add(p, a, b),
+            lambda a, b: digit_add(p, a, b, -1), mul)
 
 
 @pytest.mark.parametrize("p, e", [(2, 2), (2, 3), (3, 2)])
@@ -211,6 +209,35 @@ def test_base_field_extension_matches_schoolbook_oracle(p, e):
             want = _schoolbook(_digits(a, q, 2), _digits(b, q, 2),
                                ctx.modulus, add, sub, mul)
             assert ctx.mul(a, b) == _pack(want, q)
+
+
+@pytest.mark.parametrize("q, n, pairs", [
+    (3, 2, None), (3, 4, None), (5, 2, None), (7, 2, None), (9, 2, None),
+    (3, 7, 20000), (25, 2, 20000)])
+def test_add_sub_neg_match_digitwise_oracle(q, n, pairs):
+    # at odd p these are Zech-logarithm lookups; None means all pairs
+    ctx = make_field(q, n)
+    p = ctx.p
+    if pairs is None:
+        grid = itertools.product(range(ctx.order), repeat=2)
+    else:
+        rng = random.Random(q * 100 + n)
+        grid = [(rng.randrange(ctx.order), rng.randrange(ctx.order))
+                for _ in range(pairs)]
+    for a, b in grid:
+        assert ctx.add(a, b) == digit_add(p, a, b)
+        assert ctx.sub(a, b) == digit_add(p, a, b, -1)
+    for a in range(ctx.order):
+        assert ctx.neg(a) == digit_add(p, 0, a, -1)
+
+
+@pytest.mark.parametrize("q", [9, 25, 27])
+def test_base_add_sub_match_digitwise_oracle(q):
+    ctx = make_field(q, 2)
+    for a in range(q):
+        for b in range(q):
+            assert ctx.base_add(a, b) == digit_add(ctx.p, a, b)
+            assert ctx.base_sub(a, b) == digit_add(ctx.p, a, b, -1)
 
 
 def test_frobenius_examples(F4, F256):

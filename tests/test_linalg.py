@@ -6,8 +6,8 @@ from rankmetric import (InconsistentSystemError, fq_kernel, fq_matmul,
                         fq_rank, fq_transpose, fqn_kernel, fqn_rank,
                         fqn_solve, make_field, moore_matrix, phi, phi_inv,
                         transpose_vector, vector_rank)
-from rankmetric.linalg import (_fqn_rref, _kernel_from_rref, _rref,
-                               fqn_vector_str, fqn_vec_fq_mat,
+from rankmetric.linalg import (_CoordSolver, _fqn_rref, _kernel_from_rref,
+                               _rref, fqn_vector_str, fqn_vec_fq_mat,
                                parse_fqn_vector)
 
 
@@ -273,3 +273,28 @@ def test_tabled_elimination_matches_generic(q, n):
                 x[pc] = arows[i][cols]
             assert fqn_solve(ctx, M, rhs) == x
     assert 0 < inconsistent < 300
+
+
+@pytest.mark.parametrize("q, n", [(2, 8), (3, 4), (4, 3), (5, 3), (9, 2),
+                                  (3, 7), (101, 2)])
+def test_coords_match_inverse_matrix_product(q, n):
+    # (101, 2): a digit slot sums up to n (p - 1) = 200 before its mod p
+    ctx = make_field(q, n)
+    rng = random.Random(q * 100 + n)
+    while True:
+        alpha = [ctx.rand_elem(rng) for _ in range(n)]
+        B = fq_transpose([ctx.coeffs(a) for a in alpha])
+        if fq_rank(ctx, B) == n:
+            break
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(B)]
+    rows, _ = _rref(ctx.base_add, ctx.base_sub, ctx.base_mul, ctx.base_inv,
+                    aug, 2 * n)
+    inv = [row[n:] for row in rows]
+    assert fq_matmul(ctx, B, inv) == [[int(i == j) for j in range(n)]
+                                      for i in range(n)]
+    xs = (range(ctx.order) if ctx.order <= 1 << 12
+          else [ctx.rand_elem(rng) for _ in range(3000)])
+    coords = _CoordSolver(ctx, alpha).coords
+    for x in xs:
+        assert coords(x) == tuple(col[0] for col in fq_matmul(
+            ctx, inv, [[d] for d in ctx.coeffs(x)]))
