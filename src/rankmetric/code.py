@@ -7,16 +7,17 @@ parity check of the transposed code (the image of every codeword's expansion
 matrix under transposition).  Both facts are multiplied out and asserted at
 construction so a bad basis fails fast.
 
-Over F_2 both syndromes are F_2-linear in the n^2 bits of the received
-word, so the code tabulates that map once and a syndrome pair costs one XOR
-per set bit of the word.
+Both syndromes are F_q-linear, hence F_p-linear, in the received word, so
+the code tabulates that map once on packed ints (linalg._PackedMap).  A
+syndrome pair costs one XOR per set bit of the word at p = 2 and one
+multiply-add per base-p digit at odd p, at every q the same path.
 """
 
 from __future__ import annotations
 
 from .field import FieldCtx
-from .linalg import _CoordSolver, _gf2_dot, _matmul, fq_transpose, \
-    moore_matrix, phi_inv
+from .linalg import _check_vector, _CoordSolver, _matmul, _PackedMap, \
+    fq_transpose, moore_matrix
 from .wso import WsoBasis, find_wso_basis, is_weak_self_orthogonal
 
 
@@ -42,37 +43,24 @@ class GabidulinCode:
         self._Hhat = moore_matrix(ctx, self.alpha, n - k, shift=1)
         self._assert_parity()
         self._solver = _CoordSolver(ctx, self.alpha)
-        self._syndrome_map = self._gf2_syndrome_map() if ctx.q == 2 else None
+        # The syndrome pair as one F_p-linear map of the n received entries:
+        # the unit x = p^u at position j has s2 = x H[r][j] and s1 = alpha_j
+        # sum_m c_m(x) Hhat[r][m], c the alpha-coordinates, because
+        # transposing the word puts alpha_j c_m(y_j) at position m.
+        mul = ctx.mul
+        units = [ctx.p ** u for u in range(n * ctx.e)]
+        hat = _matmul(ctx.add, mul, [self._solver.coords(x) for x in units],
+                      fq_transpose(self._Hhat))
+        self._syndrome_map = _PackedMap(ctx, [
+            [[mul(aj, h) for h in hu] + [mul(x, row[j]) for row in self._H]
+             for x, hu in zip(units, hat)]
+            for j, aj in enumerate(self.alpha)], n * ctx.e)
 
     def _assert_parity(self):
         ctx = self.ctx
         GHt = _matmul(ctx.add, ctx.mul, self._G, fq_transpose(self._H))
         if any(any(row) for row in GHt):
             raise ValueError("generator/parity-check product is nonzero")
-
-    def _gf2_syndrome_map(self):
-        """Syndrome pair of each unit error, packed; q = 2 only.
-
-        Entry [j][i] belongs to the word with w^i at position j.  Its s2 is
-        w^i H[r][j]; its s1 is alpha_j sum_m c_m(w^i) Hhat[r][m], with c the
-        alpha-coordinates, because transposing the word puts alpha_j c_m(y_j)
-        at position m.  Syndrome r of s1 sits at bits r*n, of s2 at
-        (n-k+r)*n.
-        """
-        ctx, n = self.ctx, self.n
-        mul, mask = ctx.mul, self._solver.mask
-        # hat[i][r] = sum_m c_m(w^i) Hhat[r][m]
-        hat = [[_gf2_dot(mask(1 << i), row) for row in self._Hhat]
-               for i in range(n)]
-        out = []
-        for j, aj in enumerate(self.alpha):
-            entries = []
-            for i in range(n):
-                parts = [mul(aj, h) for h in hat[i]]
-                parts += [mul(1 << i, row[j]) for row in self._H]
-                entries.append(sum(v << (r * n) for r, v in enumerate(parts)))
-            out.append(entries)
-        return out
 
     def generator_matrix(self):
         return [row[:] for row in self._G]
@@ -85,18 +73,9 @@ class GabidulinCode:
 
     def encode(self, u) -> tuple[int, ...]:
         """Codeword u G for a length-k message over F_{q^n}."""
-        self._check(u, self.k, "message")
+        _check_vector(self.ctx, u, self.k, "message")
         ctx = self.ctx
         return tuple(_matmul(ctx.add, ctx.mul, [u], self._G)[0])
-
-    def _check(self, v, length, what):
-        """Reject a wrong length or an entry outside F_{q^n}."""
-        if len(v) != length:
-            raise ValueError(f"{what} must have length {length}")
-        order = self.ctx.order
-        if min(v) < 0 or max(v) >= order:
-            raise ValueError(
-                f"{what} entries must lie in [0, q^n) = [0, {order})")
 
     def _syndrome_against(self, y, H) -> tuple[int, ...]:
         ctx = self.ctx
@@ -112,7 +91,7 @@ class GabidulinCode:
 
     def syndrome(self, y) -> tuple[int, ...]:
         """y H^T against the ordinary parity check."""
-        self._check(y, self.n, "word")
+        _check_vector(self.ctx, y, self.n, "word")
         return self._syndrome_against(y, self._H)
 
     def syndromes(self, y) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -122,18 +101,8 @@ class GabidulinCode:
         transposed code's parity check, the second is y H^T; codeword parts
         cancel in both, so each depends only on the error.
         """
-        n = self.n
-        self._check(y, n, "word")
-        table = self._syndrome_map
-        if table is not None:
-            acc = 0
-            for yj, entries in zip(y, table):
-                acc ^= _gf2_dot(yj, entries)
-            nk, full = n - self.k, (1 << n) - 1
-            s = [(acc >> (r * n)) & full for r in range(2 * nk)]
-            return tuple(s[:nk]), tuple(s[nk:])
-        coords = self._solver.coords
-        yhat = phi_inv(self.ctx, [coords(x) for x in y], self.alpha)
-        s1 = self._syndrome_against(yhat, self._Hhat)
-        s2 = self._syndrome_against(y, self._H)
-        return s1, s2
+        _check_vector(self.ctx, y, self.n, "word")
+        smap = self._syndrome_map
+        s = smap.values(smap.apply(y))
+        nk = self.n - self.k
+        return s[:nk], s[nk:]

@@ -99,7 +99,7 @@ def recover_error(code: GabidulinCode, a, s2):
     d = fqn_solve(ctx, M, rhs)
     solver = code._solver
     if ctx.q == 2:
-        B = [solver.mask(frob(dl, -k)) for dl in d]
+        B = [solver.apply((frob(dl, -k),)) for dl in d]
         return tuple(_gf2_vec_mat(a, B, n))
     B = [solver.coords(frob(dl, -k)) for dl in d]
     return fqn_vec_fq_mat(ctx, a, B)

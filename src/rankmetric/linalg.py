@@ -7,9 +7,10 @@ the caller picks the right family.  Solvers use the column convention
 M x = b.  Kernel bases come out in reduced echelon form of the null space
 (one vector per free column, ascending), which keeps outputs reproducible.
 
-Also home to the expansion map between length-n vectors over F_{q^n} and
-n-by-n matrices over F_q relative to a basis (phi / phi_inv), transposed
-vectors, Moore matrices and rank computations.
+Also home to F_p-linear maps tabulated on packed ints (_PackedMap), the
+expansion map between length-n vectors over F_{q^n} and n-by-n matrices
+over F_q relative to a basis (phi / phi_inv), transposed vectors, Moore
+matrices and rank computations.
 """
 
 from __future__ import annotations
@@ -232,6 +233,8 @@ def fqn_kernel(ctx: FieldCtx, M):
 
 def fqn_solve(ctx: FieldCtx, M, rhs):
     """One solution of M x = rhs over F_{q^n}; raises if inconsistent."""
+    if len(rhs) != len(M):
+        raise ValueError(f"rhs must have {len(M)} entries, one per row")
     ncols = len(M[0]) if M else 0
     aug = [list(row) + [b] for row, b in zip(M, rhs)]
     rows, pivots = _fqn_rref(ctx, aug, ncols + 1)
@@ -281,18 +284,73 @@ def fqn_vec_fq_mat(ctx: FieldCtx, v, M):
 # Basis expansion map and friends.
 # ---------------------------------------------------------------------------
 
-class _CoordSolver:
+class _PackedMap:
+    """An F_p-linear map of m elements of F_{q^n}, tabulated on packed ints.
+
+    images[j][u] lists the output values, of D base-p digits each, of the
+    unit p^u at input j (other inputs zero).  Digit t of output r has an
+    S-bit slot at bit (r D + t) S.  At p = 2, S = 1 and images combine by
+    XOR, so the packed int is the output values laid end to end.  At odd p
+    apply adds digit times image, S is wide enough that the m n e terms of
+    at most (p - 1)^2 in a slot never carry, and values reads slots mod p.
+    """
+
+    def __init__(self, ctx: FieldCtx, images, D: int):
+        p = self.p = ctx.p
+        S = 1 if p == 2 else (
+            len(images) * ctx.n * ctx.e * (p - 1) ** 2).bit_length()
+        self._starts = [r * D * S for r in range(len(images[0][0]))]
+        self._chunk, self._slot = (1 << D * S) - 1, (1 << S) - 1
+        self._inner = [t * S for t in reversed(range(D))]
+        powers = [(p ** t, t * S) for t in range(D)]
+
+        def packed(vals):
+            if p == 2:
+                return sum(v << s for v, s in zip(vals, self._starts))
+            return sum(v // w % p << s + t for v, s in zip(vals, self._starts)
+                       for w, t in powers)
+
+        self._table = [[packed(vals) for vals in col] for col in images]
+
+    def apply(self, xs) -> int:
+        """Sum of the images of the base-p digits of the inputs, packed."""
+        acc, p = 0, self.p
+        if p == 2:
+            for x, col in zip(xs, self._table):
+                acc ^= _gf2_dot(x, col)
+            return acc
+        for x, col in zip(xs, self._table):
+            for img in col:
+                acc += x % p * img
+                x //= p
+        return acc
+
+    def values(self, acc: int) -> tuple[int, ...]:
+        """The output values held in a packed int from apply."""
+        p, chunk = self.p, self._chunk
+        if p == 2:
+            return tuple([acc >> s & chunk for s in self._starts])
+        slot, inner = self._slot, self._inner
+        out = []
+        for s in self._starts:
+            c = acc >> s & chunk
+            v = 0
+            for t in inner:
+                v = v * p + (c >> t & slot) % p
+            out.append(v)
+        return tuple(out)
+
+
+class _CoordSolver(_PackedMap):
     """Coordinates of extension elements relative to a fixed basis alpha.
 
-    coords adds, over the base-q digits d of x, the precomputed packed int
-    d times a column of the inverse basis matrix.  Each base-p digit of each
-    coordinate has its own S-bit slot, with S wide enough that n digits of
-    at most p - 1 never carry into the next slot, so the digit sums are read
-    back mod p.
+    The packed map with one input whose outputs are the n coordinates, each
+    an F_q element of e base-p digits; the image of a unit is the matching
+    column of the inverse basis matrix.
     """
 
     def __init__(self, ctx: FieldCtx, alpha):
-        n, q, p, e = ctx.n, ctx.q, ctx.p, ctx.e
+        n, p, e = ctx.n, ctx.p, ctx.e
         if len(alpha) != n:
             raise ValueError(f"basis must have {n} entries")
         # column j of the basis matrix = digit vector of alpha_j
@@ -302,56 +360,28 @@ class _CoordSolver:
         rows, pivots = _rref(*_ops_fq(ctx), aug, 2 * n)
         if pivots[:n] != list(range(n)):
             raise ValueError("alpha is not a basis")
-        inv = [r[n:] for r in rows[:n]]
-        S = (n * (p - 1)).bit_length()
-        # slot of base-p digit j of coordinate i starts at bit (i e + j) S
-        self._shifts = [s * S for s in range(n * e)]
-        self._slot = (1 << S) - 1
-        self.q, self.p, self.e = q, p, e
-        bmul = ctx.base_mul
-
-        def packed(coords):
-            acc = 0
-            for i, y in enumerate(coords):
-                for j in range(e):
-                    acc |= (y % p) << ((i * e + j) * S)
-                    y //= p
-            return acc
-
-        # _table[d][c]: c times column d of the inverse, packed
-        self._table = [[packed([bmul(c, row[d]) for row in inv])
-                        for c in range(q)] for d in range(n)]
-        if q == 2:
-            # column i of the inverse, packed: the coordinates of w^i
-            self._cols = _gf2_pack(fq_transpose(inv))
-
-    def mask(self, x: int) -> int:
-        """q = 2 only: the coordinates of x packed, bit m = coordinate m."""
-        return _gf2_dot(x, self._cols)
+        # the unit p^u is p^(u mod e) times the polynomial-basis element
+        # u div e, whose coordinates are that column of the inverse
+        units = [[ctx.base_mul(p ** (u % e), row[n + u // e]) for row in rows]
+                 for u in range(n * e)]
+        super().__init__(ctx, [units], e)
 
     def coords(self, x: int):
-        q, p, slot = self.q, self.p, self._slot
-        acc = 0
-        for col in self._table:
-            acc += col[x % q]
-            x //= q
-        digits = [(acc >> s & slot) % p for s in self._shifts]
-        e = self.e
-        if e == 1:
-            return tuple(digits)
-        out = []
-        for i in range(0, len(digits), e):
-            y = 0
-            for d in reversed(digits[i:i + e]):
-                y = y * p + d
-            out.append(y)
-        return tuple(out)
+        return self.values(self.apply((x,)))
+
+
+def _check_vector(ctx: FieldCtx, v, length, what):
+    """Reject a wrong length or an entry outside F_{q^n}."""
+    if len(v) != length:
+        raise ValueError(f"{what} must have length {length}")
+    if v and (min(v) < 0 or max(v) >= ctx.order):
+        raise ValueError(
+            f"{what} entries must lie in [0, q^n) = [0, {ctx.order})")
 
 
 def phi(ctx: FieldCtx, a, alpha):
     """n-by-n matrix over F_q whose column j holds the alpha-coordinates of a_j."""
-    if len(a) != ctx.n:
-        raise ValueError(f"vector must have length {ctx.n}")
+    _check_vector(ctx, a, ctx.n, "vector")
     coords = _CoordSolver(ctx, alpha).coords
     return fq_transpose([coords(x) for x in a])
 
@@ -385,9 +415,8 @@ def vector_rank(ctx: FieldCtx, v) -> int:
     Computed as the F_q-rank of the expansion in the polynomial basis, whose
     coordinates are the packed digits; the rank does not depend on the basis.
     """
-    cols = [ctx.coeffs(x) for x in v]
-    M = [[col[i] for col in cols] for i in range(ctx.n)]
-    return fq_rank(ctx, M)
+    _check_vector(ctx, v, len(v), "vector")
+    return fq_rank(ctx, fq_transpose([ctx.coeffs(x) for x in v]))
 
 
 # ---------------------------------------------------------------------------

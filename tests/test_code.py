@@ -144,9 +144,10 @@ def test_syndrome_matches_support_decomposition(code_8_2, F256):
             assert s2[j] == acc
 
 
-@pytest.mark.parametrize("n,k", [(8, 2), (16, 4)])
-def test_gf2_syndrome_map_matches_transposed_products(n, k):
-    ctx = make_field(2, n)
+@pytest.mark.parametrize("q,n,k", [(2, 8, 2), (2, 16, 4), (3, 7, 1),
+                                   (4, 4, 1), (9, 3, 1), (7, 3, 1)])
+def test_syndrome_map_matches_transposed_products(q, n, k):
+    ctx = make_field(q, n)
     code = GabidulinCode(ctx, k)
     hhat_t = fq_transpose(code.parity_check_transposed())
     h_t = fq_transpose(code.parity_check())

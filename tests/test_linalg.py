@@ -185,6 +185,33 @@ def test_solve_and_inconsistency(F4, F256):
             assert acc == b
 
 
+def test_solve_rejects_rhs_of_wrong_length(F16):
+    # with rhs [1, 1, 1] the three rows are inconsistent; a short rhs must
+    # not drop the last row silently
+    M = [[1, 0], [0, 1], [1, 1]]
+    with pytest.raises(InconsistentSystemError):
+        fqn_solve(F16, M, [1, 1, 1])
+    for rhs in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(ValueError, match="rhs must have 3 entries"):
+            fqn_solve(F16, M, rhs)
+
+
+@pytest.mark.parametrize("q, n", [(2, 8), (3, 5)])
+def test_out_of_range_vector_entries_rejected(q, n):
+    ctx = make_field(q, n)
+    alpha = _poly_basis(ctx)
+    order = q ** n
+    range_msg = rf"vector entries must lie in \[0, q\^n\) = \[0, {order}\)"
+    for bad in (order, -1, order ** 2):
+        a = (bad,) + (0,) * (n - 1)
+        for fn in (lambda v: phi(ctx, v, alpha),
+                   lambda v: transpose_vector(ctx, v, alpha),
+                   lambda v: vector_rank(ctx, v)):
+            with pytest.raises(ValueError, match=range_msg):
+                fn(a)
+    assert vector_rank(ctx, ()) == 0
+
+
 def test_kernel_vectors_satisfy_system_odd_char(F9):
     rng = random.Random(20)
     for _ in range(30):
@@ -294,7 +321,10 @@ def test_coords_match_inverse_matrix_product(q, n):
                                       for i in range(n)]
     xs = (range(ctx.order) if ctx.order <= 1 << 12
           else [ctx.rand_elem(rng) for _ in range(3000)])
-    coords = _CoordSolver(ctx, alpha).coords
+    solver = _CoordSolver(ctx, alpha)
     for x in xs:
-        assert coords(x) == tuple(col[0] for col in fq_matmul(
+        c = solver.coords(x)
+        assert c == tuple(col[0] for col in fq_matmul(
             ctx, inv, [[d] for d in ctx.coeffs(x)]))
+        if q == 2:
+            assert solver.apply((x,)) == sum(b << m for m, b in enumerate(c))
