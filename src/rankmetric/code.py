@@ -16,8 +16,8 @@ multiply-add per base-p digit at odd p, at every q the same path.
 from __future__ import annotations
 
 from .field import FieldCtx
-from .linalg import _check_vector, _CoordSolver, _matmul, _PackedMap, \
-    fq_transpose, moore_matrix
+from .linalg import _check_vector, _CoordSolver, _PackedMap, fq_transpose, \
+    fqn_matmul, moore_matrix
 from .wso import WsoBasis, find_wso_basis, is_weak_self_orthogonal
 
 
@@ -49,16 +49,15 @@ class GabidulinCode:
         # transposing the word puts alpha_j c_m(y_j) at position m.
         mul = ctx.mul
         units = [ctx.p ** u for u in range(n * ctx.e)]
-        hat = _matmul(ctx.add, mul, [self._solver.coords(x) for x in units],
-                      fq_transpose(self._Hhat))
+        hat = fqn_matmul(ctx, [self._solver.coords(x) for x in units],
+                         fq_transpose(self._Hhat))
         self._syndrome_map = _PackedMap(ctx, [
             [[mul(aj, h) for h in hu] + [mul(x, row[j]) for row in self._H]
              for x, hu in zip(units, hat)]
             for j, aj in enumerate(self.alpha)], n * ctx.e)
 
     def _assert_parity(self):
-        ctx = self.ctx
-        GHt = _matmul(ctx.add, ctx.mul, self._G, fq_transpose(self._H))
+        GHt = fqn_matmul(self.ctx, self._G, fq_transpose(self._H))
         if any(any(row) for row in GHt):
             raise ValueError("generator/parity-check product is nonzero")
 
@@ -74,10 +73,10 @@ class GabidulinCode:
     def encode(self, u) -> tuple[int, ...]:
         """Codeword u G for a length-k message over F_{q^n}."""
         _check_vector(self.ctx, u, self.k, "message")
-        ctx = self.ctx
-        return tuple(_matmul(ctx.add, ctx.mul, [u], self._G)[0])
+        return tuple(fqn_matmul(self.ctx, [u], self._G)[0])
 
     def _syndrome_against(self, y, H) -> tuple[int, ...]:
+        """y H^T by direct products; the reference for the packed map."""
         ctx = self.ctx
         add, mul = ctx.add, ctx.mul
         out = []
@@ -90,9 +89,8 @@ class GabidulinCode:
         return tuple(out)
 
     def syndrome(self, y) -> tuple[int, ...]:
-        """y H^T against the ordinary parity check."""
-        _check_vector(self.ctx, y, self.n, "word")
-        return self._syndrome_against(y, self._H)
+        """y H^T against the ordinary parity check, from the packed map."""
+        return self.syndromes(y)[1]
 
     def syndromes(self, y) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(transposed-code syndrome, ordinary syndrome) of a received word.

@@ -1,9 +1,11 @@
 """Linear algebra over F_q and F_{q^n}.
 
 Vectors are tuples/lists of packed field ints, matrices are lists of row
-lists.  Functions prefixed fq_ treat entries as base-field scalars, fqn_
-as extension-field elements; the two cannot be told apart structurally, so
-the caller picks the right family.  Solvers use the column convention
+lists.  F_q is the subfield of F_{q^n} made of the ints below q, so the fq_
+functions take F_q entries as F_{q^n} elements in [0, q) and share one
+elimination (_fqn_rref) and one product (fqn_matmul) with the fqn_ ones:
+rank does not change under field extension, and eliminating or multiplying
+F_q matrices never leaves the subfield.  Solvers use the column convention
 M x = b.  Kernel bases come out in reduced echelon form of the null space
 (one vector per free column, ascending), which keeps outputs reproducible.
 
@@ -25,17 +27,6 @@ class InconsistentSystemError(ValueError):
 # ---------------------------------------------------------------------------
 # GF(2) fast path: rows packed as ints, bit i = column i.
 # ---------------------------------------------------------------------------
-
-def _gf2_pack(M):
-    out = []
-    for row in M:
-        m = 0
-        for j, v in enumerate(row):
-            if v:
-                m |= 1 << j
-        out.append(m)
-    return out
-
 
 def _gf2_unpack(masks, cols):
     return [[(m >> j) & 1 for j in range(cols)] for m in masks]
@@ -116,33 +107,8 @@ def _gf2_vec_mat(v, masks, cols):
 
 
 # ---------------------------------------------------------------------------
-# Elimination: generic in the scalar ops over F_q, tabled over F_{q^n}.
+# Elimination over F_{q^n} (so over F_q) in the log domain.
 # ---------------------------------------------------------------------------
-
-def _rref(add, sub, mul, inv, M, ncols):
-    rows = [list(r) for r in M]
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv_inv = inv(rows[r][c])
-        rows[r] = [mul(piv_inv, v) for v in rows[r]]
-        lead = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [sub(a, mul(f, b)) if b else a
-                           for a, b in zip(rows[i], lead)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
 
 def _kernel_from_rref(sub, rows, pivots, ncols):
     pivset = set(pivots)
@@ -158,17 +124,13 @@ def _kernel_from_rref(sub, rows, pivots, ncols):
     return basis
 
 
-def _ops_fq(ctx: FieldCtx):
-    return ctx.base_add, ctx.base_sub, ctx.base_mul, ctx.base_inv
-
-
 def _fqn_rref(ctx: FieldCtx, M, ncols):
-    """_rref over F_{q^n} in the log domain of the tables of ctx.
+    """Reduced row echelon form over F_{q^n} in the log domain of ctx.
 
-    The pivot row is scaled as exp[log v + L - log pivot]; every other row
-    subtracts exp[log f + log b] at the pivot row's nonzero entries b only,
-    with ctx.sub (XOR when p = 2).  Rows and pivots equal those of _rref fed
-    ctx.add, ctx.sub, ctx.mul and ctx.inv.
+    Returns the rows and the pivot columns.  The pivot row is scaled as
+    exp[log v + L - log pivot]; every other row subtracts exp[log f + log b]
+    at the pivot row's nonzero entries b only, with ctx.sub (XOR when
+    p = 2).
     """
     exp, log, L, sub = ctx._exp, ctx._log, ctx.order - 1, ctx.sub
     rows = [list(r) for r in M]
@@ -202,22 +164,6 @@ def _fqn_rref(ctx: FieldCtx, M, ncols):
 # Public F_q / F_{q^n} matrix operations.
 # ---------------------------------------------------------------------------
 
-def fq_rank(ctx: FieldCtx, M) -> int:
-    if not M:
-        return 0
-    if ctx.q == 2:
-        return len(_gf2_rref(_gf2_pack(M)))
-    return len(_rref(*_ops_fq(ctx), M, len(M[0]))[1])
-
-
-def fq_kernel(ctx: FieldCtx, M):
-    if not M:
-        return []
-    ncols = len(M[0])
-    rows, pivots = _rref(*_ops_fq(ctx), M, ncols)
-    return _kernel_from_rref(ctx.base_sub, rows, pivots, ncols)
-
-
 def fqn_rank(ctx: FieldCtx, M) -> int:
     if not M:
         return 0
@@ -246,38 +192,45 @@ def fqn_solve(ctx: FieldCtx, M, rhs):
     return x
 
 
-def _matmul(add, mul, A, B):
-    """Product A B of row-list matrices under the given scalar ops."""
-    cols = len(B[0]) if B else 0
+def fqn_matmul(ctx: FieldCtx, X, Y):
+    """Product X Y of two matrices over F_{q^n}, in the log domain."""
+    exp, log, add = ctx._exp, ctx._log, ctx.add
+    cols = len(Y[0]) if Y else 0
     out = []
-    for row in A:
+    for row in X:
         orow = [0] * cols
         for l, a in enumerate(row):
             if a:
-                brow = B[l]
-                for j in range(cols):
-                    if brow[j]:
-                        orow[j] = add(orow[j], mul(a, brow[j]))
+                la = log[a]
+                for j, b in enumerate(Y[l]):
+                    if b:
+                        orow[j] = add(orow[j], exp[la + log[b]])
         out.append(orow)
     return out
 
 
+def fqn_vec_fq_mat(ctx: FieldCtx, v, M):
+    """Row vector over F_{q^n} times a matrix over F_q."""
+    return tuple(fqn_matmul(ctx, [v], M)[0])
+
+
+def fq_rank(ctx: FieldCtx, M) -> int:
+    """Rank of a matrix over F_q, entries F_q elements in [0, q)."""
+    return fqn_rank(ctx, M)
+
+
+def fq_kernel(ctx: FieldCtx, M):
+    """Kernel basis of a matrix over F_q, entries F_q elements in [0, q)."""
+    return fqn_kernel(ctx, M)
+
+
 def fq_matmul(ctx: FieldCtx, A, B):
-    return _matmul(ctx.base_add, ctx.base_mul, A, B)
+    """Product A B over F_q, entries F_q elements in [0, q)."""
+    return fqn_matmul(ctx, A, B)
 
 
 def fq_transpose(M):
     return [list(col) for col in zip(*M)]
-
-
-def fqn_matmul(ctx: FieldCtx, X, Y):
-    """Product of two matrices over F_{q^n}; F_q entries embed as-is."""
-    return _matmul(ctx.add, ctx.mul, X, Y)
-
-
-def fqn_vec_fq_mat(ctx: FieldCtx, v, M):
-    """Row vector over F_{q^n} times a matrix over F_q."""
-    return tuple(_matmul(ctx.add, ctx.mul, [v], M)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +310,12 @@ class _CoordSolver(_PackedMap):
         mat = fq_transpose([ctx.coeffs(a) for a in alpha])
         aug = [row + [1 if i == j else 0 for j in range(n)]
                for i, row in enumerate(mat)]
-        rows, pivots = _rref(*_ops_fq(ctx), aug, 2 * n)
+        rows, pivots = _fqn_rref(ctx, aug, 2 * n)
         if pivots[:n] != list(range(n)):
             raise ValueError("alpha is not a basis")
         # the unit p^u is p^(u mod e) times the polynomial-basis element
         # u div e, whose coordinates are that column of the inverse
-        units = [[ctx.base_mul(p ** (u % e), row[n + u // e]) for row in rows]
+        units = [[ctx.mul(p ** (u % e), row[n + u // e]) for row in rows]
                  for u in range(n * e)]
         super().__init__(ctx, [units], e)
 
@@ -393,6 +346,9 @@ def phi_inv(ctx: FieldCtx, A, alpha):
         raise ValueError(f"basis must have {n} entries")
     if len(A) != n or any(len(row) != n for row in A):
         raise ValueError(f"matrix must be {n}x{n}")
+    if min(map(min, A)) < 0 or max(map(max, A)) >= ctx.q:
+        raise ValueError(
+            f"matrix entries must lie in F_q = [0, q) = [0, {ctx.q})")
     return fqn_vec_fq_mat(ctx, alpha, A)
 
 

@@ -95,16 +95,6 @@ def _normal_scan(ctx: FieldCtx):
     return None
 
 
-def _base_sqrt(ctx: FieldCtx, c: int) -> int:
-    """Square root in the base field, characteristic 2 (unique there)."""
-    if ctx.e == 1:
-        return c
-    r = c
-    for _ in range(ctx.e - 1):
-        r = ctx.base_mul(r, r)
-    return r
-
-
 def _trace_orthonormal_basis(ctx: FieldCtx):
     """Characteristic-2 basis with Tr(a_i a_j) = delta_ij.
 
@@ -115,8 +105,7 @@ def _trace_orthonormal_basis(ctx: FieldCtx):
     alternating (trace is surjective), so at least one pivot always exists.
     """
     n, q = ctx.n, ctx.q
-    add, mul, trace = ctx.add, ctx.mul, ctx.trace
-    binv = ctx.base_inv
+    add, mul, trace, inv = ctx.add, ctx.mul, ctx.trace, ctx.inv
 
     def form(x, y):
         return trace(mul(x, y))
@@ -128,7 +117,8 @@ def _trace_orthonormal_basis(ctx: FieldCtx):
         idx = next((i for i, v in enumerate(work) if form(v, v) != 0), None)
         if idx is not None:
             v = work.pop(idx)
-            c = _base_sqrt(ctx, binv(form(v, v)))
+            # x^(q/2) is the square root of x in F_q of characteristic 2
+            c = ctx.power(inv(form(v, v)), q // 2)
             v = mul(v, c)
             work = [add(u, mul(v, form(u, v))) if form(u, v) else u
                     for u in work]
@@ -147,7 +137,7 @@ def _trace_orthonormal_basis(ctx: FieldCtx):
         i, j = hit
         w = work.pop(j)
         v = work.pop(i)
-        w = mul(w, binv(form(v, w)))
+        w = mul(w, inv(form(v, w)))
         work = [add(add(u, mul(v, form(u, w))), mul(w, form(u, v)))
                 for u in work]
         pairs.append((v, w))

@@ -27,6 +27,36 @@ def rank_mod_p(M, p):
     return rank
 
 
+def rref(add, sub, mul, inv, M, ncols):
+    """Reduced row echelon form under the given scalar ops: (rows, pivots).
+
+    Textbook elimination, one scalar op per entry; the reference that the
+    library's log-domain elimination is checked against.
+    """
+    rows = [list(r) for r in M]
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv_inv = inv(rows[r][c])
+        rows[r] = [mul(piv_inv, v) for v in rows[r]]
+        lead = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [sub(a, mul(f, b)) if b else a
+                           for a, b in zip(rows[i], lead)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
 def digit_add(p, a, b, sign=1):
     """a + sign * b for packed elements of a field of characteristic p.
 

@@ -157,6 +157,7 @@ def test_syndrome_map_matches_transposed_products(q, n, k):
         yhat = transpose_vector(ctx, y, code.alpha)
         assert code.syndromes(y) == (tuple(fqn_matmul(ctx, [yhat], hhat_t)[0]),
                                      tuple(fqn_matmul(ctx, [y], h_t)[0]))
+        assert code.syndrome(y) == tuple(fqn_matmul(ctx, [y], h_t)[0])
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 8, 2), (3, 5, 1)])

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from rankmetric import (InconsistentSystemError, fq_kernel, fq_matmul,
-                        fq_rank, fq_transpose, fqn_kernel, fqn_rank,
-                        fqn_solve, make_field, moore_matrix, phi, phi_inv,
-                        transpose_vector, vector_rank)
+from rankmetric import (InconsistentSystemError, find_wso_basis, fq_kernel,
+                        fq_matmul, fq_rank, fq_transpose, fqn_kernel,
+                        fqn_rank, fqn_solve, make_field, moore_matrix, phi,
+                        phi_inv, transpose_vector, vector_rank)
 from rankmetric.linalg import (_CoordSolver, _fqn_rref, _kernel_from_rref,
-                               _rref, fqn_vector_str, fqn_vec_fq_mat,
+                               fqn_vector_str, fqn_vec_fq_mat,
                                parse_fqn_vector)
+
+from oracles import rref
 
 
 def _poly_basis(ctx):
@@ -41,6 +43,22 @@ def test_phi_inv_examples(F4):
     assert phi_inv(F4, [[0, 0], [0, 0]], alpha) == (0, 0)
     with pytest.raises(ValueError, match="basis must have 2 entries"):
         phi_inv(F4, [[1, 0], [0, 1]], alpha[:1])
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2)])
+def test_phi_inv_rejects_entries_outside_fq(q, n):
+    # an F_{q^n} element above q is no F_q scalar: at (2, 4) the identity
+    # with A[0][0] = 2 would give (4, 5, 9, 15), whose phi is not A
+    ctx = make_field(q, n)
+    alpha = find_wso_basis(ctx).alpha if q == 2 else _poly_basis(ctx)
+    range_msg = rf"matrix entries must lie in F_q = \[0, q\) = \[0, {q}\)"
+    for bad in (q, -1, q ** n - 1):
+        A = [[int(i == j) for j in range(n)] for i in range(n)]
+        A[0][0] = bad
+        with pytest.raises(ValueError, match=range_msg):
+            phi_inv(ctx, A, alpha)
+    A = [[q - 1] * n for _ in range(n)]
+    assert phi(ctx, phi_inv(ctx, A, alpha), alpha) == A
 
 
 def test_phi_roundtrip_random(F256, wso256):
@@ -268,16 +286,34 @@ def test_tabled_elimination_matches_generic(q, n):
     # the generic elimination fed the field's ops is the oracle
     ctx = make_field(q, n)
     ops = (ctx.add, ctx.sub, ctx.mul, ctx.inv)
+    base_ops = (ctx.base_add, ctx.base_sub, ctx.base_mul, ctx.base_inv)
     rng = random.Random(q * 100 + n)
-    inconsistent = 0
+    frng = random.Random(-(q * 100 + n))  # right factors of the F_q products
+    inconsistent = base_checked = 0
     for _ in range(300):
         M = _random_test_matrix(ctx, rng)
         cols = len(M[0])
-        rows, pivots = _rref(*ops, M, cols)
+        rows, pivots = rref(*ops, M, cols)
         assert _fqn_rref(ctx, M, cols) == (rows, pivots)
         assert fqn_rank(ctx, M) == len(pivots)
         assert fqn_kernel(ctx, M) == _kernel_from_rref(ctx.sub, rows, pivots,
                                                        cols)
+        if max(map(max, M)) < q:  # F_q entries, every kind 3 among them
+            # the F_q family runs on the F_{q^n} tables; the base-field ops
+            # of F_q alone must give the same elimination and product
+            brows, bpivots = rref(*base_ops, M, cols)
+            assert fq_rank(ctx, M) == len(bpivots)
+            assert fq_kernel(ctx, M) == _kernel_from_rref(
+                ctx.base_sub, brows, bpivots, cols)
+            k = frng.randrange(1, 8)
+            N = [[frng.randrange(q) for _ in range(k)] for _ in range(cols)]
+            prod = [[0] * k for _ in M]
+            for prow, row in zip(prod, M):
+                for a, nrow in zip(row, N):
+                    for j, b in enumerate(nrow):
+                        prow[j] = ctx.base_add(prow[j], ctx.base_mul(a, b))
+            assert fq_matmul(ctx, M, N) == prod
+            base_checked += 1
         # half the right-hand sides come from a solution, half are random
         if rng.randrange(2):
             x0 = [ctx.rand_elem(rng) for _ in range(cols)]
@@ -288,8 +324,8 @@ def test_tabled_elimination_matches_generic(q, n):
         else:
             rhs = [ctx.rand_elem(rng) for _ in M]
         aug = [row + [b] for row, b in zip(M, rhs)]
-        assert _fqn_rref(ctx, aug, cols + 1) == _rref(*ops, aug, cols + 1)
-        arows, apivots = _rref(*ops, aug, cols + 1)
+        assert _fqn_rref(ctx, aug, cols + 1) == rref(*ops, aug, cols + 1)
+        arows, apivots = rref(*ops, aug, cols + 1)
         if apivots and apivots[-1] == cols:
             inconsistent += 1
             with pytest.raises(InconsistentSystemError):
@@ -300,6 +336,7 @@ def test_tabled_elimination_matches_generic(q, n):
                 x[pc] = arows[i][cols]
             assert fqn_solve(ctx, M, rhs) == x
     assert 0 < inconsistent < 300
+    assert base_checked >= 50
 
 
 @pytest.mark.parametrize("q, n", [(2, 8), (3, 4), (4, 3), (5, 3), (9, 2),
@@ -314,7 +351,7 @@ def test_coords_match_inverse_matrix_product(q, n):
         if fq_rank(ctx, B) == n:
             break
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(B)]
-    rows, _ = _rref(ctx.base_add, ctx.base_sub, ctx.base_mul, ctx.base_inv,
+    rows, _ = rref(ctx.base_add, ctx.base_sub, ctx.base_mul, ctx.base_inv,
                     aug, 2 * n)
     inv = [row[n:] for row in rows]
     assert fq_matmul(ctx, B, inv) == [[int(i == j) for j in range(n)]

@@ -108,6 +108,20 @@ def test_base_extension_field():
     assert ok and all(d != 0 for d in diag)
 
 
+@pytest.mark.parametrize("q,alpha", [(4, (12, 20, 200, 209)),
+                                     (8, (8, 65, 513, 585))])
+def test_trace_orthonormal_over_non_prime_base_field(q, alpha):
+    # n = 4 has no normal WSO basis for these q, so the basis comes from the
+    # characteristic-2 orthogonalization, whose rescaling needs a square
+    # root in F_q (x^(q/2)) that is not the identity once e > 1
+    ctx = make_field(q, 4)
+    b = find_wso_basis(ctx)
+    assert b.alpha == alpha
+    assert b.method == "trace-orthonormal"
+    assert b.diag == (1, 1, 1, 1)
+    assert is_weak_self_orthogonal(ctx, alpha) == (True, (1, 1, 1, 1))
+
+
 def test_trivial_degree_one():
     ctx = make_field(2, 1)
     b = find_wso_basis(ctx)
