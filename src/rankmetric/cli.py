@@ -286,7 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, LookupError, OSError, ZeroDivisionError) as err:
+    except (ValueError, OSError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -6,21 +6,31 @@ invertible for a basis).  Writing S_d = sum_l alpha_l^(1+q^d), the product's
 entry (i, i+d) equals S_d^(q^i), so the property only depends on the set of
 basis elements, not their order.
 
-Construction runs in stages:
+Equivalently, alpha is orthonormal under a scaled trace form
+(x, y) -> Tr(c x y), c in F_{q^n}^*: M^T C M = I with C = diag(c^(q^i))
+gives M M^T = C^-1, and M M^T = D gives Tr(a_i a_j / S_0) = delta_ij.
+Construction runs in two stages:
 
 1. Normal-basis scan: for alpha = (b, b^q, ..., b^(q^(n-1))) every
    orthogonality condition collapses to trace(b * b^(q^d)) = 0 for
-   d = 1..floor(n/2), so all q^n candidates can be scanned.  For q = 2 the
-   diagonal of M M^T is trace(b), forcing D = I; such a basis exists only
-   when n is odd or n = 2 mod 4, so the scan provably comes up empty for
-   q = 2 with 4 | n, and find_wso_basis skips it there.
-2. Char-2 fallback: build a basis whose trace form is orthonormal,
-   Tr(a_i a_j) = delta_ij.  The Gram matrix of any basis under (x, y) ->
-   Tr(xy) is symmetric, invertible and non-alternating, hence congruent to
-   the identity; M^T M = I for a square Moore matrix gives M M^T = I.  The
-   congruence is computed by direct orthogonalization of the polynomial
-   basis, which always succeeds in characteristic 2.
-3. Tiny exhaustive scan over element subsets for odd q (small fields only).
+   d = 1..floor(n/2), so all q^n candidates can be scanned.  The Gram matrix
+   of such a basis under Tr(xy) is c0 * I with c0 in F_q.  A self-dual
+   normal basis (c0 = 1) exists when n is odd or q is even and n = 2 mod 4
+   (Lempel and Weinberger, "Self-complementary normal bases in finite
+   fields", SIAM J. Discrete Math. 1988), and find_wso_basis scans only
+   there.  Elsewhere the scan provably finds nothing.  For q even and 4 | n,
+   b / sqrt(c0) would be such a basis.  For q odd and n even, c0^n is a
+   square in F_q but the discriminant det(M)^2 of Tr(xy) is not: Frobenius
+   permutes the rows of M by an n-cycle, an odd permutation, so
+   det(M)^q = -det(M) and det(M) lies outside F_q.
+2. Trace-orthonormal construction: orthogonalize the polynomial basis under
+   Tr(c x y).  A nondegenerate symmetric form over F_q is congruent to the
+   identity when it is non-alternating (q even) or has square discriminant
+   (q odd), so a suitable c always exists (Seroussi and Lempel,
+   "Factorization of symmetric matrices and trace-orthogonal bases in
+   finite fields", SIAM J. Comput. 1980).  c = 1, except for q odd and n
+   even, where c is the primitive element w: N(w) generates F_q^*, so
+   N(w) * disc(Tr) is a square.
 
 Everything is deterministic: identical contexts yield identical bases.
 """
@@ -40,7 +50,7 @@ class WsoBasis:
 
     alpha: tuple[int, ...]
     diag: tuple[int, ...]
-    method: str            # "normal", "trace-orthonormal", or "exhaustive"
+    method: str            # "normal" or "trace-orthonormal"
     beta: int | None = None  # generator when the basis is normal
 
 
@@ -96,45 +106,45 @@ def _normal_scan(ctx: FieldCtx):
 
 
 def _trace_orthonormal_basis(ctx: FieldCtx):
-    """Characteristic-2 basis with Tr(a_i a_j) = delta_ij.
+    """Basis with Tr(c a_i a_j) = delta_ij, c chosen as in the module notes.
 
-    Orthogonalizes the polynomial basis under the trace form.  Vectors whose
-    self-pairing is nonzero become pivots after rescaling by the inverse
-    square root; alternating leftovers pair up hyperbolically and are then
-    merged with one pivot three-for-one.  The trace form cannot be fully
-    alternating (trace is surjective), so at least one pivot always exists.
+    Orthogonalizes the polynomial basis under the form.  A pivot v is scaled
+    by the smallest F_q square root of Tr(c v v), or of Tr(c v v) / nu for
+    nu the smallest non-square, so its self-pairing becomes 1 or nu.  When
+    every leftover is isotropic, q odd replaces one of a non-orthogonal pair
+    v, w by v + w (self-pairing 2 Tr(c v w) != 0); q even pairs them
+    hyperbolically and later merges each pair with a unit three-for-one.
+    The square discriminant leaves an even number of nu-pivots, rotated in
+    pairs by a, b with a^2 + b^2 = 1/nu.
     """
     n, q = ctx.n, ctx.q
-    add, mul, trace, inv = ctx.add, ctx.mul, ctx.trace, ctx.inv
+    add, sub, mul, inv, trace = ctx.add, ctx.sub, ctx.mul, ctx.inv, ctx.trace
+    c = ctx._exp[1] if ctx.p != 2 and n % 2 == 0 else 1
+    root = {mul(s, s): s for s in reversed(range(q))}  # smallest root wins
+    nu = next((a for a in range(q) if a not in root), 1)
 
     def form(x, y):
-        return trace(mul(x, y))
+        return trace(mul(c, mul(x, y)))
 
     work = [q ** j for j in range(n)]  # packed polynomial basis
     units: list[int] = []
+    nus: list[int] = []
     pairs: list[tuple[int, int]] = []
     while work:
-        idx = next((i for i, v in enumerate(work) if form(v, v) != 0), None)
+        idx = next((i for i, v in enumerate(work) if form(v, v)), None)
         if idx is not None:
             v = work.pop(idx)
-            # x^(q/2) is the square root of x in F_q of characteristic 2
-            c = ctx.power(inv(form(v, v)), q // 2)
-            v = mul(v, c)
-            work = [add(u, mul(v, form(u, v))) if form(u, v) else u
-                    for u in work]
-            units.append(v)
+            d = form(v, v)
+            e = 1 if d in root else nu
+            v = mul(v, inv(root[mul(d, inv(e))]))
+            work = [sub(u, mul(v, mul(form(u, v), inv(e)))) for u in work]
+            (units if e == 1 else nus).append(v)
             continue
-        hit = None
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                if form(work[i], work[j]) != 0:
-                    hit = (i, j)
-                    break
-            if hit:
-                break
-        if hit is None:  # pragma: no cover - would contradict invertibility
-            raise LookupError("trace form degenerated during orthogonalization")
-        i, j = hit
+        i, j = next((i, j) for i in range(len(work))
+                    for j in range(i + 1, len(work)) if form(work[i], work[j]))
+        if ctx.p != 2:
+            work[i] = add(work[i], work[j])
+            continue
         w = work.pop(j)
         v = work.pop(i)
         w = mul(w, inv(form(v, w)))
@@ -142,48 +152,31 @@ def _trace_orthonormal_basis(ctx: FieldCtx):
                 for u in work]
         pairs.append((v, w))
     while pairs:
-        if not units:  # pragma: no cover - trace form is never alternating
-            raise LookupError("no unit vector available for pair merging")
         v, w = pairs.pop()
         u = units.pop()
         units.extend((add(u, v), add(u, w), add(add(u, v), w)))
+    t = inv(nu)
+    a = next(a for a in range(q) if sub(t, mul(a, a)) in root)
+    b = root[sub(t, mul(a, a))]
+    for v, w in zip(nus[::2], nus[1::2]):
+        units.extend((add(mul(a, v), mul(b, w)), sub(mul(b, v), mul(a, w))))
     return tuple(units)
-
-
-def _exhaustive_scan(ctx: FieldCtx):
-    """Subset scan for tiny odd-characteristic fields."""
-    n = ctx.n
-    if ctx.order > 128 or n > 3:
-        return None
-    for combo in itertools.combinations(range(1, ctx.order), n):
-        if vector_rank(ctx, combo) != n:
-            continue
-        ok, diag = is_weak_self_orthogonal(ctx, combo)
-        if ok:
-            return WsoBasis(tuple(combo), diag, "exhaustive")
-    return None
 
 
 def find_wso_basis(ctx: FieldCtx) -> WsoBasis:
     """Deterministic weak self-orthogonal basis for F_{q^n} over F_q.
 
-    Tries the normal-basis scan first (except for q = 2 with 4 | n, where
-    it cannot succeed), then the characteristic-2 trace-orthonormal
-    construction, then a tiny exhaustive scan; raises LookupError when every
-    stage comes up empty.
+    Runs the normal-basis scan when n is odd or when q is even and
+    n = 2 mod 4, the fields where a normal WSO basis exists; otherwise, or
+    if the scan comes up empty, builds the trace-orthonormal basis.
     """
-    if ctx.q != 2 or ctx.n % 4:
+    if ctx.n % 2 or (ctx.p == 2 and ctx.n % 4 == 2):
         found = _normal_scan(ctx)
         if found is not None:
             return found
-    if ctx.p == 2:
-        alpha = _trace_orthonormal_basis(ctx)
-        ok, diag = is_weak_self_orthogonal(ctx, alpha)
-        if not ok:  # pragma: no cover - construction guarantees this
-            raise LookupError("trace-orthonormal construction failed verification")
-        return WsoBasis(alpha, diag, "trace-orthonormal")
-    found = _exhaustive_scan(ctx)
-    if found is not None:
-        return found
-    raise LookupError(
-        f"no weak self-orthogonal basis found for q={ctx.q}, n={ctx.n}")
+    alpha = _trace_orthonormal_basis(ctx)
+    ok, diag = is_weak_self_orthogonal(ctx, alpha)
+    if not ok:  # the construction guarantees it: an internal fault
+        raise RuntimeError(f"trace-orthonormal basis failed verification "
+                           f"at q={ctx.q}, n={ctx.n}")
+    return WsoBasis(alpha, diag, "trace-orthonormal")

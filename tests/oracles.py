@@ -107,30 +107,30 @@ def subspace_count(n, t, q):
     return len(spans)
 
 
-def space_symmetric_gf2(n, t):
-    """Every n-by-n rank-t matrix E over F_2 whose row and column spaces
-    coincide, each exactly once, as E = A P A^T.
+def space_symmetric(n, t, q):
+    """Every n-by-n rank-t matrix E over F_q (q prime) whose row and column
+    spaces coincide, each exactly once, as E = A P A^T.
 
     A runs over the reduced column-echelon n-by-t matrices of rank t (one
-    per t-dimensional column space) and P over GL_t(F_2); A has full column
+    per t-dimensional column space) and P over GL_t(F_q); A has full column
     rank, so E determines P.
     """
     gl = [P for P in (
         [list(entries[i * t:(i + 1) * t]) for i in range(t)]
-        for entries in itertools.product(range(2), repeat=t * t))
-        if rank_mod_p(P, 2) == t]
+        for entries in itertools.product(range(q), repeat=t * t))
+        if rank_mod_p(P, q) == t]
     for pivots in itertools.combinations(range(n), t):
         # column i of A: 1 at pivots[i], 0 at the other pivots and above
         free = [(r, i) for i, c in enumerate(pivots)
                 for r in range(c + 1, n) if r not in pivots]
-        for bits in itertools.product(range(2), repeat=len(free)):
+        for digits in itertools.product(range(q), repeat=len(free)):
             A = [[0] * t for _ in range(n)]
             for i, c in enumerate(pivots):
                 A[c][i] = 1
-            for (r, i), b in zip(free, bits):
-                A[r][i] = b
+            for (r, i), d in zip(free, digits):
+                A[r][i] = d
             for P in gl:
-                AP = [[sum(a * p for a, p in zip(row, col)) % 2
+                AP = [[sum(a * p for a, p in zip(row, col)) % q
                        for col in zip(*P)] for row in A]
-                yield [[sum(x * y for x, y in zip(ap, a)) % 2 for a in A]
+                yield [[sum(x * y for x, y in zip(ap, a)) % q for a in A]
                        for ap in AP]

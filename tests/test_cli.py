@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import rankmetric
-from rankmetric import make_field
+from rankmetric import cli, make_field
 from rankmetric.cli import main
 from rankmetric.linalg import fqn_vector_str, parse_fqn_vector
 
@@ -159,6 +159,31 @@ def test_find_basis_json(capsys):
     ctx = make_field(2, 8)
     for s in payload["alpha"]:
         ctx.parse_elem(s)
+
+
+def test_find_basis_odd_q_even_n(capsys):
+    code, out, _ = run_cli(capsys, "find-basis", "--q", "3", "--n", "4",
+                           "--out", "json")
+    assert code == 0
+    assert json.loads(out)["verification"]["moore_gram_diagonal"] is True
+
+
+def test_simulate_odd_q_even_n(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--scenario", "1", "--q", "3",
+                           "--n", "4", "--k", "1", "--t", "2",
+                           "--trials", "200")
+    assert code == 0, err
+
+
+def test_internal_lookup_faults_are_not_domain_errors(monkeypatch):
+    # only domain errors become a one-line "error:" with exit 1; an
+    # IndexError or KeyError is a fault and keeps its traceback
+    def broken(args):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "_cmd_find_basis", broken)
+    with pytest.raises(IndexError):
+        main(["find-basis", "--q", "2", "--n", "2"])
 
 
 def test_codec_roundtrip_error_free(tmp_path, capsys):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from rankmetric import (GabidulinCode, InconsistentSystemError, SimConfig,
-                        build_syndrome_matrix, count_space_symmetric, decode,
+                        build_syndrome_matrix, count_space_symmetric,
+                        count_symmetric, decode,
                         interleaved_decode, joint_kernel,
                         key_equation_remainder, lin_qdeg, make_field,
                         min_subspace_poly, phi_inv, recover_error,
@@ -16,7 +17,7 @@ from rankmetric.channel import sample_uniform_invertible
 from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
                                fqn_vec_fq_mat, moore_matrix)
 
-from oracles import space_symmetric_gf2
+from oracles import space_symmetric
 
 
 def _rand_codeword(code, rng):
@@ -317,38 +318,45 @@ def test_decoding_keeps_no_field_context_alive(q, n, k, t):
     assert ref() is None
 
 
-@pytest.mark.parametrize("n,k,t,errors,failing,symmetric,symmetric_failing", [
-    (4, 1, 2, 210, 150, 140, 140),
-    (5, 1, 2, 930, 0, 620, 0),
-    (6, 2, 2, 3906, 0, 2604, 0),
-])
-def test_scenario1_exact_failure_counts(n, k, t, errors, failing, symmetric,
-                                        symmetric_failing):
-    # every space-symmetric rank-t error over F_2, decoded as the received
-    # word of the zero codeword; a miscorrection counts as a failure
-    ctx = make_field(2, n)
+@pytest.mark.parametrize(
+    "q,n,k,t,errors,failing,symmetric,symmetric_failing", [
+        (2, 4, 1, 2, 210, 150, 140, 140),
+        (2, 5, 1, 2, 930, 0, 620, 0),
+        (2, 6, 2, 2, 3906, 0, 2604, 0),
+        (3, 4, 1, 2, 6240, 2640, 2340, 2340),
+    ], ids=["4-1-2-210-150-140-140", "5-1-2-930-0-620-0",
+            "6-2-2-3906-0-2604-0", "q3-4-1-2-6240-2640-2340-2340"])
+def test_scenario1_exact_failure_counts(q, n, k, t, errors, failing,
+                                        symmetric, symmetric_failing):
+    # every space-symmetric rank-t error over F_q, decoded as the received
+    # word of the zero codeword; a miscorrection counts as a failure.  The
+    # symmetric counts do not depend on the basis; the total failing count
+    # is that of the basis find_wso_basis returns
+    ctx = make_field(q, n)
     code = GabidulinCode(ctx, k)
     counts = [0, 0, 0, 0]
-    for E in space_symmetric_gf2(n, t):
+    for E in space_symmetric(n, t, q):
         out = decode(code, phi_inv(ctx, E, code.alpha))
         bad = not out.decoded or any(out.codeword)
         sym = all(E[i][j] == E[j][i] for i in range(n) for j in range(i))
         for i, hit in enumerate((True, bad, sym, sym and bad)):
             counts[i] += hit
     assert counts == [errors, failing, symmetric, symmetric_failing]
-    assert errors == count_space_symmetric(n, t, 2).exact
+    assert errors == count_space_symmetric(n, t, q).exact
+    assert symmetric == count_symmetric(n, t, q).exact
     # a symmetric E fails exactly when 2t > n - 1
     assert counts[3] == (counts[2] if 2 * t > n - 1 else 0)
 
 
-@pytest.mark.parametrize("n,k,t,exact", [
-    (4, 1, 2, Fraction(150, 210)),
-    (5, 1, 2, Fraction(0)),
-    (6, 2, 2, Fraction(0)),
-], ids=["n4k1t2", "n5k1t2", "n6k2t2"])
-def test_scenario1_monte_carlo_matches_exact_rate(n, k, t, exact):
+@pytest.mark.parametrize("q,n,k,t,exact", [
+    (2, 4, 1, 2, Fraction(150, 210)),
+    (2, 5, 1, 2, Fraction(0)),
+    (2, 6, 2, 2, Fraction(0)),
+    (3, 4, 1, 2, Fraction(2640, 6240)),
+], ids=["n4k1t2", "n5k1t2", "n6k2t2", "q3n4k1t2"])
+def test_scenario1_monte_carlo_matches_exact_rate(q, n, k, t, exact):
     # the end-to-end simulate path against the enumerated rates above
-    rep = run_scenario(SimConfig(scenario=1, q=2, n=n, k=k, t=t, trials=2000,
+    rep = run_scenario(SimConfig(scenario=1, q=q, n=n, k=k, t=t, trials=2000,
                                  seed=1))
     if exact:
         lo, hi = rep.wilson95

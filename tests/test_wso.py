@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from rankmetric import find_wso_basis, is_weak_self_orthogonal, make_field
+from rankmetric import (find_wso_basis, is_weak_self_orthogonal, make_field,
+                        wso)
 from rankmetric.linalg import fqn_matmul, moore_matrix
 from rankmetric.wso import _normal_scan
 
@@ -139,19 +140,28 @@ def test_normal_trace_shortcut_agrees_with_full_check():
     rng = random.Random(31)
     for q, n in ((2, 3), (2, 5), (2, 6), (3, 3), (5, 2)):
         ctx = make_field(q, n)
-        try:
-            b = find_wso_basis(ctx)
-        except LookupError:
-            continue
+        b = find_wso_basis(ctx)
         ok, _ = is_weak_self_orthogonal(ctx, b.alpha)
         assert ok
 
 
+SMALL_ODD_EVEN_N = [(3, 2), (3, 4), (3, 6), (5, 2), (5, 4), (7, 4), (9, 2),
+                    (9, 4), (13, 2), (25, 2)]
+
+
 def test_q2_with_4_dividing_n_skips_the_normal_scan():
-    # the scan provably finds nothing there, so find_wso_basis goes straight
-    # to the trace-orthonormal construction and returns the same basis
-    for n in (4, 8):
-        assert _normal_scan(make_field(2, n)) is None
+    # a normal WSO basis exists exactly when n is odd or q is even and
+    # n = 2 mod 4; everywhere else the scan provably finds nothing, so
+    # find_wso_basis goes straight to the trace-orthonormal construction
+    # and returns the same basis
+    fields = SMALL_ODD_EVEN_N + [(2, 4), (2, 8), (4, 4), (8, 4), (2, 6),
+                                 (4, 2), (3, 3), (5, 3)]
+    for q, n in fields:
+        ctx = make_field(q, n)
+        scanned = n % 2 == 1 or (ctx.p == 2 and n % 4 == 2)
+        assert (_normal_scan(ctx) is None) == (not scanned), (q, n)
+        method = "normal" if scanned else "trace-orthonormal"
+        assert find_wso_basis(ctx).method == method, (q, n)
     expected = {
         8: (2, 17, 32, 59, 115, 125, 248, 255),
         12: (8, 139, 269, 455, 903, 1003, 2015, 2025, 4095, 4079, 4073, 4075),
@@ -159,3 +169,36 @@ def test_q2_with_4_dividing_n_skips_the_normal_scan():
     for n, alpha in expected.items():
         b = find_wso_basis(make_field(2, n))
         assert b.alpha == alpha and b.method == "trace-orthonormal"
+
+
+@pytest.mark.parametrize("q,n", SMALL_ODD_EVEN_N)
+def test_odd_q_even_n_is_constructed(q, n):
+    # no normal WSO basis exists here; the construction orthogonalizes under
+    # Tr(w x y) with w the primitive element
+    ctx = make_field(q, n)
+    b = find_wso_basis(ctx)
+    assert b.method == "trace-orthonormal" and b.beta is None
+    ok, diag = is_weak_self_orthogonal(ctx, b.alpha)
+    assert ok and b.diag == diag and all(d != 0 for d in diag)
+
+
+@pytest.mark.parametrize("q,n,alpha,diag", [
+    (3, 2, (5, 6), (5, 8)),
+    (3, 4, (27, 7, 40, 44), (50, 12, 75, 11)),
+])
+def test_odd_q_constructed_basis_pins(q, n, alpha, diag):
+    # the scenario-1 failure count at (3, 4, 1, 2) in test_decoder.py
+    # depends on this basis
+    b = find_wso_basis(make_field(q, n))
+    assert (b.alpha, b.diag) == (alpha, diag)
+
+
+def test_failed_verification_is_an_internal_fault(monkeypatch):
+    # the polynomial basis of F_16 is not WSO; a construction that returned
+    # it must surface as a RuntimeError, not as a domain error
+    ctx = make_field(2, 4)
+    assert not is_weak_self_orthogonal(ctx, (1, 2, 4, 8))[0]
+    monkeypatch.setattr(wso, "_trace_orthonormal_basis",
+                        lambda ctx: (1, 2, 4, 8))
+    with pytest.raises(RuntimeError, match="failed verification"):
+        find_wso_basis(ctx)
