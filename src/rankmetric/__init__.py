@@ -12,7 +12,7 @@ from .channel import CountResult, SpaceSymError, count_rank, \
     sample_uniform_invertible
 from .code import GabidulinCode
 from .decoder import DecodeOutcome, InterleavedOutcome, \
-    build_syndrome_matrix, decode, interleaved_decode, joint_kernel, \
+    build_syndrome_matrix, decode, interleaved_decode, \
     key_equation_remainder, recover_error
 from .field import FieldCtx, make_field
 from .keysize import CryptoRow, build_table, crypto_row, key_size_kb, \
@@ -34,7 +34,7 @@ __all__ = [
     "decode", "failure_bound", "find_wso_basis", "fq_kernel", "fq_matmul",
     "fq_rank", "fq_transpose", "fqn_kernel", "fqn_rank",
     "fqn_solve", "gaussian_binomial", "interleaved_decode",
-    "intersection_probability", "is_weak_self_orthogonal", "joint_kernel",
+    "intersection_probability", "is_weak_self_orthogonal",
     "key_equation_remainder", "key_size_kb", "lin_compose_mod", "lin_eval",
     "lin_normalize", "lin_qdeg", "make_field", "max_errors",
     "min_subspace_poly", "moore_matrix", "reference_table", "phi", "phi_inv",

@@ -8,13 +8,18 @@ support), so the two linear systems are stacked and solved jointly, exactly
 as for a 2-interleaved code.  This pushes the decoding radius from
 (n-k)/2 up to 2(n-k)/3 at the price of a small failure probability.
 
-Trial ranks run downward from floor(2(n-k)/3); the first trial whose
-stacked syndrome matrix has rank equal to the trial value yields a unique
-span polynomial candidate (up to scale).  The stacked matrix annihilates
-the true span polynomial and all its q-power shifts, so its rank can never
-exceed the true error rank, which is what makes the countdown sound.  When
-the candidate's root space has the wrong dimension, or error recovery hits
-an inconsistent system, a failure is declared immediately.
+The stacked system at trial rank t is S_t = T[m >= t, j <= t] of both
+syndromes, where T has entry (m, j) = s_{m-j}^(q^j), zero where m < j.
+Trials run down from t_max = floor(2(n-k)/3); the first with rank(S_t) = t
+gives the span polynomial candidate, unique up to scale.  A nonzero kernel
+vector gamma at trial t' gives rank(S_t) <= t' for every t > t', as the
+shifts x^(q^i) o gamma with i <= t - t' lie in the kernel of S_t and have
+distinct q-degrees.  So rank(S_t) never exceeds the true error rank, and no
+trial below rank(S_t) can hit; trials above it can (at (q, n, k) =
+(3, 7, 1) some rank-3 errors trace ((4, 2), (3, 3))), so none is skipped.
+An echelon basis truncated to its first t+1 columns is one of the truncated
+rows, so trial t truncates the basis of trial t+1 and inserts its rows
+m = t.  A wrong root-space dimension or inconsistent recovery fails at once.
 """
 
 from __future__ import annotations
@@ -23,33 +28,31 @@ from dataclasses import dataclass
 
 from .code import GabidulinCode
 from .field import FieldCtx
-from .linalg import (InconsistentSystemError, _gf2_vec_mat, fqn_kernel,
-                     fqn_solve, fqn_vec_fq_mat)
+from .linalg import (InconsistentSystemError, _gf2_vec_mat, fqn_solve,
+                     fqn_vec_fq_mat)
 from .linpoly import lin_compose_mod, lin_normalize, root_space_basis
 
 
+class _Outcome:
+    @property
+    def decoded(self) -> bool:
+        return self.status == "decoded"
+
+
 @dataclass(frozen=True)
-class DecodeOutcome:
+class DecodeOutcome(_Outcome):
     status: str                       # "decoded" or "failure"
     codeword: tuple[int, ...] | None
     error: tuple[int, ...] | None
     trial_trace: tuple[tuple[int, int], ...]  # (trial rank, rank of stacked S)
 
-    @property
-    def decoded(self) -> bool:
-        return self.status == "decoded"
-
 
 @dataclass(frozen=True)
-class InterleavedOutcome:
+class InterleavedOutcome(_Outcome):
     status: str
     codewords: tuple[tuple[int, ...], ...] | None
     errors: tuple[tuple[int, ...], ...] | None
     trial_trace: tuple[tuple[int, int], ...]
-
-    @property
-    def decoded(self) -> bool:
-        return self.status == "decoded"
 
 
 def build_syndrome_matrix(ctx: FieldCtx, s, t: int):
@@ -57,9 +60,12 @@ def build_syndrome_matrix(ctx: FieldCtx, s, t: int):
     nk = len(s)
     if not 1 <= t <= nk - 1:
         raise ValueError(f"trial rank {t} out of range for {nk} syndromes")
-    frob = ctx.frob
-    return [[frob(s[t + p - j], j) for j in range(t + 1)]
-            for p in range(nk - t)]
+    return [_syndrome_row(ctx.frob, s, m, t + 1) for m in range(t, nk)]
+
+
+def _syndrome_row(frob, s, m: int, width: int):
+    """Row m of T on columns j < width <= m + 1: s_{m-j}^(q^j)."""
+    return [frob(s[m - j], j) for j in range(width)]
 
 
 def key_equation_remainder(ctx: FieldCtx, gamma, s):
@@ -69,13 +75,6 @@ def key_equation_remainder(ctx: FieldCtx, gamma, s):
     has q-degree below t: all composition coefficients from index t up to
     n-k-1 vanish."""
     return lin_compose_mod(ctx, gamma, tuple(s), len(s))
-
-
-def joint_kernel(ctx: FieldCtx, s1, s2, t: int):
-    """Rank and kernel basis of the stacked syndrome matrix at trial rank t."""
-    S = build_syndrome_matrix(ctx, s1, t) + build_syndrome_matrix(ctx, s2, t)
-    kernel = fqn_kernel(ctx, S)
-    return t + 1 - len(kernel), kernel
 
 
 def recover_error(code: GabidulinCode, a, s2):
@@ -105,8 +104,34 @@ def recover_error(code: GabidulinCode, a, s2):
     return fqn_vec_fq_mat(ctx, a, B)
 
 
-def _max_trial_rank(n: int, k: int) -> int:
-    return min(2 * (n - k) // 3, n - k - 1)
+def _insert_rows(ctx: FieldCtx, basis, rows):
+    """Add each row (a list, consumed) to basis, which maps each pivot column
+    to its row's (column, log entry) pairs right of the leading 1."""
+    exp, log, L, sub = ctx._exp, ctx._log, ctx.order - 1, ctx.sub
+    for row in rows:
+        for c, v in enumerate(row):   # reads row[c] after the updates below
+            if v and c in basis:
+                lf = log[v]
+                for j, lb in basis[c]:
+                    row[j] = sub(row[j], exp[lf + lb])
+            elif v:
+                s = L - log[v]
+                basis[c] = [(j, (log[row[j]] + s) % L)
+                            for j in range(c + 1, len(row)) if row[j]]
+                break
+
+
+def _kernel_vector(ctx: FieldCtx, basis, t: int):
+    """fqn_kernel's one vector for a rank-t echelon basis on columns 0..t."""
+    exp, log, sub = ctx._exp, ctx._log, ctx.sub
+    vec = [0] * (t + 1)
+    for c in range(t, -1, -1):   # the one column without a pivot gets 1
+        acc = 0 if c in basis else 1
+        for j, lb in basis.get(c, ()):
+            if vec[j]:
+                acc = sub(acc, exp[log[vec[j]] + lb])
+        vec[c] = acc
+    return vec
 
 
 def _joint_decode(code: GabidulinCode, words, s1, s2, recover):
@@ -121,22 +146,25 @@ def _joint_decode(code: GabidulinCode, words, s1, s2, recover):
     ctx = code.ctx
     if not any(s1) and not any(s2):
         return "decoded", words, ((0,) * code.n,) * len(words), ()
-    trace = []
-    for t in range(_max_trial_rank(code.n, code.k), 0, -1):
-        rank, kernel = joint_kernel(ctx, s1, s2, t)
-        trace.append((t, rank))
-        if rank != t:
+    basis, trace, top = {}, [], code.n - code.k
+    for t in range(min(2 * top // 3, top - 1), 0, -1):
+        basis = {c: [e for e in row if e[0] <= t]
+                 for c, row in basis.items() if c <= t}
+        _insert_rows(ctx, basis, [_syndrome_row(ctx.frob, s, m, t + 1)
+                                  for m in range(t, top) for s in (s1, s2)])
+        top = t
+        trace.append((t, len(basis)))
+        if len(basis) != t:
             continue
-        gamma = lin_normalize(kernel[0])
-        roots = root_space_basis(ctx, gamma)
+        roots = root_space_basis(
+            ctx, lin_normalize(_kernel_vector(ctx, basis, t)))
         if len(roots) != t:
             break
         try:
             errors = recover(roots)
         except InconsistentSystemError:
             break
-        sub = ctx.sub
-        codewords = tuple(tuple(sub(a, b) for a, b in zip(y, e))
+        codewords = tuple(tuple(map(ctx.sub, y, e))
                           for y, e in zip(words, errors))
         return "decoded", codewords, errors, tuple(trace)
     return "failure", None, None, tuple(trace)

@@ -2,10 +2,15 @@
 
 Deliberately independent of the library: plain mod-p elimination over lists
 and exhaustive enumeration, so they cross-check the production formulas
-rather than mirroring them.
+rather than mirroring them.  The one exception is the trial-rank countdown
+reference, which reuses the library's syndrome matrices, elimination and
+root spaces but runs one full elimination per trial.
 """
 
 import itertools
+
+from rankmetric import InconsistentSystemError, build_syndrome_matrix, \
+    fqn_kernel, lin_normalize, root_space_basis
 
 
 def rank_mod_p(M, p):
@@ -134,3 +139,39 @@ def space_symmetric(n, t, q):
                        for col in zip(*P)] for row in A]
                 yield [[sum(x * y for x, y in zip(ap, a)) % q for a in A]
                        for ap in AP]
+
+
+def joint_kernel(ctx, s1, s2, t):
+    """Rank and kernel basis of the stacked syndrome matrix at trial rank t."""
+    S = build_syndrome_matrix(ctx, s1, t) + build_syndrome_matrix(ctx, s2, t)
+    kernel = fqn_kernel(ctx, S)
+    return t + 1 - len(kernel), kernel
+
+
+def countdown_decode(code, words, s1, s2, recover):
+    """The decoder's trial-rank countdown with one fqn_kernel per trial.
+
+    Same arguments and result as decoder._joint_decode: (status, codewords,
+    errors, trial trace).
+    """
+    ctx = code.ctx
+    if not any(s1) and not any(s2):
+        return "decoded", words, ((0,) * code.n,) * len(words), ()
+    trace = []
+    nk = code.n - code.k
+    for t in range(min(2 * nk // 3, nk - 1), 0, -1):
+        rank, kernel = joint_kernel(ctx, s1, s2, t)
+        trace.append((t, rank))
+        if rank != t:
+            continue
+        roots = root_space_basis(ctx, lin_normalize(kernel[0]))
+        if len(roots) != t:
+            break
+        try:
+            errors = recover(roots)
+        except InconsistentSystemError:
+            break
+        codewords = tuple(tuple(ctx.sub(a, b) for a, b in zip(y, e))
+                          for y, e in zip(words, errors))
+        return "decoded", codewords, errors, tuple(trace)
+    return "failure", None, None, tuple(trace)

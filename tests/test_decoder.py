@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from rankmetric import (GabidulinCode, InconsistentSystemError, SimConfig,
-                        build_syndrome_matrix, count_space_symmetric,
-                        count_symmetric, decode,
-                        interleaved_decode, joint_kernel,
-                        key_equation_remainder, lin_qdeg, make_field,
-                        min_subspace_poly, phi_inv, recover_error,
+from rankmetric import (DecodeOutcome, GabidulinCode,
+                        InconsistentSystemError, InterleavedOutcome,
+                        SimConfig, build_syndrome_matrix,
+                        count_space_symmetric, count_symmetric, decode,
+                        interleaved_decode, key_equation_remainder, lin_qdeg,
+                        make_field, min_subspace_poly, phi_inv, recover_error,
                         run_scenario, sample_full_rank,
                         sample_space_symmetric, sample_symmetric_invertible,
                         transpose_vector)
@@ -17,7 +17,7 @@ from rankmetric.channel import sample_uniform_invertible
 from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
                                fqn_vec_fq_mat, moore_matrix)
 
-from oracles import space_symmetric
+from oracles import countdown_decode, joint_kernel, space_symmetric
 
 
 def _rand_codeword(code, rng):
@@ -346,6 +346,96 @@ def test_scenario1_exact_failure_counts(q, n, k, t, errors, failing,
     assert symmetric == count_symmetric(n, t, q).exact
     # a symmetric E fails exactly when 2t > n - 1
     assert counts[3] == (counts[2] if 2 * t > n - 1 else 0)
+
+
+def _oracle_decode(code, y):
+    """decode with the countdown oracle in place of the echelon countdown."""
+    y = tuple(y)
+    s1, s2 = code.syndromes(y)
+    status, codewords, errors, trace = countdown_decode(
+        code, (y,), s1, s2, lambda a: (recover_error(code, a, s2),))
+    if codewords is None:
+        return DecodeOutcome(status, None, None, trace)
+    return DecodeOutcome(status, codewords[0], errors[0], trace)
+
+
+@pytest.mark.parametrize("q,n,k,t,errors", [
+    (2, 7, 1, 2, 16002),
+    (3, 7, 1, 1, 2186),
+], ids=["7-1-2", "q3-7-1-1"])
+def test_countdown_matches_oracle_on_every_error(q, n, k, t, errors):
+    # t_max = 4 at both, so rank-t errors pass through the trials above t
+    ctx = make_field(q, n)
+    code = GabidulinCode(ctx, k)
+    seen = 0
+    for E in space_symmetric(n, t, q):
+        y = phi_inv(ctx, E, code.alpha)
+        assert decode(code, y) == _oracle_decode(code, y)
+        seen += 1
+    assert seen == errors
+
+
+def _words(code, rng, count, ranks):
+    """count received words: codeword plus a space-symmetric error whose
+    rank cycles through ranks, or a uniformly random word for rank None."""
+    ctx = code.ctx
+    for i in range(count):
+        rank = ranks[i % len(ranks)]
+        if rank is None:
+            yield tuple(ctx.rand_elem(rng) for _ in range(code.n))
+            continue
+        err = sample_space_symmetric(ctx, code.alpha, rank, rng)
+        yield _corrupt(ctx, _rand_codeword(code, rng), err.e)
+
+
+@pytest.mark.parametrize("q,n,k,count,ranks", [
+    (2, 16, 4, 900, tuple(range(9))),
+    (2, 8, 2, 300, (None,)),
+    (3, 7, 1, 300, (None,)),
+], ids=["16-4-ranks0-8", "8-2-random", "q3-7-1-random"])
+def test_countdown_matches_oracle_on_sampled_words(q, n, k, count, ranks):
+    ctx = make_field(q, n)
+    code = GabidulinCode(ctx, k)
+    later_hits = failures = 0
+    for y in _words(code, random.Random(77), count, ranks):
+        out = decode(code, y)
+        assert out == _oracle_decode(code, y)
+        later_hits += out.decoded and len(out.trial_trace) > 1
+        failures += not out.decoded
+    # the sampled pool mostly hits below t_max; random words mostly fail
+    assert (later_hits if ranks[0] is not None else failures) > count // 2
+
+
+def test_interleaved_countdown_matches_oracle(code_8_2, F256):
+    rng = random.Random(78)
+    for i in range(300):
+        t = i % 6
+        a = fqn_vec_fq_mat(F256, code_8_2.alpha,
+                           sample_full_rank(F256, 8, t, rng)) if t else []
+        ys = []
+        for _ in range(2):
+            e = (fqn_vec_fq_mat(F256, a, sample_full_rank(F256, t, 8, rng))
+                 if t else (0,) * 8)
+            ys.append(_corrupt(F256, _rand_codeword(code_8_2, rng), e))
+        s1, s2 = code_8_2.syndrome(ys[0]), code_8_2.syndrome(ys[1])
+        oracle = InterleavedOutcome(*countdown_decode(
+            code_8_2, tuple(ys), s1, s2,
+            lambda a: (recover_error(code_8_2, a, s1),
+                       recover_error(code_8_2, a, s2))))
+        assert interleaved_decode(code_8_2, *ys) == oracle
+
+
+def test_countdown_visits_trials_above_observed_rank():
+    # rank(S_4) = 2 < 3 = rank(S_3): a jump from trial 4 straight to trial
+    # rank(S_4) = 2 would skip the hit at 3 and fail on this word
+    ctx = make_field(3, 7)
+    code = GabidulinCode(ctx, 1)
+    rng = random.Random(2024)
+    err = [sample_space_symmetric(ctx, code.alpha, 3, rng)
+           for _ in range(6)][5]
+    out = decode(code, err.e)
+    assert out.decoded and out.error == err.e and not any(out.codeword)
+    assert out.trial_trace == ((4, 2), (3, 3))
 
 
 @pytest.mark.parametrize("q,n,k,t,exact", [
