@@ -10,11 +10,17 @@ field scalars can be fed to extension arithmetic unchanged.
 
 Defining polynomials are picked deterministically: the lexicographically
 smallest monic irreducible of the required degree, comparing coefficient
-tuples constant term first.  A caller-supplied modulus is verified instead.
+tuples constant term first.  A caller-supplied modulus is verified instead;
+its coefficients must be integers.  Over F_2 the irreducibility test runs
+on polynomials packed as ints, elsewhere on coefficient tuples.
 
 Both levels (F_q when e > 1, and F_{q^n}) get exp/log tables over a fixed
 multiplicative generator, so multiplication, inversion and Frobenius powers
-are table lookups.  Addition and subtraction are XOR in characteristic 2;
+are table lookups.  The tables are built by walking the powers of the
+generator.  Multiplying by it is F_p-linear on the base-p digits of a
+packed element, so it is tabulated once from the images of the digit units
+and each step of the walk costs two table lookups, not a polynomial
+product.  Addition and subtraction are XOR in characteristic 2;
 at odd p they are lookups too, through a table of Zech logarithms built
 beside exp/log.  The tables bound the field: q^n must be at most 2^20, and
 a larger order raises ValueError naming that budget.
@@ -22,7 +28,8 @@ a larger order raises ValueError naming that budget.
 
 from __future__ import annotations
 
-from operator import xor
+from itertools import islice, product
+from operator import index, xor
 from typing import Iterable, Sequence
 
 ORDER_LIMIT = 1 << 20
@@ -211,7 +218,8 @@ def _is_irreducible(fo: _ScalarOps, f) -> bool:
     d = len(f) - 1
     if d < 1:
         return False
-    x = (0, 1)
+    # x mod f, which is a constant when d = 1
+    x = _pmod(fo, (0, 1), f)
     q = fo.q
     # frobenius iterates r_i = x^{q^i} mod f
     r = x
@@ -228,22 +236,67 @@ def _is_irreducible(fo: _ScalarOps, f) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# Polynomials over F_2 packed as ints, bit i the coefficient of x^i.
+# ---------------------------------------------------------------------------
+
+def _gf2_mulmod(a: int, b: int, f: int, d: int) -> int:
+    """a * b mod f for f of degree d and a of degree below d."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if (a >> d) & 1:
+            a ^= f
+    return r
+
+
+def _gf2_gcd(a: int, b: int) -> int:
+    while b:
+        db = b.bit_length()
+        while a.bit_length() >= db:
+            a ^= b << (a.bit_length() - db)
+        a, b = b, a
+    return a
+
+
+def _gf2_is_irreducible(f: int) -> bool:
+    """_is_irreducible over F_2 for f packed as an int."""
+    d = f.bit_length() - 1
+    if d < 1:
+        return False
+    x = 2 if d > 1 else f & 1
+    iterates = [x]
+    for _ in range(d):
+        iterates.append(_gf2_mulmod(iterates[-1], iterates[-1], f, d))
+    if iterates[d] != x:
+        return False
+    return all(_gf2_gcd(iterates[d // dd] ^ x, f) == 1 for dd in _factor(d))
+
+
+def _irreducible(fo: _ScalarOps, f) -> bool:
+    """Irreducibility of monic f over F_q: packed ints at q = 2."""
+    if fo.q == 2:
+        return _gf2_is_irreducible(sum(c << i for i, c in enumerate(f)))
+    return _is_irreducible(fo, f)
+
+
 def _smallest_irreducible(fo: _ScalarOps, d: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree d over F_q.
 
     Coefficient tuples are compared constant term first.  For d >= 2 a zero
     constant term forces the root 0, so the scan starts at c0 = 1.
     """
-    import itertools
-
     q = fo.q
     if d == 1:
         return (0, 1)
     start = 1
     for c0 in range(start, q):
-        for rest in itertools.product(range(q), repeat=d - 1):
+        for rest in product(range(q), repeat=d - 1):
             f = (c0,) + rest + (1,)
-            if _is_irreducible(fo, f):
+            if _irreducible(fo, f):
                 return f
     raise ValueError(f"no irreducible polynomial of degree {d} found")  # pragma: no cover
 
@@ -264,14 +317,84 @@ def _mul_digits(fo: _ScalarOps, mod, base: int, a: int, b: int) -> int:
     return out
 
 
+def _span(p: int, images, add) -> list[int]:
+    """Every F_p-combination of images, indexed by its packed base-p digits.
+
+    Entry u is the sum of u_k * images[k] over the base-p digits u_k of u,
+    built one digit at a time by repeated add.
+    """
+    table = [0]
+    for img in images:
+        row, grown = table, table[:]
+        for _ in range(p - 1):
+            row = [add(t, img) for t in row]
+            grown += row
+        table = grown
+    return table
+
+
+def _walk(p: int, images):
+    """exp and log tables of the powers of gen, from its unit images.
+
+    images[k] = p^k * gen for the N base-p digit units p^k of a field of
+    order p^N.  Multiplication by gen is F_p-linear on packed digits, so
+    with a = N // 2 and P = p^a, v * gen = lo[v mod P] + hi[v div P]: lo
+    spans the images of the low a digits and hi those of the high N - a.
+    Neither table has more than p^ceil(N/2) entries.  At p = 2 the sum is
+    an XOR.  At odd p the table entries keep each digit in its own w-bit
+    slot, wide enough for a sum of two digits, so lo + hi adds without
+    carries; the N digits of the sum are read back mod p one at a time.
+    Both halves of exp are filled in the walk, so no step copies a table.
+    """
+    N = len(images)
+    a = N // 2
+    order = p ** N
+    L = order - 1
+    exp = [0] * (2 * L)
+    log = [-1] * order
+    v = 1
+    if p == 2:
+        lo, hi = _span(2, images[:a], xor), _span(2, images[a:], xor)
+        m = (1 << a) - 1
+        for i in range(L):
+            exp[i] = exp[i + L] = v
+            log[v] = i
+            v = lo[v & m] ^ hi[v >> a]
+        return exp, log
+    w = (2 * p - 2).bit_length()
+    mask = (1 << w) - 1
+    places = [(w * k, p ** k) for k in range(N)]
+
+    def to_slots(v):
+        return sum(v // pw % p << sh for sh, pw in places)
+
+    def slot_add(s, t):
+        return sum(((s + t) >> sh & mask) % p << sh for sh, _ in places)
+
+    P = p ** a
+    lo = _span(p, [to_slots(g) for g in images[:a]], slot_add)
+    hi = _span(p, [to_slots(g) for g in images[a:]], slot_add)
+    for i in range(L):
+        exp[i] = exp[i + L] = v
+        log[v] = i
+        s = lo[v % P] + hi[v // P]
+        v = 0
+        for sh, pw in places:
+            v += (s >> sh & mask) % p * pw
+    return exp, log
+
+
 def _tabled(p: int, fo: _ScalarOps, mod):
     """Tabled arithmetic of F[x]/(mod) over the coefficient field F of fo.
 
     Elements are packed ints whose base-|F| digits are the residue
-    coefficients.  Products are computed only while building exp/log tables
-    over the smallest primitive packed int (a bit-shift multiplier over F_2,
-    the packed-digit polynomial product otherwise); mul and inv then look
-    them up.  Addition is XOR in characteristic 2.  At odd p it uses the
+    coefficients, so at both levels their base-p digits are F_p
+    coordinates.  The generator gen is the smallest primitive packed int,
+    found with full products (a shift-and-XOR loop over F_2, the
+    packed-digit polynomial product otherwise).  The same products give
+    gen times each base-p digit unit, and _walk builds exp/log from those
+    images alone, one two-lookup step per element.  mul and inv then look
+    products up.  Addition is XOR in characteristic 2.  At odd p it uses the
     Zech logarithms zech[i] = log(1 + w^i), -1 where 1 + w^i = 0:
     w^a + w^b = w^(a + zech[b - a]), and subtraction adds log(-1) to the
     exponent of the subtrahend.  Returns (ops, exp, log).
@@ -282,15 +405,7 @@ def _tabled(p: int, fo: _ScalarOps, mod):
         bits = sum(1 << i for i, c in enumerate(mod) if c)
 
         def mul_raw(a, b):
-            r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if (a >> deg) & 1:
-                    a ^= bits
-            return r
+            return _gf2_mulmod(a, b, bits, deg)
     else:
         def mul_raw(a, b):
             return _mul_digits(fo, mod, base, a, b)
@@ -306,17 +421,15 @@ def _tabled(p: int, fo: _ScalarOps, mod):
 
     L = order - 1
     prime_parts = _factor(L)
-    # order 2 has no candidate above 1, and 1 generates its group
-    gen = next((g for g in range(2, order)
+    # order 2 has no candidate above 1, and 1 generates its group; for
+    # deg > 1 the ints below base form F, whose orders divide base - 1 < L
+    gen = next((g for g in range(base if deg > 1 else 2, order)
                 if all(raw_pow(g, L // r) != 1 for r in prime_parts)), 1)
-    exp = [0] * (2 * L)
-    log = [-1] * order
-    v = 1
-    for i in range(L):
-        exp[i] = v
-        exp[i + L] = v
-        log[v] = i
-        v = mul_raw(v, gen)
+    images, u = [], 1
+    while u < order:
+        images.append(mul_raw(u, gen))
+        u *= p
+    exp, log = _walk(p, images)
 
     def mul(a, b, _exp=exp, _log=log):
         if a == 0 or b == 0:
@@ -331,10 +444,9 @@ def _tabled(p: int, fo: _ScalarOps, mod):
     if p == 2:
         add = sub = xor
     else:
-        # Zech logarithms: 1 + w^i differs from w^i only in its constant
-        # coefficient, and 1 + w^i = 0 reads log[0] = -1
-        fadd = fo.add
-        zech = [log[v - v % base + fadd(v % base, 1)] for v in exp[:L]]
+        # Zech logarithms: 1 + w^i differs from w^i only in its lowest
+        # base-p digit, and 1 + w^i = 0 reads log[0] = -1
+        zech = [log[v - v % p + (v + 1) % p] for v in islice(exp, L)]
         # -1 is the constant p - 1 at both levels
         lm1 = log[p - 1]
 
@@ -401,13 +513,20 @@ class FieldCtx:
         if modulus is None:
             modulus = _smallest_irreducible(fo, n)
         else:
-            modulus = tuple(int(c) for c in modulus)
+            coeffs = []
+            for c in modulus:
+                try:
+                    coeffs.append(index(c))
+                except TypeError:
+                    raise ValueError(f"modulus coefficient {c!r} is not an "
+                                     f"integer") from None
+            modulus = tuple(coeffs)
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise ValueError(
                     f"modulus must be monic of degree {n}, got {modulus}")
             if any(not 0 <= c < q for c in modulus):
                 raise ValueError("modulus coefficients out of range")
-            if not _is_irreducible(fo, modulus):
+            if not _irreducible(fo, modulus):
                 raise ValueError(f"modulus {modulus} is reducible over F_{q}")
         self.modulus = modulus
 

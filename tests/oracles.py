@@ -2,15 +2,18 @@
 
 Deliberately independent of the library: plain mod-p elimination over lists
 and exhaustive enumeration, so they cross-check the production formulas
-rather than mirroring them.  The one exception is the trial-rank countdown
-reference, which reuses the library's syndrome matrices, elimination and
-root spaces but runs one full elimination per trial.
+rather than mirroring them.  Two exceptions reuse library pieces: the
+trial-rank countdown reference, which takes the library's syndrome matrices,
+elimination and root spaces but runs one full elimination per trial, and
+the exp/log reference, which takes its polynomial product but runs one full
+product per table entry.
 """
 
 import itertools
 
 from rankmetric import InconsistentSystemError, build_syndrome_matrix, \
     fqn_kernel, lin_normalize, root_space_basis
+from rankmetric.field import _factor, _mul_digits
 
 
 def rank_mod_p(M, p):
@@ -76,6 +79,41 @@ def digit_add(p, a, b, sign=1):
         a //= p
         b //= p
     return out
+
+
+def walk_tables(fo, mod):
+    """exp and log tables of F[x]/(mod), F the coefficient field of fo.
+
+    The reference for field._tabled: gen is the smallest packed int from 2 on
+    whose (L/r)-th powers all differ from 1, L = order - 1 and r the prime
+    factors of L, and exp is the walk v -> v * gen from 1, one packed-digit
+    polynomial product per entry, stored twice.  log[0] = -1.
+    """
+    base, order = fo.q, fo.q ** (len(mod) - 1)
+
+    def mul_raw(a, b):
+        return _mul_digits(fo, mod, base, a, b)
+
+    def raw_pow(g, m):
+        r = 1
+        while m:
+            if m & 1:
+                r = mul_raw(r, g)
+            g = mul_raw(g, g)
+            m >>= 1
+        return r
+
+    L = order - 1
+    gen = next((g for g in range(2, order)
+                if all(raw_pow(g, L // r) != 1 for r in _factor(L))), 1)
+    exp = [0] * (2 * L)
+    log = [-1] * order
+    v = 1
+    for i in range(L):
+        exp[i] = exp[i + L] = v
+        log[v] = i
+        v = mul_raw(v, gen)
+    return exp, log
 
 
 def census(n, q):

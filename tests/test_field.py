@@ -4,9 +4,12 @@ import random
 import pytest
 
 from rankmetric import make_field
-from rankmetric.field import PRIME_TEST_LIMIT, _prime_power
+from rankmetric.field import PRIME_TEST_LIMIT, _gf2_is_irreducible, \
+    _is_irreducible, _prime_ops, _prime_power, _ScalarOps, \
+    _smallest_irreducible, _tabled
 
-from oracles import digit_add
+from field_digests import digest
+from oracles import digit_add, walk_tables
 
 
 # -- independent oracle for the default F_2 modulus: trial division against
@@ -66,13 +69,35 @@ def test_default_modulus_f256_matches_trial_division_oracle():
 
 
 def test_default_modulus_small_degrees_match_oracle():
-    for n in range(2, 8):
+    for n in range(2, 17):
         assert make_field(2, n).modulus == _smallest_irreducible_gf2(n)
+
+
+def test_packed_gf2_irreducibility_matches_generic():
+    # every monic polynomial of degree 1..12; the counts of irreducibles are
+    # (1/d) * sum over e | d of mu(d/e) 2^e, 747 in all
+    fo = _prime_ops(2)
+    found = 0
+    for d in range(1, 13):
+        for f in range(1 << d, 2 << d):
+            coeffs = tuple(f >> i & 1 for i in range(d + 1))
+            packed = _gf2_is_irreducible(f)
+            assert packed == _is_irreducible(fo, coeffs), coeffs
+            found += packed
+    assert found == 747
 
 
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError, match="reducible"):
         make_field(2, 2, (1, 0, 1))  # z^2 + 1 = (z+1)^2
+
+
+def test_degree_one_modulus_accepted():
+    # every monic linear polynomial is irreducible
+    for q, modulus in ((2, (0, 1)), (2, (1, 1)), (3, (2, 1)), (4, (3, 1))):
+        ctx = make_field(q, 1, modulus)
+        assert ctx.modulus == modulus
+        assert all(ctx.mul(x, ctx.inv(x)) == 1 for x in range(1, q))
 
 
 def test_wrong_degree_modulus_rejected():
@@ -83,6 +108,15 @@ def test_wrong_degree_modulus_rejected():
 def test_non_monic_modulus_rejected():
     with pytest.raises(ValueError):
         make_field(3, 2, (1, 0, 2))
+
+
+def test_non_integer_modulus_coefficient_rejected():
+    # int() would truncate these to the irreducible (1, 1, 1) and (2, 2, 1)
+    with pytest.raises(ValueError, match="coefficient 1.7 "):
+        make_field(2, 2, (1.7, 1, 1))
+    with pytest.raises(ValueError, match="coefficient 2.9 "):
+        make_field(3, 2, (2.9, 2, 1))
+    assert make_field(2, 2, "1:1:1").modulus == (1, 1, 1)
 
 
 def test_non_prime_power_rejected():
@@ -308,3 +342,62 @@ def test_coeffs_roundtrip(F256):
     for _ in range(50):
         x = F256.rand_elem(rng)
         assert F256.from_coeffs(F256.coeffs(x)) == x
+
+
+# -- table build: pinned digests and the per-element walk reference.
+
+# digests printed by tests/field_digests.py for tables built with one full
+# product per element (oracles.walk_tables); the tabulated step must give
+# the same tables bit for bit
+@pytest.mark.parametrize("q, n, modulus, want", [
+    (2, 1, None, "1dd5ed80fce01ea58ed3f2946f61eb49dd33c23289dd87c0560127a6735fd61a"),
+    (2, 2, None, "81b0fef412fea114e8ab2a4c4dec583aa3ccab4f4e84d7e591d5d4d9888ee9cd"),
+    (2, 9, None, "9e4422c639bf5f453da59e26ccc181aadabb5bf788e3ba858e79af86e8a7fc50"),
+    (2, 16, None, "2da9b985b888241dcd07c322e68d2bff0e25ed2f676eae35d5ee8c4ead86201e"),
+    (4, 6, None, "c078a3968519aec7d022b06371df3b1d01195874122aa2214f613fea7caf862a"),
+    (8, 3, None, "2bfe9b2f583bd727130adae843c61f71199a5eed5b3ac7ff01800782676186d1"),
+    (16, 3, None, "3f11b19e39a14c4368bcacdaa5a8d2c1ef6682f9b2f2361561d7ecadfb5fed77"),
+    (3, 7, None, "a6306afadb0ab7d76b1130799b46b3f528448da18a31145a537462942e9f6777"),
+    (5, 5, None, "21773995be2a73b576f7788c7336a749960daa2380925e6df63137cb2431a0da"),
+    (7, 4, None, "6b3e41a1d40975d69b0c77bb84ea143f84f10d8359507619520a615125047159"),
+    (13, 2, None, "556e4554681d8558a98b9a979cd17ed115f42a7fa01f378b2a7c9544fbfd92a4"),
+    (9, 3, None, "3d165462f06c1afda42c8f88eae7d107dcec1b29968321e6f9a4a7381a8da041"),
+    (25, 2, None, "1d433b8eef47256954564ca133bdfe487d1f41b46dab0f775189318a71235430"),
+    (27, 2, None, "0621ff080991bc86b9a5a1080291ab7ff3c190b867ed5c2b6e7226e94306ff0a"),
+    (1021, 1, None, "2006cc893c625f629282155c5e488fa025b4b4f40f514e0700b3daeff2b6536d"),
+    # x is not primitive modulo this polynomial, so the generator is 3
+    (2, 8, "1:1:0:1:1:0:0:0:1",
+     "e8820a3077908526555f57b2a7099944e8ea2e137314a9278d9b25f81522070e"),
+])
+def test_tables_match_pinned_digests(q, n, modulus, want):
+    assert digest(make_field(q, n, modulus)) == want
+
+
+def _assert_walk_tables(p, fo, mod, add, exp, log):
+    assert (exp, log) == walk_tables(fo, mod)
+    assert all(add(1, v) == digit_add(p, 1, v) for v in range(len(log)))
+
+
+# every field of order at most 2^12 that this module builds
+@pytest.mark.parametrize("q, n, modulus", [
+    *((2, n, None) for n in range(1, 13)), (2, 1, "1:1"),
+    (2, 8, "1:1:0:1:1:0:0:0:1"), (3, 1, "2:1"), (3, 2, None), (3, 4, None),
+    (3, 7, None), (4, 1, "3:1"), (4, 2, None), (4, 6, None), (5, 2, None),
+    (5, 5, None), (7, 2, None), (7, 4, None), (8, 2, None), (8, 3, None),
+    (9, 2, None), (9, 3, None), (13, 2, None), (16, 3, None), (25, 2, None),
+    (27, 2, None), (1021, 1, None)])
+def test_tables_match_walk_oracle(q, n, modulus):
+    ctx = make_field(q, n, modulus)
+    fo = _ScalarOps(q, ctx.base_add, ctx.base_sub, ctx.base_mul,
+                    ctx.base_inv)
+    _assert_walk_tables(ctx.p, fo, ctx.modulus, ctx.add, ctx._exp, ctx._log)
+
+
+@pytest.mark.parametrize("q, n", [(4, 2), (8, 3), (9, 2), (25, 2)])
+def test_base_level_matches_walk_oracle(q, n):
+    # the F_q tables behind base_mul, base_inv and base_add
+    ctx = make_field(q, n)
+    fo = _prime_ops(ctx.p)
+    mod = _smallest_irreducible(fo, ctx.e)
+    ops, exp, log = _tabled(ctx.p, fo, mod)
+    _assert_walk_tables(ctx.p, fo, mod, ops.add, exp, log)
