@@ -4,7 +4,9 @@ Samplers use rejection from the uniform entry distribution, which is exactly
 uniform over the target sets (full-rank, invertible, symmetric invertible)
 and cheap at the field sizes used here: the acceptance probability of an
 invertible t-by-t matrix over F_q is bounded below by prod_i (1 - q^-i),
-about 0.289 for q = 2.
+about 0.289 for q = 2.  Entries are drawn inline with the words that
+rng.randrange(q) takes, so a seed gives the matrices of one randrange(q)
+per entry in row order.
 
 Counts are exact big integers produced directly from the product formulas;
 each carries a float log2 companion good to well below 1e-6 even for counts
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldCtx, _prime_power
-from .linalg import _gf2_dot, _gf2_rref, _gf2_unpack, _gf2_vec_mat, \
-    fq_matmul, fq_rank, fq_transpose, phi_inv
+from .linalg import _check_vector, _gf2_dot, _gf2_rref, _gf2_unpack, \
+    _gf2_vec_mat, fq_rank, fq_transpose, fqn_vec_fq_mat
 
 
 @dataclass(frozen=True)
@@ -27,19 +29,36 @@ class SpaceSymError:
     """Rank-t error with equal row and column space: E = A P A^T.
 
     A is n-by-t of rank t, P is t-by-t invertible, and e is the vector form
-    of E relative to the basis the sampler was given.
+    of E relative to the basis alpha the sampler was given; the matrix E
+    itself is not kept, it is phi(ctx, e, alpha).
     """
 
     t: int
     A: list
     P: list
-    E: list
     e: tuple[int, ...]
 
 
+def _draws(q: int, count: int, rng) -> list:
+    """count values of rng.randrange(q), drawn with the same words.
+
+    CPython's randrange(q) takes k = q.bit_length() bits (3 at q = 4) and
+    draws again while the result is >= q.
+    """
+    k = q.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= q:
+            r = bits(k)
+        out.append(r)
+    return out
+
+
 def _random_matrix(ctx: FieldCtx, rows: int, cols: int, rng):
-    q = ctx.q
-    return [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+    flat = _draws(ctx.q, rows * cols, rng)
+    return [flat[i:i + cols] for i in range(0, rows * cols, cols)]
 
 
 def _gf2_full_rank(rows: int, cols: int, rng):
@@ -55,7 +74,7 @@ def _gf2_full_rank(rows: int, cols: int, rng):
         for _ in range(rows):
             m = 0
             for j in range(cols):
-                # randrange(2); test_gf2_sampler_matches_generic_replay
+                # randrange(2); test_sampler_matches_randrange_replay
                 r = bits(2)
                 while r > 1:
                     r = bits(2)
@@ -68,6 +87,8 @@ def _gf2_full_rank(rows: int, cols: int, rng):
 
 def sample_full_rank(ctx: FieldCtx, rows: int, cols: int, rng):
     """Uniform matrix of full rank min(rows, cols)."""
+    if rows < 0 or cols < 0:
+        raise ValueError(f"need rows, cols >= 0, got {rows}, {cols}")
     if ctx.q == 2:
         return _gf2_unpack(_gf2_full_rank(rows, cols, rng), cols)
     target = min(rows, cols)
@@ -88,14 +109,12 @@ def sample_symmetric_invertible(ctx: FieldCtx, t: int, rng):
     """Uniform invertible symmetric t-by-t matrix over F_q."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    q = ctx.q
     while True:
+        upper = iter(_draws(ctx.q, t * (t + 1) // 2, rng))
         M = [[0] * t for _ in range(t)]
         for i in range(t):
             for j in range(i, t):
-                v = rng.randrange(q)
-                M[i][j] = v
-                M[j][i] = v
+                M[i][j] = M[j][i] = next(upper)
         if fq_rank(ctx, M) == t:
             return M
 
@@ -106,32 +125,28 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     A and P are drawn uniformly over full-rank n-by-t and invertible t-by-t
     matrices; every such E has exactly |GL_t(F_q)| factorizations, so
     E = A P A^T is uniform over the target ensemble.  The vector form is
-    taken relative to alpha.
-
-    At q = 2 the matrices stay packed: with b = alpha (A P), entry j of the
-    vector form is the sum of the b_l over the set bits l of row j of A.
+    taken relative to alpha, without forming E: with b = alpha (A P), entry
+    j of the vector form is sum_l A[j][l] b_l.  At q = 2, A and P stay
+    packed and that sum is the XOR of the b_l over the set bits l of row j.
     """
     n = ctx.n
     if len(alpha) != n:
         raise ValueError(f"basis must have {n} entries")
+    _check_vector(ctx, alpha, n, "basis")
     if not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= {n}")
     if t == 0:
-        E = [[0] * n for _ in range(n)]
-        return SpaceSymError(0, [[] for _ in range(n)], [], E, (0,) * n)
+        return SpaceSymError(0, [[] for _ in range(n)], [], (0,) * n)
     if ctx.q == 2:
         A = _gf2_full_rank(n, t, rng)
         P = _gf2_full_rank(t, t, rng)
-        AP = [_gf2_dot(m, P) for m in A]
-        b = _gf2_vec_mat(alpha, AP, t)
+        b = _gf2_vec_mat(alpha, [_gf2_dot(m, P) for m in A], t)
         e = tuple(_gf2_dot(m, b) for m in A)
-        E = [[(r & m).bit_count() & 1 for m in A] for r in AP]
-        return SpaceSymError(t, _gf2_unpack(A, t), _gf2_unpack(P, t), E, e)
+        return SpaceSymError(t, _gf2_unpack(A, t), _gf2_unpack(P, t), e)
     A = sample_full_rank(ctx, n, t, rng)
     P = sample_uniform_invertible(ctx, t, rng)
-    E = fq_matmul(ctx, fq_matmul(ctx, A, P), fq_transpose(A))
-    e = phi_inv(ctx, E, tuple(alpha))
-    return SpaceSymError(t, A, P, E, e)
+    b = fqn_vec_fq_mat(ctx, fqn_vec_fq_mat(ctx, alpha, A), P)
+    return SpaceSymError(t, A, P, fqn_vec_fq_mat(ctx, b, fq_transpose(A)))
 
 
 # ---------------------------------------------------------------------------

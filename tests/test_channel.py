@@ -13,7 +13,7 @@ from rankmetric.linalg import fq_matmul, fq_rank, fq_transpose, phi, phi_inv
 
 
 from oracles import census as _census
-from oracles import rank_mod_p
+from oracles import rank_mod_p, rref
 from oracles import subspace_count as _subspace_count
 
 
@@ -95,20 +95,34 @@ def test_space_symmetric_zero_rank(F256, wso256):
     rng = random.Random(51)
     err = sample_space_symmetric(F256, wso256.alpha, 0, rng)
     assert err.t == 0 and err.e == (0,) * 8
-    assert all(all(v == 0 for v in row) for row in err.E)
+    assert all(all(v == 0 for v in row)
+               for row in phi(F256, err.e, wso256.alpha))
+
+
+def _check_space_symmetric(ctx, alpha, draws, tmax, rng):
+    """E = phi(e) has rank t, and so does E stacked with E^T."""
+    for _ in range(draws):
+        t = rng.randrange(0, tmax + 1)
+        E = phi(ctx, sample_space_symmetric(ctx, alpha, t, rng).e, alpha)
+        assert fq_rank(ctx, E) == t
+        assert fq_rank(ctx, E + fq_transpose(E)) == t
 
 
 def test_space_symmetric_invariants(F256, wso256):
     rng = random.Random(52)
     alpha = wso256.alpha
-    for _ in range(10000):
-        t = rng.randrange(0, 5)
-        err = sample_space_symmetric(F256, alpha, t, rng)
-        assert fq_rank(F256, err.E) == t
-        assert fq_rank(F256, err.E + fq_transpose(err.E)) == t
-    # vector form expands back to E (spot check)
+    _check_space_symmetric(F256, alpha, 10000, 4, rng)
+    # vector form expands back to E = A P A^T (spot check)
     err = sample_space_symmetric(F256, alpha, 3, rng)
-    assert phi(F256, err.e, alpha) == err.E
+    assert phi(F256, err.e, alpha) == fq_matmul(
+        F256, fq_matmul(F256, err.A, err.P), fq_transpose(err.A))
+
+
+@pytest.mark.parametrize("q,n", [(3, 7), (9, 3)])
+def test_space_symmetric_invariants_odd_q(q, n):
+    ctx = make_field(q, n)
+    _check_space_symmetric(ctx, find_wso_basis(ctx).alpha, 400, n,
+                           random.Random(59))
 
 
 def test_space_symmetric_uniformity_tiny(F4):
@@ -118,7 +132,7 @@ def test_space_symmetric_uniformity_tiny(F4):
     N = 1500
     for _ in range(N):
         err = sample_space_symmetric(F4, (2, 3), 1, rng)
-        key = tuple(tuple(r) for r in err.E)
+        key = tuple(tuple(r) for r in phi(F4, err.e, (2, 3)))
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 3
     p = 1 / 3
@@ -170,34 +184,64 @@ def test_sampler_range_validation(F256, wso256):
         sample_space_symmetric(F256, wso256.alpha, 9, rng)
     with pytest.raises(ValueError, match="basis must have 8 entries"):
         sample_space_symmetric(F256, wso256.alpha[:7], 4, rng)
+    F81 = make_field(3, 4)
+    for ctx in (F256, F81):
+        for bad in (ctx.order, -1):
+            alpha = (bad,) + (1,) * (ctx.n - 1)
+            with pytest.raises(ValueError, match="basis entries"):
+                sample_space_symmetric(ctx, alpha, 2, rng)
+    for ctx, rows, cols in ((F256, -1, 3), (F81, 3, -2)):
+        with pytest.raises(ValueError, match="rows, cols >= 0"):
+            sample_full_rank(ctx, rows, cols, rng)
+
+
+def _oracle_rank(ctx, M):
+    if ctx.q == ctx.p:
+        return rank_mod_p(M, ctx.p)
+    return len(rref(ctx.base_add, ctx.base_sub, ctx.base_mul, ctx.base_inv,
+                     M, len(M[0]))[1])
 
 
 def _replay_full_rank(ctx, rows, cols, rng):
-    """The generic full-rank draw written out: entries row by row with
-    randrange(2), rejection on the oracle rank."""
+    """The full-rank draw written out: entries row by row with
+    randrange(q), rejection on the oracle rank."""
     while True:
-        M = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
-        if rank_mod_p(M, 2) == min(rows, cols):
+        M = [[rng.randrange(ctx.q) for _ in range(cols)] for _ in range(rows)]
+        if _oracle_rank(ctx, M) == min(rows, cols):
             return M
 
 
-def _replay_space_symmetric(ctx, alpha, t, rng):
-    A = _replay_full_rank(ctx, ctx.n, t, rng)
-    P = _replay_full_rank(ctx, t, t, rng)
-    E = fq_matmul(ctx, fq_matmul(ctx, A, P), fq_transpose(A))
-    return A, P, E, phi_inv(ctx, E, alpha)
+def _replay_symmetric(ctx, t, rng):
+    """The symmetric draw written out: the upper triangle row by row."""
+    while True:
+        M = [[0] * t for _ in range(t)]
+        for i in range(t):
+            for j in range(i, t):
+                M[i][j] = M[j][i] = rng.randrange(ctx.q)
+        if _oracle_rank(ctx, M) == t:
+            return M
 
 
-@pytest.mark.parametrize("n,t", [(8, 4), (8, 1), (6, 6), (5, 3)])
-def test_gf2_sampler_matches_generic_replay(n, t):
-    ctx = make_field(2, n)
+@pytest.mark.parametrize("q,n,t", [
+    (2, 8, 4), (2, 8, 1), (2, 6, 6), (2, 5, 3), (3, 7, 4), (3, 4, 2),
+    (4, 4, 2), (4, 3, 3), (5, 3, 2), (9, 4, 2), (9, 3, 3)])
+def test_sampler_matches_randrange_replay(q, n, t):
+    """Every sampler draws what a randrange(q) per entry would, in order."""
+    ctx = make_field(q, n)
     alpha = find_wso_basis(ctx).alpha
     for seed in range(60):
         rng = random.Random(seed)
         replay = random.Random(seed)
         err = sample_space_symmetric(ctx, alpha, t, rng)
-        assert (err.A, err.P, err.E, err.e) == _replay_space_symmetric(
-            ctx, alpha, t, replay)
+        A = _replay_full_rank(ctx, n, t, replay)
+        P = _replay_full_rank(ctx, t, t, replay)
+        E = fq_matmul(ctx, fq_matmul(ctx, A, P), fq_transpose(A))
+        assert (err.A, err.P, err.e) == (A, P, phi_inv(ctx, E, alpha))
+        assert phi(ctx, err.e, alpha) == E
         assert sample_full_rank(ctx, t, n, rng) == _replay_full_rank(
             ctx, t, n, replay)
+        assert sample_uniform_invertible(ctx, t, rng) == _replay_full_rank(
+            ctx, t, t, replay)
+        assert sample_symmetric_invertible(ctx, t, rng) == _replay_symmetric(
+            ctx, t, replay)
         assert rng.random() == replay.random()  # same number of draws

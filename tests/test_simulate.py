@@ -178,3 +178,38 @@ def test_scenario2_matches_closed_form():
     want = intersection_probability(4, 2, 1, 2 ** 8)
     sigma = math.sqrt(want * (1 - want) / cfg.trials)
     assert abs(rep.rate - want) <= 4 * sigma
+
+
+# Seed-1 payloads of odd-q configurations that fail often, so that a change
+# to any draw of the samplers or of the trial changes a count.  q = 4 draws
+# three bits per F_q entry.
+ODD_Q_PINS = [
+    {"scenario": 1, "q": 3, "n": 4, "k": 1, "t": 2, "trials": 300, "seed": 1,
+     "failures": 124, "miscorrections": 0, "rate": 0.41333333333333333,
+     "wilson_lo": 0.3590487301690917, "wilson_hi": 0.46980938484316287,
+     "bound": 0.04938271604938271},
+    {"scenario": 2, "q": 3, "n": 4, "k": 1, "t": 2, "trials": 300, "seed": 1,
+     "failures": 13, "miscorrections": 0, "rate": 0.043333333333333335,
+     "wilson_lo": 0.025496448084407246, "wilson_hi": 0.07271746563401146,
+     "bound": 0.04938271604938271},
+    {"scenario": 3, "q": 3, "n": 4, "k": 1, "t": 2, "trials": 300, "seed": 1,
+     "failures": 5, "miscorrections": 0, "rate": 0.016666666666666666,
+     "wilson_lo": 0.00713947735063333, "wilson_hi": 0.0384153948330945,
+     "bound": 0.04938271604938271},
+    {"scenario": 1, "q": 4, "n": 4, "k": 1, "t": 2, "trials": 300, "seed": 1,
+     "failures": 81, "miscorrections": 0, "rate": 0.27,
+     "wilson_lo": 0.22290402938898543, "wilson_hi": 0.32291173737430573,
+     "bound": 0.015625},
+    {"scenario": 1, "q": 9, "n": 4, "k": 1, "t": 2, "trials": 300, "seed": 1,
+     "failures": 29, "miscorrections": 0, "rate": 0.09666666666666666,
+     "wilson_lo": 0.06815029481828931, "wilson_hi": 0.13538170196951116,
+     "bound": 0.0006096631611034903},
+]
+
+
+@pytest.mark.parametrize("pin", ODD_Q_PINS,
+                         ids=lambda p: f"s{p['scenario']}-q{p['q']}")
+def test_odd_q_payload_pins(pin):
+    cfg = SimConfig(**{key: pin[key] for key in (
+        "scenario", "q", "n", "k", "t", "trials", "seed")})
+    assert run_scenario(cfg).payload() == pin
