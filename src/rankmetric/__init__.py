@@ -13,7 +13,7 @@ from .channel import CountResult, SpaceSymError, count_rank, \
 from .code import GabidulinCode
 from .decoder import DecodeOutcome, InterleavedOutcome, \
     build_syndrome_matrix, decode, interleaved_decode, \
-    key_equation_remainder, recover_error
+    key_equation_remainder
 from .field import FieldCtx, make_field
 from .keysize import CryptoRow, build_table, crypto_row, key_size_kb, \
     max_errors, reference_table, wf_dec, wf_error, wf_struc
@@ -21,7 +21,7 @@ from .linalg import InconsistentSystemError, fq_kernel, fq_matmul, fq_rank, \
     fq_transpose, fqn_kernel, fqn_rank, fqn_solve, moore_matrix, phi, \
     phi_inv, transpose_vector, vector_rank
 from .linpoly import lin_compose_mod, lin_eval, lin_normalize, lin_qdeg, \
-    min_subspace_poly, root_space_basis
+    min_subspace_poly
 from .simulate import SimConfig, SimReport, failure_bound, \
     intersection_probability, run_scenario, wilson95
 from .wso import WsoBasis, find_wso_basis, is_weak_self_orthogonal
@@ -38,7 +38,7 @@ __all__ = [
     "key_equation_remainder", "key_size_kb", "lin_compose_mod", "lin_eval",
     "lin_normalize", "lin_qdeg", "make_field", "max_errors",
     "min_subspace_poly", "moore_matrix", "reference_table", "phi", "phi_inv",
-    "recover_error", "root_space_basis", "run_scenario",
+    "run_scenario",
     "sample_full_rank", "sample_space_symmetric",
     "sample_symmetric_invertible", "sample_uniform_invertible",
     "transpose_vector", "vector_rank", "wf_dec", "wf_error", "wf_struc",

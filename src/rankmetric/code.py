@@ -5,7 +5,9 @@ weak self-orthogonal, the (n-k)-row Moore matrix shifted by k q-powers is a
 parity check of the code, and the one shifted by a single q-power is a
 parity check of the transposed code (the image of every codeword's expansion
 matrix under transposition).  Both facts are multiplied out and asserted at
-construction so a bad basis fails fast.
+construction so a bad basis fails fast.  The same property inverts the
+n-row Moore matrix M in closed form, M^-1 = M^T D^-1 for the diagonal D of
+M M^T, which the decoder uses to read an error off its full syndrome.
 
 Both syndromes are F_q-linear, hence F_p-linear, in the received word, so
 the code tabulates that map once on packed ints (linalg._PackedMap).  A
@@ -16,7 +18,7 @@ multiply-add per base-p digit at odd p, at every q the same path.
 from __future__ import annotations
 
 from .field import FieldCtx
-from .linalg import _check_vector, _CoordSolver, _PackedMap, fq_transpose, \
+from .linalg import _check_vector, _coords, _PackedMap, fq_transpose, \
     fqn_matmul, moore_matrix
 from .wso import WsoBasis, find_wso_basis, is_weak_self_orthogonal
 
@@ -30,9 +32,11 @@ class GabidulinCode:
             raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
         if basis is None:
             basis = find_wso_basis(ctx)
-        ok, _ = is_weak_self_orthogonal(ctx, basis.alpha)
+        ok, diag = is_weak_self_orthogonal(ctx, basis.alpha)
         if not ok:
             raise ValueError("code locators are not weak self-orthogonal")
+        if tuple(basis.diag) != diag:
+            raise ValueError("basis diag is not the Moore Gram diagonal")
         self.ctx = ctx
         self.n = n
         self.k = k
@@ -42,14 +46,20 @@ class GabidulinCode:
         self._H = moore_matrix(ctx, self.alpha, n - k, shift=k)
         self._Hhat = moore_matrix(ctx, self.alpha, n - k, shift=1)
         self._assert_parity()
-        self._solver = _CoordSolver(ctx, self.alpha)
+        # Logs of the dual rows: row r of Hf = H stacked on G is row
+        # (r+k) mod n of the Moore matrix M, and M^-1 = M^T D^-1 for the
+        # Gram diagonal D, so e_j = sum_r s_r Hf[r][j] / D[(r+k) mod n] for
+        # the full syndrome s = e Hf^T.
+        log, L = ctx._log, ctx.order - 1
+        self._dual = [[(log[h] - log[diag[(r + k) % n]]) % L for h in row]
+                      for r, row in enumerate(self._H + self._G)]
         # The syndrome pair as one F_p-linear map of the n received entries:
         # the unit x = p^u at position j has s2 = x H[r][j] and s1 = alpha_j
         # sum_m c_m(x) Hhat[r][m], c the alpha-coordinates, because
         # transposing the word puts alpha_j c_m(y_j) at position m.
         mul = ctx.mul
         units = [ctx.p ** u for u in range(n * ctx.e)]
-        hat = fqn_matmul(ctx, [self._solver.coords(x) for x in units],
+        hat = fqn_matmul(ctx, fq_transpose(_coords(ctx, self.alpha, units)),
                          fq_transpose(self._Hhat))
         self._syndrome_map = _PackedMap(ctx, [
             [[mul(aj, h) for h in hu] + [mul(x, row[j]) for row in self._H]

@@ -19,7 +19,18 @@ trial below rank(S_t) can hit; trials above it can (at (q, n, k) =
 (3, 7, 1) some rank-3 errors trace ((4, 2), (3, 3))), so none is skipped.
 An echelon basis truncated to its first t+1 columns is one of the truncated
 rows, so trial t truncates the basis of trial t+1 and inserts its rows
-m = t.  A wrong root-space dimension or inconsistent recovery fails at once.
+m = t.
+
+At a hit the kernel vector gamma gives Gamma = sum_j gamma_j x^(q^j).  It
+is accepted when its root space V in F_{q^n} has dimension t (checked by
+symbolic division, without a kernel); otherwise decoding fails at once.
+Each word's ordinary syndrome is then continued to all n rows by Gamma's
+recurrence, and the error is that full syndrome times the inverse Moore
+matrix, which the WSO basis gives in closed form as M^T D^-1.  No
+consistency check is needed: e -> e H^T is injective on V^n, since a rank
+at most t < n-k+1 is below the minimum distance, and V^n and the set of
+syndromes satisfying Gamma's recurrence on rows t..n-k-1 both have F_q
+dimension t n.  So every syndrome of a hit has exactly one error in V^n.
 """
 
 from __future__ import annotations
@@ -28,9 +39,7 @@ from dataclasses import dataclass
 
 from .code import GabidulinCode
 from .field import FieldCtx
-from .linalg import (InconsistentSystemError, _gf2_vec_mat, fqn_solve,
-                     fqn_vec_fq_mat)
-from .linpoly import lin_compose_mod, lin_normalize, root_space_basis
+from .linpoly import lin_compose_mod, lin_normalize
 
 
 class _Outcome:
@@ -77,33 +86,6 @@ def key_equation_remainder(ctx: FieldCtx, gamma, s):
     return lin_compose_mod(ctx, gamma, tuple(s), len(s))
 
 
-def recover_error(code: GabidulinCode, a, s2):
-    """Error vector with support basis a matching the ordinary syndrome s2.
-
-    Solves sum_l a_l^(q^-j) d_l = s2_j^(q^-j) over all n-k syndrome rows; the
-    overdetermined rows are kept so that a wrong support basis surfaces as an
-    InconsistentSystemError instead of a silent miscorrection.  Row l of the
-    combination matrix holds the basis coordinates of d_l^(q^-k), and the
-    error is the corresponding combination of the a_l; at q = 2 the rows
-    stay packed.
-    """
-    ctx = code.ctx
-    n, k = code.n, code.k
-    t = len(a)
-    if t == 0:
-        return (0,) * n
-    frob = ctx.frob
-    M = [[frob(al, -j) for al in a] for j in range(n - k)]
-    rhs = [frob(s2[j], -j) for j in range(n - k)]
-    d = fqn_solve(ctx, M, rhs)
-    solver = code._solver
-    if ctx.q == 2:
-        B = [solver.apply((frob(dl, -k),)) for dl in d]
-        return tuple(_gf2_vec_mat(a, B, n))
-    B = [solver.coords(frob(dl, -k)) for dl in d]
-    return fqn_vec_fq_mat(ctx, a, B)
-
-
 def _insert_rows(ctx: FieldCtx, basis, rows):
     """Add each row (a list, consumed) to basis, which maps each pivot column
     to its row's (column, log entry) pairs right of the leading 1."""
@@ -134,14 +116,71 @@ def _kernel_vector(ctx: FieldCtx, basis, t: int):
     return vec
 
 
-def _joint_decode(code: GabidulinCode, words, s1, s2, recover):
+def _full_root_space(ctx: FieldCtx, g) -> bool:
+    """Whether g, of q-degree t >= 1, has a t-dimensional root space in
+    F_{q^n}.
+
+    That holds exactly when g right-divides x^(q^n) - x symbolically, i.e.
+    x^(q^n) = x modulo g: then g_0 != 0 (the x coefficient of h o g is
+    h_0 g_0), so g has q^t distinct roots, all in F_{q^n}.  g_0 = 0 (g = h^q
+    with qdeg h = t - 1) is rejected first, without the division.  The
+    remainder r of x^(q^i) steps to that of x^(q^(i+1)) as x^q o r reduced
+    by the monic g, O(t) operations each.
+    """
+    t = len(g) - 1
+    if not g[0]:
+        return False
+    exp, log, L, sub = ctx._exp, ctx._log, ctx.order - 1, ctx.sub
+    q, lead = ctx.q, log[g[t]]
+    monic = [(log[c] - lead) % L if c else -1 for c in g[:t]]
+    x = [1] + [0] * (t - 1)
+    r = x
+    for _ in range(ctx.n):
+        top = r[-1]
+        r = [0] + [exp[log[c] * q % L] if c else 0 for c in r[:-1]]
+        if top:
+            lt = log[top] * q % L
+            r = [sub(v, exp[lt + lm]) if lm >= 0 else v
+                 for v, lm in zip(r, monic)]
+    return r == x
+
+
+def _extend(ctx: FieldCtx, g, s, n: int):
+    """s continued to n entries by g's recurrence sum_j g_j s_(m-j)^(q^j) = 0,
+    which the syndrome of every error with entries in g's root space
+    satisfies at every m."""
+    exp, log, L, add = ctx._exp, ctx._log, ctx.order - 1, ctx.add
+    q, neg = ctx.q, L - log[g[0]] + log[ctx.neg(1)]
+    terms = [(j, (log[c] + neg) % L, pow(q, j, L))
+             for j, c in enumerate(g) if j and c]
+    s = list(s)
+    for m in range(len(s), n):
+        acc = 0
+        for j, lc, qj in terms:
+            v = s[m - j]
+            if v:
+                acc = add(acc, exp[(lc + log[v] * qj) % L])
+        s.append(acc)
+    return s
+
+
+def _dual_recover(code: GabidulinCode, s):
+    """The error e with full syndrome s = e Hf^T, from the code's dual rows."""
+    exp, log, add = code.ctx._exp, code.ctx._log, code.ctx.add
+    e = [0] * code.n
+    for v, row in zip(s, code._dual):
+        if v:
+            lv = log[v]
+            e = [add(a, exp[lv + w]) for a, w in zip(e, row)]
+    return tuple(e)
+
+
+def _joint_decode(code: GabidulinCode, words, s1, s2, targets):
     """Trial-rank countdown shared by decode and interleaved_decode.
 
-    s1 and s2 are the stacked syndrome pair.  recover maps the root-space
-    basis of the accepted span polynomial to one error per received word and
-    raises InconsistentSystemError when they do not exist.  Returns
-    (status, codewords, errors, trial trace); codewords and errors are None
-    on failure.
+    s1 and s2 are the stacked syndrome pair and targets the ordinary
+    syndrome of each received word.  Returns (status, codewords, errors,
+    trial trace); codewords and errors are None on failure.
     """
     ctx = code.ctx
     if not any(s1) and not any(s2):
@@ -156,14 +195,11 @@ def _joint_decode(code: GabidulinCode, words, s1, s2, recover):
         trace.append((t, len(basis)))
         if len(basis) != t:
             continue
-        roots = root_space_basis(
-            ctx, lin_normalize(_kernel_vector(ctx, basis, t)))
-        if len(roots) != t:
+        gamma = lin_normalize(_kernel_vector(ctx, basis, t))
+        if len(gamma) != t + 1 or not _full_root_space(ctx, gamma):
             break
-        try:
-            errors = recover(roots)
-        except InconsistentSystemError:
-            break
+        errors = tuple(_dual_recover(code, _extend(ctx, gamma, s, code.n))
+                       for s in targets)
         codewords = tuple(tuple(map(ctx.sub, y, e))
                           for y, e in zip(words, errors))
         return "decoded", codewords, errors, tuple(trace)
@@ -179,8 +215,8 @@ def decode(code: GabidulinCode, y) -> DecodeOutcome:
     """
     y = tuple(y)
     s1, s2 = code.syndromes(y)
-    status, codewords, errors, trace = _joint_decode(
-        code, (y,), s1, s2, lambda a: (recover_error(code, a, s2),))
+    status, codewords, errors, trace = _joint_decode(code, (y,), s1, s2,
+                                                     (s2,))
     if codewords is None:
         return DecodeOutcome(status, None, None, trace)
     return DecodeOutcome(status, codewords[0], errors[0], trace)
@@ -189,11 +225,9 @@ def decode(code: GabidulinCode, y) -> DecodeOutcome:
 def interleaved_decode(code: GabidulinCode, y1, y2) -> InterleavedOutcome:
     """Decoding of two words sharing one error support.
 
-    Both syndromes come from the ordinary parity check; the stacked system,
-    span-polynomial extraction and per-word error recovery then proceed as in
-    single-word decoding."""
+    Both syndromes come from the ordinary parity check; the stacked system
+    and the span polynomial are shared, and each word's error is recovered
+    from its own syndrome as in single-word decoding."""
     words = (tuple(y1), tuple(y2))
     s1, s2 = code.syndrome(words[0]), code.syndrome(words[1])
-    return InterleavedOutcome(*_joint_decode(
-        code, words, s1, s2,
-        lambda a: (recover_error(code, a, s1), recover_error(code, a, s2))))
+    return InterleavedOutcome(*_joint_decode(code, words, s1, s2, (s1, s2)))

@@ -57,28 +57,6 @@ def _gf2_rref(masks):
     return pivots
 
 
-def _gf2_kernel(masks, ncols):
-    """Kernel basis of the packed rows, each vector packed the same way.
-
-    Eliminates `masks` in place.  One vector per free column, ascending, as
-    in _kernel_from_rref; at q = 2 a packed vector over ncols = n columns is
-    also the packed F_{2^n} element with those polynomial-basis digits.
-    """
-    pivots = _gf2_rref(masks)
-    pivset = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        fb = 1 << free
-        vec = fb
-        for i, pc in enumerate(pivots):
-            if masks[i] & fb:
-                vec |= 1 << pc
-        basis.append(vec)
-    return basis
-
-
 def _gf2_dot(m, v):
     """XOR of v[l] over the set bits l of m.
 
@@ -294,33 +272,21 @@ class _PackedMap:
         return tuple(out)
 
 
-class _CoordSolver(_PackedMap):
-    """Coordinates of extension elements relative to a fixed basis alpha.
+def _coords(ctx: FieldCtx, alpha, xs):
+    """Matrix over F_q whose column j holds the alpha-coordinates of xs[j].
 
-    The packed map with one input whose outputs are the n coordinates, each
-    an F_q element of e base-p digits; the image of a unit is the matching
-    column of the inverse basis matrix.
+    One elimination of the basis matrix (column i = digits of alpha_i)
+    augmented by the digit columns of the xs; the reduced rows then hold
+    the coordinates in their augmented part.
     """
-
-    def __init__(self, ctx: FieldCtx, alpha):
-        n, p, e = ctx.n, ctx.p, ctx.e
-        if len(alpha) != n:
-            raise ValueError(f"basis must have {n} entries")
-        # column j of the basis matrix = digit vector of alpha_j
-        mat = fq_transpose([ctx.coeffs(a) for a in alpha])
-        aug = [row + [1 if i == j else 0 for j in range(n)]
-               for i, row in enumerate(mat)]
-        rows, pivots = _fqn_rref(ctx, aug, 2 * n)
-        if pivots[:n] != list(range(n)):
-            raise ValueError("alpha is not a basis")
-        # the unit p^u is p^(u mod e) times the polynomial-basis element
-        # u div e, whose coordinates are that column of the inverse
-        units = [[ctx.mul(p ** (u % e), row[n + u // e]) for row in rows]
-                 for u in range(n * e)]
-        super().__init__(ctx, [units], e)
-
-    def coords(self, x: int):
-        return self.values(self.apply((x,)))
+    n = ctx.n
+    if len(alpha) != n:
+        raise ValueError(f"basis must have {n} entries")
+    digits = [ctx.coeffs(x) for x in alpha] + [ctx.coeffs(x) for x in xs]
+    rows, pivots = _fqn_rref(ctx, fq_transpose(digits), n + len(xs))
+    if pivots[:n] != list(range(n)):
+        raise ValueError("alpha is not a basis")
+    return [row[n:] for row in rows]
 
 
 def _check_vector(ctx: FieldCtx, v, length, what):
@@ -335,8 +301,7 @@ def _check_vector(ctx: FieldCtx, v, length, what):
 def phi(ctx: FieldCtx, a, alpha):
     """n-by-n matrix over F_q whose column j holds the alpha-coordinates of a_j."""
     _check_vector(ctx, a, ctx.n, "vector")
-    coords = _CoordSolver(ctx, alpha).coords
-    return fq_transpose([coords(x) for x in a])
+    return _coords(ctx, alpha, a)
 
 
 def phi_inv(ctx: FieldCtx, A, alpha):

@@ -8,10 +8,7 @@ F_{q^n}, which is what makes root spaces and subspace polynomials work.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .field import FieldCtx
-from .linalg import _gf2_kernel, fq_kernel, fq_transpose
 
 
 def lin_normalize(coeffs) -> tuple[int, ...]:
@@ -75,34 +72,3 @@ def min_subspace_poly(ctx: FieldCtx, gens):
         padded = tuple(f) + (0,)
         f = tuple(sub(s, mul(scale, c)) for s, c in zip(shifted, padded))
     return lin_normalize(f)
-
-
-def root_space_basis(ctx: FieldCtx, f):
-    """F_q-independent elements spanning the root space {x : f(x) = 0}.
-
-    The linearized map x -> f(x) is expanded into the n-by-n matrix acting on
-    polynomial-basis coordinates; kernel vectors are packed back into field
-    elements.  Returns at most qdeg(f) elements.  f is evaluated at the units
-    w^j in the log domain: the log of w^(j q^i) is log(w^j) q^i mod q^n - 1.
-    At q = 2 the images of the w^j are the packed matrix columns and the
-    kernel vectors are already the packed elements.
-    """
-    if not lin_normalize(f):
-        raise ValueError("root space of the zero polynomial is everything")
-    n, q = ctx.n, ctx.q
-    exp, log, L = ctx._exp, ctx._log, ctx.order - 1
-    terms = [(log[c], pow(q, i, L)) for i, c in enumerate(f) if c]
-    images = [reduce(ctx.add, [exp[lc + lw * qp % L] for lc, qp in terms])
-              for lw in [log[q ** j] for j in range(n)]]
-    if q == 2:
-        rows = [0] * n
-        for j, x in enumerate(images):
-            i = 0
-            while x:
-                if x & 1:
-                    rows[i] |= 1 << j
-                x >>= 1
-                i += 1
-        return _gf2_kernel(rows, n)
-    M = fq_transpose([ctx.coeffs(x) for x in images])
-    return [ctx.from_coeffs(vec) for vec in fq_kernel(ctx, M)]

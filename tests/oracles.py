@@ -3,17 +3,20 @@
 Deliberately independent of the library: plain mod-p elimination over lists
 and exhaustive enumeration, so they cross-check the production formulas
 rather than mirroring them.  Two exceptions reuse library pieces: the
-trial-rank countdown reference, which takes the library's syndrome matrices,
-elimination and root spaces but runs one full elimination per trial, and
-the exp/log reference, which takes its polynomial product but runs one full
-product per table entry.
+trial-rank countdown reference, which takes the library's syndrome matrices
+and elimination but runs one full elimination per trial and ends a hit with
+an F_q root-space kernel and an F_{q^n} solve, and the exp/log reference,
+which takes its polynomial product but runs one full product per table
+entry.
 """
 
 import itertools
+from functools import reduce
 
 from rankmetric import InconsistentSystemError, build_syndrome_matrix, \
-    fqn_kernel, lin_normalize, root_space_basis
+    fq_kernel, fq_transpose, fqn_kernel, fqn_solve, lin_normalize
 from rankmetric.field import _factor, _mul_digits
+from rankmetric.linalg import _coords, _gf2_rref, fqn_vec_fq_mat
 
 
 def rank_mod_p(M, p):
@@ -179,6 +182,81 @@ def space_symmetric(n, t, q):
                        for ap in AP]
 
 
+def _gf2_kernel(masks, ncols):
+    """Kernel basis of the packed rows, each vector packed the same way.
+
+    Eliminates `masks` in place.  One vector per free column, ascending, as
+    in fqn_kernel; at q = 2 a packed vector over ncols = n columns is also
+    the packed F_{2^n} element with those polynomial-basis digits.
+    """
+    pivots = _gf2_rref(masks)
+    pivset = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivset:
+            continue
+        fb = 1 << free
+        vec = fb
+        for i, pc in enumerate(pivots):
+            if masks[i] & fb:
+                vec |= 1 << pc
+        basis.append(vec)
+    return basis
+
+
+def root_space_basis(ctx, f):
+    """F_q-independent elements spanning the root space {x : f(x) = 0}.
+
+    The linearized map x -> f(x) is expanded into the n-by-n matrix acting on
+    polynomial-basis coordinates; kernel vectors are packed back into field
+    elements.  Returns at most qdeg(f) elements.  f is evaluated at the units
+    w^j in the log domain: the log of w^(j q^i) is log(w^j) q^i mod q^n - 1.
+    At q = 2 the images of the w^j are the packed matrix columns and the
+    kernel vectors are already the packed elements.
+    """
+    if not lin_normalize(f):
+        raise ValueError("root space of the zero polynomial is everything")
+    n, q = ctx.n, ctx.q
+    exp, log, L = ctx._exp, ctx._log, ctx.order - 1
+    terms = [(log[c], pow(q, i, L)) for i, c in enumerate(f) if c]
+    images = [reduce(ctx.add, [exp[lc + lw * qp % L] for lc, qp in terms])
+              for lw in [log[q ** j] for j in range(n)]]
+    if q == 2:
+        rows = [0] * n
+        for j, x in enumerate(images):
+            i = 0
+            while x:
+                if x & 1:
+                    rows[i] |= 1 << j
+                x >>= 1
+                i += 1
+        return _gf2_kernel(rows, n)
+    M = fq_transpose([ctx.coeffs(x) for x in images])
+    return [ctx.from_coeffs(vec) for vec in fq_kernel(ctx, M)]
+
+
+def recover_error(code, a, s2):
+    """Error vector with support basis a matching the ordinary syndrome s2.
+
+    Solves sum_l a_l^(q^-j) d_l = s2_j^(q^-j) over all n-k syndrome rows; the
+    overdetermined rows are kept so that a wrong support basis surfaces as an
+    InconsistentSystemError instead of a silent miscorrection.  Row l of the
+    combination matrix holds the basis coordinates of d_l^(q^-k), and the
+    error is the corresponding combination of the a_l.
+    """
+    ctx = code.ctx
+    n, k = code.n, code.k
+    t = len(a)
+    if t == 0:
+        return (0,) * n
+    frob = ctx.frob
+    M = [[frob(al, -j) for al in a] for j in range(n - k)]
+    rhs = [frob(s2[j], -j) for j in range(n - k)]
+    d = fqn_solve(ctx, M, rhs)
+    B = fq_transpose(_coords(ctx, code.alpha, [frob(dl, -k) for dl in d]))
+    return fqn_vec_fq_mat(ctx, a, B)
+
+
 def joint_kernel(ctx, s1, s2, t):
     """Rank and kernel basis of the stacked syndrome matrix at trial rank t."""
     S = build_syndrome_matrix(ctx, s1, t) + build_syndrome_matrix(ctx, s2, t)
@@ -186,8 +264,9 @@ def joint_kernel(ctx, s1, s2, t):
     return t + 1 - len(kernel), kernel
 
 
-def countdown_decode(code, words, s1, s2, recover):
-    """The decoder's trial-rank countdown with one fqn_kernel per trial.
+def countdown_decode(code, words, s1, s2, targets):
+    """The decoder's trial-rank countdown with one fqn_kernel per trial, and
+    at a hit root_space_basis and one recover_error per target syndrome.
 
     Same arguments and result as decoder._joint_decode: (status, codewords,
     errors, trial trace).
@@ -206,7 +285,7 @@ def countdown_decode(code, words, s1, s2, recover):
         if len(roots) != t:
             break
         try:
-            errors = recover(roots)
+            errors = tuple(recover_error(code, roots, s) for s in targets)
         except InconsistentSystemError:
             break
         codewords = tuple(tuple(ctx.sub(a, b) for a, b in zip(y, e))

@@ -32,6 +32,20 @@ def test_non_wso_locators_rejected():
         GabidulinCode(F8, 1, fake)
 
 
+def test_wrong_gram_diagonal_rejected():
+    # the dual rows divide by the diagonal, so a WsoBasis whose diag is not
+    # the Moore Gram diagonal of its alpha must not build a code
+    for q, n in ((2, 3), (3, 4)):
+        ctx = make_field(q, n)
+        basis = find_wso_basis(ctx)
+        wrong = (ctx.add(basis.diag[0], 1),) + basis.diag[1:]
+        fake = type(basis)(alpha=basis.alpha, diag=wrong, method=basis.method)
+        with pytest.raises(ValueError, match="Gram diagonal"):
+            GabidulinCode(ctx, 1, fake)
+        GabidulinCode(ctx, 1, type(basis)(alpha=basis.alpha, diag=basis.diag,
+                                          method="forged"))
+
+
 def test_generator_parity_product_zero_across_parameters():
     rng = random.Random(41)
     for q, n in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),

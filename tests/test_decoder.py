@@ -8,16 +8,19 @@ from rankmetric import (DecodeOutcome, GabidulinCode,
                         InconsistentSystemError, InterleavedOutcome,
                         SimConfig, build_syndrome_matrix,
                         count_space_symmetric, count_symmetric, decode,
-                        interleaved_decode, key_equation_remainder, lin_qdeg,
-                        make_field, min_subspace_poly, phi_inv, recover_error,
-                        run_scenario, sample_full_rank,
-                        sample_space_symmetric, sample_symmetric_invertible,
-                        transpose_vector)
+                        interleaved_decode, key_equation_remainder,
+                        lin_compose_mod, lin_qdeg, make_field,
+                        min_subspace_poly, phi_inv, run_scenario,
+                        sample_full_rank, sample_space_symmetric,
+                        sample_symmetric_invertible, transpose_vector,
+                        vector_rank)
 from rankmetric.channel import sample_uniform_invertible
+from rankmetric.decoder import _dual_recover, _extend, _full_root_space
 from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
                                fqn_vec_fq_mat, moore_matrix)
 
-from oracles import countdown_decode, joint_kernel, space_symmetric
+from oracles import countdown_decode, joint_kernel, recover_error, \
+    root_space_basis, space_symmetric
 
 
 def _rand_codeword(code, rng):
@@ -149,6 +152,78 @@ def test_recover_error_inconsistent_support(code_8_2, F256):
             continue
         assert code_8_2.syndrome(e) == s2
     assert hits > 40  # wrong supports almost always surface as inconsistency
+
+
+def _scaled(ctx, c, f):
+    return tuple(ctx.mul(c, v) for v in f)
+
+
+def _independent(ctx, rng, t):
+    gens = []
+    while vector_rank(ctx, tuple(gens)) < t:
+        gens.append(ctx.rand_elem(rng))
+    return gens
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (3, 5), (4, 4), (9, 3)])
+def test_full_root_space_matches_root_space_oracle(q, n):
+    # random g (half with g_0 = 0), g with a partial root space (a random
+    # outer polynomial composed with a subspace polynomial), and scaled
+    # subspace polynomials of t independent elements
+    ctx = make_field(q, n)
+    rng = random.Random(q * 10 + n)
+    seen = set()
+    for i in range(300):
+        t = rng.randrange(1, 6)
+        kind = i % 3
+        if kind == 0:
+            g = [ctx.rand_elem(rng) for _ in range(t)] + [
+                rng.randrange(1, ctx.order)]
+            if i % 2:
+                g[0] = 0
+        elif kind == 1 and t > 1:
+            d = rng.randrange(1, min(t, n + 1))
+            inner = min_subspace_poly(ctx, _independent(ctx, rng, d))
+            outer = [ctx.rand_elem(rng) for _ in range(t - d)] + [1]
+            g = lin_compose_mod(ctx, outer, inner, t + 1)
+        elif t <= n:
+            g = _scaled(ctx, rng.randrange(1, ctx.order), min_subspace_poly(
+                ctx, _independent(ctx, rng, t)))
+        else:
+            continue
+        g = tuple(g)
+        assert lin_qdeg(g) == t
+        full = len(root_space_basis(ctx, g)) == t
+        assert _full_root_space(ctx, g) == full
+        seen.add((kind, full, g[0] == 0))
+    assert {(0, False, True), (1, False, False), (2, True, False)} <= seen
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 8, 2), (3, 6, 2), (4, 4, 1),
+                                   (9, 3, 1)])
+def test_dual_recovery_matches_oracle_recover_error(q, n, k):
+    # any syndrome that satisfies a full-root-space Gamma's recurrence on
+    # rows t..n-k-1 has exactly one error in V^n, V the root space: the
+    # oracle solve never finds the system inconsistent, and extending the
+    # syndrome by the recurrence and applying the dual rows gives that error
+    ctx = make_field(q, n)
+    code = GabidulinCode(ctx, k)
+    rng = random.Random(q * 100 + n)
+    for i in range(200):
+        t = 1 + i % (n - k)
+        g = _scaled(ctx, rng.randrange(1, ctx.order), min_subspace_poly(
+            ctx, _independent(ctx, rng, t)))
+        s = [ctx.rand_elem(rng) for _ in range(t)]
+        scale = ctx.neg(ctx.inv(g[0]))
+        for m in range(t, n - k):
+            acc = 0
+            for j in range(1, t + 1):
+                acc = ctx.add(acc, ctx.mul(g[j], ctx.frob(s[m - j], j)))
+            s.append(ctx.mul(scale, acc))
+        e = recover_error(code, root_space_basis(ctx, g), s)
+        assert _dual_recover(code, _extend(ctx, g, s, n)) == e
+        assert code.syndrome(e) == tuple(s)
+        assert vector_rank(ctx, e) <= t
 
 
 def test_decode_codeword_passthrough(code_8_2, F256):
@@ -305,7 +380,7 @@ def test_decode_with_odd_characteristic():
 
 @pytest.mark.parametrize("q,n,k,t", [(2, 8, 2, 4), (3, 5, 1, 2)])
 def test_decoding_keeps_no_field_context_alive(q, n, k, t):
-    # the code owns its coordinate solver and nothing outside it refers to
+    # the code owns its tables and nothing outside it refers to
     # the context, so once both are dropped, reference counting frees them
     ctx = make_field(q, n)
     code = GabidulinCode(ctx, k)
@@ -352,8 +427,8 @@ def _oracle_decode(code, y):
     """decode with the countdown oracle in place of the echelon countdown."""
     y = tuple(y)
     s1, s2 = code.syndromes(y)
-    status, codewords, errors, trace = countdown_decode(
-        code, (y,), s1, s2, lambda a: (recover_error(code, a, s2),))
+    status, codewords, errors, trace = countdown_decode(code, (y,), s1, s2,
+                                                        (s2,))
     if codewords is None:
         return DecodeOutcome(status, None, None, trace)
     return DecodeOutcome(status, codewords[0], errors[0], trace)
@@ -406,6 +481,42 @@ def test_countdown_matches_oracle_on_sampled_words(q, n, k, count, ranks):
     assert (later_hits if ranks[0] is not None else failures) > count // 2
 
 
+def _mixed_words(code, rng, count):
+    """count received words cycling through a codeword plus a
+    space-symmetric error, a codeword plus a generic error alpha A B (A
+    n-by-t and B t-by-n of full rank), and a uniformly random word; the
+    error rank cycles through 0..t_max + 1."""
+    ctx, n = code.ctx, code.n
+    ranks = 2 * (n - code.k) // 3 + 2
+    for i in range(count):
+        kind, t = i % 3, i // 3 % ranks
+        if kind == 2:
+            yield tuple(ctx.rand_elem(rng) for _ in range(n))
+            continue
+        if kind == 0:
+            e = sample_space_symmetric(ctx, code.alpha, t, rng).e
+        elif t:
+            e = fqn_vec_fq_mat(ctx, code.alpha, fq_matmul(
+                ctx, sample_full_rank(ctx, n, t, rng),
+                sample_full_rank(ctx, t, n, rng)))
+        else:
+            e = (0,) * n
+        yield _corrupt(ctx, _rand_codeword(code, rng), e)
+
+
+@pytest.mark.parametrize("q,n,k", [(4, 4, 1), (9, 4, 1), (3, 6, 2)])
+def test_countdown_matches_oracle_on_mixed_words(q, n, k):
+    # non-prime q, and trace-orthonormal bases (c = w at odd q, even n)
+    ctx = make_field(q, n)
+    code = GabidulinCode(ctx, k)
+    decoded = 0
+    for y in _mixed_words(code, random.Random(79), 300):
+        out = decode(code, y)
+        assert out == _oracle_decode(code, y)
+        decoded += out.decoded
+    assert 100 < decoded < 300
+
+
 def test_interleaved_countdown_matches_oracle(code_8_2, F256):
     rng = random.Random(78)
     for i in range(300):
@@ -419,9 +530,7 @@ def test_interleaved_countdown_matches_oracle(code_8_2, F256):
             ys.append(_corrupt(F256, _rand_codeword(code_8_2, rng), e))
         s1, s2 = code_8_2.syndrome(ys[0]), code_8_2.syndrome(ys[1])
         oracle = InterleavedOutcome(*countdown_decode(
-            code_8_2, tuple(ys), s1, s2,
-            lambda a: (recover_error(code_8_2, a, s1),
-                       recover_error(code_8_2, a, s2))))
+            code_8_2, tuple(ys), s1, s2, (s1, s2)))
         assert interleaved_decode(code_8_2, *ys) == oracle
 
 
