@@ -1,12 +1,11 @@
 """Error ensembles: samplers over F_q matrices and exact counting formulas.
 
 Samplers use rejection from the uniform entry distribution, which is exactly
-uniform over the target sets (full-rank, invertible, symmetric invertible)
-and cheap at the field sizes used here: the acceptance probability of an
-invertible t-by-t matrix over F_q is bounded below by prod_i (1 - q^-i),
-about 0.289 for q = 2.  Entries are drawn inline with the words that
-rng.randrange(q) takes, so a seed gives the matrices of one randrange(q)
-per entry in row order.
+uniform over the target sets (full-rank, invertible) and cheap at the field
+sizes used here: the acceptance probability of an invertible t-by-t matrix
+over F_q is bounded below by prod_i (1 - q^-i), about 0.289 for q = 2.
+Entries are drawn inline with the words that rng.randrange(q) takes, so a
+seed gives the matrices of one randrange(q) per entry in row order.
 
 Counts are exact big integers produced directly from the product formulas;
 each carries a float log2 companion good to well below 1e-6 even for counts
@@ -103,20 +102,6 @@ def sample_uniform_invertible(ctx: FieldCtx, t: int, rng):
     if t < 1:
         raise ValueError("t must be >= 1")
     return sample_full_rank(ctx, t, t, rng)
-
-
-def sample_symmetric_invertible(ctx: FieldCtx, t: int, rng):
-    """Uniform invertible symmetric t-by-t matrix over F_q."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    while True:
-        upper = iter(_draws(ctx.q, t * (t + 1) // 2, rng))
-        M = [[0] * t for _ in range(t)]
-        for i in range(t):
-            for j in range(i, t):
-                M[i][j] = M[j][i] = next(upper)
-        if fq_rank(ctx, M) == t:
-            return M
 
 
 def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:

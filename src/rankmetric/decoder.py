@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .code import GabidulinCode
 from .field import FieldCtx
-from .linpoly import lin_compose_mod, lin_normalize
+from .linpoly import lin_normalize
 
 
 class _Outcome:
@@ -77,15 +77,6 @@ def _syndrome_row(frob, s, m: int, width: int):
     return [frob(s[m - j], j) for j in range(width)]
 
 
-def key_equation_remainder(ctx: FieldCtx, gamma, s):
-    """Low-order part of gamma composed with the syndrome polynomial.
-
-    For a genuine error of rank t with gamma its span polynomial, the result
-    has q-degree below t: all composition coefficients from index t up to
-    n-k-1 vanish."""
-    return lin_compose_mod(ctx, gamma, tuple(s), len(s))
-
-
 def _insert_rows(ctx: FieldCtx, basis, rows):
     """Add each row (a list, consumed) to basis, which maps each pivot column
     to its row's (column, log entry) pairs right of the leading 1."""
@@ -104,10 +95,13 @@ def _insert_rows(ctx: FieldCtx, basis, rows):
 
 
 def _kernel_vector(ctx: FieldCtx, basis, t: int):
-    """fqn_kernel's one vector for a rank-t echelon basis on columns 0..t."""
+    """The kernel vector of a rank-t echelon basis on columns 0..t.
+
+    The kernel is one-dimensional; the vector is scaled to 1 at the one
+    column without a pivot and found by back substitution from column t."""
     exp, log, sub = ctx._exp, ctx._log, ctx.sub
     vec = [0] * (t + 1)
-    for c in range(t, -1, -1):   # the one column without a pivot gets 1
+    for c in range(t, -1, -1):
         acc = 0 if c in basis else 1
         for j, lb in basis.get(c, ()):
             if vec[j]:

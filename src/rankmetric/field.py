@@ -544,22 +544,13 @@ class FieldCtx:
                 return 0
             return _exp[_log[x] * _qpow[i % _n] % _L]
 
-        def power(a, m, _exp=exp, _log=log, _L=L):
-            if a == 0:
-                if m == 0:
-                    return 1
-                if m < 0:
-                    raise ZeroDivisionError("inverse of zero")
-                return 0
-            return _exp[_log[a] * (m % _L) % _L]
-
         def trace(x, _n=n, _add=ops.add, _frob=frob):
             acc = x
             for i in range(1, _n):
                 acc = _add(acc, _frob(x, i))
             return acc
 
-        self.frob, self.power, self.trace = frob, power, trace
+        self.frob, self.trace = frob, trace
 
     # -- conversions and formatting ----------------------------------------
 

@@ -5,23 +5,20 @@ lists.  F_q is the subfield of F_{q^n} made of the ints below q, so the fq_
 functions take F_q entries as F_{q^n} elements in [0, q) and share one
 elimination (_fqn_rref) and one product (fqn_matmul) with the fqn_ ones:
 rank does not change under field extension, and eliminating or multiplying
-F_q matrices never leaves the subfield.  Solvers use the column convention
-M x = b.  Kernel bases come out in reduced echelon form of the null space
-(one vector per free column, ascending), which keeps outputs reproducible.
+F_q matrices never leaves the subfield.  The library needs ranks, products
+and coordinates only; kernels and solves of general systems live with the
+test references, and the decoder reads its one kernel vector off its own
+echelon basis.
 
 Also home to F_p-linear maps tabulated on packed ints (_PackedMap), the
 expansion map between length-n vectors over F_{q^n} and n-by-n matrices
-over F_q relative to a basis (phi / phi_inv), transposed vectors, Moore
-matrices and rank computations.
+over F_q relative to a basis (phi / phi_inv), Moore matrices and rank
+computations.
 """
 
 from __future__ import annotations
 
 from .field import FieldCtx
-
-
-class InconsistentSystemError(ValueError):
-    """Raised when a linear system has no solution."""
 
 
 # ---------------------------------------------------------------------------
@@ -88,20 +85,6 @@ def _gf2_vec_mat(v, masks, cols):
 # Elimination over F_{q^n} (so over F_q) in the log domain.
 # ---------------------------------------------------------------------------
 
-def _kernel_from_rref(sub, rows, pivots, ncols):
-    pivset = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = sub(0, rows[i][free])
-        basis.append(vec)
-    return basis
-
-
 def _fqn_rref(ctx: FieldCtx, M, ncols):
     """Reduced row echelon form over F_{q^n} in the log domain of ctx.
 
@@ -148,28 +131,6 @@ def fqn_rank(ctx: FieldCtx, M) -> int:
     return len(_fqn_rref(ctx, M, len(M[0]))[1])
 
 
-def fqn_kernel(ctx: FieldCtx, M):
-    if not M:
-        return []
-    rows, pivots = _fqn_rref(ctx, M, len(M[0]))
-    return _kernel_from_rref(ctx.sub, rows, pivots, len(M[0]))
-
-
-def fqn_solve(ctx: FieldCtx, M, rhs):
-    """One solution of M x = rhs over F_{q^n}; raises if inconsistent."""
-    if len(rhs) != len(M):
-        raise ValueError(f"rhs must have {len(M)} entries, one per row")
-    ncols = len(M[0]) if M else 0
-    aug = [list(row) + [b] for row, b in zip(M, rhs)]
-    rows, pivots = _fqn_rref(ctx, aug, ncols + 1)
-    if pivots and pivots[-1] == ncols:
-        raise InconsistentSystemError("linear system has no solution")
-    x = [0] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][ncols]
-    return x
-
-
 def fqn_matmul(ctx: FieldCtx, X, Y):
     """Product X Y of two matrices over F_{q^n}, in the log domain."""
     exp, log, add = ctx._exp, ctx._log, ctx.add
@@ -195,11 +156,6 @@ def fqn_vec_fq_mat(ctx: FieldCtx, v, M):
 def fq_rank(ctx: FieldCtx, M) -> int:
     """Rank of a matrix over F_q, entries F_q elements in [0, q)."""
     return fqn_rank(ctx, M)
-
-
-def fq_kernel(ctx: FieldCtx, M):
-    """Kernel basis of a matrix over F_q, entries F_q elements in [0, q)."""
-    return fqn_kernel(ctx, M)
 
 
 def fq_matmul(ctx: FieldCtx, A, B):
@@ -315,11 +271,6 @@ def phi_inv(ctx: FieldCtx, A, alpha):
         raise ValueError(
             f"matrix entries must lie in F_q = [0, q) = [0, {ctx.q})")
     return fqn_vec_fq_mat(ctx, alpha, A)
-
-
-def transpose_vector(ctx: FieldCtx, a, alpha):
-    """Vector whose expansion matrix is the transpose of that of a."""
-    return phi_inv(ctx, fq_transpose(phi(ctx, a, alpha)), alpha)
 
 
 def moore_matrix(ctx: FieldCtx, v, rows: int, shift: int = 0):

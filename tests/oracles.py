@@ -2,19 +2,26 @@
 
 Deliberately independent of the library: plain mod-p elimination over lists
 and exhaustive enumeration, so they cross-check the production formulas
-rather than mirroring them.  Two exceptions reuse library pieces: the
-trial-rank countdown reference, which takes the library's syndrome matrices
-and elimination but runs one full elimination per trial and ends a hit with
-an F_q root-space kernel and an F_{q^n} solve, and the exp/log reference,
-which takes its polynomial product but runs one full product per table
-entry.
+rather than mirroring them.  Kernels and solves over F_{q^n} (kernel,
+solve) run the textbook rref below under the field's scalar ops, not the
+library's log-domain elimination.  The library pieces still reused are:
+
+- the trial-rank countdown reference: build_syndrome_matrix for the
+  stacked rows, _coords (one _fqn_rref of the basis matrix) and
+  fqn_vec_fq_mat to turn a solve into an error, and _gf2_rref for the
+  packed q = 2 root-space kernel;
+- the exp/log reference: the packed-digit product _mul_digits and _factor;
+- transpose_vector: phi, phi_inv and fq_transpose;
+- sample_symmetric_invertible: channel._draws, so a seed gives the draws it
+  gave as a library sampler, and fq_rank for the rejection.
 """
 
 import itertools
 from functools import reduce
 
-from rankmetric import InconsistentSystemError, build_syndrome_matrix, \
-    fq_kernel, fq_transpose, fqn_kernel, fqn_solve, lin_normalize
+from rankmetric import build_syndrome_matrix, fq_rank, fq_transpose, \
+    lin_normalize, phi, phi_inv
+from rankmetric.channel import _draws
 from rankmetric.field import _factor, _mul_digits
 from rankmetric.linalg import _coords, _gf2_rref, fqn_vec_fq_mat
 
@@ -66,6 +73,125 @@ def rref(add, sub, mul, inv, M, ncols):
         if r == nrows:
             break
     return rows, pivots
+
+
+def kernel(ctx, M):
+    """Kernel basis of M under ctx's ops: one vector per free column of
+    rref(M), ascending, with 1 there and minus that column at the pivots."""
+    if not M:
+        return []
+    ncols = len(M[0])
+    rows, pivots = rref(ctx.add, ctx.sub, ctx.mul, ctx.inv, M, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for row, pc in zip(rows, pivots):
+            vec[pc] = ctx.neg(row[free])
+        basis.append(vec)
+    return basis
+
+
+def solve(ctx, M, rhs):
+    """The solution of M x = rhs under ctx's ops with its free entries 0,
+    or None when the system is inconsistent."""
+    ncols = len(M[0]) if M else 0
+    aug = [list(row) + [b] for row, b in zip(M, rhs)]
+    rows, pivots = rref(ctx.add, ctx.sub, ctx.mul, ctx.inv, aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [0] * ncols
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[ncols]
+    return x
+
+
+def transpose_vector(ctx, a, alpha):
+    """Vector whose expansion matrix is the transpose of that of a."""
+    return phi_inv(ctx, fq_transpose(phi(ctx, a, alpha)), alpha)
+
+
+def sample_symmetric_invertible(ctx, t, rng):
+    """Uniform invertible symmetric t-by-t matrix over F_q: the upper
+    triangle row by row, rejected until the rank is t."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    while True:
+        upper = iter(_draws(ctx.q, t * (t + 1) // 2, rng))
+        M = [[0] * t for _ in range(t)]
+        for i in range(t):
+            for j in range(i, t):
+                M[i][j] = M[j][i] = next(upper)
+        if fq_rank(ctx, M) == t:
+            return M
+
+
+def lin_qdeg(f) -> int:
+    """q-degree of a normalized linearized polynomial; -1 for zero."""
+    return len(f) - 1
+
+
+def lin_eval(ctx, f, x):
+    """f(x) = sum_i f_i x^(q^i)."""
+    acc = 0
+    for i, c in enumerate(f):
+        if c:
+            acc = ctx.add(acc, ctx.mul(c, ctx.frob(x, i)))
+    return acc
+
+
+def lin_compose_mod(ctx, outer, inner, mod_qdeg):
+    """Coefficients 0..mod_qdeg-1 of outer(inner(x)).
+
+    Coefficient p of the composition is sum_{j<=p} outer_j * inner_{p-j}^(q^j);
+    everything at index mod_qdeg and above is dropped.
+    """
+    if mod_qdeg < 1:
+        raise ValueError("mod_qdeg must be >= 1")
+    add, mul, frob = ctx.add, ctx.mul, ctx.frob
+    out = []
+    for p in range(mod_qdeg):
+        acc = 0
+        for j in range(min(p, len(outer) - 1) + 1):
+            c = outer[j]
+            idx = p - j
+            if c and idx < len(inner) and inner[idx]:
+                acc = add(acc, mul(c, frob(inner[idx], j)))
+        out.append(acc)
+    return lin_normalize(out)
+
+
+def min_subspace_poly(ctx, gens):
+    """Monic linearized polynomial vanishing exactly on the F_q-span of gens.
+
+    Built iteratively: with g independent of the current root space and f the
+    polynomial so far, f(x)^q - f(g)^(q-1) f(x) extends the root space by g,
+    with v^(q-1) = v^q / v.  Dependent generators evaluate to zero under f and
+    are skipped, so redundant spanning sets are fine; the q-degree equals
+    dim span(gens).
+    """
+    sub, mul, frob = ctx.sub, ctx.mul, ctx.frob
+    f = (1,)
+    for g in gens:
+        v = lin_eval(ctx, f, g)
+        if v == 0:
+            continue
+        scale = mul(frob(v, 1), ctx.inv(v))
+        shifted = (0,) + tuple(frob(c, 1) for c in f)
+        padded = tuple(f) + (0,)
+        f = tuple(sub(s, mul(scale, c)) for s, c in zip(shifted, padded))
+    return lin_normalize(f)
+
+
+def key_equation_remainder(ctx, gamma, s):
+    """Low-order part of gamma composed with the syndrome polynomial.
+
+    For a genuine error of rank t with gamma its span polynomial, the result
+    has q-degree below t: all composition coefficients from index t up to
+    n-k-1 vanish."""
+    return lin_compose_mod(ctx, gamma, tuple(s), len(s))
 
 
 def digit_add(p, a, b, sign=1):
@@ -186,7 +312,7 @@ def _gf2_kernel(masks, ncols):
     """Kernel basis of the packed rows, each vector packed the same way.
 
     Eliminates `masks` in place.  One vector per free column, ascending, as
-    in fqn_kernel; at q = 2 a packed vector over ncols = n columns is also
+    in kernel; at q = 2 a packed vector over ncols = n columns is also
     the packed F_{2^n} element with those polynomial-basis digits.
     """
     pivots = _gf2_rref(masks)
@@ -232,15 +358,15 @@ def root_space_basis(ctx, f):
                 i += 1
         return _gf2_kernel(rows, n)
     M = fq_transpose([ctx.coeffs(x) for x in images])
-    return [ctx.from_coeffs(vec) for vec in fq_kernel(ctx, M)]
+    return [ctx.from_coeffs(vec) for vec in kernel(ctx, M)]
 
 
 def recover_error(code, a, s2):
     """Error vector with support basis a matching the ordinary syndrome s2.
 
     Solves sum_l a_l^(q^-j) d_l = s2_j^(q^-j) over all n-k syndrome rows; the
-    overdetermined rows are kept so that a wrong support basis surfaces as an
-    InconsistentSystemError instead of a silent miscorrection.  Row l of the
+    overdetermined rows are kept so that a wrong support basis surfaces as
+    None (an inconsistent system) instead of a silent miscorrection.  Row l of the
     combination matrix holds the basis coordinates of d_l^(q^-k), and the
     error is the corresponding combination of the a_l.
     """
@@ -252,7 +378,9 @@ def recover_error(code, a, s2):
     frob = ctx.frob
     M = [[frob(al, -j) for al in a] for j in range(n - k)]
     rhs = [frob(s2[j], -j) for j in range(n - k)]
-    d = fqn_solve(ctx, M, rhs)
+    d = solve(ctx, M, rhs)
+    if d is None:
+        return None
     B = fq_transpose(_coords(ctx, code.alpha, [frob(dl, -k) for dl in d]))
     return fqn_vec_fq_mat(ctx, a, B)
 
@@ -260,12 +388,12 @@ def recover_error(code, a, s2):
 def joint_kernel(ctx, s1, s2, t):
     """Rank and kernel basis of the stacked syndrome matrix at trial rank t."""
     S = build_syndrome_matrix(ctx, s1, t) + build_syndrome_matrix(ctx, s2, t)
-    kernel = fqn_kernel(ctx, S)
-    return t + 1 - len(kernel), kernel
+    basis = kernel(ctx, S)
+    return t + 1 - len(basis), basis
 
 
 def countdown_decode(code, words, s1, s2, targets):
-    """The decoder's trial-rank countdown with one fqn_kernel per trial, and
+    """The decoder's trial-rank countdown with one full kernel per trial, and
     at a hit root_space_basis and one recover_error per target syndrome.
 
     Same arguments and result as decoder._joint_decode: (status, codewords,
@@ -277,16 +405,15 @@ def countdown_decode(code, words, s1, s2, targets):
     trace = []
     nk = code.n - code.k
     for t in range(min(2 * nk // 3, nk - 1), 0, -1):
-        rank, kernel = joint_kernel(ctx, s1, s2, t)
+        rank, basis = joint_kernel(ctx, s1, s2, t)
         trace.append((t, rank))
         if rank != t:
             continue
-        roots = root_space_basis(ctx, lin_normalize(kernel[0]))
+        roots = root_space_basis(ctx, lin_normalize(basis[0]))
         if len(roots) != t:
             break
-        try:
-            errors = tuple(recover_error(code, roots, s) for s in targets)
-        except InconsistentSystemError:
+        errors = tuple(recover_error(code, roots, s) for s in targets)
+        if None in errors:
             break
         codewords = tuple(tuple(ctx.sub(a, b) for a, b in zip(y, e))
                           for y, e in zip(words, errors))

@@ -10,17 +10,17 @@ import random
 
 from rankmetric import (GabidulinCode, SimConfig, failure_bound,
                         find_wso_basis, build_syndrome_matrix,
-                        intersection_probability, key_equation_remainder,
-                        lin_qdeg, make_field, min_subspace_poly, reference_table,
-                        run_scenario, sample_full_rank,
-                        sample_space_symmetric, sample_symmetric_invertible,
-                        transpose_vector, vector_rank, decode,
+                        intersection_probability, make_field,
+                        reference_table, run_scenario, sample_full_rank,
+                        sample_space_symmetric, vector_rank, decode,
                         count_rank, count_space_symmetric, count_symmetric,
                         gaussian_binomial, fq_rank, phi)
 from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
                                fqn_vec_fq_mat, moore_matrix, phi_inv)
 
-from oracles import census, subspace_count
+from oracles import census, key_equation_remainder, lin_qdeg, \
+    min_subspace_poly, sample_symmetric_invertible, subspace_count, \
+    transpose_vector
 
 SEED = 20260810
 

@@ -7,13 +7,13 @@ import pytest
 from rankmetric import (CountResult, count_rank, count_space_symmetric,
                         count_symmetric, find_wso_basis, gaussian_binomial,
                         make_field, sample_full_rank, sample_space_symmetric,
-                        sample_symmetric_invertible, sample_uniform_invertible)
+                        sample_uniform_invertible)
 from rankmetric.channel import _log2_exact
 from rankmetric.linalg import fq_matmul, fq_rank, fq_transpose, phi, phi_inv
 
 
 from oracles import census as _census
-from oracles import rank_mod_p, rref
+from oracles import rank_mod_p, rref, sample_symmetric_invertible
 from oracles import subspace_count as _subspace_count
 
 

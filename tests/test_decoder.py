@@ -4,23 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from rankmetric import (DecodeOutcome, GabidulinCode,
-                        InconsistentSystemError, InterleavedOutcome,
+from rankmetric import (DecodeOutcome, GabidulinCode, InterleavedOutcome,
                         SimConfig, build_syndrome_matrix,
                         count_space_symmetric, count_symmetric, decode,
-                        interleaved_decode, key_equation_remainder,
-                        lin_compose_mod, lin_qdeg, make_field,
-                        min_subspace_poly, phi_inv, run_scenario,
-                        sample_full_rank, sample_space_symmetric,
-                        sample_symmetric_invertible, transpose_vector,
-                        vector_rank)
+                        interleaved_decode, make_field, phi_inv,
+                        run_scenario, sample_full_rank,
+                        sample_space_symmetric, vector_rank)
 from rankmetric.channel import sample_uniform_invertible
 from rankmetric.decoder import _dual_recover, _extend, _full_root_space
 from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
                                fqn_vec_fq_mat, moore_matrix)
 
-from oracles import countdown_decode, joint_kernel, recover_error, \
-    root_space_basis, space_symmetric
+from oracles import countdown_decode, joint_kernel, \
+    key_equation_remainder, lin_compose_mod, lin_qdeg, min_subspace_poly, \
+    recover_error, root_space_basis, sample_symmetric_invertible, \
+    space_symmetric, transpose_vector
 
 
 def _rand_codeword(code, rng):
@@ -145,9 +143,8 @@ def test_recover_error_inconsistent_support(code_8_2, F256):
         # wrong support of the right size
         wrong = sample_space_symmetric(F256, code_8_2.alpha, 3, rng)
         a = _support(code_8_2, wrong)
-        try:
-            e = recover_error(code_8_2, a, s2)
-        except InconsistentSystemError:
+        e = recover_error(code_8_2, a, s2)
+        if e is None:
             hits += 1
             continue
         assert code_8_2.syndrome(e) == s2
@@ -552,7 +549,8 @@ def test_countdown_visits_trials_above_observed_rank():
     (2, 5, 1, 2, Fraction(0)),
     (2, 6, 2, 2, Fraction(0)),
     (3, 4, 1, 2, Fraction(2640, 6240)),
-], ids=["n4k1t2", "n5k1t2", "n6k2t2", "q3n4k1t2"])
+    (2, 6, 1, 3, Fraction(39060, 234360)),  # tests/exhaustive_counts.py
+], ids=["n4k1t2", "n5k1t2", "n6k2t2", "q3n4k1t2", "n6k1t3"])
 def test_scenario1_monte_carlo_matches_exact_rate(q, n, k, t, exact):
     # the end-to-end simulate path against the enumerated rates above
     rep = run_scenario(SimConfig(scenario=1, q=q, n=n, k=k, t=t, trials=2000,

@@ -309,16 +309,6 @@ def test_trace_lands_in_base_field_and_is_additive(F256, F9):
             assert ctx.trace(ctx.frob(x, 1)) == ctx.trace(x)
 
 
-def test_power(F256):
-    rng = random.Random(4)
-    for _ in range(20):
-        x = rng.randrange(1, 256)
-        assert F256.power(x, 255) == 1
-        assert F256.power(x, -1) == F256.inv(x)
-        assert F256.power(x, 0) == 1
-    assert F256.power(0, 5) == 0
-
-
 def test_deterministic_context():
     a = make_field(2, 8)
     b = make_field(2, 8)
