@@ -8,6 +8,12 @@ support), so the two linear systems are stacked and solved jointly, exactly
 as for a 2-interleaved code.  This pushes the decoding radius from
 (n-k)/2 up to 2(n-k)/3 at the price of a small failure probability.
 
+The halves are Frobenius twists: s1_r = sum_l alpha_l y_l^(q^(r+1)) equals
+s2_(n-k-1-r)^(q^(r+1)), as raising s2_(n-k-1-r) =
+sum_l y_l alpha_l^(q^(n-1-r)) to q^(r+1) turns alpha_l into alpha_l^(q^n)
+= alpha_l.  The second key equation comes from the space-symmetric error,
+whose transpose has the same support.
+
 The stacked system at trial rank t is S_t = T[m >= t, j <= t] of both
 syndromes, where T has entry (m, j) = s_{m-j}^(q^j), zero where m < j.
 Trials run down from t_max = floor(2(n-k)/3); the first with rank(S_t) = t

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from itertools import islice, product
 from operator import index, xor
-from typing import Iterable, Sequence
+from typing import Iterable
 
 ORDER_LIMIT = 1 << 20
 
@@ -139,16 +139,28 @@ def _prime_ops(p: int) -> _ScalarOps:
     )
 
 
+def _as_ints(cs: Iterable, what: str) -> tuple[int, ...]:
+    """cs read with operator.index; a non-integer raises ValueError."""
+    out = []
+    for c in cs:
+        try:
+            out.append(index(c))
+        except TypeError:
+            raise ValueError(f"{what} {c!r} is not an integer") from None
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Polynomials over a scalar field: tuples of coefficients, constant term
 # first, no trailing zeros (the zero polynomial is the empty tuple).
 # ---------------------------------------------------------------------------
 
-def _ptrim(f: Sequence[int]) -> tuple[int, ...]:
+def _ptrim(f: Iterable[int]) -> tuple[int, ...]:
+    f = tuple(f)  # also linpoly.lin_normalize
     d = len(f)
     while d > 0 and f[d - 1] == 0:
         d -= 1
-    return tuple(f[:d])
+    return f[:d]
 
 
 def _psub(fo: _ScalarOps, f, g):
@@ -292,8 +304,7 @@ def _smallest_irreducible(fo: _ScalarOps, d: int) -> tuple[int, ...]:
     q = fo.q
     if d == 1:
         return (0, 1)
-    start = 1
-    for c0 in range(start, q):
+    for c0 in range(1, q):
         for rest in product(range(q), repeat=d - 1):
             f = (c0,) + rest + (1,)
             if _irreducible(fo, f):
@@ -513,14 +524,7 @@ class FieldCtx:
         if modulus is None:
             modulus = _smallest_irreducible(fo, n)
         else:
-            coeffs = []
-            for c in modulus:
-                try:
-                    coeffs.append(index(c))
-                except TypeError:
-                    raise ValueError(f"modulus coefficient {c!r} is not an "
-                                     f"integer") from None
-            modulus = tuple(coeffs)
+            modulus = _as_ints(modulus, "modulus coefficient")
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise ValueError(
                     f"modulus must be monic of degree {n}, got {modulus}")
@@ -564,7 +568,7 @@ class FieldCtx:
         return tuple(out)
 
     def from_coeffs(self, cs: Iterable[int]) -> int:
-        cs = list(cs)
+        cs = _as_ints(cs, "coefficient")
         if len(cs) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(cs)}")
         x = 0

@@ -277,6 +277,7 @@ def moore_matrix(ctx: FieldCtx, v, rows: int, shift: int = 0):
     """Matrix with entry (r, c) = v_c^(q-power r + shift)."""
     if rows < 1:
         raise ValueError("need at least one row")
+    _check_vector(ctx, v, len(v), "vector")
     frob = ctx.frob
     return [[frob(x, r + shift) for x in v] for r in range(rows)]
 

@@ -1,15 +1,18 @@
-"""Digest and build time of field tables, for comparing two checkouts.
+"""Digests and build times of field and code tables, for comparing checkouts.
 
 Usage, from the root of a checkout:
 
-    python3 tests/field_digests.py 2,16 3,7 2,8,1:1:0:1:1:0:0:0:1
+    python3 tests/field_digests.py 2,16 3,7 2,8,1:1:0:1:1:0:0:0:1 2,8,2
 
 Each argument is q,n or q,n,modulus with the modulus in the "c0:c1:...:1"
-form make_field parses.  For each one the script builds the field with the
-package in this checkout's src/ and prints the argument, the SHA-256 digest
-of its tables and the build time in seconds.  Equal digests on two commits
-mean equal modulus, exp and log tables and addition by 1.  The file is not a
-test module; tests/test_field.py pins digests computed with it.
+form make_field parses, or q,n,k with a code dimension k (no colon).  For
+a field the script builds it with the package in this checkout's src/ and
+prints the argument, the SHA-256 digest of its tables and the build time in
+seconds.  Equal digests on two commits mean equal modulus, exp and log
+tables and addition by 1.  For q,n,k it builds the default field, then
+times find_wso_basis plus GabidulinCode and prints the code digest and that
+set-up time.  The file is not a test module; tests/test_field.py and
+tests/test_code.py pin digests computed with it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,14 @@ import time
 from pathlib import Path
 
 
+def _sha256(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(repr(part).encode())
+        h.update(b";")
+    return h.hexdigest()
+
+
 def digest(ctx) -> str:
     """SHA-256 of (modulus, exp[:L], log, [add(1, v) for v]) of ctx.
 
@@ -27,12 +38,17 @@ def digest(ctx) -> str:
     add(1, v) reads the Zech table at odd p.
     """
     L = ctx.order - 1
-    h = hashlib.sha256()
-    for part in (ctx.modulus, ctx._exp[:L], ctx._log,
-                 [ctx.add(1, v) for v in range(ctx.order)]):
-        h.update(repr(list(part)).encode())
-        h.update(b";")
-    return h.hexdigest()
+    return _sha256(list(part) for part in (
+        ctx.modulus, ctx._exp[:L], ctx._log,
+        [ctx.add(1, v) for v in range(ctx.order)]))
+
+
+def code_digest(code) -> str:
+    """SHA-256 of the basis, G, H, Hhat, the dual-row logs and the packed
+    syndrome-map table of a GabidulinCode."""
+    b = code.basis
+    return _sha256((b.alpha, b.diag, b.method, b.beta, code._G, code._H,
+                    code._Hhat, code._dual, code._syndrome_map._table))
 
 
 def main(argv: list[str]) -> int:
@@ -40,12 +56,19 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    from rankmetric import make_field
+    from rankmetric import GabidulinCode, find_wso_basis, make_field
 
     for arg in argv:
-        q, n, *modulus = arg.split(",")
+        q, n, *rest = arg.split(",")
+        if rest and ":" not in rest[0]:
+            ctx = make_field(int(q), int(n))
+            start = time.perf_counter()
+            code = GabidulinCode(ctx, int(rest[0]), find_wso_basis(ctx))
+            seconds = time.perf_counter() - start
+            print(f"{arg} {code_digest(code)} {seconds:.5f}", flush=True)
+            continue
         start = time.perf_counter()
-        ctx = make_field(int(q), int(n), modulus[0] if modulus else None)
+        ctx = make_field(int(q), int(n), rest[0] if rest else None)
         seconds = time.perf_counter() - start
         print(f"{arg} {digest(ctx)} {seconds:.3f}", flush=True)
     return 0

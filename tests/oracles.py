@@ -113,6 +113,17 @@ def transpose_vector(ctx, a, alpha):
     return phi_inv(ctx, fq_transpose(phi(ctx, a, alpha)), alpha)
 
 
+def syndrome_against(ctx, y, H):
+    """y H^T by direct products under ctx.add and ctx.mul."""
+    out = []
+    for row in H:
+        acc = 0
+        for a, b in zip(y, row):
+            acc = ctx.add(acc, ctx.mul(a, b))
+        out.append(acc)
+    return tuple(out)
+
+
 def sample_symmetric_invertible(ctx, t, rng):
     """Uniform invertible symmetric t-by-t matrix over F_q: the upper
     triangle row by row, rejected until the rank is t."""

@@ -20,7 +20,7 @@ from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
 
 from oracles import census, key_equation_remainder, lin_qdeg, \
     min_subspace_poly, sample_symmetric_invertible, subspace_count, \
-    transpose_vector
+    syndrome_against, transpose_vector
 
 SEED = 20260810
 
@@ -221,7 +221,7 @@ def test_c7_algebra_invariants():
     for _ in range(1000):
         c = code.encode(tuple(ctx.rand_elem(rng) for _ in range(2)))
         chat = transpose_vector(ctx, c, code.alpha)
-        if any(code._syndrome_against(chat, code._Hhat)):
+        if any(syndrome_against(ctx, chat, code._Hhat)):
             problems.append(("transposed-membership",))
             break
     # phi rank preservation, 1000 random vectors

@@ -7,7 +7,8 @@ from rankmetric import (GabidulinCode, find_wso_basis, make_field,
                         moore_matrix, sample_space_symmetric, vector_rank)
 from rankmetric.linalg import fq_transpose, fqn_matmul, fqn_vec_fq_mat
 
-from oracles import transpose_vector
+from field_digests import code_digest
+from oracles import syndrome_against, transpose_vector
 
 
 def test_f4_generator_and_parity(F4):
@@ -54,7 +55,11 @@ def test_generator_parity_product_zero_across_parameters():
         ctx = make_field(q, n)
         basis = find_wso_basis(ctx)
         for k in range(1, n):
-            code = GabidulinCode(ctx, k, basis)  # asserts G H^T = 0 inside
+            code = GabidulinCode(ctx, k, basis)
+            # implied by the WSO check at construction, multiplied out here
+            GHt = fqn_matmul(ctx, code.generator_matrix(),
+                             fq_transpose(code.parity_check()))
+            assert not any(map(any, GHt))
             # spot-check a random codeword against both parity checks
             u = tuple(ctx.rand_elem(rng) for _ in range(k))
             c = code.encode(u)
@@ -96,7 +101,7 @@ def test_transposed_codeword_membership_random(code_8_2, F256):
         u = tuple(F256.rand_elem(rng) for _ in range(2))
         c = code_8_2.encode(u)
         chat = transpose_vector(F256, c, code_8_2.alpha)
-        s = code_8_2._syndrome_against(chat, code_8_2._Hhat)
+        s = syndrome_against(F256, chat, code_8_2._Hhat)
         assert not any(s)
 
 
@@ -104,7 +109,7 @@ def test_transposed_membership_exhaustive_4_2(code_4_2, F16):
     for u0, u1 in itertools.product(range(16), repeat=2):
         c = code_4_2.encode((u0, u1))
         chat = transpose_vector(F16, c, code_4_2.alpha)
-        assert not any(code_4_2._syndrome_against(chat, code_4_2._Hhat))
+        assert not any(syndrome_against(F16, chat, code_4_2._Hhat))
 
 
 def test_mrd_minimum_distance_exhaustive_4_2(code_4_2, F16):
@@ -173,6 +178,30 @@ def test_syndrome_map_matches_transposed_products(q, n, k):
         assert code.syndromes(y) == (tuple(fqn_matmul(ctx, [yhat], hhat_t)[0]),
                                      tuple(fqn_matmul(ctx, [y], h_t)[0]))
         assert code.syndrome(y) == tuple(fqn_matmul(ctx, [y], h_t)[0])
+        # the closed forms: s1_r = sum_j alpha_j y_j^(q^(r+1)), the twist
+        # of the reversed ordinary syndrome s2_(n-k-1-r)^(q^(r+1))
+        s1, s2 = code.syndromes(y)
+        for r in range(n - k):
+            direct = 0
+            for aj, yj in zip(code.alpha, y):
+                direct = ctx.add(direct, ctx.mul(aj, ctx.frob(yj, r + 1)))
+            assert s1[r] == direct == ctx.frob(s2[n - k - 1 - r], r + 1)
+
+
+# digests printed by tests/field_digests.py q,n,k for codes built with the
+# alpha-coordinate product behind the syndrome map, the full Moore Gram
+# product and a G H^T check; the closed forms must give the same basis,
+# matrices, dual rows and syndrome-map table bit for bit
+@pytest.mark.parametrize("q, n, k, want", [
+    (2, 8, 2, "2b38691ab271238d740b11cb5d7cdf8d4a75a038d7d1258809e24036419785d6"),
+    (2, 16, 4, "8696caeb58b24978d06cd0bf494703ab408d96fd8a290a1d16b8710431a8c9b5"),
+    (3, 7, 1, "cf5e6374787203e51c8d6a04874b870fa343fde185bed2dd8ec1181a57e911a9"),
+    (4, 4, 1, "2aa3c98e44e37bd0379d014d58ff9ef6d507c671614e0a5ecf5f864459bc9479"),
+    (9, 3, 1, "94eaa228d5385490552ff9346de87223dd34349c900712d2d14b4bfadebfc485"),
+])
+def test_code_tables_match_pinned_digests(q, n, k, want):
+    ctx = make_field(q, n)
+    assert code_digest(GabidulinCode(ctx, k, find_wso_basis(ctx))) == want
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 8, 2), (3, 5, 1)])

@@ -334,6 +334,18 @@ def test_coeffs_roundtrip(F256):
         assert F256.from_coeffs(F256.coeffs(x)) == x
 
 
+def test_from_coeffs_rejects_non_integer_coefficients(F256):
+    F9 = make_field(3, 2)
+    for ctx, cs in ((F256, [1.5] + [0] * 7), (F9, [2.5, 0]), (F9, [0, 1.0]),
+                    (F9, ["1", 0])):
+        with pytest.raises(ValueError, match="is not an integer"):
+            ctx.from_coeffs(cs)
+    assert F9.from_coeffs([True, 2]) == 7
+    assert F256.from_coeffs([1, 0, 0, 0, 0, 0, 0, False]) == 1
+    with pytest.raises(ValueError, match="out of range for F_3"):
+        F9.from_coeffs([3, 0])
+
+
 # -- table build: pinned digests and the per-element walk reference.
 
 # digests printed by tests/field_digests.py for tables built with one full

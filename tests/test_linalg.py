@@ -206,7 +206,8 @@ def test_out_of_range_vector_entries_rejected(q, n):
         a = (bad,) + (0,) * (n - 1)
         for fn in (lambda v: phi(ctx, v, alpha),
                    lambda v: transpose_vector(ctx, v, alpha),
-                   lambda v: vector_rank(ctx, v)):
+                   lambda v: vector_rank(ctx, v),
+                   lambda v: moore_matrix(ctx, v, 2)):
             with pytest.raises(ValueError, match=range_msg):
                 fn(a)
     assert vector_rank(ctx, ()) == 0

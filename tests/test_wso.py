@@ -4,7 +4,7 @@ import pytest
 
 from rankmetric import (find_wso_basis, is_weak_self_orthogonal, make_field,
                         wso)
-from rankmetric.linalg import fqn_matmul, moore_matrix
+from rankmetric.linalg import fqn_matmul, moore_matrix, vector_rank
 from rankmetric.wso import _normal_scan
 
 
@@ -12,6 +12,49 @@ def _moore_gram(ctx, alpha):
     M = moore_matrix(ctx, alpha, ctx.n)
     MT = [list(r) for r in zip(*M)]
     return fqn_matmul(ctx, M, MT)
+
+
+def _gram_verdict(ctx, alpha):
+    """What is_weak_self_orthogonal must return, read off the full product:
+    (True, diag), (False, first nonzero off-diagonal in row-major order),
+    or None for a non-basis."""
+    n = ctx.n
+    if vector_rank(ctx, alpha) < n:
+        return None
+    G = _moore_gram(ctx, alpha)
+    where = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                  if G[i][j]), None)
+    if where is not None:
+        return False, where
+    return True, tuple(G[i][i] for i in range(n))
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2),
+                                 (3, 3), (3, 4), (4, 2), (4, 3), (9, 2),
+                                 (9, 3)])
+def test_first_row_check_matches_full_gram(q, n):
+    # the check reads S_0..S_floor(n/2) only; random alpha, the WSO basis,
+    # its reversal and its scalings (still WSO, other diagonal) cover all
+    # three verdicts against the full n^3 product
+    ctx = make_field(q, n)
+    rng = random.Random(100 * q + n)
+    alpha = find_wso_basis(ctx).alpha
+    cases = [alpha, alpha[::-1]]
+    for _ in range(20):
+        c = rng.randrange(1, ctx.order)
+        cases.append(tuple(ctx.mul(c, a) for a in alpha))
+    cases += [tuple(rng.randrange(ctx.order) for _ in range(n))
+              for _ in range(300)]
+    seen = set()
+    for alpha in cases:
+        want = _gram_verdict(ctx, alpha)
+        seen.add(want and want[0])
+        if want is None:
+            with pytest.raises(ValueError, match="not a basis"):
+                is_weak_self_orthogonal(ctx, alpha)
+        else:
+            assert is_weak_self_orthogonal(ctx, alpha) == want, alpha
+    assert seen == {None, False, True}
 
 
 def test_f4_verification_examples(F4):
