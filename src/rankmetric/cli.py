@@ -187,6 +187,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_keysize(args) -> int:
     if args.table:
+        flags = {"sl": "--sl", "type": "--type", "n": "--n", "k": "--k",
+                 "lam": "--lambda", "q": "--q"}
+        given = [flag for name, flag in flags.items()
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--table paper ignores {' '.join(given)}")
         rows = reference_table()
     else:
         missing = [name for name in ("sl", "type", "n", "k", "lam")
@@ -195,7 +201,7 @@ def _cmd_keysize(args) -> int:
             raise ValueError(
                 "need --sl --type --n --k --lambda (or --table paper)")
         rows = build_table([(args.sl, args.type, args.n, args.k, args.lam)],
-                           q=args.q)
+                           q=2 if args.q is None else args.q)
     dicts = [r.as_dict() for r in rows]
     if args.out == "json":
         text = json.dumps(dicts, indent=2)
@@ -273,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--lambda", dest="lam", type=int)
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=int, help="base field order (default 2)")
     p.add_argument("--out", choices=["text", "json", "csv"], default="text")
     p.add_argument("--out-file")
     p.set_defaults(func=_cmd_keysize)

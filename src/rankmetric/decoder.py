@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 from .code import GabidulinCode
 from .field import FieldCtx
+from .linalg import _insert_rows, _kernel_vector
 from .linpoly import lin_normalize
 
 
@@ -81,39 +82,6 @@ def build_syndrome_matrix(ctx: FieldCtx, s, t: int):
 def _syndrome_row(frob, s, m: int, width: int):
     """Row m of T on columns j < width <= m + 1: s_{m-j}^(q^j)."""
     return [frob(s[m - j], j) for j in range(width)]
-
-
-def _insert_rows(ctx: FieldCtx, basis, rows):
-    """Add each row (a list, consumed) to basis, which maps each pivot column
-    to its row's (column, log entry) pairs right of the leading 1."""
-    exp, log, L, sub = ctx._exp, ctx._log, ctx.order - 1, ctx.sub
-    for row in rows:
-        for c, v in enumerate(row):   # reads row[c] after the updates below
-            if v and c in basis:
-                lf = log[v]
-                for j, lb in basis[c]:
-                    row[j] = sub(row[j], exp[lf + lb])
-            elif v:
-                s = L - log[v]
-                basis[c] = [(j, (log[row[j]] + s) % L)
-                            for j in range(c + 1, len(row)) if row[j]]
-                break
-
-
-def _kernel_vector(ctx: FieldCtx, basis, t: int):
-    """The kernel vector of a rank-t echelon basis on columns 0..t.
-
-    The kernel is one-dimensional; the vector is scaled to 1 at the one
-    column without a pivot and found by back substitution from column t."""
-    exp, log, sub = ctx._exp, ctx._log, ctx.sub
-    vec = [0] * (t + 1)
-    for c in range(t, -1, -1):
-        acc = 0 if c in basis else 1
-        for j, lb in basis.get(c, ()):
-            if vec[j]:
-                acc = sub(acc, exp[log[vec[j]] + lb])
-        vec[c] = acc
-    return vec
 
 
 def _full_root_space(ctx: FieldCtx, g) -> bool:

@@ -3,12 +3,13 @@
 Vectors are tuples/lists of packed field ints, matrices are lists of row
 lists.  F_q is the subfield of F_{q^n} made of the ints below q, so the fq_
 functions take F_q entries as F_{q^n} elements in [0, q) and share one
-elimination (_fqn_rref) and one product (fqn_matmul) with the fqn_ ones:
+elimination (_insert_rows) and one product (fqn_matmul) with the fqn_ ones:
 rank does not change under field extension, and eliminating or multiplying
-F_q matrices never leaves the subfield.  The library needs ranks, products
-and coordinates only; kernels and solves of general systems live with the
-test references, and the decoder reads its one kernel vector off its own
-echelon basis.
+F_q matrices never leaves the subfield.  The elimination inserts rows one
+by one into an echelon basis: ranks count its pivots, phi back-substitutes
+coordinates from it, and the decoder's trial-rank countdown keeps one basis
+across its trials and reads its kernel vector off it (_kernel_vector).
+Kernels and solves of general systems live with the test references.
 
 Also home to F_p-linear maps tabulated on packed ints (_PackedMap), the
 expansion map between length-n vectors over F_{q^n} and n-by-n matrices
@@ -85,40 +86,37 @@ def _gf2_vec_mat(v, masks, cols):
 # Elimination over F_{q^n} (so over F_q) in the log domain.
 # ---------------------------------------------------------------------------
 
-def _fqn_rref(ctx: FieldCtx, M, ncols):
-    """Reduced row echelon form over F_{q^n} in the log domain of ctx.
-
-    Returns the rows and the pivot columns.  The pivot row is scaled as
-    exp[log v + L - log pivot]; every other row subtracts exp[log f + log b]
-    at the pivot row's nonzero entries b only, with ctx.sub (XOR when
-    p = 2).
-    """
+def _insert_rows(ctx: FieldCtx, basis, rows):
+    """Add each row (a list, consumed) to basis, which maps each pivot column
+    to its row's (column, log entry) pairs right of the leading 1."""
     exp, log, L, sub = ctx._exp, ctx._log, ctx.order - 1, ctx.sub
-    rows = [list(r) for r in M]
-    pivots = []
-    nrows = len(rows)
-    for c in range(ncols):
-        r = len(pivots)
-        for pr in range(r, nrows):
-            if rows[pr][c]:
-                break
-        else:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        lead = rows[r]
-        s = L - log[lead[c]]
-        nz = [(j, (log[v] + s) % L) for j, v in enumerate(lead) if v]
-        for j, lb in nz:
-            lead[j] = exp[lb]
-        for row in rows:
-            if row[c] and row is not lead:
-                lf = log[row[c]]
-                for j, lb in nz:
+    for row in rows:
+        for c, v in enumerate(row):   # reads row[c] after the updates below
+            if v and c in basis:
+                lf = log[v]
+                for j, lb in basis[c]:
                     row[j] = sub(row[j], exp[lf + lb])
-        pivots.append(c)
-        if r + 1 == nrows:
-            break
-    return rows, pivots
+            elif v:
+                s = L - log[v]
+                basis[c] = [(j, (log[row[j]] + s) % L)
+                            for j in range(c + 1, len(row)) if row[j]]
+                break
+
+
+def _kernel_vector(ctx: FieldCtx, basis, t: int):
+    """The kernel vector of a rank-t echelon basis on columns 0..t.
+
+    The kernel is one-dimensional; the vector is scaled to 1 at the one
+    column without a pivot and found by back substitution from column t."""
+    exp, log, sub = ctx._exp, ctx._log, ctx.sub
+    vec = [0] * (t + 1)
+    for c in range(t, -1, -1):
+        acc = 0 if c in basis else 1
+        for j, lb in basis.get(c, ()):
+            if vec[j]:
+                acc = sub(acc, exp[log[vec[j]] + lb])
+        vec[c] = acc
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +124,9 @@ def _fqn_rref(ctx: FieldCtx, M, ncols):
 # ---------------------------------------------------------------------------
 
 def fqn_rank(ctx: FieldCtx, M) -> int:
-    if not M:
-        return 0
-    return len(_fqn_rref(ctx, M, len(M[0]))[1])
+    basis = {}
+    _insert_rows(ctx, basis, [list(r) for r in M])
+    return len(basis)
 
 
 def fqn_matmul(ctx: FieldCtx, X, Y):
@@ -228,23 +226,6 @@ class _PackedMap:
         return tuple(out)
 
 
-def _coords(ctx: FieldCtx, alpha, xs):
-    """Matrix over F_q whose column j holds the alpha-coordinates of xs[j].
-
-    One elimination of the basis matrix (column i = digits of alpha_i)
-    augmented by the digit columns of the xs; the reduced rows then hold
-    the coordinates in their augmented part.
-    """
-    n = ctx.n
-    if len(alpha) != n:
-        raise ValueError(f"basis must have {n} entries")
-    digits = [ctx.coeffs(x) for x in alpha] + [ctx.coeffs(x) for x in xs]
-    rows, pivots = _fqn_rref(ctx, fq_transpose(digits), n + len(xs))
-    if pivots[:n] != list(range(n)):
-        raise ValueError("alpha is not a basis")
-    return [row[n:] for row in rows]
-
-
 def _check_vector(ctx: FieldCtx, v, length, what):
     """Reject a wrong length or an entry outside F_{q^n}."""
     if len(v) != length:
@@ -255,9 +236,34 @@ def _check_vector(ctx: FieldCtx, v, length, what):
 
 
 def phi(ctx: FieldCtx, a, alpha):
-    """n-by-n matrix over F_q whose column j holds the alpha-coordinates of a_j."""
-    _check_vector(ctx, a, ctx.n, "vector")
-    return _coords(ctx, alpha, a)
+    """n-by-n matrix over F_q whose column j holds the alpha-coordinates of a_j.
+
+    One echelon basis of the basis matrix (column i = digits of alpha_i)
+    augmented by the digit columns of a.  alpha is a basis exactly when the
+    pivots are columns 0..n-1; back substitution from column n-1 then gives
+    row i of the coordinates from the augmented part of pivot row i.
+    """
+    n = ctx.n
+    _check_vector(ctx, a, n, "vector")
+    if len(alpha) != n:
+        raise ValueError(f"basis must have {n} entries")
+    basis = {}
+    _insert_rows(ctx, basis, fq_transpose(
+        [ctx.coeffs(x) for x in (*alpha, *a)]))
+    if sorted(basis) != list(range(n)):
+        raise ValueError("alpha is not a basis")
+    exp, log, add, sub = ctx._exp, ctx._log, ctx.add, ctx.sub
+    rows = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = [0] * n
+        for j, lb in basis[i]:
+            if j >= n:
+                row[j - n] = add(row[j - n], exp[lb])
+            else:
+                row = [sub(v, exp[lb + log[x]]) if x else v
+                       for v, x in zip(row, rows[j])]
+        rows[i] = row
+    return rows
 
 
 def phi_inv(ctx: FieldCtx, A, alpha):
@@ -273,23 +279,24 @@ def phi_inv(ctx: FieldCtx, A, alpha):
     return fqn_vec_fq_mat(ctx, alpha, A)
 
 
-def moore_matrix(ctx: FieldCtx, v, rows: int, shift: int = 0):
-    """Matrix with entry (r, c) = v_c^(q-power r + shift)."""
+def moore_matrix(ctx: FieldCtx, v, rows: int):
+    """Matrix with entry (r, c) = v_c^(q^r)."""
     if rows < 1:
         raise ValueError("need at least one row")
     _check_vector(ctx, v, len(v), "vector")
     frob = ctx.frob
-    return [[frob(x, r + shift) for x in v] for r in range(rows)]
+    return [[frob(x, r) for x in v] for r in range(rows)]
 
 
 def vector_rank(ctx: FieldCtx, v) -> int:
     """Rank of a vector over F_{q^n}: dimension of the F_q-span of its entries.
 
-    Computed as the F_q-rank of the expansion in the polynomial basis, whose
-    coordinates are the packed digits; the rank does not depend on the basis.
+    Computed as the F_q-rank of the digit rows of its entries (the transpose
+    of the expansion in the polynomial basis); the rank does not depend on
+    the basis.
     """
     _check_vector(ctx, v, len(v), "vector")
-    return fq_rank(ctx, fq_transpose([ctx.coeffs(x) for x in v]))
+    return fq_rank(ctx, [ctx.coeffs(x) for x in v])
 
 
 # ---------------------------------------------------------------------------

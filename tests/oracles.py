@@ -2,14 +2,14 @@
 
 Deliberately independent of the library: plain mod-p elimination over lists
 and exhaustive enumeration, so they cross-check the production formulas
-rather than mirroring them.  Kernels and solves over F_{q^n} (kernel,
-solve) run the textbook rref below under the field's scalar ops, not the
-library's log-domain elimination.  The library pieces still reused are:
+rather than mirroring them.  Kernels, solves and basis coordinates over
+F_{q^n} (kernel, solve, coords) run the textbook rref below under the
+field's scalar ops, not the library's log-domain elimination.  The library
+pieces still reused are:
 
 - the trial-rank countdown reference: build_syndrome_matrix for the
-  stacked rows, _coords (one _fqn_rref of the basis matrix) and
-  fqn_vec_fq_mat to turn a solve into an error, and _gf2_rref for the
-  packed q = 2 root-space kernel;
+  stacked rows, fqn_vec_fq_mat to turn a solve into an error, and
+  _gf2_rref for the packed q = 2 root-space kernel;
 - the exp/log reference: the packed-digit product _mul_digits and _factor;
 - transpose_vector: phi, phi_inv and fq_transpose;
 - sample_symmetric_invertible: channel._draws, so a seed gives the draws it
@@ -23,7 +23,7 @@ from rankmetric import build_syndrome_matrix, fq_rank, fq_transpose, \
     lin_normalize, phi, phi_inv
 from rankmetric.channel import _draws
 from rankmetric.field import _factor, _mul_digits
-from rankmetric.linalg import _coords, _gf2_rref, fqn_vec_fq_mat
+from rankmetric.linalg import _gf2_rref, fqn_vec_fq_mat
 
 
 def rank_mod_p(M, p):
@@ -106,6 +106,19 @@ def solve(ctx, M, rhs):
     for row, pc in zip(rows, pivots):
         x[pc] = row[ncols]
     return x
+
+
+def coords(ctx, alpha, xs):
+    """Matrix over F_q whose column j holds the alpha-coordinates of xs[j]:
+    the augmented part of rref of the basis matrix (column i = digits of
+    alpha_i) augmented by the digit columns of the xs."""
+    n = ctx.n
+    digits = [ctx.coeffs(x) for x in alpha] + [ctx.coeffs(x) for x in xs]
+    rows, pivots = rref(ctx.add, ctx.sub, ctx.mul, ctx.inv,
+                        fq_transpose(digits), n + len(xs))
+    if pivots[:n] != list(range(n)):
+        raise ValueError("alpha is not a basis")
+    return [row[n:] for row in rows]
 
 
 def transpose_vector(ctx, a, alpha):
@@ -392,7 +405,7 @@ def recover_error(code, a, s2):
     d = solve(ctx, M, rhs)
     if d is None:
         return None
-    B = fq_transpose(_coords(ctx, code.alpha, [frob(dl, -k) for dl in d]))
+    B = fq_transpose(coords(ctx, code.alpha, [frob(dl, -k) for dl in d]))
     return fqn_vec_fq_mat(ctx, a, B)
 
 

@@ -137,6 +137,19 @@ def test_keysize_single_row(capsys):
     assert abs(row["wf_struc"] - 194.86) < 0.011
 
 
+def test_keysize_table_rejects_ignored_flags(capsys):
+    for extra in (("--q", "4"), ("--q", "2"), ("--sl", "192"),
+                  ("--type", "sym"), ("--n", "62"), ("--k", "31"),
+                  ("--lambda", "4")):
+        code, out, err = run_cli(capsys, "keysize", "--table", "paper",
+                                 *extra, "--out", "csv")
+        assert code == 1 and not out
+        assert err == f"error: --table paper ignores {extra[0]}"
+    code, _, err = run_cli(capsys, "keysize", "--table", "paper", "--n", "62",
+                           "--q", "4")
+    assert code == 1 and err == "error: --table paper ignores --n --q"
+
+
 def test_keysize_missing_args(capsys):
     code, _, err = run_cli(capsys, "keysize", "--sl", "192")
     assert code == 1

@@ -5,10 +5,10 @@ import pytest
 from rankmetric import (find_wso_basis, fq_matmul, fq_rank, fq_transpose,
                         fqn_rank, make_field, moore_matrix, phi, phi_inv,
                         vector_rank)
-from rankmetric.linalg import (_coords, _fqn_rref, fqn_vector_str,
-                               fqn_vec_fq_mat, parse_fqn_vector)
+from rankmetric.linalg import (_insert_rows, fqn_vector_str, fqn_vec_fq_mat,
+                               parse_fqn_vector)
 
-from oracles import kernel, rref, solve, transpose_vector
+from oracles import coords, kernel, rref, solve, transpose_vector
 
 
 def _poly_basis(ctx):
@@ -31,8 +31,11 @@ def test_phi_worked_example_f4(F4):
 
 
 def test_phi_rejects_non_basis(F4):
-    with pytest.raises(ValueError, match="not a basis"):
-        phi(F4, (1, 2), (2, 2))
+    # a pivot in the augmented columns with n pivots in all, then fewer
+    # than n pivots as every entry of a lies in the span of alpha
+    for a in ((1, 2), (2, 0)):
+        with pytest.raises(ValueError, match="not a basis"):
+            phi(F4, a, (2, 2))
 
 
 def test_phi_inv_examples(F4):
@@ -114,7 +117,7 @@ def test_moore_matrix(F4, F256):
     rng = random.Random(15)
     v = tuple(F256.rand_elem(rng) for _ in range(5))
     m0 = moore_matrix(F256, v, 3)
-    m1 = moore_matrix(F256, v, 3, shift=1)
+    m1 = moore_matrix(F256, v, 4)[1:]
     assert m1 == [[F256.frob(x, 1) for x in row] for row in m0]
     with pytest.raises(ValueError):
         moore_matrix(F256, v, 0)
@@ -130,7 +133,8 @@ def test_moore_rank_full_for_independent_entries(F256):
                 break
         rows = rng.randrange(1, r + 1)
         shift = rng.randrange(0, 8)
-        assert fqn_rank(F256, moore_matrix(F256, v, rows, shift)) == rows
+        M = moore_matrix(F256, v, rows + shift)[shift:]
+        assert fqn_rank(F256, M) == rows
 
 
 def test_vector_rank(F256, wso256):
@@ -264,27 +268,49 @@ def _random_test_matrix(ctx, rng):
     return M
 
 
+def _echelon(ctx, M):
+    """Pivot columns and full rows of the library's echelon basis of M."""
+    basis = {}
+    _insert_rows(ctx, basis, [list(r) for r in M])
+    rows = []
+    for c in sorted(basis):
+        row = [0] * len(M[0])
+        row[c] = 1
+        for j, lb in basis[c]:
+            row[j] = ctx._exp[lb]
+        rows.append(row)
+    return sorted(basis), rows
+
+
 @pytest.mark.parametrize("q,n", [(2, 8), (2, 16), (3, 4), (4, 3), (9, 2)])
 def test_tabled_elimination_matches_generic(q, n):
-    # the generic elimination fed the field's ops is the oracle
+    # the generic elimination fed the field's ops is the oracle: the echelon
+    # basis has the pivots of rref and, reduced, its rows
     ctx = make_field(q, n)
     ops = (ctx.add, ctx.sub, ctx.mul, ctx.inv)
     base_ops = (ctx.base_add, ctx.base_sub, ctx.base_mul, ctx.base_inv)
     rng = random.Random(q * 100 + n)
     frng = random.Random(-(q * 100 + n))  # right factors of the F_q products
+
+    def check(M, cols):
+        rows, pivots = rref(*ops, M, cols)
+        ech_pivots, ech_rows = _echelon(ctx, M)
+        assert ech_pivots == pivots
+        assert rref(*ops, ech_rows, cols)[0] == rows[:len(pivots)]
+        return pivots
+
     inconsistent = base_checked = 0
     for _ in range(300):
         M = _random_test_matrix(ctx, rng)
         cols = len(M[0])
-        rows, pivots = rref(*ops, M, cols)
-        assert _fqn_rref(ctx, M, cols) == (rows, pivots)
+        pivots = check(M, cols)
         assert fqn_rank(ctx, M) == len(pivots)
         if max(map(max, M)) < q:  # F_q entries, every kind 3 among them
             # the F_q family runs on the F_{q^n} tables; the base-field ops
-            # of F_q alone must give the same elimination and product
-            base_rref = rref(*base_ops, M, cols)
-            assert _fqn_rref(ctx, M, cols) == base_rref
-            assert fq_rank(ctx, M) == len(base_rref[1])
+            # of F_q alone must give the same pivots and product
+            base_pivots = rref(*base_ops, M, cols)[1]
+            assert _echelon(ctx, M)[0] == base_pivots
+            assert fq_rank(ctx, M) == len(base_pivots)
             k = frng.randrange(1, 8)
             N = [[frng.randrange(q) for _ in range(k)] for _ in range(cols)]
             prod = [[0] * k for _ in M]
@@ -303,10 +329,8 @@ def test_tabled_elimination_matches_generic(q, n):
                     rhs[i] = ctx.add(rhs[i], ctx.mul(a, b))
         else:
             rhs = [ctx.rand_elem(rng) for _ in M]
-        aug = [row + [b] for row, b in zip(M, rhs)]
-        aug_rref = rref(*ops, aug, cols + 1)
-        assert _fqn_rref(ctx, aug, cols + 1) == aug_rref
-        if aug_rref[1] and aug_rref[1][-1] == cols:
+        aug_pivots = check([row + [b] for row, b in zip(M, rhs)], cols + 1)
+        if aug_pivots and aug_pivots[-1] == cols:
             inconsistent += 1
     assert 0 < inconsistent < 300
     assert base_checked >= 50
@@ -330,5 +354,9 @@ def test_coords_match_inverse_matrix_product(q, n):
                                       for i in range(n)]
     xs = (list(range(ctx.order)) if ctx.order <= 1 << 12
           else [ctx.rand_elem(rng) for _ in range(3000)])
-    assert _coords(ctx, alpha, xs) == fq_matmul(
-        ctx, inv, fq_transpose([ctx.coeffs(x) for x in xs]))
+    xs += [0] * (-len(xs) % n)
+    expected = fq_matmul(ctx, inv, fq_transpose([ctx.coeffs(x) for x in xs]))
+    assert coords(ctx, alpha, xs) == expected
+    for i in range(0, len(xs), n):
+        assert phi(ctx, xs[i:i + n], alpha) == [row[i:i + n]
+                                                for row in expected]
