@@ -5,7 +5,8 @@ uniform over the target sets (full-rank, invertible) and cheap at the field
 sizes used here: the acceptance probability of an invertible t-by-t matrix
 over F_q is bounded below by prod_i (1 - q^-i), about 0.289 for q = 2.
 Entries are drawn inline with the words that rng.randrange(q) takes, so a
-seed gives the matrices of one randrange(q) per entry in row order.
+seed gives the matrices of one randrange(q) per entry in row order.  Every
+q, q = 2 included, draws, ranks (fq_rank) and multiplies with the same code.
 
 Counts are exact big integers produced directly from the product formulas;
 each carries a float log2 companion good to well below 1e-6 even for counts
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldCtx, _prime_power
-from .linalg import _check_vector, _gf2_dot, _gf2_rref, _gf2_unpack, \
-    _gf2_vec_mat, fq_rank, fq_transpose, fqn_vec_fq_mat
+from .linalg import _check_vector, fq_rank, fq_transpose, fqn_vec_fq_mat
 
 
 @dataclass(frozen=True)
@@ -60,36 +60,10 @@ def _random_matrix(ctx: FieldCtx, rows: int, cols: int, rng):
     return [flat[i:i + cols] for i in range(0, rows * cols, cols)]
 
 
-def _gf2_full_rank(rows: int, cols: int, rng):
-    """Packed rows (bit j = column j) of a uniform full-rank matrix over F_2.
-
-    Entries are drawn in the order and with the draws of _random_matrix, so
-    a seed gives the same matrix as the generic path.
-    """
-    target = min(rows, cols)
-    bits = rng.getrandbits
-    while True:
-        M = []
-        for _ in range(rows):
-            m = 0
-            for j in range(cols):
-                # randrange(2); test_sampler_matches_randrange_replay
-                r = bits(2)
-                while r > 1:
-                    r = bits(2)
-                if r:
-                    m |= 1 << j
-            M.append(m)
-        if len(_gf2_rref(M[:])) == target:
-            return M
-
-
 def sample_full_rank(ctx: FieldCtx, rows: int, cols: int, rng):
     """Uniform matrix of full rank min(rows, cols)."""
     if rows < 0 or cols < 0:
         raise ValueError(f"need rows, cols >= 0, got {rows}, {cols}")
-    if ctx.q == 2:
-        return _gf2_unpack(_gf2_full_rank(rows, cols, rng), cols)
     target = min(rows, cols)
     while True:
         M = _random_matrix(ctx, rows, cols, rng)
@@ -110,9 +84,9 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     A and P are drawn uniformly over full-rank n-by-t and invertible t-by-t
     matrices; every such E has exactly |GL_t(F_q)| factorizations, so
     E = A P A^T is uniform over the target ensemble.  The vector form is
-    taken relative to alpha, without forming E: with b = alpha (A P), entry
-    j of the vector form is sum_l A[j][l] b_l.  At q = 2, A and P stay
-    packed and that sum is the XOR of the b_l over the set bits l of row j.
+    taken relative to alpha, without forming E: with b = (alpha A) P, entry
+    j of the vector form is sum_l A[j][l] b_l.  Every q takes the same
+    three vector-by-F_q-matrix products.
     """
     n = ctx.n
     if len(alpha) != n:
@@ -122,12 +96,6 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
         raise ValueError(f"need 0 <= t <= {n}")
     if t == 0:
         return SpaceSymError(0, [[] for _ in range(n)], [], (0,) * n)
-    if ctx.q == 2:
-        A = _gf2_full_rank(n, t, rng)
-        P = _gf2_full_rank(t, t, rng)
-        b = _gf2_vec_mat(alpha, [_gf2_dot(m, P) for m in A], t)
-        e = tuple(_gf2_dot(m, b) for m in A)
-        return SpaceSymError(t, _gf2_unpack(A, t), _gf2_unpack(P, t), e)
     A = sample_full_rank(ctx, n, t, rng)
     P = sample_uniform_invertible(ctx, t, rng)
     b = fqn_vec_fq_mat(ctx, fqn_vec_fq_mat(ctx, alpha, A), P)

@@ -83,6 +83,7 @@ def _prime_power(q: int) -> tuple[int, int]:
     when that r is prime.  A base at or above PRIME_TEST_LIMIT is rejected,
     since the primality test is exact only below it.
     """
+    q = _index(q, "q")
     if q < 2:
         raise ValueError(f"q={q} is not a prime power")
     for e in range(q.bit_length() - 1, 0, -1):
@@ -127,9 +128,6 @@ class _ScalarOps:
 
 
 def _prime_ops(p: int) -> _ScalarOps:
-    if p == 2:
-        return _ScalarOps(2, lambda a, b: a ^ b, lambda a, b: a ^ b,
-                          lambda a, b: a & b, lambda a: 1)
     return _ScalarOps(
         p,
         lambda a, b: (a + b) % p,
@@ -139,15 +137,16 @@ def _prime_ops(p: int) -> _ScalarOps:
     )
 
 
+def _index(x, what: str) -> int:
+    """x read with operator.index; a non-integer raises ValueError."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
+
+
 def _as_ints(cs: Iterable, what: str) -> tuple[int, ...]:
-    """cs read with operator.index; a non-integer raises ValueError."""
-    out = []
-    for c in cs:
-        try:
-            out.append(index(c))
-        except TypeError:
-            raise ValueError(f"{what} {c!r} is not an integer") from None
-    return tuple(out)
+    return tuple(_index(c, what) for c in cs)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +493,7 @@ class FieldCtx:
     """
 
     def __init__(self, q: int, n: int, modulus=None):
+        q, n = _index(q, "q"), _index(n, "extension degree n")
         if n < 1:
             raise ValueError(f"extension degree n={n} must be >= 1")
         # n > 20 forces q^n > 2^20 for every q >= 2 without computing q^n

@@ -23,66 +23,6 @@ from .field import FieldCtx
 
 
 # ---------------------------------------------------------------------------
-# GF(2) fast path: rows packed as ints, bit i = column i.
-# ---------------------------------------------------------------------------
-
-def _gf2_unpack(masks, cols):
-    return [[(m >> j) & 1 for j in range(cols)] for m in masks]
-
-
-def _gf2_rref(masks):
-    """In-place RREF on bit-packed rows; returns pivot column list."""
-    pivots = []
-    r = 0
-    nrows = len(masks)
-    for c in range(max(masks, default=0).bit_length()):
-        bit = 1 << c
-        for pr in range(r, nrows):
-            if masks[pr] & bit:
-                break
-        else:
-            continue
-        mr = masks[pr]
-        masks[pr] = masks[r]
-        masks[r] = mr
-        for i in range(nrows):
-            if i != r and masks[i] & bit:
-                masks[i] ^= mr
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def _gf2_dot(m, v):
-    """XOR of v[l] over the set bits l of m.
-
-    A packed F_2 row times a vector whose entries add by XOR: F_{2^n}
-    elements, or packed rows (then the result is a row of a product).
-    """
-    acc = 0
-    for x in v:
-        if m & 1:
-            acc ^= x
-        m >>= 1
-    return acc
-
-
-def _gf2_vec_mat(v, masks, cols):
-    """Row vector v over F_{2^n} times the F_2 matrix with packed rows."""
-    out = [0] * cols
-    for x, m in zip(v, masks):
-        j = 0
-        while m:
-            if m & 1:
-                out[j] ^= x
-            m >>= 1
-            j += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Elimination over F_{q^n} (so over F_q) in the log domain.
 # ---------------------------------------------------------------------------
 
@@ -168,6 +108,20 @@ def fq_transpose(M):
 # ---------------------------------------------------------------------------
 # Basis expansion map and friends.
 # ---------------------------------------------------------------------------
+
+def _gf2_dot(m, v):
+    """XOR of v[l] over the set bits l of m.
+
+    _PackedMap.apply at p = 2: the sum of the images of the set digits of
+    one input, packed ints that add by XOR.
+    """
+    acc = 0
+    for x in v:
+        if m & 1:
+            acc ^= x
+        m >>= 1
+    return acc
+
 
 class _PackedMap:
     """An F_p-linear map of m elements of F_{q^n}, tabulated on packed ints.

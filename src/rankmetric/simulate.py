@@ -47,6 +47,9 @@ def wilson95(failures: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= failures <= trials:
+        raise ValueError(f"need 0 <= failures <= trials, got failures="
+                         f"{failures}, trials={trials}")
     z = _WILSON_Z
     phat = failures / trials
     denom = 1 + z * z / trials

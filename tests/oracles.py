@@ -4,12 +4,12 @@ Deliberately independent of the library: plain mod-p elimination over lists
 and exhaustive enumeration, so they cross-check the production formulas
 rather than mirroring them.  Kernels, solves and basis coordinates over
 F_{q^n} (kernel, solve, coords) run the textbook rref below under the
-field's scalar ops, not the library's log-domain elimination.  The library
+field's scalar ops, and the packed q = 2 root-space kernel runs _gf2_rref
+on bit rows, not the library's log-domain elimination.  The library
 pieces still reused are:
 
 - the trial-rank countdown reference: build_syndrome_matrix for the
-  stacked rows, fqn_vec_fq_mat to turn a solve into an error, and
-  _gf2_rref for the packed q = 2 root-space kernel;
+  stacked rows and fqn_vec_fq_mat to turn a solve into an error;
 - the exp/log reference: the packed-digit product _mul_digits and _factor;
 - transpose_vector: phi, phi_inv and fq_transpose;
 - sample_symmetric_invertible: channel._draws, so a seed gives the draws it
@@ -23,7 +23,7 @@ from rankmetric import build_syndrome_matrix, fq_rank, fq_transpose, \
     lin_normalize, phi, phi_inv
 from rankmetric.channel import _draws
 from rankmetric.field import _factor, _mul_digits
-from rankmetric.linalg import _gf2_rref, fqn_vec_fq_mat
+from rankmetric.linalg import fqn_vec_fq_mat
 
 
 def rank_mod_p(M, p):
@@ -330,6 +330,31 @@ def space_symmetric(n, t, q):
                        for col in zip(*P)] for row in A]
                 yield [[sum(x * y for x, y in zip(ap, a)) % q for a in A]
                        for ap in AP]
+
+
+def _gf2_rref(masks):
+    """In-place RREF on bit-packed rows; returns pivot column list."""
+    pivots = []
+    r = 0
+    nrows = len(masks)
+    for c in range(max(masks, default=0).bit_length()):
+        bit = 1 << c
+        for pr in range(r, nrows):
+            if masks[pr] & bit:
+                break
+        else:
+            continue
+        mr = masks[pr]
+        masks[pr] = masks[r]
+        masks[r] = mr
+        for i in range(nrows):
+            if i != r and masks[i] & bit:
+                masks[i] ^= mr
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
 
 
 def _gf2_kernel(masks, ncols):

@@ -223,8 +223,8 @@ def _replay_symmetric(ctx, t, rng):
 
 
 @pytest.mark.parametrize("q,n,t", [
-    (2, 8, 4), (2, 8, 1), (2, 6, 6), (2, 5, 3), (3, 7, 4), (3, 4, 2),
-    (4, 4, 2), (4, 3, 3), (5, 3, 2), (9, 4, 2), (9, 3, 3)])
+    (2, 8, 4), (2, 8, 1), (2, 6, 6), (2, 5, 3), (2, 16, 8), (3, 7, 4),
+    (3, 4, 2), (4, 4, 2), (4, 3, 3), (5, 3, 2), (9, 4, 2), (9, 3, 3)])
 def test_sampler_matches_randrange_replay(q, n, t):
     """Every sampler draws what a randrange(q) per entry would, in order."""
     ctx = make_field(q, n)

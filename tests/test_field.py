@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rankmetric import make_field
+from rankmetric import gaussian_binomial, make_field
 from rankmetric.field import PRIME_TEST_LIMIT, _gf2_is_irreducible, \
     _is_irreducible, _prime_ops, _prime_power, _ScalarOps, \
     _smallest_irreducible, _tabled
@@ -123,6 +123,12 @@ def test_non_prime_power_rejected():
     for q in (1, 6, 12, 100):
         with pytest.raises(ValueError, match="prime power"):
             make_field(q, 2)
+    with pytest.raises(ValueError, match=r"q 2\.0 is not an integer"):
+        make_field(2.0, 4)
+    with pytest.raises(ValueError, match=r"q 2\.0 is not an integer"):
+        gaussian_binomial(3, 1, 2.0)
+    with pytest.raises(ValueError, match=r"degree n 4\.0 is not an integer"):
+        make_field(2, 4.0)
 
 
 def _prime_power_by_trial_division(q):

@@ -100,6 +100,9 @@ def test_wilson_interval():
         assert 0 <= lo <= hi <= 1
     with pytest.raises(ValueError):
         wilson95(0, 0)
+    for failures in (5, -1):
+        with pytest.raises(ValueError, match="0 <= failures <= trials"):
+            wilson95(failures, 3)
 
 
 def test_config_validation():
