@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldCtx, _prime_power
+from .field import FieldCtx, _index, _prime_power
 from .linalg import _check_vector, fq_rank, fq_transpose, fqn_vec_fq_mat
 
 
@@ -125,6 +125,7 @@ class CountResult:
 
 def _check_count_args(n: int, t: int, q: int):
     _prime_power(q)
+    n, t = _index(n, "n"), _index(t, "t")
     if not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= n, got t={t}, n={n}")
 

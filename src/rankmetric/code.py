@@ -8,16 +8,23 @@ self-orthogonal: entry (i, j) of G H^T is S_(k+j-i)^(q^i), with
 S_d = sum_l alpha_l^(1+q^d) and 1 <= k+j-i <= n-1, the S_d that
 is_weak_self_orthogonal checks to be zero.  So construction runs that check
 alone, and a bad basis fails fast.  The same property inverts M in closed
-form, M^-1 = M^T D^-1 for the diagonal D of M M^T, which the decoder uses
-to read an error off its full syndrome.
+form, M^-1 = M^T D^-1 for the diagonal D of M M^T.  The decoder needs only
+the k G-rows of M^-1, G[r] / D[r], which the code keeps as logs: every v
+is (v M^T) D^-1 M, and a codeword's v M^T is zero past entry k.
 
-Both syndromes are F_q-linear, hence F_p-linear, in the received word, so
-the code tabulates that map once on packed ints (linalg._PackedMap).
-Transposing y puts sum_j alpha_j c_m(y_j) at position m, c_m the F_q
-alpha-coordinates, which commute with Frobenius, so the transposed-code
-syndrome is s1_r = sum_j alpha_j y_j^(q^(r+1)): no coordinates and no
-transposed word.  A syndrome pair costs one XOR per set bit of the word at
-p = 2 and one multiply-add per base-p digit at odd p, at every q.
+Every syndrome is read off the n twisted traces T_i = sum_j alpha_j
+y_j^(q^i), i = 1..n, which are F_q-linear, hence F_p-linear, in the
+received word, so the code tabulates them once on packed ints
+(linalg._PackedMap); the image of the digit unit x at position j is
+alpha_j x^(q^i), one exp/log lookup.  Raising T_(n-i) to q^i turns alpha_j
+into alpha_j^(q^i) and y_j^(q^n) into y_j, so T_(n-i)^(q^i) is entry i of
+y M^T: y G^T for i < k, then the ordinary syndrome s2.  Transposing y
+puts sum_j alpha_j c_m(y_j) at position m, c_m the F_q alpha-coordinates,
+which commute with Frobenius, so the transposed-code syndrome is
+s1_r = sum_j alpha_j y_j^(q^(r+1)) = T_(r+1): no coordinates and no
+transposed word.  A read costs one lookup per 4 bits of the word at p = 2,
+one per two base-p digits at p = 3 and one per digit from p = 5 on, and n
+Frobenius twists in the log domain.
 """
 
 from __future__ import annotations
@@ -48,23 +55,20 @@ class GabidulinCode:
         self.alpha = basis.alpha
         M = moore_matrix(ctx, self.alpha, n)
         self._G, self._H, self._Hhat = M[:k], M[k:], M[1:n - k + 1]
-        # Logs of the dual rows: row r of Hf = H stacked on G is row
-        # (r+k) mod n of M, and M^-1 = M^T D^-1 for the Gram diagonal D, so
-        # e_j = sum_r s_r Hf[r][j] / D[(r+k) mod n] for the full syndrome
-        # s = e Hf^T.
-        log, L = ctx._log, ctx.order - 1
-        self._dual = [[(log[h] - log[diag[(r + k) % n]]) % L for h in row]
-                      for r, row in enumerate(self._H + self._G)]
-        # The syndrome pair as one F_p-linear map of the n received entries:
-        # the unit x = p^u at position j has s1_r = alpha_j x^(q^(r+1)) and
-        # s2_r = x H[r][j].
-        mul, frob = ctx.mul, ctx.frob
-        units = [ctx.p ** u for u in range(n * ctx.e)]
-        twists = [[frob(x, r) for r in range(1, n - k + 1)] for x in units]
-        self._syndrome_map = _PackedMap(ctx, [
-            [[mul(aj, t) for t in tw] + [mul(x, row[j]) for row in self._H]
-             for x, tw in zip(units, twists)]
-            for j, aj in enumerate(self.alpha)], n * ctx.e)
+        # Logs of the k G-rows of M^-1 = M^T D^-1, row r = G[r] / D[r]: a
+        # codeword c has c H^T = 0, so c = c M^T D^-1 M is c G^T times them.
+        exp, log, L = ctx._exp, ctx._log, ctx.order - 1
+        self._dual = [[(log[g] - log[diag[r]]) % L for g in row]
+                      for r, row in enumerate(self._G)]
+        # T_i = sum_j alpha_j y_j^(q^i), i = 1..n, as one F_p-linear map of
+        # the n received entries: the unit x = p^u at position j maps to
+        # alpha_j x^(q^i), read off the logs.
+        qpow = ctx._qpow[1:] + ctx._qpow[:1]  # q^1..q^n, as q^n = 1 mod L
+        twists = [[log[ctx.p ** u] * qi % L for qi in qpow]
+                  for u in range(n * ctx.e)]
+        self._twist_map = _PackedMap(ctx, [
+            [[exp[log[aj] + lt] for lt in tw] for tw in twists]
+            for aj in self.alpha], n * ctx.e)
 
     def generator_matrix(self):
         return [row[:] for row in self._G]
@@ -81,8 +85,8 @@ class GabidulinCode:
         return tuple(fqn_matmul(self.ctx, [u], self._G)[0])
 
     def syndrome(self, y) -> tuple[int, ...]:
-        """y H^T against the ordinary parity check, from the packed map."""
-        return self.syndromes(y)[1]
+        """y H^T against the ordinary parity check."""
+        return self._read(y)[1]
 
     def syndromes(self, y) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(transposed-code syndrome, ordinary syndrome) of a received word.
@@ -90,8 +94,19 @@ class GabidulinCode:
         The first is the transposed word times Hhat^T, the second y H^T;
         codeword parts cancel in both, so each depends only on the error.
         """
+        return self._read(y)[:2]
+
+    def _read(self, y):
+        """(s1, s2, y G^T) of a received word, from T_1..T_n.
+
+        s1_r = T_(r+1), and T_(n-i)^(q^i) = sum_j alpha_j^(q^i) y_j is entry
+        i of y M^T: y G^T for i < k and s2_(i-k) from there on.
+        """
         _check_vector(self.ctx, y, self.n, "word")
-        smap = self._syndrome_map
-        s = smap.values(smap.apply(y))
-        nk = self.n - self.k
-        return s[:nk], s[nk:]
+        tmap, ctx = self._twist_map, self.ctx
+        T = tmap.values(tmap.apply(y))
+        exp, log, L = ctx._exp, ctx._log, ctx.order - 1
+        yM = [exp[log[v] * qi % L] if v else 0
+              for v, qi in zip(reversed(T), ctx._qpow)]
+        k = self.k
+        return T[:self.n - k], tuple(yM[k:]), tuple(yM[:k])

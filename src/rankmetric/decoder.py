@@ -30,13 +30,19 @@ m = t.
 At a hit the kernel vector gamma gives Gamma = sum_j gamma_j x^(q^j).  It
 is accepted when its root space V in F_{q^n} has dimension t (checked by
 symbolic division, without a kernel); otherwise decoding fails at once.
-Each word's ordinary syndrome is then continued to all n rows by Gamma's
-recurrence, and the error is that full syndrome times the inverse Moore
-matrix, which the WSO basis gives in closed form as M^T D^-1.  No
-consistency check is needed: e -> e H^T is injective on V^n, since a rank
-at most t < n-k+1 is below the minimum distance, and V^n and the set of
-syndromes satisfying Gamma's recurrence on rows t..n-k-1 both have F_q
-dimension t n.  So every syndrome of a hit has exactly one error in V^n.
+Each word's ordinary syndrome s = e H^T, on the Moore powers
+q^k..q^(n-1), is then continued by Gamma's recurrence to the powers
+q^n..q^(n+k-1), which act as q^0..q^(k-1) on F_{q^n}: the continuation is
+e G^T.  The codeword follows in k n products, not the n n
+of applying M^-1 to the whole syndrome: M^-1 = M^T D^-1 for the WSO
+basis, so every v is (v M^T) D^-1 M, and a codeword c has c H^T = 0, so
+c = (c G^T) D_k^-1 G with c G^T = y G^T - e G^T, D_k the first k entries
+of D.  The error is y - c.  No consistency check is needed: e -> e H^T is
+injective on V^n, since a rank at most t < n-k+1 is below the minimum
+distance, and V^n and the set of syndromes satisfying Gamma's recurrence
+on rows t..n-k-1 both have F_q dimension t n.  So every syndrome of a hit
+has exactly one error in V^n, and y G^T - e G^T is the G^T-image of the
+one codeword at rank distance at most t.
 """
 
 from __future__ import annotations
@@ -76,12 +82,16 @@ def build_syndrome_matrix(ctx: FieldCtx, s, t: int):
     nk = len(s)
     if not 1 <= t <= nk - 1:
         raise ValueError(f"trial rank {t} out of range for {nk} syndromes")
-    return [_syndrome_row(ctx.frob, s, m, t + 1) for m in range(t, nk)]
+    logs = [ctx._log[v] for v in s]
+    return [_syndrome_row(ctx, logs, m, t + 1) for m in range(t, nk)]
 
 
-def _syndrome_row(frob, s, m: int, width: int):
-    """Row m of T on columns j < width <= m + 1: s_{m-j}^(q^j)."""
-    return [frob(s[m - j], j) for j in range(width)]
+def _syndrome_row(ctx: FieldCtx, logs, m: int, width: int):
+    """Row m of T on columns j < width <= m + 1: s_{m-j}^(q^j), from the
+    logs of s (-1 for a zero entry)."""
+    exp, L, qpow = ctx._exp, ctx.order - 1, ctx._qpow
+    return [exp[logs[m - j] * qpow[j] % L] if logs[m - j] >= 0 else 0
+            for j in range(width)]
 
 
 def _full_root_space(ctx: FieldCtx, g) -> bool:
@@ -114,51 +124,64 @@ def _full_root_space(ctx: FieldCtx, g) -> bool:
 
 
 def _extend(ctx: FieldCtx, g, s, n: int):
-    """s continued to n entries by g's recurrence sum_j g_j s_(m-j)^(q^j) = 0,
-    which the syndrome of every error with entries in g's root space
-    satisfies at every m."""
+    """The n - len(s) entries that continue s by g's recurrence
+    sum_j g_j s_(m-j)^(q^j) = 0.
+
+    The syndrome e H^T of every error e with entries in g's root space
+    satisfies it at every m, and its continuation is e G^T, as
+    x^(q^(n+r)) = x^(q^r) on F_{q^n}."""
     exp, log, L, add = ctx._exp, ctx._log, ctx.order - 1, ctx.add
     q, neg = ctx.q, L - log[g[0]] + log[ctx.neg(1)]
     terms = [(j, (log[c] + neg) % L, pow(q, j, L))
              for j, c in enumerate(g) if j and c]
     s = list(s)
-    for m in range(len(s), n):
+    start = len(s)
+    for m in range(start, n):
         acc = 0
         for j, lc, qj in terms:
             v = s[m - j]
             if v:
                 acc = add(acc, exp[(lc + log[v] * qj) % L])
         s.append(acc)
-    return s
+    return s[start:]
 
 
-def _dual_recover(code: GabidulinCode, s):
-    """The error e with full syndrome s = e Hf^T, from the code's dual rows."""
-    exp, log, add = code.ctx._exp, code.ctx._log, code.ctx.add
-    e = [0] * code.n
-    for v, row in zip(s, code._dual):
+def _codeword(code: GabidulinCode, yg, eg):
+    """The codeword c = y - e from y G^T and e G^T, in k n products.
+
+    c H^T = 0, so c = c M^T D^-1 M is c G^T = y G^T - e G^T times the k
+    G-rows of M^-1 that the code keeps.  The first nonzero term is taken
+    as it is: at odd p adding it to 0 would cost a Zech lookup per entry."""
+    ctx = code.ctx
+    exp, log, add, sub = ctx._exp, ctx._log, ctx.add, ctx.sub
+    c = None
+    for a, b, row in zip(yg, eg, code._dual):
+        v = sub(a, b)
         if v:
             lv = log[v]
-            e = [add(a, exp[lv + w]) for a, w in zip(e, row)]
-    return tuple(e)
+            c = ([exp[lv + w] for w in row] if c is None else
+                 [add(x, exp[lv + w]) for x, w in zip(c, row)])
+    return (0,) * code.n if c is None else tuple(c)
 
 
-def _joint_decode(code: GabidulinCode, words, s1, s2, targets):
+def _joint_decode(code: GabidulinCode, words, s1, s2, reads):
     """Trial-rank countdown shared by decode and interleaved_decode.
 
-    s1 and s2 are the stacked syndrome pair and targets the ordinary
-    syndrome of each received word.  Returns (status, codewords, errors,
-    trial trace); codewords and errors are None on failure.
+    s1 and s2 are the stacked syndrome pair, and reads holds the ordinary
+    syndrome and y G^T of each received word.  Returns (status, codewords,
+    errors, trial trace); codewords and errors are None on failure.
     """
     ctx = code.ctx
     if not any(s1) and not any(s2):
         return "decoded", words, ((0,) * code.n,) * len(words), ()
+    log = ctx._log
+    logs = ([log[v] for v in s1], [log[v] for v in s2])
     basis, trace, top = {}, [], code.n - code.k
     for t in range(min(2 * top // 3, top - 1), 0, -1):
         basis = {c: [e for e in row if e[0] <= t]
                  for c, row in basis.items() if c <= t}
-        _insert_rows(ctx, basis, [_syndrome_row(ctx.frob, s, m, t + 1)
-                                  for m in range(t, top) for s in (s1, s2)])
+        _insert_rows(ctx, basis, [_syndrome_row(ctx, ls, m, t + 1)
+                                  for m in range(t, top) for ls in logs])
         top = t
         trace.append((t, len(basis)))
         if len(basis) != t:
@@ -166,10 +189,10 @@ def _joint_decode(code: GabidulinCode, words, s1, s2, targets):
         gamma = lin_normalize(_kernel_vector(ctx, basis, t))
         if len(gamma) != t + 1 or not _full_root_space(ctx, gamma):
             break
-        errors = tuple(_dual_recover(code, _extend(ctx, gamma, s, code.n))
-                       for s in targets)
-        codewords = tuple(tuple(map(ctx.sub, y, e))
-                          for y, e in zip(words, errors))
+        codewords = tuple(_codeword(code, yg, _extend(ctx, gamma, s, code.n))
+                          for s, yg in reads)
+        errors = tuple(tuple(map(ctx.sub, y, c))
+                       for y, c in zip(words, codewords))
         return "decoded", codewords, errors, tuple(trace)
     return "failure", None, None, tuple(trace)
 
@@ -182,9 +205,9 @@ def decode(code: GabidulinCode, y) -> DecodeOutcome:
     trial rank examined.
     """
     y = tuple(y)
-    s1, s2 = code.syndromes(y)
+    s1, s2, yg = code._read(y)
     status, codewords, errors, trace = _joint_decode(code, (y,), s1, s2,
-                                                     (s2,))
+                                                     ((s2, yg),))
     if codewords is None:
         return DecodeOutcome(status, None, None, trace)
     return DecodeOutcome(status, codewords[0], errors[0], trace)
@@ -194,8 +217,9 @@ def interleaved_decode(code: GabidulinCode, y1, y2) -> InterleavedOutcome:
     """Decoding of two words sharing one error support.
 
     Both syndromes come from the ordinary parity check; the stacked system
-    and the span polynomial are shared, and each word's error is recovered
-    from its own syndrome as in single-word decoding."""
+    and the span polynomial are shared, and each word's codeword comes from
+    its own syndrome and y G^T as in single-word decoding."""
     words = (tuple(y1), tuple(y2))
-    s1, s2 = code.syndrome(words[0]), code.syndrome(words[1])
-    return InterleavedOutcome(*_joint_decode(code, words, s1, s2, (s1, s2)))
+    reads = [code._read(y)[1:] for y in words]
+    return InterleavedOutcome(*_joint_decode(code, words, reads[0][0],
+                                             reads[1][0], reads))

@@ -548,13 +548,23 @@ class FieldCtx:
                 return 0
             return _exp[_log[x] * _qpow[i % _n] % _L]
 
-        def trace(x, _n=n, _add=ops.add, _frob=frob):
-            acc = x
-            for i in range(1, _n):
-                acc = _add(acc, _frob(x, i))
-            return acc
+        # Tr is F_p-linear on the base-p digits, so as in _walk it is two
+        # lookups, in the spans of the traces of the low and high digit
+        # units, and one F_q addition
+        units = []
+        for u in range(n * e):
+            x = acc = p ** u
+            for i in range(1, n):
+                acc = ops.add(acc, frob(x, i))
+            units.append(acc)
+        a = n * e // 2
+        fq_add = xor if p == 2 else fo.add
+        lo, hi = _span(p, units[:a], fq_add), _span(p, units[a:], fq_add)
 
-        self.frob, self.trace = frob, trace
+        def trace(x, _lo=lo, _hi=hi, _P=p ** a, _add=fq_add):
+            return _add(_lo[x % _P], _hi[x // _P])
+
+        self.frob, self.trace, self._qpow = frob, trace, qpow
 
     # -- conversions and formatting ----------------------------------------
 

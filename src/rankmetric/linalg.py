@@ -11,15 +11,18 @@ coordinates from it, and the decoder's trial-rank countdown keeps one basis
 across its trials and reads its kernel vector off it (_kernel_vector).
 Kernels and solves of general systems live with the test references.
 
-Also home to F_p-linear maps tabulated on packed ints (_PackedMap), the
-expansion map between length-n vectors over F_{q^n} and n-by-n matrices
-over F_q relative to a basis (phi / phi_inv), Moore matrices and rank
-computations.
+Also home to F_p-linear maps tabulated on packed ints (_PackedMap), which
+read c base-p digits of an input per lookup from per-input chunk tables,
+c the largest with p^c <= 16; the expansion map between length-n vectors
+over F_{q^n} and n-by-n matrices over F_q relative to a basis (phi /
+phi_inv); Moore matrices; and rank computations.
 """
 
 from __future__ import annotations
 
-from .field import FieldCtx
+from operator import xor
+
+from .field import FieldCtx, _span
 
 
 # ---------------------------------------------------------------------------
@@ -109,29 +112,20 @@ def fq_transpose(M):
 # Basis expansion map and friends.
 # ---------------------------------------------------------------------------
 
-def _gf2_dot(m, v):
-    """XOR of v[l] over the set bits l of m.
-
-    _PackedMap.apply at p = 2: the sum of the images of the set digits of
-    one input, packed ints that add by XOR.
-    """
-    acc = 0
-    for x in v:
-        if m & 1:
-            acc ^= x
-        m >>= 1
-    return acc
-
-
 class _PackedMap:
     """An F_p-linear map of m elements of F_{q^n}, tabulated on packed ints.
 
     images[j][u] lists the output values, of D base-p digits each, of the
     unit p^u at input j (other inputs zero).  Digit t of output r has an
-    S-bit slot at bit (r D + t) S.  At p = 2, S = 1 and images combine by
-    XOR, so the packed int is the output values laid end to end.  At odd p
-    apply adds digit times image, S is wide enough that the m n e terms of
-    at most (p - 1)^2 in a slot never carry, and values reads slots mod p.
+    S-bit slot at bit (r D + t) S.  apply reads c base-p digits of an input
+    per lookup, c the largest with p^c <= 16 (4 at p = 2, 2 at p = 3, 1
+    from p = 5 on): input j has one table per chunk of c units, whose entry
+    u is the sum of the chunk's images weighted by the base-p digits of u
+    (field._span).  At p = 2, S = 1 and images combine by XOR, so the
+    packed int is the output values laid end to end.  At odd p the entries
+    are integer sums, S is wide enough that the m n e digit-times-image
+    terms of at most (p - 1)^2 in a slot never carry, and values reads
+    slots mod p.
     """
 
     def __init__(self, ctx: FieldCtx, images, D: int):
@@ -142,6 +136,7 @@ class _PackedMap:
         self._chunk, self._slot = (1 << D * S) - 1, (1 << S) - 1
         self._inner = [t * S for t in reversed(range(D))]
         powers = [(p ** t, t * S) for t in range(D)]
+        c = {2: 4, 3: 2}.get(p, 1)  # the largest c >= 1 with p^c <= 16
 
         def packed(vals):
             if p == 2:
@@ -149,19 +144,27 @@ class _PackedMap:
             return sum(v // w % p << s + t for v, s in zip(vals, self._starts)
                        for w, t in powers)
 
-        self._table = [[packed(vals) for vals in col] for col in images]
+        add = xor if p == 2 else int.__add__
+        self._base = p ** c
+        self._table = []
+        for col in images:
+            units = [packed(vals) for vals in col]
+            self._table.append([_span(p, units[i:i + c], add)
+                                for i in range(0, len(units), c)])
 
     def apply(self, xs) -> int:
         """Sum of the images of the base-p digits of the inputs, packed."""
-        acc, p = 0, self.p
-        if p == 2:
-            for x, col in zip(xs, self._table):
-                acc ^= _gf2_dot(x, col)
+        acc, base = 0, self._base
+        if self.p == 2:
+            for x, tables in zip(xs, self._table):
+                for table in tables:
+                    acc ^= table[x & 15]
+                    x >>= 4
             return acc
-        for x, col in zip(xs, self._table):
-            for img in col:
-                acc += x % p * img
-                x //= p
+        for x, tables in zip(xs, self._table):
+            for table in tables:
+                acc += table[x % base]
+                x //= base
         return acc
 
     def values(self, acc: int) -> tuple[int, ...]:

@@ -10,7 +10,8 @@ a field the script builds it with the package in this checkout's src/ and
 prints the argument, the SHA-256 digest of its tables and the build time in
 seconds.  Equal digests on two commits mean equal modulus, exp and log
 tables and addition by 1.  For q,n,k it builds the default field, then
-times find_wso_basis plus GabidulinCode and prints the code digest and that
+times find_wso_basis plus GabidulinCode and prints the public code digest
+(basis, G, H, Hhat), the table digest (dual rows and packed map) and that
 set-up time.  The file is not a test module; tests/test_field.py and
 tests/test_code.py pin digests computed with it.
 """
@@ -44,11 +45,17 @@ def digest(ctx) -> str:
 
 
 def code_digest(code) -> str:
-    """SHA-256 of the basis, G, H, Hhat, the dual-row logs and the packed
-    syndrome-map table of a GabidulinCode."""
+    """SHA-256 of the public parts of a GabidulinCode: the basis with its
+    diagonal, method and generator, and G, H and Hhat."""
     b = code.basis
     return _sha256((b.alpha, b.diag, b.method, b.beta, code._G, code._H,
-                    code._Hhat, code._dual, code._syndrome_map._table))
+                    code._Hhat))
+
+
+def table_digest(code) -> str:
+    """SHA-256 of a GabidulinCode's private tables: the logs of the k dual
+    rows and the chunk tables of the packed twisted-trace map."""
+    return _sha256((code._dual, code._twist_map._table))
 
 
 def main(argv: list[str]) -> int:
@@ -65,7 +72,8 @@ def main(argv: list[str]) -> int:
             start = time.perf_counter()
             code = GabidulinCode(ctx, int(rest[0]), find_wso_basis(ctx))
             seconds = time.perf_counter() - start
-            print(f"{arg} {code_digest(code)} {seconds:.5f}", flush=True)
+            print(f"{arg} {code_digest(code)} {table_digest(code)} "
+                  f"{seconds:.5f}", flush=True)
             continue
         start = time.perf_counter()
         ctx = make_field(int(q), int(n), rest[0] if rest else None)

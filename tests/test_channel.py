@@ -65,6 +65,10 @@ def test_count_validation():
         count_rank(3, 4, 2)
     with pytest.raises(ValueError):
         gaussian_binomial(3, 1, 6)
+    with pytest.raises(ValueError, match="3.0"):
+        gaussian_binomial(3.0, 1, 2)
+    with pytest.raises(ValueError, match="1.0"):
+        count_rank(3, 1.0, 2)
 
 
 def test_log2_accuracy():

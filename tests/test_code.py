@@ -7,7 +7,7 @@ from rankmetric import (GabidulinCode, find_wso_basis, make_field,
                         moore_matrix, sample_space_symmetric, vector_rank)
 from rankmetric.linalg import fq_transpose, fqn_matmul, fqn_vec_fq_mat
 
-from field_digests import code_digest
+from field_digests import code_digest, table_digest
 from oracles import syndrome_against, transpose_vector
 
 
@@ -188,20 +188,62 @@ def test_syndrome_map_matches_transposed_products(q, n, k):
             assert s1[r] == direct == ctx.frob(s2[n - k - 1 - r], r + 1)
 
 
-# digests printed by tests/field_digests.py q,n,k for codes built with the
-# alpha-coordinate product behind the syndrome map, the full Moore Gram
-# product and a G H^T check; the closed forms must give the same basis,
-# matrices, dual rows and syndrome-map table bit for bit
-@pytest.mark.parametrize("q, n, k, want", [
-    (2, 8, 2, "2b38691ab271238d740b11cb5d7cdf8d4a75a038d7d1258809e24036419785d6"),
-    (2, 16, 4, "8696caeb58b24978d06cd0bf494703ab408d96fd8a290a1d16b8710431a8c9b5"),
-    (3, 7, 1, "cf5e6374787203e51c8d6a04874b870fa343fde185bed2dd8ec1181a57e911a9"),
-    (4, 4, 1, "2aa3c98e44e37bd0379d014d58ff9ef6d507c671614e0a5ecf5f864459bc9479"),
-    (9, 3, 1, "94eaa228d5385490552ff9346de87223dd34349c900712d2d14b4bfadebfc485"),
-])
-def test_code_tables_match_pinned_digests(q, n, k, want):
+@pytest.mark.parametrize("q,n,k", [(2, 6, 2), (2, 8, 2), (3, 7, 1),
+                                   (3, 4, 2), (5, 3, 1), (4, 3, 1),
+                                   (9, 3, 1)])
+def test_twist_map_matches_direct_sums(q, n, k):
+    # T_i = sum_j alpha_j y_j^(q^i) for i = 1..n straight from the packed
+    # map, whose chunk tables read 4 base-p digits per lookup at p = 2 and
+    # 2 at p = 3 (n e = 6 and 7 leave a short last chunk); the reader's
+    # twists of T must be y H^T and y G^T
     ctx = make_field(q, n)
-    assert code_digest(GabidulinCode(ctx, k, find_wso_basis(ctx))) == want
+    code = GabidulinCode(ctx, k)
+    tmap = code._twist_map
+    h_t = fq_transpose(code.parity_check())
+    g_t = fq_transpose(code.generator_matrix())
+    rng = random.Random(q * n)
+    words = [tuple(ctx.rand_elem(rng) for _ in range(n)) for _ in range(200)]
+    words += [(ctx.order - 1,) * n, (0,) * n]
+    for y in words:
+        direct = []
+        for i in range(1, n + 1):
+            acc = 0
+            for aj, yj in zip(code.alpha, y):
+                acc = ctx.add(acc, ctx.mul(aj, ctx.frob(yj, i)))
+            direct.append(acc)
+        assert tmap.values(tmap.apply(y)) == tuple(direct)
+        s1, s2, yg = code._read(y)
+        assert s1 == tuple(direct[:n - k])
+        assert s2 == tuple(fqn_matmul(ctx, [y], h_t)[0])
+        assert yg == tuple(fqn_matmul(ctx, [y], g_t)[0])
+
+
+# public digests (basis, G, H, Hhat) printed by tests/field_digests.py
+# q,n,k at the commit before the twisted-trace map, so the bases and
+# matrices are unchanged, and table digests (dual rows, packed map) of the
+# k-row dual and the chunk tables; the ids name the shape alone, so a
+# re-pin keeps them
+@pytest.mark.parametrize("q, n, k, public, tables", [
+    (2, 8, 2,
+     "daa6f0f8c90a22378a0ad80e87da93798989cb1fb2257f748e181b4a606915bc",
+     "70b75824316a0269d3148e3a30204f94fa38216878279381a53834807cac7eee"),
+    (2, 16, 4,
+     "af54c28b4b20150a1631086a62f3f5bbb751cb58fbeadb0c38ae08600f776164",
+     "7ca24296770362b06756f22c66fd9420836cf7b1fd67a22d8dc9cf7e38f25cc0"),
+    (3, 7, 1,
+     "26b2b30f69fbf3025ce87038695a575ff595929b9d42d9def3b3aa0381986402",
+     "ca09ae8144727d8a7a11ed2a02c6e7f947d01e1b2f7341a946de4b7b697077cf"),
+    (4, 4, 1,
+     "aad231d94789f8fca4427289910aee32af699896ce2fd979f13af41672215b80",
+     "c8f610f59414a72ee54767969ed9173a65733cf1168d54e003966f1d695e92d0"),
+    (9, 3, 1,
+     "88c32fb83ee08ba1dccffdc530f1b0afe2afd02b5a7dfc19c0e645b2590138c4",
+     "3f224ae33f854344828bb80c62a9a5ada19f2688ef72d74f130eb27355f5f9c0"),
+], ids=["2-8-2", "2-16-4", "3-7-1", "4-4-1", "9-3-1"])
+def test_code_tables_match_pinned_digests(q, n, k, public, tables):
+    ctx = make_field(q, n)
+    code = GabidulinCode(ctx, k, find_wso_basis(ctx))
+    assert (code_digest(code), table_digest(code)) == (public, tables)
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 8, 2), (3, 5, 1)])

@@ -11,7 +11,7 @@ from rankmetric import (DecodeOutcome, GabidulinCode, InterleavedOutcome,
                         run_scenario, sample_full_rank,
                         sample_space_symmetric, vector_rank)
 from rankmetric.channel import sample_uniform_invertible
-from rankmetric.decoder import _dual_recover, _extend, _full_root_space
+from rankmetric.decoder import _codeword, _extend, _full_root_space
 from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
                                fqn_vec_fq_mat, moore_matrix)
 
@@ -200,9 +200,10 @@ def test_full_root_space_matches_root_space_oracle(q, n):
                                    (9, 3, 1)])
 def test_dual_recovery_matches_oracle_recover_error(q, n, k):
     # any syndrome that satisfies a full-root-space Gamma's recurrence on
-    # rows t..n-k-1 has exactly one error in V^n, V the root space: the
-    # oracle solve never finds the system inconsistent, and extending the
-    # syndrome by the recurrence and applying the dual rows gives that error
+    # rows t..n-k-1 has exactly one error e in V^n, V the root space: the
+    # oracle solve never finds the system inconsistent.  For y = c + e the
+    # recurrence continues the syndrome by e G^T, and the k G-rows of M^-1
+    # applied to y G^T - e G^T give c back, so y - c is e
     ctx = make_field(q, n)
     code = GabidulinCode(ctx, k)
     rng = random.Random(q * 100 + n)
@@ -218,9 +219,13 @@ def test_dual_recovery_matches_oracle_recover_error(q, n, k):
                 acc = ctx.add(acc, ctx.mul(g[j], ctx.frob(s[m - j], j)))
             s.append(ctx.mul(scale, acc))
         e = recover_error(code, root_space_basis(ctx, g), s)
-        assert _dual_recover(code, _extend(ctx, g, s, n)) == e
         assert code.syndrome(e) == tuple(s)
         assert vector_rank(ctx, e) <= t
+        c = _rand_codeword(code, rng)
+        y = _corrupt(ctx, c, e)
+        yg = fqn_matmul(ctx, [y], fq_transpose(code.generator_matrix()))[0]
+        assert _codeword(code, yg, _extend(ctx, g, s, n)) == c
+        assert tuple(map(ctx.sub, y, c)) == e
 
 
 def test_decode_codeword_passthrough(code_8_2, F256):

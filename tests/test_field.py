@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rankmetric import gaussian_binomial, make_field
+from rankmetric import find_wso_basis, gaussian_binomial, make_field
 from rankmetric.field import PRIME_TEST_LIMIT, _gf2_is_irreducible, \
     _is_irreducible, _prime_ops, _prime_power, _ScalarOps, \
     _smallest_irreducible, _tabled
@@ -313,6 +313,26 @@ def test_trace_lands_in_base_field_and_is_additive(F256, F9):
             assert 0 <= ctx.trace(x) < ctx.q
             assert ctx.trace(ctx.add(x, y)) == ctx.add(ctx.trace(x), ctx.trace(y))
             assert ctx.trace(ctx.frob(x, 1)) == ctx.trace(x)
+
+
+def _frobenius_trace(ctx, x):
+    acc = x
+    for i in range(1, ctx.n):
+        acc = ctx.add(acc, ctx.frob(x, i))
+    return acc
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (3, 7), (4, 4), (9, 3), (5, 3)])
+def test_trace_table_matches_frobenius_sum(q, n):
+    # the two-span table against Tr(x) = sum_i x^(q^i) on every element, and
+    # the basis searches, which evaluate their forms with ctx.trace, return
+    # the same bases when trace is the Frobenius sum
+    ctx = make_field(q, n)
+    for x in range(ctx.order):
+        assert ctx.trace(x) == _frobenius_trace(ctx, x)
+    tabled = find_wso_basis(ctx)
+    ctx.trace = lambda x: _frobenius_trace(ctx, x)
+    assert repr(find_wso_basis(ctx)) == repr(tabled)
 
 
 def test_deterministic_context():
