@@ -28,8 +28,9 @@ class SpaceSymError:
     """Rank-t error with equal row and column space: E = A P A^T.
 
     A is n-by-t of rank t, P is t-by-t invertible, and e is the vector form
-    of E relative to the basis alpha the sampler was given; the matrix E
-    itself is not kept, it is phi(ctx, e, alpha).
+    of E relative to the basis alpha the sampler was given,
+    e = phi_inv(ctx, E, alpha): column j of E holds the alpha-coordinates of
+    e_j.  E itself is not kept.
     """
 
     t: int

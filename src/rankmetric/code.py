@@ -1,9 +1,10 @@
 """Gabidulin codes located on weak self-orthogonal bases.
 
 G, H and Hhat are row slices of the n-row Moore matrix M of the basis: the
-first k rows, the last n-k, and rows 1..n-k.  H is a parity check of the
-code and Hhat one of the transposed code (the image of every codeword's
-expansion matrix under transposition) because the basis is weak
+first k rows, the last n-k, and rows 1..n-k.  The code keeps G, to encode;
+H and Hhat exist only through the syndromes it reads.  H is a parity check
+of the code and Hhat one of the transposed code (the image of every
+codeword's expansion matrix under transposition) because the basis is weak
 self-orthogonal: entry (i, j) of G H^T is S_(k+j-i)^(q^i), with
 S_d = sum_l alpha_l^(1+q^d) and 1 <= k+j-i <= n-1, the S_d that
 is_weak_self_orthogonal checks to be zero.  So construction runs that check
@@ -29,7 +30,7 @@ Frobenius twists in the log domain.
 
 from __future__ import annotations
 
-from .field import FieldCtx
+from .field import FieldCtx, _index
 from .linalg import _check_vector, _PackedMap, fqn_matmul, moore_matrix
 from .wso import WsoBasis, find_wso_basis, is_weak_self_orthogonal
 
@@ -38,7 +39,7 @@ class GabidulinCode:
     """Length-n, dimension-k Gabidulin code over F_{q^n} with WSO locators."""
 
     def __init__(self, ctx: FieldCtx, k: int, basis: WsoBasis | None = None):
-        n = ctx.n
+        n, k = ctx.n, _index(k, "k")
         if not 1 <= k < n:
             raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
         if basis is None:
@@ -53,8 +54,7 @@ class GabidulinCode:
         self.k = k
         self.basis = basis
         self.alpha = basis.alpha
-        M = moore_matrix(ctx, self.alpha, n)
-        self._G, self._H, self._Hhat = M[:k], M[k:], M[1:n - k + 1]
+        self._G = moore_matrix(ctx, self.alpha, k)
         # Logs of the k G-rows of M^-1 = M^T D^-1, row r = G[r] / D[r]: a
         # codeword c has c H^T = 0, so c = c M^T D^-1 M is c G^T times them.
         exp, log, L = ctx._exp, ctx._log, ctx.order - 1
@@ -70,23 +70,10 @@ class GabidulinCode:
             [[exp[log[aj] + lt] for lt in tw] for tw in twists]
             for aj in self.alpha], n * ctx.e)
 
-    def generator_matrix(self):
-        return [row[:] for row in self._G]
-
-    def parity_check(self):
-        return [row[:] for row in self._H]
-
-    def parity_check_transposed(self):
-        return [row[:] for row in self._Hhat]
-
     def encode(self, u) -> tuple[int, ...]:
         """Codeword u G for a length-k message over F_{q^n}."""
         _check_vector(self.ctx, u, self.k, "message")
         return tuple(fqn_matmul(self.ctx, [u], self._G)[0])
-
-    def syndrome(self, y) -> tuple[int, ...]:
-        """y H^T against the ordinary parity check."""
-        return self._read(y)[1]
 
     def syndromes(self, y) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(transposed-code syndrome, ordinary syndrome) of a received word.

@@ -77,15 +77,6 @@ class InterleavedOutcome(_Outcome):
     trial_trace: tuple[tuple[int, int], ...]
 
 
-def build_syndrome_matrix(ctx: FieldCtx, s, t: int):
-    """(n-k-t)-by-(t+1) matrix with entry (p, j) = s_{t+p-j}^(q^j)."""
-    nk = len(s)
-    if not 1 <= t <= nk - 1:
-        raise ValueError(f"trial rank {t} out of range for {nk} syndromes")
-    logs = [ctx._log[v] for v in s]
-    return [_syndrome_row(ctx, logs, m, t + 1) for m in range(t, nk)]
-
-
 def _syndrome_row(ctx: FieldCtx, logs, m: int, width: int):
     """Row m of T on columns j < width <= m + 1: s_{m-j}^(q^j), from the
     logs of s (-1 for a zero entry)."""

@@ -510,17 +510,6 @@ class FieldCtx:
         fo = _prime_ops(p)
         if e > 1:
             fo = _tabled(p, fo, _smallest_irreducible(fo, e))[0]
-        self.base_add = fo.add
-        self.base_sub = fo.sub
-        self.base_mul = fo.mul
-
-        def base_inv(a, _inv=fo.inv):
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero in F_q")
-            return _inv(a)
-
-        self.base_inv = base_inv
-
         if modulus is None:
             modulus = _smallest_irreducible(fo, n)
         else:

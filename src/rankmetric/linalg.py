@@ -6,16 +6,16 @@ functions take F_q entries as F_{q^n} elements in [0, q) and share one
 elimination (_insert_rows) and one product (fqn_matmul) with the fqn_ ones:
 rank does not change under field extension, and eliminating or multiplying
 F_q matrices never leaves the subfield.  The elimination inserts rows one
-by one into an echelon basis: ranks count its pivots, phi back-substitutes
-coordinates from it, and the decoder's trial-rank countdown keeps one basis
-across its trials and reads its kernel vector off it (_kernel_vector).
-Kernels and solves of general systems live with the test references.
+by one into an echelon basis: ranks count its pivots, and the decoder's
+trial-rank countdown keeps one basis across its trials and reads its
+kernel vector off it (_kernel_vector).  Kernels, solves and basis
+coordinates live with the test references.
 
 Also home to F_p-linear maps tabulated on packed ints (_PackedMap), which
 read c base-p digits of an input per lookup from per-input chunk tables,
-c the largest with p^c <= 16; the expansion map between length-n vectors
-over F_{q^n} and n-by-n matrices over F_q relative to a basis (phi /
-phi_inv); Moore matrices; and rank computations.
+c the largest with p^c <= 16; the map from n-by-n matrices over F_q to
+length-n vectors over F_{q^n} relative to a basis (phi_inv); Moore
+matrices; and rank computations.
 """
 
 from __future__ import annotations
@@ -192,39 +192,9 @@ def _check_vector(ctx: FieldCtx, v, length, what):
             f"{what} entries must lie in [0, q^n) = [0, {ctx.order})")
 
 
-def phi(ctx: FieldCtx, a, alpha):
-    """n-by-n matrix over F_q whose column j holds the alpha-coordinates of a_j.
-
-    One echelon basis of the basis matrix (column i = digits of alpha_i)
-    augmented by the digit columns of a.  alpha is a basis exactly when the
-    pivots are columns 0..n-1; back substitution from column n-1 then gives
-    row i of the coordinates from the augmented part of pivot row i.
-    """
-    n = ctx.n
-    _check_vector(ctx, a, n, "vector")
-    if len(alpha) != n:
-        raise ValueError(f"basis must have {n} entries")
-    basis = {}
-    _insert_rows(ctx, basis, fq_transpose(
-        [ctx.coeffs(x) for x in (*alpha, *a)]))
-    if sorted(basis) != list(range(n)):
-        raise ValueError("alpha is not a basis")
-    exp, log, add, sub = ctx._exp, ctx._log, ctx.add, ctx.sub
-    rows = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = [0] * n
-        for j, lb in basis[i]:
-            if j >= n:
-                row[j - n] = add(row[j - n], exp[lb])
-            else:
-                row = [sub(v, exp[lb + log[x]]) if x else v
-                       for v, x in zip(row, rows[j])]
-        rows[i] = row
-    return rows
-
-
 def phi_inv(ctx: FieldCtx, A, alpha):
-    """Vector a with a_j = sum_i alpha_i A[i][j]; inverse of phi."""
+    """Vector a with a_j = sum_i alpha_i A[i][j], the vector whose column j
+    of alpha-coordinates is column j of the F_q matrix A."""
     n = ctx.n
     if len(alpha) != n:
         raise ValueError(f"basis must have {n} entries")

@@ -35,7 +35,7 @@ from .channel import _gaussian_binomial, sample_full_rank, \
     sample_space_symmetric, sample_uniform_invertible
 from .code import GabidulinCode
 from .decoder import decode, interleaved_decode
-from .field import make_field
+from .field import _index, make_field
 from .linalg import fq_transpose, fqn_matmul, fqn_rank, fqn_vec_fq_mat, \
     moore_matrix
 from .wso import find_wso_basis
@@ -45,6 +45,7 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 def wilson95(failures: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    failures, trials = _index(failures, "failures"), _index(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= failures <= trials:
@@ -109,6 +110,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("scenario", "q", "n", "k", "t", "trials", "seed"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.scenario not in (1, 2, 3):
             raise ValueError("scenario must be 1, 2 or 3")
         if not 1 <= self.k < self.n:
@@ -250,6 +253,7 @@ def run_scenario(cfg: SimConfig, shards: int = 1) -> SimReport:
     Per-trial RNG streams depend only on (seed, trial index), so the report
     payload is identical for every shard count.
     """
+    shards = _index(shards, "shards")
     if shards < 1:
         raise ValueError("shards must be >= 1")
     shards = min(shards, cfg.trials)

@@ -11,9 +11,10 @@ prints the argument, the SHA-256 digest of its tables and the build time in
 seconds.  Equal digests on two commits mean equal modulus, exp and log
 tables and addition by 1.  For q,n,k it builds the default field, then
 times find_wso_basis plus GabidulinCode and prints the public code digest
-(basis, G, H, Hhat), the table digest (dual rows and packed map) and that
-set-up time.  The file is not a test module; tests/test_field.py and
-tests/test_code.py pin digests computed with it.
+(basis, and G, H, Hhat sliced from the Moore matrix), the table digest
+(dual rows and packed map) and that set-up time.  The file is not a test
+module; tests/test_field.py and tests/test_code.py pin digests computed
+with it.
 """
 
 from __future__ import annotations
@@ -46,10 +47,14 @@ def digest(ctx) -> str:
 
 def code_digest(code) -> str:
     """SHA-256 of the public parts of a GabidulinCode: the basis with its
-    diagonal, method and generator, and G, H and Hhat."""
-    b = code.basis
-    return _sha256((b.alpha, b.diag, b.method, b.beta, code._G, code._H,
-                    code._Hhat))
+    diagonal, method and generator, and G, H and Hhat, the rows 0..k-1,
+    k..n-1 and 1..n-k of the n-row Moore matrix of its locators."""
+    from rankmetric import moore_matrix
+
+    b, n, k = code.basis, code.n, code.k
+    M = moore_matrix(code.ctx, code.alpha, n)
+    return _sha256((b.alpha, b.diag, b.method, b.beta, M[:k], M[k:],
+                    M[1:n - k + 1]))
 
 
 def table_digest(code) -> str:

@@ -5,13 +5,18 @@ and exhaustive enumeration, so they cross-check the production formulas
 rather than mirroring them.  Kernels, solves and basis coordinates over
 F_{q^n} (kernel, solve, coords) run the textbook rref below under the
 field's scalar ops, and the packed q = 2 root-space kernel runs _gf2_rref
-on bit rows, not the library's log-domain elimination.  The library
-pieces still reused are:
+on bit rows, not the library's log-domain elimination.  The countdown
+reference builds its stacked syndrome rows with one ctx.frob per entry.
+The library pieces still reused are:
 
-- the trial-rank countdown reference: build_syndrome_matrix for the
-  stacked rows and fqn_vec_fq_mat to turn a solve into an error;
+- the trial-rank countdown reference: fqn_vec_fq_mat to turn a solve into
+  an error;
 - the exp/log reference: the packed-digit product _mul_digits and _factor;
-- transpose_vector: phi, phi_inv and fq_transpose;
+- transpose_vector: phi_inv and fq_transpose around coords;
+- code_matrices: moore_matrix;
+- base_ops: field._prime_ops, _smallest_irreducible and _tabled, the F_q
+  level of the field build, so the subfield of F_{q^n} is checked against
+  F_q's own tables;
 - sample_symmetric_invertible: channel._draws, so a seed gives the draws it
   gave as a library sampler, and fq_rank for the rejection.
 """
@@ -19,10 +24,11 @@ pieces still reused are:
 import itertools
 from functools import reduce
 
-from rankmetric import build_syndrome_matrix, fq_rank, fq_transpose, \
-    lin_normalize, phi, phi_inv
+from rankmetric import fq_rank, fq_transpose, lin_normalize, moore_matrix, \
+    phi_inv
 from rankmetric.channel import _draws
-from rankmetric.field import _factor, _mul_digits
+from rankmetric.field import _factor, _mul_digits, _prime_ops, \
+    _smallest_irreducible, _tabled
 from rankmetric.linalg import fqn_vec_fq_mat
 
 
@@ -43,6 +49,17 @@ def rank_mod_p(M, p):
                 M[r] = [(a - f * b) % p for a, b in zip(M[r], M[rank])]
         rank += 1
     return rank
+
+
+def base_ops(ctx):
+    """F_q's own scalar ops (add, sub, mul, inv), built as the field builds
+    them: mod p, or at e > 1 the tables of F_p[x] modulo the smallest
+    irreducible of degree e.  The subfield ops ctx.add ... on the ints
+    below q must agree with them."""
+    fo = _prime_ops(ctx.p)
+    if ctx.e > 1:
+        fo = _tabled(ctx.p, fo, _smallest_irreducible(fo, ctx.e))[0]
+    return fo.add, fo.sub, fo.mul, fo.inv
 
 
 def rref(add, sub, mul, inv, M, ncols):
@@ -123,7 +140,15 @@ def coords(ctx, alpha, xs):
 
 def transpose_vector(ctx, a, alpha):
     """Vector whose expansion matrix is the transpose of that of a."""
-    return phi_inv(ctx, fq_transpose(phi(ctx, a, alpha)), alpha)
+    return phi_inv(ctx, fq_transpose(coords(ctx, alpha, a)), alpha)
+
+
+def code_matrices(code):
+    """(G, H, Hhat) of a code: rows 0..k-1, k..n-1 and 1..n-k of the n-row
+    Moore matrix of its locators."""
+    n, k = code.n, code.k
+    M = moore_matrix(code.ctx, code.alpha, n)
+    return M[:k], M[k:], M[1:n - k + 1]
 
 
 def syndrome_against(ctx, y, H):
@@ -434,9 +459,16 @@ def recover_error(code, a, s2):
     return fqn_vec_fq_mat(ctx, a, B)
 
 
+def syndrome_matrix(ctx, s, t):
+    """Rows m = t..len(s)-1 of T at trial rank t: entry (m, j) is
+    s_(m-j)^(q^j) for j = 0..t, one ctx.frob each."""
+    return [[ctx.frob(s[m - j], j) for j in range(t + 1)]
+            for m in range(t, len(s))]
+
+
 def joint_kernel(ctx, s1, s2, t):
     """Rank and kernel basis of the stacked syndrome matrix at trial rank t."""
-    S = build_syndrome_matrix(ctx, s1, t) + build_syndrome_matrix(ctx, s2, t)
+    S = syndrome_matrix(ctx, s1, t) + syndrome_matrix(ctx, s2, t)
     basis = kernel(ctx, S)
     return t + 1 - len(basis), basis
 

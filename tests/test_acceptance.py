@@ -9,18 +9,18 @@ import math
 import random
 
 from rankmetric import (GabidulinCode, SimConfig, failure_bound,
-                        find_wso_basis, build_syndrome_matrix,
-                        intersection_probability, make_field,
+                        find_wso_basis, intersection_probability, make_field,
                         reference_table, run_scenario, sample_full_rank,
                         sample_space_symmetric, vector_rank, decode,
                         count_rank, count_space_symmetric, count_symmetric,
-                        gaussian_binomial, fq_rank, phi)
+                        gaussian_binomial, fq_rank)
+from rankmetric.decoder import _syndrome_row
 from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
                                fqn_vec_fq_mat, moore_matrix, phi_inv)
 
-from oracles import census, key_equation_remainder, lin_qdeg, \
-    min_subspace_poly, sample_symmetric_invertible, subspace_count, \
-    syndrome_against, transpose_vector
+from oracles import census, code_matrices, coords, key_equation_remainder, \
+    lin_qdeg, min_subspace_poly, sample_symmetric_invertible, \
+    subspace_count, syndrome_against, transpose_vector
 
 SEED = 20260810
 
@@ -154,8 +154,9 @@ def test_c5_key_equation_properties():
         if lin_qdeg(key_equation_remainder(ctx, gamma, s2)) >= t:
             bad += 1
             continue
-        S1 = build_syndrome_matrix(ctx, s1, t)
-        S2 = build_syndrome_matrix(ctx, s2, t)
+        # the rows m = t..n-k-1 that the decoder builds at trial t
+        S1, S2 = ([_syndrome_row(ctx, [ctx._log[v] for v in s], m, t + 1)
+                   for m in range(t, 8 - k)] for s in (s1, s2))
         Ma = moore_matrix(ctx, a, 8 - k - t)
         right = [list(col) for col in zip(*moore_matrix(ctx, a, t + 1))]
         ref1 = fqn_matmul(ctx, fqn_matmul(
@@ -207,7 +208,7 @@ def test_c7_algebra_invariants():
             problems.append(("wso", q, n))
         for k in range(1, n):
             code = GabidulinCode(ctx, k, basis)
-            G, H = code.generator_matrix(), code.parity_check()
+            G, H, _ = code_matrices(code)
             for grow in G:
                 for hrow in H:
                     acc = 0
@@ -218,16 +219,17 @@ def test_c7_algebra_invariants():
     # transposed-code membership at (8, 2), 1000 random codewords
     ctx = make_field(2, 8)
     code = GabidulinCode(ctx, 2, find_wso_basis(ctx))
+    hhat = code_matrices(code)[2]
     for _ in range(1000):
         c = code.encode(tuple(ctx.rand_elem(rng) for _ in range(2)))
         chat = transpose_vector(ctx, c, code.alpha)
-        if any(syndrome_against(ctx, chat, code._Hhat)):
+        if any(syndrome_against(ctx, chat, hhat)):
             problems.append(("transposed-membership",))
             break
-    # phi rank preservation, 1000 random vectors
+    # rank preservation by the expansion map, 1000 random vectors
     for _ in range(1000):
         a = tuple(ctx.rand_elem(rng) for _ in range(8))
-        if vector_rank(ctx, a) != fq_rank(ctx, phi(ctx, a, code.alpha)):
+        if vector_rank(ctx, a) != fq_rank(ctx, coords(ctx, code.alpha, a)):
             problems.append(("phi-rank",))
             break
     # exhaustive MRD at (4, 2, 2)

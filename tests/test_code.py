@@ -8,14 +8,17 @@ from rankmetric import (GabidulinCode, find_wso_basis, make_field,
 from rankmetric.linalg import fq_transpose, fqn_matmul, fqn_vec_fq_mat
 
 from field_digests import code_digest, table_digest
-from oracles import syndrome_against, transpose_vector
+from oracles import code_matrices, syndrome_against, transpose_vector
 
 
 def test_f4_generator_and_parity(F4):
     code = GabidulinCode(F4, 1)
-    assert code.generator_matrix() == [[2, 3]]
-    assert code.parity_check() == [[3, 2]]       # element-wise q-power of alpha
-    assert code.parity_check_transposed() == [[3, 2]]
+    G, H, Hhat = code_matrices(code)
+    assert G == [[2, 3]]
+    assert H == [[3, 2]]       # element-wise q-power of alpha
+    assert Hhat == [[3, 2]]
+    assert code.encode((1,)) == (2, 3)
+    assert code.syndromes((2, 3)) == ((0,), (0,))
 
 
 def test_k_range_validation(F256, wso256):
@@ -23,6 +26,8 @@ def test_k_range_validation(F256, wso256):
         GabidulinCode(F256, 0, wso256)
     with pytest.raises(ValueError):
         GabidulinCode(F256, 8, wso256)
+    with pytest.raises(ValueError, match="k 2.0 is not an integer"):
+        GabidulinCode(F256, 2.0, wso256)
 
 
 def test_non_wso_locators_rejected():
@@ -57,24 +62,22 @@ def test_generator_parity_product_zero_across_parameters():
         for k in range(1, n):
             code = GabidulinCode(ctx, k, basis)
             # implied by the WSO check at construction, multiplied out here
-            GHt = fqn_matmul(ctx, code.generator_matrix(),
-                             fq_transpose(code.parity_check()))
+            G, H, _ = code_matrices(code)
+            GHt = fqn_matmul(ctx, G, fq_transpose(H))
             assert not any(map(any, GHt))
             # spot-check a random codeword against both parity checks
             u = tuple(ctx.rand_elem(rng) for _ in range(k))
             c = code.encode(u)
-            assert all(v == 0 for v in code.syndrome(c))
+            assert not any(syndrome_against(ctx, c, H))
             s1, s2 = code.syndromes(c)
             assert not any(s1) and not any(s2)
 
 
 def test_generator_is_moore(code_8_2, F256):
-    assert code_8_2.generator_matrix() == moore_matrix(
-        F256, code_8_2.alpha, 2)
-    assert code_8_2.parity_check() == moore_matrix(
-        F256, code_8_2.alpha, 8)[2:]
-    assert code_8_2.parity_check_transposed() == moore_matrix(
-        F256, code_8_2.alpha, 7)[1:]
+    # the unit messages encode to the first k Moore rows
+    M = moore_matrix(F256, code_8_2.alpha, 2)
+    assert [code_8_2.encode(u) for u in ((1, 0), (0, 1))] == [
+        tuple(row) for row in M]
 
 
 def test_encode(code_8_2, F256):
@@ -97,19 +100,21 @@ def test_encode_k1_scalar_form(F4):
 
 def test_transposed_codeword_membership_random(code_8_2, F256):
     rng = random.Random(43)
+    hhat = code_matrices(code_8_2)[2]
     for _ in range(1000):
         u = tuple(F256.rand_elem(rng) for _ in range(2))
         c = code_8_2.encode(u)
         chat = transpose_vector(F256, c, code_8_2.alpha)
-        s = syndrome_against(F256, chat, code_8_2._Hhat)
+        s = syndrome_against(F256, chat, hhat)
         assert not any(s)
 
 
 def test_transposed_membership_exhaustive_4_2(code_4_2, F16):
+    hhat = code_matrices(code_4_2)[2]
     for u0, u1 in itertools.product(range(16), repeat=2):
         c = code_4_2.encode((u0, u1))
         chat = transpose_vector(F16, c, code_4_2.alpha)
-        assert not any(syndrome_against(F16, chat, code_4_2._Hhat))
+        assert not any(syndrome_against(F16, chat, hhat))
 
 
 def test_mrd_minimum_distance_exhaustive_4_2(code_4_2, F16):
@@ -139,7 +144,7 @@ def test_nonzero_error_gives_nonzero_syndrome(code_8_2, F256):
         err = sample_space_symmetric(F256, code_8_2.alpha, 1, rng)
         u = tuple(F256.rand_elem(rng) for _ in range(2))
         y = tuple(F256.add(a, b) for a, b in zip(code_8_2.encode(u), err.e))
-        assert any(code_8_2.syndrome(y))
+        assert any(code_8_2.syndromes(y)[1])
 
 
 def test_syndrome_matches_support_decomposition(code_8_2, F256):
@@ -156,7 +161,7 @@ def test_syndrome_matches_support_decomposition(code_8_2, F256):
         from rankmetric.linalg import fq_matmul, fq_transpose
         B = fq_matmul(F256, err.P, fq_transpose(err.A))
         bhat = fqn_vec_fq_mat(F256, alpha, fq_transpose(B))
-        s2 = code_8_2.syndrome(err.e)
+        s2 = code_8_2.syndromes(err.e)[1]
         for j in range(8 - k):
             acc = 0
             for l in range(t):
@@ -169,15 +174,14 @@ def test_syndrome_matches_support_decomposition(code_8_2, F256):
 def test_syndrome_map_matches_transposed_products(q, n, k):
     ctx = make_field(q, n)
     code = GabidulinCode(ctx, k)
-    hhat_t = fq_transpose(code.parity_check_transposed())
-    h_t = fq_transpose(code.parity_check())
+    _, H, Hhat = code_matrices(code)
+    hhat_t, h_t = fq_transpose(Hhat), fq_transpose(H)
     rng = random.Random(n)
     for _ in range(200):
         y = tuple(ctx.rand_elem(rng) for _ in range(n))
         yhat = transpose_vector(ctx, y, code.alpha)
         assert code.syndromes(y) == (tuple(fqn_matmul(ctx, [yhat], hhat_t)[0]),
                                      tuple(fqn_matmul(ctx, [y], h_t)[0]))
-        assert code.syndrome(y) == tuple(fqn_matmul(ctx, [y], h_t)[0])
         # the closed forms: s1_r = sum_j alpha_j y_j^(q^(r+1)), the twist
         # of the reversed ordinary syndrome s2_(n-k-1-r)^(q^(r+1))
         s1, s2 = code.syndromes(y)
@@ -199,8 +203,8 @@ def test_twist_map_matches_direct_sums(q, n, k):
     ctx = make_field(q, n)
     code = GabidulinCode(ctx, k)
     tmap = code._twist_map
-    h_t = fq_transpose(code.parity_check())
-    g_t = fq_transpose(code.generator_matrix())
+    G, H, _ = code_matrices(code)
+    h_t, g_t = fq_transpose(H), fq_transpose(G)
     rng = random.Random(q * n)
     words = [tuple(ctx.rand_elem(rng) for _ in range(n)) for _ in range(200)]
     words += [(ctx.order - 1,) * n, (0,) * n]
@@ -253,8 +257,7 @@ def test_out_of_range_entries_rejected(q, n, k):
     range_msg = rf"\[0, q\^n\) = \[0, {order}\)"
     for bad in (order, -1, order ** 2):
         word = (0,) * (n - 1) + (bad,)
-        for method in (code.syndrome, code.syndromes):
-            with pytest.raises(ValueError, match=range_msg):
-                method(word)
+        with pytest.raises(ValueError, match=range_msg):
+            code.syndromes(word)
         with pytest.raises(ValueError, match=range_msg):
             code.encode((bad,) + (0,) * (k - 1))

@@ -5,20 +5,20 @@ from fractions import Fraction
 import pytest
 
 from rankmetric import (DecodeOutcome, GabidulinCode, InterleavedOutcome,
-                        SimConfig, build_syndrome_matrix,
-                        count_space_symmetric, count_symmetric, decode,
-                        interleaved_decode, make_field, phi_inv,
+                        SimConfig, count_space_symmetric, count_symmetric,
+                        decode, interleaved_decode, make_field, phi_inv,
                         run_scenario, sample_full_rank,
                         sample_space_symmetric, vector_rank)
 from rankmetric.channel import sample_uniform_invertible
-from rankmetric.decoder import _codeword, _extend, _full_root_space
+from rankmetric.decoder import _codeword, _extend, _full_root_space, \
+    _syndrome_row
 from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
                                fqn_vec_fq_mat, moore_matrix)
 
-from oracles import countdown_decode, joint_kernel, \
+from oracles import code_matrices, countdown_decode, joint_kernel, \
     key_equation_remainder, lin_compose_mod, lin_qdeg, min_subspace_poly, \
     recover_error, root_space_basis, sample_symmetric_invertible, \
-    space_symmetric, syndrome_against, transpose_vector
+    space_symmetric, syndrome_against, syndrome_matrix, transpose_vector
 
 
 def _rand_codeword(code, rng):
@@ -35,26 +35,32 @@ def _support(code, err):
     return list(fqn_vec_fq_mat(code.ctx, code.alpha, err.A))
 
 
+def _decoder_rows(ctx, s, t):
+    """The rows m = t..len(s)-1 that the countdown builds at trial t."""
+    logs = [ctx._log[v] for v in s]
+    return [_syndrome_row(ctx, logs, m, t + 1) for m in range(t, len(s))]
+
+
 def test_build_syndrome_matrix_shape_and_entries(F256):
+    # the syndrome matrix the decoder builds, from the logs of s, against
+    # the oracle's one frob per entry, for every trial rank t < n - k = len(s)
     rng = random.Random(61)
-    s = tuple(F256.rand_elem(rng) for _ in range(6))
-    for t in range(1, 6):
-        M = build_syndrome_matrix(F256, s, t)
-        assert len(M) == 6 - t and len(M[0]) == t + 1
-        for p in range(6 - t):
-            for j in range(t + 1):
-                assert M[p][j] == F256.frob(s[t + p - j], j)
-    with pytest.raises(ValueError):
-        build_syndrome_matrix(F256, s, 0)
-    with pytest.raises(ValueError):
-        build_syndrome_matrix(F256, s, 6)
+    for ctx, nk in ((F256, 6), (make_field(3, 7), 6), (make_field(9, 3), 2)):
+        s = tuple(ctx.rand_elem(rng) for _ in range(nk))
+        for t in range(1, nk):
+            M = _decoder_rows(ctx, s, t)
+            assert len(M) == nk - t and len(M[0]) == t + 1
+            assert M == syndrome_matrix(ctx, s, t)
 
 
 def test_build_syndrome_matrix_2_1_example(F256):
+    # the decoder's rows, and the oracle's, on the (2,1) example and on the
+    # all-zero syndrome
     rng = random.Random(62)
     s = (F256.rand_elem(rng), F256.rand_elem(rng))
-    assert build_syndrome_matrix(F256, s, 1) == [[s[1], F256.frob(s[0], 1)]]
-    assert build_syndrome_matrix(F256, (0, 0, 0), 1) == [[0, 0], [0, 0]]
+    assert _decoder_rows(F256, s, 1) == [[s[1], F256.frob(s[0], 1)]]
+    assert syndrome_matrix(F256, s, 1) == [[s[1], F256.frob(s[0], 1)]]
+    assert _decoder_rows(F256, (0, 0, 0), 1) == [[0, 0], [0, 0]]
 
 
 def test_key_equation_and_decomposition(code_8_2, F256):
@@ -77,8 +83,8 @@ def test_key_equation_and_decomposition(code_8_2, F256):
         assert lin_qdeg(key_equation_remainder(F256, gamma, s1)) < t
         assert lin_qdeg(key_equation_remainder(F256, gamma, s2)) < t
         # S^(i) . Gamma^T = 0 and the two factorizations, entrywise
-        S1 = build_syndrome_matrix(F256, s1, t)
-        S2 = build_syndrome_matrix(F256, s2, t)
+        S1 = _decoder_rows(F256, s1, t)
+        S2 = _decoder_rows(F256, s2, t)
         Mt1T = fq_transpose_fqn(moore_matrix(F256, a, t + 1))
         Ma = moore_matrix(F256, a, 8 - k - t)
         left1 = [[F256.frob(v, t + 1) for v in row] for row in Ma]
@@ -127,11 +133,11 @@ def test_recover_error(code_8_2, F256):
     for _ in range(200):
         t = rng.randrange(1, 5)
         err = sample_space_symmetric(F256, code_8_2.alpha, t, rng)
-        s2 = code_8_2.syndrome(err.e)
+        s2 = code_8_2.syndromes(err.e)[1]
         a = _support(code_8_2, err)
         e = recover_error(code_8_2, a, s2)
         assert e == err.e
-        assert code_8_2.syndrome(e) == s2
+        assert code_8_2.syndromes(e)[1] == s2
 
 
 def test_recover_error_inconsistent_support(code_8_2, F256):
@@ -139,7 +145,7 @@ def test_recover_error_inconsistent_support(code_8_2, F256):
     hits = 0
     for _ in range(50):
         err = sample_space_symmetric(F256, code_8_2.alpha, 3, rng)
-        s2 = code_8_2.syndrome(err.e)
+        s2 = code_8_2.syndromes(err.e)[1]
         # wrong support of the right size
         wrong = sample_space_symmetric(F256, code_8_2.alpha, 3, rng)
         a = _support(code_8_2, wrong)
@@ -147,7 +153,7 @@ def test_recover_error_inconsistent_support(code_8_2, F256):
         if e is None:
             hits += 1
             continue
-        assert code_8_2.syndrome(e) == s2
+        assert code_8_2.syndromes(e)[1] == s2
     assert hits > 40  # wrong supports almost always surface as inconsistency
 
 
@@ -219,11 +225,11 @@ def test_dual_recovery_matches_oracle_recover_error(q, n, k):
                 acc = ctx.add(acc, ctx.mul(g[j], ctx.frob(s[m - j], j)))
             s.append(ctx.mul(scale, acc))
         e = recover_error(code, root_space_basis(ctx, g), s)
-        assert code.syndrome(e) == tuple(s)
+        assert code.syndromes(e)[1] == tuple(s)
         assert vector_rank(ctx, e) <= t
         c = _rand_codeword(code, rng)
         y = _corrupt(ctx, c, e)
-        yg = fqn_matmul(ctx, [y], fq_transpose(code.generator_matrix()))[0]
+        yg = fqn_matmul(ctx, [y], fq_transpose(code_matrices(code)[0]))[0]
         assert _codeword(code, yg, _extend(ctx, g, s, n)) == c
         assert tuple(map(ctx.sub, y, c)) == e
 
@@ -256,9 +262,10 @@ def test_decode_reverifies_parities(code_8_2, F256):
         out = decode(code_8_2, _corrupt(F256, c, err.e))
         if not out.decoded:
             continue
-        assert not any(code_8_2.syndrome(out.codeword))
+        assert not any(code_8_2.syndromes(out.codeword)[1])
         chat = transpose_vector(F256, out.codeword, code_8_2.alpha)
-        assert not any(syndrome_against(F256, chat, code_8_2._Hhat))
+        hhat = code_matrices(code_8_2)[2]
+        assert not any(syndrome_against(F256, chat, hhat))
 
 
 def test_decode_rank_never_exceeds_true_rank(code_8_2, F256):
@@ -530,7 +537,7 @@ def test_interleaved_countdown_matches_oracle(code_8_2, F256):
             e = (fqn_vec_fq_mat(F256, a, sample_full_rank(F256, t, 8, rng))
                  if t else (0,) * 8)
             ys.append(_corrupt(F256, _rand_codeword(code_8_2, rng), e))
-        s1, s2 = code_8_2.syndrome(ys[0]), code_8_2.syndrome(ys[1])
+        s1, s2 = code_8_2.syndromes(ys[0])[1], code_8_2.syndromes(ys[1])[1]
         oracle = InterleavedOutcome(*countdown_decode(
             code_8_2, tuple(ys), s1, s2, (s1, s2)))
         assert interleaved_decode(code_8_2, *ys) == oracle

@@ -9,7 +9,7 @@ from rankmetric.field import PRIME_TEST_LIMIT, _gf2_is_irreducible, \
     _smallest_irreducible, _tabled
 
 from field_digests import digest
-from oracles import digit_add, walk_tables
+from oracles import base_ops, digit_add, walk_tables
 
 
 # -- independent oracle for the default F_2 modulus: trial division against
@@ -187,8 +187,8 @@ def test_base_field_with_extension_exponent():
     assert (ctx.p, ctx.e, ctx.q) == (2, 2, 4)
     for x in range(1, 16):
         assert ctx.mul(x, ctx.inv(x)) == 1
-    # base-field ops work on ints below q
-    assert ctx.base_mul(2, 2) == 3  # z*z = z+1 in F_4
+    # F_4 is the ints below q, under the field's own ops
+    assert ctx.mul(2, 2) == 3  # z*z = z+1 in F_4
 
 
 # -- independent oracle for base fields F_{p^e} with e > 1 and their
@@ -243,7 +243,7 @@ def test_base_field_extension_matches_schoolbook_oracle(p, e):
     add, sub, mul = _base_field_oracle(p, e)
     for a in range(q):
         for b in range(q):
-            assert ctx.base_mul(a, b) == mul(a, b)
+            assert ctx.mul(a, b) == mul(a, b)
     for a in range(ctx.order):
         for b in range(ctx.order):
             want = _schoolbook(_digits(a, q, 2), _digits(b, q, 2),
@@ -273,11 +273,13 @@ def test_add_sub_neg_match_digitwise_oracle(q, n, pairs):
 
 @pytest.mark.parametrize("q", [9, 25, 27])
 def test_base_add_sub_match_digitwise_oracle(q):
+    # F_q's own ops and the subfield ops on the ints below q
     ctx = make_field(q, 2)
-    for a in range(q):
-        for b in range(q):
-            assert ctx.base_add(a, b) == digit_add(ctx.p, a, b)
-            assert ctx.base_sub(a, b) == digit_add(ctx.p, a, b, -1)
+    for add, sub in (base_ops(ctx)[:2], (ctx.add, ctx.sub)):
+        for a in range(q):
+            for b in range(q):
+                assert add(a, b) == digit_add(ctx.p, a, b)
+                assert sub(a, b) == digit_add(ctx.p, a, b, -1)
 
 
 def test_frobenius_examples(F4, F256):
@@ -416,14 +418,13 @@ def _assert_walk_tables(p, fo, mod, add, exp, log):
     (27, 2, None), (1021, 1, None)])
 def test_tables_match_walk_oracle(q, n, modulus):
     ctx = make_field(q, n, modulus)
-    fo = _ScalarOps(q, ctx.base_add, ctx.base_sub, ctx.base_mul,
-                    ctx.base_inv)
+    fo = _ScalarOps(q, *base_ops(ctx))
     _assert_walk_tables(ctx.p, fo, ctx.modulus, ctx.add, ctx._exp, ctx._log)
 
 
 @pytest.mark.parametrize("q, n", [(4, 2), (8, 3), (9, 2), (25, 2)])
 def test_base_level_matches_walk_oracle(q, n):
-    # the F_q tables behind base_mul, base_inv and base_add
+    # the F_q tables that FieldCtx builds its modulus and tables over
     ctx = make_field(q, n)
     fo = _prime_ops(ctx.p)
     mod = _smallest_irreducible(fo, ctx.e)

@@ -103,6 +103,10 @@ def test_wilson_interval():
     for failures in (5, -1):
         with pytest.raises(ValueError, match="0 <= failures <= trials"):
             wilson95(failures, 3)
+    with pytest.raises(ValueError, match="failures 1.5 is not an integer"):
+        wilson95(1.5, 10)
+    with pytest.raises(ValueError, match="trials 10.0 is not an integer"):
+        wilson95(1, 10.0)
 
 
 def test_config_validation():
@@ -117,6 +121,22 @@ def test_config_validation():
     for scenario in (2, 3):
         with pytest.raises(ValueError, match=f"scenario {scenario} needs t"):
             SimConfig(scenario=scenario, q=2, n=8, k=2, t=0, trials=10, seed=0)
+    # every field is read with operator.index and stored as the int it gives
+    base = dict(scenario=1, q=2, n=8, k=2, t=4, trials=200, seed=7)
+    for name, value in (("seed", 7.0), ("k", 2.0), ("t", 4.0),
+                        ("trials", 200.0)):
+        with pytest.raises(ValueError, match=f"{name} {value} is not an int"):
+            SimConfig(**{**base, name: value})
+
+    class Seven:
+        def __index__(self):
+            return 7
+
+    assert SimConfig(**{**base, "seed": Seven()}) == SimConfig(**base)
+    cfg = SimConfig(**base)
+    for shards in (0, 2.0):
+        with pytest.raises(ValueError, match="shards"):
+            run_scenario(cfg, shards=shards)
 
 
 def test_shard_determinism_and_merge():
