@@ -11,8 +11,8 @@ field scalars can be fed to extension arithmetic unchanged.
 Defining polynomials are picked deterministically: the lexicographically
 smallest monic irreducible of the required degree, comparing coefficient
 tuples constant term first.  A caller-supplied modulus is verified instead;
-its coefficients must be integers.  Over F_2 the irreducibility test runs
-on polynomials packed as ints, elsewhere on coefficient tuples.
+it is a sequence of ints (cli.py parses the text form).  Over F_2 the
+irreducibility test runs on packed ints, elsewhere on coefficient tuples.
 
 Both levels (F_q when e > 1, and F_{q^n}) get exp/log tables over a fixed
 multiplicative generator, so multiplication, inversion and Frobenius powers
@@ -555,7 +555,7 @@ class FieldCtx:
 
         self.frob, self.trace, self._qpow = frob, trace, qpow
 
-    # -- conversions and formatting ----------------------------------------
+    # -- conversions -------------------------------------------------------
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         """Base-q coefficient tuple of x, constant term first, length n."""
@@ -577,15 +577,6 @@ class FieldCtx:
             x = x * self.q + c
         return x
 
-    def elem_str(self, x: int) -> str:
-        return ":".join(str(c) for c in self.coeffs(x))
-
-    def parse_elem(self, s: str) -> int:
-        return self.from_coeffs(int(part) for part in s.strip().split(":"))
-
-    def modulus_str(self) -> str:
-        return ":".join(str(c) for c in self.modulus)
-
     def rand_elem(self, rng) -> int:
         return rng.randrange(self.order)
 
@@ -598,8 +589,7 @@ def make_field(q: int, n: int, modulus=None) -> FieldCtx:
 
     When modulus is omitted the deterministic default (lexicographically
     smallest monic irreducible, constant term first) is selected, so two
-    calls with the same (q, n) produce identical contexts.
+    calls with the same (q, n) produce identical contexts.  A given modulus
+    is a sequence of integer coefficients in that order, leading 1 last.
     """
-    if isinstance(modulus, str):
-        modulus = [int(c) for c in modulus.split(":")]
     return FieldCtx(q, n, modulus)

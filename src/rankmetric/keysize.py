@@ -76,20 +76,15 @@ class CryptoRow:
     keysize_kb: float
     ok: bool  # smallest work factor reaches the security level
 
-    def as_dict(self) -> dict:
-        return {
-            "sl": self.sl, "type": self.kind, "n": self.n, "k": self.k,
-            "lambda": self.lam, "tprime": self.tprime,
-            "wf_dec": round(self.wf_dec, 2), "wf_struc": round(self.wf_struc, 2),
-            "wf_e": round(self.wf_e, 2), "keysize_kb": round(self.keysize_kb, 2),
-            "ok": self.ok,
-        }
-
 
 def crypto_row(sl: int, kind: str, n: int, k: int, lam: int,
                q: int = 2) -> CryptoRow:
     struc = wf_struc(n, lam, q)  # rejects lambda < 1 before the division
-    tprime = max_errors(kind, n, k) // lam
+    t = max_errors(kind, n, k)
+    tprime = t // lam
+    if tprime < 1:
+        raise ValueError(f"lambda {lam} leaves t' = max_errors // lambda = "
+                         f"{t} // {lam} = 0 ({kind}, n={n}, k={k})")
     dec = wf_dec(n, k, tprime, q)
     err = wf_error(kind, n, tprime, q)
     return CryptoRow(sl, kind, n, k, lam, tprime, dec, struc, err,

@@ -15,7 +15,7 @@ Also home to F_p-linear maps tabulated on packed ints (_PackedMap), which
 read c base-p digits of an input per lookup from per-input chunk tables,
 c the largest with p^c <= 16; the map from n-by-n matrices over F_q to
 length-n vectors over F_{q^n} relative to a basis (phi_inv); Moore
-matrices; and rank computations.
+matrices; and rank computations.  The text form of vectors is cli.py's.
 """
 
 from __future__ import annotations
@@ -224,17 +224,3 @@ def vector_rank(ctx: FieldCtx, v) -> int:
     """
     _check_vector(ctx, v, len(v), "vector")
     return fq_rank(ctx, [ctx.coeffs(x) for x in v])
-
-
-# ---------------------------------------------------------------------------
-# Serialization: F_{q^n} vectors as comma-separated ':'-joined coefficient
-# strings.
-# ---------------------------------------------------------------------------
-
-def fqn_vector_str(ctx: FieldCtx, v) -> str:
-    return ",".join(ctx.elem_str(x) for x in v)
-
-
-def parse_fqn_vector(ctx: FieldCtx, text: str):
-    return tuple(ctx.parse_elem(part) for part in text.strip().split(","))
-

@@ -17,7 +17,7 @@ Every trial owns an RNG stream derived from (seed, trial index) through
 SHA-256, so results are identical for any shard count and shards can run
 in parallel processes.  The closed-form companion quantities (random
 subspace intersection probability and the 4/q^n failure bound) live here
-as well.
+as well.  A report is numbers; cli.py writes it as text, JSON or CSV.
 """
 
 from __future__ import annotations
@@ -147,14 +147,6 @@ class SimReport:
             "rate": self.rate, "wilson_lo": self.wilson95[0],
             "wilson_hi": self.wilson95[1], "bound": self.bound,
         }
-
-    CSV_HEADER = "scenario,q,n,k,t,trials,failures,rate,wilson_lo,wilson_hi,bound"
-
-    def csv_row(self) -> str:
-        p = self.payload()
-        return (f"{p['scenario']},{p['q']},{p['n']},{p['k']},{p['t']},"
-                f"{p['trials']},{p['failures']},{p['rate']:.6g},"
-                f"{p['wilson_lo']:.6g},{p['wilson_hi']:.6g},{p['bound']:.6g}")
 
 
 def _trial_rng(seed: int, index: int) -> random.Random:

@@ -5,10 +5,10 @@ Usage, from the root of a checkout:
     python3 tests/field_digests.py 2,16 3,7 2,8,1:1:0:1:1:0:0:0:1 2,8,2
 
 Each argument is q,n or q,n,modulus with the modulus in the "c0:c1:...:1"
-form make_field parses, or q,n,k with a code dimension k (no colon).  For
-a field the script builds it with the package in this checkout's src/ and
-prints the argument, the SHA-256 digest of its tables and the build time in
-seconds.  Equal digests on two commits mean equal modulus, exp and log
+form of the CLI's --modulus, or q,n,k with a code dimension k (no colon).
+For a field the script builds it with the package in this checkout's src/
+and prints the argument, the SHA-256 digest of its tables and the build
+time in seconds.  Equal digests on two commits mean equal modulus, exp and log
 tables and addition by 1.  For q,n,k it builds the default field, then
 times find_wso_basis plus GabidulinCode and prints the public code digest
 (basis, and G, H, Hhat sliced from the Moore matrix), the table digest
@@ -81,7 +81,8 @@ def main(argv: list[str]) -> int:
                   f"{seconds:.5f}", flush=True)
             continue
         start = time.perf_counter()
-        ctx = make_field(int(q), int(n), rest[0] if rest else None)
+        modulus = [int(c) for c in rest[0].split(":")] if rest else None
+        ctx = make_field(int(q), int(n), modulus)
         seconds = time.perf_counter() - start
         print(f"{arg} {digest(ctx)} {seconds:.3f}", flush=True)
     return 0

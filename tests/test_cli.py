@@ -1,16 +1,20 @@
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import rankmetric
-from rankmetric import cli, make_field
-from rankmetric.cli import main
-from rankmetric.linalg import fqn_vector_str, parse_fqn_vector
+from rankmetric import cli, crypto_row, make_field
+from rankmetric.cli import _elem, _keysize_dict, _parse_vector, _vector, \
+    main
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +141,14 @@ def test_keysize_single_row(capsys):
     assert abs(row["wf_struc"] - 194.86) < 0.011
 
 
+def test_keysize_dict():
+    # deliberately underpowered parameters get flagged with a real bool
+    row = _keysize_dict(crypto_row(256, "conv", 32, 16, 2))
+    assert row["ok"] is False
+    assert list(row) == ["sl", "type", "n", "k", "lambda", "tprime", "wf_dec",
+                         "wf_struc", "wf_e", "keysize_kb", "ok"]
+
+
 def test_keysize_table_rejects_ignored_flags(capsys):
     for extra in (("--q", "4"), ("--q", "2"), ("--sl", "192"),
                   ("--type", "sym"), ("--n", "62"), ("--k", "31"),
@@ -158,6 +170,18 @@ def test_keysize_missing_args(capsys):
         code, _, err = run_cli(capsys, "keysize", "--sl", "192", "--type",
                                "sym", "--n", "62", "--k", "31", "--lambda", lam)
         assert code == 1 and "lambda must be >= 1" in err
+    # a lambda above the correctable rank leaves t' = 0: the error names
+    # lambda and max_errors, not an internal tprime
+    for row, msg in ((("--type", "sp-sym", "--n", "58", "--k", "29",
+                       "--lambda", "30"),
+                      "lambda 30 leaves t' = max_errors // lambda = 19 // 30 "
+                      "= 0 (sp-sym, n=58, k=29)"),
+                     (("--type", "conv", "--n", "4", "--k", "3",
+                       "--lambda", "1"),
+                      "lambda 1 leaves t' = max_errors // lambda = 0 // 1 = 0 "
+                      "(conv, n=4, k=3)")):
+        code, out, err = run_cli(capsys, "keysize", "--sl", "128", *row)
+        assert code == 1 and not out and err == f"error: {msg}"
 
 
 def test_find_basis_json(capsys):
@@ -170,8 +194,29 @@ def test_find_basis_json(capsys):
     assert payload["verification"]["moore_gram_diagonal"] is True
     # elements parse back in the field
     ctx = make_field(2, 8)
-    for s in payload["alpha"]:
-        ctx.parse_elem(s)
+    _parse_vector(ctx, ",".join(payload["alpha"]))
+
+
+def test_serialization_roundtrip(F4, F256, F9, capsys):
+    rng = random.Random(5)
+    for ctx in (F256, F9):
+        for _ in range(20):
+            x = ctx.rand_elem(rng)
+            assert _parse_vector(ctx, _elem(ctx, x)) == (x,)
+    assert _elem(F4, 3) == "1:1"
+    assert _parse_vector(F4, "1:1") == (3,)
+    # --modulus parses and prints in the same form (not the default here)
+    aes = "1:1:0:1:1:0:0:0:1"
+    _, out, _ = run_cli(capsys, "find-basis", "--q", "2", "--n", "8",
+                        "--modulus", aes, "--out", "json")
+    assert json.loads(out)["modulus"] == aes
+
+
+def test_vector_serialization(F4):
+    v = (2, 3)
+    s = _vector(F4, v)
+    assert s == "0:1,1:1"
+    assert _parse_vector(F4, s) == v
 
 
 def test_find_basis_odd_q_even_n(capsys):
@@ -204,7 +249,7 @@ def test_codec_roundtrip_error_free(tmp_path, capsys):
     rng = random.Random(81)
     messages = [tuple(ctx.rand_elem(rng) for _ in range(2)) for _ in range(100)]
     infile = tmp_path / "msgs.txt"
-    infile.write_text("\n".join(fqn_vector_str(ctx, m) for m in messages))
+    infile.write_text("\n".join(_vector(ctx, m) for m in messages))
     code, out, _ = run_cli(capsys, "codec", "encode", "--q", "2", "--n", "8",
                            "--k", "2", "--in", str(infile))
     assert code == 0
@@ -219,7 +264,7 @@ def test_codec_roundtrip_error_free(tmp_path, capsys):
         payload = json.loads(line)
         assert payload["status"] == "decoded"
         assert payload["codeword"] == word
-        assert payload["error"] == fqn_vector_str(ctx, (0,) * 8)
+        assert payload["error"] == _vector(ctx, (0,) * 8)
 
 
 def test_codec_syndrome(tmp_path, capsys):
@@ -231,7 +276,7 @@ def test_codec_syndrome(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert set(payload) == {"s1", "s2"}
-    parse_fqn_vector(ctx, payload["s2"])
+    _parse_vector(ctx, payload["s2"])
 
 
 def test_codec_decode_corrupted(tmp_path, capsys):
@@ -244,13 +289,13 @@ def test_codec_decode_corrupted(tmp_path, capsys):
     y = list(c)
     y[3] = ctx.add(y[3], 99)
     infile = tmp_path / "y.txt"
-    infile.write_text(fqn_vector_str(ctx, tuple(y)))
+    infile.write_text(_vector(ctx, tuple(y)))
     code, out, _ = run_cli(capsys, "codec", "decode", "--q", "2", "--n", "8",
                            "--k", "2", "--in", str(infile))
     assert code == 0
     payload = json.loads(out)
     assert payload["status"] == "decoded"
-    assert payload["codeword"] == fqn_vector_str(ctx, c)
+    assert payload["codeword"] == _vector(ctx, c)
     assert payload["trial_trace"]
 
 
@@ -279,6 +324,17 @@ def test_exit_codes(capsys):
                        "t <= floor(2(n-k)/3) = 4")):
         code, _, err = run_cli(capsys, *s4, *args)
         assert code == 1 and msg in err
+    # scenario 4 is closed form: the Monte Carlo flags are rejected, and
+    # only the ones given are named
+    ok = ("--q", "2", "--n", "8", "--k", "2", "--t", "4")
+    for extra, named in ((("--shards", "0", "--trials", "-5"),
+                          "--trials --shards"),
+                         (("--seed", "7"), "--seed"),
+                         (("--shards", "1", "--seed", "0", "--trials", "9"),
+                          "--trials --seed --shards")):
+        code, out, err = run_cli(capsys, *s4, *ok, *extra)
+        assert code == 1 and not out
+        assert err == f"error: scenario 4 ignores {named}"
 
 
 def test_out_file_env_dir(tmp_path, capsys, monkeypatch):
@@ -288,3 +344,116 @@ def test_out_file_env_dir(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert (tmp_path / "r.txt").read_text().strip() == out
     assert out.split()[0] == "9"
+
+
+# ---------------------------------------------------------------------------
+# Golden transcript: the exact stdout, stderr and exit code of a fixed list
+# of invocations, with the simulate JSON's wallclock_s masked.  Re-record
+# with `PYTHONPATH=src python tests/test_cli.py` only when a change of the
+# output is intended.
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).with_name("cli_golden.txt")
+
+_W8 = ("1:1:1:0:0:1:0:0,0:0:1:0:1:0:1:1,1:1:0:0:1:1:0:0,1:1:1:0:0:0:1:1,"
+       "1:0:0:0:0:1:1:1,0:0:1:1:1:1:1:1,1:0:0:0:1:1:0:1,0:0:1:0:1:1:0:0",
+       "0:1:1:0:0:0:0:1,0:1:1:1:0:0:0:1,0:0:0:0:0:1:1:1,1:0:1:1:0:0:1:0,"
+       "1:1:0:1:1:1:1:0,0:1:0:0:0:1:1:1,0:1:1:1:0:0:1:1,0:1:1:0:0:1:0:1",
+       "1:1:0:1:1:1:1:0,1:0:0:1:1:0:0:1,1:1:1:0:1:0:1:0,0:0:0:0:1:1:0:0,"
+       "0:0:1:1:1:1:0:0,1:1:1:1:1:0:0:1,1:1:0:1:0:1:1:1,1:0:0:1:1:0:0:1",
+       "1:0:0:0:1:0:1:0,0:0:0:0:0:0:1:0,0:1:0:1:0:0:0:0,1:1:0:0:0:1:0:1,"
+       "1:0:0:1:0:1:1:1,0:0:1:1:0:0:0:0,1:1:1:0:1:1:1:1,1:1:1:0:1:1:0:1",
+       "0:0:1:1:0:1:0:1,0:1:0:1:0:1:1:1,1:1:1:0:1:1:1:0,1:1:0:0:0:1:0:0,"
+       "0:0:1:1:0:0:1:1,1:0:0:0:1:0:0:0,0:0:1:0:0:1:1:0,0:0:0:1:1:0:1:0")
+
+# codec inputs: two messages; the zero word, a codeword, words carrying
+# space-symmetric errors of rank 2, 3, 4 at (2,8,2) and 1, 2 at (3,4,1),
+# and a random word
+_CODEC_INPUTS = {
+    "messages.txt": "0:0:1:1:1:1:0:0,1:1:0:0:0:1:0:1\n"
+                    "0:0:1:0:1:1:0:0,0:1:0:0:1:1:1:0\n",
+    "words.txt": "\n".join((",".join(["0:0:0:0:0:0:0:0"] * 8),) + _W8) + "\n",
+    "messages3.txt": "0:2:1:0\n1:1:1:1\n",
+    "words3.txt": "0:0:0:0,0:0:0:0,0:0:0:0,0:0:0:0\n"
+                  "2:2:2:1,0:2:2:2,1:1:1:0,1:0:1:1\n"
+                  "0:2:2:2,2:0:0:2,1:0:0:0,0:1:2:1\n"
+                  "0:0:2:1,2:2:0:2,2:1:2:0,1:1:1:2\n"
+                  "1:1:1:1,2:2:2:0,2:1:2:1,2:1:0:1\n",
+    "bad.txt": "1:0,0:1\n",
+}
+
+_SIM = "simulate --q 2 --n 8 --k 2 --t 4 --scenario"
+_FORMATS = ("", " --out json", " --out csv")
+_ROW = "keysize --sl 192 --type sym --n 62 --k 31 --lambda 4"
+
+_GOLDEN_CASES = (
+    # the README's CLI lines, --trials cut to 300
+    "find-basis --q 2 --n 8",
+    "find-basis --q 2 --n 8 --out json",
+    "codec encode --q 2 --n 8 --k 2 --in messages.txt",
+    "codec syndrome --q 2 --n 8 --k 2 --in words.txt",
+    "codec decode --q 2 --n 8 --k 2 --in words.txt",
+    "count --kind sp-sym --n 3 --t 1 --q 2",
+    "simulate --scenario 1 --q 2 --n 8 --k 2 --t 4 --trials 300 --seed 7 "
+    "--shards 8 --out csv",
+    "simulate --scenario 4 --q 2 --n 8 --k 2 --t 4",
+    "keysize --table paper --out csv",
+    _ROW,
+    # every scenario in every format
+    *(f"{_SIM} {s} --trials 300 --seed 3{o}" for s in (1, 2, 3)
+      for o in _FORMATS),
+    *(f"{_SIM} 4{o}" for o in _FORMATS),
+    "keysize --table paper",
+    "keysize --table paper --out json",
+    f"{_ROW} --out json",
+    f"{_ROW} --out csv",
+    "find-basis --q 3 --n 4",
+    "find-basis --q 3 --n 4 --out json",
+    "find-basis --q 2 --n 8 --modulus 1:1:0:1:1:0:0:0:1",
+    "codec encode --q 3 --n 4 --k 1 --in messages3.txt",
+    "codec syndrome --q 3 --n 4 --k 1 --in words3.txt",
+    "codec decode --q 3 --n 4 --k 1 --in words3.txt",
+    "count --kind sym --n 5 --t 2 --q 3",
+    "count --kind rank --n 6 --t 3 --q 4",
+    "count --kind gauss --n 8 --t 4 --q 2",
+    # 4/q^n is not a bound at (2,4,1,2): the warning on stderr
+    "simulate --scenario 1 --q 2 --n 4 --k 1 --t 2 --trials 300 --seed 1",
+    "simulate --scenario 1 --q 2 --n 4 --k 1 --t 2 --trials 300 --seed 1 "
+    "--out csv",
+    "count --kind rank --n 2 --t 1 --q 2 --out-file out.txt",
+    # exit 1: a domain error, a malformed input line, an unwritable file
+    "find-basis --q 6 --n 2",
+    "codec encode --q 2 --n 8 --k 2 --in bad.txt",
+    "count --kind rank --n 2 --t 1 --q 2 --out-file missing/out.txt",
+)
+
+
+def _transcript() -> str:
+    """Run the golden cases in the current directory; their record."""
+    for name, text in _CODEC_INPUTS.items():
+        Path(name).write_text(text)
+    blocks = []
+    for case in _GOLDEN_CASES:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(case.split())
+        stdout = re.sub(r'"wallclock_s": [^,}\n]+', '"wallclock_s": "*"',
+                        out.getvalue())
+        blocks.append(f"$ rankmetric {case}\nexit {code}\n--- stdout\n"
+                      f"{stdout}--- stderr\n{err.getvalue()}")
+        if "--out-file out.txt" in case:
+            blocks.append("--- out.txt\n" + Path("out.txt").read_text())
+    return "".join(blocks)
+
+
+def test_outputs_match_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RANKMETRIC_OUTDIR", raising=False)
+    assert _transcript() == GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    os.environ.pop("RANKMETRIC_OUTDIR", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        GOLDEN.write_text(_transcript(), encoding="utf-8")

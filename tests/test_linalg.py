@@ -5,8 +5,7 @@ import pytest
 from rankmetric import (find_wso_basis, fq_matmul, fq_rank, fq_transpose,
                         fqn_rank, make_field, moore_matrix, phi_inv,
                         vector_rank)
-from rankmetric.linalg import (_insert_rows, fqn_vector_str, fqn_vec_fq_mat,
-                               parse_fqn_vector)
+from rankmetric.linalg import _insert_rows, fqn_vec_fq_mat
 
 from oracles import base_ops, coords, kernel, rref, solve, transpose_vector
 
@@ -237,13 +236,6 @@ def test_matmul_helpers(F4):
     assert fq_transpose(A) == [[1, 1], [0, 1]]
     v = (2, 3)
     assert fqn_vec_fq_mat(F4, v, [[1], [1]]) == (F4.add(2, 3),)
-
-
-def test_serialization(F4):
-    v = (2, 3)
-    s = fqn_vector_str(F4, v)
-    assert s == "0:1,1:1"
-    assert parse_fqn_vector(F4, s) == v
 
 
 def _random_test_matrix(ctx, rng):
