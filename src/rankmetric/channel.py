@@ -63,6 +63,7 @@ def _random_matrix(ctx: FieldCtx, rows: int, cols: int, rng):
 
 def sample_full_rank(ctx: FieldCtx, rows: int, cols: int, rng):
     """Uniform matrix of full rank min(rows, cols)."""
+    rows, cols = _index(rows, "rows"), _index(cols, "cols")
     if rows < 0 or cols < 0:
         raise ValueError(f"need rows, cols >= 0, got {rows}, {cols}")
     target = min(rows, cols)
@@ -74,6 +75,7 @@ def sample_full_rank(ctx: FieldCtx, rows: int, cols: int, rng):
 
 def sample_uniform_invertible(ctx: FieldCtx, t: int, rng):
     """Uniform invertible t-by-t matrix over F_q."""
+    t = _index(t, "t")
     if t < 1:
         raise ValueError("t must be >= 1")
     return sample_full_rank(ctx, t, t, rng)
@@ -93,6 +95,7 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     if len(alpha) != n:
         raise ValueError(f"basis must have {n} entries")
     _check_vector(ctx, alpha, n, "basis")
+    t = _index(t, "t")
     if not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= {n}")
     if t == 0:
@@ -131,17 +134,20 @@ def _check_count_args(n: int, t: int, q: int):
         raise ValueError(f"need 0 <= t <= n, got t={t}, n={n}")
 
 
+def _independent(m: int, r: int, q: int) -> int:
+    """prod_{i<r} (q^m - q^i): ordered r-tuples of independent vectors of
+    F_q^m."""
+    out = 1
+    for i in range(r):
+        out *= q ** m - q ** i
+    return out
+
+
 def _gaussian_binomial(m: int, r: int, q: int) -> int:
     """prod_{i<r} (q^m - q^i) / (q^r - q^i), and 0 unless 0 <= r <= m."""
     if not 0 <= r <= m:
         return 0
-    num = 1
-    den = 1
-    for i in range(r):
-        num *= q ** m - q ** i
-        den *= q ** r - q ** i
-    assert num % den == 0
-    return num // den
+    return _independent(m, r, q) // _independent(r, r, q)
 
 
 def gaussian_binomial(n: int, t: int, q: int) -> CountResult:
@@ -154,10 +160,7 @@ def count_space_symmetric(n: int, t: int, q: int) -> CountResult:
     """Number of n-by-n rank-t matrices over F_q whose row and column spaces
     coincide: prod_{i<t} (q^n - q^i)."""
     _check_count_args(n, t, q)
-    out = 1
-    for i in range(t):
-        out *= q ** n - q ** i
-    return CountResult.of(out)
+    return CountResult.of(_independent(n, t, q))
 
 
 def count_symmetric(n: int, tprime: int, q: int) -> CountResult:
@@ -178,11 +181,8 @@ def count_symmetric(n: int, tprime: int, q: int) -> CountResult:
 
 
 def count_rank(n: int, tprime: int, q: int) -> CountResult:
-    """Number of n-by-n matrices of rank t' over F_q:
-    prod_{j<t'} (q^n - q^j)^2 / (q^t' - q^j)."""
+    """Number of n-by-n matrices of rank t' over F_q: a t'-dimensional
+    column space, then t' independent coordinate rows in it."""
     _check_count_args(n, tprime, q)
-    acc = Fraction(1)
-    for j in range(tprime):
-        acc *= Fraction((q ** n - q ** j) ** 2, q ** tprime - q ** j)
-    assert acc.denominator == 1
-    return CountResult.of(acc.numerator)
+    return CountResult.of(_gaussian_binomial(n, tprime, q)
+                          * _independent(n, tprime, q))

@@ -168,7 +168,8 @@ def _joint_decode(code: GabidulinCode, words, s1, s2, reads):
     log = ctx._log
     logs = ([log[v] for v in s1], [log[v] for v in s2])
     basis, trace, top = {}, [], code.n - code.k
-    for t in range(min(2 * top // 3, top - 1), 0, -1):
+    # trial t reads rows t..top-1, and 2m // 3 <= m - 1 for every m >= 1
+    for t in range(2 * top // 3, 0, -1):
         basis = {c: [e for e in row if e[0] <= t]
                  for c, row in basis.items() if c <= t}
         _insert_rows(ctx, basis, [_syndrome_row(ctx, ls, m, t + 1)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from operator import xor
 
-from .field import FieldCtx, _span
+from .field import FieldCtx, _index, _span
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +208,7 @@ def phi_inv(ctx: FieldCtx, A, alpha):
 
 def moore_matrix(ctx: FieldCtx, v, rows: int):
     """Matrix with entry (r, c) = v_c^(q^r)."""
+    rows = _index(rows, "rows")
     if rows < 1:
         raise ValueError("need at least one row")
     _check_vector(ctx, v, len(v), "vector")

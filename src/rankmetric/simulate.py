@@ -4,8 +4,7 @@ Three trial kinds:
 
 1. Genuine channel: a uniform rank-t error with equal row and column space
    corrupts a random codeword and the joint-syndrome decoder runs end to
-   end.  Declared failures and silent miscorrections both count as
-   failures; miscorrections are also tallied separately.
+   end.
 2. Uniform-coupling assumption: the stacked syndrome matrix is built in the
    rewritten form [Mt^(t+1); Mt^(t+k) Q] M_{t+1}(a)^T with Mt = M(a) P and
    Q drawn uniformly over invertible matrices instead of the coupled
@@ -13,9 +12,15 @@ Three trial kinds:
 3. Two-word interleaved channel: two codewords corrupted by errors sharing
    one support of dimension t, decoded jointly.
 
+Scenarios 1 and 3 share one transmit step (a random codeword per error,
+drawn after the errors, plus that error) and one judge: a trial fails
+unless it decodes to the words sent, and a decoded wrong word also counts
+as a miscorrection.
+
 Every trial owns an RNG stream derived from (seed, trial index) through
 SHA-256, so results are identical for any shard count and shards can run
-in parallel processes.  The closed-form companion quantities (random
+in parallel processes; shard w of W runs trials trials * w // W up to
+trials * (w + 1) // W.  The closed-form companion quantities (random
 subspace intersection probability and the 4/q^n failure bound) live here
 as well.  A report is numbers; cli.py writes it as text, JSON or CSV.
 """
@@ -28,7 +33,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .channel import _gaussian_binomial, sample_full_rank, \
@@ -81,6 +86,8 @@ def intersection_probability(t_dim: int, ell: int, omega: int, Qbase: int) -> fl
     q-power weight uses the subspace field order Qbase itself; for
     omega = 0 the sum telescopes to 1, and omega > ell gives 0.
     """
+    t_dim, ell = _index(t_dim, "t_dim"), _index(ell, "ell")
+    omega, Qbase = _index(omega, "omega"), _index(Qbase, "Qbase")
     if omega < 0 or ell < 0 or ell > t_dim:
         raise ValueError("need 0 <= omega and 0 <= ell <= t_dim")
     if omega > ell:
@@ -134,7 +141,6 @@ class SimReport:
     wilson95: tuple[float, float]
     bound: float
     wallclock: float
-    shard_ranges: tuple = dc_field(default=())
     seed_scheme: str = "sha256('<seed>:<trial index>') per trial"
 
     def payload(self) -> dict:
@@ -154,19 +160,26 @@ def _trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
-def _trial_genuine(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
+def _transmit(code: GabidulinCode, errors, rng):
+    """One random codeword per error, drawn after the errors, and the
+    received words codeword + error."""
     ctx = code.ctx
-    err = sample_space_symmetric(ctx, code.alpha, t, rng)
-    u = tuple(ctx.rand_elem(rng) for _ in range(code.k))
-    c = code.encode(u)
-    add = ctx.add
-    y = tuple(add(a, b) for a, b in zip(c, err.e))
+    sent = tuple(code.encode([ctx.rand_elem(rng) for _ in range(code.k)])
+                 for _ in errors)
+    return sent, [tuple(map(ctx.add, c, e)) for c, e in zip(sent, errors)]
+
+
+def _judged(decoded: bool, right: bool) -> tuple[bool, bool]:
+    """(failed, miscorrected): a failure is anything not decoded right, a
+    miscorrection a decoded wrong word."""
+    return not (decoded and right), decoded and not right
+
+
+def _trial_genuine(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
+    err = sample_space_symmetric(code.ctx, code.alpha, t, rng)
+    (c,), (y,) = _transmit(code, [err.e], rng)
     out = decode(code, y)
-    if not out.decoded:
-        return True, False
-    if out.codeword != c:
-        return True, True
-    return False, False
+    return _judged(out.decoded, out.codeword == c)
 
 
 def _trial_uniform_coupling(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
@@ -187,27 +200,16 @@ def _trial_uniform_coupling(code: GabidulinCode, t: int, rng) -> tuple[bool, boo
 
 def _trial_interleaved(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
     ctx = code.ctx
-    n, k = code.n, code.k
+    n = code.n
     A = sample_full_rank(ctx, n, t, rng)
     a = fqn_vec_fq_mat(ctx, code.alpha, A)
     errors = []
     for _ in range(2):
         B = sample_full_rank(ctx, t, n, rng)
         errors.append(fqn_vec_fq_mat(ctx, a, B))
-    add = ctx.add
-    words = []
-    sent = []
-    for e in errors:
-        u = tuple(ctx.rand_elem(rng) for _ in range(k))
-        c = code.encode(u)
-        sent.append(c)
-        words.append(tuple(add(x, y) for x, y in zip(c, e)))
-    out = interleaved_decode(code, words[0], words[1])
-    if not out.decoded:
-        return True, False
-    if list(out.codewords) != sent:
-        return True, True
-    return False, False
+    sent, words = _transmit(code, errors, rng)
+    out = interleaved_decode(code, *words)
+    return _judged(out.decoded, out.codewords == sent)
 
 
 _TRIALS = {1: _trial_genuine, 2: _trial_uniform_coupling, 3: _trial_interleaved}
@@ -228,17 +230,6 @@ def _run_range(cfg: SimConfig, start: int, stop: int) -> tuple[int, int]:
     return failures, miscorrections
 
 
-def _shard_ranges(trials: int, shards: int) -> tuple[tuple[int, int], ...]:
-    base, extra = divmod(trials, shards)
-    out = []
-    start = 0
-    for w in range(shards):
-        size = base + (1 if w < extra else 0)
-        out.append((start, start + size))
-        start += size
-    return tuple(out)
-
-
 def run_scenario(cfg: SimConfig, shards: int = 1) -> SimReport:
     """Run all trials of one scenario, optionally sharded across processes.
 
@@ -249,16 +240,15 @@ def run_scenario(cfg: SimConfig, shards: int = 1) -> SimReport:
     if shards < 1:
         raise ValueError("shards must be >= 1")
     shards = min(shards, cfg.trials)
-    ranges = _shard_ranges(cfg.trials, shards)
     t0 = time.perf_counter()
     if shards == 1:
-        results = [_run_range(cfg, *ranges[0])]
+        results = [_run_range(cfg, 0, cfg.trials)]
     else:
+        bounds = [cfg.trials * w // shards for w in range(shards + 1)]
         workers = min(shards, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_range, [cfg] * shards,
-                                    [r[0] for r in ranges],
-                                    [r[1] for r in ranges]))
+                                    bounds[:-1], bounds[1:]))
     failures = sum(r[0] for r in results)
     miscorrections = sum(r[1] for r in results)
     wallclock = time.perf_counter() - t0
@@ -270,5 +260,4 @@ def run_scenario(cfg: SimConfig, shards: int = 1) -> SimReport:
         wilson95=wilson95(failures, cfg.trials),
         bound=failure_bound(cfg.q, cfg.n),
         wallclock=wallclock,
-        shard_ranges=ranges,
     )

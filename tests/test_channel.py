@@ -199,6 +199,14 @@ def test_sampler_range_validation(F256, wso256):
     for ctx, rows, cols in ((F256, -1, 3), (F81, 3, -2)):
         with pytest.raises(ValueError, match="rows, cols >= 0"):
             sample_full_rank(ctx, rows, cols, rng)
+    # counts are read with operator.index, once per call
+    for call, what in ((lambda: sample_space_symmetric(
+            F256, wso256.alpha, 4.0, rng), "t 4.0"),
+            (lambda: sample_full_rank(F256, 8, 4.0, rng), "cols 4.0"),
+            (lambda: sample_full_rank(F81, 2.0, 4, rng), "rows 2.0"),
+            (lambda: sample_uniform_invertible(F256, 2.0, rng), "t 2.0")):
+        with pytest.raises(ValueError, match=f"{what} is not an integer"):
+            call()
 
 
 def _oracle_rank(ctx, M):

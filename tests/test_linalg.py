@@ -124,6 +124,8 @@ def test_moore_matrix(F4, F256):
     assert m1 == [[F256.frob(x, 1) for x in row] for row in m0]
     with pytest.raises(ValueError):
         moore_matrix(F256, v, 0)
+    with pytest.raises(ValueError, match="rows 2.0 is not an integer"):
+        moore_matrix(F256, v, 2.0)
 
 
 def test_moore_rank_full_for_independent_entries(F256):

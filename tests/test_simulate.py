@@ -6,6 +6,8 @@ import pytest
 
 from rankmetric import (SimConfig, failure_bound, intersection_probability,
                         run_scenario, wilson95)
+from rankmetric import simulate
+from rankmetric.decoder import DecodeOutcome, InterleavedOutcome
 
 
 def test_failure_bound_values():
@@ -35,6 +37,12 @@ def test_intersection_probability_edges():
         intersection_probability(2, 3, 0, 4)
     with pytest.raises(ValueError):
         intersection_probability(4, 2, -1, 4)
+    for args, what in (((4.0, 2, 1, 256), "t_dim 4.0"),
+                       ((4, 2.0, 1, 256), "ell 2.0"),
+                       ((4, 2, 1.0, 256), "omega 1.0"),
+                       ((4, 2, 1, 256.0), "Qbase 256.0")):
+        with pytest.raises(ValueError, match=f"{what} is not an integer"):
+            intersection_probability(*args)
 
 
 def _subspaces(t, ell, q):
@@ -140,13 +148,29 @@ def test_config_validation():
 
 
 def test_shard_determinism_and_merge():
+    # 7 shards split 3,000 trials unevenly; 8 shards over 5 trials run 5
     cfg = SimConfig(scenario=2, q=2, n=8, k=2, t=4, trials=3000, seed=7)
-    solo = run_scenario(cfg, shards=1)
-    multi = run_scenario(cfg, shards=8)
-    assert solo.payload() == multi.payload()
-    assert len(multi.shard_ranges) == 8
-    assert multi.shard_ranges[0][0] == 0
-    assert multi.shard_ranges[-1][1] == 3000
+    solo = run_scenario(cfg, shards=1).payload()
+    for shards in (7, 8):
+        assert run_scenario(cfg, shards=shards).payload() == solo, shards
+    few = SimConfig(scenario=2, q=3, n=4, k=1, t=2, trials=5, seed=7)
+    assert run_scenario(few, shards=8).payload() \
+        == run_scenario(few).payload()
+
+
+def test_miscorrections_count_as_failures(monkeypatch):
+    """A decoder that returns a wrong codeword as decoded: every trial of
+    scenarios 1 and 3 is one failure and one miscorrection."""
+    monkeypatch.setattr(simulate, "decode", lambda code, y: DecodeOutcome(
+        "decoded", tuple(y), None, ()))
+    monkeypatch.setattr(simulate, "interleaved_decode",
+                        lambda code, y1, y2: InterleavedOutcome(
+                            "decoded", (tuple(y1), tuple(y2)), None, ()))
+    for scenario in (1, 3):
+        cfg = SimConfig(scenario=scenario, q=2, n=8, k=2, t=2, trials=20,
+                        seed=3)
+        rep = run_scenario(cfg)
+        assert (rep.failures, rep.miscorrections) == (20, 20), scenario
 
 
 def test_report_invariants():
