@@ -92,8 +92,6 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     three vector-by-F_q-matrix products.
     """
     n = ctx.n
-    if len(alpha) != n:
-        raise ValueError(f"basis must have {n} entries")
     _check_vector(ctx, alpha, n, "basis")
     t = _index(t, "t")
     if not 0 <= t <= n:

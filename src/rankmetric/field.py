@@ -11,8 +11,11 @@ field scalars can be fed to extension arithmetic unchanged.
 Defining polynomials are picked deterministically: the lexicographically
 smallest monic irreducible of the required degree, comparing coefficient
 tuples constant term first.  A caller-supplied modulus is verified instead;
-it is a sequence of ints (cli.py parses the text form).  Over F_2 the
-irreducibility test runs on packed ints, elsewhere on coefficient tuples.
+it is a sequence of ints (cli.py parses the text form).  The build has one
+polynomial arithmetic: residues modulo a polynomial are packed ints, like
+the field elements, with one product and one gcd test per modulus (shifts
+and XOR over F_2), one square-and-multiply and one Rabin irreducibility
+test for every q.
 
 Both levels (F_q when e > 1, and F_{q^n}) get exp/log tables over a fixed
 multiplicative generator, so multiplication, inversion and Frobenius powers
@@ -162,16 +165,6 @@ def _ptrim(f: Iterable[int]) -> tuple[int, ...]:
     return f[:d]
 
 
-def _psub(fo: _ScalarOps, f, g):
-    m = max(len(f), len(g))
-    out = []
-    for i in range(m):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out.append(fo.sub(a, b))
-    return _ptrim(out)
-
-
 def _pmul(fo: _ScalarOps, f, g):
     if not f or not g:
         return ()
@@ -187,68 +180,28 @@ def _pmul(fo: _ScalarOps, f, g):
 
 def _pmod(fo: _ScalarOps, f, g):
     """Remainder of f divided by g (g nonzero)."""
-    f = list(f)
-    dg = len(g) - 1
+    f, dg = list(f), len(g) - 1
     lead_inv = fo.inv(g[-1])
-    while len(f) - 1 >= dg and any(f):
-        df = len(f) - 1
-        if f[df] == 0:
-            f.pop()
-            continue
+    for df in range(len(f) - 1, dg - 1, -1):
         c = fo.mul(f[df], lead_inv)
-        shift = df - dg
-        for i, gc in enumerate(g):
-            if gc:
-                f[shift + i] = fo.sub(f[shift + i], fo.mul(c, gc))
-        f.pop()
-    return _ptrim(f)
+        if c:
+            for i, gc in enumerate(g, df - dg):
+                if gc:
+                    f[i] = fo.sub(f[i], fo.mul(c, gc))
+    return _ptrim(f[:dg])
 
 
 def _pgcd(fo: _ScalarOps, f, g):
+    """A gcd of f and g, not scaled to be monic: only its degree is read."""
     while g:
         f, g = g, _pmod(fo, f, g)
-    if f:
-        c = fo.inv(f[-1])
-        f = tuple(fo.mul(c, a) for a in f)
     return f
 
 
-def _ppowmod(fo: _ScalarOps, base, exponent: int, mod):
-    result = (1,)
-    base = _pmod(fo, base, mod)
-    while exponent:
-        if exponent & 1:
-            result = _pmod(fo, _pmul(fo, result, base), mod)
-        base = _pmod(fo, _pmul(fo, base, base), mod)
-        exponent >>= 1
-    return result
-
-
-def _is_irreducible(fo: _ScalarOps, f) -> bool:
-    """Test irreducibility of monic f over F_q via x^{q^i} iterates."""
-    d = len(f) - 1
-    if d < 1:
-        return False
-    # x mod f, which is a constant when d = 1
-    x = _pmod(fo, (0, 1), f)
-    q = fo.q
-    # frobenius iterates r_i = x^{q^i} mod f
-    r = x
-    iterates = {}
-    for i in range(1, d + 1):
-        r = _ppowmod(fo, r, q, f)
-        iterates[i] = r
-    if _psub(fo, iterates[d], x):
-        return False
-    for dd in _factor(d):
-        g = _pgcd(fo, _psub(fo, iterates[d // dd], x), f)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# Polynomials over F_2 packed as ints, bit i the coefficient of x^i.
+# Residues modulo a monic polynomial, packed as ints in base-|F| digits,
+# constant term first: the form of the field elements themselves.  Over F_2
+# a packed int is a bit mask, and its product and gcd are shifts and XOR.
 # ---------------------------------------------------------------------------
 
 def _gf2_mulmod(a: int, b: int, f: int, d: int) -> int:
@@ -273,25 +226,64 @@ def _gf2_gcd(a: int, b: int) -> int:
     return a
 
 
-def _gf2_is_irreducible(f: int) -> bool:
-    """_is_irreducible over F_2 for f packed as an int."""
-    d = f.bit_length() - 1
-    if d < 1:
-        return False
-    x = 2 if d > 1 else f & 1
-    iterates = [x]
+def _ring(fo: _ScalarOps, mod):
+    """The product on F[x]/(mod) and a test that an element is prime to mod.
+
+    mod is a monic coefficient tuple over the coefficient field F of fo,
+    and elements are packed ints below |F|^deg(mod).  Over F_2 both run on
+    the bit masks; otherwise they unpack to coefficient tuples.
+    """
+    base, d = fo.q, len(mod) - 1
+    if base == 2:
+        f = sum(c << i for i, c in enumerate(mod))
+        return (lambda a, b: _gf2_mulmod(a, b, f, d),
+                lambda a: _gf2_gcd(a, f) == 1)
+
+    def unpack(a):
+        out = []
+        while a:
+            a, c = divmod(a, base)
+            out.append(c)
+        return tuple(out)
+
+    def mul(a, b):
+        out = 0
+        for c in reversed(_pmod(fo, _pmul(fo, unpack(a), unpack(b)), mod)):
+            out = out * base + c
+        return out
+
+    return mul, lambda a: len(_pgcd(fo, unpack(a), mod)) == 1
+
+
+def _power(mul, g, m: int):
+    """g^m for m >= 1 by left-to-right square-and-multiply."""
+    r = g
+    for bit in bin(m)[3:]:
+        r = mul(r, r)
+        if bit == "1":
+            r = mul(r, g)
+    return r
+
+
+def _is_irreducible(fo: _ScalarOps, f) -> bool:
+    """Rabin's test of monic f of degree d over F_q: x^(q^d) = x mod f, and
+    x^(q^(d/r)) - x is prime to f for every prime r dividing d."""
+    d, q = len(f) - 1, fo.q
+    if d < 2:
+        return d == 1
+    mul, coprime = _ring(fo, f)
+    # x is the packed int q; its Frobenius iterates x^(q^i) mod f
+    iterates = [q]
     for _ in range(d):
-        iterates.append(_gf2_mulmod(iterates[-1], iterates[-1], f, d))
-    if iterates[d] != x:
+        iterates.append(_power(mul, iterates[-1], q))
+    if iterates[d] != q:
         return False
-    return all(_gf2_gcd(iterates[d // dd] ^ x, f) == 1 for dd in _factor(d))
-
-
-def _irreducible(fo: _ScalarOps, f) -> bool:
-    """Irreducibility of monic f over F_q: packed ints at q = 2."""
-    if fo.q == 2:
-        return _gf2_is_irreducible(sum(c << i for i, c in enumerate(f)))
-    return _is_irreducible(fo, f)
+    for r in _factor(d):
+        a = iterates[d // r]
+        c = a // q % q  # subtracting x changes digit 1 alone
+        if not coprime(a + (fo.sub(c, 1) - c) * q):
+            return False
+    return True
 
 
 def _smallest_irreducible(fo: _ScalarOps, d: int) -> tuple[int, ...]:
@@ -306,25 +298,9 @@ def _smallest_irreducible(fo: _ScalarOps, d: int) -> tuple[int, ...]:
     for c0 in range(1, q):
         for rest in product(range(q), repeat=d - 1):
             f = (c0,) + rest + (1,)
-            if _irreducible(fo, f):
+            if _is_irreducible(fo, f):
                 return f
     raise ValueError(f"no irreducible polynomial of degree {d} found")  # pragma: no cover
-
-
-def _mul_digits(fo: _ScalarOps, mod, base: int, a: int, b: int) -> int:
-    da = []
-    while a:
-        da.append(a % base)
-        a //= base
-    db = []
-    while b:
-        db.append(b % base)
-        b //= base
-    prod = _pmod(fo, _pmul(fo, tuple(da), tuple(db)), mod)
-    out = 0
-    for c in reversed(prod):
-        out = out * base + c
-    return out
 
 
 def _span(p: int, images, add) -> list[int]:
@@ -400,41 +376,24 @@ def _tabled(p: int, fo: _ScalarOps, mod):
     Elements are packed ints whose base-|F| digits are the residue
     coefficients, so at both levels their base-p digits are F_p
     coordinates.  The generator gen is the smallest primitive packed int,
-    found with full products (a shift-and-XOR loop over F_2, the
-    packed-digit polynomial product otherwise).  The same products give
-    gen times each base-p digit unit, and _walk builds exp/log from those
-    images alone, one two-lookup step per element.  mul and inv then look
-    products up.  Addition is XOR in characteristic 2.  At odd p it uses the
-    Zech logarithms zech[i] = log(1 + w^i), -1 where 1 + w^i = 0:
-    w^a + w^b = w^(a + zech[b - a]), and subtraction adds log(-1) to the
-    exponent of the subtrahend.  Returns (ops, exp, log).
+    found with _power over _ring's product on F[x]/(mod).  The same
+    product gives gen times each base-p digit unit, and _walk builds
+    exp/log from those images alone, one two-lookup step per element.  mul
+    and inv then look products up.  Addition is XOR in characteristic 2.
+    At odd p it uses the Zech logarithms zech[i] = log(1 + w^i), -1 where
+    1 + w^i = 0: w^a + w^b = w^(a + zech[b - a]), and subtraction adds
+    log(-1) to the exponent of the subtrahend.  Returns (ops, exp, log).
     """
     base, deg = fo.q, len(mod) - 1
     order = base ** deg
-    if base == 2:
-        bits = sum(1 << i for i, c in enumerate(mod) if c)
-
-        def mul_raw(a, b):
-            return _gf2_mulmod(a, b, bits, deg)
-    else:
-        def mul_raw(a, b):
-            return _mul_digits(fo, mod, base, a, b)
-
-    def raw_pow(g, m):
-        r = 1
-        while m:
-            if m & 1:
-                r = mul_raw(r, g)
-            g = mul_raw(g, g)
-            m >>= 1
-        return r
-
+    mul_raw = _ring(fo, mod)[0]
     L = order - 1
     prime_parts = _factor(L)
     # order 2 has no candidate above 1, and 1 generates its group; for
     # deg > 1 the ints below base form F, whose orders divide base - 1 < L
     gen = next((g for g in range(base if deg > 1 else 2, order)
-                if all(raw_pow(g, L // r) != 1 for r in prime_parts)), 1)
+                if all(_power(mul_raw, g, L // r) != 1
+                       for r in prime_parts)), 1)
     images, u = [], 1
     while u < order:
         images.append(mul_raw(u, gen))
@@ -519,7 +478,7 @@ class FieldCtx:
                     f"modulus must be monic of degree {n}, got {modulus}")
             if any(not 0 <= c < q for c in modulus):
                 raise ValueError("modulus coefficients out of range")
-            if not _irreducible(fo, modulus):
+            if not _is_irreducible(fo, modulus):
                 raise ValueError(f"modulus {modulus} is reducible over F_{q}")
         self.modulus = modulus
 

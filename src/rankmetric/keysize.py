@@ -13,12 +13,14 @@ import math
 from dataclasses import dataclass
 
 from .channel import count_rank, count_space_symmetric, count_symmetric
+from .field import _index, _prime_power
 
 ERROR_TYPES = ("conv", "sym", "sp-sym")
 
 
 def max_errors(kind: str, n: int, k: int) -> int:
     """Largest correctable error rank per error structure."""
+    n, k = _index(n, "n"), _index(k, "k")
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if kind == "conv":
@@ -32,6 +34,8 @@ def max_errors(kind: str, n: int, k: int) -> int:
 
 def wf_dec(n: int, k: int, tprime: int, q: int = 2) -> float:
     """Decoding attack cost in bits: log2(n^3 q^((t'-1) k))."""
+    _prime_power(q)
+    n, k, tprime = _index(n, "n"), _index(k, "k"), _index(tprime, "tprime")
     if tprime < 1:
         raise ValueError("tprime must be >= 1")
     return 3 * math.log2(n) + (tprime - 1) * k * math.log2(q)
@@ -39,6 +43,8 @@ def wf_dec(n: int, k: int, tprime: int, q: int = 2) -> float:
 
 def wf_struc(n: int, lam: int, q: int = 2) -> float:
     """Structural attack cost in bits: log2(n^3 q^(n(l-1)-(l-1)^2))."""
+    _prime_power(q)
+    n, lam = _index(n, "n"), _index(lam, "lambda")
     if lam < 1:
         raise ValueError("lambda must be >= 1")
     return 3 * math.log2(n) + (n * (lam - 1) - (lam - 1) ** 2) * math.log2(q)
@@ -57,6 +63,8 @@ def wf_error(kind: str, n: int, tprime: int, q: int = 2) -> float:
 
 def key_size_kb(n: int, k: int, q: int = 2) -> float:
     """Public key size in KB: k(n-k) entries of F_{q^n}, 1000-byte KB."""
+    _prime_power(q)
+    n, k = _index(n, "n"), _index(k, "k")
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     return k * (n - k) * n * math.log2(q) / 8000
@@ -79,6 +87,7 @@ class CryptoRow:
 
 def crypto_row(sl: int, kind: str, n: int, k: int, lam: int,
                q: int = 2) -> CryptoRow:
+    sl = _index(sl, "sl")
     struc = wf_struc(n, lam, q)  # rejects lambda < 1 before the division
     t = max_errors(kind, n, k)
     tprime = t // lam

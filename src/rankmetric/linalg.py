@@ -101,6 +101,7 @@ def fq_rank(ctx: FieldCtx, M) -> int:
 
 def fq_matmul(ctx: FieldCtx, A, B):
     """Product A B over F_q, entries F_q elements in [0, q)."""
+    _check_fq(ctx, A, B)
     return fqn_matmul(ctx, A, B)
 
 
@@ -186,23 +187,28 @@ class _PackedMap:
 def _check_vector(ctx: FieldCtx, v, length, what):
     """Reject a wrong length or an entry outside F_{q^n}."""
     if len(v) != length:
-        raise ValueError(f"{what} must have length {length}")
+        raise ValueError(f"{what} must have {length} entries")
     if v and (min(v) < 0 or max(v) >= ctx.order):
         raise ValueError(
             f"{what} entries must lie in [0, q^n) = [0, {ctx.order})")
+
+
+def _check_fq(ctx: FieldCtx, *matrices):
+    """Reject a matrix entry outside F_q."""
+    if any(row and (min(row) < 0 or max(row) >= ctx.q)
+           for M in matrices for row in M):
+        raise ValueError(
+            f"matrix entries must lie in F_q = [0, q) = [0, {ctx.q})")
 
 
 def phi_inv(ctx: FieldCtx, A, alpha):
     """Vector a with a_j = sum_i alpha_i A[i][j], the vector whose column j
     of alpha-coordinates is column j of the F_q matrix A."""
     n = ctx.n
-    if len(alpha) != n:
-        raise ValueError(f"basis must have {n} entries")
+    _check_vector(ctx, alpha, n, "basis")
     if len(A) != n or any(len(row) != n for row in A):
         raise ValueError(f"matrix must be {n}x{n}")
-    if min(map(min, A)) < 0 or max(map(max, A)) >= ctx.q:
-        raise ValueError(
-            f"matrix entries must lie in F_q = [0, q) = [0, {ctx.q})")
+    _check_fq(ctx, A)
     return fqn_vec_fq_mat(ctx, alpha, A)
 
 

@@ -40,7 +40,7 @@ from .channel import _gaussian_binomial, sample_full_rank, \
     sample_space_symmetric, sample_uniform_invertible
 from .code import GabidulinCode
 from .decoder import decode, interleaved_decode
-from .field import _index, make_field
+from .field import _index, _prime_power, make_field
 from .linalg import fq_transpose, fqn_matmul, fqn_rank, fqn_vec_fq_mat, \
     moore_matrix
 from .wso import find_wso_basis
@@ -74,6 +74,10 @@ def failure_bound(q: int, n: int) -> float:
     It is not a bound everywhere: the exact scenario-1 rate at
     (q, n, k, t) = (2, 4, 1, 2) is 150/210, against 0.25.
     """
+    _prime_power(q)
+    n = _index(n, "n")
+    if n < 1:
+        raise ValueError(f"extension degree n={n} must be >= 1")
     return 4 / q ** n
 
 
@@ -87,12 +91,12 @@ def intersection_probability(t_dim: int, ell: int, omega: int, Qbase: int) -> fl
     omega = 0 the sum telescopes to 1, and omega > ell gives 0.
     """
     t_dim, ell = _index(t_dim, "t_dim"), _index(ell, "ell")
-    omega, Qbase = _index(omega, "omega"), _index(Qbase, "Qbase")
+    omega, Q = _index(omega, "omega"), _index(Qbase, "Qbase")
+    _prime_power(Q)
     if omega < 0 or ell < 0 or ell > t_dim:
         raise ValueError("need 0 <= omega and 0 <= ell <= t_dim")
     if omega > ell:
         return 0.0
-    Q = Qbase
     num = 0
     for i in range(omega, ell + 1):
         num += (_gaussian_binomial(t_dim - ell, ell - i, Q)

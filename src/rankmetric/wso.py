@@ -68,8 +68,6 @@ def is_weak_self_orthogonal(ctx: FieldCtx, alpha):
     """
     alpha = tuple(alpha)
     n = ctx.n
-    if len(alpha) != n:
-        raise ValueError(f"alpha must have length {n}")
     _check_vector(ctx, alpha, n, "vector")
     add, mul, frob = ctx.add, ctx.mul, ctx.frob
     half = n // 2

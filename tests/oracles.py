@@ -11,7 +11,8 @@ The library pieces still reused are:
 
 - the trial-rank countdown reference: fqn_vec_fq_mat to turn a solve into
   an error;
-- the exp/log reference: the packed-digit product _mul_digits and _factor;
+- the exp/log reference: the tuple product _pmul and _pmod, not the
+  shift-and-XOR product of F_2, and _factor;
 - transpose_vector: phi_inv and fq_transpose around coords;
 - code_matrices: moore_matrix;
 - base_ops: field._prime_ops, _smallest_irreducible and _tabled, the F_q
@@ -27,7 +28,7 @@ from functools import reduce
 from rankmetric import fq_rank, fq_transpose, lin_normalize, moore_matrix, \
     phi_inv
 from rankmetric.channel import _draws
-from rankmetric.field import _factor, _mul_digits, _prime_ops, \
+from rankmetric.field import _factor, _pmod, _pmul, _prime_ops, \
     _smallest_irreducible, _tabled
 from rankmetric.linalg import fqn_vec_fq_mat
 
@@ -269,8 +270,12 @@ def walk_tables(fo, mod):
     """
     base, order = fo.q, fo.q ** (len(mod) - 1)
 
+    def digits(a):
+        return tuple(a // base ** i % base for i in range(len(mod) - 1))
+
     def mul_raw(a, b):
-        return _mul_digits(fo, mod, base, a, b)
+        prod = _pmod(fo, _pmul(fo, digits(a), digits(b)), mod)
+        return sum(c * base ** i for i, c in enumerate(prod))
 
     def raw_pow(g, m):
         r = 1

@@ -4,9 +4,8 @@ import random
 import pytest
 
 from rankmetric import find_wso_basis, gaussian_binomial, make_field
-from rankmetric.field import PRIME_TEST_LIMIT, _gf2_is_irreducible, \
-    _is_irreducible, _prime_ops, _prime_power, _ScalarOps, \
-    _smallest_irreducible, _tabled
+from rankmetric.field import PRIME_TEST_LIMIT, _is_irreducible, \
+    _prime_ops, _prime_power, _ScalarOps, _smallest_irreducible, _tabled
 
 from field_digests import digest
 from oracles import base_ops, digit_add, walk_tables
@@ -73,18 +72,26 @@ def test_default_modulus_small_degrees_match_oracle():
         assert make_field(2, n).modulus == _smallest_irreducible_gf2(n)
 
 
-def test_packed_gf2_irreducibility_matches_generic():
-    # every monic polynomial of degree 1..12; the counts of irreducibles are
-    # (1/d) * sum over e | d of mu(d/e) 2^e, 747 in all
+def test_irreducibility_matches_trial_division_and_counts():
+    # over F_2, every monic polynomial of degree 1..12 against trial
+    # division; over F_3 and a tabled F_4, the counts of monic irreducibles
+    # of degree d, (1/d) * sum over e | d of mu(d/e) q^e
     fo = _prime_ops(2)
+    irr = _gf2_irreducibles_upto(6)
     found = 0
     for d in range(1, 13):
         for f in range(1 << d, 2 << d):
             coeffs = tuple(f >> i & 1 for i in range(d + 1))
-            packed = _gf2_is_irreducible(f)
-            assert packed == _is_irreducible(fo, coeffs), coeffs
-            found += packed
+            got = _is_irreducible(fo, coeffs)
+            assert got == _is_irreducible_gf2(f, irr), coeffs
+            found += got
     assert found == 747
+    f3 = _prime_ops(3)
+    f4 = _tabled(2, fo, (1, 1, 1))[0]
+    for ops, want in ((f3, [3, 3, 8, 18, 48, 116]), (f4, [4, 6, 20, 60])):
+        assert [sum(_is_irreducible(ops, rest + (1,)) for rest in
+                    itertools.product(range(ops.q), repeat=d))
+                for d in range(1, len(want) + 1)] == want
 
 
 def test_reducible_modulus_rejected():

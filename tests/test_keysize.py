@@ -83,6 +83,23 @@ def test_row_flagging():
     assert not row.ok
 
 
+def test_inputs_read_as_counts_and_field_orders():
+    for call, what in ((lambda: max_errors("conv", 8.0, 2), "n 8.0"),
+                       (lambda: max_errors("conv", 8, 2.0), "k 2.0"),
+                       (lambda: wf_dec(8, 2, 1.5), "tprime 1.5"),
+                       (lambda: wf_struc(8, 2.0), "lambda 2.0"),
+                       (lambda: key_size_kb(10.0, 5), "n 10.0"),
+                       (lambda: crypto_row(128.0, "conv", 32, 16, 2),
+                        "sl 128.0")):
+        with pytest.raises(ValueError, match=f"{what} is not an integer"):
+            call()
+    for call in (lambda: key_size_kb(10, 5, 6), lambda: wf_dec(8, 2, 2, 6),
+                 lambda: wf_struc(8, 2, 6), lambda: wf_dec(8, 2, 2, 1),
+                 lambda: crypto_row(128, "conv", 32, 16, 2, 6)):
+        with pytest.raises(ValueError, match="is not a prime power"):
+            call()
+
+
 def test_tprime_consistency():
     for row in reference_table():
         assert row.tprime == max_errors(row.kind, row.n, row.k) // row.lam

@@ -64,6 +64,21 @@ def test_phi_inv_rejects_entries_outside_fq(q, n):
     assert coords(ctx, alpha, phi_inv(ctx, A, alpha)) == A
 
 
+def test_fq_inputs_rejected_outside_their_field():
+    # a basis entry of -1 once read log[-1], and 16 ran past the tables
+    F16 = make_field(2, 4)
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    for alpha in ((-1, 2, 4, 8), (1, 2, 4, 16)):
+        with pytest.raises(ValueError, match=r"basis entries must lie in "
+                                             r"\[0, q\^n\) = \[0, 16\)"):
+            phi_inv(F16, eye, alpha)
+    M = [[-1, 1], [1, 1]]
+    for A, B in ((M, M), (M, eye[:2]), ([[1, 0], [0, 1]], [[2, 0], [0, 1]])):
+        with pytest.raises(ValueError, match=r"matrix entries must lie in "
+                                             r"F_q = \[0, q\) = \[0, 2\)"):
+            fq_matmul(F16, A, B)
+
+
 def test_phi_roundtrip_random(F256, wso256):
     rng = random.Random(11)
     for _ in range(100):

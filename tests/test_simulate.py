@@ -14,6 +14,13 @@ def test_failure_bound_values():
     assert failure_bound(2, 8) == 0.015625
     assert failure_bound(2, 10) == 4 / 1024
     assert failure_bound(3, 4) == 4 / 81
+    for q in (0, 1, 6, -2):
+        with pytest.raises(ValueError, match=f"q={q} is not a prime power"):
+            failure_bound(q, 3)
+    with pytest.raises(ValueError, match="n=0 must be >= 1"):
+        failure_bound(2, 0)
+    with pytest.raises(ValueError, match=r"n 3\.0 is not an integer"):
+        failure_bound(2, 3.0)
 
 
 def test_intersection_probability_table_value():
@@ -43,6 +50,9 @@ def test_intersection_probability_edges():
                        ((4, 2, 1, 256.0), "Qbase 256.0")):
         with pytest.raises(ValueError, match=f"{what} is not an integer"):
             intersection_probability(*args)
+    for Qbase in (-2, 0, 1, 6):
+        with pytest.raises(ValueError, match=f"q={Qbase} is not a prime power"):
+            intersection_probability(4, 2, 1, Qbase)
 
 
 def _subspaces(t, ell, q):
