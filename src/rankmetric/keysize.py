@@ -38,6 +38,10 @@ def wf_dec(n: int, k: int, tprime: int, q: int = 2) -> float:
     n, k, tprime = _index(n, "n"), _index(k, "k"), _index(tprime, "tprime")
     if tprime < 1:
         raise ValueError("tprime must be >= 1")
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if tprime > n:
+        raise ValueError(f"need tprime <= n, got tprime={tprime}, n={n}")
     return 3 * math.log2(n) + (tprime - 1) * k * math.log2(q)
 
 
@@ -47,6 +51,8 @@ def wf_struc(n: int, lam: int, q: int = 2) -> float:
     n, lam = _index(n, "n"), _index(lam, "lambda")
     if lam < 1:
         raise ValueError("lambda must be >= 1")
+    if lam > n:
+        raise ValueError(f"need lambda <= n, got lambda={lam}, n={n}")
     return 3 * math.log2(n) + (n * (lam - 1) - (lam - 1) ** 2) * math.log2(q)
 
 

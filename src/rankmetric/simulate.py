@@ -3,19 +3,21 @@
 Three trial kinds:
 
 1. Genuine channel: a uniform rank-t error with equal row and column space
-   corrupts a random codeword and the joint-syndrome decoder runs end to
-   end.
-2. Uniform-coupling assumption: the stacked syndrome matrix is built in the
-   rewritten form [Mt^(t+1); Mt^(t+k) Q] M_{t+1}(a)^T with Mt = M(a) P and
-   Q drawn uniformly over invertible matrices instead of the coupled
-   P^-1 P^T; a trial fails when the rank differs from t.
-3. Two-word interleaved channel: two codewords corrupted by errors sharing
-   one support of dimension t, decoded jointly.
+   is decoded end to end by the joint-syndrome decoder.
+2. Uniform-coupling assumption: with Mt = M(a) P and Q drawn uniformly
+   over invertible matrices instead of the coupled P^-1 P^T, a trial fails
+   when rank [Mt; Mt^(q^(k-1)) Q] differs from t.  That is the rank of the
+   rewritten stacked syndrome matrix [Mt^(t+1); Mt^(t+k) Q] M_{t+1}(a)^T:
+   M_{t+1}(a)^T has full row rank t, and undoing q^(t+1) entrywise fixes
+   the F_q entries of P and Q.
+3. Two-word interleaved channel: two errors sharing one support of
+   dimension t, decoded jointly.
 
-Scenarios 1 and 3 share one transmit step (a random codeword per error,
-drawn after the errors, plus that error) and one judge: a trial fails
-unless it decodes to the words sent, and a decoded wrong word also counts
-as a miscorrection.
+Scenarios 1 and 3 decode the errors alone and share one judge: a trial
+fails unless every decoded word is zero, and a decoded nonzero word also
+counts as a miscorrection.  That is the verdict on codeword plus error for
+any codeword, as decoding is translation-equivariant: the syndromes vanish
+on codewords, and the decoded word of c + e is c plus that of e.
 
 Every trial owns an RNG stream derived from (seed, trial index) through
 SHA-256, so results are identical for any shard count and shards can run
@@ -41,8 +43,7 @@ from .channel import _gaussian_binomial, sample_full_rank, \
 from .code import GabidulinCode
 from .decoder import decode, interleaved_decode
 from .field import _index, _prime_power, make_field
-from .linalg import fq_transpose, fqn_matmul, fqn_rank, fqn_vec_fq_mat, \
-    moore_matrix
+from .linalg import fqn_matmul, fqn_rank, fqn_vec_fq_mat, moore_matrix
 from .wso import find_wso_basis
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -164,42 +165,35 @@ def _trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
-def _transmit(code: GabidulinCode, errors, rng):
-    """One random codeword per error, drawn after the errors, and the
-    received words codeword + error."""
-    ctx = code.ctx
-    sent = tuple(code.encode([ctx.rand_elem(rng) for _ in range(code.k)])
-                 for _ in errors)
-    return sent, [tuple(map(ctx.add, c, e)) for c, e in zip(sent, errors)]
-
-
-def _judged(decoded: bool, right: bool) -> tuple[bool, bool]:
-    """(failed, miscorrected): a failure is anything not decoded right, a
-    miscorrection a decoded wrong word."""
-    return not (decoded and right), decoded and not right
+def _judged(codewords) -> tuple[bool, bool]:
+    """(failed, miscorrected) from the words decoded from the errors alone,
+    None on a failure: a failure is anything but all zero words, a
+    miscorrection a decoded nonzero word."""
+    wrong = codewords is not None and any(map(any, codewords))
+    return codewords is None or wrong, wrong
 
 
 def _trial_genuine(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
     err = sample_space_symmetric(code.ctx, code.alpha, t, rng)
-    (c,), (y,) = _transmit(code, [err.e], rng)
-    out = decode(code, y)
-    return _judged(out.decoded, out.codeword == c)
+    out = decode(code, err.e)
+    return _judged(None if out.codeword is None else [out.codeword])
+
+
+def _coupling_fails(code: GabidulinCode, a, P, Q) -> bool:
+    """Whether rank [M P; M^(q^(k-1)) P Q] differs from t = len(a), M the
+    Moore matrix of a with n-k-t rows."""
+    ctx, n, k, t = code.ctx, code.n, code.k, len(a)
+    MP = fqn_matmul(ctx, moore_matrix(ctx, a, n - t - 1), P)
+    return fqn_rank(ctx, MP[:n - k - t] + fqn_matmul(ctx, MP[k - 1:], Q)) != t
 
 
 def _trial_uniform_coupling(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
     ctx = code.ctx
-    n, k = code.n, code.k
-    A = sample_full_rank(ctx, n, t, rng)
+    A = sample_full_rank(ctx, code.n, t, rng)
     a = fqn_vec_fq_mat(ctx, code.alpha, A)
     P = sample_uniform_invertible(ctx, t, rng)
     Q = sample_uniform_invertible(ctx, t, rng)
-    frob = ctx.frob
-    Mt = fqn_matmul(ctx, moore_matrix(ctx, a, n - k - t), P)
-    top = [[frob(v, t + 1) for v in row] for row in Mt]
-    bottom = fqn_matmul(ctx, [[frob(v, t + k) for v in row] for row in Mt], Q)
-    right = fq_transpose(moore_matrix(ctx, a, t + 1))
-    S = fqn_matmul(ctx, top + bottom, right)
-    return fqn_rank(ctx, S) != t, False
+    return _coupling_fails(code, a, P, Q), False
 
 
 def _trial_interleaved(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
@@ -211,9 +205,7 @@ def _trial_interleaved(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
     for _ in range(2):
         B = sample_full_rank(ctx, t, n, rng)
         errors.append(fqn_vec_fq_mat(ctx, a, B))
-    sent, words = _transmit(code, errors, rng)
-    out = interleaved_decode(code, *words)
-    return _judged(out.decoded, out.codewords == sent)
+    return _judged(interleaved_decode(code, *errors).codewords)
 
 
 _TRIALS = {1: _trial_genuine, 2: _trial_uniform_coupling, 3: _trial_interleaved}
@@ -223,14 +215,11 @@ def _run_range(cfg: SimConfig, start: int, stop: int) -> tuple[int, int]:
     ctx = make_field(cfg.q, cfg.n)
     code = GabidulinCode(ctx, cfg.k, find_wso_basis(ctx))
     trial = _TRIALS[cfg.scenario]
-    failures = 0
-    miscorrections = 0
+    failures = miscorrections = 0
     for index in range(start, stop):
         failed, mis = trial(code, cfg.t, _trial_rng(cfg.seed, index))
-        if failed:
-            failures += 1
-        if mis:
-            miscorrections += 1
+        failures += failed
+        miscorrections += mis
     return failures, miscorrections
 
 

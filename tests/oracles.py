@@ -333,18 +333,17 @@ def subspace_count(n, t, q):
     return len(spans)
 
 
-def space_symmetric(n, t, q):
-    """Every n-by-n rank-t matrix E over F_q (q prime) whose row and column
-    spaces coincide, each exactly once, as E = A P A^T.
-
-    A runs over the reduced column-echelon n-by-t matrices of rank t (one
-    per t-dimensional column space) and P over GL_t(F_q); A has full column
-    rank, so E determines P.
-    """
-    gl = [P for P in (
+def general_linear(t, q):
+    """Every invertible t-by-t matrix over F_q (q prime), as lists of rows."""
+    return [P for P in (
         [list(entries[i * t:(i + 1) * t]) for i in range(t)]
         for entries in itertools.product(range(q), repeat=t * t))
         if rank_mod_p(P, q) == t]
+
+
+def echelon_supports(n, t, q):
+    """The reduced column-echelon n-by-t matrices of rank t over F_q (q
+    prime): one basis of each t-dimensional subspace of F_q^n."""
     for pivots in itertools.combinations(range(n), t):
         # column i of A: 1 at pivots[i], 0 at the other pivots and above
         free = [(r, i) for i, c in enumerate(pivots)
@@ -355,11 +354,23 @@ def space_symmetric(n, t, q):
                 A[c][i] = 1
             for (r, i), d in zip(free, digits):
                 A[r][i] = d
-            for P in gl:
-                AP = [[sum(a * p for a, p in zip(row, col)) % q
-                       for col in zip(*P)] for row in A]
-                yield [[sum(x * y for x, y in zip(ap, a)) % q for a in A]
-                       for ap in AP]
+            yield A
+
+
+def space_symmetric(n, t, q):
+    """Every n-by-n rank-t matrix E over F_q (q prime) whose row and column
+    spaces coincide, each exactly once, as E = A P A^T.
+
+    A runs over echelon_supports (one per t-dimensional column space) and P
+    over GL_t(F_q); A has full column rank, so E determines P.
+    """
+    gl = general_linear(t, q)
+    for A in echelon_supports(n, t, q):
+        for P in gl:
+            AP = [[sum(a * p for a, p in zip(row, col)) % q
+                   for col in zip(*P)] for row in A]
+            yield [[sum(x * y for x, y in zip(ap, a)) % q for a in A]
+                   for ap in AP]
 
 
 def _gf2_rref(masks):

@@ -14,6 +14,7 @@ from rankmetric.decoder import _codeword, _extend, _full_root_space, \
     _syndrome_row
 from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
                                fqn_vec_fq_mat, moore_matrix)
+from rankmetric.simulate import _trial_rng
 
 from oracles import code_matrices, countdown_decode, joint_kernel, \
     key_equation_remainder, lin_compose_mod, lin_qdeg, min_subspace_poly, \
@@ -554,6 +555,115 @@ def test_countdown_visits_trials_above_observed_rank():
     out = decode(code, err.e)
     assert out.decoded and out.error == err.e and not any(out.codeword)
     assert out.trial_trace == ((4, 2), (3, 3))
+
+
+def _shift_checked(code, errors, rng):
+    """(status, codewords, errors, trace) of decoding the errors alone: one
+    through decode, two through interleaved_decode.  Checks first that the
+    errors added to random codewords decode to the same status, trace and
+    errors, and to those codewords plus the codewords decoded from the
+    errors alone, which is what lets the simulate harness skip the
+    codewords."""
+    ctx = code.ctx
+    sent = [_rand_codeword(code, rng) for _ in errors]
+    words = [_corrupt(ctx, c, e) for c, e in zip(sent, errors)]
+    if len(errors) == 1:
+        one = lambda v: None if v is None else (v,)
+        plain, shifted = ((out.status, one(out.codeword), one(out.error),
+                           out.trial_trace)
+                          for out in (decode(code, *errors),
+                                      decode(code, *words)))
+    else:
+        plain, shifted = ((out.status, out.codewords, out.errors,
+                           out.trial_trace)
+                          for out in (interleaved_decode(code, *errors),
+                                      interleaved_decode(code, *words)))
+    status, codewords, found, trace = plain
+    if codewords is not None:
+        codewords = tuple(map(_corrupt, [ctx] * len(sent), sent, codewords))
+    assert shifted == (status, codewords, found, trace)
+    return plain
+
+
+def _wrong(plain):
+    """Whether a decoding of errors alone is a failure or a nonzero word."""
+    return plain[1] is None or any(map(any, plain[1]))
+
+
+def _shared_support_errors(code, t, rng):
+    """Two errors alpha A B1 and alpha A B2 on one t-dimensional support."""
+    ctx, n = code.ctx, code.n
+    a = fqn_vec_fq_mat(ctx, code.alpha, sample_full_rank(ctx, n, t, rng))
+    return [fqn_vec_fq_mat(ctx, a, sample_full_rank(ctx, t, n, rng))
+            for _ in range(2)]
+
+
+def _zero_syndrome_errors(code, rng):
+    """Error lists that take the zero-syndrome shortcut: zero and nonzero
+    codewords, alone and in pairs."""
+    zero = (0,) * code.n
+    c1, c2, c3, c4 = (_rand_codeword(code, rng) for _ in range(4))
+    return [[zero], [c1], [zero, zero], [c2, zero], [c3, c4]]
+
+
+def test_codeword_shift_every_error_2_4_1_2():
+    # 150 of the 210 space-symmetric rank-2 errors fail at (2,4,1,2)
+    ctx = make_field(2, 4)
+    code = GabidulinCode(ctx, 1)
+    rng = random.Random(80)
+    wrong = [_wrong(_shift_checked(code, [phi_inv(ctx, E, code.alpha)], rng))
+             for E in space_symmetric(4, 2, 2)]
+    assert (len(wrong), sum(wrong)) == (210, 150)
+    pairs = [_wrong(_shift_checked(code, _shared_support_errors(code, 2, rng),
+                                   rng)) for _ in range(200)]
+    assert 0 < sum(pairs) < 200
+    for errors in _zero_syndrome_errors(code, rng):
+        plain = _shift_checked(code, errors, rng)
+        assert plain[0] == "decoded" and plain[3] == ()
+        assert plain[1] == tuple(errors)
+
+
+@pytest.mark.parametrize("q,n,k,t,failing,pairs_failing", [
+    (2, 8, 2, 4, 8, 2),
+    (4, 5, 1, 2, 0, 0),
+])
+def test_codeword_shift_sampled_errors(q, n, k, t, failing, pairs_failing):
+    # 300 single errors and 300 pairs; at (2,8,2,4) the failing singles
+    # include the symmetric-P draws, about 1/45 of them
+    ctx = make_field(q, n)
+    code = GabidulinCode(ctx, k)
+    rng = random.Random(81)
+    wrong = sum(_wrong(_shift_checked(
+        code, [sample_space_symmetric(ctx, code.alpha, t, rng).e], rng))
+        for _ in range(300))
+    pairs = sum(_wrong(_shift_checked(
+        code, _shared_support_errors(code, t, rng), rng)) for _ in range(300))
+    assert (wrong, pairs) == (failing, pairs_failing)
+    for errors in _zero_syndrome_errors(code, rng):
+        plain = _shift_checked(code, errors, rng)
+        assert plain[0] == "decoded" and plain[1] == tuple(errors)
+    if 2 * t <= n - 1:
+        return
+    # a symmetric inner factor fails whenever 2t > n - 1
+    for _ in range(20):
+        A = sample_full_rank(ctx, n, t, rng)
+        P = sample_symmetric_invertible(ctx, t, rng)
+        E = fq_matmul(ctx, fq_matmul(ctx, A, P), fq_transpose(A))
+        plain = _shift_checked(code, [phi_inv(ctx, E, code.alpha)], rng)
+        assert plain[0] == "failure"
+
+
+def test_codeword_shift_keeps_a_miscorrection():
+    # trial 2141 of seed 7 at (3,7,1,4), scenario 1: the one miscorrection
+    # in its first 4,000 trials, found at the trial rank 3 below the top
+    ctx = make_field(3, 7)
+    code = GabidulinCode(ctx, 1)
+    err = sample_space_symmetric(ctx, code.alpha, 4, _trial_rng(7, 2141))
+    rng = random.Random(82)
+    for _ in range(20):
+        status, codewords, found, trace = _shift_checked(code, [err.e], rng)
+        assert status == "decoded" and trace == ((4, 2), (3, 3))
+        assert any(codewords[0]) and found[0] != err.e
 
 
 @pytest.mark.parametrize("q,n,k,t,exact", [

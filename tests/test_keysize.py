@@ -100,6 +100,22 @@ def test_inputs_read_as_counts_and_field_orders():
             call()
 
 
+def test_work_factors_reject_inputs_they_cannot_serve():
+    # wf_dec(8, 9, 3) gave 27.0, wf_dec(8, -2, 3) 5.0 and wf_struc(4, 10)
+    # -39.0 bits; n = 0 raised a bare math domain error
+    for call, what in ((lambda: wf_dec(8, 9, 3), "k=9, n=8"),
+                       (lambda: wf_dec(8, -2, 3), "k=-2, n=8"),
+                       (lambda: wf_dec(0, 2, 1), "k=2, n=0"),
+                       (lambda: wf_dec(8, 2, 9), "tprime=9, n=8"),
+                       (lambda: wf_struc(4, 10), "lambda=10, n=4"),
+                       (lambda: wf_struc(0, 2), "lambda=2, n=0")):
+        with pytest.raises(ValueError, match=what):
+            call()
+    # the edges still serve
+    assert wf_dec(8, 7, 8) == 3 * 3 + 7 * 7
+    assert wf_struc(4, 4) == 3 * 2 + 3
+
+
 def test_tprime_consistency():
     for row in reference_table():
         assert row.tprime == max_errors(row.kind, row.n, row.k) // row.lam

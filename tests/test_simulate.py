@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from rankmetric import (SimConfig, failure_bound, intersection_probability,
-                        run_scenario, wilson95)
+from rankmetric import (GabidulinCode, SimConfig, failure_bound, fq_transpose,
+                        fqn_rank, intersection_probability, make_field,
+                        moore_matrix, run_scenario, wilson95)
 from rankmetric import simulate
 from rankmetric.decoder import DecodeOutcome, InterleavedOutcome
+from rankmetric.linalg import fqn_matmul, fqn_vec_fq_mat
+
+from oracles import echelon_supports, general_linear, rank_mod_p
 
 
 def test_failure_bound_values():
@@ -169,18 +173,26 @@ def test_shard_determinism_and_merge():
 
 
 def test_miscorrections_count_as_failures(monkeypatch):
-    """A decoder that returns a wrong codeword as decoded: every trial of
-    scenarios 1 and 3 is one failure and one miscorrection."""
-    monkeypatch.setattr(simulate, "decode", lambda code, y: DecodeOutcome(
-        "decoded", tuple(y), None, ()))
-    monkeypatch.setattr(simulate, "interleaved_decode",
-                        lambda code, y1, y2: InterleavedOutcome(
-                            "decoded", (tuple(y1), tuple(y2)), None, ()))
-    for scenario in (1, 3):
-        cfg = SimConfig(scenario=scenario, q=2, n=8, k=2, t=2, trials=20,
-                        seed=3)
-        rep = run_scenario(cfg)
-        assert (rep.failures, rep.miscorrections) == (20, 20), scenario
+    """Scenarios 1 and 3 decode the errors alone: a decoder that returns
+    zero words passes every trial, one that fails fails every trial, and
+    one that returns the received (nonzero) error as decoded gives one
+    failure and one miscorrection per trial."""
+    for status, decoded, verdict in (("decoded", lambda y: (0,) * len(y),
+                                      (0, 0)),
+                                     ("failure", lambda y: None, (20, 0)),
+                                     ("decoded", tuple, (20, 20))):
+        monkeypatch.setattr(simulate, "decode", lambda code, y: DecodeOutcome(
+            status, decoded(y), None, ()))
+        monkeypatch.setattr(simulate, "interleaved_decode",
+                            lambda code, y1, y2: InterleavedOutcome(
+                                status, None if decoded(y1) is None
+                                else (decoded(y1), decoded(y2)), None, ()))
+        for scenario in (1, 3):
+            cfg = SimConfig(scenario=scenario, q=2, n=8, k=2, t=2, trials=20,
+                            seed=3)
+            rep = run_scenario(cfg)
+            assert (rep.failures, rep.miscorrections) == verdict, \
+                (status, scenario)
 
 
 def test_report_invariants():
@@ -235,6 +247,63 @@ def test_scenario2_matches_closed_form():
     want = intersection_probability(4, 2, 1, 2 ** 8)
     sigma = math.sqrt(want * (1 - want) / cfg.trials)
     assert abs(rep.rate - want) <= 4 * sigma
+
+
+def _paper_coupling_rank(code, a, P, Q):
+    """rank [Mt^(q^(t+1)); Mt^(q^(t+k)) Q] M_{t+1}(a)^T with Mt = M(a) P and
+    M(a) the Moore matrix of a with n-k-t rows: the stacked syndrome matrix
+    of the uniform coupling as the paper writes it, one ctx.frob per
+    entry."""
+    ctx, n, k, t = code.ctx, code.n, code.k, len(a)
+    frob = ctx.frob
+    Mt = fqn_matmul(ctx, moore_matrix(ctx, a, n - k - t), P)
+    top = [[frob(v, t + 1) for v in row] for row in Mt]
+    bottom = fqn_matmul(ctx, [[frob(v, t + k) for v in row] for row in Mt], Q)
+    right = fq_transpose(moore_matrix(ctx, a, t + 1))
+    return fqn_rank(ctx, fqn_matmul(ctx, top + bottom, right))
+
+
+def _coupling_failures(q, n, k, t, supports, Ps):
+    """(draws, failures) of simulate._coupling_fails over every support
+    matrix A in supports, P in Ps and Q in GL_t(F_q), each outcome checked
+    against _paper_coupling_rank."""
+    ctx = make_field(q, n)
+    code = GabidulinCode(ctx, k)
+    gl = general_linear(t, q)
+    draws = failures = 0
+    for A in supports:
+        a = fqn_vec_fq_mat(ctx, code.alpha, A)
+        for P in Ps:
+            for Q in gl:
+                fails = simulate._coupling_fails(code, a, P, Q)
+                assert fails == (_paper_coupling_rank(code, a, P, Q) != t)
+                draws += 1
+                failures += fails
+    return draws, failures
+
+
+def test_scenario2_exact_rate_over_every_draw():
+    # every full-rank 4-by-2 A over F_2 (210), P and Q in GL_2(F_2) (6 each)
+    supports = [A for A in ([list(e[2 * i:2 * i + 2]) for i in range(4)]
+                            for e in itertools.product(range(2), repeat=8))
+                if rank_mod_p(A, 2) == 2]
+    draws, failures = _coupling_failures(2, 4, 1, 2, supports,
+                                         general_linear(2, 2))
+    assert (len(supports), draws, failures) == (210, 7560, 1620)
+    assert Fraction(failures, draws) == Fraction(3, 14)
+
+
+@pytest.mark.parametrize("q,n,k,t,draws,failures", [
+    (3, 4, 1, 2, 6240, 320),
+    (2, 6, 2, 2, 3906, 0),
+], ids=["q3n4k1t2", "n6k2t2"])
+def test_scenario2_exact_rate_per_support(q, n, k, t, draws, failures):
+    # the outcome depends on the support and on P Q P^-1 alone, so one basis
+    # per support and P = I cover every draw in proportion; (2,6,1,3) is in
+    # tests/exhaustive_counts.py
+    identity = [[int(i == j) for j in range(t)] for i in range(t)]
+    assert _coupling_failures(q, n, k, t, echelon_supports(n, t, q),
+                              [identity]) == (draws, failures)
 
 
 # Seed-1 payloads of odd-q configurations that fail often, so that a change
