@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .channel import count_rank, count_space_symmetric, count_symmetric, \
     gaussian_binomial
-from .code import GabidulinCode
+from .code import GabidulinCode, _radius
 from .decoder import decode
 from .field import _prime_power, make_field
 from .keysize import ERROR_TYPES, build_table, reference_table
@@ -141,10 +141,9 @@ def _scenario4(args):
     _ignored(args, "scenario 4", trials="--trials", seed="--seed",
              shards="--shards")
     _prime_power(args.q)
-    if not 1 <= args.k < args.n:
-        raise ValueError(f"need 1 <= k < n, got k={args.k}, n={args.n}")
     t, nk = args.t, args.n - args.k
-    lo, hi = (nk + 1) // 2, 2 * nk // 3  # where the closed form is defined
+    # where the closed form is defined
+    lo, hi = (nk + 1) // 2, _radius(args.n, args.k)
     if not lo <= t <= hi:
         raise ValueError(f"scenario 4 needs ceil((n-k)/2) = {lo} <= t <= "
                          f"floor(2(n-k)/3) = {hi}, got t={t}")

@@ -9,9 +9,8 @@ self-orthogonal: entry (i, j) of G H^T is S_(k+j-i)^(q^i), with
 S_d = sum_l alpha_l^(1+q^d) and 1 <= k+j-i <= n-1, the S_d that
 is_weak_self_orthogonal checks to be zero.  So construction runs that check
 alone, and a bad basis fails fast.  The same property inverts M in closed
-form, M^-1 = M^T D^-1 for the diagonal D of M M^T.  The decoder needs only
-the k G-rows of M^-1, G[r] / D[r], which the code keeps as logs: every v
-is (v M^T) D^-1 M, and a codeword's v M^T is zero past entry k.
+form, M^-1 = M^T D^-1 for the diagonal D of M M^T, so a codeword, whose
+c M^T is zero past entry k, is c G^T D_k^-1 encoded (_from_gt).
 
 Every syndrome is read off the n twisted traces T_i = sum_j alpha_j
 y_j^(q^i), i = 1..n, which are F_q-linear, hence F_p-linear, in the
@@ -35,13 +34,20 @@ from .linalg import _check_vector, _PackedMap, fqn_matmul, moore_matrix
 from .wso import WsoBasis, find_wso_basis, is_weak_self_orthogonal
 
 
+def _radius(n: int, k: int) -> int:
+    """floor(2(n-k)/3), the joint decoder's radius, after the one check of
+    1 <= k < n that the code, SimConfig, keysize and the CLI share."""
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    return 2 * (n - k) // 3
+
+
 class GabidulinCode:
     """Length-n, dimension-k Gabidulin code over F_{q^n} with WSO locators."""
 
     def __init__(self, ctx: FieldCtx, k: int, basis: WsoBasis | None = None):
         n, k = ctx.n, _index(k, "k")
-        if not 1 <= k < n:
-            raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+        self._tmax = _radius(n, k)  # the decoder's first trial rank
         if basis is None:
             basis = find_wso_basis(ctx)
         ok, diag = is_weak_self_orthogonal(ctx, basis.alpha)
@@ -55,11 +61,8 @@ class GabidulinCode:
         self.basis = basis
         self.alpha = basis.alpha
         self._G = moore_matrix(ctx, self.alpha, k)
-        # Logs of the k G-rows of M^-1 = M^T D^-1, row r = G[r] / D[r]: a
-        # codeword c has c H^T = 0, so c = c M^T D^-1 M is c G^T times them.
+        self._dk_inv = [ctx.inv(d) for d in diag[:k]]
         exp, log, L = ctx._exp, ctx._log, ctx.order - 1
-        self._dual = [[(log[g] - log[diag[r]]) % L for g in row]
-                      for r, row in enumerate(self._G)]
         # T_i = sum_j alpha_j y_j^(q^i), i = 1..n, as one F_p-linear map of
         # the n received entries: the unit x = p^u at position j maps to
         # alpha_j x^(q^i), read off the logs.
@@ -73,6 +76,13 @@ class GabidulinCode:
     def encode(self, u) -> tuple[int, ...]:
         """Codeword u G for a length-k message over F_{q^n}."""
         _check_vector(self.ctx, u, self.k, "message")
+        return tuple(fqn_matmul(self.ctx, [u], self._G)[0])
+
+    def _from_gt(self, cg) -> tuple[int, ...]:
+        """The codeword c with c G^T = cg: c = c M^T D^-1 M, and c M^T is
+        cg followed by c H^T = 0, so c is cg D_k^-1 encoded."""
+        mul = self.ctx.mul
+        u = [mul(v, d) for v, d in zip(cg, self._dk_inv)]
         return tuple(fqn_matmul(self.ctx, [u], self._G)[0])
 
     def syndromes(self, y) -> tuple[tuple[int, ...], tuple[int, ...]]:

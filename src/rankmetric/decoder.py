@@ -16,13 +16,14 @@ whose transpose has the same support.
 
 The stacked system at trial rank t is S_t = T[m >= t, j <= t] of both
 syndromes, where T has entry (m, j) = s_{m-j}^(q^j), zero where m < j.
-Trials run down from t_max = floor(2(n-k)/3); the first with rank(S_t) = t
-gives the span polynomial candidate, unique up to scale.  A nonzero kernel
-vector gamma at trial t' gives rank(S_t) <= t' for every t > t', as the
-shifts x^(q^i) o gamma with i <= t - t' lie in the kernel of S_t and have
-distinct q-degrees.  So rank(S_t) never exceeds the true error rank, and no
-trial below rank(S_t) can hit; trials above it can (at (q, n, k) =
-(3, 7, 1) some rank-3 errors trace ((4, 2), (3, 3))), so none is skipped.
+Trials run down from the code's radius t_max = floor(2(n-k)/3); the
+first with rank(S_t) = t gives the span polynomial candidate, unique up to
+scale.  A nonzero kernel vector gamma at trial t' gives rank(S_t) <= t'
+for every t > t', as the shifts x^(q^i) o gamma with i <= t - t' lie in
+the kernel of S_t and have distinct q-degrees.  So rank(S_t) never
+exceeds the true error rank, and no trial below rank(S_t) can hit; trials
+above it can (at (q, n, k) = (3, 7, 1) some rank-3 errors trace
+((4, 2), (3, 3))), so none is skipped.
 An echelon basis truncated to its first t+1 columns is one of the truncated
 rows, so trial t truncates the basis of trial t+1 and inserts its rows
 m = t.
@@ -33,16 +34,14 @@ symbolic division, without a kernel); otherwise decoding fails at once.
 Each word's ordinary syndrome s = e H^T, on the Moore powers
 q^k..q^(n-1), is then continued by Gamma's recurrence to the powers
 q^n..q^(n+k-1), which act as q^0..q^(k-1) on F_{q^n}: the continuation is
-e G^T.  The codeword follows in k n products, not the n n
-of applying M^-1 to the whole syndrome: M^-1 = M^T D^-1 for the WSO
-basis, so every v is (v M^T) D^-1 M, and a codeword c has c H^T = 0, so
-c = (c G^T) D_k^-1 G with c G^T = y G^T - e G^T, D_k the first k entries
-of D.  The error is y - c.  No consistency check is needed: e -> e H^T is
-injective on V^n, since a rank at most t < n-k+1 is below the minimum
-distance, and V^n and the set of syndromes satisfying Gamma's recurrence
-on rows t..n-k-1 both have F_q dimension t n.  So every syndrome of a hit
-has exactly one error in V^n, and y G^T - e G^T is the G^T-image of the
-one codeword at rank distance at most t.
+e G^T.  The codeword c is the one with c G^T = y G^T - e G^T, which the
+code returns as an encoding (GabidulinCode._from_gt), and the error is
+y - c.  No consistency check is needed: e -> e H^T is injective on V^n,
+since a rank at most t < n-k+1 is below the minimum distance, and V^n
+and the set of syndromes satisfying Gamma's recurrence on rows t..n-k-1
+both have F_q dimension t n.  So every syndrome of a hit has exactly one
+error in V^n, and y G^T - e G^T is the G^T-image of the one codeword at
+rank distance at most t.
 """
 
 from __future__ import annotations
@@ -137,24 +136,6 @@ def _extend(ctx: FieldCtx, g, s, n: int):
     return s[start:]
 
 
-def _codeword(code: GabidulinCode, yg, eg):
-    """The codeword c = y - e from y G^T and e G^T, in k n products.
-
-    c H^T = 0, so c = c M^T D^-1 M is c G^T = y G^T - e G^T times the k
-    G-rows of M^-1 that the code keeps.  The first nonzero term is taken
-    as it is: at odd p adding it to 0 would cost a Zech lookup per entry."""
-    ctx = code.ctx
-    exp, log, add, sub = ctx._exp, ctx._log, ctx.add, ctx.sub
-    c = None
-    for a, b, row in zip(yg, eg, code._dual):
-        v = sub(a, b)
-        if v:
-            lv = log[v]
-            c = ([exp[lv + w] for w in row] if c is None else
-                 [add(x, exp[lv + w]) for x, w in zip(c, row)])
-    return (0,) * code.n if c is None else tuple(c)
-
-
 def _joint_decode(code: GabidulinCode, words, s1, s2, reads):
     """Trial-rank countdown shared by decode and interleaved_decode.
 
@@ -169,7 +150,7 @@ def _joint_decode(code: GabidulinCode, words, s1, s2, reads):
     logs = ([log[v] for v in s1], [log[v] for v in s2])
     basis, trace, top = {}, [], code.n - code.k
     # trial t reads rows t..top-1, and 2m // 3 <= m - 1 for every m >= 1
-    for t in range(2 * top // 3, 0, -1):
+    for t in range(code._tmax, 0, -1):
         basis = {c: [e for e in row if e[0] <= t]
                  for c, row in basis.items() if c <= t}
         _insert_rows(ctx, basis, [_syndrome_row(ctx, ls, m, t + 1)
@@ -181,8 +162,9 @@ def _joint_decode(code: GabidulinCode, words, s1, s2, reads):
         gamma = lin_normalize(_kernel_vector(ctx, basis, t))
         if len(gamma) != t + 1 or not _full_root_space(ctx, gamma):
             break
-        codewords = tuple(_codeword(code, yg, _extend(ctx, gamma, s, code.n))
-                          for s, yg in reads)
+        codewords = tuple(
+            code._from_gt(map(ctx.sub, yg, _extend(ctx, gamma, s, code.n)))
+            for s, yg in reads)
         errors = tuple(tuple(map(ctx.sub, y, c))
                        for y, c in zip(words, codewords))
         return "decoded", codewords, errors, tuple(trace)

@@ -13,23 +13,29 @@ import math
 from dataclasses import dataclass
 
 from .channel import count_rank, count_space_symmetric, count_symmetric
+from .code import _radius
 from .field import _index, _prime_power
 
-ERROR_TYPES = ("conv", "sym", "sp-sym")
+# kind -> (correctable rank at (n, k), error count at (n, t', q))
+ERROR_TYPES = {
+    "conv": (lambda n, k: (n - k) // 2, count_rank),
+    "sym": (lambda n, k: (n - 1) // 2, count_symmetric),
+    "sp-sym": (_radius, count_space_symmetric),
+}
+
+
+def _error_type(kind: str):
+    try:
+        return ERROR_TYPES[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown error type {kind!r}") from None
 
 
 def max_errors(kind: str, n: int, k: int) -> int:
     """Largest correctable error rank per error structure."""
     n, k = _index(n, "n"), _index(k, "k")
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if kind == "conv":
-        return (n - k) // 2
-    if kind == "sym":
-        return (n - 1) // 2
-    if kind == "sp-sym":
-        return 2 * (n - k) // 3
-    raise ValueError(f"unknown error type {kind!r}")
+    _radius(n, k)  # rejects k outside 1..n-1 for every kind
+    return _error_type(kind)[0](n, k)
 
 
 def wf_dec(n: int, k: int, tprime: int, q: int = 2) -> float:
@@ -38,8 +44,7 @@ def wf_dec(n: int, k: int, tprime: int, q: int = 2) -> float:
     n, k, tprime = _index(n, "n"), _index(k, "k"), _index(tprime, "tprime")
     if tprime < 1:
         raise ValueError("tprime must be >= 1")
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    _radius(n, k)
     if tprime > n:
         raise ValueError(f"need tprime <= n, got tprime={tprime}, n={n}")
     return 3 * math.log2(n) + (tprime - 1) * k * math.log2(q)
@@ -58,21 +63,14 @@ def wf_struc(n: int, lam: int, q: int = 2) -> float:
 
 def wf_error(kind: str, n: int, tprime: int, q: int = 2) -> float:
     """Brute-force cost in bits: log2 of the number of candidate errors."""
-    if kind == "conv":
-        return count_rank(n, tprime, q).log2
-    if kind == "sym":
-        return count_symmetric(n, tprime, q).log2
-    if kind == "sp-sym":
-        return count_space_symmetric(n, tprime, q).log2
-    raise ValueError(f"unknown error type {kind!r}")
+    return _error_type(kind)[1](n, tprime, q).log2
 
 
 def key_size_kb(n: int, k: int, q: int = 2) -> float:
     """Public key size in KB: k(n-k) entries of F_{q^n}, 1000-byte KB."""
     _prime_power(q)
     n, k = _index(n, "n"), _index(k, "k")
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    _radius(n, k)
     return k * (n - k) * n * math.log2(q) / 8000
 
 

@@ -102,10 +102,14 @@ def fq_rank(ctx: FieldCtx, M) -> int:
 def fq_matmul(ctx: FieldCtx, A, B):
     """Product A B over F_q, entries F_q elements in [0, q)."""
     _check_fq(ctx, A, B)
+    (r, m), (m2, c) = _shape(A), _shape(B)
+    if m != m2:
+        raise ValueError(f"cannot multiply {r}x{m} by {m2}x{c} matrices")
     return fqn_matmul(ctx, A, B)
 
 
 def fq_transpose(M):
+    _shape(M)
     return [list(col) for col in zip(*M)]
 
 
@@ -191,6 +195,14 @@ def _check_vector(ctx: FieldCtx, v, length, what):
     if v and (min(v) < 0 or max(v) >= ctx.order):
         raise ValueError(
             f"{what} entries must lie in [0, q^n) = [0, {ctx.order})")
+
+
+def _shape(M) -> tuple[int, int]:
+    """(rows, columns) of a matrix whose rows have equal lengths."""
+    widths = {len(row) for row in M}
+    if len(widths) > 1:
+        raise ValueError(f"matrix rows have unequal lengths {sorted(widths)}")
+    return len(M), max(widths, default=0)
 
 
 def _check_fq(ctx: FieldCtx, *matrices):

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .channel import _gaussian_binomial, sample_full_rank, \
     sample_space_symmetric, sample_uniform_invertible
-from .code import GabidulinCode
+from .code import GabidulinCode, _radius
 from .decoder import decode, interleaved_decode
 from .field import _index, _prime_power, make_field
 from .linalg import fqn_matmul, fqn_rank, fqn_vec_fq_mat, moore_matrix
@@ -126,9 +126,7 @@ class SimConfig:
             object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.scenario not in (1, 2, 3):
             raise ValueError("scenario must be 1, 2 or 3")
-        if not 1 <= self.k < self.n:
-            raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
-        tmax = 2 * (self.n - self.k) // 3
+        tmax = _radius(self.n, self.k)
         if not 0 <= self.t <= tmax:
             raise ValueError(f"need 0 <= t <= {tmax}, got t={self.t}")
         if self.t == 0 and self.scenario != 1:

@@ -89,7 +89,8 @@ def _normal_scan(ctx: FieldCtx):
     """First beta in coefficient-tuple order generating a normal WSO basis.
 
     On beta's orbit S_d = Tr(beta beta^(q^d)), so the trace conditions are
-    the whole check, and the diagonal is Tr(beta^2) on every row.
+    the whole check, and the diagonal is Tr(beta^2) on every row.  A
+    self-dual one exists wherever find_wso_basis scans, so none is a fault.
     """
     n, q = ctx.n, ctx.q
     mul, frob, trace = ctx.mul, ctx.frob, ctx.trace
@@ -105,7 +106,8 @@ def _normal_scan(ctx: FieldCtx):
             continue  # diagonal would be singular
         alpha = tuple(frob(beta, i) for i in range(n))
         return WsoBasis(alpha, (c0,) * n, "normal", beta)
-    return None
+    raise RuntimeError(f"normal-basis scan found no WSO basis at q={ctx.q}, "
+                       f"n={ctx.n}")
 
 
 def _trace_orthonormal_basis(ctx: FieldCtx):
@@ -170,13 +172,11 @@ def find_wso_basis(ctx: FieldCtx) -> WsoBasis:
     """Deterministic weak self-orthogonal basis for F_{q^n} over F_q.
 
     Runs the normal-basis scan when n is odd or when q is even and
-    n = 2 mod 4, the fields where a normal WSO basis exists; otherwise, or
-    if the scan comes up empty, builds the trace-orthonormal basis.
+    n = 2 mod 4, the fields where a normal WSO basis exists; otherwise
+    builds the trace-orthonormal basis.
     """
     if ctx.n % 2 or (ctx.p == 2 and ctx.n % 4 == 2):
-        found = _normal_scan(ctx)
-        if found is not None:
-            return found
+        return _normal_scan(ctx)
     alpha = _trace_orthonormal_basis(ctx)
     ok, diag = is_weak_self_orthogonal(ctx, alpha)
     if not ok:  # the construction guarantees it: an internal fault

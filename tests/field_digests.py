@@ -12,7 +12,7 @@ time in seconds.  Equal digests on two commits mean equal modulus, exp and log
 tables and addition by 1.  For q,n,k it builds the default field, then
 times find_wso_basis plus GabidulinCode and prints the public code digest
 (basis, and G, H, Hhat sliced from the Moore matrix), the table digest
-(dual rows and packed map) and that set-up time.  The file is not a test
+(the packed map's chunk tables) and that set-up time.  The file is not a test
 module; tests/test_field.py and tests/test_code.py pin digests computed
 with it.
 """
@@ -58,9 +58,9 @@ def code_digest(code) -> str:
 
 
 def table_digest(code) -> str:
-    """SHA-256 of a GabidulinCode's private tables: the logs of the k dual
-    rows and the chunk tables of the packed twisted-trace map."""
-    return _sha256((code._dual, code._twist_map._table))
+    """SHA-256 of a GabidulinCode's private table: the chunk tables of the
+    packed twisted-trace map."""
+    return _sha256((code._twist_map._table,))
 
 
 def main(argv: list[str]) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from rankmetric import (GabidulinCode, find_wso_basis, make_field,
                         moore_matrix, sample_space_symmetric, vector_rank)
+from rankmetric.code import _radius
 from rankmetric.linalg import fq_transpose, fqn_matmul, fqn_vec_fq_mat
 
 from field_digests import code_digest, table_digest
@@ -28,6 +29,13 @@ def test_k_range_validation(F256, wso256):
         GabidulinCode(F256, 8, wso256)
     with pytest.raises(ValueError, match="k 2.0 is not an integer"):
         GabidulinCode(F256, 2.0, wso256)
+    # the one k-range check, and floor(2(n-k)/3), the decoder's first trial
+    for k in (0, 8, -1):
+        with pytest.raises(ValueError,
+                           match=rf"need 1 <= k < n, got k={k}, n=8"):
+            _radius(8, k)
+    assert [_radius(8, k) for k in range(1, 8)] == [4, 4, 3, 2, 2, 1, 0]
+    assert GabidulinCode(F256, 3, wso256)._tmax == 3
 
 
 def test_non_wso_locators_rejected():
@@ -224,25 +232,26 @@ def test_twist_map_matches_direct_sums(q, n, k):
 
 # public digests (basis, G, H, Hhat) printed by tests/field_digests.py
 # q,n,k at the commit before the twisted-trace map, so the bases and
-# matrices are unchanged, and table digests (dual rows, packed map) of the
-# k-row dual and the chunk tables; the ids name the shape alone, so a
-# re-pin keeps them
+# matrices are unchanged, and table digests of the packed map's chunk
+# tables, computed at the commit before the code dropped its dual rows
+# and equal on both sides; the ids name the shape alone, so a re-pin
+# keeps them
 @pytest.mark.parametrize("q, n, k, public, tables", [
     (2, 8, 2,
      "daa6f0f8c90a22378a0ad80e87da93798989cb1fb2257f748e181b4a606915bc",
-     "70b75824316a0269d3148e3a30204f94fa38216878279381a53834807cac7eee"),
+     "ee3478afecc13bddc0c867d7a92f4ae4d7bcd6d342d3ac6fbeb51ed407f01580"),
     (2, 16, 4,
      "af54c28b4b20150a1631086a62f3f5bbb751cb58fbeadb0c38ae08600f776164",
-     "7ca24296770362b06756f22c66fd9420836cf7b1fd67a22d8dc9cf7e38f25cc0"),
+     "6e0938df542981fccf1b11920135a5c906748c071a936dc0e2678d485dbb2531"),
     (3, 7, 1,
      "26b2b30f69fbf3025ce87038695a575ff595929b9d42d9def3b3aa0381986402",
-     "ca09ae8144727d8a7a11ed2a02c6e7f947d01e1b2f7341a946de4b7b697077cf"),
+     "96bf76905c28521fcbc78f685c43ea179abbc8d06592d0f77c78c4bc3a5b516b"),
     (4, 4, 1,
      "aad231d94789f8fca4427289910aee32af699896ce2fd979f13af41672215b80",
-     "c8f610f59414a72ee54767969ed9173a65733cf1168d54e003966f1d695e92d0"),
+     "12f1f0ae49c8dbb2bc72dedd1f5af67dc190110d093731e93909af8f166270e4"),
     (9, 3, 1,
      "88c32fb83ee08ba1dccffdc530f1b0afe2afd02b5a7dfc19c0e645b2590138c4",
-     "3f224ae33f854344828bb80c62a9a5ada19f2688ef72d74f130eb27355f5f9c0"),
+     "64040ee07ce921f034ee487c34d02a25b2fb9a66a1c7dfddac8612e8f79e9a3d"),
 ], ids=["2-8-2", "2-16-4", "3-7-1", "4-4-1", "9-3-1"])
 def test_code_tables_match_pinned_digests(q, n, k, public, tables):
     ctx = make_field(q, n)

@@ -10,8 +10,7 @@ from rankmetric import (DecodeOutcome, GabidulinCode, InterleavedOutcome,
                         run_scenario, sample_full_rank,
                         sample_space_symmetric, vector_rank)
 from rankmetric.channel import sample_uniform_invertible
-from rankmetric.decoder import _codeword, _extend, _full_root_space, \
-    _syndrome_row
+from rankmetric.decoder import _extend, _full_root_space, _syndrome_row
 from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
                                fqn_vec_fq_mat, moore_matrix)
 from rankmetric.simulate import _trial_rng
@@ -209,8 +208,8 @@ def test_dual_recovery_matches_oracle_recover_error(q, n, k):
     # any syndrome that satisfies a full-root-space Gamma's recurrence on
     # rows t..n-k-1 has exactly one error e in V^n, V the root space: the
     # oracle solve never finds the system inconsistent.  For y = c + e the
-    # recurrence continues the syndrome by e G^T, and the k G-rows of M^-1
-    # applied to y G^T - e G^T give c back, so y - c is e
+    # recurrence continues the syndrome by e G^T, and the codeword with
+    # G^T-image y G^T - e G^T is c, so y - c is e
     ctx = make_field(q, n)
     code = GabidulinCode(ctx, k)
     rng = random.Random(q * 100 + n)
@@ -231,7 +230,7 @@ def test_dual_recovery_matches_oracle_recover_error(q, n, k):
         c = _rand_codeword(code, rng)
         y = _corrupt(ctx, c, e)
         yg = fqn_matmul(ctx, [y], fq_transpose(code_matrices(code)[0]))[0]
-        assert _codeword(code, yg, _extend(ctx, g, s, n)) == c
+        assert code._from_gt(map(ctx.sub, yg, _extend(ctx, g, s, n))) == c
         assert tuple(map(ctx.sub, y, c)) == e
 
 

@@ -255,6 +255,27 @@ def test_matmul_helpers(F4):
     assert fqn_vec_fq_mat(F4, v, [[1], [1]]) == (F4.add(2, 3),)
 
 
+def test_fq_matmul_rejects_mismatched_shapes():
+    F16 = make_field(2, 4)
+    eye = [[1, 0], [0, 1]]
+    with pytest.raises(ValueError, match="cannot multiply 2x1 by 2x2 "
+                                         "matrices"):
+        fq_matmul(F16, [[1], [1]], eye)
+    for A, B in ((eye, [[1, 0], [0]]), ([[1, 0], [1]], eye)):
+        with pytest.raises(ValueError, match=r"matrix rows have unequal "
+                                             r"lengths \[1, 2\]"):
+            fq_matmul(F16, A, B)
+    assert fq_matmul(F16, [[1, 1]], [[1], [1]]) == [[0]]
+
+
+def test_fq_transpose_rejects_ragged_rows():
+    with pytest.raises(ValueError, match=r"matrix rows have unequal "
+                                         r"lengths \[1, 2\]"):
+        fq_transpose([[1, 2], [3]])
+    assert fq_transpose([[1, 2], [3, 4], [5, 6]]) == [[1, 3, 5], [2, 4, 6]]
+    assert fq_transpose([]) == []
+
+
 def _random_test_matrix(ctx, rng):
     """Random matrix of a random shape, often rank-deficient, with zero
     columns or sparse."""

@@ -295,8 +295,9 @@ def test_scenario2_exact_rate_over_every_draw():
 
 @pytest.mark.parametrize("q,n,k,t,draws,failures", [
     (3, 4, 1, 2, 6240, 320),
+    (2, 5, 1, 2, 930, 0),
     (2, 6, 2, 2, 3906, 0),
-], ids=["q3n4k1t2", "n6k2t2"])
+], ids=["q3n4k1t2", "n5k1t2", "n6k2t2"])
 def test_scenario2_exact_rate_per_support(q, n, k, t, draws, failures):
     # the outcome depends on the support and on P Q P^-1 alone, so one basis
     # per support and P = I cover every draw in proportion; (2,6,1,3) is in

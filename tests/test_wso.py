@@ -114,9 +114,14 @@ def test_normal_scan_empty_when_four_divides_n():
 
 
 def test_normal_scan_hits_for_odd_or_2mod4_n():
-    for n in (2, 3, 5, 6, 7):
-        b = find_wso_basis(make_field(2, n))
-        assert b.method == "normal"
+    # a self-dual normal basis exists in these fields, so the scan that
+    # find_wso_basis runs there never comes up empty, at odd q and at
+    # q = p^e with e > 1 too
+    fields = [(2, n) for n in (2, 3, 5, 6, 7)] + [(3, 5), (3, 7), (5, 3),
+                                                   (4, 5), (9, 3)]
+    for q, n in fields:
+        b = find_wso_basis(make_field(q, n))
+        assert b.method == "normal", (q, n)
 
 
 def test_gram_is_fully_diagonal(F256):
@@ -194,15 +199,20 @@ SMALL_ODD_EVEN_N = [(3, 2), (3, 4), (3, 6), (5, 2), (5, 4), (7, 4), (9, 2),
 
 def test_q2_with_4_dividing_n_skips_the_normal_scan():
     # a normal WSO basis exists exactly when n is odd or q is even and
-    # n = 2 mod 4; everywhere else the scan provably finds nothing, so
-    # find_wso_basis goes straight to the trace-orthonormal construction
-    # and returns the same basis
+    # n = 2 mod 4; everywhere else the scan provably finds nothing and
+    # raises, so find_wso_basis goes straight to the trace-orthonormal
+    # construction
     fields = SMALL_ODD_EVEN_N + [(2, 4), (2, 8), (4, 4), (8, 4), (2, 6),
                                  (4, 2), (3, 3), (5, 3)]
     for q, n in fields:
         ctx = make_field(q, n)
         scanned = n % 2 == 1 or (ctx.p == 2 and n % 4 == 2)
-        assert (_normal_scan(ctx) is None) == (not scanned), (q, n)
+        if scanned:
+            assert _normal_scan(ctx).method == "normal", (q, n)
+        else:
+            with pytest.raises(RuntimeError, match="normal-basis scan found "
+                                                   "no WSO basis"):
+                _normal_scan(ctx)
         method = "normal" if scanned else "trace-orthonormal"
         assert find_wso_basis(ctx).method == method, (q, n)
     expected = {
