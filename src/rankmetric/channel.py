@@ -56,11 +56,6 @@ def _draws(q: int, count: int, rng) -> list:
     return out
 
 
-def _random_matrix(ctx: FieldCtx, rows: int, cols: int, rng):
-    flat = _draws(ctx.q, rows * cols, rng)
-    return [flat[i:i + cols] for i in range(0, rows * cols, cols)]
-
-
 def sample_full_rank(ctx: FieldCtx, rows: int, cols: int, rng):
     """Uniform matrix of full rank min(rows, cols)."""
     rows, cols = _index(rows, "rows"), _index(cols, "cols")
@@ -68,7 +63,8 @@ def sample_full_rank(ctx: FieldCtx, rows: int, cols: int, rng):
         raise ValueError(f"need rows, cols >= 0, got {rows}, {cols}")
     target = min(rows, cols)
     while True:
-        M = _random_matrix(ctx, rows, cols, rng)
+        flat = _draws(ctx.q, rows * cols, rng)
+        M = [flat[r * cols:(r + 1) * cols] for r in range(rows)]
         if fq_rank(ctx, M) == target:
             return M
 

@@ -28,9 +28,10 @@ An echelon basis truncated to its first t+1 columns is one of the truncated
 rows, so trial t truncates the basis of trial t+1 and inserts its rows
 m = t.
 
-At a hit the kernel vector gamma gives Gamma = sum_j gamma_j x^(q^j).  It
-is accepted when its root space V in F_{q^n} has dimension t (checked by
-symbolic division, without a kernel); otherwise decoding fails at once.
+At a hit the kernel vector gamma gives Gamma = sum_j gamma_j x^(q^j).
+A pivot in column t means gamma_t = 0, a q-degree below t; otherwise
+gamma_t = 1, and Gamma is accepted when its root space V in F_{q^n} has
+dimension t (_full_root_space).  Decoding fails at once on a rejected hit.
 Each word's ordinary syndrome s = e H^T, on the Moore powers
 q^k..q^(n-1), is then continued by Gamma's recurrence to the powers
 q^n..q^(n+k-1), which act as q^0..q^(k-1) on F_{q^n}: the continuation is
@@ -51,7 +52,6 @@ from dataclasses import dataclass
 from .code import GabidulinCode
 from .field import FieldCtx
 from .linalg import _insert_rows, _kernel_vector
-from .linpoly import lin_normalize
 
 
 class _Outcome:
@@ -159,8 +159,8 @@ def _joint_decode(code: GabidulinCode, words, s1, s2, reads):
         trace.append((t, len(basis)))
         if len(basis) != t:
             continue
-        gamma = lin_normalize(_kernel_vector(ctx, basis, t))
-        if len(gamma) != t + 1 or not _full_root_space(ctx, gamma):
+        gamma = _kernel_vector(ctx, basis, t)  # gamma_t = 0 iff t in basis
+        if t in basis or not _full_root_space(ctx, gamma):
             break
         codewords = tuple(
             code._from_gt(map(ctx.sub, yg, _extend(ctx, gamma, s, code.n)))

@@ -11,11 +11,16 @@ trial-rank countdown keeps one basis across its trials and reads its
 kernel vector off it (_kernel_vector).  Kernels, solves and basis
 coordinates live with the test references.
 
+fq_matmul, fq_transpose, phi_inv and fqn_rank read matrices through one
+checked reader (_dims).  fq_rank is the unchecked core under fqn_rank: the
+samplers and scenario 2 call it per attempt, where a check would cost
+0.7 to 1.0 times the rank itself.
+
 Also home to F_p-linear maps tabulated on packed ints (_PackedMap), which
 read c base-p digits of an input per lookup from per-input chunk tables,
 c the largest with p^c <= 16; the map from n-by-n matrices over F_q to
-length-n vectors over F_{q^n} relative to a basis (phi_inv); Moore
-matrices; and rank computations.  The text form of vectors is cli.py's.
+length-n vectors over F_{q^n} relative to a basis (phi_inv); and Moore
+matrices.  The text form of vectors is cli.py's.
 """
 
 from __future__ import annotations
@@ -66,12 +71,6 @@ def _kernel_vector(ctx: FieldCtx, basis, t: int):
 # Public F_q / F_{q^n} matrix operations.
 # ---------------------------------------------------------------------------
 
-def fqn_rank(ctx: FieldCtx, M) -> int:
-    basis = {}
-    _insert_rows(ctx, basis, [list(r) for r in M])
-    return len(basis)
-
-
 def fqn_matmul(ctx: FieldCtx, X, Y):
     """Product X Y of two matrices over F_{q^n}, in the log domain."""
     exp, log, add = ctx._exp, ctx._log, ctx.add
@@ -95,21 +94,28 @@ def fqn_vec_fq_mat(ctx: FieldCtx, v, M):
 
 
 def fq_rank(ctx: FieldCtx, M) -> int:
-    """Rank of a matrix over F_q, entries F_q elements in [0, q)."""
-    return fqn_rank(ctx, M)
+    """Rank of a matrix over F_{q^n} (so over F_q), unchecked."""
+    basis = {}
+    _insert_rows(ctx, basis, [list(r) for r in M])
+    return len(basis)
+
+
+def fqn_rank(ctx: FieldCtx, M) -> int:
+    """Rank of a matrix over F_{q^n}, entries in [0, q^n)."""
+    _dims(M, ctx.order, "[0, q^n)")
+    return fq_rank(ctx, M)
 
 
 def fq_matmul(ctx: FieldCtx, A, B):
     """Product A B over F_q, entries F_q elements in [0, q)."""
-    _check_fq(ctx, A, B)
-    (r, m), (m2, c) = _shape(A), _shape(B)
+    (r, m), (m2, c) = _dims(A, ctx.q), _dims(B, ctx.q)
     if m != m2:
         raise ValueError(f"cannot multiply {r}x{m} by {m2}x{c} matrices")
     return fqn_matmul(ctx, A, B)
 
 
 def fq_transpose(M):
-    _shape(M)
+    _dims(M)
     return [list(col) for col in zip(*M)]
 
 
@@ -197,20 +203,15 @@ def _check_vector(ctx: FieldCtx, v, length, what):
             f"{what} entries must lie in [0, q^n) = [0, {ctx.order})")
 
 
-def _shape(M) -> tuple[int, int]:
-    """(rows, columns) of a matrix whose rows have equal lengths."""
+def _dims(M, bound=None, field="F_q = [0, q)") -> tuple[int, int]:
+    """Shape of M; rejects ragged rows and entries outside [0, bound)."""
     widths = {len(row) for row in M}
     if len(widths) > 1:
         raise ValueError(f"matrix rows have unequal lengths {sorted(widths)}")
+    if bound is not None and any(row and (min(row) < 0 or max(row) >= bound)
+                                 for row in M):
+        raise ValueError(f"matrix entries must lie in {field} = [0, {bound})")
     return len(M), max(widths, default=0)
-
-
-def _check_fq(ctx: FieldCtx, *matrices):
-    """Reject a matrix entry outside F_q."""
-    if any(row and (min(row) < 0 or max(row) >= ctx.q)
-           for M in matrices for row in M):
-        raise ValueError(
-            f"matrix entries must lie in F_q = [0, q) = [0, {ctx.q})")
 
 
 def phi_inv(ctx: FieldCtx, A, alpha):
@@ -218,9 +219,8 @@ def phi_inv(ctx: FieldCtx, A, alpha):
     of alpha-coordinates is column j of the F_q matrix A."""
     n = ctx.n
     _check_vector(ctx, alpha, n, "basis")
-    if len(A) != n or any(len(row) != n for row in A):
+    if _dims(A, ctx.q) != (n, n):
         raise ValueError(f"matrix must be {n}x{n}")
-    _check_fq(ctx, A)
     return fqn_vec_fq_mat(ctx, alpha, A)
 
 

@@ -2,10 +2,10 @@
 
 A polynomial sum_i f_i x^(q^i) is stored as a tuple of packed coefficient
 ints, index 0 first, with trailing zeros stripped; the zero polynomial is
-the empty tuple.  The decoder reads its span polynomial off a kernel vector
-in this form and works on the coefficients directly (root-space check,
-syndrome recurrence), so the only shared operation is normalization: the
-trailing-zero strip of the F_q polynomials in field, under its public name.
+the empty tuple.  lin_normalize is that strip, field's for its F_q
+polynomials under a public name.  No decode or simulate step calls it:
+the decoder reads the q-degree of its span polynomial off the echelon
+basis.  The module stays for the public name and the benchmark's layer.
 """
 
 from __future__ import annotations

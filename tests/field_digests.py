@@ -2,24 +2,28 @@
 
 Usage, from the root of a checkout:
 
-    python3 tests/field_digests.py 2,16 3,7 2,8,1:1:0:1:1:0:0:0:1 2,8,2
+    python3 tests/field_digests.py 2,16 3,7 2,8,1:1:0:1:1:0:0:0:1 2,8,2 2,8,2,4
 
 Each argument is q,n or q,n,modulus with the modulus in the "c0:c1:...:1"
-form of the CLI's --modulus, or q,n,k with a code dimension k (no colon).
+form of the CLI's --modulus, q,n,k with a code dimension k (no colon), or
+q,n,k,t with an error rank t.
 For a field the script builds it with the package in this checkout's src/
 and prints the argument, the SHA-256 digest of its tables and the build
 time in seconds.  Equal digests on two commits mean equal modulus, exp and log
 tables and addition by 1.  For q,n,k it builds the default field, then
 times find_wso_basis plus GabidulinCode and prints the public code digest
 (basis, and G, H, Hhat sliced from the Moore matrix), the table digest
-(the packed map's chunk tables) and that set-up time.  The file is not a test
-module; tests/test_field.py and tests/test_code.py pin digests computed
-with it.
+(the packed map's chunk tables) and that set-up time.  For q,n,k,t it
+builds that code and prints the decode digest of a seeded word pool
+(decode_digest); equal digests on two commits mean equal decoding.  The
+file is not a test module; tests/test_field.py and tests/test_code.py pin
+digests computed with it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
 import time
 from pathlib import Path
@@ -63,6 +67,43 @@ def table_digest(code) -> str:
     return _sha256((code._twist_map._table,))
 
 
+def decode_digest(code, t: int) -> str:
+    """SHA-256 of the reprs of the decode and interleaved_decode outcomes
+    over a pool of 3,000 words drawn with random.Random(1).
+
+    Word i is a random codeword plus a space-symmetric error of rank
+    i mod (t + 1), except that every fourth word is uniform.  Each word
+    also gives a pair of random codewords plus two errors on one random
+    support of that rank, for interleaved_decode.
+    """
+    from rankmetric import decode, interleaved_decode, sample_full_rank, \
+        sample_space_symmetric
+    from rankmetric.linalg import fqn_vec_fq_mat
+
+    ctx, n, rng = code.ctx, code.n, random.Random(1)
+
+    def noisy(e):
+        c = code.encode([ctx.rand_elem(rng) for _ in range(code.k)])
+        return tuple(map(ctx.add, c, e))
+
+    outcomes = []
+    for i in range(3000):
+        r = i % (t + 1)
+        if i % 4 == 3:
+            y = tuple(ctx.rand_elem(rng) for _ in range(n))
+        else:
+            y = noisy(sample_space_symmetric(ctx, code.alpha, r, rng).e)
+        outcomes.append(decode(code, y))
+        pair = [(0,) * n] * 2
+        if r:
+            A = sample_full_rank(ctx, n, r, rng)
+            a = fqn_vec_fq_mat(ctx, code.alpha, A)
+            pair = [fqn_vec_fq_mat(ctx, a, sample_full_rank(ctx, r, n, rng))
+                    for _ in range(2)]
+        outcomes.append(interleaved_decode(code, *map(noisy, pair)))
+    return _sha256(outcomes)
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
@@ -72,6 +113,11 @@ def main(argv: list[str]) -> int:
 
     for arg in argv:
         q, n, *rest = arg.split(",")
+        if len(rest) == 2:
+            ctx = make_field(int(q), int(n))
+            code = GabidulinCode(ctx, int(rest[0]), find_wso_basis(ctx))
+            print(f"{arg} {decode_digest(code, int(rest[1]))}", flush=True)
+            continue
         if rest and ":" not in rest[0]:
             ctx = make_field(int(q), int(n))
             start = time.perf_counter()

@@ -184,6 +184,13 @@ def test_full_rank_sampler_rect(F9):
         assert fq_rank(F9, M) == 2
 
 
+def test_full_rank_sampler_empty_shapes(F9):
+    # a shape with no columns once raised "range() arg 3 must not be zero"
+    rng = random.Random(57)
+    for rows, cols in ((3, 0), (0, 3), (0, 0)):
+        assert sample_full_rank(F9, rows, cols, rng) == [[]] * rows
+
+
 def test_sampler_range_validation(F256, wso256):
     rng = random.Random(58)
     with pytest.raises(ValueError):

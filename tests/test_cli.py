@@ -184,6 +184,13 @@ def test_keysize_missing_args(capsys):
         assert code == 1 and not out and err == f"error: {msg}"
 
 
+def test_keysize_rejects_security_level_below_one(capsys):
+    # this row once printed with ok=True and exit status 0
+    code, out, err = run_cli(capsys, "keysize", "--sl", "-5", "--type",
+                             "conv", "--n", "20", "--k", "10", "--lambda", "2")
+    assert code == 1 and not out and err == "error: sl must be >= 1, got sl=-5"
+
+
 def test_find_basis_json(capsys):
     code, out, _ = run_cli(capsys, "find-basis", "--q", "2", "--n", "8",
                            "--out", "json")

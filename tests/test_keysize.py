@@ -116,6 +116,14 @@ def test_work_factors_reject_inputs_they_cannot_serve():
     assert wf_struc(4, 4) == 3 * 2 + 3
 
 
+def test_crypto_row_rejects_security_levels_below_one():
+    # crypto_row(-5, "conv", 20, 10, 2) returned a row with ok=True
+    for sl in (0, -5):
+        with pytest.raises(ValueError, match=f"sl must be >= 1, got sl={sl}"):
+            crypto_row(sl, "conv", 20, 10, 2)
+    assert crypto_row(1, "conv", 20, 10, 2).ok
+
+
 def test_tprime_consistency():
     for row in reference_table():
         assert row.tprime == max_errors(row.kind, row.n, row.k) // row.lam

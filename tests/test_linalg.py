@@ -268,6 +268,20 @@ def test_fq_matmul_rejects_mismatched_shapes():
     assert fq_matmul(F16, [[1, 1]], [[1], [1]]) == [[0]]
 
 
+def test_fqn_rank_rejects_entries_outside_fqn_and_ragged_rows():
+    # [[-1]] and [[-3, 5], [1, 2]] had ranks 1 and 2; [[16]] and
+    # [[1, 2], [3]] raised a bare IndexError
+    F16 = make_field(2, 4)
+    for M in ([[-1]], [[-3, 5], [1, 2]], [[16]]):
+        with pytest.raises(ValueError, match=r"matrix entries must lie in "
+                                             r"\[0, q\^n\) = \[0, 16\)"):
+            fqn_rank(F16, M)
+    with pytest.raises(ValueError, match=r"matrix rows have unequal "
+                                         r"lengths \[1, 2\]"):
+        fqn_rank(F16, [[1, 2], [3]])
+    assert fqn_rank(F16, [[15, 3], [1, 2]]) == 2 and fqn_rank(F16, []) == 0
+
+
 def test_fq_transpose_rejects_ragged_rows():
     with pytest.raises(ValueError, match=r"matrix rows have unequal "
                                          r"lengths \[1, 2\]"):
