@@ -22,13 +22,18 @@ on codewords, and the decoded word of c + e is c plus that of e.
 Every trial owns an RNG stream derived from (seed, trial index) through
 SHA-256, so results are identical for any shard count and shards can run
 in parallel processes; shard w of W runs trials trials * w // W up to
-trials * (w + 1) // W.  The closed-form companion quantities (random
-subspace intersection probability and the 4/q^n failure bound) live here
-as well.  A report is numbers; cli.py writes it as text, JSON or CSV.
+trials * (w + 1) // W, on at most as many workers as the process may run
+on cores.  A process builds the field, WSO basis and code of a shape once
+(`_code`) and reuses them in later calls and shards at that shape, so
+`SimReport.wallclock` includes the build only on a cold call.  The
+closed-form companion quantities (random subspace intersection
+probability and the 4/q^n failure bound) live here as well.  A report is
+numbers; cli.py writes it as text, JSON or CSV.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -44,7 +49,6 @@ from .code import GabidulinCode, _radius
 from .decoder import decode, interleaved_decode
 from .field import _index, _prime_power, make_field
 from .linalg import fq_rank, fqn_matmul, fqn_vec_fq_mat, moore_matrix
-from .wso import find_wso_basis
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -209,9 +213,18 @@ def _trial_interleaved(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
 _TRIALS = {1: _trial_genuine, 2: _trial_uniform_coupling, 3: _trial_interleaved}
 
 
+@functools.lru_cache(maxsize=1)
+def _code(q: int, n: int, k: int) -> GabidulinCode:
+    """The code of the last shape run in this process, on its WSO basis.
+
+    Trials only read it, so repeated runs and the shards of one worker
+    share one build; one code stays alive between calls.
+    """
+    return GabidulinCode(make_field(q, n), k)
+
+
 def _run_range(cfg: SimConfig, start: int, stop: int) -> tuple[int, int]:
-    ctx = make_field(cfg.q, cfg.n)
-    code = GabidulinCode(ctx, cfg.k, find_wso_basis(ctx))
+    code = _code(cfg.q, cfg.n, cfg.k)
     trial = _TRIALS[cfg.scenario]
     failures = miscorrections = 0
     for index in range(start, stop):
@@ -236,7 +249,9 @@ def run_scenario(cfg: SimConfig, shards: int = 1) -> SimReport:
         results = [_run_range(cfg, 0, cfg.trials)]
     else:
         bounds = [cfg.trials * w // shards for w in range(shards + 1)]
-        workers = min(shards, os.cpu_count() or 1)
+        cores = (len(os.sched_getaffinity(0))
+                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        workers = min(shards, cores)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_range, [cfg] * shards,
                                     bounds[:-1], bounds[1:]))

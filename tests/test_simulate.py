@@ -172,6 +172,65 @@ def test_shard_determinism_and_merge():
         == run_scenario(few).payload()
 
 
+def test_shard_pool_sized_by_usable_cores(monkeypatch):
+    """Two shards on a process pinned to one of two cores start one worker:
+    the pool counts the cores the process may run on, not the host's."""
+    cfg = SimConfig(scenario=1, q=2, n=8, k=2, t=4, trials=60, seed=5)
+    solo = run_scenario(cfg).payload()
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessPool)
+    assert run_scenario(cfg, shards=2).payload() == solo
+    assert sizes == [1]
+
+
+@pytest.fixture
+def cold_code_cache():
+    """An empty code cache before and after, so that no later test runs on
+    a code built under this test's patches."""
+    simulate._code.cache_clear()
+    yield
+    simulate._code.cache_clear()
+
+
+def test_one_code_build_per_process_and_shape(monkeypatch, cold_code_cache):
+    builds = []
+    make_field = simulate.make_field
+
+    def counted(q, n):
+        builds.append((q, n))
+        return make_field(q, n)
+
+    monkeypatch.setattr(simulate, "make_field", counted)
+    configs = [SimConfig(scenario=s, q=2, n=8, k=2, t=4, trials=40,
+                         seed=10 + s) for s in (1, 2, 3)]
+    warm = [run_scenario(cfg).payload() for cfg in configs]
+    assert builds == [(2, 8)]
+    for cfg, payload in zip(configs, warm):
+        simulate._code.cache_clear()
+        assert run_scenario(cfg).payload() == payload, cfg.scenario
+    builds.clear()
+    odd = SimConfig(scenario=1, q=3, n=7, k=1, t=4, trials=40, seed=4)
+    assert run_scenario(odd).payload() == run_scenario(odd).payload()
+    assert builds == [(3, 7)]
+
+
 def test_miscorrections_count_as_failures(monkeypatch):
     """Scenarios 1 and 3 decode the errors alone: a decoder that returns
     zero words passes every trial, one that fails fails every trial, and
