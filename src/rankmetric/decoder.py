@@ -25,13 +25,18 @@ exceeds the true error rank, and no trial below rank(S_t) can hit; trials
 above it can (at (q, n, k) = (3, 7, 1) some rank-3 errors trace
 ((4, 2), (3, 3))), so none is skipped.
 An echelon basis truncated to its first t+1 columns is one of the truncated
-rows, so trial t truncates the basis of trial t+1 and inserts its rows
-m = t.
+rows, so trial t truncates the basis of trial t+1 in place, dropping the
+row with pivot t+1 and column t+1, at most the last entry of each row, and
+inserts its rows m = t.
 
 At a hit the kernel vector gamma gives Gamma = sum_j gamma_j x^(q^j).
 A pivot in column t means gamma_t = 0, a q-degree below t; otherwise
 gamma_t = 1, and Gamma is accepted when its root space V in F_{q^n} has
-dimension t (_full_root_space).  Decoding fails at once on a rejected hit.
+dimension t (_full_root_space): when Gamma right-divides x^(q^n) - x, which
+is central in F_{q^n}[x; sigma], so when Gamma left-divides it.  Each of
+the n left steps is a shift of the remainder less one multiple of Gamma,
+with no Frobenius of its coefficients; gamma_0 = 0 never passes and is
+rejected before them.  Decoding fails at once on a rejected hit.
 Each word's ordinary syndrome s = e H^T, on the Moore powers
 q^k..q^(n-1), is then continued by Gamma's recurrence to the powers
 q^n..q^(n+k-1), which act as q^0..q^(k-1) on F_{q^n}: the continuation is
@@ -88,29 +93,37 @@ def _full_root_space(ctx: FieldCtx, g) -> bool:
     """Whether g, of q-degree t >= 1, has a t-dimensional root space in
     F_{q^n}.
 
-    That holds exactly when g right-divides x^(q^n) - x symbolically, i.e.
-    x^(q^n) = x modulo g: then g_0 != 0 (the x coefficient of h o g is
-    h_0 g_0), so g has q^t distinct roots, all in F_{q^n}.  g_0 = 0 (g = h^q
-    with qdeg h = t - 1) is rejected first, without the division.  The
-    remainder r of x^(q^i) steps to that of x^(q^(i+1)) as x^q o r reduced
-    by the monic g, O(t) operations each.
+    That holds exactly when g right-divides x^(q^n) - x symbolically: then
+    g_0 != 0 (the x coefficient of h o g is h_0 g_0), so g has q^t distinct
+    roots, all in F_{q^n}.  In the skew ring F_{q^n}[x; sigma] x^(q^n) - x
+    is central, and h o g = f central gives (g o h) o g = g o f = f o g =
+    (h o g) o g, so g o h = f: g right-divides it exactly when it
+    left-divides it, i.e. when x^(q^n) = x modulo g on the left.  The left
+    remainder r of x^(q^i) steps to that of x^(q^(i+1)) as r o x^q, a shift
+    of r's coefficients with no Frobenius, less g o (c' x) for the shifted
+    top coefficient c: that cancels it when g_t c'^(q^t) = c, so
+    c' = (c / g_t)^(q^(n-t)), and its coefficients are g_j c'^(q^j).
+    g_0 = 0 (g = h o x^q) leaves the x coefficient of r zero from the first
+    step on, so it never passes; it is rejected first, without the n steps.
     """
     t = len(g) - 1
     if not g[0]:
         return False
-    exp, log, L, sub = ctx._exp, ctx._log, ctx.order - 1, ctx.sub
-    q, lead = ctx.q, log[g[t]]
-    monic = [(log[c] - lead) % L if c else -1 for c in g[:t]]
-    x = [1] + [0] * (t - 1)
-    r = x
-    for _ in range(ctx.n):
-        top = r[-1]
-        r = [0] + [exp[log[c] * q % L] if c else 0 for c in r[:-1]]
-        if top:
-            lt = log[top] * q % L
-            r = [sub(v, exp[lt + lm]) if lm >= 0 else v
-                 for v, lm in zip(r, monic)]
-    return r == x
+    exp, log, L, sub, n = ctx._exp, ctx._log, ctx.order - 1, ctx.sub, ctx.n
+    qpow, lead = ctx._qpow, log[g[t]]
+    qinv = qpow[-t % n]
+    # r is w[i:i + t] at step i, top coefficient first; j at w[i + t - j]
+    terms = [(t - j, log[c], qpow[j % n]) for j, c in enumerate(g[:t]) if c]
+    x = [0] * (t - 1) + [1]
+    w = x[:]
+    for i in range(n):
+        w.append(0)
+        c = w[i]
+        if c:
+            lc = (log[c] - lead) * qinv % L
+            for d, lg, qj in terms:
+                w[i + d] = sub(w[i + d], exp[lg + lc * qj % L])
+    return w[n:] == x
 
 
 def _extend(ctx: FieldCtx, g, s, n: int):
@@ -121,8 +134,8 @@ def _extend(ctx: FieldCtx, g, s, n: int):
     satisfies it at every m, and its continuation is e G^T, as
     x^(q^(n+r)) = x^(q^r) on F_{q^n}."""
     exp, log, L, add = ctx._exp, ctx._log, ctx.order - 1, ctx.add
-    q, neg = ctx.q, L - log[g[0]] + log[ctx.neg(1)]
-    terms = [(j, (log[c] + neg) % L, pow(q, j, L))
+    qpow, neg = ctx._qpow, L - log[g[0]] + log[ctx.neg(1)]
+    terms = [(j, (log[c] + neg) % L, qpow[j])
              for j, c in enumerate(g) if j and c]
     s = list(s)
     start = len(s)
@@ -151,8 +164,10 @@ def _joint_decode(code: GabidulinCode, words, s1, s2, reads):
     basis, trace, top = {}, [], code.n - code.k
     # trial t reads rows t..top-1, and 2m // 3 <= m - 1 for every m >= 1
     for t in range(code._tmax, 0, -1):
-        basis = {c: [e for e in row if e[0] <= t]
-                 for c, row in basis.items() if c <= t}
+        basis.pop(t + 1, None)     # trial t + 1 read columns 0..t + 1
+        for row in basis.values():
+            if row and row[-1][0] > t:
+                row.pop()
         _insert_rows(ctx, basis, [_syndrome_row(ctx, ls, m, t + 1)
                                   for m in range(t, top) for ls in logs])
         top = t

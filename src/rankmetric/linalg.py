@@ -25,7 +25,7 @@ matrices.  The text form of vectors is cli.py's.
 
 from __future__ import annotations
 
-from operator import xor
+from operator import index, xor
 
 from .field import FieldCtx, _index, _span
 
@@ -195,22 +195,36 @@ class _PackedMap:
 
 
 def _check_vector(ctx: FieldCtx, v, length, what):
-    """Reject a wrong length or an entry outside F_{q^n}."""
+    """Reject a wrong length, a non-integer entry or an entry outside
+    F_{q^n}."""
     if len(v) != length:
         raise ValueError(f"{what} must have {length} entries")
+    v = _ints(v, what)
     if v and (min(v) < 0 or max(v) >= ctx.order):
         raise ValueError(
             f"{what} entries must lie in [0, q^n) = [0, {ctx.order})")
 
 
+def _ints(v, what):
+    """v as a list of ints, read with operator.index as field._index does."""
+    try:
+        return [*map(index, v)]
+    except TypeError:
+        raise ValueError(f"{what} entries must be integers") from None
+
+
 def _dims(M, bound=None, field="F_q = [0, q)") -> tuple[int, int]:
-    """Shape of M; rejects ragged rows and entries outside [0, bound)."""
+    """Shape of M; rejects ragged rows and, given a bound, non-integer
+    entries and entries outside [0, bound)."""
     widths = {len(row) for row in M}
     if len(widths) > 1:
         raise ValueError(f"matrix rows have unequal lengths {sorted(widths)}")
-    if bound is not None and any(row and (min(row) < 0 or max(row) >= bound)
-                                 for row in M):
-        raise ValueError(f"matrix entries must lie in {field} = [0, {bound})")
+    if bound is not None:
+        for row in M:
+            row = _ints(row, "matrix")
+            if row and (min(row) < 0 or max(row) >= bound):
+                raise ValueError(
+                    f"matrix entries must lie in {field} = [0, {bound})")
     return len(M), max(widths, default=0)
 
 

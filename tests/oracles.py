@@ -213,6 +213,29 @@ def lin_compose_mod(ctx, outer, inner, mod_qdeg):
     return lin_normalize(out)
 
 
+def right_remainder_is_x(ctx, g):
+    """Whether x^(q^n) = x modulo g by right symbolic division.
+
+    g has q-degree t = len(g) - 1 >= 1 and g_t != 0.  The remainder r of
+    x^(q^i) steps to that of x^(q^(i+1)) as x^q o r, a Frobenius of every
+    coefficient and a shift, less c g / g_t for the top coefficient c that
+    the shift pushed to q-degree t.  Right division in plain scalar ops,
+    where the decoder divides on the left in the log domain.
+    """
+    t = len(g) - 1
+    sub, mul, frob = ctx.sub, ctx.mul, ctx.frob
+    inv_lead = ctx.inv(g[t])
+    x = [1] + [0] * (t - 1)
+    r = x
+    for _ in range(ctx.n):
+        top = frob(r[-1], 1)
+        r = [0] + [frob(c, 1) for c in r[:-1]]
+        if top:
+            c = mul(top, inv_lead)
+            r = [sub(v, mul(c, gj)) for v, gj in zip(r, g)]
+    return r == x
+
+
 def min_subspace_poly(ctx, gens):
     """Monic linearized polynomial vanishing exactly on the F_q-span of gens.
 

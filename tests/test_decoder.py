@@ -17,8 +17,9 @@ from rankmetric.simulate import _trial_rng
 
 from oracles import code_matrices, countdown_decode, joint_kernel, \
     key_equation_remainder, lin_compose_mod, lin_qdeg, min_subspace_poly, \
-    recover_error, root_space_basis, sample_symmetric_invertible, \
-    space_symmetric, syndrome_against, syndrome_matrix, transpose_vector
+    recover_error, right_remainder_is_x, root_space_basis, \
+    sample_symmetric_invertible, space_symmetric, syndrome_against, \
+    syndrome_matrix, transpose_vector
 
 
 def _rand_codeword(code, rng):
@@ -168,16 +169,18 @@ def _independent(ctx, rng, t):
     return gens
 
 
-@pytest.mark.parametrize("q,n", [(2, 8), (3, 5), (4, 4), (9, 3)])
+@pytest.mark.parametrize("q,n", [(2, 8), (2, 16), (3, 5), (4, 4), (9, 3)])
 def test_full_root_space_matches_root_space_oracle(q, n):
     # random g (half with g_0 = 0), g with a partial root space (a random
     # outer polynomial composed with a subspace polynomial), and scaled
-    # subspace polynomials of t independent elements
+    # subspace polynomials of t independent elements; t runs to 5, past n
+    # at n = 3 and 4, and to the codec radius 8 at n = 16.  The left
+    # division, the right division and the root space all agree
     ctx = make_field(q, n)
     rng = random.Random(q * 10 + n)
     seen = set()
     for i in range(300):
-        t = rng.randrange(1, 6)
+        t = rng.randrange(1, max(5, n // 2) + 1)
         kind = i % 3
         if kind == 0:
             g = [ctx.rand_elem(rng) for _ in range(t)] + [
@@ -197,7 +200,7 @@ def test_full_root_space_matches_root_space_oracle(q, n):
         g = tuple(g)
         assert lin_qdeg(g) == t
         full = len(root_space_basis(ctx, g)) == t
-        assert _full_root_space(ctx, g) == full
+        assert _full_root_space(ctx, g) == right_remainder_is_x(ctx, g) == full
         seen.add((kind, full, g[0] == 0))
     assert {(0, False, True), (1, False, False), (2, True, False)} <= seen
 

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from rankmetric import (find_wso_basis, fq_matmul, fq_rank, fq_transpose,
-                        fqn_rank, make_field, moore_matrix, phi_inv,
-                        vector_rank)
+from rankmetric import (GabidulinCode, decode, find_wso_basis, fq_matmul,
+                        fq_rank, fq_transpose, fqn_rank, make_field,
+                        moore_matrix, phi_inv, vector_rank)
 from rankmetric.linalg import _insert_rows, fqn_vec_fq_mat
 
 from oracles import base_ops, coords, kernel, rref, solve, transpose_vector
@@ -280,6 +280,29 @@ def test_fqn_rank_rejects_entries_outside_fqn_and_ragged_rows():
                                          r"lengths \[1, 2\]"):
         fqn_rank(F16, [[1, 2], [3]])
     assert fqn_rank(F16, [[15, 3], [1, 2]]) == 2 and fqn_rank(F16, []) == 0
+
+
+def test_non_integer_entries_get_a_clear_error():
+    # decode raised "unsupported operand type(s) for &" from
+    # _PackedMap.apply, and encode and fqn_rank "list indices must be
+    # integers"; ints and bools pass
+    F16 = make_field(2, 4)
+    code = GabidulinCode(F16, 1)
+    cases = [
+        ("word", lambda: decode(code, (1.0, 0, 0, 0))),
+        ("message", lambda: code.encode([1.5])),
+        ("vector", lambda: vector_rank(F16, (2, 0.5))),
+        ("basis", lambda: phi_inv(F16, [[1, 0, 0, 0]] * 4, (1, 2, 4, 8.0))),
+        ("matrix", lambda: fqn_rank(F16, [[1.5]])),
+        ("matrix", lambda: fq_matmul(F16, [[1, 0]], [[1], [0.0]])),
+    ]
+    for what, call in cases:
+        with pytest.raises(ValueError, match=f"{what} entries must be "
+                                             f"integers"):
+            call()
+    assert decode(code, (True, 0, 0, 0)) == decode(code, (1, 0, 0, 0))
+    assert code.encode([True]) == code.encode([1])
+    assert fqn_rank(F16, [[False, True]]) == 1
 
 
 def test_fq_transpose_rejects_ragged_rows():
