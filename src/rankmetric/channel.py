@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldCtx, _index, _prime_power
-from .linalg import _check_vector, fq_rank, fq_transpose, fqn_vec_fq_mat
+from .linalg import _check_vector, fq_rank, fqn_vecmat
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     three vector-by-F_q-matrix products.
     """
     n = ctx.n
-    _check_vector(ctx, alpha, n, "basis")
+    alpha = _check_vector(ctx, alpha, "basis", n)
     t = _index(t, "t")
     if not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= {n}")
@@ -96,8 +96,8 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
         return SpaceSymError(0, [[] for _ in range(n)], [], (0,) * n)
     A = sample_full_rank(ctx, n, t, rng)
     P = sample_uniform_invertible(ctx, t, rng)
-    b = fqn_vec_fq_mat(ctx, fqn_vec_fq_mat(ctx, alpha, A), P)
-    return SpaceSymError(t, A, P, fqn_vec_fq_mat(ctx, b, fq_transpose(A)))
+    b = fqn_vecmat(ctx, fqn_vecmat(ctx, alpha, A), P)
+    return SpaceSymError(t, A, P, fqn_vecmat(ctx, b, [*zip(*A)]))
 
 
 # ---------------------------------------------------------------------------

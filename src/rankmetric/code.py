@@ -30,7 +30,7 @@ Frobenius twists in the log domain.
 from __future__ import annotations
 
 from .field import FieldCtx, _index
-from .linalg import _check_vector, _PackedMap, fqn_matmul, moore_matrix
+from .linalg import _check_vector, _PackedMap, fqn_vecmat, moore_matrix
 from .wso import WsoBasis, find_wso_basis, is_weak_self_orthogonal
 
 
@@ -50,7 +50,8 @@ class GabidulinCode:
         self._tmax = _radius(n, k)  # the decoder's first trial rank
         if basis is None:
             basis = find_wso_basis(ctx)
-        ok, diag = is_weak_self_orthogonal(ctx, basis.alpha)
+        alpha = _check_vector(ctx, basis.alpha, "basis", n)
+        ok, diag = is_weak_self_orthogonal(ctx, alpha)
         if not ok:
             raise ValueError("code locators are not weak self-orthogonal")
         if tuple(basis.diag) != diag:
@@ -59,7 +60,7 @@ class GabidulinCode:
         self.n = n
         self.k = k
         self.basis = basis
-        self.alpha = basis.alpha
+        self.alpha = alpha
         self._G = moore_matrix(ctx, self.alpha, k)
         self._dk_inv = [ctx.inv(d) for d in diag[:k]]
         exp, log, L = ctx._exp, ctx._log, ctx.order - 1
@@ -75,15 +76,15 @@ class GabidulinCode:
 
     def encode(self, u) -> tuple[int, ...]:
         """Codeword u G for a length-k message over F_{q^n}."""
-        _check_vector(self.ctx, u, self.k, "message")
-        return tuple(fqn_matmul(self.ctx, [u], self._G)[0])
+        u = _check_vector(self.ctx, u, "message", self.k)
+        return fqn_vecmat(self.ctx, u, self._G)
 
     def _from_gt(self, cg) -> tuple[int, ...]:
         """The codeword c with c G^T = cg: c = c M^T D^-1 M, and c M^T is
         cg followed by c H^T = 0, so c is cg D_k^-1 encoded."""
         mul = self.ctx.mul
         u = [mul(v, d) for v, d in zip(cg, self._dk_inv)]
-        return tuple(fqn_matmul(self.ctx, [u], self._G)[0])
+        return fqn_vecmat(self.ctx, u, self._G)
 
     def syndromes(self, y) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(transposed-code syndrome, ordinary syndrome) of a received word.
@@ -91,19 +92,21 @@ class GabidulinCode:
         The first is the transposed word times Hhat^T, the second y H^T;
         codeword parts cancel in both, so each depends only on the error.
         """
-        return self._read(y)[:2]
+        return self._read(y)[1:3]
 
     def _read(self, y):
-        """(s1, s2, y G^T) of a received word, from T_1..T_n.
+        """(y, s1, s2, y G^T) of a received word y, from T_1..T_n.
 
-        s1_r = T_(r+1), and T_(n-i)^(q^i) = sum_j alpha_j^(q^i) y_j is entry
-        i of y M^T: y G^T for i < k and s2_(i-k) from there on.
+        y comes back as the tuple of ints checked and read here, which is
+        all the decoder reads of the word.  s1_r = T_(r+1), and
+        T_(n-i)^(q^i) = sum_j alpha_j^(q^i) y_j is entry i of y M^T: y G^T
+        for i < k and s2_(i-k) from there on.
         """
-        _check_vector(self.ctx, y, self.n, "word")
+        y = _check_vector(self.ctx, y, "word", self.n)
         tmap, ctx = self._twist_map, self.ctx
         T = tmap.values(tmap.apply(y))
         exp, log, L = ctx._exp, ctx._log, ctx.order - 1
         yM = [exp[log[v] * qi % L] if v else 0
               for v, qi in zip(reversed(T), ctx._qpow)]
         k = self.k
-        return T[:self.n - k], tuple(yM[k:]), tuple(yM[:k])
+        return y, T[:self.n - k], tuple(yM[k:]), tuple(yM[:k])

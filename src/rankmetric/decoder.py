@@ -193,8 +193,7 @@ def decode(code: GabidulinCode, y) -> DecodeOutcome:
     are values, not exceptions.  The trial trace records (t, rank) for every
     trial rank examined.
     """
-    y = tuple(y)
-    s1, s2, yg = code._read(y)
+    y, s1, s2, yg = code._read(y)
     status, codewords, errors, trace = _joint_decode(code, (y,), s1, s2,
                                                      ((s2, yg),))
     if codewords is None:
@@ -208,7 +207,6 @@ def interleaved_decode(code: GabidulinCode, y1, y2) -> InterleavedOutcome:
     Both syndromes come from the ordinary parity check; the stacked system
     and the span polynomial are shared, and each word's codeword comes from
     its own syndrome and y G^T as in single-word decoding."""
-    words = (tuple(y1), tuple(y2))
-    reads = [code._read(y)[1:] for y in words]
-    return InterleavedOutcome(*_joint_decode(code, words, reads[0][0],
-                                             reads[1][0], reads))
+    (y1, _, s1, g1), (y2, _, s2, g2) = code._read(y1), code._read(y2)
+    return InterleavedOutcome(*_joint_decode(code, (y1, y2), s1, s2,
+                                             ((s1, g1), (s2, g2))))

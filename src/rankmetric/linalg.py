@@ -11,10 +11,13 @@ trial-rank countdown keeps one basis across its trials and reads its
 kernel vector off it (_kernel_vector).  Kernels, solves and basis
 coordinates live with the test references.
 
-fq_matmul, fq_transpose, phi_inv and fqn_rank read matrices through one
-checked reader (_dims).  fq_rank is the unchecked core under fqn_rank: the
-samplers and scenario 2 call it per attempt, where a check would cost
-0.7 to 1.0 times the rank itself.
+Every input is read once, by a check that returns what it read: _ints
+reads entries with operator.index into a tuple of ints and checks their
+range, _check_vector reads words, messages, bases and vectors through it,
+and _dims the rows of the matrices that fq_matmul, fq_transpose, phi_inv
+and fqn_rank take.  The computation reads only those ints.  fq_rank is the
+unchecked core under fqn_rank: the samplers and scenario 2 call it per
+attempt, where a check would cost 0.7 to 1.0 times the rank itself.
 
 Also home to F_p-linear maps tabulated on packed ints (_PackedMap), which
 read c base-p digits of an input per lookup from per-input chunk tables,
@@ -88,8 +91,8 @@ def fqn_matmul(ctx: FieldCtx, X, Y):
     return out
 
 
-def fqn_vec_fq_mat(ctx: FieldCtx, v, M):
-    """Row vector over F_{q^n} times a matrix over F_q."""
+def fqn_vecmat(ctx: FieldCtx, v, M):
+    """Row vector times matrix, both over F_{q^n}."""
     return tuple(fqn_matmul(ctx, [v], M)[0])
 
 
@@ -102,21 +105,19 @@ def fq_rank(ctx: FieldCtx, M) -> int:
 
 def fqn_rank(ctx: FieldCtx, M) -> int:
     """Rank of a matrix over F_{q^n}, entries in [0, q^n)."""
-    _dims(M, ctx.order, "[0, q^n)")
-    return fq_rank(ctx, M)
+    return fq_rank(ctx, _dims(M, ctx.order, "[0, q^n)")[0])
 
 
 def fq_matmul(ctx: FieldCtx, A, B):
     """Product A B over F_q, entries F_q elements in [0, q)."""
-    (r, m), (m2, c) = _dims(A, ctx.q), _dims(B, ctx.q)
+    (A, (r, m)), (B, (m2, c)) = _dims(A, ctx.q), _dims(B, ctx.q)
     if m != m2:
         raise ValueError(f"cannot multiply {r}x{m} by {m2}x{c} matrices")
     return fqn_matmul(ctx, A, B)
 
 
 def fq_transpose(M):
-    _dims(M)
-    return [list(col) for col in zip(*M)]
+    return [list(col) for col in zip(*_dims(M)[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -194,48 +195,46 @@ class _PackedMap:
         return tuple(out)
 
 
-def _check_vector(ctx: FieldCtx, v, length, what):
-    """Reject a wrong length, a non-integer entry or an entry outside
-    F_{q^n}."""
-    if len(v) != length:
-        raise ValueError(f"{what} must have {length} entries")
-    v = _ints(v, what)
-    if v and (min(v) < 0 or max(v) >= ctx.order):
-        raise ValueError(
-            f"{what} entries must lie in [0, q^n) = [0, {ctx.order})")
-
-
-def _ints(v, what):
-    """v as a list of ints, read with operator.index as field._index does."""
+def _ints(v, what, bound=None, field="[0, q^n)"):
+    """The entries of v as a tuple of ints, read with operator.index as
+    field._index does; rejects a non-integer entry and, given a bound, an
+    entry outside [0, bound)."""
     try:
-        return [*map(index, v)]
+        v = tuple(map(index, v))
     except TypeError:
         raise ValueError(f"{what} entries must be integers") from None
+    if bound and v and (min(v) < 0 or max(v) >= bound):
+        raise ValueError(f"{what} entries must lie in {field} = [0, {bound})")
+    return v
 
 
-def _dims(M, bound=None, field="F_q = [0, q)") -> tuple[int, int]:
-    """Shape of M; rejects ragged rows and, given a bound, non-integer
-    entries and entries outside [0, bound)."""
+def _check_vector(ctx: FieldCtx, v, what, length=None):
+    """The entries of v, any iterable, as ints in F_{q^n}; given a length,
+    rejects a vector of any other."""
+    v = _ints(v, what, ctx.order)
+    if length is not None and len(v) != length:
+        raise ValueError(f"{what} must have {length} entries")
+    return v
+
+
+def _dims(M, bound=None, field="F_q = [0, q)"):
+    """(rows, shape) of M, its rows read as by _ints; rejects ragged rows."""
+    M = [_ints(row, "matrix", bound, field) for row in M]
     widths = {len(row) for row in M}
     if len(widths) > 1:
         raise ValueError(f"matrix rows have unequal lengths {sorted(widths)}")
-    if bound is not None:
-        for row in M:
-            row = _ints(row, "matrix")
-            if row and (min(row) < 0 or max(row) >= bound):
-                raise ValueError(
-                    f"matrix entries must lie in {field} = [0, {bound})")
-    return len(M), max(widths, default=0)
+    return M, (len(M), max(widths, default=0))
 
 
 def phi_inv(ctx: FieldCtx, A, alpha):
     """Vector a with a_j = sum_i alpha_i A[i][j], the vector whose column j
     of alpha-coordinates is column j of the F_q matrix A."""
     n = ctx.n
-    _check_vector(ctx, alpha, n, "basis")
-    if _dims(A, ctx.q) != (n, n):
+    alpha = _check_vector(ctx, alpha, "basis", n)
+    A, shape = _dims(A, ctx.q)
+    if shape != (n, n):
         raise ValueError(f"matrix must be {n}x{n}")
-    return fqn_vec_fq_mat(ctx, alpha, A)
+    return fqn_vecmat(ctx, alpha, A)
 
 
 def moore_matrix(ctx: FieldCtx, v, rows: int):
@@ -243,7 +242,7 @@ def moore_matrix(ctx: FieldCtx, v, rows: int):
     rows = _index(rows, "rows")
     if rows < 1:
         raise ValueError("need at least one row")
-    _check_vector(ctx, v, len(v), "vector")
+    v = _check_vector(ctx, v, "vector")
     frob = ctx.frob
     return [[frob(x, r) for x in v] for r in range(rows)]
 
@@ -255,5 +254,5 @@ def vector_rank(ctx: FieldCtx, v) -> int:
     of the expansion in the polynomial basis); the rank does not depend on
     the basis.
     """
-    _check_vector(ctx, v, len(v), "vector")
+    v = _check_vector(ctx, v, "vector")
     return fq_rank(ctx, [ctx.coeffs(x) for x in v])

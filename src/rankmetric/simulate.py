@@ -48,7 +48,7 @@ from .channel import _gaussian_binomial, sample_full_rank, \
 from .code import GabidulinCode, _radius
 from .decoder import decode, interleaved_decode
 from .field import _index, _prime_power, make_field
-from .linalg import fq_rank, fqn_matmul, fqn_vec_fq_mat, moore_matrix
+from .linalg import fq_rank, fqn_matmul, fqn_vecmat, moore_matrix
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -192,7 +192,7 @@ def _coupling_fails(code: GabidulinCode, a, P, Q) -> bool:
 def _trial_uniform_coupling(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
     ctx = code.ctx
     A = sample_full_rank(ctx, code.n, t, rng)
-    a = fqn_vec_fq_mat(ctx, code.alpha, A)
+    a = fqn_vecmat(ctx, code.alpha, A)
     P = sample_uniform_invertible(ctx, t, rng)
     Q = sample_uniform_invertible(ctx, t, rng)
     return _coupling_fails(code, a, P, Q), False
@@ -202,11 +202,11 @@ def _trial_interleaved(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
     ctx = code.ctx
     n = code.n
     A = sample_full_rank(ctx, n, t, rng)
-    a = fqn_vec_fq_mat(ctx, code.alpha, A)
+    a = fqn_vecmat(ctx, code.alpha, A)
     errors = []
     for _ in range(2):
         B = sample_full_rank(ctx, t, n, rng)
-        errors.append(fqn_vec_fq_mat(ctx, a, B))
+        errors.append(fqn_vecmat(ctx, a, B))
     return _judged(interleaved_decode(code, *errors).codewords)
 
 

@@ -66,9 +66,8 @@ def is_weak_self_orthogonal(ctx: FieldCtx, alpha):
     first nonzero S_d, and d <= n/2.  A zero off-diagonal with S_0 != 0
     makes M invertible, so only an input that fails pays for a rank.
     """
-    alpha = tuple(alpha)
     n = ctx.n
-    _check_vector(ctx, alpha, n, "vector")
+    alpha = _check_vector(ctx, alpha, "vector", n)
     add, mul, frob = ctx.add, ctx.mul, ctx.frob
     half = n // 2
     S = []

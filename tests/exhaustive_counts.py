@@ -44,7 +44,7 @@ def main() -> int:
         space_symmetric
     from rankmetric import DecodeOutcome, GabidulinCode, decode, make_field, \
         phi_inv
-    from rankmetric.linalg import fqn_vec_fq_mat
+    from rankmetric.linalg import fqn_vecmat
     from rankmetric.simulate import _coupling_fails
 
     start = time.perf_counter()
@@ -73,7 +73,7 @@ def main() -> int:
     gl = general_linear(T, Q)
     draws = failing = 0
     for A in echelon_supports(N, T, Q):
-        a = fqn_vec_fq_mat(ctx, code.alpha, A)
+        a = fqn_vecmat(ctx, code.alpha, A)
         for Qm in gl:
             draws += 1
             failing += _coupling_fails(code, a, identity, Qm)

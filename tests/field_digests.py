@@ -78,7 +78,7 @@ def decode_digest(code, t: int) -> str:
     """
     from rankmetric import decode, interleaved_decode, sample_full_rank, \
         sample_space_symmetric
-    from rankmetric.linalg import fqn_vec_fq_mat
+    from rankmetric.linalg import fqn_vecmat
 
     ctx, n, rng = code.ctx, code.n, random.Random(1)
 
@@ -97,8 +97,8 @@ def decode_digest(code, t: int) -> str:
         pair = [(0,) * n] * 2
         if r:
             A = sample_full_rank(ctx, n, r, rng)
-            a = fqn_vec_fq_mat(ctx, code.alpha, A)
-            pair = [fqn_vec_fq_mat(ctx, a, sample_full_rank(ctx, r, n, rng))
+            a = fqn_vecmat(ctx, code.alpha, A)
+            pair = [fqn_vecmat(ctx, a, sample_full_rank(ctx, r, n, rng))
                     for _ in range(2)]
         outcomes.append(interleaved_decode(code, *map(noisy, pair)))
     return _sha256(outcomes)

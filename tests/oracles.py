@@ -9,7 +9,7 @@ on bit rows, not the library's log-domain elimination.  The countdown
 reference builds its stacked syndrome rows with one ctx.frob per entry.
 The library pieces still reused are:
 
-- the trial-rank countdown reference: fqn_vec_fq_mat to turn a solve into
+- the trial-rank countdown reference: fqn_vecmat to turn a solve into
   an error;
 - the exp/log reference: the tuple product _pmul and _pmod, not the
   shift-and-XOR product of F_2, and _factor;
@@ -30,7 +30,7 @@ from rankmetric import fq_rank, fq_transpose, lin_normalize, moore_matrix, \
 from rankmetric.channel import _draws
 from rankmetric.field import _factor, _pmod, _pmul, _prime_ops, \
     _smallest_irreducible, _tabled
-from rankmetric.linalg import fqn_vec_fq_mat
+from rankmetric.linalg import fqn_vecmat
 
 
 def rank_mod_p(M, p):
@@ -495,7 +495,7 @@ def recover_error(code, a, s2):
     if d is None:
         return None
     B = fq_transpose(coords(ctx, code.alpha, [frob(dl, -k) for dl in d]))
-    return fqn_vec_fq_mat(ctx, a, B)
+    return fqn_vecmat(ctx, a, B)
 
 
 def syndrome_matrix(ctx, s, t):

@@ -16,7 +16,7 @@ from rankmetric import (GabidulinCode, SimConfig, failure_bound,
                         gaussian_binomial, fq_rank)
 from rankmetric.decoder import _syndrome_row
 from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
-                               fqn_vec_fq_mat, moore_matrix, phi_inv)
+                               fqn_vecmat, moore_matrix, phi_inv)
 
 from oracles import census, code_matrices, coords, key_equation_remainder, \
     lin_qdeg, min_subspace_poly, sample_symmetric_invertible, \
@@ -146,7 +146,7 @@ def test_c5_key_equation_properties():
         c = code.encode(tuple(ctx.rand_elem(rng) for _ in range(2)))
         y = tuple(add(a, b) for a, b in zip(c, err.e))
         s1, s2 = code.syndromes(y)
-        a = fqn_vec_fq_mat(ctx, code.alpha, err.A)
+        a = fqn_vecmat(ctx, code.alpha, err.A)
         gamma = min_subspace_poly(ctx, a)
         if lin_qdeg(key_equation_remainder(ctx, gamma, s1)) >= t:
             bad += 1

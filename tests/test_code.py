@@ -6,7 +6,7 @@ import pytest
 from rankmetric import (GabidulinCode, find_wso_basis, make_field,
                         moore_matrix, sample_space_symmetric, vector_rank)
 from rankmetric.code import _radius
-from rankmetric.linalg import fq_transpose, fqn_matmul, fqn_vec_fq_mat
+from rankmetric.linalg import fq_transpose, fqn_matmul, fqn_vecmat
 
 from field_digests import code_digest, table_digest
 from oracles import code_matrices, syndrome_against, transpose_vector
@@ -164,11 +164,11 @@ def test_syndrome_matches_support_decomposition(code_8_2, F256):
     for _ in range(50):
         t = rng.randrange(1, 5)
         err = sample_space_symmetric(F256, alpha, t, rng)
-        a = fqn_vec_fq_mat(F256, alpha, err.A)
+        a = fqn_vecmat(F256, alpha, err.A)
         # B = P A^T, bhat = alpha B^T
         from rankmetric.linalg import fq_matmul, fq_transpose
         B = fq_matmul(F256, err.P, fq_transpose(err.A))
-        bhat = fqn_vec_fq_mat(F256, alpha, fq_transpose(B))
+        bhat = fqn_vecmat(F256, alpha, fq_transpose(B))
         s2 = code_8_2.syndromes(err.e)[1]
         for j in range(8 - k):
             acc = 0
@@ -224,7 +224,8 @@ def test_twist_map_matches_direct_sums(q, n, k):
                 acc = ctx.add(acc, ctx.mul(aj, ctx.frob(yj, i)))
             direct.append(acc)
         assert tmap.values(tmap.apply(y)) == tuple(direct)
-        s1, s2, yg = code._read(y)
+        word, s1, s2, yg = code._read(y)
+        assert word == y
         assert s1 == tuple(direct[:n - k])
         assert s2 == tuple(fqn_matmul(ctx, [y], h_t)[0])
         assert yg == tuple(fqn_matmul(ctx, [y], g_t)[0])

@@ -6,13 +6,14 @@ import pytest
 
 from rankmetric import (DecodeOutcome, GabidulinCode, InterleavedOutcome,
                         SimConfig, count_space_symmetric, count_symmetric,
-                        decode, interleaved_decode, make_field, phi_inv,
+                        decode, interleaved_decode,
+                        is_weak_self_orthogonal, make_field, phi_inv,
                         run_scenario, sample_full_rank,
                         sample_space_symmetric, vector_rank)
 from rankmetric.channel import sample_uniform_invertible
 from rankmetric.decoder import _extend, _full_root_space, _syndrome_row
 from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
-                               fqn_vec_fq_mat, moore_matrix)
+                               fqn_vecmat, moore_matrix)
 from rankmetric.simulate import _trial_rng
 
 from oracles import code_matrices, countdown_decode, joint_kernel, \
@@ -33,7 +34,7 @@ def _corrupt(ctx, c, e):
 
 def _support(code, err):
     """Basis of the error support: alpha combined with the columns of A."""
-    return list(fqn_vec_fq_mat(code.ctx, code.alpha, err.A))
+    return list(fqn_vecmat(code.ctx, code.alpha, err.A))
 
 
 def _decoder_rows(ctx, s, t):
@@ -308,10 +309,10 @@ def test_interleaved_failure_is_a_value(code_8_2, F256):
     rng = random.Random(76)
     for _ in range(20):
         A = sample_full_rank(F256, 8, 5, rng)
-        a = fqn_vec_fq_mat(F256, code_8_2.alpha, A)
+        a = fqn_vecmat(F256, code_8_2.alpha, A)
         ys = []
         for _ in range(2):
-            e = fqn_vec_fq_mat(F256, a, sample_full_rank(F256, 5, 8, rng))
+            e = fqn_vecmat(F256, a, sample_full_rank(F256, 5, 8, rng))
             ys.append(_corrupt(F256, _rand_codeword(code_8_2, rng), e))
         out = interleaved_decode(code_8_2, ys[0], ys[1])
         assert out.status == "failure"
@@ -347,11 +348,11 @@ def test_interleaved_guaranteed_radius(code_8_2, F256):
     for _ in range(300):
         t = rng.randrange(1, 4)
         A = sample_full_rank(F256, 8, t, rng)
-        a = fqn_vec_fq_mat(F256, code_8_2.alpha, A)
+        a = fqn_vecmat(F256, code_8_2.alpha, A)
         cs, ys, es = [], [], []
         for _ in range(2):
             B = sample_full_rank(F256, t, 8, rng)
-            e = fqn_vec_fq_mat(F256, a, B)
+            e = fqn_vecmat(F256, a, B)
             c = _rand_codeword(code_8_2, rng)
             cs.append(c)
             es.append(e)
@@ -374,6 +375,46 @@ def test_decode_rejects_out_of_range_entries(code_8_2):
             decode(code_8_2, y)
         with pytest.raises(ValueError, match=r"\[0, q\^n\) = \[0, 256\)"):
             interleaved_decode(code_8_2, (0,) * 8, y)
+
+
+class _Index:
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+
+def test_outcomes_hold_ints_for_bool_and_index_input(code_8_2, F256):
+    # the all-zero-syndrome path returned the caller's own entries: decode
+    # of (False,) * 8 had the codeword (False,) * 8
+    rng = random.Random(31)
+    c = _rand_codeword(code_8_2, rng)
+    z, one = (0,) * 8, (1,) + (0,) * 7
+    for y in (z, one, c, _corrupt(F256, c, one)):
+        kinds = [list, lambda w: [_Index(x) for x in w]]
+        if max(y) <= 1:
+            kinds.append(lambda w: [bool(x) for x in w])
+        want = decode(code_8_2, y)
+        pair = interleaved_decode(code_8_2, z, y)
+        assert want.decoded and pair.decoded
+        assert all(type(x) is int for x in want.codeword + want.error)
+        for f in kinds:
+            assert repr(decode(code_8_2, f(y))) == repr(want)
+            assert repr(interleaved_decode(code_8_2, f(z), f(y))) \
+                == repr(pair)
+
+
+def test_decoders_read_any_iterable(code_8_2, F256):
+    rng = random.Random(32)
+    c = _rand_codeword(code_8_2, rng)
+    for y in (c, _corrupt(F256, c, (0, 5) + (0,) * 6), (0,) * 8):
+        assert decode(code_8_2, iter(y)) == decode(code_8_2, y)
+        assert interleaved_decode(code_8_2, iter(y), iter(c)) \
+            == interleaved_decode(code_8_2, y, c)
+    alpha = code_8_2.alpha
+    assert is_weak_self_orthogonal(F256, iter(alpha)) \
+        == is_weak_self_orthogonal(F256, alpha)
 
 
 def test_decode_with_odd_characteristic():
@@ -508,7 +549,7 @@ def _mixed_words(code, rng, count):
         if kind == 0:
             e = sample_space_symmetric(ctx, code.alpha, t, rng).e
         elif t:
-            e = fqn_vec_fq_mat(ctx, code.alpha, fq_matmul(
+            e = fqn_vecmat(ctx, code.alpha, fq_matmul(
                 ctx, sample_full_rank(ctx, n, t, rng),
                 sample_full_rank(ctx, t, n, rng)))
         else:
@@ -533,11 +574,11 @@ def test_interleaved_countdown_matches_oracle(code_8_2, F256):
     rng = random.Random(78)
     for i in range(300):
         t = i % 6
-        a = fqn_vec_fq_mat(F256, code_8_2.alpha,
+        a = fqn_vecmat(F256, code_8_2.alpha,
                            sample_full_rank(F256, 8, t, rng)) if t else []
         ys = []
         for _ in range(2):
-            e = (fqn_vec_fq_mat(F256, a, sample_full_rank(F256, t, 8, rng))
+            e = (fqn_vecmat(F256, a, sample_full_rank(F256, t, 8, rng))
                  if t else (0,) * 8)
             ys.append(_corrupt(F256, _rand_codeword(code_8_2, rng), e))
         s1, s2 = code_8_2.syndromes(ys[0])[1], code_8_2.syndromes(ys[1])[1]
@@ -595,8 +636,8 @@ def _wrong(plain):
 def _shared_support_errors(code, t, rng):
     """Two errors alpha A B1 and alpha A B2 on one t-dimensional support."""
     ctx, n = code.ctx, code.n
-    a = fqn_vec_fq_mat(ctx, code.alpha, sample_full_rank(ctx, n, t, rng))
-    return [fqn_vec_fq_mat(ctx, a, sample_full_rank(ctx, t, n, rng))
+    a = fqn_vecmat(ctx, code.alpha, sample_full_rank(ctx, n, t, rng))
+    return [fqn_vecmat(ctx, a, sample_full_rank(ctx, t, n, rng))
             for _ in range(2)]
 
 

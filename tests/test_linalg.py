@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from rankmetric import (GabidulinCode, decode, find_wso_basis, fq_matmul,
-                        fq_rank, fq_transpose, fqn_rank, make_field,
-                        moore_matrix, phi_inv, vector_rank)
-from rankmetric.linalg import _insert_rows, fqn_vec_fq_mat
+from rankmetric import (GabidulinCode, WsoBasis, decode, find_wso_basis,
+                        fq_matmul, fq_rank, fq_transpose, fqn_rank,
+                        interleaved_decode, is_weak_self_orthogonal,
+                        make_field, moore_matrix, phi_inv,
+                        sample_space_symmetric, vector_rank)
+from rankmetric.linalg import _insert_rows, fqn_vecmat
 
 from oracles import base_ops, coords, kernel, rref, solve, transpose_vector
 
@@ -252,7 +254,7 @@ def test_matmul_helpers(F4):
     assert fq_matmul(F4, A, B) == [[1, 1], [1, 0]]
     assert fq_transpose(A) == [[1, 1], [0, 1]]
     v = (2, 3)
-    assert fqn_vec_fq_mat(F4, v, [[1], [1]]) == (F4.add(2, 3),)
+    assert fqn_vecmat(F4, v, [[1], [1]]) == (F4.add(2, 3),)
 
 
 def test_fq_matmul_rejects_mismatched_shapes():
@@ -303,6 +305,67 @@ def test_non_integer_entries_get_a_clear_error():
     assert decode(code, (True, 0, 0, 0)) == decode(code, (1, 0, 0, 0))
     assert code.encode([True]) == code.encode([1])
     assert fqn_rank(F16, [[False, True]]) == 1
+
+
+class _Index:
+    """An integer by __index__ alone, with no truth value, equality or
+    arithmetic of its own: _Index(0) is truthy and unequal to 0."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3)])
+def test_index_only_entries_compute_as_their_ints(q, n):
+    # a truthy _Index(0) once passed "if a:" and read log[0] = -1: fq_matmul
+    # gave [[12]] at (2, 4), fqn_rank 1 and encode (1, 14, 8, 11); decode,
+    # syndromes and vector_rank raised a bare TypeError.  fq_rank is left
+    # out: it is the unchecked core that the samplers call per attempt,
+    # counted there as sampler attempts by bench/tracer.py
+    ctx = make_field(q, n)
+    basis = find_wso_basis(ctx)
+    k = 1
+    code = GabidulinCode(ctx, k, basis)
+    icode = GabidulinCode(ctx, k, WsoBasis(tuple(map(_Index, basis.alpha)),
+                                           basis.diag, basis.method))
+    rng = random.Random(q * n)
+    y = [0, ctx.order - 1] + [ctx.rand_elem(rng) for _ in range(n - 2)]
+    z = [0] * n
+    A = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+    A[0][0] = 0
+    alpha = list(basis.alpha)
+    calls = [
+        lambda f, c: c.encode(f([0] * k)),
+        lambda f, c: c.encode(f(y[:k])),
+        lambda f, c: c.syndromes(f(y)),
+        lambda f, c: decode(c, f(y)),
+        lambda f, c: decode(c, f(z)),
+        lambda f, c: interleaved_decode(c, f(y), f(z)),
+        lambda f, c: moore_matrix(ctx, f([0, 3]), 2),
+        lambda f, c: vector_rank(ctx, f(y)),
+        lambda f, c: phi_inv(ctx, [f(r) for r in A], f(alpha)),
+        lambda f, c: phi_inv(ctx, [f(z)] * n, alpha),
+        lambda f, c: fq_matmul(ctx, [f([0])], [f([1])]),
+        lambda f, c: fq_matmul(ctx, [f(r) for r in A], A),
+        lambda f, c: fqn_rank(ctx, [f([0])]),
+        lambda f, c: fqn_rank(ctx, [f(r) for r in A] + [f(y)]),
+        lambda f, c: fq_transpose([f(r) for r in A]),
+        lambda f, c: is_weak_self_orthogonal(ctx, f(alpha)),
+        lambda f, c: sample_space_symmetric(ctx, f(alpha), 2,
+                                            random.Random(7)),
+    ]
+
+    def index_only(v):
+        return [_Index(x) for x in v]
+
+    for i, call in enumerate(calls):
+        want = call(list, code)
+        assert repr(call(index_only, icode)) == repr(want), i
+        assert repr(call(index_only, code)) == repr(want), i
+    assert icode.alpha == code.alpha and icode._G == code._G
 
 
 def test_fq_transpose_rejects_ragged_rows():

@@ -9,7 +9,7 @@ from rankmetric import (GabidulinCode, SimConfig, failure_bound, fq_transpose,
                         moore_matrix, run_scenario, wilson95)
 from rankmetric import simulate
 from rankmetric.decoder import DecodeOutcome, InterleavedOutcome
-from rankmetric.linalg import fqn_matmul, fqn_vec_fq_mat
+from rankmetric.linalg import fqn_matmul, fqn_vecmat
 
 from oracles import echelon_supports, general_linear, rank_mod_p
 
@@ -331,7 +331,7 @@ def _coupling_failures(q, n, k, t, supports, Ps):
     gl = general_linear(t, q)
     draws = failures = 0
     for A in supports:
-        a = fqn_vec_fq_mat(ctx, code.alpha, A)
+        a = fqn_vecmat(ctx, code.alpha, A)
         for P in Ps:
             for Q in gl:
                 fails = simulate._coupling_fails(code, a, P, Q)
