@@ -121,11 +121,15 @@ class CountResult:
         return cls(exact, _log2_exact(exact))
 
 
-def _check_count_args(n: int, t: int, q: int):
+def _check_count_args(n: int, t: int, q: int) -> tuple[int, int, int]:
+    """(n, t, q) as the ints read from them; q must be a prime power and
+    0 <= t <= n."""
+    q = _index(q, "q")
     _prime_power(q)
     n, t = _index(n, "n"), _index(t, "t")
     if not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= n, got t={t}, n={n}")
+    return n, t, q
 
 
 def _independent(m: int, r: int, q: int) -> int:
@@ -146,14 +150,14 @@ def _gaussian_binomial(m: int, r: int, q: int) -> int:
 
 def gaussian_binomial(n: int, t: int, q: int) -> CountResult:
     """Number of t-dimensional subspaces of F_q^n."""
-    _check_count_args(n, t, q)
+    n, t, q = _check_count_args(n, t, q)
     return CountResult.of(_gaussian_binomial(n, t, q))
 
 
 def count_space_symmetric(n: int, t: int, q: int) -> CountResult:
     """Number of n-by-n rank-t matrices over F_q whose row and column spaces
     coincide: prod_{i<t} (q^n - q^i)."""
-    _check_count_args(n, t, q)
+    n, t, q = _check_count_args(n, t, q)
     return CountResult.of(_independent(n, t, q))
 
 
@@ -163,7 +167,7 @@ def count_symmetric(n: int, tprime: int, q: int) -> CountResult:
     For t' = 2s:   prod_{i=1..s} q^(2i)/(q^(2i)-1) * prod_{i<2s} (q^(n-i)-1)
     For t' = 2s+1: same leading product, trailing product up to i = 2s.
     """
-    _check_count_args(n, tprime, q)
+    n, tprime, q = _check_count_args(n, tprime, q)
     s = tprime // 2
     acc = Fraction(1)
     for i in range(1, s + 1):
@@ -177,6 +181,6 @@ def count_symmetric(n: int, tprime: int, q: int) -> CountResult:
 def count_rank(n: int, tprime: int, q: int) -> CountResult:
     """Number of n-by-n matrices of rank t' over F_q: a t'-dimensional
     column space, then t' independent coordinate rows in it."""
-    _check_count_args(n, tprime, q)
+    n, tprime, q = _check_count_args(n, tprime, q)
     return CountResult.of(_gaussian_binomial(n, tprime, q)
                           * _independent(n, tprime, q))

@@ -29,8 +29,11 @@ Frobenius twists in the log domain.
 
 from __future__ import annotations
 
+import dataclasses
+
 from .field import FieldCtx, _index
-from .linalg import _check_vector, _PackedMap, fqn_vecmat, moore_matrix
+from .linalg import _check_vector, _ints, _PackedMap, fqn_vecmat, \
+    moore_matrix
 from .wso import WsoBasis, find_wso_basis, is_weak_self_orthogonal
 
 
@@ -54,12 +57,12 @@ class GabidulinCode:
         ok, diag = is_weak_self_orthogonal(ctx, alpha)
         if not ok:
             raise ValueError("code locators are not weak self-orthogonal")
-        if tuple(basis.diag) != diag:
+        if _ints(basis.diag, "basis diag") != diag:
             raise ValueError("basis diag is not the Moore Gram diagonal")
         self.ctx = ctx
         self.n = n
         self.k = k
-        self.basis = basis
+        self.basis = dataclasses.replace(basis, alpha=alpha, diag=diag)
         self.alpha = alpha
         self._G = moore_matrix(ctx, self.alpha, k)
         self._dk_inv = [ctx.inv(d) for d in diag[:k]]

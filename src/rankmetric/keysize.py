@@ -91,7 +91,8 @@ class CryptoRow:
 
 def crypto_row(sl: int, kind: str, n: int, k: int, lam: int,
                q: int = 2) -> CryptoRow:
-    sl = _index(sl, "sl")
+    sl, n, k = _index(sl, "sl"), _index(n, "n"), _index(k, "k")
+    lam = _index(lam, "lambda")
     if sl < 1:
         raise ValueError(f"sl must be >= 1, got sl={sl}")
     struc = wf_struc(n, lam, q)  # rejects lambda < 1 before the division

@@ -23,9 +23,11 @@ Every trial owns an RNG stream derived from (seed, trial index) through
 SHA-256, so results are identical for any shard count and shards can run
 in parallel processes; shard w of W runs trials trials * w // W up to
 trials * (w + 1) // W, on at most as many workers as the process may run
-on cores.  A process builds the field, WSO basis and code of a shape once
-(`_code`) and reuses them in later calls and shards at that shape, so
-`SimReport.wallclock` includes the build only on a cold call.  The
+on cores.  The process pool, and with it multiprocessing, is imported only
+when a run shards, so importing this module loads neither.  A process
+builds the field, WSO basis and code of a shape once (`_code`) and reuses
+them in later calls and shards at that shape, so `SimReport.wallclock`
+includes the build only on a cold call.  The
 closed-form companion quantities (random subspace intersection
 probability and the 4/q^n failure bound) live here as well.  A report is
 numbers; cli.py writes it as text, JSON or CSV.
@@ -39,7 +41,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,6 +80,7 @@ def failure_bound(q: int, n: int) -> float:
     It is not a bound everywhere: the exact scenario-1 rate at
     (q, n, k, t) = (2, 4, 1, 2) is 150/210, against 0.25.
     """
+    q = _index(q, "q")
     _prime_power(q)
     n = _index(n, "n")
     if n < 1:
@@ -252,6 +254,7 @@ def run_scenario(cfg: SimConfig, shards: int = 1) -> SimReport:
         cores = (len(os.sched_getaffinity(0))
                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
         workers = min(shards, cores)
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_range, [cfg] * shards,
                                     bounds[:-1], bounds[1:]))

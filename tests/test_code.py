@@ -59,6 +59,10 @@ def test_wrong_gram_diagonal_rejected():
             GabidulinCode(ctx, 1, fake)
         GabidulinCode(ctx, 1, type(basis)(alpha=basis.alpha, diag=basis.diag,
                                           method="forged"))
+        short = type(basis)(alpha=basis.alpha, diag=basis.diag[:-1],
+                            method=basis.method)
+        with pytest.raises(ValueError, match="Gram diagonal"):
+            GabidulinCode(ctx, 1, short)
 
 
 def test_generator_parity_product_zero_across_parameters():

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from rankmetric import (GabidulinCode, WsoBasis, decode, find_wso_basis,
-                        fq_matmul, fq_rank, fq_transpose, fqn_rank,
+from rankmetric import (GabidulinCode, WsoBasis, count_rank,
+                        count_space_symmetric, count_symmetric, crypto_row,
+                        decode, failure_bound, find_wso_basis, fq_matmul,
+                        fq_rank, fq_transpose, fqn_rank, gaussian_binomial,
                         interleaved_decode, is_weak_self_orthogonal,
                         make_field, moore_matrix, phi_inv,
-                        sample_space_symmetric, vector_rank)
+                        sample_space_symmetric, vector_rank, wf_error)
 from rankmetric.linalg import _insert_rows, fqn_vecmat
 
 from oracles import base_ops, coords, kernel, rref, solve, transpose_vector
@@ -322,15 +324,18 @@ class _Index:
 def test_index_only_entries_compute_as_their_ints(q, n):
     # a truthy _Index(0) once passed "if a:" and read log[0] = -1: fq_matmul
     # gave [[12]] at (2, 4), fqn_rank 1 and encode (1, 14, 8, 11); decode,
-    # syndromes and vector_rank raised a bare TypeError.  fq_rank is left
-    # out: it is the unchecked core that the samplers call per attempt,
-    # counted there as sampler attempts by bench/tracer.py
+    # syndromes and vector_rank raised a bare TypeError, as did the counts,
+    # failure_bound and crypto_row, which read n, t, q or lambda and then
+    # computed on the raw objects.  fq_rank is left out: it is the
+    # unchecked core that the samplers call per attempt, counted there as
+    # sampler attempts by bench/tracer.py
     ctx = make_field(q, n)
     basis = find_wso_basis(ctx)
     k = 1
     code = GabidulinCode(ctx, k, basis)
     icode = GabidulinCode(ctx, k, WsoBasis(tuple(map(_Index, basis.alpha)),
-                                           basis.diag, basis.method))
+                                           tuple(map(_Index, basis.diag)),
+                                           basis.method, basis.beta))
     rng = random.Random(q * n)
     y = [0, ctx.order - 1] + [ctx.rand_elem(rng) for _ in range(n - 2)]
     z = [0] * n
@@ -356,6 +361,13 @@ def test_index_only_entries_compute_as_their_ints(q, n):
         lambda f, c: is_weak_self_orthogonal(ctx, f(alpha)),
         lambda f, c: sample_space_symmetric(ctx, f(alpha), 2,
                                             random.Random(7)),
+        lambda f, c: count_rank(*f([n, 2, q])),
+        lambda f, c: gaussian_binomial(*f([n]), 2, q),
+        lambda f, c: count_space_symmetric(n, 2, *f([q])),
+        lambda f, c: count_symmetric(*f([n]), 2, q),
+        lambda f, c: wf_error("sym", *f([20]), 3, q),
+        lambda f, c: failure_bound(*f([q]), n),
+        lambda f, c: crypto_row(*f([128]), "sp-sym", *f([58, 29, 3])),
     ]
 
     def index_only(v):
@@ -366,6 +378,10 @@ def test_index_only_entries_compute_as_their_ints(q, n):
         assert repr(call(index_only, icode)) == repr(want), i
         assert repr(call(index_only, code)) == repr(want), i
     assert icode.alpha == code.alpha and icode._G == code._G
+    # a diag of _Index entries was once rejected as not the Gram diagonal;
+    # the code keeps the basis it read, in ints, with alpha as code.alpha
+    assert repr(icode.basis) == repr(basis)
+    assert icode.basis.alpha is icode.alpha
 
 
 def test_fq_transpose_rejects_ragged_rows():

@@ -1,5 +1,8 @@
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import rankmetric
@@ -44,3 +47,17 @@ def test_readme_examples_run(capsys):
     assert want == "7 2.807355"
     assert main(shlex.split(command)) == 0
     assert capsys.readouterr().out.strip() == want
+
+
+def test_import_loads_no_process_pool():
+    # run_scenario imports the process pool only when a run shards, so
+    # importing the library or its CLI loads neither package
+    probe = ("import sys, rankmetric, rankmetric.cli; print(sorted(m for m "
+             "in sys.modules if m.startswith(('multiprocessing', "
+             "'concurrent'))))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(rankmetric.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

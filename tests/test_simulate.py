@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 from fractions import Fraction
@@ -195,7 +196,9 @@ def test_shard_pool_sized_by_usable_cores(monkeypatch):
     monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessPool)
+    # run_scenario imports the pool when a run shards, so patch its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
     assert run_scenario(cfg, shards=2).payload() == solo
     assert sizes == [1]
 
