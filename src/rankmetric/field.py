@@ -19,14 +19,13 @@ test for every q.
 
 Both levels (F_q when e > 1, and F_{q^n}) get exp/log tables over a fixed
 multiplicative generator, so multiplication, inversion and Frobenius powers
-are table lookups.  The tables are built by walking the powers of the
-generator.  Multiplying by it is F_p-linear on the base-p digits of a
-packed element, so it is tabulated once from the images of the digit units
-and each step of the walk costs two table lookups, not a polynomial
-product.  Addition and subtraction are XOR in characteristic 2;
-at odd p they are lookups too, through a table of Zech logarithms built
-beside exp/log.  The tables bound the field: q^n must be at most 2^20, and
-a larger order raises ValueError naming that budget.
+are table lookups.  The tables are built by walking the generator's
+powers: multiplying by it is F_p-linear on the base-p digits, so each step
+reads tables of the digit units' images, and at odd p reads the digits of
+the sum back from two more.  Addition and subtraction are XOR in
+characteristic 2; at odd p they are lookups through Zech logarithms read
+off shifted slices of log.  The tables bound the field: q^n must be at
+most 2^20, and a larger order raises ValueError naming that budget.
 """
 
 from __future__ import annotations
@@ -326,11 +325,11 @@ def _walk(p: int, images):
     order p^N.  Multiplication by gen is F_p-linear on packed digits, so
     with a = N // 2 and P = p^a, v * gen = lo[v mod P] + hi[v div P]: lo
     spans the images of the low a digits and hi those of the high N - a.
-    Neither table has more than p^ceil(N/2) entries.  At p = 2 the sum is
-    an XOR.  At odd p the table entries keep each digit in its own w-bit
-    slot, wide enough for a sum of two digits, so lo + hi adds without
-    carries; the N digits of the sum are read back mod p one at a time.
-    Both halves of exp are filled in the walk, so no step copies a table.
+    At p = 2, and at N = 1 where lo = [0], the sum is an XOR.  Otherwise
+    lo and hi write the digits in base B = 2p - 1, so lo + hi never
+    carries, and the sum s reads back as rlo[s % B^a] + rhi[s // B^a]
+    from tables of its (2p - 1)^d digit patterns: no step loops over
+    digits.  Both halves of exp are filled in the walk, so none copies it.
     """
     N = len(images)
     a = N // 2
@@ -339,34 +338,36 @@ def _walk(p: int, images):
     exp = [0] * (2 * L)
     log = [-1] * order
     v = 1
-    if p == 2:
-        lo, hi = _span(2, images[:a], xor), _span(2, images[a:], xor)
+    if p == 2 or N == 1:  # at N = 1, lo = [0] and hi is reduced mod p
+        add = xor if p == 2 else _prime_ops(p).add
+    else:
+        B, P = 2 * p - 1, p ** a
+        BA = B ** a
+        # rd: N - a base-B digits to their value mod p; sp: a value to base B
+        rd = [0]
+        for k in range(N - a):
+            rd = [x + c % p * p ** k for c in range(B) for x in rd]
+        rlo, rhi = rd[:BA], list(map(P.__mul__, rd))
+        sp = _span(p, list(map(B.__pow__, range(N - a))), int.__add__)
+        add = lambda s, t, r=rd, d=BA: (sp[r[(s + t) % d]]
+                                        + sp[r[(s + t) // d]] * d)
+        slots = []
+        for g in images:
+            slots.append(sp[g % P] + sp[g // P] * BA)
+        images = slots
+    lo, hi = _span(p, images[:a], add), _span(p, images[a:], add)
+    if p == 2 or N == 1:
         m = (1 << a) - 1
         for i in range(L):
             exp[i] = exp[i + L] = v
             log[v] = i
             v = lo[v & m] ^ hi[v >> a]
         return exp, log
-    w = (2 * p - 2).bit_length()
-    mask = (1 << w) - 1
-    places = [(w * k, p ** k) for k in range(N)]
-
-    def to_slots(v):
-        return sum(v // pw % p << sh for sh, pw in places)
-
-    def slot_add(s, t):
-        return sum(((s + t) >> sh & mask) % p << sh for sh, _ in places)
-
-    P = p ** a
-    lo = _span(p, [to_slots(g) for g in images[:a]], slot_add)
-    hi = _span(p, [to_slots(g) for g in images[a:]], slot_add)
     for i in range(L):
         exp[i] = exp[i + L] = v
         log[v] = i
         s = lo[v % P] + hi[v // P]
-        v = 0
-        for sh, pw in places:
-            v += (s >> sh & mask) % p * pw
+        v = rlo[s % BA] + rhi[s // BA]
     return exp, log
 
 
@@ -378,7 +379,7 @@ def _tabled(p: int, fo: _ScalarOps, mod):
     coordinates.  The generator gen is the smallest primitive packed int,
     found with _power over _ring's product on F[x]/(mod).  The same
     product gives gen times each base-p digit unit, and _walk builds
-    exp/log from those images alone, one two-lookup step per element.  mul
+    exp/log from those images alone, with table reads per element.  mul
     and inv then look products up.  Addition is XOR in characteristic 2.
     At odd p it uses the Zech logarithms zech[i] = log(1 + w^i), -1 where
     1 + w^i = 0: w^a + w^b = w^(a + zech[b - a]), and subtraction adds
@@ -413,9 +414,11 @@ def _tabled(p: int, fo: _ScalarOps, mod):
     if p == 2:
         add = sub = xor
     else:
-        # Zech logarithms: 1 + w^i differs from w^i only in its lowest
-        # base-p digit, and 1 + w^i = 0 reads log[0] = -1
-        zech = [log[v - v % p + (v + 1) % p] for v in islice(exp, L)]
+        # Zech logarithms: 1 + w^i differs from w^i only in its lowest base-p
+        # digit, so log(v + 1) is log shifted by one, wrapped every p entries
+        succ = log[1:] + log[:1]
+        succ[p - 1::p] = log[::p]
+        zech = list(map(succ.__getitem__, islice(exp, L)))
         # -1 is the constant p - 1 at both levels
         lm1 = log[p - 1]
 

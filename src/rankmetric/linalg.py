@@ -136,31 +136,28 @@ class _PackedMap:
     (field._span).  At p = 2, S = 1 and images combine by XOR, so the
     packed int is the output values laid end to end.  At odd p the entries
     are integer sums, S is wide enough that the m n e digit-times-image
-    terms of at most (p - 1)^2 in a slot never carry, and values reads
-    slots mod p.
+    terms of at most (p - 1)^2 in a slot never carry, two span lookups
+    spread a value's digits into slots, and values reads slots mod p.
     """
 
     def __init__(self, ctx: FieldCtx, images, D: int):
         p = self.p = ctx.p
         S = 1 if p == 2 else (
             len(images) * ctx.n * ctx.e * (p - 1) ** 2).bit_length()
-        self._starts = [r * D * S for r in range(len(images[0][0]))]
+        starts = self._starts = [r * D * S for r in range(len(images[0][0]))]
         self._chunk, self._slot = (1 << D * S) - 1, (1 << S) - 1
         self._inner = [t * S for t in reversed(range(D))]
-        powers = [(p ** t, t * S) for t in range(D)]
         c = {2: 4, 3: 2}.get(p, 1)  # the largest c >= 1 with p^c <= 16
-
-        def packed(vals):
-            if p == 2:
-                return sum(v << s for v, s in zip(vals, self._starts))
-            return sum(v // w % p << s + t for v, s in zip(vals, self._starts)
-                       for w, t in powers)
-
         add = xor if p == 2 else int.__add__
+        if p > 2:  # each value's digits into S-bit slots, by two lookups
+            bits, P = [1 << t * S for t in range(D)], p ** (D // 2)
+            lo, hi = _span(p, bits[:D // 2], add), _span(p, bits[D // 2:], add)
+            images = [[[lo[v % P] + hi[v // P] for v in vals] for vals in col]
+                      for col in images]
         self._base = p ** c
         self._table = []
         for col in images:
-            units = [packed(vals) for vals in col]
+            units = [sum(v << s for v, s in zip(vals, starts)) for vals in col]
             self._table.append([_span(p, units[i:i + c], add)
                                 for i in range(0, len(units), c)])
 

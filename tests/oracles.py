@@ -283,6 +283,34 @@ def digit_add(p, a, b, sign=1):
     return out
 
 
+def packed_map_tables(ctx, images, D):
+    """The chunk tables of linalg._PackedMap at odd p, packed one base-p
+    digit at a time.
+
+    images[j][u] lists the output values, of D base-p digits, of the unit
+    p^u at input j.  Digit t of output r goes in the S-bit slot at bit
+    (r D + t) S, S the bit length of m n e (p - 1)^2 for m inputs, and
+    entry u of the table of a chunk of c units (c = 2 at p = 3, else 1) is
+    the integer sum of their packed images weighted by the digits of u.
+    """
+    p = ctx.p
+    S = (len(images) * ctx.n * ctx.e * (p - 1) ** 2).bit_length()
+    c = 2 if p == 3 else 1
+
+    def packed(vals):
+        return sum(v // p ** t % p << (r * D + t) * S
+                   for r, v in enumerate(vals) for t in range(D))
+
+    tables = []
+    for col in images:
+        units = [packed(vals) for vals in col]
+        tables.append([[sum(u // p ** k % p * x
+                            for k, x in enumerate(units[i:i + c]))
+                        for u in range(p ** len(units[i:i + c]))]
+                       for i in range(0, len(units), c)])
+    return tables
+
+
 def walk_tables(fo, mod):
     """exp and log tables of F[x]/(mod), F the coefficient field of fo.
 

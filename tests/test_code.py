@@ -9,7 +9,8 @@ from rankmetric.code import _radius
 from rankmetric.linalg import fq_transpose, fqn_matmul, fqn_vecmat
 
 from field_digests import code_digest, table_digest
-from oracles import code_matrices, syndrome_against, transpose_vector
+from oracles import code_matrices, packed_map_tables, syndrome_against, \
+    transpose_vector
 
 
 def test_f4_generator_and_parity(F4):
@@ -233,6 +234,19 @@ def test_twist_map_matches_direct_sums(q, n, k):
         assert s1 == tuple(direct[:n - k])
         assert s2 == tuple(fqn_matmul(ctx, [y], h_t)[0])
         assert yg == tuple(fqn_matmul(ctx, [y], g_t)[0])
+
+
+@pytest.mark.parametrize("q,n,k", [(3, 5, 1), (5, 4, 1), (7, 3, 1),
+                                   (9, 3, 1), (3, 7, 1)])
+def test_odd_twist_map_tables_match_per_digit_packing(q, n, k):
+    # the map spreads each value's digits into slots through two span
+    # tables; the oracle packs one digit at a time.  The images are
+    # alpha_j (p^u)^(q^i) for i = 1..n, straight from mul and frob
+    ctx = make_field(q, n)
+    code = GabidulinCode(ctx, k)
+    images = [[[ctx.mul(aj, ctx.frob(ctx.p ** u, i)) for i in range(1, n + 1)]
+               for u in range(n * ctx.e)] for aj in code.alpha]
+    assert code._twist_map._table == packed_map_tables(ctx, images, n * ctx.e)
 
 
 # public digests (basis, G, H, Hhat) printed by tests/field_digests.py

@@ -396,6 +396,10 @@ def test_from_coeffs_rejects_non_integer_coefficients(F256):
     # x is not primitive modulo this polynomial, so the generator is 3
     (2, 8, "1:1:0:1:1:0:0:0:1",
      "e8820a3077908526555f57b2a7099944e8ea2e137314a9278d9b25f81522070e"),
+    # the odd-p walk's read-back edges, pinned before it read digits through
+    # tables: odd N with halves of 4 and 5 slots, and N = 2 with 8-bit slots
+    (3, 9, None, "41a863c168dfbfc769d12fdfea0fd711e5829579819645f21873a920b15cebd1"),
+    (127, 2, None, "cd7c05865be10b00592fc804438def4aeca0368eb3b5422e136da778cba11a9e"),
 ])
 def test_tables_match_pinned_digests(q, n, modulus, want):
     assert digest(make_field(q, n, _modulus(modulus))) == want
@@ -406,9 +410,13 @@ def _modulus(text):
     return None if text is None else [int(c) for c in text.split(":")]
 
 
-def _assert_walk_tables(p, fo, mod, add, exp, log):
+def _assert_walk_tables(p, fo, mod, ops, exp, log):
     assert (exp, log) == walk_tables(fo, mod)
-    assert all(add(1, v) == digit_add(p, 1, v) for v in range(len(log)))
+    for v in range(len(log)):
+        assert ops.add(1, v) == digit_add(p, 1, v)
+        # sub(a, b) adds log(-1) to the exponent of b before the Zech lookup
+        assert ops.sub(1, v) == digit_add(p, 1, v, sign=-1)
+        assert ops.sub(v, 1) == digit_add(p, v, 1, sign=-1)
 
 
 # every field of order at most 2^12 that this module builds
@@ -422,7 +430,7 @@ def _assert_walk_tables(p, fo, mod, add, exp, log):
 def test_tables_match_walk_oracle(q, n, modulus):
     ctx = make_field(q, n, _modulus(modulus))
     fo = _ScalarOps(q, *base_ops(ctx))
-    _assert_walk_tables(ctx.p, fo, ctx.modulus, ctx.add, ctx._exp, ctx._log)
+    _assert_walk_tables(ctx.p, fo, ctx.modulus, ctx, ctx._exp, ctx._log)
 
 
 @pytest.mark.parametrize("q, n", [(4, 2), (8, 3), (9, 2), (25, 2)])
@@ -432,4 +440,4 @@ def test_base_level_matches_walk_oracle(q, n):
     fo = _prime_ops(ctx.p)
     mod = _smallest_irreducible(fo, ctx.e)
     ops, exp, log = _tabled(ctx.p, fo, mod)
-    _assert_walk_tables(ctx.p, fo, mod, ops.add, exp, log)
+    _assert_walk_tables(ctx.p, fo, mod, ops, exp, log)
