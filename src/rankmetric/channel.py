@@ -6,7 +6,8 @@ sizes used here: the acceptance probability of an invertible t-by-t matrix
 over F_q is bounded below by prod_i (1 - q^-i), about 0.289 for q = 2.
 Entries are drawn inline with the words that rng.randrange(q) takes, so a
 seed gives the matrices of one randrange(q) per entry in row order.  Every
-q, q = 2 included, draws, ranks (fq_rank) and multiplies with the same code.
+q, q = 2 included, draws, ranks and multiplies with the same code; ranks
+come from linalg.fq_rank, the unchecked core of the public fqn_rank.
 
 Counts are exact big integers produced directly from the product formulas;
 each carries a float log2 companion good to well below 1e-6 even for counts

@@ -157,7 +157,7 @@ def _as_ints(cs: Iterable, what: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _ptrim(f: Iterable[int]) -> tuple[int, ...]:
-    f = tuple(f)  # also linpoly.lin_normalize
+    f = tuple(f)
     d = len(f)
     while d > 0 and f[d - 1] == 0:
         d -= 1

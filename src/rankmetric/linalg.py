@@ -14,10 +14,12 @@ coordinates live with the test references.
 Every input is read once, by a check that returns what it read: _ints
 reads entries with operator.index into a tuple of ints and checks their
 range, _check_vector reads words, messages, bases and vectors through it,
-and _dims the rows of the matrices that fq_matmul, fq_transpose, phi_inv
-and fqn_rank take.  The computation reads only those ints.  fq_rank is the
-unchecked core under fqn_rank: the samplers and scenario 2 call it per
-attempt, where a check would cost 0.7 to 1.0 times the rank itself.
+and _dims the rows of the matrices that fq_matmul, phi_inv and fqn_rank
+take.  The computation reads only those ints.  fq_rank is the unchecked
+core under fqn_rank, kept out of the package's exports: the samplers and
+scenario 2 call it per attempt, where a check would cost 0.7 to 1.0 times
+the rank itself, and the benchmark's tracer counts the samplers' calls of
+linalg.fq_rank as their attempts.
 
 Also home to F_p-linear maps tabulated on packed ints (_PackedMap), which
 read c base-p digits of an input per lookup from per-input chunk tables,
@@ -116,10 +118,6 @@ def fq_matmul(ctx: FieldCtx, A, B):
     return fqn_matmul(ctx, A, B)
 
 
-def fq_transpose(M):
-    return [list(col) for col in zip(*_dims(M)[0])]
-
-
 # ---------------------------------------------------------------------------
 # Basis expansion map and friends.
 # ---------------------------------------------------------------------------
@@ -214,8 +212,9 @@ def _check_vector(ctx: FieldCtx, v, what, length=None):
     return v
 
 
-def _dims(M, bound=None, field="F_q = [0, q)"):
-    """(rows, shape) of M, its rows read as by _ints; rejects ragged rows."""
+def _dims(M, bound, field="F_q = [0, q)"):
+    """(rows, shape) of M, its rows read as by _ints with entries in
+    [0, bound); rejects ragged rows."""
     M = [_ints(row, "matrix", bound, field) for row in M]
     widths = {len(row) for row in M}
     if len(widths) > 1:

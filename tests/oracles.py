@@ -13,24 +13,27 @@ The library pieces still reused are:
   an error;
 - the exp/log reference: the tuple product _pmul and _pmod, not the
   shift-and-XOR product of F_2, and _factor;
-- transpose_vector: phi_inv and fq_transpose around coords;
+- transpose_vector: phi_inv around coords and transpose;
 - code_matrices: moore_matrix;
 - base_ops: field._prime_ops, _smallest_irreducible and _tabled, the F_q
   level of the field build, so the subfield of F_{q^n} is checked against
   F_q's own tables;
 - sample_symmetric_invertible: channel._draws, so a seed gives the draws it
-  gave as a library sampler, and fq_rank for the rejection.
+  gave as a library sampler, and linalg.fq_rank for the rejection.
 """
 
 import itertools
 from functools import reduce
 
-from rankmetric import fq_rank, fq_transpose, lin_normalize, moore_matrix, \
-    phi_inv
+from rankmetric import moore_matrix, phi_inv
 from rankmetric.channel import _draws
-from rankmetric.field import _factor, _pmod, _pmul, _prime_ops, \
+from rankmetric.field import _factor, _pmod, _pmul, _prime_ops, _ptrim, \
     _smallest_irreducible, _tabled
-from rankmetric.linalg import fqn_vecmat
+from rankmetric.linalg import fq_rank, fqn_vecmat
+
+
+def transpose(M):
+    return [list(col) for col in zip(*M)]
 
 
 def rank_mod_p(M, p):
@@ -133,7 +136,7 @@ def coords(ctx, alpha, xs):
     n = ctx.n
     digits = [ctx.coeffs(x) for x in alpha] + [ctx.coeffs(x) for x in xs]
     rows, pivots = rref(ctx.add, ctx.sub, ctx.mul, ctx.inv,
-                        fq_transpose(digits), n + len(xs))
+                        transpose(digits), n + len(xs))
     if pivots[:n] != list(range(n)):
         raise ValueError("alpha is not a basis")
     return [row[n:] for row in rows]
@@ -141,7 +144,7 @@ def coords(ctx, alpha, xs):
 
 def transpose_vector(ctx, a, alpha):
     """Vector whose expansion matrix is the transpose of that of a."""
-    return phi_inv(ctx, fq_transpose(coords(ctx, alpha, a)), alpha)
+    return phi_inv(ctx, transpose(coords(ctx, alpha, a)), alpha)
 
 
 def code_matrices(code):
@@ -210,7 +213,7 @@ def lin_compose_mod(ctx, outer, inner, mod_qdeg):
             if c and idx < len(inner) and inner[idx]:
                 acc = add(acc, mul(c, frob(inner[idx], j)))
         out.append(acc)
-    return lin_normalize(out)
+    return _ptrim(out)
 
 
 def right_remainder_is_x(ctx, g):
@@ -255,7 +258,7 @@ def min_subspace_poly(ctx, gens):
         shifted = (0,) + tuple(frob(c, 1) for c in f)
         padded = tuple(f) + (0,)
         f = tuple(sub(s, mul(scale, c)) for s, c in zip(shifted, padded))
-    return lin_normalize(f)
+    return _ptrim(f)
 
 
 def key_equation_remainder(ctx, gamma, s):
@@ -481,7 +484,7 @@ def root_space_basis(ctx, f):
     At q = 2 the images of the w^j are the packed matrix columns and the
     kernel vectors are already the packed elements.
     """
-    if not lin_normalize(f):
+    if not _ptrim(f):
         raise ValueError("root space of the zero polynomial is everything")
     n, q = ctx.n, ctx.q
     exp, log, L = ctx._exp, ctx._log, ctx.order - 1
@@ -498,7 +501,7 @@ def root_space_basis(ctx, f):
                 x >>= 1
                 i += 1
         return _gf2_kernel(rows, n)
-    M = fq_transpose([ctx.coeffs(x) for x in images])
+    M = transpose([ctx.coeffs(x) for x in images])
     return [ctx.from_coeffs(vec) for vec in kernel(ctx, M)]
 
 
@@ -522,7 +525,7 @@ def recover_error(code, a, s2):
     d = solve(ctx, M, rhs)
     if d is None:
         return None
-    B = fq_transpose(coords(ctx, code.alpha, [frob(dl, -k) for dl in d]))
+    B = transpose(coords(ctx, code.alpha, [frob(dl, -k) for dl in d]))
     return fqn_vecmat(ctx, a, B)
 
 
@@ -557,7 +560,7 @@ def countdown_decode(code, words, s1, s2, targets):
         trace.append((t, rank))
         if rank != t:
             continue
-        roots = root_space_basis(ctx, lin_normalize(basis[0]))
+        roots = root_space_basis(ctx, _ptrim(basis[0]))
         if len(roots) != t:
             break
         errors = tuple(recover_error(code, roots, s) for s in targets)

@@ -13,14 +13,14 @@ from rankmetric import (GabidulinCode, SimConfig, failure_bound,
                         reference_table, run_scenario, sample_full_rank,
                         sample_space_symmetric, vector_rank, decode,
                         count_rank, count_space_symmetric, count_symmetric,
-                        gaussian_binomial, fq_rank)
+                        gaussian_binomial)
 from rankmetric.decoder import _syndrome_row
-from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
-                               fqn_vecmat, moore_matrix, phi_inv)
+from rankmetric.linalg import (fq_matmul, fq_rank, fqn_matmul, fqn_vecmat,
+                               moore_matrix, phi_inv)
 
 from oracles import census, code_matrices, coords, key_equation_remainder, \
     lin_qdeg, min_subspace_poly, sample_symmetric_invertible, \
-    subspace_count, syndrome_against, transpose_vector
+    subspace_count, syndrome_against, transpose, transpose_vector
 
 SEED = 20260810
 
@@ -120,7 +120,7 @@ def test_c4_guaranteed_decoding():
     for _ in range(1000):
         A = sample_full_rank(ctx, 8, 3, rng)
         P = sample_symmetric_invertible(ctx, 3, rng)
-        E = fq_matmul(ctx, fq_matmul(ctx, A, P), fq_transpose(A))
+        E = fq_matmul(ctx, fq_matmul(ctx, A, P), transpose(A))
         e = phi_inv(ctx, E, code3.alpha)
         c = code3.encode(tuple(ctx.rand_elem(rng) for _ in range(3)))
         out = decode(code3, tuple(add(a, b) for a, b in zip(c, e)))
@@ -163,7 +163,7 @@ def test_c5_key_equation_properties():
             ctx, [[frob(v, t + 1) for v in row] for row in Ma], err.P), right)
         ref2 = fqn_matmul(ctx, fqn_matmul(
             ctx, [[frob(v, t + k) for v in row] for row in Ma],
-            fq_transpose(err.P)), right)
+            transpose(err.P)), right)
         if S1 != ref1 or S2 != ref2:
             bad += 1
     _report("C5 key-equation suite", bad == 0,

@@ -6,11 +6,11 @@ import pytest
 from rankmetric import (GabidulinCode, find_wso_basis, make_field,
                         moore_matrix, sample_space_symmetric, vector_rank)
 from rankmetric.code import _radius
-from rankmetric.linalg import fq_transpose, fqn_matmul, fqn_vecmat
+from rankmetric.linalg import fq_matmul, fqn_matmul, fqn_vecmat
 
 from field_digests import code_digest, table_digest
 from oracles import code_matrices, packed_map_tables, syndrome_against, \
-    transpose_vector
+    transpose, transpose_vector
 
 
 def test_f4_generator_and_parity(F4):
@@ -76,7 +76,7 @@ def test_generator_parity_product_zero_across_parameters():
             code = GabidulinCode(ctx, k, basis)
             # implied by the WSO check at construction, multiplied out here
             G, H, _ = code_matrices(code)
-            GHt = fqn_matmul(ctx, G, fq_transpose(H))
+            GHt = fqn_matmul(ctx, G, transpose(H))
             assert not any(map(any, GHt))
             # spot-check a random codeword against both parity checks
             u = tuple(ctx.rand_elem(rng) for _ in range(k))
@@ -171,9 +171,8 @@ def test_syndrome_matches_support_decomposition(code_8_2, F256):
         err = sample_space_symmetric(F256, alpha, t, rng)
         a = fqn_vecmat(F256, alpha, err.A)
         # B = P A^T, bhat = alpha B^T
-        from rankmetric.linalg import fq_matmul, fq_transpose
-        B = fq_matmul(F256, err.P, fq_transpose(err.A))
-        bhat = fqn_vecmat(F256, alpha, fq_transpose(B))
+        B = fq_matmul(F256, err.P, transpose(err.A))
+        bhat = fqn_vecmat(F256, alpha, transpose(B))
         s2 = code_8_2.syndromes(err.e)[1]
         for j in range(8 - k):
             acc = 0
@@ -188,7 +187,7 @@ def test_syndrome_map_matches_transposed_products(q, n, k):
     ctx = make_field(q, n)
     code = GabidulinCode(ctx, k)
     _, H, Hhat = code_matrices(code)
-    hhat_t, h_t = fq_transpose(Hhat), fq_transpose(H)
+    hhat_t, h_t = transpose(Hhat), transpose(H)
     rng = random.Random(n)
     for _ in range(200):
         y = tuple(ctx.rand_elem(rng) for _ in range(n))
@@ -217,7 +216,7 @@ def test_twist_map_matches_direct_sums(q, n, k):
     code = GabidulinCode(ctx, k)
     tmap = code._twist_map
     G, H, _ = code_matrices(code)
-    h_t, g_t = fq_transpose(H), fq_transpose(G)
+    h_t, g_t = transpose(H), transpose(G)
     rng = random.Random(q * n)
     words = [tuple(ctx.rand_elem(rng) for _ in range(n)) for _ in range(200)]
     words += [(ctx.order - 1,) * n, (0,) * n]

@@ -12,15 +12,15 @@ from rankmetric import (DecodeOutcome, GabidulinCode, InterleavedOutcome,
                         sample_space_symmetric, vector_rank)
 from rankmetric.channel import sample_uniform_invertible
 from rankmetric.decoder import _extend, _full_root_space, _syndrome_row
-from rankmetric.linalg import (fq_matmul, fq_transpose, fqn_matmul,
-                               fqn_vecmat, moore_matrix)
+from rankmetric.linalg import fq_matmul, fqn_matmul, fqn_vecmat, \
+    moore_matrix
 from rankmetric.simulate import _trial_rng
 
 from oracles import code_matrices, countdown_decode, joint_kernel, \
     key_equation_remainder, lin_compose_mod, lin_qdeg, min_subspace_poly, \
     recover_error, right_remainder_is_x, root_space_basis, \
     sample_symmetric_invertible, space_symmetric, syndrome_against, \
-    syndrome_matrix, transpose_vector
+    syndrome_matrix, transpose, transpose_vector
 
 
 def _rand_codeword(code, rng):
@@ -87,23 +87,19 @@ def test_key_equation_and_decomposition(code_8_2, F256):
         # S^(i) . Gamma^T = 0 and the two factorizations, entrywise
         S1 = _decoder_rows(F256, s1, t)
         S2 = _decoder_rows(F256, s2, t)
-        Mt1T = fq_transpose_fqn(moore_matrix(F256, a, t + 1))
+        Mt1T = transpose(moore_matrix(F256, a, t + 1))
         Ma = moore_matrix(F256, a, 8 - k - t)
         left1 = [[F256.frob(v, t + 1) for v in row] for row in Ma]
         left2 = [[F256.frob(v, t + k) for v in row] for row in Ma]
         assert S1 == fqn_matmul(F256, fqn_matmul(F256, left1, err.P), Mt1T)
         assert S2 == fqn_matmul(
-            F256, fqn_matmul(F256, left2, fq_transpose(err.P)), Mt1T)
+            F256, fqn_matmul(F256, left2, transpose(err.P)), Mt1T)
         for S in (S1, S2):
             for row in S:
                 acc = 0
                 for v, g in zip(row, gamma):
                     acc = F256.add(acc, F256.mul(v, g))
                 assert acc == 0
-
-
-def fq_transpose_fqn(M):
-    return [list(col) for col in zip(*M)]
 
 
 def test_joint_kernel_contains_true_span_polynomial(code_8_2, F256):
@@ -233,7 +229,7 @@ def test_dual_recovery_matches_oracle_recover_error(q, n, k):
         assert vector_rank(ctx, e) <= t
         c = _rand_codeword(code, rng)
         y = _corrupt(ctx, c, e)
-        yg = fqn_matmul(ctx, [y], fq_transpose(code_matrices(code)[0]))[0]
+        yg = fqn_matmul(ctx, [y], transpose(code_matrices(code)[0]))[0]
         assert code._from_gt(map(ctx.sub, yg, _extend(ctx, g, s, n))) == c
         assert tuple(map(ctx.sub, y, c)) == e
 
@@ -293,7 +289,7 @@ def test_decode_failure_is_a_value(code_8_2, F256):
     for _ in range(20):
         A = sample_full_rank(F256, 8, 4, rng)
         P = sample_symmetric_invertible(F256, 4, rng)
-        E = fq_matmul(F256, fq_matmul(F256, A, P), fq_transpose(A))
+        E = fq_matmul(F256, fq_matmul(F256, A, P), transpose(A))
         e = phi_inv(F256, E, code_8_2.alpha)
         c = _rand_codeword(code_8_2, rng)
         out = decode(code_8_2, _corrupt(F256, c, e))
@@ -329,7 +325,7 @@ def test_symmetric_inner_factor_guaranteed_beyond_unique_radius(code_8_3, F256):
     for _ in range(200):
         A = sample_full_rank(F256, 8, 3, rng)
         P = sample_symmetric_invertible(F256, 3, rng)
-        E = fq_matmul(F256, fq_matmul(F256, A, P), fq_transpose(A))
+        E = fq_matmul(F256, fq_matmul(F256, A, P), transpose(A))
         e = phi_inv(F256, E, code_8_3.alpha)
         c = _rand_codeword(code_8_3, rng)
         out = decode(code_8_3, _corrupt(F256, c, e))
@@ -691,7 +687,7 @@ def test_codeword_shift_sampled_errors(q, n, k, t, failing, pairs_failing):
     for _ in range(20):
         A = sample_full_rank(ctx, n, t, rng)
         P = sample_symmetric_invertible(ctx, t, rng)
-        E = fq_matmul(ctx, fq_matmul(ctx, A, P), fq_transpose(A))
+        E = fq_matmul(ctx, fq_matmul(ctx, A, P), transpose(A))
         plain = _shift_checked(code, [phi_inv(ctx, E, code.alpha)], rng)
         assert plain[0] == "failure"
 

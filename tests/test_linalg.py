@@ -5,13 +5,14 @@ import pytest
 from rankmetric import (GabidulinCode, WsoBasis, count_rank,
                         count_space_symmetric, count_symmetric, crypto_row,
                         decode, failure_bound, find_wso_basis, fq_matmul,
-                        fq_rank, fq_transpose, fqn_rank, gaussian_binomial,
-                        interleaved_decode, is_weak_self_orthogonal,
-                        make_field, moore_matrix, phi_inv,
-                        sample_space_symmetric, vector_rank, wf_error)
-from rankmetric.linalg import _insert_rows, fqn_vecmat
+                        fqn_rank, gaussian_binomial, interleaved_decode,
+                        is_weak_self_orthogonal, make_field, moore_matrix,
+                        phi_inv, sample_space_symmetric, vector_rank,
+                        wf_error)
+from rankmetric.linalg import _insert_rows, fq_rank, fqn_vecmat
 
-from oracles import base_ops, coords, kernel, rref, solve, transpose_vector
+from oracles import base_ops, coords, kernel, rref, solve, transpose, \
+    transpose_vector
 
 
 def _poly_basis(ctx):
@@ -254,7 +255,6 @@ def test_matmul_helpers(F4):
     A = [[1, 0], [1, 1]]
     B = [[1, 1], [0, 1]]
     assert fq_matmul(F4, A, B) == [[1, 1], [1, 0]]
-    assert fq_transpose(A) == [[1, 1], [0, 1]]
     v = (2, 3)
     assert fqn_vecmat(F4, v, [[1], [1]]) == (F4.add(2, 3),)
 
@@ -357,7 +357,6 @@ def test_index_only_entries_compute_as_their_ints(q, n):
         lambda f, c: fq_matmul(ctx, [f(r) for r in A], A),
         lambda f, c: fqn_rank(ctx, [f([0])]),
         lambda f, c: fqn_rank(ctx, [f(r) for r in A] + [f(y)]),
-        lambda f, c: fq_transpose([f(r) for r in A]),
         lambda f, c: is_weak_self_orthogonal(ctx, f(alpha)),
         lambda f, c: sample_space_symmetric(ctx, f(alpha), 2,
                                             random.Random(7)),
@@ -382,14 +381,6 @@ def test_index_only_entries_compute_as_their_ints(q, n):
     # the code keeps the basis it read, in ints, with alpha as code.alpha
     assert repr(icode.basis) == repr(basis)
     assert icode.basis.alpha is icode.alpha
-
-
-def test_fq_transpose_rejects_ragged_rows():
-    with pytest.raises(ValueError, match=r"matrix rows have unequal "
-                                         r"lengths \[1, 2\]"):
-        fq_transpose([[1, 2], [3]])
-    assert fq_transpose([[1, 2], [3, 4], [5, 6]]) == [[1, 3, 5], [2, 4, 6]]
-    assert fq_transpose([]) == []
 
 
 def _random_test_matrix(ctx, rng):
@@ -490,7 +481,7 @@ def test_coords_match_inverse_matrix_product(q, n):
     rng = random.Random(q * 100 + n)
     while True:
         alpha = [ctx.rand_elem(rng) for _ in range(n)]
-        B = fq_transpose([ctx.coeffs(a) for a in alpha])
+        B = transpose([ctx.coeffs(a) for a in alpha])
         if fq_rank(ctx, B) == n:
             break
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(B)]
@@ -501,5 +492,5 @@ def test_coords_match_inverse_matrix_product(q, n):
     xs = (list(range(ctx.order)) if ctx.order <= 1 << 12
           else [ctx.rand_elem(rng) for _ in range(3000)])
     xs += [0] * (-len(xs) % n)
-    expected = fq_matmul(ctx, inv, fq_transpose([ctx.coeffs(x) for x in xs]))
+    expected = fq_matmul(ctx, inv, transpose([ctx.coeffs(x) for x in xs]))
     assert coords(ctx, alpha, xs) == expected

@@ -1,11 +1,19 @@
+import dataclasses
+import inspect
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rankmetric
+from rankmetric import GabidulinCode, decode, find_wso_basis, fq_matmul, \
+    fqn_rank, interleaved_decode, is_weak_self_orthogonal, make_field, \
+    moore_matrix, phi_inv, sample_space_symmetric, vector_rank
 from rankmetric.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -23,14 +31,70 @@ def test_public_names_are_pinned():
         "GabidulinCode", "InterleavedOutcome", "SimConfig", "SimReport",
         "SpaceSymError", "WsoBasis", "build_table", "count_rank",
         "count_space_symmetric", "count_symmetric", "crypto_row", "decode",
-        "failure_bound", "find_wso_basis", "fq_matmul", "fq_rank",
-        "fq_transpose", "fqn_rank", "gaussian_binomial", "interleaved_decode",
-        "intersection_probability", "is_weak_self_orthogonal", "key_size_kb",
-        "lin_normalize", "make_field", "max_errors", "moore_matrix",
-        "phi_inv", "reference_table", "run_scenario", "sample_full_rank",
-        "sample_space_symmetric", "sample_uniform_invertible", "vector_rank",
-        "wf_dec", "wf_error", "wf_struc", "wilson95",
+        "failure_bound", "find_wso_basis", "fq_matmul", "fqn_rank",
+        "gaussian_binomial", "interleaved_decode", "intersection_probability",
+        "is_weak_self_orthogonal", "key_size_kb", "make_field", "max_errors",
+        "moore_matrix", "phi_inv", "reference_table", "run_scenario",
+        "sample_full_rank", "sample_space_symmetric",
+        "sample_uniform_invertible", "vector_rank", "wf_dec", "wf_error",
+        "wf_struc", "wilson95",
     ]
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3)])
+def test_every_entry_reading_door_rejects_entries_outside_its_field(q, n):
+    # fq_rank, once exported, returned 1 on [[-1]] and raised a bare
+    # IndexError on [[16]] at (2, 4).  Every export that takes a field or
+    # code first and reads entries must raise a ValueError on -1 and on the
+    # field's order (q for F_q entries, q^n for F_{q^n} ones)
+    ctx = make_field(q, n)
+    basis = find_wso_basis(ctx)
+    code = GabidulinCode(ctx, 1, basis)
+    alpha, y = list(basis.alpha), [0] * n
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def at0(v, x):
+        return [x] + list(v[1:])
+
+    doors = [
+        ("fqn_rank", ctx.order, lambda x: fqn_rank(ctx, [at0(y, x)])),
+        ("fq_matmul", q, lambda x: fq_matmul(ctx, [at0(y, x)], eye)),
+        ("fq_matmul", q, lambda x: fq_matmul(ctx, eye, [at0(y, x)] * n)),
+        ("phi_inv", q, lambda x: phi_inv(ctx, [at0(y, x)] * n, alpha)),
+        ("phi_inv", ctx.order, lambda x: phi_inv(ctx, eye, at0(alpha, x))),
+        ("moore_matrix", ctx.order, lambda x: moore_matrix(ctx, [x], 2)),
+        ("vector_rank", ctx.order, lambda x: vector_rank(ctx, at0(y, x))),
+        ("is_weak_self_orthogonal", ctx.order,
+         lambda x: is_weak_self_orthogonal(ctx, at0(alpha, x))),
+        ("sample_space_symmetric", ctx.order,
+         lambda x: sample_space_symmetric(ctx, at0(alpha, x), 1,
+                                          random.Random(1))),
+        ("GabidulinCode", ctx.order, lambda x: GabidulinCode(
+            ctx, 1, dataclasses.replace(basis, alpha=at0(alpha, x)))),
+        ("GabidulinCode.encode", ctx.order, lambda x: code.encode([x])),
+        ("GabidulinCode.syndromes", ctx.order,
+         lambda x: code.syndromes(at0(y, x))),
+        ("decode", ctx.order, lambda x: decode(code, at0(y, x))),
+        ("interleaved_decode", ctx.order,
+         lambda x: interleaved_decode(code, at0(y, x), y)),
+        ("interleaved_decode", ctx.order,
+         lambda x: interleaved_decode(code, y, at0(y, x))),
+    ]
+    for name, order, call in doors:
+        for bad in (-1, order):
+            with pytest.raises(ValueError, match=rf"entries must lie in "
+                                                 rf".* = \[0, {order}\)"):
+                call(bad)
+    # the exports that take a field or a code first but read no entries
+    reads_none = {"find_wso_basis", "sample_full_rank",
+                  "sample_uniform_invertible"}
+    takes = {name for name in rankmetric.__all__
+             if callable(getattr(rankmetric, name))
+             and next(iter(inspect.signature(getattr(rankmetric, name))
+                           .parameters), None) in ("ctx", "code")}
+    takes |= {f"GabidulinCode.{m}" for m in vars(GabidulinCode)
+              if not m.startswith("_")}
+    assert takes == {name for name, _, _ in doors} | reads_none
 
 
 def test_readme_examples_run(capsys):
@@ -51,10 +115,11 @@ def test_readme_examples_run(capsys):
 
 def test_import_loads_no_process_pool():
     # run_scenario imports the process pool only when a run shards, so
-    # importing the library or its CLI loads neither package
+    # importing the library or its CLI loads neither package; nor does it
+    # load linpoly, which holds no code
     probe = ("import sys, rankmetric, rankmetric.cli; print(sorted(m for m "
              "in sys.modules if m.startswith(('multiprocessing', "
-             "'concurrent'))))")
+             "'concurrent', 'rankmetric.linpoly'))))")
     env = dict(os.environ,
                PYTHONPATH=str(Path(rankmetric.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,

@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from rankmetric import (GabidulinCode, SimConfig, failure_bound, fq_transpose,
-                        fqn_rank, intersection_probability, make_field,
-                        moore_matrix, run_scenario, wilson95)
+from rankmetric import (GabidulinCode, SimConfig, failure_bound, fqn_rank,
+                        intersection_probability, make_field, moore_matrix,
+                        run_scenario, wilson95)
 from rankmetric import simulate
 from rankmetric.decoder import DecodeOutcome, InterleavedOutcome
 from rankmetric.linalg import fqn_matmul, fqn_vecmat
 
-from oracles import echelon_supports, general_linear, rank_mod_p
+from oracles import echelon_supports, general_linear, rank_mod_p, transpose
 
 
 def test_failure_bound_values():
@@ -321,7 +321,7 @@ def _paper_coupling_rank(code, a, P, Q):
     Mt = fqn_matmul(ctx, moore_matrix(ctx, a, n - k - t), P)
     top = [[frob(v, t + 1) for v in row] for row in Mt]
     bottom = fqn_matmul(ctx, [[frob(v, t + k) for v in row] for row in Mt], Q)
-    right = fq_transpose(moore_matrix(ctx, a, t + 1))
+    right = transpose(moore_matrix(ctx, a, t + 1))
     return fqn_rank(ctx, fqn_matmul(ctx, top + bottom, right))
 
 
