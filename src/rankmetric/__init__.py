@@ -8,7 +8,7 @@ work-factor/key-size calculators for a Gabidulin-based cryptosystem variant.
 
 from .channel import CountResult, SpaceSymError, count_rank, \
     count_space_symmetric, count_symmetric, gaussian_binomial, \
-    sample_full_rank, sample_space_symmetric, sample_uniform_invertible
+    sample_full_rank, sample_space_symmetric
 from .code import GabidulinCode
 from .decoder import DecodeOutcome, InterleavedOutcome, decode, \
     interleaved_decode
@@ -30,8 +30,8 @@ __all__ = [
     "interleaved_decode", "intersection_probability",
     "is_weak_self_orthogonal", "key_size_kb", "make_field", "max_errors",
     "moore_matrix", "phi_inv", "reference_table", "run_scenario",
-    "sample_full_rank", "sample_space_symmetric", "sample_uniform_invertible",
-    "vector_rank", "wf_dec", "wf_error", "wf_struc", "wilson95",
+    "sample_full_rank", "sample_space_symmetric", "vector_rank", "wf_dec",
+    "wf_error", "wf_struc", "wilson95",
 ]
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Error ensembles: samplers over F_q matrices and exact counting formulas.
 
-Samplers use rejection from the uniform entry distribution, which is exactly
-uniform over the target sets (full-rank, invertible) and cheap at the field
+One sampler, sample_full_rank, draws every F_q matrix of the channel (a
+square one is invertible) by rejection from the uniform entry distribution,
+which is exactly uniform over the full-rank set and cheap at the field
 sizes used here: the acceptance probability of an invertible t-by-t matrix
 over F_q is bounded below by prod_i (1 - q^-i), about 0.289 for q = 2.
 Entries are drawn inline with the words that rng.randrange(q) takes, so a
@@ -10,8 +11,8 @@ q, q = 2 included, draws, ranks and multiplies with the same code; ranks
 come from linalg.fq_rank, the unchecked core of the public fqn_rank.
 
 Counts are exact big integers produced directly from the product formulas;
-each carries a float log2 companion good to well below 1e-6 even for counts
-far beyond the float range.
+a CountResult holds one, and its log2 property is good to well below 1e-6
+even for counts far beyond the float range.
 """
 
 from __future__ import annotations
@@ -70,14 +71,6 @@ def sample_full_rank(ctx: FieldCtx, rows: int, cols: int, rng):
             return M
 
 
-def sample_uniform_invertible(ctx: FieldCtx, t: int, rng):
-    """Uniform invertible t-by-t matrix over F_q."""
-    t = _index(t, "t")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return sample_full_rank(ctx, t, t, rng)
-
-
 def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     """Uniform rank-t error matrix with equal row and column space.
 
@@ -96,7 +89,7 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     if t == 0:
         return SpaceSymError(0, [[] for _ in range(n)], [], (0,) * n)
     A = sample_full_rank(ctx, n, t, rng)
-    P = sample_uniform_invertible(ctx, t, rng)
+    P = sample_full_rank(ctx, t, t, rng)
     b = fqn_vecmat(ctx, fqn_vecmat(ctx, alpha, A), P)
     return SpaceSymError(t, A, P, fqn_vecmat(ctx, b, [*zip(*A)]))
 
@@ -115,11 +108,10 @@ def _log2_exact(x: int) -> float:
 @dataclass(frozen=True)
 class CountResult:
     exact: int
-    log2: float
 
-    @classmethod
-    def of(cls, exact: int) -> "CountResult":
-        return cls(exact, _log2_exact(exact))
+    @property
+    def log2(self) -> float:
+        return _log2_exact(self.exact)
 
 
 def _check_count_args(n: int, t: int, q: int) -> tuple[int, int, int]:
@@ -152,14 +144,14 @@ def _gaussian_binomial(m: int, r: int, q: int) -> int:
 def gaussian_binomial(n: int, t: int, q: int) -> CountResult:
     """Number of t-dimensional subspaces of F_q^n."""
     n, t, q = _check_count_args(n, t, q)
-    return CountResult.of(_gaussian_binomial(n, t, q))
+    return CountResult(_gaussian_binomial(n, t, q))
 
 
 def count_space_symmetric(n: int, t: int, q: int) -> CountResult:
     """Number of n-by-n rank-t matrices over F_q whose row and column spaces
     coincide: prod_{i<t} (q^n - q^i)."""
     n, t, q = _check_count_args(n, t, q)
-    return CountResult.of(_independent(n, t, q))
+    return CountResult(_independent(n, t, q))
 
 
 def count_symmetric(n: int, tprime: int, q: int) -> CountResult:
@@ -176,12 +168,12 @@ def count_symmetric(n: int, tprime: int, q: int) -> CountResult:
     for i in range(tprime):
         acc *= q ** (n - i) - 1
     assert acc.denominator == 1
-    return CountResult.of(acc.numerator)
+    return CountResult(acc.numerator)
 
 
 def count_rank(n: int, tprime: int, q: int) -> CountResult:
     """Number of n-by-n matrices of rank t' over F_q: a t'-dimensional
     column space, then t' independent coordinate rows in it."""
     n, tprime, q = _check_count_args(n, tprime, q)
-    return CountResult.of(_gaussian_binomial(n, tprime, q)
-                          * _independent(n, tprime, q))
+    return CountResult(_gaussian_binomial(n, tprime, q)
+                       * _independent(n, tprime, q))

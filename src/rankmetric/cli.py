@@ -123,7 +123,7 @@ def _codec_line(code, action: str, vec) -> str:
 
 def _cmd_codec(args):
     ctx = _field(args)
-    code = GabidulinCode(ctx, args.k, find_wso_basis(ctx))
+    code = GabidulinCode(ctx, args.k)
     return "\n".join(_codec_line(code, args.action, _parse_vector(ctx, line))
                      for line in _read_lines(args.infile)), None
 

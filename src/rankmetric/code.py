@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from .field import FieldCtx, _index
-from .linalg import _check_vector, _ints, _PackedMap, fqn_vecmat, \
-    moore_matrix
+from .field import FieldCtx, _index, _ints
+from .linalg import _check_vector, _PackedMap, fqn_vecmat, moore_matrix
 from .wso import WsoBasis, find_wso_basis, is_weak_self_orthogonal
 
 

@@ -11,7 +11,9 @@ field scalars can be fed to extension arithmetic unchanged.
 Defining polynomials are picked deterministically: the lexicographically
 smallest monic irreducible of the required degree, comparing coefficient
 tuples constant term first.  A caller-supplied modulus is verified instead;
-it is a sequence of ints (cli.py parses the text form).  The build has one
+it is a sequence of ints in F_q (cli.py parses the text form), read like
+from_coeffs's coefficients and every word, vector and matrix row of linalg
+and code by _ints, the package's one entry reader.  The build has one
 polynomial arithmetic: residues modulo a polynomial are packed ints, like
 the field elements, with one product and one gcd test per modulus (shifts
 and XOR over F_2), one square-and-multiply and one Rabin irreducibility
@@ -147,8 +149,17 @@ def _index(x, what: str) -> int:
         raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
-def _as_ints(cs: Iterable, what: str) -> tuple[int, ...]:
-    return tuple(_index(c, what) for c in cs)
+def _ints(v, what, bound=None, field="[0, q^n)"):
+    """The entries of v as a tuple of ints, read with operator.index as
+    _index does; rejects a non-integer entry and, given a bound, an entry
+    outside [0, bound)."""
+    try:
+        v = tuple(map(index, v))
+    except TypeError:
+        raise ValueError(f"{what} entries must be integers") from None
+    if bound and v and (min(v) < 0 or max(v) >= bound):
+        raise ValueError(f"{what} entries must lie in {field} = [0, {bound})")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +486,10 @@ class FieldCtx:
         if modulus is None:
             modulus = _smallest_irreducible(fo, n)
         else:
-            modulus = _as_ints(modulus, "modulus coefficient")
+            modulus = _ints(modulus, "modulus", q, "F_q")
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise ValueError(
                     f"modulus must be monic of degree {n}, got {modulus}")
-            if any(not 0 <= c < q for c in modulus):
-                raise ValueError("modulus coefficients out of range")
             if not _is_irreducible(fo, modulus):
                 raise ValueError(f"modulus {modulus} is reducible over F_{q}")
         self.modulus = modulus
@@ -501,18 +510,18 @@ class FieldCtx:
 
         # Tr is F_p-linear on the base-p digits, so as in _walk it is two
         # lookups, in the spans of the traces of the low and high digit
-        # units, and one F_q addition
-        units = []
+        # units, and one addition; F_q is the ints below q, so the field's
+        # own add sums its elements
+        add, units = ops.add, []
         for u in range(n * e):
             x = acc = p ** u
             for i in range(1, n):
-                acc = ops.add(acc, frob(x, i))
+                acc = add(acc, frob(x, i))
             units.append(acc)
         a = n * e // 2
-        fq_add = xor if p == 2 else fo.add
-        lo, hi = _span(p, units[:a], fq_add), _span(p, units[a:], fq_add)
+        lo, hi = _span(p, units[:a], add), _span(p, units[a:], add)
 
-        def trace(x, _lo=lo, _hi=hi, _P=p ** a, _add=fq_add):
+        def trace(x, _lo=lo, _hi=hi, _P=p ** a, _add=add):
             return _add(_lo[x % _P], _hi[x // _P])
 
         self.frob, self.trace, self._qpow = frob, trace, qpow
@@ -521,7 +530,10 @@ class FieldCtx:
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         """Base-q coefficient tuple of x, constant term first, length n."""
-        q = self.q
+        x, q = _index(x, "element"), self.q
+        if not 0 <= x < self.order:
+            raise ValueError(
+                f"element {x} must lie in [0, q^n) = [0, {self.order})")
         out = []
         for _ in range(self.n):
             out.append(x % q)
@@ -529,13 +541,11 @@ class FieldCtx:
         return tuple(out)
 
     def from_coeffs(self, cs: Iterable[int]) -> int:
-        cs = _as_ints(cs, "coefficient")
+        cs = _ints(cs, "coefficient", self.q, "F_q")
         if len(cs) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(cs)}")
         x = 0
         for c in reversed(cs):
-            if not 0 <= c < self.q:
-                raise ValueError(f"coefficient {c} out of range for F_{self.q}")
             x = x * self.q + c
         return x
 

@@ -11,15 +11,16 @@ trial-rank countdown keeps one basis across its trials and reads its
 kernel vector off it (_kernel_vector).  Kernels, solves and basis
 coordinates live with the test references.
 
-Every input is read once, by a check that returns what it read: _ints
-reads entries with operator.index into a tuple of ints and checks their
-range, _check_vector reads words, messages, bases and vectors through it,
-and _dims the rows of the matrices that fq_matmul, phi_inv and fqn_rank
-take.  The computation reads only those ints.  fq_rank is the unchecked
-core under fqn_rank, kept out of the package's exports: the samplers and
-scenario 2 call it per attempt, where a check would cost 0.7 to 1.0 times
-the rank itself, and the benchmark's tracer counts the samplers' calls of
-linalg.fq_rank as their attempts.
+Every input is read once, by a check that returns what it read:
+field._ints, the package's one entry reader, reads entries with
+operator.index into a tuple of ints and checks their range, _check_vector
+reads words, messages, bases and vectors through it, and _dims the rows of
+the matrices that fq_matmul, phi_inv and fqn_rank take.  The computation
+reads only those ints.  fq_rank is the unchecked core under fqn_rank, kept
+out of the package's exports: the samplers and scenario 2 call it per
+attempt, where a check would cost 0.7 to 1.0 times the rank itself, and the
+benchmark's tracer counts the samplers' calls of linalg.fq_rank as their
+attempts.
 
 Also home to F_p-linear maps tabulated on packed ints (_PackedMap), which
 read c base-p digits of an input per lookup from per-input chunk tables,
@@ -30,9 +31,9 @@ matrices.  The text form of vectors is cli.py's.
 
 from __future__ import annotations
 
-from operator import index, xor
+from operator import xor
 
-from .field import FieldCtx, _index, _span
+from .field import FieldCtx, _index, _ints, _span
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +189,6 @@ class _PackedMap:
                 v = v * p + (c >> t & slot) % p
             out.append(v)
         return tuple(out)
-
-
-def _ints(v, what, bound=None, field="[0, q^n)"):
-    """The entries of v as a tuple of ints, read with operator.index as
-    field._index does; rejects a non-integer entry and, given a bound, an
-    entry outside [0, bound)."""
-    try:
-        v = tuple(map(index, v))
-    except TypeError:
-        raise ValueError(f"{what} entries must be integers") from None
-    if bound and v and (min(v) < 0 or max(v) >= bound):
-        raise ValueError(f"{what} entries must lie in {field} = [0, {bound})")
-    return v
 
 
 def _check_vector(ctx: FieldCtx, v, what, length=None):

@@ -43,9 +43,10 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .channel import _gaussian_binomial, sample_full_rank, \
-    sample_space_symmetric, sample_uniform_invertible
+    sample_space_symmetric
 from .code import GabidulinCode, _radius
 from .decoder import decode, interleaved_decode
 from .field import _index, _prime_power, make_field
@@ -150,7 +151,7 @@ class SimReport:
     wilson95: tuple[float, float]
     bound: float
     wallclock: float
-    seed_scheme: str = "sha256('<seed>:<trial index>') per trial"
+    seed_scheme: ClassVar[str] = "sha256('<seed>:<trial index>') per trial"
 
     def payload(self) -> dict:
         """Shard-layout- and timing-independent content."""
@@ -195,8 +196,8 @@ def _trial_uniform_coupling(code: GabidulinCode, t: int, rng) -> tuple[bool, boo
     ctx = code.ctx
     A = sample_full_rank(ctx, code.n, t, rng)
     a = fqn_vecmat(ctx, code.alpha, A)
-    P = sample_uniform_invertible(ctx, t, rng)
-    Q = sample_uniform_invertible(ctx, t, rng)
+    P = sample_full_rank(ctx, t, t, rng)
+    Q = sample_full_rank(ctx, t, t, rng)
     return _coupling_fails(code, a, P, Q), False
 
 

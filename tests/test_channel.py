@@ -1,13 +1,14 @@
+import dataclasses
 import itertools
 import math
 import random
 
 import pytest
 
+import rankmetric.channel
 from rankmetric import (CountResult, count_rank, count_space_symmetric,
                         count_symmetric, find_wso_basis, gaussian_binomial,
-                        make_field, sample_full_rank, sample_space_symmetric,
-                        sample_uniform_invertible)
+                        make_field, sample_full_rank, sample_space_symmetric)
 from rankmetric.channel import _log2_exact
 from rankmetric.linalg import fq_matmul, fq_rank, phi_inv
 
@@ -88,8 +89,11 @@ def _exact_log2_ref(x):
 
 
 def test_count_result_dataclass():
-    r = CountResult.of(8)
-    assert r.exact == 8 and abs(r.log2 - 3.0) < 1e-12
+    # the exact count is the one field; log2 is read off it
+    r = CountResult(8)
+    assert r.exact == 8 and r.log2 == 3.0
+    assert [f.name for f in dataclasses.fields(CountResult)] == ["exact"]
+    assert not hasattr(CountResult, "of")
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +152,18 @@ def test_space_symmetric_uniformity_tiny(F4):
 
 
 def test_uniform_invertible(F4, F256):
+    # the channel's invertible P (and scenario 2's Q) is a square full-rank
+    # draw, with no sampler of its own
+    assert not hasattr(rankmetric.channel, "sample_uniform_invertible")
     rng = random.Random(55)
-    assert sample_uniform_invertible(F256, 1, rng) == [[1]]
+    assert sample_full_rank(F256, 1, 1, rng) == [[1]]
     for _ in range(200):
         t = rng.randrange(1, 5)
-        assert fq_rank(F256, sample_uniform_invertible(F256, t, rng)) == t
+        assert fq_rank(F256, sample_full_rank(F256, t, t, rng)) == t
     counts = {}
     N = 6000
     for _ in range(N):
-        M = sample_uniform_invertible(F4, 2, rng)
+        M = sample_full_rank(F4, 2, 2, rng)
         key = tuple(tuple(r) for r in M)
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 6  # |GL_2(F_2)|
@@ -164,8 +171,6 @@ def test_uniform_invertible(F4, F256):
     sigma = math.sqrt(p * (1 - p) * N)
     for c in counts.values():
         assert abs(c - N * p) <= 3 * sigma
-    with pytest.raises(ValueError):
-        sample_uniform_invertible(F256, 0, rng)
 
 
 def test_symmetric_invertible(F256):
@@ -210,8 +215,7 @@ def test_sampler_range_validation(F256, wso256):
     for call, what in ((lambda: sample_space_symmetric(
             F256, wso256.alpha, 4.0, rng), "t 4.0"),
             (lambda: sample_full_rank(F256, 8, 4.0, rng), "cols 4.0"),
-            (lambda: sample_full_rank(F81, 2.0, 4, rng), "rows 2.0"),
-            (lambda: sample_uniform_invertible(F256, 2.0, rng), "t 2.0")):
+            (lambda: sample_full_rank(F81, 2.0, 4, rng), "rows 2.0")):
         with pytest.raises(ValueError, match=f"{what} is not an integer"):
             call()
 
@@ -260,7 +264,7 @@ def test_sampler_matches_randrange_replay(q, n, t):
         assert coords(ctx, alpha, err.e) == E
         assert sample_full_rank(ctx, t, n, rng) == _replay_full_rank(
             ctx, t, n, replay)
-        assert sample_uniform_invertible(ctx, t, rng) == _replay_full_rank(
+        assert sample_full_rank(ctx, t, t, rng) == _replay_full_rank(
             ctx, t, t, replay)
         assert sample_symmetric_invertible(ctx, t, rng) == _replay_symmetric(
             ctx, t, replay)

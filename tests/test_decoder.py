@@ -10,7 +10,6 @@ from rankmetric import (DecodeOutcome, GabidulinCode, InterleavedOutcome,
                         is_weak_self_orthogonal, make_field, phi_inv,
                         run_scenario, sample_full_rank,
                         sample_space_symmetric, vector_rank)
-from rankmetric.channel import sample_uniform_invertible
 from rankmetric.decoder import _extend, _full_root_space, _syndrome_row
 from rankmetric.linalg import fq_matmul, fqn_matmul, fqn_vecmat, \
     moore_matrix

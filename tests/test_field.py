@@ -119,13 +119,17 @@ def test_non_monic_modulus_rejected():
 
 def test_non_integer_modulus_coefficient_rejected():
     # int() would truncate these to the irreducible (1, 1, 1) and (2, 2, 1)
-    with pytest.raises(ValueError, match="coefficient 1.7 "):
+    with pytest.raises(ValueError, match="modulus entries must be integers"):
         make_field(2, 2, (1.7, 1, 1))
-    with pytest.raises(ValueError, match="coefficient 2.9 "):
+    with pytest.raises(ValueError, match="modulus entries must be integers"):
         make_field(3, 2, (2.9, 2, 1))
     # the ':' text form is the CLI's (cli._field); the library takes ints
-    with pytest.raises(ValueError, match="coefficient '1' is not an integer"):
+    with pytest.raises(ValueError, match="modulus entries must be integers"):
         make_field(2, 2, "1:1:1")
+    # a supplied modulus is read as F_q entries
+    with pytest.raises(ValueError, match=r"modulus entries must lie in "
+                                         r"F_q = \[0, 2\)"):
+        make_field(2, 2, (1, 2, 1))
 
 
 def test_non_prime_power_rejected():
@@ -364,12 +368,23 @@ def test_from_coeffs_rejects_non_integer_coefficients(F256):
     F9 = make_field(3, 2)
     for ctx, cs in ((F256, [1.5] + [0] * 7), (F9, [2.5, 0]), (F9, [0, 1.0]),
                     (F9, ["1", 0])):
-        with pytest.raises(ValueError, match="is not an integer"):
+        with pytest.raises(ValueError,
+                           match="coefficient entries must be integers"):
             ctx.from_coeffs(cs)
     assert F9.from_coeffs([True, 2]) == 7
     assert F256.from_coeffs([1, 0, 0, 0, 0, 0, 0, False]) == 1
-    with pytest.raises(ValueError, match="out of range for F_3"):
-        F9.from_coeffs([3, 0])
+    for cs in ([3, 0], [0, -1]):
+        with pytest.raises(ValueError, match=r"coefficient entries must lie "
+                                             r"in F_q = \[0, 3\)"):
+            F9.from_coeffs(cs)
+
+
+def test_coeffs_reads_its_element_with_operator_index():
+    # the range check is in test_public_api's guard
+    F16 = make_field(2, 4)
+    with pytest.raises(ValueError, match="element 1.5 is not an integer"):
+        F16.coeffs(1.5)
+    assert F16.coeffs(True) == (1, 0, 0, 0)
 
 
 # -- table build: pinned digests and the per-element walk reference.

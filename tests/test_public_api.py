@@ -35,9 +35,8 @@ def test_public_names_are_pinned():
         "gaussian_binomial", "interleaved_decode", "intersection_probability",
         "is_weak_self_orthogonal", "key_size_kb", "make_field", "max_errors",
         "moore_matrix", "phi_inv", "reference_table", "run_scenario",
-        "sample_full_rank", "sample_space_symmetric",
-        "sample_uniform_invertible", "vector_rank", "wf_dec", "wf_error",
-        "wf_struc", "wilson95",
+        "sample_full_rank", "sample_space_symmetric", "vector_rank",
+        "wf_dec", "wf_error", "wf_struc", "wilson95",
     ]
 
 
@@ -85,9 +84,14 @@ def test_every_entry_reading_door_rejects_entries_outside_its_field(q, n):
             with pytest.raises(ValueError, match=rf"entries must lie in "
                                                  rf".* = \[0, {order}\)"):
                 call(bad)
+    # FieldCtx.coeffs is the one checked scalar op: vector_rank and the
+    # CLI's text form read elements through it, off every hot path
+    for bad in (-1, ctx.order):
+        with pytest.raises(ValueError, match=rf"element {bad} must lie in "
+                                             rf".* = \[0, {ctx.order}\)"):
+            ctx.coeffs(bad)
     # the exports that take a field or a code first but read no entries
-    reads_none = {"find_wso_basis", "sample_full_rank",
-                  "sample_uniform_invertible"}
+    reads_none = {"find_wso_basis", "sample_full_rank"}
     takes = {name for name in rankmetric.__all__
              if callable(getattr(rankmetric, name))
              and next(iter(inspect.signature(getattr(rankmetric, name))

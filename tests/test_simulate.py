@@ -1,13 +1,14 @@
 import concurrent.futures
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from rankmetric import (GabidulinCode, SimConfig, failure_bound, fqn_rank,
-                        intersection_probability, make_field, moore_matrix,
-                        run_scenario, wilson95)
+from rankmetric import (GabidulinCode, SimConfig, SimReport, failure_bound,
+                        fqn_rank, intersection_probability, make_field,
+                        moore_matrix, run_scenario, wilson95)
 from rankmetric import simulate
 from rankmetric.decoder import DecodeOutcome, InterleavedOutcome
 from rankmetric.linalg import fqn_matmul, fqn_vecmat
@@ -267,6 +268,11 @@ def test_report_invariants():
     p = rep.payload()
     assert [p[c] for c in ("scenario", "q", "n", "k", "t", "trials", "seed")] \
         == [3, 2, 8, 2, 2, 500, 1]
+    # the seed scheme is the code's, not a field a caller can set
+    assert "seed_scheme" not in {f.name for f in dataclasses.fields(SimReport)
+                                 if f.init}
+    assert rep.seed_scheme == SimReport.seed_scheme \
+        == "sha256('<seed>:<trial index>') per trial"
 
 
 def test_guaranteed_regime_rates_are_zero():
