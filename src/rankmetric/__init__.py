@@ -6,9 +6,9 @@ structured error ensembles, a seeded Monte Carlo failure-rate harness, and
 work-factor/key-size calculators for a Gabidulin-based cryptosystem variant.
 """
 
-from .channel import CountResult, SpaceSymError, count_rank, \
-    count_space_symmetric, count_symmetric, gaussian_binomial, \
-    sample_full_rank, sample_space_symmetric
+from .channel import SpaceSymError, count_rank, count_space_symmetric, \
+    count_symmetric, gaussian_binomial, sample_full_rank, \
+    sample_space_symmetric
 from .code import GabidulinCode
 from .decoder import DecodeOutcome, InterleavedOutcome, decode, \
     interleaved_decode
@@ -22,7 +22,7 @@ from .simulate import SimConfig, SimReport, failure_bound, \
 from .wso import WsoBasis, find_wso_basis, is_weak_self_orthogonal
 
 __all__ = [
-    "CountResult", "CryptoRow", "DecodeOutcome", "FieldCtx", "GabidulinCode",
+    "CryptoRow", "DecodeOutcome", "FieldCtx", "GabidulinCode",
     "InterleavedOutcome", "SimConfig", "SimReport", "SpaceSymError",
     "WsoBasis", "build_table", "count_rank", "count_space_symmetric",
     "count_symmetric", "crypto_row", "decode", "failure_bound",

@@ -10,16 +10,15 @@ seed gives the matrices of one randrange(q) per entry in row order.  Every
 q, q = 2 included, draws, ranks and multiplies with the same code; ranks
 come from linalg.fq_rank, the unchecked core of the public fqn_rank.
 
-Counts are exact big integers produced directly from the product formulas;
-a CountResult holds one, and its log2 property is good to well below 1e-6
-even for counts far beyond the float range.
+Counts are exact Python ints produced directly from the product formulas,
+in integer arithmetic only; _log2_exact, the package's one big-int log2,
+is good to well below 1e-6 even for counts far beyond the float range.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .field import FieldCtx, _index, _prime_power
 from .linalg import _check_vector, fq_rank, fqn_vecmat
@@ -105,15 +104,6 @@ def _log2_exact(x: int) -> float:
     return shift + math.log2(x >> shift)
 
 
-@dataclass(frozen=True)
-class CountResult:
-    exact: int
-
-    @property
-    def log2(self) -> float:
-        return _log2_exact(self.exact)
-
-
 def _check_count_args(n: int, t: int, q: int) -> tuple[int, int, int]:
     """(n, t, q) as the ints read from them; q must be a prime power and
     0 <= t <= n."""
@@ -141,39 +131,40 @@ def _gaussian_binomial(m: int, r: int, q: int) -> int:
     return _independent(m, r, q) // _independent(r, r, q)
 
 
-def gaussian_binomial(n: int, t: int, q: int) -> CountResult:
+def gaussian_binomial(n: int, t: int, q: int) -> int:
     """Number of t-dimensional subspaces of F_q^n."""
     n, t, q = _check_count_args(n, t, q)
-    return CountResult(_gaussian_binomial(n, t, q))
+    return _gaussian_binomial(n, t, q)
 
 
-def count_space_symmetric(n: int, t: int, q: int) -> CountResult:
+def count_space_symmetric(n: int, t: int, q: int) -> int:
     """Number of n-by-n rank-t matrices over F_q whose row and column spaces
     coincide: prod_{i<t} (q^n - q^i)."""
     n, t, q = _check_count_args(n, t, q)
-    return CountResult(_independent(n, t, q))
+    return _independent(n, t, q)
 
 
-def count_symmetric(n: int, tprime: int, q: int) -> CountResult:
+def count_symmetric(n: int, tprime: int, q: int) -> int:
     """Number of symmetric n-by-n matrices of rank t' over F_q.
 
     For t' = 2s:   prod_{i=1..s} q^(2i)/(q^(2i)-1) * prod_{i<2s} (q^(n-i)-1)
     For t' = 2s+1: same leading product, trailing product up to i = 2s.
+    One integer numerator over one integer denominator, which divides it.
     """
     n, tprime, q = _check_count_args(n, tprime, q)
-    s = tprime // 2
-    acc = Fraction(1)
-    for i in range(1, s + 1):
-        acc *= Fraction(q ** (2 * i), q ** (2 * i) - 1)
+    num = den = 1
+    for i in range(1, tprime // 2 + 1):
+        num *= q ** (2 * i)
+        den *= q ** (2 * i) - 1
     for i in range(tprime):
-        acc *= q ** (n - i) - 1
-    assert acc.denominator == 1
-    return CountResult(acc.numerator)
+        num *= q ** (n - i) - 1
+    count, rem = divmod(num, den)
+    assert rem == 0
+    return count
 
 
-def count_rank(n: int, tprime: int, q: int) -> CountResult:
+def count_rank(n: int, tprime: int, q: int) -> int:
     """Number of n-by-n matrices of rank t' over F_q: a t'-dimensional
     column space, then t' independent coordinate rows in it."""
     n, tprime, q = _check_count_args(n, tprime, q)
-    return CountResult(_gaussian_binomial(n, tprime, q)
-                       * _independent(n, tprime, q))
+    return _gaussian_binomial(n, tprime, q) * _independent(n, tprime, q)

@@ -19,8 +19,8 @@ import os
 import sys
 from pathlib import Path
 
-from .channel import count_rank, count_space_symmetric, count_symmetric, \
-    gaussian_binomial
+from .channel import _log2_exact, count_rank, count_space_symmetric, \
+    count_symmetric, gaussian_binomial
 from .code import GabidulinCode, _radius
 from .decoder import decode
 from .field import _prime_power, make_field
@@ -133,8 +133,8 @@ _COUNTERS = {"sp-sym": count_space_symmetric, "sym": count_symmetric,
 
 
 def _cmd_count(args):
-    result = _COUNTERS[args.kind](args.n, args.t, args.q)
-    return f"{result.exact} {result.log2:.6f}", None
+    count = _COUNTERS[args.kind](args.n, args.t, args.q)
+    return f"{count} {_log2_exact(count):.6f}", None
 
 
 def _scenario4(args):
@@ -293,9 +293,5 @@ def main(argv=None) -> int:
     return 0
 
 
-def main_entry():  # console-script shim
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    main_entry()
+    sys.exit(main())

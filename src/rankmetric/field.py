@@ -149,6 +149,10 @@ def _index(x, what: str) -> int:
         raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
+# how a range message names F_q, beside "[0, q^n)" for F_{q^n}
+_FQ_RANGE = "F_q = [0, q)"
+
+
 def _ints(v, what, bound=None, field="[0, q^n)"):
     """The entries of v as a tuple of ints, read with operator.index as
     _index does; rejects a non-integer entry and, given a bound, an entry
@@ -486,7 +490,7 @@ class FieldCtx:
         if modulus is None:
             modulus = _smallest_irreducible(fo, n)
         else:
-            modulus = _ints(modulus, "modulus", q, "F_q")
+            modulus = _ints(modulus, "modulus", q, _FQ_RANGE)
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise ValueError(
                     f"modulus must be monic of degree {n}, got {modulus}")
@@ -541,7 +545,7 @@ class FieldCtx:
         return tuple(out)
 
     def from_coeffs(self, cs: Iterable[int]) -> int:
-        cs = _ints(cs, "coefficient", self.q, "F_q")
+        cs = _ints(cs, "coefficient", self.q, _FQ_RANGE)
         if len(cs) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(cs)}")
         x = 0

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from operator import xor
 
-from .field import FieldCtx, _index, _ints, _span
+from .field import FieldCtx, _FQ_RANGE, _index, _ints, _span
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def _check_vector(ctx: FieldCtx, v, what, length=None):
     return v
 
 
-def _dims(M, bound, field="F_q = [0, q)"):
+def _dims(M, bound, field=_FQ_RANGE):
     """(rows, shape) of M, its rows read as by _ints with entries in
     [0, bound); rejects ragged rows."""
     M = [_ints(row, "matrix", bound, field) for row in M]

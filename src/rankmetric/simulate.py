@@ -29,8 +29,8 @@ builds the field, WSO basis and code of a shape once (`_code`) and reuses
 them in later calls and shards at that shape, so `SimReport.wallclock`
 includes the build only on a cold call.  The
 closed-form companion quantities (random subspace intersection
-probability and the 4/q^n failure bound) live here as well.  A report is
-numbers; cli.py writes it as text, JSON or CSV.
+probability, one int ratio divided once, and the 4/q^n failure bound) live
+here as well.  A report is numbers; cli.py writes it as text, JSON or CSV.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import ClassVar
 
 from .channel import _gaussian_binomial, sample_full_rank, \
@@ -94,7 +93,8 @@ def intersection_probability(t_dim: int, ell: int, omega: int, Qbase: int) -> fl
     dimensional space over the field of order Qbase intersect in dimension
     at least omega.
 
-    Evaluated exactly in big integers and divided once at the end.  The
+    Evaluated exactly in big integers and divided once at the end, by int
+    true division, which rounds the exact quotient correctly.  The
     q-power weight uses the subspace field order Qbase itself; for
     omega = 0 the sum telescopes to 1, and omega > ell gives 0.
     """
@@ -111,7 +111,7 @@ def intersection_probability(t_dim: int, ell: int, omega: int, Qbase: int) -> fl
                 * _gaussian_binomial(ell, i, Q)
                 * Q ** ((ell - i) ** 2))
     den = _gaussian_binomial(t_dim, ell, Q)
-    return float(Fraction(num, den))
+    return num / den
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def is_weak_self_orthogonal(ctx: FieldCtx, alpha):
     return False, (0, d)
 
 
-def _normal_scan(ctx: FieldCtx):
+def _normal_scan(ctx: FieldCtx) -> int:
     """First beta in coefficient-tuple order generating a normal WSO basis.
 
     On beta's orbit S_d = Tr(beta beta^(q^d)), so the trace conditions are
@@ -100,11 +100,9 @@ def _normal_scan(ctx: FieldCtx):
             continue
         if any(trace(mul(beta, frob(beta, d))) != 0 for d in range(1, half + 1)):
             continue
-        c0 = trace(mul(beta, beta))
-        if c0 == 0:
+        if trace(mul(beta, beta)) == 0:
             continue  # diagonal would be singular
-        alpha = tuple(frob(beta, i) for i in range(n))
-        return WsoBasis(alpha, (c0,) * n, "normal", beta)
+        return beta
     raise RuntimeError(f"normal-basis scan found no WSO basis at q={ctx.q}, "
                        f"n={ctx.n}")
 
@@ -172,13 +170,17 @@ def find_wso_basis(ctx: FieldCtx) -> WsoBasis:
 
     Runs the normal-basis scan when n is odd or when q is even and
     n = 2 mod 4, the fields where a normal WSO basis exists; otherwise
-    builds the trace-orthonormal basis.
+    builds the trace-orthonormal basis.  Either basis is verified by
+    is_weak_self_orthogonal, which also gives its diagonal.
     """
     if ctx.n % 2 or (ctx.p == 2 and ctx.n % 4 == 2):
-        return _normal_scan(ctx)
-    alpha = _trace_orthonormal_basis(ctx)
+        method, beta = "normal", _normal_scan(ctx)
+        alpha = tuple(ctx.frob(beta, i) for i in range(ctx.n))
+    else:
+        method, beta = "trace-orthonormal", None
+        alpha = _trace_orthonormal_basis(ctx)
     ok, diag = is_weak_self_orthogonal(ctx, alpha)
     if not ok:  # the construction guarantees it: an internal fault
-        raise RuntimeError(f"trace-orthonormal basis failed verification "
+        raise RuntimeError(f"{method} basis failed verification "
                            f"at q={ctx.q}, n={ctx.n}")
-    return WsoBasis(alpha, diag, "trace-orthonormal")
+    return WsoBasis(alpha, diag, method, beta)

@@ -465,8 +465,8 @@ def test_scenario1_exact_failure_counts(q, n, k, t, errors, failing,
         for i, hit in enumerate((True, bad, sym, sym and bad)):
             counts[i] += hit
     assert counts == [errors, failing, symmetric, symmetric_failing]
-    assert errors == count_space_symmetric(n, t, q).exact
-    assert symmetric == count_symmetric(n, t, q).exact
+    assert errors == count_space_symmetric(n, t, q)
+    assert symmetric == count_symmetric(n, t, q)
     # a symmetric E fails exactly when 2t > n - 1
     assert counts[3] == (counts[2] if 2 * t > n - 1 else 0)
 

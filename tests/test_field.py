@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from rankmetric import find_wso_basis, gaussian_binomial, make_field
+from rankmetric import find_wso_basis, fq_matmul, gaussian_binomial, \
+    make_field, phi_inv
 from rankmetric.field import PRIME_TEST_LIMIT, _is_irreducible, \
     _prime_ops, _prime_power, _ScalarOps, _smallest_irreducible, _tabled
 
@@ -128,7 +129,7 @@ def test_non_integer_modulus_coefficient_rejected():
         make_field(2, 2, "1:1:1")
     # a supplied modulus is read as F_q entries
     with pytest.raises(ValueError, match=r"modulus entries must lie in "
-                                         r"F_q = \[0, 2\)"):
+                                         r"F_q = \[0, q\) = \[0, 2\)"):
         make_field(2, 2, (1, 2, 1))
 
 
@@ -374,9 +375,30 @@ def test_from_coeffs_rejects_non_integer_coefficients(F256):
     assert F9.from_coeffs([True, 2]) == 7
     assert F256.from_coeffs([1, 0, 0, 0, 0, 0, 0, False]) == 1
     for cs in ([3, 0], [0, -1]):
-        with pytest.raises(ValueError, match=r"coefficient entries must lie "
-                                             r"in F_q = \[0, 3\)"):
+        with pytest.raises(ValueError, match=r"coefficient entries must "
+                                             r"lie in F_q = \[0, q\) = "
+                                             r"\[0, 3\)"):
             F9.from_coeffs(cs)
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (3, 2)])
+def test_every_fq_range_message_reads_one_way(q, n):
+    # a supplied modulus, from_coeffs, fq_matmul and phi_inv all name the
+    # F_q range as "F_q = [0, q) = [0, <q>)", beside "[0, q^n) = [0, <q^n>)"
+    # for F_{q^n}
+    ctx = make_field(q, n)
+    alpha = find_wso_basis(ctx).alpha
+    big = [[q] * n for _ in range(n)]
+    doors = [lambda: make_field(q, n, (1, q) + (0,) * (n - 2) + (1,)),
+             lambda: ctx.from_coeffs([q] + [0] * (n - 1)),
+             lambda: fq_matmul(ctx, big, big),
+             lambda: phi_inv(ctx, big, alpha)]
+    tails = set()
+    for door in doors:
+        with pytest.raises(ValueError) as err:
+            door()
+        tails.add(str(err.value).split(" entries ")[1])
+    assert tails == {f"must lie in F_q = [0, q) = [0, {q})"}
 
 
 def test_coeffs_reads_its_element_with_operator_index():

@@ -27,7 +27,7 @@ def test_every_exported_name_resolves_once():
 
 def test_public_names_are_pinned():
     assert sorted(rankmetric.__all__) == [
-        "CountResult", "CryptoRow", "DecodeOutcome", "FieldCtx",
+        "CryptoRow", "DecodeOutcome", "FieldCtx",
         "GabidulinCode", "InterleavedOutcome", "SimConfig", "SimReport",
         "SpaceSymError", "WsoBasis", "build_table", "count_rank",
         "count_space_symmetric", "count_symmetric", "crypto_row", "decode",
@@ -120,10 +120,12 @@ def test_readme_examples_run(capsys):
 def test_import_loads_no_process_pool():
     # run_scenario imports the process pool only when a run shards, so
     # importing the library or its CLI loads neither package; nor does it
-    # load linpoly, which holds no code
+    # load linpoly, which holds no code, or fractions and the decimal and
+    # numbers modules it pulls in, as the counts are int arithmetic
     probe = ("import sys, rankmetric, rankmetric.cli; print(sorted(m for m "
              "in sys.modules if m.startswith(('multiprocessing', "
-             "'concurrent', 'rankmetric.linpoly'))))")
+             "'concurrent', 'rankmetric.linpoly', 'fractions', 'decimal', "
+             "'_decimal', 'numbers'))))")
     env = dict(os.environ,
                PYTHONPATH=str(Path(rankmetric.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,

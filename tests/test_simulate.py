@@ -109,6 +109,32 @@ def test_intersection_probability_against_subspace_enumeration():
     assert abs(intersection_probability(t, ell, ell, q) - 1 / 7) < 1e-12
 
 
+def _intersection_ref(t_dim, ell, omega, Q):
+    """intersection_probability's sum, evaluated in Fractions."""
+    def gauss(m, r):
+        if not 0 <= r <= m:
+            return Fraction(0)
+        out = Fraction(1)
+        for i in range(r):
+            out *= Fraction(Q ** m - Q ** i, Q ** r - Q ** i)
+        return out
+    num = sum(gauss(t_dim - ell, ell - i) * gauss(ell, i)
+              * Q ** ((ell - i) ** 2) for i in range(omega, ell + 1))
+    return float(num / gauss(t_dim, ell))
+
+
+def test_intersection_probability_matches_fraction_reference():
+    # int true division is correctly rounded, as float(Fraction) is, so the
+    # two agree bit for bit
+    for Q in (2, 3, 4, 9, 2 ** 8, 3 ** 7, 2 ** 64):
+        for t_dim in range(7):
+            for ell in range(t_dim + 1):
+                for omega in range(ell + 2):
+                    got = intersection_probability(t_dim, ell, omega, Q)
+                    assert got == _intersection_ref(t_dim, ell, omega, Q), \
+                        (t_dim, ell, omega, Q)
+
+
 def _dim_intersection(u, v, q):
     inter = u & v
     return round(math.log(len(inter), q))

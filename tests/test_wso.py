@@ -208,7 +208,7 @@ def test_q2_with_4_dividing_n_skips_the_normal_scan():
         ctx = make_field(q, n)
         scanned = n % 2 == 1 or (ctx.p == 2 and n % 4 == 2)
         if scanned:
-            assert _normal_scan(ctx).method == "normal", (q, n)
+            assert _normal_scan(ctx) == find_wso_basis(ctx).beta, (q, n)
         else:
             with pytest.raises(RuntimeError, match="normal-basis scan found "
                                                    "no WSO basis"):
@@ -253,5 +253,16 @@ def test_failed_verification_is_an_internal_fault(monkeypatch):
     assert not is_weak_self_orthogonal(ctx, (1, 2, 4, 8))[0]
     monkeypatch.setattr(wso, "_trace_orthonormal_basis",
                         lambda ctx: (1, 2, 4, 8))
-    with pytest.raises(RuntimeError, match="failed verification"):
+    with pytest.raises(RuntimeError, match="trace-orthonormal basis failed "
+                                           "verification"):
+        find_wso_basis(ctx)
+    # the scan's beta goes through the same check: 3 generates a normal
+    # basis of F_32 that is not WSO
+    ctx = make_field(2, 5)
+    orbit = tuple(ctx.frob(3, i) for i in range(5))
+    assert vector_rank(ctx, orbit) == 5
+    assert not is_weak_self_orthogonal(ctx, orbit)[0]
+    monkeypatch.setattr(wso, "_normal_scan", lambda ctx: 3)
+    with pytest.raises(RuntimeError, match="normal basis failed "
+                                           "verification"):
         find_wso_basis(ctx)
