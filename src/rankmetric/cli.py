@@ -27,7 +27,7 @@ from .field import _prime_power, make_field
 from .keysize import ERROR_TYPES, build_table, reference_table
 from .simulate import SimConfig, failure_bound, intersection_probability, \
     run_scenario
-from .wso import find_wso_basis, is_weak_self_orthogonal
+from .wso import _normal_exists, find_wso_basis, is_weak_self_orthogonal
 
 
 def _elem(ctx, x: int) -> str:
@@ -86,21 +86,23 @@ def _field(args):
 
 def _cmd_find_basis(args):
     ctx = _field(args)
-    basis = find_wso_basis(ctx)
-    ok, diag = is_weak_self_orthogonal(ctx, basis.alpha)
+    alpha = find_wso_basis(ctx)
+    ok, diag = is_weak_self_orthogonal(ctx, alpha)
+    normal = _normal_exists(ctx)
+    method = "normal" if normal else "trace-orthonormal"
     payload = {"q": ctx.q, "n": ctx.n,
                "modulus": ":".join(str(c) for c in ctx.modulus),
-               "alpha": [_elem(ctx, a) for a in basis.alpha],
-               "diag": [_elem(ctx, x) for x in basis.diag],
-               "method": basis.method,
-               "beta": None if basis.beta is None else _elem(ctx, basis.beta),
+               "alpha": [_elem(ctx, a) for a in alpha],
+               "diag": [_elem(ctx, x) for x in diag],
+               "method": method,
+               "beta": _elem(ctx, alpha[0]) if normal else None,
                "verification": {"is_basis": True, "moore_gram_diagonal": ok,
                                 "diag_nonzero": all(diag)}}
     if args.out == "json":
         return json.dumps(payload, indent=2), None
     return (f"q = {ctx.q}, n = {ctx.n}, modulus = {payload['modulus']}\n"
-            f"method = {basis.method}\nalpha = {_vector(ctx, basis.alpha)}\n"
-            f"diag  = {_vector(ctx, basis.diag)}\n"
+            f"method = {method}\nalpha = {_vector(ctx, alpha)}\n"
+            f"diag  = {_vector(ctx, diag)}\n"
             "verified: moore gram is diagonal with nonzero entries"), None
 
 
@@ -134,7 +136,16 @@ _COUNTERS = {"sp-sym": count_space_symmetric, "sym": count_symmetric,
 
 def _cmd_count(args):
     count = _COUNTERS[args.kind](args.n, args.t, args.q)
-    return f"{count} {_log2_exact(count):.6f}", None
+    # lift Python's cap on int-to-decimal digits (4300 by default from
+    # 3.10.7 on, 0 = none) for this one conversion
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return f"{count} {_log2_exact(count):.6f}", None
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _scenario4(args):

@@ -29,11 +29,9 @@ Frobenius twists in the log domain.
 
 from __future__ import annotations
 
-import dataclasses
-
-from .field import FieldCtx, _index, _ints
+from .field import FieldCtx, _index
 from .linalg import _check_vector, _PackedMap, fqn_vecmat, moore_matrix
-from .wso import WsoBasis, find_wso_basis, is_weak_self_orthogonal
+from .wso import find_wso_basis, is_weak_self_orthogonal
 
 
 def _radius(n: int, k: int) -> int:
@@ -45,23 +43,21 @@ def _radius(n: int, k: int) -> int:
 
 
 class GabidulinCode:
-    """Length-n, dimension-k Gabidulin code over F_{q^n} with WSO locators."""
+    """Length-n, dimension-k Gabidulin code over F_{q^n} with WSO locators:
+    basis, any iterable (find_wso_basis(ctx) by default), read into alpha."""
 
-    def __init__(self, ctx: FieldCtx, k: int, basis: WsoBasis | None = None):
+    def __init__(self, ctx: FieldCtx, k: int, basis=None):
         n, k = ctx.n, _index(k, "k")
         self._tmax = _radius(n, k)  # the decoder's first trial rank
         if basis is None:
             basis = find_wso_basis(ctx)
-        alpha = _check_vector(ctx, basis.alpha, "basis", n)
+        alpha = _check_vector(ctx, basis, "basis", n)
         ok, diag = is_weak_self_orthogonal(ctx, alpha)
         if not ok:
             raise ValueError("code locators are not weak self-orthogonal")
-        if _ints(basis.diag, "basis diag") != diag:
-            raise ValueError("basis diag is not the Moore Gram diagonal")
         self.ctx = ctx
         self.n = n
         self.k = k
-        self.basis = dataclasses.replace(basis, alpha=alpha, diag=diag)
         self.alpha = alpha
         self._G = moore_matrix(ctx, self.alpha, k)
         self._dk_inv = [ctx.inv(d) for d in diag[:k]]

@@ -153,15 +153,15 @@ def _index(x, what: str) -> int:
 _FQ_RANGE = "F_q = [0, q)"
 
 
-def _ints(v, what, bound=None, field="[0, q^n)"):
+def _ints(v, what, bound, field="[0, q^n)"):
     """The entries of v as a tuple of ints, read with operator.index as
-    _index does; rejects a non-integer entry and, given a bound, an entry
-    outside [0, bound)."""
+    _index does; rejects a non-integer entry and an entry outside
+    [0, bound)."""
     try:
         v = tuple(map(index, v))
     except TypeError:
         raise ValueError(f"{what} entries must be integers") from None
-    if bound and v and (min(v) < 0 or max(v) >= bound):
+    if v and (min(v) < 0 or max(v) >= bound):
         raise ValueError(f"{what} entries must lie in {field} = [0, {bound})")
     return v
 

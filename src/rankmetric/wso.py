@@ -34,26 +34,16 @@ Construction runs in two stages:
    even, where c is the primitive element w: N(w) generates F_q^*, so
    N(w) * disc(Tr) is a square.
 
-Everything is deterministic: identical contexts yield identical bases.
+Everything is deterministic: identical contexts yield identical bases, each
+returned as the tuple of its locators.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .field import FieldCtx
 from .linalg import _check_vector, vector_rank
-
-
-@dataclass(frozen=True)
-class WsoBasis:
-    """A weak self-orthogonal basis with the diagonal of its Moore Gram."""
-
-    alpha: tuple[int, ...]
-    diag: tuple[int, ...]
-    method: str            # "normal" or "trace-orthonormal"
-    beta: int | None = None  # generator when the basis is normal
 
 
 def is_weak_self_orthogonal(ctx: FieldCtx, alpha):
@@ -165,22 +155,24 @@ def _trace_orthonormal_basis(ctx: FieldCtx):
     return tuple(units)
 
 
-def find_wso_basis(ctx: FieldCtx) -> WsoBasis:
-    """Deterministic weak self-orthogonal basis for F_{q^n} over F_q.
+def _normal_exists(ctx: FieldCtx) -> bool:
+    """Whether F_{q^n} has a normal WSO basis: n odd, or q even and
+    n = 2 mod 4 (module notes, stage 1)."""
+    return ctx.n % 2 == 1 or (ctx.p == 2 and ctx.n % 4 == 2)
 
-    Runs the normal-basis scan when n is odd or when q is even and
-    n = 2 mod 4, the fields where a normal WSO basis exists; otherwise
-    builds the trace-orthonormal basis.  Either basis is verified by
-    is_weak_self_orthogonal, which also gives its diagonal.
+
+def find_wso_basis(ctx: FieldCtx) -> tuple[int, ...]:
+    """Deterministic weak self-orthogonal basis alpha of F_{q^n} over F_q,
+    the tuple of its locators: is_weak_self_orthogonal, which verifies it,
+    gives its diagonal, and on a normal basis (where _normal_exists) the
+    generator is alpha_0.  Elsewhere it is the trace-orthonormal basis.
     """
-    if ctx.n % 2 or (ctx.p == 2 and ctx.n % 4 == 2):
+    if _normal_exists(ctx):
         method, beta = "normal", _normal_scan(ctx)
         alpha = tuple(ctx.frob(beta, i) for i in range(ctx.n))
     else:
-        method, beta = "trace-orthonormal", None
-        alpha = _trace_orthonormal_basis(ctx)
-    ok, diag = is_weak_self_orthogonal(ctx, alpha)
-    if not ok:  # the construction guarantees it: an internal fault
+        method, alpha = "trace-orthonormal", _trace_orthonormal_basis(ctx)
+    if not is_weak_self_orthogonal(ctx, alpha)[0]:  # an internal fault
         raise RuntimeError(f"{method} basis failed verification "
                            f"at q={ctx.q}, n={ctx.n}")
-    return WsoBasis(alpha, diag, method, beta)
+    return alpha

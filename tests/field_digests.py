@@ -12,7 +12,8 @@ and prints the argument, the SHA-256 digest of its tables and the build
 time in seconds.  Equal digests on two commits mean equal modulus, exp and log
 tables and addition by 1.  For q,n,k it builds the default field, then
 times find_wso_basis plus GabidulinCode and prints the public code digest
-(basis, and G, H, Hhat sliced from the Moore matrix), the table digest
+(locators, their diagonal, method and generator, and G, H, Hhat sliced
+from the Moore matrix), the table digest
 (the packed map's chunk tables) and that set-up time.  For q,n,k,t it
 builds that code and prints the decode digest of a seeded word pool
 (decode_digest); equal digests on two commits mean equal decoding.  The
@@ -50,15 +51,21 @@ def digest(ctx) -> str:
 
 
 def code_digest(code) -> str:
-    """SHA-256 of the public parts of a GabidulinCode: the basis with its
-    diagonal, method and generator, and G, H and Hhat, the rows 0..k-1,
-    k..n-1 and 1..n-k of the n-row Moore matrix of its locators."""
-    from rankmetric import moore_matrix
+    """SHA-256 of the public parts of a GabidulinCode: its locators alpha
+    with the diagonal that is_weak_self_orthogonal gives them, the
+    construction method and generator (alpha_0 on a normal basis, else
+    None) of the field's find_wso_basis, and G, H and Hhat, the rows
+    0..k-1, k..n-1 and 1..n-k of the n-row Moore matrix of the locators."""
+    from rankmetric import is_weak_self_orthogonal, moore_matrix
+    from rankmetric.wso import _normal_exists
 
-    b, n, k = code.basis, code.n, code.k
-    M = moore_matrix(code.ctx, code.alpha, n)
-    return _sha256((b.alpha, b.diag, b.method, b.beta, M[:k], M[k:],
-                    M[1:n - k + 1]))
+    ctx, alpha, n, k = code.ctx, code.alpha, code.n, code.k
+    diag = is_weak_self_orthogonal(ctx, alpha)[1]
+    normal = _normal_exists(ctx)
+    method = "normal" if normal else "trace-orthonormal"
+    beta = alpha[0] if normal else None
+    M = moore_matrix(ctx, alpha, n)
+    return _sha256((alpha, diag, method, beta, M[:k], M[k:], M[1:n - k + 1]))
 
 
 def table_digest(code) -> str:

@@ -203,7 +203,7 @@ def test_c7_algebra_invariants():
         ctx = make_field(q, n)
         basis = find_wso_basis(ctx)
         from rankmetric import is_weak_self_orthogonal
-        ok, diag = is_weak_self_orthogonal(ctx, basis.alpha)
+        ok, diag = is_weak_self_orthogonal(ctx, basis)
         if not ok or any(d == 0 for d in diag):
             problems.append(("wso", q, n))
         for k in range(1, n):

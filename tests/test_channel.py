@@ -115,10 +115,10 @@ def test_count_symmetric_matches_fraction_product():
 
 def test_space_symmetric_zero_rank(F256, wso256):
     rng = random.Random(51)
-    err = sample_space_symmetric(F256, wso256.alpha, 0, rng)
+    err = sample_space_symmetric(F256, wso256, 0, rng)
     assert err.t == 0 and err.e == (0,) * 8
     assert all(all(v == 0 for v in row)
-               for row in coords(F256, wso256.alpha, err.e))
+               for row in coords(F256, wso256, err.e))
 
 
 def _check_space_symmetric(ctx, alpha, draws, tmax, rng):
@@ -133,7 +133,7 @@ def _check_space_symmetric(ctx, alpha, draws, tmax, rng):
 
 def test_space_symmetric_invariants(F256, wso256):
     rng = random.Random(52)
-    alpha = wso256.alpha
+    alpha = wso256
     _check_space_symmetric(F256, alpha, 10000, 4, rng)
     # vector form expands back to E = A P A^T (spot check)
     err = sample_space_symmetric(F256, alpha, 3, rng)
@@ -144,7 +144,7 @@ def test_space_symmetric_invariants(F256, wso256):
 @pytest.mark.parametrize("q,n", [(3, 7), (9, 3)])
 def test_space_symmetric_invariants_odd_q(q, n):
     ctx = make_field(q, n)
-    _check_space_symmetric(ctx, find_wso_basis(ctx).alpha, 400, n,
+    _check_space_symmetric(ctx, find_wso_basis(ctx), 400, n,
                            random.Random(59))
 
 
@@ -212,9 +212,9 @@ def test_full_rank_sampler_empty_shapes(F9):
 def test_sampler_range_validation(F256, wso256):
     rng = random.Random(58)
     with pytest.raises(ValueError):
-        sample_space_symmetric(F256, wso256.alpha, 9, rng)
+        sample_space_symmetric(F256, wso256, 9, rng)
     with pytest.raises(ValueError, match="basis must have 8 entries"):
-        sample_space_symmetric(F256, wso256.alpha[:7], 4, rng)
+        sample_space_symmetric(F256, wso256[:7], 4, rng)
     F81 = make_field(3, 4)
     for ctx in (F256, F81):
         for bad in (ctx.order, -1):
@@ -226,7 +226,7 @@ def test_sampler_range_validation(F256, wso256):
             sample_full_rank(ctx, rows, cols, rng)
     # counts are read with operator.index, once per call
     for call, what in ((lambda: sample_space_symmetric(
-            F256, wso256.alpha, 4.0, rng), "t 4.0"),
+            F256, wso256, 4.0, rng), "t 4.0"),
             (lambda: sample_full_rank(F256, 8, 4.0, rng), "cols 4.0"),
             (lambda: sample_full_rank(F81, 2.0, 4, rng), "rows 2.0")):
         with pytest.raises(ValueError, match=f"{what} is not an integer"):
@@ -265,7 +265,7 @@ def _replay_symmetric(ctx, t, rng):
 def test_sampler_matches_randrange_replay(q, n, t):
     """Every sampler draws what a randrange(q) per entry would, in order."""
     ctx = make_field(q, n)
-    alpha = find_wso_basis(ctx).alpha
+    alpha = find_wso_basis(ctx)
     for seed in range(60):
         rng = random.Random(seed)
         replay = random.Random(seed)

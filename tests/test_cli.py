@@ -50,6 +50,25 @@ def test_count_gauss(capsys):
     assert code == 0 and out.split()[0] == "35"
 
 
+def test_count_prints_counts_of_any_size(capsys):
+    # str() of an int stops at 4300 decimal digits by default; this count
+    # has 32,498.  It prints whole, and the interpreter's cap reads as
+    # before once main returns
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    code, out, err = run_cli(capsys, "count", "--kind", "rank", "--n", "120",
+                             "--t", "60", "--q", "1021")
+    assert code == 0, err
+    assert get_limit() == limit
+    digits, log2 = out.split()
+    assert len(digits) == 32498 and log2 == "107954.286645"
+    value = 0
+    for i in range(0, len(digits), 4000):  # each chunk under the cap
+        chunk = digits[i:i + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == rankmetric.count_rank(120, 60, 1021)
+
+
 def test_simulate_scenario4(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--scenario", "4", "--q", "2",
                            "--n", "8", "--k", "2", "--t", "4")

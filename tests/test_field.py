@@ -387,7 +387,7 @@ def test_every_fq_range_message_reads_one_way(q, n):
     # F_q range as "F_q = [0, q) = [0, <q>)", beside "[0, q^n) = [0, <q^n>)"
     # for F_{q^n}
     ctx = make_field(q, n)
-    alpha = find_wso_basis(ctx).alpha
+    alpha = find_wso_basis(ctx)
     big = [[q] * n for _ in range(n)]
     doors = [lambda: make_field(q, n, (1, q) + (0,) * (n - 2) + (1,)),
              lambda: ctx.from_coeffs([q] + [0] * (n - 1)),

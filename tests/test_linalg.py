@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from rankmetric import (GabidulinCode, WsoBasis, count_rank,
-                        count_space_symmetric, count_symmetric, crypto_row,
-                        decode, failure_bound, find_wso_basis, fq_matmul,
-                        fqn_rank, gaussian_binomial, interleaved_decode,
+from rankmetric import (GabidulinCode, count_rank, count_space_symmetric,
+                        count_symmetric, crypto_row, decode, failure_bound,
+                        find_wso_basis, fq_matmul, fqn_rank,
+                        gaussian_binomial, interleaved_decode,
                         is_weak_self_orthogonal, make_field, moore_matrix,
                         phi_inv, sample_space_symmetric, vector_rank,
                         wf_error)
@@ -25,7 +25,7 @@ def _poly_basis(ctx):
 def test_phi_of_basis_is_identity(F4, F256, wso256):
     alpha4 = (2, 3)
     assert coords(F4, alpha4, alpha4) == [[1, 0], [0, 1]]
-    a = wso256.alpha
+    a = wso256
     eye = coords(F256, a, a)
     assert all(eye[i][j] == (1 if i == j else 0) for i in range(8)
                for j in range(8))
@@ -58,7 +58,7 @@ def test_phi_inv_rejects_entries_outside_fq(q, n):
     # an F_{q^n} element above q is no F_q scalar: at (2, 4) the identity
     # with A[0][0] = 2 would give (4, 5, 9, 15), whose coordinates are not A
     ctx = make_field(q, n)
-    alpha = find_wso_basis(ctx).alpha if q == 2 else _poly_basis(ctx)
+    alpha = find_wso_basis(ctx) if q == 2 else _poly_basis(ctx)
     range_msg = rf"matrix entries must lie in F_q = \[0, q\) = \[0, {q}\)"
     for bad in (q, -1, q ** n - 1):
         A = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -88,8 +88,7 @@ def test_phi_roundtrip_random(F256, wso256):
     rng = random.Random(11)
     for _ in range(100):
         a = tuple(F256.rand_elem(rng) for _ in range(8))
-        assert phi_inv(F256, coords(F256, wso256.alpha, a),
-                       wso256.alpha) == a
+        assert phi_inv(F256, coords(F256, wso256, a), wso256) == a
 
 
 def test_phi_is_fq_linear(F9):
@@ -112,7 +111,7 @@ def test_phi_is_fq_linear(F9):
 
 def test_transpose_vector_properties(F256, wso256):
     rng = random.Random(13)
-    alpha = wso256.alpha
+    alpha = wso256
     for _ in range(100):
         a = tuple(F256.rand_elem(rng) for _ in range(8))
         # phi_inv inverts coords, so transposing twice is the identity
@@ -122,7 +121,7 @@ def test_transpose_vector_properties(F256, wso256):
 
 def test_transpose_vector_symmetric_fixed_point(F256, wso256):
     rng = random.Random(14)
-    alpha = wso256.alpha
+    alpha = wso256
     for _ in range(20):
         # build a symmetric expansion matrix, map it to a vector
         M = [[0] * 8 for _ in range(8)]
@@ -164,7 +163,7 @@ def test_moore_rank_full_for_independent_entries(F256):
 
 def test_vector_rank(F256, wso256):
     assert vector_rank(F256, (0,) * 8) == 0
-    assert vector_rank(F256, wso256.alpha) == 8
+    assert vector_rank(F256, wso256) == 8
     rng = random.Random(17)
     beta = 173
     c = 1  # scalar from F_2
@@ -173,7 +172,7 @@ def test_vector_rank(F256, wso256):
     for _ in range(1000):
         a = tuple(F256.rand_elem(rng) for _ in range(8))
         assert vector_rank(F256, a) == fq_rank(
-            F256, coords(F256, wso256.alpha, a))
+            F256, coords(F256, wso256, a))
 
 
 def test_kernel_edge_cases(F4):
@@ -333,15 +332,13 @@ def test_index_only_entries_compute_as_their_ints(q, n):
     basis = find_wso_basis(ctx)
     k = 1
     code = GabidulinCode(ctx, k, basis)
-    icode = GabidulinCode(ctx, k, WsoBasis(tuple(map(_Index, basis.alpha)),
-                                           tuple(map(_Index, basis.diag)),
-                                           basis.method, basis.beta))
+    icode = GabidulinCode(ctx, k, map(_Index, basis))
     rng = random.Random(q * n)
     y = [0, ctx.order - 1] + [ctx.rand_elem(rng) for _ in range(n - 2)]
     z = [0] * n
     A = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
     A[0][0] = 0
-    alpha = list(basis.alpha)
+    alpha = list(basis)
     calls = [
         lambda f, c: c.encode(f([0] * k)),
         lambda f, c: c.encode(f(y[:k])),
@@ -377,10 +374,8 @@ def test_index_only_entries_compute_as_their_ints(q, n):
         assert repr(call(index_only, icode)) == repr(want), i
         assert repr(call(index_only, code)) == repr(want), i
     assert icode.alpha == code.alpha and icode._G == code._G
-    # a diag of _Index entries was once rejected as not the Gram diagonal;
-    # the code keeps the basis it read, in ints, with alpha as code.alpha
-    assert repr(icode.basis) == repr(basis)
-    assert icode.basis.alpha is icode.alpha
+    # the code keeps the locators it read, in ints
+    assert repr(icode.alpha) == repr(basis)
 
 
 def _random_test_matrix(ctx, rng):

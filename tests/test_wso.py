@@ -14,6 +14,14 @@ def _moore_gram(ctx, alpha):
     return fqn_matmul(ctx, M, MT)
 
 
+def _method(ctx, alpha):
+    """The construction a basis from find_wso_basis came from, read off the
+    basis: the normal scan returns the Frobenius orbit of alpha_0, and the
+    trace-orthonormal construction runs only where no WSO basis is one."""
+    orbit = tuple(ctx.frob(alpha[0], i) for i in range(ctx.n))
+    return "normal" if alpha == orbit else "trace-orthonormal"
+
+
 def _gram_verdict(ctx, alpha):
     """What is_weak_self_orthogonal must return, read off the full product:
     (True, diag), (False, first nonzero off-diagonal in row-major order),
@@ -38,7 +46,7 @@ def test_first_row_check_matches_full_gram(q, n):
     # three verdicts against the full n^3 product
     ctx = make_field(q, n)
     rng = random.Random(100 * q + n)
-    alpha = find_wso_basis(ctx).alpha
+    alpha = find_wso_basis(ctx)
     cases = [alpha, alpha[::-1]]
     for _ in range(20):
         c = rng.randrange(1, ctx.order)
@@ -89,18 +97,32 @@ def test_non_basis_reported_distinctly(F4):
 
 def test_find_f4(F4):
     b = find_wso_basis(F4)
-    assert b.alpha == (2, 3)  # (z, z^2)
-    assert b.diag == (1, 1)
-    assert b.method == "normal"
-    assert b.beta == 2
+    assert b == (2, 3)  # (z, z^2)
+    assert is_weak_self_orthogonal(F4, b)[1] == (1, 1)
+    assert _method(F4, b) == "normal"
+    assert b[0] == 2
 
 
 def test_find_f256_succeeds(F256):
     b = find_wso_basis(F256)
-    ok, diag = is_weak_self_orthogonal(F256, b.alpha)
+    ok, diag = is_weak_self_orthogonal(F256, b)
     assert ok
     assert all(d != 0 for d in diag)
-    assert b.diag == diag
+
+
+@pytest.mark.parametrize("q,n,alpha", [
+    (2, 8, (2, 17, 32, 59, 115, 125, 248, 255)),
+    (3, 7, (1809, 1002, 328, 1974, 1442, 548, 237)),
+    (2, 16, (2, 27920, 46902, 50792, 65266, 58281, 57491, 57659, 58845,
+             58633, 60781, 60686, 60693, 60699, 60735, 60728)),
+    (9, 3, (9, 182, 83)),
+])
+def test_basis_is_a_tuple_of_int_locators(q, n, alpha):
+    # a basis is its locators and nothing more: the diagonal is read from
+    # is_weak_self_orthogonal and a normal basis's generator is alpha_0
+    b = find_wso_basis(make_field(q, n))
+    assert type(b) is tuple and all(type(a) is int for a in b)
+    assert b == alpha
 
 
 def test_normal_scan_empty_when_four_divides_n():
@@ -108,9 +130,10 @@ def test_normal_scan_empty_when_four_divides_n():
     # i.e. a self-dual normal basis, which does not exist when 4 | n; the
     # construction must come from the fallback
     for n in (4, 8):
-        b = find_wso_basis(make_field(2, n))
-        assert b.method == "trace-orthonormal"
-        assert b.diag == (1,) * n
+        ctx = make_field(2, n)
+        b = find_wso_basis(ctx)
+        assert _method(ctx, b) == "trace-orthonormal"
+        assert is_weak_self_orthogonal(ctx, b)[1] == (1,) * n
 
 
 def test_normal_scan_hits_for_odd_or_2mod4_n():
@@ -120,19 +143,20 @@ def test_normal_scan_hits_for_odd_or_2mod4_n():
     fields = [(2, n) for n in (2, 3, 5, 6, 7)] + [(3, 5), (3, 7), (5, 3),
                                                    (4, 5), (9, 3)]
     for q, n in fields:
-        b = find_wso_basis(make_field(q, n))
-        assert b.method == "normal", (q, n)
+        ctx = make_field(q, n)
+        assert _method(ctx, find_wso_basis(ctx)) == "normal", (q, n)
 
 
 def test_gram_is_fully_diagonal(F256):
     b = find_wso_basis(F256)
-    G = _moore_gram(F256, b.alpha)
+    G = _moore_gram(F256, b)
+    diag = is_weak_self_orthogonal(F256, b)[1]
     for i in range(8):
         for j in range(8):
             if i != j:
                 assert G[i][j] == 0
             else:
-                assert G[i][j] == b.diag[i]
+                assert G[i][j] == diag[i]
 
 
 def test_determinism(F256):
@@ -144,7 +168,7 @@ def test_determinism(F256):
 def test_odd_q_small_field():
     F9 = make_field(3, 2)
     b = find_wso_basis(F9)
-    ok, diag = is_weak_self_orthogonal(F9, b.alpha)
+    ok, diag = is_weak_self_orthogonal(F9, b)
     assert ok and all(d != 0 for d in diag)
 
 
@@ -153,7 +177,7 @@ def test_base_extension_field():
     # base field
     ctx = make_field(4, 2)
     b = find_wso_basis(ctx)
-    ok, diag = is_weak_self_orthogonal(ctx, b.alpha)
+    ok, diag = is_weak_self_orthogonal(ctx, b)
     assert ok and all(d != 0 for d in diag)
 
 
@@ -165,16 +189,15 @@ def test_trace_orthonormal_over_non_prime_base_field(q, alpha):
     # root in F_q (x^(q/2)) that is not the identity once e > 1
     ctx = make_field(q, 4)
     b = find_wso_basis(ctx)
-    assert b.alpha == alpha
-    assert b.method == "trace-orthonormal"
-    assert b.diag == (1, 1, 1, 1)
+    assert b == alpha
+    assert _method(ctx, b) == "trace-orthonormal"
     assert is_weak_self_orthogonal(ctx, alpha) == (True, (1, 1, 1, 1))
 
 
 def test_trivial_degree_one():
     ctx = make_field(2, 1)
     b = find_wso_basis(ctx)
-    assert len(b.alpha) == 1 and b.alpha[0] != 0
+    assert len(b) == 1 and b[0] != 0
 
 
 def test_search_budget_guard():
@@ -189,7 +212,7 @@ def test_normal_trace_shortcut_agrees_with_full_check():
     for q, n in ((2, 3), (2, 5), (2, 6), (3, 3), (5, 2)):
         ctx = make_field(q, n)
         b = find_wso_basis(ctx)
-        ok, _ = is_weak_self_orthogonal(ctx, b.alpha)
+        ok, _ = is_weak_self_orthogonal(ctx, b)
         assert ok
 
 
@@ -207,21 +230,24 @@ def test_q2_with_4_dividing_n_skips_the_normal_scan():
     for q, n in fields:
         ctx = make_field(q, n)
         scanned = n % 2 == 1 or (ctx.p == 2 and n % 4 == 2)
+        assert wso._normal_exists(ctx) == scanned, (q, n)
+        b = find_wso_basis(ctx)
         if scanned:
-            assert _normal_scan(ctx) == find_wso_basis(ctx).beta, (q, n)
+            assert _normal_scan(ctx) == b[0], (q, n)
         else:
             with pytest.raises(RuntimeError, match="normal-basis scan found "
                                                    "no WSO basis"):
                 _normal_scan(ctx)
         method = "normal" if scanned else "trace-orthonormal"
-        assert find_wso_basis(ctx).method == method, (q, n)
+        assert _method(ctx, b) == method, (q, n)
     expected = {
         8: (2, 17, 32, 59, 115, 125, 248, 255),
         12: (8, 139, 269, 455, 903, 1003, 2015, 2025, 4095, 4079, 4073, 4075),
     }
     for n, alpha in expected.items():
-        b = find_wso_basis(make_field(2, n))
-        assert b.alpha == alpha and b.method == "trace-orthonormal"
+        ctx = make_field(2, n)
+        b = find_wso_basis(ctx)
+        assert b == alpha and _method(ctx, b) == "trace-orthonormal"
 
 
 @pytest.mark.parametrize("q,n", SMALL_ODD_EVEN_N)
@@ -230,9 +256,9 @@ def test_odd_q_even_n_is_constructed(q, n):
     # Tr(w x y) with w the primitive element
     ctx = make_field(q, n)
     b = find_wso_basis(ctx)
-    assert b.method == "trace-orthonormal" and b.beta is None
-    ok, diag = is_weak_self_orthogonal(ctx, b.alpha)
-    assert ok and b.diag == diag and all(d != 0 for d in diag)
+    assert _method(ctx, b) == "trace-orthonormal"
+    ok, diag = is_weak_self_orthogonal(ctx, b)
+    assert ok and all(d != 0 for d in diag)
 
 
 @pytest.mark.parametrize("q,n,alpha,diag", [
@@ -242,8 +268,9 @@ def test_odd_q_even_n_is_constructed(q, n):
 def test_odd_q_constructed_basis_pins(q, n, alpha, diag):
     # the scenario-1 failure count at (3, 4, 1, 2) in test_decoder.py
     # depends on this basis
-    b = find_wso_basis(make_field(q, n))
-    assert (b.alpha, b.diag) == (alpha, diag)
+    ctx = make_field(q, n)
+    b = find_wso_basis(ctx)
+    assert (b, is_weak_self_orthogonal(ctx, b)[1]) == (alpha, diag)
 
 
 def test_failed_verification_is_an_internal_fault(monkeypatch):
