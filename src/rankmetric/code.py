@@ -22,9 +22,8 @@ y M^T: y G^T for i < k, then the ordinary syndrome s2.  Transposing y
 puts sum_j alpha_j c_m(y_j) at position m, c_m the F_q alpha-coordinates,
 which commute with Frobenius, so the transposed-code syndrome is
 s1_r = sum_j alpha_j y_j^(q^(r+1)) = T_(r+1): no coordinates and no
-transposed word.  A read costs one lookup per 4 bits of the word at p = 2,
-one per two base-p digits at p = 3 and one per digit from p = 5 on, and n
-Frobenius twists in the log domain.
+transposed word.  A read costs two lookups per entry of the word, in that
+entry's two half tables, and n Frobenius twists in the log domain.
 """
 
 from __future__ import annotations

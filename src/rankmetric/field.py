@@ -333,18 +333,30 @@ def _span(p: int, images, add) -> list[int]:
     return table
 
 
+def _halves(p: int, images, add):
+    """(lo, hi, P): the spans of the low a = len(images) // 2 unit images
+    and of the rest, and P = p^a.
+
+    An F_p-linear map with those unit images sends the packed digits v to
+    add(lo[v % P], hi[v // P]): two lookups, in tables of p^a and
+    p^(len(images) - a) entries.
+    """
+    a = len(images) // 2
+    return _span(p, images[:a], add), _span(p, images[a:], add), p ** a
+
+
 def _walk(p: int, images):
     """exp and log tables of the powers of gen, from its unit images.
 
     images[k] = p^k * gen for the N base-p digit units p^k of a field of
     order p^N.  Multiplication by gen is F_p-linear on packed digits, so
-    with a = N // 2 and P = p^a, v * gen = lo[v mod P] + hi[v div P]: lo
-    spans the images of the low a digits and hi those of the high N - a.
-    At p = 2, and at N = 1 where lo = [0], the sum is an XOR.  Otherwise
-    lo and hi write the digits in base B = 2p - 1, so lo + hi never
-    carries, and the sum s reads back as rlo[s % B^a] + rhi[s // B^a]
-    from tables of its (2p - 1)^d digit patterns: no step loops over
-    digits.  Both halves of exp are filled in the walk, so none copies it.
+    with a = N // 2 and P = p^a, v * gen = lo[v mod P] + hi[v div P], the
+    _halves of the images.  At p = 2, and at N = 1 where lo = [0], the sum
+    is an XOR.  Otherwise lo and hi write the digits in base B = 2p - 1,
+    spread by the _halves of the base-B units, so lo + hi never carries,
+    and the sum s reads back as rlo[s % B^a] + rhi[s // B^a] from tables
+    of its (2p - 1)^d digit patterns: no step loops over digits.  Both
+    halves of exp are filled in the walk, so none copies it.
     """
     N = len(images)
     a = N // 2
@@ -356,21 +368,18 @@ def _walk(p: int, images):
     if p == 2 or N == 1:  # at N = 1, lo = [0] and hi is reduced mod p
         add = xor if p == 2 else _prime_ops(p).add
     else:
-        B, P = 2 * p - 1, p ** a
+        B = 2 * p - 1
         BA = B ** a
-        # rd: N - a base-B digits to their value mod p; sp: a value to base B
+        # rd: N - a base-B digits to their value mod p; slo, shi: to base B
         rd = [0]
         for k in range(N - a):
             rd = [x + c % p * p ** k for c in range(B) for x in rd]
+        slo, shi, P = _halves(p, [B ** k for k in range(N)], int.__add__)
         rlo, rhi = rd[:BA], list(map(P.__mul__, rd))
-        sp = _span(p, list(map(B.__pow__, range(N - a))), int.__add__)
-        add = lambda s, t, r=rd, d=BA: (sp[r[(s + t) % d]]
-                                        + sp[r[(s + t) // d]] * d)
-        slots = []
-        for g in images:
-            slots.append(sp[g % P] + sp[g // P] * BA)
-        images = slots
-    lo, hi = _span(p, images[:a], add), _span(p, images[a:], add)
+        add = lambda s, t, r=rd, d=BA: (slo[r[(s + t) % d]]
+                                        + shi[r[(s + t) // d]])
+        images = [slo[g % P] + shi[g // P] for g in images]
+    lo, hi, P = _halves(p, images, add)
     if p == 2 or N == 1:
         m = (1 << a) - 1
         for i in range(L):
@@ -513,19 +522,18 @@ class FieldCtx:
             return _exp[_log[x] * _qpow[i % _n] % _L]
 
         # Tr is F_p-linear on the base-p digits, so as in _walk it is two
-        # lookups, in the spans of the traces of the low and high digit
-        # units, and one addition; F_q is the ints below q, so the field's
-        # own add sums its elements
+        # lookups, in the _halves of the traces of the digit units, and one
+        # addition; F_q is the ints below q, so the field's own add sums
+        # its elements
         add, units = ops.add, []
         for u in range(n * e):
             x = acc = p ** u
             for i in range(1, n):
                 acc = add(acc, frob(x, i))
             units.append(acc)
-        a = n * e // 2
-        lo, hi = _span(p, units[:a], add), _span(p, units[a:], add)
+        lo, hi, P = _halves(p, units, add)
 
-        def trace(x, _lo=lo, _hi=hi, _P=p ** a, _add=add):
+        def trace(x, _lo=lo, _hi=hi, _P=P, _add=add):
             return _add(_lo[x % _P], _hi[x // _P])
 
         self.frob, self.trace, self._qpow = frob, trace, qpow

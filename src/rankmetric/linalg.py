@@ -23,17 +23,17 @@ benchmark's tracer counts the samplers' calls of linalg.fq_rank as their
 attempts.
 
 Also home to F_p-linear maps tabulated on packed ints (_PackedMap), which
-read c base-p digits of an input per lookup from per-input chunk tables,
-c the largest with p^c <= 16; the map from n-by-n matrices over F_q to
-length-n vectors over F_{q^n} relative to a basis (phi_inv); and Moore
-matrices.  The text form of vectors is cli.py's.
+read each input from its two half tables (field._halves), as the field
+build reads its generator step and trace; the map from n-by-n matrices
+over F_q to length-n vectors over F_{q^n} relative to a basis (phi_inv);
+and Moore matrices.  The text form of vectors is cli.py's.
 """
 
 from __future__ import annotations
 
-from operator import xor
+import operator
 
-from .field import FieldCtx, _FQ_RANGE, _index, _ints, _span
+from .field import FieldCtx, _FQ_RANGE, _halves, _index, _ints
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +128,15 @@ class _PackedMap:
 
     images[j][u] lists the output values, of D base-p digits each, of the
     unit p^u at input j (other inputs zero).  Digit t of output r has an
-    S-bit slot at bit (r D + t) S.  apply reads c base-p digits of an input
-    per lookup, c the largest with p^c <= 16 (4 at p = 2, 2 at p = 3, 1
-    from p = 5 on): input j has one table per chunk of c units, whose entry
-    u is the sum of the chunk's images weighted by the base-p digits of u
-    (field._span).  At p = 2, S = 1 and images combine by XOR, so the
-    packed int is the output values laid end to end.  At odd p the entries
-    are integer sums, S is wide enough that the m n e digit-times-image
-    terms of at most (p - 1)^2 in a slot never carry, two span lookups
-    spread a value's digits into slots, and values reads slots mod p.
+    S-bit slot at bit (r D + t) S.  Input j, of N = n e base-p digits, is
+    tabulated as the field._halves of its unit images: two tables of
+    p^floor(N/2) and p^ceil(N/2) entries, whose entry u is the sum of the
+    images weighted by the base-p digits of u, so apply makes two lookups
+    per input.  At p = 2, S = 1 and images combine by XOR, so the packed
+    int is the output values laid end to end.  At odd p the entries are
+    integer sums, S is wide enough that the m n e digit-times-image terms
+    of at most (p - 1)^2 in a slot never carry, the _halves of the slot
+    units spread a value's digits into slots, and values reads slots mod p.
     """
 
     def __init__(self, ctx: FieldCtx, images, D: int):
@@ -144,46 +144,34 @@ class _PackedMap:
         S = 1 if p == 2 else (
             len(images) * ctx.n * ctx.e * (p - 1) ** 2).bit_length()
         starts = self._starts = [r * D * S for r in range(len(images[0][0]))]
-        self._chunk, self._slot = (1 << D * S) - 1, (1 << S) - 1
+        self._mask, self._slot = (1 << D * S) - 1, (1 << S) - 1
         self._inner = [t * S for t in reversed(range(D))]
-        c = {2: 4, 3: 2}.get(p, 1)  # the largest c >= 1 with p^c <= 16
-        add = xor if p == 2 else int.__add__
+        add = self._add = operator.xor if p == 2 else operator.add
         if p > 2:  # each value's digits into S-bit slots, by two lookups
-            bits, P = [1 << t * S for t in range(D)], p ** (D // 2)
-            lo, hi = _span(p, bits[:D // 2], add), _span(p, bits[D // 2:], add)
+            lo, hi, P = _halves(p, [1 << t * S for t in range(D)], add)
             images = [[[lo[v % P] + hi[v // P] for v in vals] for vals in col]
                       for col in images]
-        self._base = p ** c
-        self._table = []
-        for col in images:
-            units = [sum(v << s for v, s in zip(vals, starts)) for vals in col]
-            self._table.append([_span(p, units[i:i + c], add)
-                                for i in range(0, len(units), c)])
+        self._table = [
+            _halves(p, [sum(v << s for v, s in zip(vals, starts))
+                        for vals in col], add)
+            for col in images]
 
     def apply(self, xs) -> int:
         """Sum of the images of the base-p digits of the inputs, packed."""
-        acc, base = 0, self._base
-        if self.p == 2:
-            for x, tables in zip(xs, self._table):
-                for table in tables:
-                    acc ^= table[x & 15]
-                    x >>= 4
-            return acc
-        for x, tables in zip(xs, self._table):
-            for table in tables:
-                acc += table[x % base]
-                x //= base
+        acc, add = 0, self._add
+        for x, (lo, hi, P) in zip(xs, self._table):
+            acc = add(acc, add(lo[x % P], hi[x // P]))
         return acc
 
     def values(self, acc: int) -> tuple[int, ...]:
         """The output values held in a packed int from apply."""
-        p, chunk = self.p, self._chunk
+        p, mask = self.p, self._mask
         if p == 2:
-            return tuple([acc >> s & chunk for s in self._starts])
+            return tuple([acc >> s & mask for s in self._starts])
         slot, inner = self._slot, self._inner
         out = []
         for s in self._starts:
-            c = acc >> s & chunk
+            c = acc >> s & mask
             v = 0
             for t in inner:
                 v = v * p + (c >> t & slot) % p

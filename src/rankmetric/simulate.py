@@ -147,21 +147,30 @@ class SimReport:
     config: SimConfig
     failures: int
     miscorrections: int
-    rate: float
-    wilson95: tuple[float, float]
-    bound: float
     wallclock: float
     seed_scheme: ClassVar[str] = "sha256('<seed>:<trial index>') per trial"
 
+    @property
+    def rate(self) -> float:
+        return self.failures / self.config.trials
+
+    @property
+    def wilson95(self) -> tuple[float, float]:
+        return wilson95(self.failures, self.config.trials)
+
+    @property
+    def bound(self) -> float:
+        return failure_bound(self.config.q, self.config.n)
+
     def payload(self) -> dict:
         """Shard-layout- and timing-independent content."""
-        cfg = self.config
+        cfg, (lo, hi) = self.config, self.wilson95
         return {
             "scenario": cfg.scenario, "q": cfg.q, "n": cfg.n, "k": cfg.k,
             "t": cfg.t, "trials": cfg.trials, "seed": cfg.seed,
             "failures": self.failures, "miscorrections": self.miscorrections,
-            "rate": self.rate, "wilson_lo": self.wilson95[0],
-            "wilson_hi": self.wilson95[1], "bound": self.bound,
+            "rate": self.rate, "wilson_lo": lo, "wilson_hi": hi,
+            "bound": self.bound,
         }
 
 
@@ -261,13 +270,6 @@ def run_scenario(cfg: SimConfig, shards: int = 1) -> SimReport:
                                     bounds[:-1], bounds[1:]))
     failures = sum(r[0] for r in results)
     miscorrections = sum(r[1] for r in results)
-    wallclock = time.perf_counter() - t0
-    return SimReport(
-        config=cfg,
-        failures=failures,
-        miscorrections=miscorrections,
-        rate=failures / cfg.trials,
-        wilson95=wilson95(failures, cfg.trials),
-        bound=failure_bound(cfg.q, cfg.n),
-        wallclock=wallclock,
-    )
+    return SimReport(config=cfg, failures=failures,
+                     miscorrections=miscorrections,
+                     wallclock=time.perf_counter() - t0)

@@ -13,8 +13,9 @@ time in seconds.  Equal digests on two commits mean equal modulus, exp and log
 tables and addition by 1.  For q,n,k it builds the default field, then
 times find_wso_basis plus GabidulinCode and prints the public code digest
 (locators, their diagonal, method and generator, and G, H, Hhat sliced
-from the Moore matrix), the table digest
-(the packed map's chunk tables) and that set-up time.  For q,n,k,t it
+from the Moore matrix), the table digest (the two half tables of each
+input of the packed twisted-trace map), the number of entries in those
+tables and that set-up time.  For q,n,k,t it
 builds that code and prints the decode digest of a seeded word pool
 (decode_digest); equal digests on two commits mean equal decoding.  The
 file is not a test module; tests/test_field.py and tests/test_code.py pin
@@ -69,9 +70,15 @@ def code_digest(code) -> str:
 
 
 def table_digest(code) -> str:
-    """SHA-256 of a GabidulinCode's private table: the chunk tables of the
-    packed twisted-trace map."""
+    """SHA-256 of a GabidulinCode's private table: the (lo, hi, P) half
+    tables of each input of the packed twisted-trace map."""
     return _sha256((code._twist_map._table,))
+
+
+def table_entries(code) -> int:
+    """The number of entries in the half tables of the packed twisted-trace
+    map: p^floor(N/2) + p^ceil(N/2) per input, N = n e."""
+    return sum(len(lo) + len(hi) for lo, hi, _ in code._twist_map._table)
 
 
 def decode_digest(code, t: int) -> str:
@@ -131,7 +138,7 @@ def main(argv: list[str]) -> int:
             code = GabidulinCode(ctx, int(rest[0]), find_wso_basis(ctx))
             seconds = time.perf_counter() - start
             print(f"{arg} {code_digest(code)} {table_digest(code)} "
-                  f"{seconds:.5f}", flush=True)
+                  f"{table_entries(code)} {seconds:.5f}", flush=True)
             continue
         start = time.perf_counter()
         modulus = [int(c) for c in rest[0].split(":")] if rest else None

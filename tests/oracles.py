@@ -287,30 +287,39 @@ def digit_add(p, a, b, sign=1):
 
 
 def packed_map_tables(ctx, images, D):
-    """The chunk tables of linalg._PackedMap at odd p, packed one base-p
-    digit at a time.
+    """The (lo, hi, P) half tables of each input of linalg._PackedMap,
+    packed one base-p digit at a time.
 
     images[j][u] lists the output values, of D base-p digits, of the unit
     p^u at input j.  Digit t of output r goes in the S-bit slot at bit
-    (r D + t) S, S the bit length of m n e (p - 1)^2 for m inputs, and
-    entry u of the table of a chunk of c units (c = 2 at p = 3, else 1) is
-    the integer sum of their packed images weighted by the digits of u.
+    (r D + t) S: S = 1 at p = 2, else the bit length of m n e (p - 1)^2 for
+    m inputs.  With a = N // 2 for the N = n e units of an input and
+    P = p^a, entry u of lo combines the packed images of the low a units
+    weighted by the base-p digits of u, and entry u of hi those of the
+    other N - a units: by XOR at p = 2, by integer sums at odd p.
     """
-    p = ctx.p
-    S = (len(images) * ctx.n * ctx.e * (p - 1) ** 2).bit_length()
-    c = 2 if p == 3 else 1
+    p, N = ctx.p, ctx.n * ctx.e
+    S = 1 if p == 2 else (len(images) * N * (p - 1) ** 2).bit_length()
+    a = N // 2
 
     def packed(vals):
         return sum(v // p ** t % p << (r * D + t) * S
                    for r, v in enumerate(vals) for t in range(D))
 
+    def combine(units, u):
+        out = 0
+        for k, x in enumerate(units):
+            for _ in range(u // p ** k % p):
+                out = out ^ x if p == 2 else out + x
+        return out
+
     tables = []
     for col in images:
         units = [packed(vals) for vals in col]
-        tables.append([[sum(u // p ** k % p * x
-                            for k, x in enumerate(units[i:i + c]))
-                        for u in range(p ** len(units[i:i + c]))]
-                       for i in range(0, len(units), c)])
+        lo, hi = units[:a], units[a:]
+        tables.append(([combine(lo, u) for u in range(p ** len(lo))],
+                       [combine(hi, u) for u in range(p ** len(hi))],
+                       p ** a))
     return tables
 
 

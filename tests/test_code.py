@@ -205,9 +205,9 @@ def test_syndrome_map_matches_transposed_products(q, n, k):
                                    (9, 3, 1)])
 def test_twist_map_matches_direct_sums(q, n, k):
     # T_i = sum_j alpha_j y_j^(q^i) for i = 1..n straight from the packed
-    # map, whose chunk tables read 4 base-p digits per lookup at p = 2 and
-    # 2 at p = 3 (n e = 6 and 7 leave a short last chunk); the reader's
-    # twists of T must be y H^T and y G^T
+    # map, which reads each entry from its two half tables (n e = 7 and 3
+    # leave a longer high half); the reader's twists of T must be y H^T
+    # and y G^T
     ctx = make_field(q, n)
     code = GabidulinCode(ctx, k)
     tmap = code._twist_map
@@ -232,10 +232,12 @@ def test_twist_map_matches_direct_sums(q, n, k):
 
 
 @pytest.mark.parametrize("q,n,k", [(3, 5, 1), (5, 4, 1), (7, 3, 1),
-                                   (9, 3, 1), (3, 7, 1)])
-def test_odd_twist_map_tables_match_per_digit_packing(q, n, k):
-    # the map spreads each value's digits into slots through two span
-    # tables; the oracle packs one digit at a time.  The images are
+                                   (9, 3, 1), (3, 7, 1), (2, 8, 2),
+                                   (2, 16, 4), (4, 4, 1), (8, 3, 1)])
+def test_twist_map_tables_match_per_digit_packing(q, n, k):
+    # the map spans each input's half tables, and at odd p spreads each
+    # value's digits into slots through two more; the oracle packs one
+    # digit at a time and sums by XOR at p = 2.  The images are
     # alpha_j (p^u)^(q^i) for i = 1..n, straight from mul and frob
     ctx = make_field(q, n)
     code = GabidulinCode(ctx, k)
@@ -246,26 +248,26 @@ def test_odd_twist_map_tables_match_per_digit_packing(q, n, k):
 
 # public digests (basis, G, H, Hhat) printed by tests/field_digests.py
 # q,n,k at the commit before the twisted-trace map, so the bases and
-# matrices are unchanged, and table digests of the packed map's chunk
-# tables, computed at the commit before the code dropped its dual rows
-# and equal on both sides; the ids name the shape alone, so a re-pin
-# keeps them
+# matrices are unchanged, and table digests of the packed map's half
+# tables, computed from oracles.packed_map_tables and equal to what
+# tests/field_digests.py prints; the ids name the shape alone, so a
+# re-pin keeps them
 @pytest.mark.parametrize("q, n, k, public, tables", [
     (2, 8, 2,
      "daa6f0f8c90a22378a0ad80e87da93798989cb1fb2257f748e181b4a606915bc",
-     "ee3478afecc13bddc0c867d7a92f4ae4d7bcd6d342d3ac6fbeb51ed407f01580"),
+     "cccdadf96a07a5df8375cfcc270f4c50e40dad4d8725f31ec6ff313d9e379049"),
     (2, 16, 4,
      "af54c28b4b20150a1631086a62f3f5bbb751cb58fbeadb0c38ae08600f776164",
-     "6e0938df542981fccf1b11920135a5c906748c071a936dc0e2678d485dbb2531"),
+     "67402b5bd678532f16c6a582388ad35e576ed6d7c7d6b45db51618f46a3fb649"),
     (3, 7, 1,
      "26b2b30f69fbf3025ce87038695a575ff595929b9d42d9def3b3aa0381986402",
-     "96bf76905c28521fcbc78f685c43ea179abbc8d06592d0f77c78c4bc3a5b516b"),
+     "3e8431bdd1b7fc206c520b908d47458a7b886fdd42906e4a16f10a5f7c4106d7"),
     (4, 4, 1,
      "aad231d94789f8fca4427289910aee32af699896ce2fd979f13af41672215b80",
-     "12f1f0ae49c8dbb2bc72dedd1f5af67dc190110d093731e93909af8f166270e4"),
+     "1766f7fc1aff28863b699fccc392df69379c92dce2ebdeda44fa74a5b9fe568e"),
     (9, 3, 1,
      "88c32fb83ee08ba1dccffdc530f1b0afe2afd02b5a7dfc19c0e645b2590138c4",
-     "64040ee07ce921f034ee487c34d02a25b2fb9a66a1c7dfddac8612e8f79e9a3d"),
+     "d8508920b94d8a26cb80178c0020d83fbbccab02fa838adb430ab56891bbd6f9"),
 ], ids=["2-8-2", "2-16-4", "3-7-1", "4-4-1", "9-3-1"])
 def test_code_tables_match_pinned_digests(q, n, k, public, tables):
     ctx = make_field(q, n)

@@ -294,9 +294,10 @@ def test_report_invariants():
     p = rep.payload()
     assert [p[c] for c in ("scenario", "q", "n", "k", "t", "trials", "seed")] \
         == [3, 2, 8, 2, 2, 500, 1]
-    # the seed scheme is the code's, not a field a caller can set
-    assert "seed_scheme" not in {f.name for f in dataclasses.fields(SimReport)
-                                 if f.init}
+    # the seed scheme is the code's, and the rate, interval and bound are
+    # read off the config and the counts: none is a field a caller can set
+    init = {f.name for f in dataclasses.fields(SimReport) if f.init}
+    assert init.isdisjoint({"seed_scheme", "rate", "wilson95", "bound"})
     assert rep.seed_scheme == SimReport.seed_scheme \
         == "sha256('<seed>:<trial index>') per trial"
 
