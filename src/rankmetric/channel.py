@@ -11,13 +11,12 @@ q, q = 2 included, draws, ranks and multiplies with the same code; ranks
 come from linalg.fq_rank, the unchecked core of the public fqn_rank.
 
 Counts are exact Python ints produced directly from the product formulas,
-in integer arithmetic only; _log2_exact, the package's one big-int log2,
-is good to well below 1e-6 even for counts far beyond the float range.
+in integer arithmetic only; math.log2, which takes ints of any size, gives
+their log2 to well below 1e-6 even for counts far beyond the float range.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .field import FieldCtx, _index, _prime_power
@@ -96,13 +95,6 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
 # ---------------------------------------------------------------------------
 # Exact counting.
 # ---------------------------------------------------------------------------
-
-def _log2_exact(x: int) -> float:
-    if x <= 0:
-        return float("-inf")
-    shift = max(0, x.bit_length() - 64)
-    return shift + math.log2(x >> shift)
-
 
 def _check_count_args(n: int, t: int, q: int) -> tuple[int, int, int]:
     """(n, t, q) as the ints read from them; q must be a prime power and

@@ -1,10 +1,12 @@
 """Command-line entry point, and the package's one text layer.
 
 Subcommands: find-basis, codec (encode / syndrome / decode), count,
-simulate, keysize.  Human-readable output by default; --out json/csv emits
-machine formats with fixed keys.  Exit codes: 0 success, 1 domain error,
-2 usage error.  --out-file duplicates the payload into a file; relative
-paths resolve against $RANKMETRIC_OUTDIR when set.
+simulate, keysize; argparse parent parsers declare the options that several
+take (--q --n --modulus, --out-file, the text/json/csv --out) once.
+Human-readable output by default; --out json/csv emits machine formats with
+fixed keys.  Exit codes: 0 success, 1 domain error, 2 usage error.
+--out-file duplicates the payload into a file; relative paths resolve
+against $RANKMETRIC_OUTDIR when set.
 
 The library returns ints and tuples, and only this module writes text: an
 element is its coefficients joined by ':' (the modulus too), a vector its
@@ -15,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
-from .channel import _log2_exact, count_rank, count_space_symmetric, \
-    count_symmetric, gaussian_binomial
+from .channel import count_rank, count_space_symmetric, count_symmetric, \
+    gaussian_binomial
 from .code import GabidulinCode, _radius
 from .decoder import decode
 from .field import _prime_power, make_field
@@ -38,8 +41,16 @@ def _vector(ctx, v) -> str:
     return ",".join(_elem(ctx, x) for x in v)
 
 
+def _colon_ints(text: str, what: str) -> list[int]:
+    try:  # the ':'-joined form of an element or a modulus
+        return [int(c) for c in text.strip().split(":")]
+    except ValueError:
+        raise ValueError(
+            f"{what} {text!r} is not ':'-joined integers") from None
+
+
 def _parse_vector(ctx, text: str):
-    return tuple(ctx.from_coeffs(int(c) for c in part.strip().split(":"))
+    return tuple(ctx.from_coeffs(_colon_ints(part, "element"))
                  for part in text.strip().split(","))
 
 
@@ -81,7 +92,7 @@ def _read_lines(path: str):
 def _field(args):
     m = args.modulus  # --modulus 1:1:1 is the coefficient list (1, 1, 1)
     return make_field(args.q, args.n,
-                      m if m is None else [int(c) for c in m.split(":")])
+                      m if m is None else _colon_ints(m, "modulus"))
 
 
 def _cmd_find_basis(args):
@@ -142,7 +153,7 @@ def _cmd_count(args):
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return f"{count} {_log2_exact(count):.6f}", None
+        return f"{count} {math.log2(count):.6f}", None
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -230,26 +241,6 @@ def _cmd_keysize(args):
         row(*(_cell(v, ".2f") for v in d.values())) for d in dicts]), None
 
 
-def _arg(*flags, **kw):
-    return flags, kw
-
-
-def _subcommand(sub, name: str, help: str, func, *args, field=False,
-                out=None):
-    """Add a subcommand: [--q --n --modulus], args, [--out], --out-file."""
-    p = sub.add_parser(name, help=help)
-    if field:
-        args = (_arg("--q", type=int, required=True, help="base field order"),
-                _arg("--n", type=int, required=True, help="extension degree"),
-                _arg("--modulus", help="defining polynomial, e.g. '1:1:1'"),
-                *args)
-    if out:
-        args += (_arg("--out", choices=out, default="text"),)
-    for flags, kw in args + (_arg("--out-file"),):
-        p.add_argument(*flags, **kw)
-    p.set_defaults(func=func)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankmetric",
@@ -257,36 +248,52 @@ def build_parser() -> argparse.ArgumentParser:
                     "self-orthogonal bases, joint-syndrome decoding, error "
                     "counting, failure-rate simulation, key-size tables.")
     sub = parser.add_subparsers(dest="command", required=True)
-    _subcommand(sub, "find-basis", "search a weak self-orthogonal basis",
-                _cmd_find_basis, field=True, out=["text", "json"])
-    _subcommand(sub, "codec", "encode, decode or compute syndromes",
-                _cmd_codec,
-                _arg("action", choices=["encode", "syndrome", "decode"]),
-                _arg("--k", type=int, required=True, help="code dimension"),
-                _arg("--in", dest="infile", default="-",
-                     help="input vectors, one per line ('-' for stdin)"),
-                field=True)
-    _subcommand(sub, "count", "exact error-ensemble counts", _cmd_count,
-                _arg("--kind", choices=sorted(_COUNTERS), required=True),
-                *(_arg(f"--{x}", type=int, required=True) for x in "ntq"))
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--q", type=int, required=True, help="base field order")
+    field.add_argument("--n", type=int, required=True, help="extension degree")
+    field.add_argument("--modulus", help="defining polynomial, e.g. '1:1:1'")
+    out_file = argparse.ArgumentParser(add_help=False)
+    out_file.add_argument("--out-file")
+    table_out = argparse.ArgumentParser(add_help=False)
+    table_out.add_argument("--out", choices=["text", "json", "csv"],
+                           default="text")
+    find, codec, count, simulate, keysize = (
+        sub.add_parser(name, help=help, parents=[*parents, out_file])
+        for name, help, *parents in (
+            ("find-basis", "search a weak self-orthogonal basis", field),
+            ("codec", "encode, decode or compute syndromes", field),
+            ("count", "exact error-ensemble counts"),
+            ("simulate", "Monte Carlo failure rates", table_out),
+            ("keysize", "work factors and key sizes", table_out)))
+    find.add_argument("--out", choices=["text", "json"], default="text")
+    find.set_defaults(func=_cmd_find_basis)
+    codec.add_argument("action", choices=["encode", "syndrome", "decode"])
+    codec.add_argument("--k", type=int, required=True, help="code dimension")
+    codec.add_argument("--in", dest="infile", default="-",
+                       help="input vectors, one per line ('-' for stdin)")
+    codec.set_defaults(func=_cmd_codec)
+    count.add_argument("--kind", choices=sorted(_COUNTERS), required=True)
+    for x in "ntq":
+        count.add_argument(f"--{x}", type=int, required=True)
+    count.set_defaults(func=_cmd_count)
+    simulate.add_argument("--scenario", type=int, choices=[1, 2, 3, 4],
+                          required=True)
+    for x in "qnkt":
+        simulate.add_argument(f"--{x}", type=int, required=True)
     # scenario 4 rejects --trials --seed --shards, so they default to None
     # and scenarios 1-3 read None as 100000, 0 and 1
-    _subcommand(sub, "simulate", "Monte Carlo failure rates", _cmd_simulate,
-                _arg("--scenario", type=int, choices=[1, 2, 3, 4],
-                     required=True),
-                *(_arg(f"--{x}", type=int, required=True) for x in "qnkt"),
-                *(_arg(f"--{x}", type=int)
-                  for x in ("trials", "seed", "shards")),
-                out=["text", "json", "csv"])
-    _subcommand(sub, "keysize", "work factors and key sizes", _cmd_keysize,
-                _arg("--table", choices=["paper"],
-                     help="emit the full reference table"),
-                _arg("--sl", type=int),
-                _arg("--type", choices=list(ERROR_TYPES)),
-                *(_arg(f"--{x}", type=int) for x in "nk"),
-                _arg("--lambda", dest="lam", type=int),
-                _arg("--q", type=int, help="base field order (default 2)"),
-                out=["text", "json", "csv"])
+    for x in ("trials", "seed", "shards"):
+        simulate.add_argument(f"--{x}", type=int)
+    simulate.set_defaults(func=_cmd_simulate)
+    keysize.add_argument("--table", choices=["paper"],
+                         help="emit the full reference table")
+    keysize.add_argument("--sl", type=int)
+    keysize.add_argument("--type", choices=list(ERROR_TYPES))
+    for x in "nk":
+        keysize.add_argument(f"--{x}", type=int)
+    keysize.add_argument("--lambda", dest="lam", type=int)
+    keysize.add_argument("--q", type=int, help="base field order (default 2)")
+    keysize.set_defaults(func=_cmd_keysize)
     return parser
 
 

@@ -69,7 +69,7 @@ class GabidulinCode:
                   for u in range(n * ctx.e)]
         self._twist_map = _PackedMap(ctx, [
             [[exp[log[aj] + lt] for lt in tw] for tw in twists]
-            for aj in self.alpha], n * ctx.e)
+            for aj in self.alpha])
 
     def encode(self, u) -> tuple[int, ...]:
         """Codeword u G for a length-k message over F_{q^n}."""

@@ -32,6 +32,7 @@ most 2^20, and a larger order raises ValueError naming that budget.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import islice, product
 from operator import index, xor
 from typing import Iterable
@@ -118,17 +119,8 @@ def _factor(m: int) -> list[int]:
     return out
 
 
-class _ScalarOps:
-    """Arithmetic for a coefficient field, used by the polynomial helpers."""
-
-    __slots__ = ("q", "add", "sub", "mul", "inv")
-
-    def __init__(self, q, add, sub, mul, inv):
-        self.q = q
-        self.add = add
-        self.sub = sub
-        self.mul = mul
-        self.inv = inv
+# arithmetic for a coefficient field, used by the polynomial helpers
+_ScalarOps = namedtuple("_ScalarOps", "q add sub mul inv")
 
 
 def _prime_ops(p: int) -> _ScalarOps:
@@ -395,6 +387,21 @@ def _walk(p: int, images):
     return exp, log
 
 
+def _zech_op(exp, log, zech, L, s):
+    """(a, b) -> a + w^s b by Zech logarithms, w the generator of exp/log:
+    add at s = 0 and sub at s = log(-1)."""
+    def op(a, b, _exp=exp, _log=log, _zech=zech, _L=L, _s=s):
+        if not b:
+            return a
+        lb = _log[b] + _s
+        if not a:
+            return _exp[lb]
+        la = _log[a]
+        z = _zech[(lb - la) % _L]
+        return _exp[la + z] if z >= 0 else 0
+    return op
+
+
 def _tabled(p: int, fo: _ScalarOps, mod):
     """Tabled arithmetic of F[x]/(mod) over the coefficient field F of fo.
 
@@ -405,8 +412,8 @@ def _tabled(p: int, fo: _ScalarOps, mod):
     product gives gen times each base-p digit unit, and _walk builds
     exp/log from those images alone, with table reads per element.  mul
     and inv then look products up.  Addition is XOR in characteristic 2.
-    At odd p it uses the Zech logarithms zech[i] = log(1 + w^i), -1 where
-    1 + w^i = 0: w^a + w^b = w^(a + zech[b - a]), and subtraction adds
+    At odd p add and sub are one body, _zech_op, over zech[i] = log(1 + w^i)
+    (-1 where 1 + w^i = 0): w^a + w^b = w^(a + zech[b - a]), and sub adds
     log(-1) to the exponent of the subtrahend.  Returns (ops, exp, log).
     """
     base, deg = fo.q, len(mod) - 1
@@ -444,26 +451,7 @@ def _tabled(p: int, fo: _ScalarOps, mod):
         succ[p - 1::p] = log[::p]
         zech = list(map(succ.__getitem__, islice(exp, L)))
         # -1 is the constant p - 1 at both levels
-        lm1 = log[p - 1]
-
-        def add(a, b, _exp=exp, _log=log, _zech=zech, _L=L):
-            if not a:
-                return b
-            if not b:
-                return a
-            la = _log[a]
-            z = _zech[(_log[b] - la) % _L]
-            return _exp[la + z] if z >= 0 else 0
-
-        def sub(a, b, _exp=exp, _log=log, _zech=zech, _L=L, _lm1=lm1):
-            if not b:
-                return a
-            lb = _log[b] + _lm1
-            if not a:
-                return _exp[lb]
-            la = _log[a]
-            z = _zech[(lb - la) % _L]
-            return _exp[la + z] if z >= 0 else 0
+        add, sub = (_zech_op(exp, log, zech, L, s) for s in (0, log[p - 1]))
     return _ScalarOps(order, add, sub, mul, inv), exp, log
 
 
@@ -509,8 +497,7 @@ class FieldCtx:
 
         ops, exp, log = _tabled(p, fo, modulus)
         self._exp, self._log = exp, log
-        self.add, self.sub = ops.add, ops.sub
-        self.mul, self.inv = ops.mul, ops.inv
+        _, self.add, self.sub, self.mul, self.inv = ops
         self.neg = lambda a, _sub=ops.sub: _sub(0, a)
 
         L = self.order - 1

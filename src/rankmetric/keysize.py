@@ -1,8 +1,8 @@
 """Work factors and key sizes for a Gabidulin-based McEliece-like system.
 
 All work factors are kept in the log2 domain; the error-pattern counts are
-plain ints whose log2 comes from channel._log2_exact, so values up to
-2^1118 round-trip to two decimals without overflow.  Key size assumes a
+plain ints whose log2 comes from math.log2, which takes ints of any size,
+so values up to 2^1118 round-trip to two decimals without overflow.  Key size assumes a
 systematic public matrix with k(n-k) extension-field entries and reports
 kilobytes of 1000 bytes.
 """
@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import _log2_exact, count_rank, count_space_symmetric, \
-    count_symmetric
+from .channel import count_rank, count_space_symmetric, count_symmetric
 from .code import _radius
 from .field import _index, _prime_power
 
@@ -64,7 +63,7 @@ def wf_struc(n: int, lam: int, q: int = 2) -> float:
 
 def wf_error(kind: str, n: int, tprime: int, q: int = 2) -> float:
     """Brute-force cost in bits: log2 of the number of candidate errors."""
-    return _log2_exact(_error_type(kind)[1](n, tprime, q))
+    return math.log2(_error_type(kind)[1](n, tprime, q))
 
 
 def key_size_kb(n: int, k: int, q: int = 2) -> float:

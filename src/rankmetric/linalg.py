@@ -126,10 +126,10 @@ def fq_matmul(ctx: FieldCtx, A, B):
 class _PackedMap:
     """An F_p-linear map of m elements of F_{q^n}, tabulated on packed ints.
 
-    images[j][u] lists the output values, of D base-p digits each, of the
-    unit p^u at input j (other inputs zero).  Digit t of output r has an
-    S-bit slot at bit (r D + t) S.  Input j, of N = n e base-p digits, is
-    tabulated as the field._halves of its unit images: two tables of
+    images[j][u] lists the output values, of D = n e base-p digits each, of
+    the unit p^u at input j (other inputs zero).  Digit t of output r has
+    an S-bit slot at bit (r D + t) S.  Input j, of N = n e base-p digits,
+    is tabulated as the field._halves of its unit images: two tables of
     p^floor(N/2) and p^ceil(N/2) entries, whose entry u is the sum of the
     images weighted by the base-p digits of u, so apply makes two lookups
     per input.  At p = 2, S = 1 and images combine by XOR, so the packed
@@ -139,10 +139,10 @@ class _PackedMap:
     units spread a value's digits into slots, and values reads slots mod p.
     """
 
-    def __init__(self, ctx: FieldCtx, images, D: int):
+    def __init__(self, ctx: FieldCtx, images):
         p = self.p = ctx.p
-        S = 1 if p == 2 else (
-            len(images) * ctx.n * ctx.e * (p - 1) ** 2).bit_length()
+        D = ctx.n * ctx.e
+        S = 1 if p == 2 else (len(images) * D * (p - 1) ** 2).bit_length()
         starts = self._starts = [r * D * S for r in range(len(images[0][0]))]
         self._mask, self._slot = (1 << D * S) - 1, (1 << S) - 1
         self._inner = [t * S for t in reversed(range(D))]

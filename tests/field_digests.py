@@ -8,9 +8,10 @@ Each argument is q,n or q,n,modulus with the modulus in the "c0:c1:...:1"
 form of the CLI's --modulus, q,n,k with a code dimension k (no colon), or
 q,n,k,t with an error rank t.
 For a field the script builds it with the package in this checkout's src/
-and prints the argument, the SHA-256 digest of its tables and the build
-time in seconds.  Equal digests on two commits mean equal modulus, exp and log
-tables and addition by 1.  For q,n,k it builds the default field, then
+and prints the argument, the SHA-256 digest of its tables, the digest of
+its subtraction from 1 and negation, and the build time in seconds.  Equal
+digests on two commits mean equal modulus, exp and log tables, addition
+by 1, subtraction from 1 and negation.  For q,n,k it builds the default field, then
 times find_wso_basis plus GabidulinCode and prints the public code digest
 (locators, their diagonal, method and generator, and G, H, Hhat sliced
 from the Moore matrix), the table digest (the two half tables of each
@@ -49,6 +50,13 @@ def digest(ctx) -> str:
     return _sha256(list(part) for part in (
         ctx.modulus, ctx._exp[:L], ctx._log,
         [ctx.add(1, v) for v in range(ctx.order)]))
+
+
+def sub_neg_digest(ctx) -> str:
+    """SHA-256 of ([sub(1, v) for v], [neg(v) for v]) of ctx: at odd p they
+    read the Zech table through log(-1)."""
+    return _sha256(([ctx.sub(1, v) for v in range(ctx.order)],
+                    [ctx.neg(v) for v in range(ctx.order)]))
 
 
 def code_digest(code) -> str:
@@ -144,7 +152,8 @@ def main(argv: list[str]) -> int:
         modulus = [int(c) for c in rest[0].split(":")] if rest else None
         ctx = make_field(int(q), int(n), modulus)
         seconds = time.perf_counter() - start
-        print(f"{arg} {digest(ctx)} {seconds:.3f}", flush=True)
+        print(f"{arg} {digest(ctx)} {sub_neg_digest(ctx)} {seconds:.3f}",
+              flush=True)
     return 0
 
 

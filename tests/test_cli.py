@@ -363,6 +363,54 @@ def test_exit_codes(capsys):
         assert err == f"error: scenario 4 ignores {named}"
 
 
+def test_parse_errors_name_the_bad_input(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "find-basis", "--q", "2", "--n", "2",
+                           "--modulus", "1:x:1")
+    assert code == 1
+    assert err == "error: modulus '1:x:1' is not ':'-joined integers"
+    infile = tmp_path / "bad.txt"
+    infile.write_text("1:x,0:1\n")
+    code, _, err = run_cli(capsys, "codec", "encode", "--q", "2", "--n", "2",
+                           "--k", "1", "--in", str(infile))
+    assert code == 1
+    assert err == "error: element '1:x' is not ':'-joined integers"
+
+
+# a minimal command line of each subcommand and the namespace it parses to
+_MINIMAL = {
+    "find-basis": ("find-basis --q 2 --n 4", dict(
+        q=2, n=4, modulus=None, out="text")),
+    "codec": ("codec encode --q 2 --n 4 --k 2", dict(
+        q=2, n=4, modulus=None, action="encode", k=2, infile="-")),
+    "count": ("count --kind rank --n 2 --t 1 --q 2", dict(
+        kind="rank", n=2, t=1, q=2)),
+    "simulate": ("simulate --scenario 1 --q 2 --n 8 --k 2 --t 4", dict(
+        scenario=1, q=2, n=8, k=2, t=4, trials=None, seed=None,
+        shards=None, out="text")),
+    "keysize": ("keysize --table paper", dict(
+        table="paper", sl=None, type=None, n=None, k=None, lam=None,
+        q=None, out="text")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MINIMAL))
+def test_subcommand_options_are_pinned(command, capsys):
+    line, want = _MINIMAL[command]
+    parser = cli.build_parser()
+    got = vars(parser.parse_args(line.split()))
+    assert got.pop("func") is getattr(cli, "_cmd_" + command.replace("-", "_"))
+    assert got == {"command": command, **want, "out_file": None}
+    assert parser.parse_args([*line.split(), "--out-file", "o"]).out_file \
+        == "o"
+    argv = [*line.split(), "--modulus", "1:1:1"]
+    if command in ("find-basis", "codec"):
+        assert parser.parse_args(argv).modulus == "1:1:1"
+    else:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+
+
 def test_out_file_env_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RANKMETRIC_OUTDIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "count", "--kind", "rank", "--n", "2",

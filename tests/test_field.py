@@ -266,10 +266,12 @@ def test_base_field_extension_matches_schoolbook_oracle(p, e):
 
 
 @pytest.mark.parametrize("q, n, pairs", [
+    (3, 1, None), (5, 1, None), (9, 1, None),
     (3, 2, None), (3, 4, None), (5, 2, None), (7, 2, None), (9, 2, None),
     (3, 7, 20000), (25, 2, 20000)])
 def test_add_sub_neg_match_digitwise_oracle(q, n, pairs):
-    # at odd p these are Zech-logarithm lookups; None means all pairs
+    # at odd p add and sub are one Zech-logarithm body, checked down to the
+    # smallest L = 2 at (3, 1); None means all pairs
     ctx = make_field(q, n)
     p = ctx.p
     if pairs is None:
