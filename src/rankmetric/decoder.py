@@ -35,8 +35,8 @@ gamma_t = 1, and Gamma is accepted when its root space V in F_{q^n} has
 dimension t (_full_root_space): when Gamma right-divides x^(q^n) - x, which
 is central in F_{q^n}[x; sigma], so when Gamma left-divides it.  Each of
 the n left steps is a shift of the remainder less one multiple of Gamma,
-with no Frobenius of its coefficients; gamma_0 = 0 never passes and is
-rejected before them.  Decoding fails at once on a rejected hit.
+with no Frobenius of its coefficients, and they reject gamma_0 = 0, which
+never passes.  Decoding fails at once on a rejected hit.
 Each word's ordinary syndrome s = e H^T, on the Moore powers
 q^k..q^(n-1), is then continued by Gamma's recurrence to the powers
 q^n..q^(n+k-1), which act as q^0..q^(k-1) on F_{q^n}: the continuation is
@@ -104,11 +104,9 @@ def _full_root_space(ctx: FieldCtx, g) -> bool:
     top coefficient c: that cancels it when g_t c'^(q^t) = c, so
     c' = (c / g_t)^(q^(n-t)), and its coefficients are g_j c'^(q^j).
     g_0 = 0 (g = h o x^q) leaves the x coefficient of r zero from the first
-    step on, so it never passes; it is rejected first, without the n steps.
+    step on, so the n steps reject it with no test of their own.
     """
     t = len(g) - 1
-    if not g[0]:
-        return False
     exp, log, L, sub, n = ctx._exp, ctx._log, ctx.order - 1, ctx.sub, ctx.n
     qpow, lead = ctx._qpow, log[g[t]]
     qinv = qpow[-t % n]

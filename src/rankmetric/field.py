@@ -15,8 +15,8 @@ it is a sequence of ints in F_q (cli.py parses the text form), read like
 from_coeffs's coefficients and every word, vector and matrix row of linalg
 and code by _ints, the package's one entry reader.  The build has one
 polynomial arithmetic: residues modulo a polynomial are packed ints, like
-the field elements, with one product and one gcd test per modulus (shifts
-and XOR over F_2), one square-and-multiply and one Rabin irreducibility
+the field elements, with one product (shifts and XOR over F_2) and one gcd
+test per modulus, one square-and-multiply and one Rabin irreducibility
 test for every q.
 
 Both levels (F_q when e > 1, and F_{q^n}) get exp/log tables over a fixed
@@ -172,8 +172,6 @@ def _ptrim(f: Iterable[int]) -> tuple[int, ...]:
 
 
 def _pmul(fo: _ScalarOps, f, g):
-    if not f or not g:
-        return ()
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a == 0:
@@ -207,7 +205,7 @@ def _pgcd(fo: _ScalarOps, f, g):
 # ---------------------------------------------------------------------------
 # Residues modulo a monic polynomial, packed as ints in base-|F| digits,
 # constant term first: the form of the field elements themselves.  Over F_2
-# a packed int is a bit mask, and its product and gcd are shifts and XOR.
+# a packed int is a bit mask, and its product is shifts and XOR.
 # ---------------------------------------------------------------------------
 
 def _gf2_mulmod(a: int, b: int, f: int, d: int) -> int:
@@ -223,27 +221,14 @@ def _gf2_mulmod(a: int, b: int, f: int, d: int) -> int:
     return r
 
 
-def _gf2_gcd(a: int, b: int) -> int:
-    while b:
-        db = b.bit_length()
-        while a.bit_length() >= db:
-            a ^= b << (a.bit_length() - db)
-        a, b = b, a
-    return a
-
-
 def _ring(fo: _ScalarOps, mod):
     """The product on F[x]/(mod) and a test that an element is prime to mod.
 
     mod is a monic coefficient tuple over the coefficient field F of fo,
-    and elements are packed ints below |F|^deg(mod).  Over F_2 both run on
-    the bit masks; otherwise they unpack to coefficient tuples.
+    and elements are packed ints below |F|^deg(mod), unpacked to
+    coefficient tuples except by the product over F_2, on bit masks.
     """
     base, d = fo.q, len(mod) - 1
-    if base == 2:
-        f = sum(c << i for i, c in enumerate(mod))
-        return (lambda a, b: _gf2_mulmod(a, b, f, d),
-                lambda a: _gf2_gcd(a, f) == 1)
 
     def unpack(a):
         out = []
@@ -252,13 +237,20 @@ def _ring(fo: _ScalarOps, mod):
             out.append(c)
         return tuple(out)
 
+    def coprime(a):
+        return len(_pgcd(fo, unpack(a), mod)) == 1
+
+    if base == 2:
+        f = sum(c << i for i, c in enumerate(mod))
+        return (lambda a, b: _gf2_mulmod(a, b, f, d)), coprime
+
     def mul(a, b):
         out = 0
         for c in reversed(_pmod(fo, _pmul(fo, unpack(a), unpack(b)), mod)):
             out = out * base + c
         return out
 
-    return mul, lambda a: len(_pgcd(fo, unpack(a), mod)) == 1
+    return mul, coprime
 
 
 def _power(mul, g, m: int):
@@ -309,32 +301,28 @@ def _smallest_irreducible(fo: _ScalarOps, d: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible polynomial of degree {d} found")  # pragma: no cover
 
 
-def _span(p: int, images, add) -> list[int]:
-    """Every F_p-combination of images, indexed by its packed base-p digits.
-
-    Entry u is the sum of u_k * images[k] over the base-p digits u_k of u,
-    built one digit at a time by repeated add.
-    """
-    table = [0]
-    for img in images:
-        row, grown = table, table[:]
-        for _ in range(p - 1):
-            row = [add(t, img) for t in row]
-            grown += row
-        table = grown
-    return table
-
-
 def _halves(p: int, images, add):
     """(lo, hi, P): the spans of the low a = len(images) // 2 unit images
     and of the rest, and P = p^a.
 
-    An F_p-linear map with those unit images sends the packed digits v to
+    A span's entry u is the sum of u_k * images[k] over the base-p digits
+    u_k of u, built one digit at a time by repeated add.  An F_p-linear
+    map with those unit images sends the packed digits v to
     add(lo[v % P], hi[v // P]): two lookups, in tables of p^a and
     p^(len(images) - a) entries.
     """
     a = len(images) // 2
-    return _span(p, images[:a], add), _span(p, images[a:], add), p ** a
+    spans = []
+    for part in images[:a], images[a:]:
+        table = [0]
+        for img in part:
+            row, grown = table, table[:]
+            for _ in range(p - 1):
+                row = [add(t, img) for t in row]
+                grown += row
+            table = grown
+        spans.append(table)
+    return (*spans, p ** a)
 
 
 def _walk(p: int, images):
@@ -421,11 +409,9 @@ def _tabled(p: int, fo: _ScalarOps, mod):
     mul_raw = _ring(fo, mod)[0]
     L = order - 1
     prime_parts = _factor(L)
-    # order 2 has no candidate above 1, and 1 generates its group; for
-    # deg > 1 the ints below base form F, whose orders divide base - 1 < L
-    gen = next((g for g in range(base if deg > 1 else 2, order)
-                if all(_power(mul_raw, g, L // r) != 1
-                       for r in prime_parts)), 1)
+    # for deg > 1 the ints below base form F, whose orders divide base - 1 < L
+    gen = next(g for g in range(base if deg > 1 else 1, order)
+               if all(_power(mul_raw, g, L // r) != 1 for r in prime_parts))
     images, u = [], 1
     while u < order:
         images.append(mul_raw(u, gen))

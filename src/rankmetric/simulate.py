@@ -103,8 +103,6 @@ def intersection_probability(t_dim: int, ell: int, omega: int, Qbase: int) -> fl
     _prime_power(Q)
     if omega < 0 or ell < 0 or ell > t_dim:
         raise ValueError("need 0 <= omega and 0 <= ell <= t_dim")
-    if omega > ell:
-        return 0.0
     num = 0
     for i in range(omega, ell + 1):
         num += (_gaussian_binomial(t_dim - ell, ell - i, Q)

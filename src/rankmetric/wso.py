@@ -86,8 +86,6 @@ def _normal_scan(ctx: FieldCtx) -> int:
     half = n // 2
     for tup in itertools.product(range(q), repeat=n):
         beta = ctx.from_coeffs(tup)
-        if beta == 0:
-            continue
         if any(trace(mul(beta, frob(beta, d))) != 0 for d in range(1, half + 1)):
             continue
         if trace(mul(beta, beta)) == 0:

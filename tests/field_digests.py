@@ -3,10 +3,11 @@
 Usage, from the root of a checkout:
 
     python3 tests/field_digests.py 2,16 3,7 2,8,1:1:0:1:1:0:0:0:1 2,8,2 2,8,2,4
+    python3 tests/field_digests.py upto:16384
 
 Each argument is q,n or q,n,modulus with the modulus in the "c0:c1:...:1"
-form of the CLI's --modulus, q,n,k with a code dimension k (no colon), or
-q,n,k,t with an error rank t.
+form of the CLI's --modulus, q,n,k with a code dimension k (no colon),
+q,n,k,t with an error rank t, or upto:N.
 For a field the script builds it with the package in this checkout's src/
 and prints the argument, the SHA-256 digest of its tables, the digest of
 its subtraction from 1 and negation, and the build time in seconds.  Equal
@@ -18,7 +19,12 @@ from the Moore matrix), the table digest (the two half tables of each
 input of the packed twisted-trace map), the number of entries in those
 tables and that set-up time.  For q,n,k,t it
 builds that code and prints the decode digest of a seeded word pool
-(decode_digest); equal digests on two commits mean equal decoding.  The
+(decode_digest); equal digests on two commits mean equal decoding.  For
+upto:N it builds the default field of every prime power q and every
+n >= 1 with q^n <= N and prints the argument, the number of fields and
+one SHA-256 over (q, n, digest, sub/neg digest, find_wso_basis) of each,
+in order of q, then n.  To compare a commit without this option, copy
+the script into a checkout of it and run it there.  The
 file is not a test module; tests/test_field.py and tests/test_code.py pin
 digests computed with it.
 """
@@ -132,8 +138,25 @@ def main(argv: list[str]) -> int:
         return 2
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from rankmetric import GabidulinCode, find_wso_basis, make_field
+    from rankmetric.field import _prime_power
 
     for arg in argv:
+        if arg.startswith("upto:"):
+            N = int(arg[5:])
+            parts = []
+            for q in range(2, N + 1):
+                try:
+                    _prime_power(q)
+                except ValueError:
+                    continue
+                n, order = 1, q
+                while order <= N:
+                    ctx = make_field(q, n)
+                    parts.append((q, n, digest(ctx), sub_neg_digest(ctx),
+                                  find_wso_basis(ctx)))
+                    n, order = n + 1, order * q
+            print(f"{arg} {len(parts)} {_sha256(parts)}", flush=True)
+            continue
         q, n, *rest = arg.split(",")
         if len(rest) == 2:
             ctx = make_field(int(q), int(n))

@@ -1,3 +1,4 @@
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -199,6 +200,22 @@ def test_full_root_space_matches_root_space_oracle(q, n):
         assert _full_root_space(ctx, g) == right_remainder_is_x(ctx, g) == full
         seen.add((kind, full, g[0] == 0))
     assert {(0, False, True), (1, False, False), (2, True, False)} <= seen
+
+
+@pytest.mark.parametrize("q,n,tmax,count", [(2, 4, 3, 273), (3, 3, 2, 28)])
+def test_full_root_space_rejects_every_zero_constant(q, n, tmax, count):
+    # every g = (0, g_1, ..., g_(t-1), 1) with t <= tmax: g_0 = 0 makes
+    # g = h o x^q, whose root space is not t-dimensional, and the left
+    # division rejects it with no test of g_0, as the right division does
+    ctx = make_field(q, n)
+    seen = 0
+    for t in range(1, tmax + 1):
+        for mid in itertools.product(range(ctx.order), repeat=t - 1):
+            g = (0, *mid, 1)
+            assert _full_root_space(ctx, g) is False
+            assert right_remainder_is_x(ctx, g) is False
+            seen += 1
+    assert seen == count
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 8, 2), (3, 6, 2), (4, 4, 1),

@@ -98,6 +98,11 @@ def test_irreducibility_matches_trial_division_and_counts():
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError, match="reducible"):
         make_field(2, 2, (1, 0, 1))  # z^2 + 1 = (z+1)^2
+    # z^n: its Frobenius iterates reach zero, an empty operand of the
+    # ring product at q = 3 and 4
+    for q, n in itertools.product((2, 3, 4), (2, 3)):
+        with pytest.raises(ValueError, match="reducible"):
+            make_field(q, n, (0,) * n + (1,))
 
 
 def test_degree_one_modulus_accepted():

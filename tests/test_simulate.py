@@ -45,7 +45,8 @@ def test_intersection_probability_powers_of_subspace_field():
 
 def test_intersection_probability_edges():
     assert intersection_probability(4, 2, 0, 2 ** 8) == 1.0
-    assert intersection_probability(4, 2, 3, 2 ** 8) == 0.0  # omega > ell
+    for omega, ell in ((3, 2), (1, 0), (9, 2)):  # omega > ell
+        assert intersection_probability(4, ell, omega, 2 ** 8) == 0.0
     with pytest.raises(ValueError):
         intersection_probability(2, 3, 0, 4)
     with pytest.raises(ValueError):
