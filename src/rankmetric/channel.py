@@ -8,7 +8,7 @@ over F_q is bounded below by prod_i (1 - q^-i), about 0.289 for q = 2.
 Entries are drawn inline with the words that rng.randrange(q) takes, so a
 seed gives the matrices of one randrange(q) per entry in row order.  Every
 q, q = 2 included, draws, ranks and multiplies with the same code; ranks
-come from linalg.fq_rank, the unchecked core of the public fqn_rank.
+come from linalg.fq_rank, which reads its matrix unchecked.
 
 Counts are exact Python ints produced directly from the product formulas,
 in integer arithmetic only; math.log2, which takes ints of any size, gives
@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import FieldCtx, _index, _prime_power
-from .linalg import _check_vector, fq_rank, fqn_vecmat
+from .field import FieldCtx, _index, _ints, _prime_power
+from .linalg import fq_rank, fqn_vecmat
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     three vector-by-F_q-matrix products.
     """
     n = ctx.n
-    alpha = _check_vector(ctx, alpha, "basis", n)
+    alpha = _ints(alpha, "basis", ctx.order, length=n)
     t = _index(t, "t")
     if not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= {n}")
@@ -117,9 +117,8 @@ def _independent(m: int, r: int, q: int) -> int:
 
 
 def _gaussian_binomial(m: int, r: int, q: int) -> int:
-    """prod_{i<r} (q^m - q^i) / (q^r - q^i), and 0 unless 0 <= r <= m."""
-    if not 0 <= r <= m:
-        return 0
+    """prod_{i<r} (q^m - q^i) / (q^r - q^i) for r >= 0; r > m gives 0
+    through its factor q^m - q^m."""
     return _independent(m, r, q) // _independent(r, r, q)
 
 

@@ -28,8 +28,8 @@ entry's two half tables, and n Frobenius twists in the log domain.
 
 from __future__ import annotations
 
-from .field import FieldCtx, _index
-from .linalg import _check_vector, _PackedMap, fqn_vecmat, moore_matrix
+from .field import FieldCtx, _index, _ints
+from .linalg import _PackedMap, fqn_vecmat, moore_matrix
 from .wso import find_wso_basis, is_weak_self_orthogonal
 
 
@@ -50,7 +50,7 @@ class GabidulinCode:
         self._tmax = _radius(n, k)  # the decoder's first trial rank
         if basis is None:
             basis = find_wso_basis(ctx)
-        alpha = _check_vector(ctx, basis, "basis", n)
+        alpha = _ints(basis, "basis", ctx.order, length=n)
         ok, diag = is_weak_self_orthogonal(ctx, alpha)
         if not ok:
             raise ValueError("code locators are not weak self-orthogonal")
@@ -73,7 +73,7 @@ class GabidulinCode:
 
     def encode(self, u) -> tuple[int, ...]:
         """Codeword u G for a length-k message over F_{q^n}."""
-        u = _check_vector(self.ctx, u, "message", self.k)
+        u = _ints(u, "message", self.ctx.order, length=self.k)
         return fqn_vecmat(self.ctx, u, self._G)
 
     def _from_gt(self, cg) -> tuple[int, ...]:
@@ -99,9 +99,9 @@ class GabidulinCode:
         T_(n-i)^(q^i) = sum_j alpha_j^(q^i) y_j is entry i of y M^T: y G^T
         for i < k and s2_(i-k) from there on.
         """
-        y = _check_vector(self.ctx, y, "word", self.n)
-        tmap, ctx = self._twist_map, self.ctx
-        T = tmap.values(tmap.apply(y))
+        ctx = self.ctx
+        y = _ints(y, "word", ctx.order, length=self.n)
+        T = self._twist_map(y)
         exp, log, L = ctx._exp, ctx._log, ctx.order - 1
         yM = [exp[log[v] * qi % L] if v else 0
               for v, qi in zip(reversed(T), ctx._qpow)]

@@ -12,12 +12,12 @@ Defining polynomials are picked deterministically: the lexicographically
 smallest monic irreducible of the required degree, comparing coefficient
 tuples constant term first.  A caller-supplied modulus is verified instead;
 it is a sequence of ints in F_q (cli.py parses the text form), read like
-from_coeffs's coefficients and every word, vector and matrix row of linalg
-and code by _ints, the package's one entry reader.  The build has one
-polynomial arithmetic: residues modulo a polynomial are packed ints, like
-the field elements, with one product (shifts and XOR over F_2) and one gcd
-test per modulus, one square-and-multiply and one Rabin irreducibility
-test for every q.
+from_coeffs's coefficients and every word, basis, vector and matrix row
+the other modules take by _ints, the package's one entry reader.  The
+build has one polynomial arithmetic: residues modulo a polynomial are
+packed ints, like the field elements, with one product (shifts and XOR
+over F_2) and one gcd test per modulus, one square-and-multiply and one
+Rabin irreducibility test for every q.
 
 Both levels (F_q when e > 1, and F_{q^n}) get exp/log tables over a fixed
 multiplicative generator, so multiplication, inversion and Frobenius powers
@@ -93,7 +93,7 @@ def _prime_power(q: int) -> tuple[int, int]:
         raise ValueError(f"q={q} is not a prime power")
     for e in range(q.bit_length() - 1, 0, -1):
         r = _iroot(q, e)
-        if r < 2 or r ** e != q:
+        if r ** e != q:
             continue
         if r >= PRIME_TEST_LIMIT:
             raise ValueError(f"q={q} has a base above the primality test "
@@ -145,16 +145,18 @@ def _index(x, what: str) -> int:
 _FQ_RANGE = "F_q = [0, q)"
 
 
-def _ints(v, what, bound, field="[0, q^n)"):
+def _ints(v, what, bound, field="[0, q^n)", length=None):
     """The entries of v as a tuple of ints, read with operator.index as
-    _index does; rejects a non-integer entry and an entry outside
-    [0, bound)."""
+    _index does; rejects a non-integer entry, an entry outside [0, bound)
+    and, given a length, a tuple of any other."""
     try:
         v = tuple(map(index, v))
     except TypeError:
         raise ValueError(f"{what} entries must be integers") from None
     if v and (min(v) < 0 or max(v) >= bound):
         raise ValueError(f"{what} entries must lie in {field} = [0, {bound})")
+    if length is not None and len(v) != length:
+        raise ValueError(f"{what} must have {length} entries")
     return v
 
 

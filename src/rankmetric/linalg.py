@@ -12,12 +12,12 @@ kernel vector off it (_kernel_vector).  Kernels, solves and basis
 coordinates live with the test references.
 
 Every input is read once, by a check that returns what it read:
-field._ints, the package's one entry reader, reads entries with
-operator.index into a tuple of ints and checks their range, _check_vector
-reads words, messages, bases and vectors through it, and _dims the rows of
-the matrices that fq_matmul, phi_inv and fqn_rank take.  The computation
-reads only those ints.  fq_rank is the unchecked core under fqn_rank, kept
-out of the package's exports: the samplers and scenario 2 call it per
+field._ints, the package's one entry reader, reads the entries of words,
+messages, bases and vectors with operator.index into a tuple of ints and
+checks their range and, where it is fixed, their number; _dims reads the
+rows of the F_q matrices that fq_matmul and phi_inv take through it.  The
+computation reads only those ints.  fq_rank reads its matrix unchecked and
+stays out of the package's exports: the samplers and scenario 2 call it per
 attempt, where a check would cost 0.7 to 1.0 times the rank itself, and the
 benchmark's tracer counts the samplers' calls of linalg.fq_rank as their
 attempts.
@@ -106,11 +106,6 @@ def fq_rank(ctx: FieldCtx, M) -> int:
     return len(basis)
 
 
-def fqn_rank(ctx: FieldCtx, M) -> int:
-    """Rank of a matrix over F_{q^n}, entries in [0, q^n)."""
-    return fq_rank(ctx, _dims(M, ctx.order, "[0, q^n)")[0])
-
-
 def fq_matmul(ctx: FieldCtx, A, B):
     """Product A B over F_q, entries F_q elements in [0, q)."""
     (A, (r, m)), (B, (m2, c)) = _dims(A, ctx.q), _dims(B, ctx.q)
@@ -131,12 +126,12 @@ class _PackedMap:
     an S-bit slot at bit (r D + t) S.  Input j, of N = n e base-p digits,
     is tabulated as the field._halves of its unit images: two tables of
     p^floor(N/2) and p^ceil(N/2) entries, whose entry u is the sum of the
-    images weighted by the base-p digits of u, so apply makes two lookups
+    images weighted by the base-p digits of u, so a call makes two lookups
     per input.  At p = 2, S = 1 and images combine by XOR, so the packed
     int is the output values laid end to end.  At odd p the entries are
     integer sums, S is wide enough that the m n e digit-times-image terms
     of at most (p - 1)^2 in a slot never carry, the _halves of the slot
-    units spread a value's digits into slots, and values reads slots mod p.
+    units spread a value's digits into slots, and a call reads slots mod p.
     """
 
     def __init__(self, ctx: FieldCtx, images):
@@ -156,15 +151,12 @@ class _PackedMap:
                         for vals in col], add)
             for col in images]
 
-    def apply(self, xs) -> int:
-        """Sum of the images of the base-p digits of the inputs, packed."""
+    def __call__(self, xs) -> tuple[int, ...]:
+        """The output values of the map at the inputs xs: the packed sum of
+        the images of their base-p digits, read back value by value."""
         acc, add = 0, self._add
         for x, (lo, hi, P) in zip(xs, self._table):
             acc = add(acc, add(lo[x % P], hi[x // P]))
-        return acc
-
-    def values(self, acc: int) -> tuple[int, ...]:
-        """The output values held in a packed int from apply."""
         p, mask = self.p, self._mask
         if p == 2:
             return tuple([acc >> s & mask for s in self._starts])
@@ -179,19 +171,10 @@ class _PackedMap:
         return tuple(out)
 
 
-def _check_vector(ctx: FieldCtx, v, what, length=None):
-    """The entries of v, any iterable, as ints in F_{q^n}; given a length,
-    rejects a vector of any other."""
-    v = _ints(v, what, ctx.order)
-    if length is not None and len(v) != length:
-        raise ValueError(f"{what} must have {length} entries")
-    return v
-
-
-def _dims(M, bound, field=_FQ_RANGE):
-    """(rows, shape) of M, its rows read as by _ints with entries in
-    [0, bound); rejects ragged rows."""
-    M = [_ints(row, "matrix", bound, field) for row in M]
+def _dims(M, q):
+    """(rows, shape) of the F_q matrix M, its rows read as by _ints with
+    entries in [0, q); rejects ragged rows."""
+    M = [_ints(row, "matrix", q, _FQ_RANGE) for row in M]
     widths = {len(row) for row in M}
     if len(widths) > 1:
         raise ValueError(f"matrix rows have unequal lengths {sorted(widths)}")
@@ -202,7 +185,7 @@ def phi_inv(ctx: FieldCtx, A, alpha):
     """Vector a with a_j = sum_i alpha_i A[i][j], the vector whose column j
     of alpha-coordinates is column j of the F_q matrix A."""
     n = ctx.n
-    alpha = _check_vector(ctx, alpha, "basis", n)
+    alpha = _ints(alpha, "basis", ctx.order, length=n)
     A, shape = _dims(A, ctx.q)
     if shape != (n, n):
         raise ValueError(f"matrix must be {n}x{n}")
@@ -214,7 +197,7 @@ def moore_matrix(ctx: FieldCtx, v, rows: int):
     rows = _index(rows, "rows")
     if rows < 1:
         raise ValueError("need at least one row")
-    v = _check_vector(ctx, v, "vector")
+    v = _ints(v, "vector", ctx.order)
     frob = ctx.frob
     return [[frob(x, r) for x in v] for r in range(rows)]
 
@@ -226,5 +209,5 @@ def vector_rank(ctx: FieldCtx, v) -> int:
     of the expansion in the polynomial basis); the rank does not depend on
     the basis.
     """
-    v = _check_vector(ctx, v, "vector")
+    v = _ints(v, "vector", ctx.order)
     return fq_rank(ctx, [ctx.coeffs(x) for x in v])

@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import itertools
 
-from .field import FieldCtx
-from .linalg import _check_vector, vector_rank
+from .field import FieldCtx, _ints
+from .linalg import vector_rank
 
 
 def is_weak_self_orthogonal(ctx: FieldCtx, alpha):
@@ -57,7 +57,7 @@ def is_weak_self_orthogonal(ctx: FieldCtx, alpha):
     makes M invertible, so only an input that fails pays for a rank.
     """
     n = ctx.n
-    alpha = _check_vector(ctx, alpha, "vector", n)
+    alpha = _ints(alpha, "vector", ctx.order, length=n)
     add, mul, frob = ctx.add, ctx.mul, ctx.frob
     half = n // 2
     S = []

@@ -35,6 +35,18 @@ def test_gaussian_binomial_examples_and_census():
         assert gaussian_binomial(n, t, q) == _subspace_count(n, t, q)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_unchecked_gaussian_binomial_needs_no_range_guard(q):
+    # the core takes r >= 0 from every caller; past r = m its factor
+    # q^m - q^m is zero, so the quotient is 0 without a guard
+    core = rankmetric.channel._gaussian_binomial
+    for m in range(7):
+        for r in range(m + 1):
+            assert core(m, r, q) == gaussian_binomial(m, r, q)
+        for r in range(m + 1, m + 4):
+            assert core(m, r, q) == 0
+
+
 def test_count_examples():
     assert count_space_symmetric(3, 1, 2) == 7
     assert count_space_symmetric(2, 2, 2) == 6  # |GL_2(F_2)|

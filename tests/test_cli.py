@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import rankmetric
-from rankmetric import cli, crypto_row, make_field
+from rankmetric import cli, crypto_row, is_weak_self_orthogonal, make_field
 from rankmetric.cli import _elem, _keysize_dict, _parse_vector, _vector, \
     main
 
@@ -210,17 +210,24 @@ def test_keysize_rejects_security_level_below_one(capsys):
     assert code == 1 and not out and err == "error: sl must be >= 1, got sl=-5"
 
 
+def _check_printed_basis(out, q, n):
+    # the printed alpha parses back in the field, is weak self-orthogonal
+    # (so a basis), and its Moore Gram diagonal is the printed diag
+    payload = json.loads(out)
+    assert payload["q"] == q and payload["n"] == n
+    ctx = make_field(q, n)
+    alpha = _parse_vector(ctx, ",".join(payload["alpha"]))
+    assert len(alpha) == n
+    ok, diag = is_weak_self_orthogonal(ctx, alpha)
+    assert ok and all(diag)
+    assert _parse_vector(ctx, ",".join(payload["diag"])) == diag
+
+
 def test_find_basis_json(capsys):
     code, out, _ = run_cli(capsys, "find-basis", "--q", "2", "--n", "8",
                            "--out", "json")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["q"] == 2 and payload["n"] == 8
-    assert len(payload["alpha"]) == 8
-    assert payload["verification"]["moore_gram_diagonal"] is True
-    # elements parse back in the field
-    ctx = make_field(2, 8)
-    _parse_vector(ctx, ",".join(payload["alpha"]))
+    _check_printed_basis(out, 2, 8)
 
 
 def test_serialization_roundtrip(F4, F256, F9, capsys):
@@ -249,7 +256,7 @@ def test_find_basis_odd_q_even_n(capsys):
     code, out, _ = run_cli(capsys, "find-basis", "--q", "3", "--n", "4",
                            "--out", "json")
     assert code == 0
-    assert json.loads(out)["verification"]["moore_gram_diagonal"] is True
+    _check_printed_basis(out, 3, 4)
 
 
 def test_simulate_odd_q_even_n(capsys):

@@ -11,8 +11,8 @@ import pytest
 
 import rankmetric
 from rankmetric import GabidulinCode, decode, find_wso_basis, fq_matmul, \
-    fqn_rank, interleaved_decode, is_weak_self_orthogonal, make_field, \
-    moore_matrix, phi_inv, sample_space_symmetric, vector_rank
+    interleaved_decode, is_weak_self_orthogonal, make_field, moore_matrix, \
+    phi_inv, sample_space_symmetric, vector_rank
 from rankmetric.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -30,8 +30,8 @@ def test_public_names_are_pinned():
         "GabidulinCode", "InterleavedOutcome", "SimConfig", "SimReport",
         "SpaceSymError", "build_table", "count_rank",
         "count_space_symmetric", "count_symmetric", "crypto_row", "decode",
-        "failure_bound", "find_wso_basis", "fq_matmul", "fqn_rank",
-        "gaussian_binomial", "interleaved_decode", "intersection_probability",
+        "failure_bound", "find_wso_basis", "fq_matmul", "gaussian_binomial",
+        "interleaved_decode", "intersection_probability",
         "is_weak_self_orthogonal", "key_size_kb", "make_field", "max_errors",
         "moore_matrix", "phi_inv", "reference_table", "run_scenario",
         "sample_full_rank", "sample_space_symmetric", "vector_rank",
@@ -54,7 +54,6 @@ def test_every_entry_reading_door_rejects_entries_outside_its_field(q, n):
         return [x] + list(v[1:])
 
     doors = [
-        ("fqn_rank", ctx.order, lambda x: fqn_rank(ctx, [at0(y, x)])),
         ("fq_matmul", q, lambda x: fq_matmul(ctx, [at0(y, x)], eye)),
         ("fq_matmul", q, lambda x: fq_matmul(ctx, eye, [at0(y, x)] * n)),
         ("phi_inv", q, lambda x: phi_inv(ctx, [at0(y, x)] * n, alpha)),
