@@ -7,8 +7,10 @@ sizes used here: the acceptance probability of an invertible t-by-t matrix
 over F_q is bounded below by prod_i (1 - q^-i), about 0.289 for q = 2.
 Entries are drawn inline with the words that rng.randrange(q) takes, so a
 seed gives the matrices of one randrange(q) per entry in row order.  Every
-q, q = 2 included, draws, ranks and multiplies with the same code; ranks
-come from linalg.fq_rank, which reads its matrix unchecked.
+q, q = 2 included, draws, ranks and multiplies with the same code.  An
+attempt's rank is one call of linalg.fq_rank on its lines packed as
+F_{q^n} elements, the n-entry columns of A and the rows of P, so an
+attempt eliminates t field elements, not a matrix entry by entry.
 
 Counts are exact Python ints produced directly from the product formulas,
 in integer arithmetic only; math.log2, which takes ints of any size, gives
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import FieldCtx, _index, _ints, _prime_power
-from .linalg import fq_rank, fqn_vecmat
+from .linalg import _rank, fq_rank, fqn_vecmat
 
 
 @dataclass(frozen=True)
@@ -56,16 +58,38 @@ def _draws(q: int, count: int, rng) -> list:
     return out
 
 
+def _packed(q: int, digits) -> int:
+    """The int with the given base-q digits, most significant first."""
+    x = 0
+    for v in digits:
+        x = x * q + v
+    return x
+
+
 def sample_full_rank(ctx: FieldCtx, rows: int, cols: int, rng):
-    """Uniform matrix of full rank min(rows, cols)."""
+    """Uniform matrix of full rank min(rows, cols).
+
+    Each attempt packs the lines of one side, of at most n entries each,
+    into F_{q^n} elements and ranks them with fq_rank: the longer lines,
+    the columns of an n-by-t draw and the rows of a square or t-by-n one.
+    A shape with both sides over n is ranked as a matrix by _rank."""
     rows, cols = _index(rows, "rows"), _index(cols, "cols")
     if rows < 0 or cols < 0:
         raise ValueError(f"need rows, cols >= 0, got {rows}, {cols}")
+    q, n = ctx.q, ctx.n
     target = min(rows, cols)
+    # pack the longer lines, so fewer elements, where they fit in n digits
+    by_rows = cols <= n and (cols >= rows or rows > n)
+    packs = by_rows or rows <= n
     while True:
-        flat = _draws(ctx.q, rows * cols, rng)
+        flat = _draws(q, rows * cols, rng)
         M = [flat[r * cols:(r + 1) * cols] for r in range(rows)]
-        if fq_rank(ctx, M) == target:
+        if packs:
+            lines = M if by_rows else [flat[j::cols] for j in range(cols)]
+            rank = fq_rank(ctx, [_packed(q, line) for line in lines])
+        else:
+            rank = _rank(ctx, M)
+        if rank == target:
             return M
 
 

@@ -32,6 +32,7 @@ most 2^20, and a larger order raises ValueError naming that budget.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from itertools import islice, product
 from operator import index, xor
@@ -512,6 +513,15 @@ class FieldCtx:
             return _add(_lo[x % _P], _hi[x // _P])
 
         self.frob, self.trace, self._qpow = frob, trace, qpow
+
+        # where a nonzero element x leads, for linalg.fq_rank: with
+        # b = x.bit_length(), _top[b] is the highest c < n with q^c < 2^b,
+        # and x's top base-q digit is at c, or at c - 1 when x < q^c, as
+        # [2^(b-1), 2^b) holds at most one power of q; _place[c] = q^c
+        self._place = place = [q ** c for c in range(n)]
+        bits = (self.order - 1).bit_length()
+        self._top = [0] + [bisect_left(place, 1 << b) - 1
+                           for b in range(1, bits + 1)]
 
     # -- conversions -------------------------------------------------------
 

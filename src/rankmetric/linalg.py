@@ -1,26 +1,34 @@
 """Linear algebra over F_q and F_{q^n}.
 
 Vectors are tuples/lists of packed field ints, matrices are lists of row
-lists.  F_q is the subfield of F_{q^n} made of the ints below q, so the fq_
-functions take F_q entries as F_{q^n} elements in [0, q) and share one
-elimination (_insert_rows) and one product (fqn_matmul) with the fqn_ ones:
-rank does not change under field extension, and eliminating or multiplying
-F_q matrices never leaves the subfield.  The elimination inserts rows one
-by one into an echelon basis: ranks count its pivots, and the decoder's
-trial-rank countdown keeps one basis across its trials and reads its
-kernel vector off it (_kernel_vector).  Kernels, solves and basis
-coordinates live with the test references.
+lists.  F_q is the subfield of F_{q^n} made of the ints below q, so
+fq_matmul takes F_q entries as F_{q^n} elements in [0, q) and shares one
+product (fqn_matmul) with the fqn_ functions: multiplying F_q matrices
+never leaves the subfield.
+
+There are two eliminations, one per field.  Over F_{q^n}, _insert_rows
+inserts rows one by one into an echelon basis in the log domain: _rank
+counts its pivots, and the decoder's trial-rank countdown keeps one basis
+across its trials and reads its kernel vector off it (_kernel_vector).
+Over F_q, fq_rank eliminates packed rows: a row of at most n F_q entries,
+as base-q digits, is an element of F_{q^n}, and F_q row operations are the
+field's own sub and mul by a digit, one table step per row operation
+instead of one per entry.  The samplers pack their draws by lines of at
+most n entries, and vector_rank's entries come packed; an F_q matrix with
+both sides over n goes to _rank, as rank does not change under field
+extension.  Kernels, solves and basis coordinates live with the test
+references.
 
 Every input is read once, by a check that returns what it read:
 field._ints, the package's one entry reader, reads the entries of words,
 messages, bases and vectors with operator.index into a tuple of ints and
 checks their range and, where it is fixed, their number; _dims reads the
 rows of the F_q matrices that fq_matmul and phi_inv take through it.  The
-computation reads only those ints.  fq_rank reads its matrix unchecked and
-stays out of the package's exports: the samplers and scenario 2 call it per
-attempt, where a check would cost 0.7 to 1.0 times the rank itself, and the
-benchmark's tracer counts the samplers' calls of linalg.fq_rank as their
-attempts.
+computation reads only those ints.  fq_rank and _rank read their input
+unchecked and stay out of the package's exports: the samplers call
+fq_rank per attempt, where a check would cost 0.5 to 1.1 times the rank
+itself, and the benchmark's tracer counts the samplers' calls of
+linalg.fq_rank as their attempts.
 
 Also home to F_p-linear maps tabulated on packed ints (_PackedMap), which
 read each input from its two half tables (field._halves), as the field
@@ -73,6 +81,42 @@ def _kernel_vector(ctx: FieldCtx, basis, t: int):
     return vec
 
 
+def _rank(ctx: FieldCtx, M) -> int:
+    """Rank of a matrix over F_{q^n} (so over F_q), unchecked."""
+    basis = {}
+    _insert_rows(ctx, basis, [list(r) for r in M])
+    return len(basis)
+
+
+# ---------------------------------------------------------------------------
+# Elimination over F_q on packed rows.
+# ---------------------------------------------------------------------------
+
+def fq_rank(ctx: FieldCtx, xs) -> int:
+    """Dimension of the F_q-span of the F_{q^n} elements xs, unchecked.
+
+    Each element is a row of n F_q entries, its base-q digits, and the
+    field's own sub and mul are the row operations.  basis maps a digit
+    position to an element whose top digit, there, is 1; an element with
+    top digit d at a basis position c is reduced to r - d basis[c] until it
+    is 0 or leads at a new position."""
+    sub, mul, inv = ctx.sub, ctx.mul, ctx.inv
+    top, place = ctx._top, ctx._place
+    basis = {}
+    for r in xs:
+        while r:
+            c = top[r.bit_length()]
+            if r < place[c]:
+                c -= 1
+            d = r // place[c]
+            b = basis.get(c)
+            if b is None:
+                basis[c] = mul(inv(d), r)
+                break
+            r = sub(r, mul(d, b))
+    return len(basis)
+
+
 # ---------------------------------------------------------------------------
 # Public F_q / F_{q^n} matrix operations.
 # ---------------------------------------------------------------------------
@@ -97,13 +141,6 @@ def fqn_matmul(ctx: FieldCtx, X, Y):
 def fqn_vecmat(ctx: FieldCtx, v, M):
     """Row vector times matrix, both over F_{q^n}."""
     return tuple(fqn_matmul(ctx, [v], M)[0])
-
-
-def fq_rank(ctx: FieldCtx, M) -> int:
-    """Rank of a matrix over F_{q^n} (so over F_q), unchecked."""
-    basis = {}
-    _insert_rows(ctx, basis, [list(r) for r in M])
-    return len(basis)
 
 
 def fq_matmul(ctx: FieldCtx, A, B):
@@ -203,11 +240,6 @@ def moore_matrix(ctx: FieldCtx, v, rows: int):
 
 
 def vector_rank(ctx: FieldCtx, v) -> int:
-    """Rank of a vector over F_{q^n}: dimension of the F_q-span of its entries.
-
-    Computed as the F_q-rank of the digit rows of its entries (the transpose
-    of the expansion in the polynomial basis); the rank does not depend on
-    the basis.
-    """
-    v = _ints(v, "vector", ctx.order)
-    return fq_rank(ctx, [ctx.coeffs(x) for x in v])
+    """Rank of a vector over F_{q^n}: dimension of the F_q-span of its
+    entries, which fq_rank eliminates as they are packed."""
+    return fq_rank(ctx, _ints(v, "vector", ctx.order))

@@ -49,7 +49,7 @@ from .channel import _gaussian_binomial, sample_full_rank, \
 from .code import GabidulinCode, _radius
 from .decoder import decode, interleaved_decode
 from .field import _index, _prime_power, make_field
-from .linalg import fq_rank, fqn_matmul, fqn_vecmat, moore_matrix
+from .linalg import _rank, fqn_matmul, fqn_vecmat, moore_matrix
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -196,7 +196,7 @@ def _coupling_fails(code: GabidulinCode, a, P, Q) -> bool:
     Moore matrix of a with n-k-t rows."""
     ctx, n, k, t = code.ctx, code.n, code.k, len(a)
     MP = fqn_matmul(ctx, moore_matrix(ctx, a, n - t - 1), P)
-    return fq_rank(ctx, MP[:n - k - t] + fqn_matmul(ctx, MP[k - 1:], Q)) != t
+    return _rank(ctx, MP[:n - k - t] + fqn_matmul(ctx, MP[k - 1:], Q)) != t
 
 
 def _trial_uniform_coupling(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:

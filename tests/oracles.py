@@ -19,7 +19,7 @@ The library pieces still reused are:
   level of the field build, so the subfield of F_{q^n} is checked against
   F_q's own tables;
 - sample_symmetric_invertible: channel._draws, so a seed gives the draws it
-  gave as a library sampler, and linalg.fq_rank for the rejection.
+  gave as a library sampler, and linalg._rank for the rejection.
 """
 
 import itertools
@@ -29,7 +29,7 @@ from rankmetric import moore_matrix, phi_inv
 from rankmetric.channel import _draws
 from rankmetric.field import _factor, _pmod, _pmul, _prime_ops, _ptrim, \
     _smallest_irreducible, _tabled
-from rankmetric.linalg import fq_rank, fqn_vecmat
+from rankmetric.linalg import _rank, fqn_vecmat
 
 
 def transpose(M):
@@ -177,7 +177,7 @@ def sample_symmetric_invertible(ctx, t, rng):
         for i in range(t):
             for j in range(i, t):
                 M[i][j] = M[j][i] = next(upper)
-        if fq_rank(ctx, M) == t:
+        if _rank(ctx, M) == t:
             return M
 
 

@@ -2,6 +2,7 @@ import fractions
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -9,7 +10,7 @@ import rankmetric.channel
 from rankmetric import (count_rank, count_space_symmetric,
                         count_symmetric, find_wso_basis, gaussian_binomial,
                         make_field, sample_full_rank, sample_space_symmetric)
-from rankmetric.linalg import fq_matmul, fq_rank, phi_inv
+from rankmetric.linalg import _rank, fq_matmul, phi_inv
 
 
 from oracles import census as _census
@@ -138,8 +139,8 @@ def _check_space_symmetric(ctx, alpha, draws, tmax, rng):
     for _ in range(draws):
         t = rng.randrange(0, tmax + 1)
         E = coords(ctx, alpha, sample_space_symmetric(ctx, alpha, t, rng).e)
-        assert fq_rank(ctx, E) == t
-        assert fq_rank(ctx, E + transpose(E)) == t
+        assert _rank(ctx, E) == t
+        assert _rank(ctx, E + transpose(E)) == t
 
 
 def test_space_symmetric_invariants(F256, wso256):
@@ -183,7 +184,7 @@ def test_uniform_invertible(F4, F256):
     assert sample_full_rank(F256, 1, 1, rng) == [[1]]
     for _ in range(200):
         t = rng.randrange(1, 5)
-        assert fq_rank(F256, sample_full_rank(F256, t, t, rng)) == t
+        assert _rank(F256, sample_full_rank(F256, t, t, rng)) == t
     counts = {}
     N = 6000
     for _ in range(N):
@@ -203,14 +204,14 @@ def test_symmetric_invertible(F256):
         t = rng.randrange(1, 5)
         M = sample_symmetric_invertible(F256, t, rng)
         assert M == transpose(M)
-        assert fq_rank(F256, M) == t
+        assert _rank(F256, M) == t
 
 
 def test_full_rank_sampler_rect(F9):
     rng = random.Random(57)
     for _ in range(100):
         M = sample_full_rank(F9, 4, 2, rng)
-        assert fq_rank(F9, M) == 2
+        assert _rank(F9, M) == 2
 
 
 def test_full_rank_sampler_empty_shapes(F9):
@@ -218,6 +219,52 @@ def test_full_rank_sampler_empty_shapes(F9):
     rng = random.Random(57)
     for rows, cols in ((3, 0), (0, 3), (0, 0)):
         assert sample_full_rank(F9, rows, cols, rng) == [[]] * rows
+
+
+@pytest.mark.parametrize("q,n,t", [(2, 8, 4), (3, 7, 4)])
+def test_sampler_ranks_once_per_draw(monkeypatch, q, n, t):
+    # bench/tracer.py counts the calls of linalg.fq_rank made from the
+    # channel as sampler attempts; wrapped as the tracer wraps it, at every
+    # rankmetric module that binds it, it runs once per _draws call
+    ctx = make_field(q, n)
+    calls = {"fq_rank": 0, "_draws": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    rank = rankmetric.linalg.fq_rank
+    wrapped = counted("fq_rank", rank)
+    for key, mod in list(sys.modules.items()):
+        if key == "rankmetric" or key.startswith("rankmetric."):
+            for attr, value in list(vars(mod).items()):
+                if value is rank:
+                    monkeypatch.setattr(mod, attr, wrapped)
+    monkeypatch.setattr(rankmetric.channel, "_draws",
+                        counted("_draws", rankmetric.channel._draws))
+    rng = random.Random(q * n)
+    for rows, cols in ((n, t), (t, t), (t, n)):
+        for _ in range(200):
+            sample_full_rank(ctx, rows, cols, rng)
+    # 600 samples, so more attempts than that: some draws were rejected
+    assert calls["fq_rank"] == calls["_draws"] > 600
+
+
+def test_full_rank_sampler_beyond_packed_rows(F4, monkeypatch):
+    # at n = 2 no line of a 3x3, 3x4 or 4x3 draw fits in an element of
+    # F_4, so the draw is ranked as a matrix; it is still of full rank and
+    # the randrange replay
+    def packed(ctx, xs):
+        raise AssertionError("fq_rank called on lines longer than n")
+
+    monkeypatch.setattr(rankmetric.channel, "fq_rank", packed)
+    for rows, cols in ((3, 3), (3, 4), (4, 3)):
+        for seed in range(30):
+            M = sample_full_rank(F4, rows, cols, random.Random(seed))
+            assert M == _replay_full_rank(F4, rows, cols, random.Random(seed))
+            assert _oracle_rank(F4, M) == min(rows, cols)
 
 
 def test_sampler_range_validation(F256, wso256):

@@ -8,10 +8,10 @@ from rankmetric import (GabidulinCode, count_rank, count_space_symmetric,
                         interleaved_decode, is_weak_self_orthogonal,
                         make_field, moore_matrix, phi_inv,
                         sample_space_symmetric, vector_rank, wf_error)
-from rankmetric.linalg import _insert_rows, fq_rank, fqn_vecmat
+from rankmetric.linalg import _insert_rows, _rank, fq_rank, fqn_vecmat
 
-from oracles import base_ops, coords, kernel, rref, solve, transpose, \
-    transpose_vector
+from oracles import base_ops, coords, kernel, rank_mod_p, rref, solve, \
+    transpose, transpose_vector
 
 
 def _poly_basis(ctx):
@@ -157,7 +157,7 @@ def test_moore_rank_full_for_independent_entries(F256):
         rows = rng.randrange(1, r + 1)
         shift = rng.randrange(0, 8)
         M = moore_matrix(F256, v, rows + shift)[shift:]
-        assert fq_rank(F256, M) == rows
+        assert _rank(F256, M) == rows
 
 
 def test_vector_rank(F256, wso256):
@@ -170,8 +170,55 @@ def test_vector_rank(F256, wso256):
     # rank preservation through the expansion map on 1000 random vectors
     for _ in range(1000):
         a = tuple(F256.rand_elem(rng) for _ in range(8))
-        assert vector_rank(F256, a) == fq_rank(
+        assert vector_rank(F256, a) == _rank(
             F256, coords(F256, wso256, a))
+
+
+def _digit_rank(ctx, xs):
+    """Rank of the F_q matrix whose rows are the base-q digits of xs: plain
+    mod-p elimination, or rref under F_q's own ops at q = p^e."""
+    q, n = ctx.q, ctx.n
+    M = [[x // q ** c % q for c in range(n)] for x in xs]
+    if q == ctx.p:
+        return rank_mod_p(M, q)
+    return len(rref(*base_ops(ctx), M, n)[1])
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (2, 16), (3, 4), (4, 3), (9, 2)])
+def test_packed_fq_rank_matches_oracle(q, n):
+    # fq_rank eliminates F_{q^n} elements as rows of their base-q digits;
+    # the sets mix every lead-digit boundary q^c - 1 and q^c below q^n with
+    # random elements and spans of a few, then add zero, a repeat and an
+    # F_q multiple, none of which may change the rank
+    ctx = make_field(q, n)
+    rng = random.Random(q * 1000 + n)
+    edges = sorted({q ** c - 1 for c in range(1, n + 1)}
+                   | {q ** c for c in range(n)})
+    assert fq_rank(ctx, []) == fq_rank(ctx, [0, 0]) == 0
+    assert all(fq_rank(ctx, [x]) == 1 for x in edges)
+    assert fq_rank(ctx, edges) == _digit_rank(ctx, edges) == n
+    ranks = set()
+    for _ in range(300):
+        if rng.randrange(2):
+            xs = [rng.choice(edges) if rng.randrange(2) else ctx.rand_elem(rng)
+                  for _ in range(rng.randrange(1, n + 3))]
+        else:
+            gens = [ctx.rand_elem(rng) for _ in range(rng.randrange(1, n))]
+            xs = []
+            for _ in range(rng.randrange(1, n + 3)):
+                x = 0
+                for g in gens:
+                    x = ctx.add(x, ctx.mul(rng.randrange(q), g))
+                xs.append(x)
+        r = _digit_rank(ctx, xs)
+        assert fq_rank(ctx, xs) == r
+        ys = xs + [0, rng.choice(xs), ctx.mul(rng.randrange(1, q),
+                                              rng.choice(xs))]
+        rng.shuffle(ys)
+        assert fq_rank(ctx, ys) == r
+        ranks.add(r)
+    # the sets reach every rank at small n and most ranks at n >= 8
+    assert ranks == set(range(n + 1)) if n < 8 else len(ranks) > n // 2
 
 
 def test_kernel_edge_cases(F4):
@@ -198,7 +245,7 @@ def test_kernel_planted_vector(F256, F9):
             basis = kernel(ctx, M)
             assert basis
             # v must be in the span: rank unchanged after appending v
-            assert fq_rank(ctx, basis + [v]) == len(basis)
+            assert _rank(ctx, basis + [v]) == len(basis)
 
 
 def test_solve_and_inconsistency(F4, F256):
@@ -419,13 +466,17 @@ def test_tabled_elimination_matches_generic(q, n):
         M = _random_test_matrix(ctx, rng)
         cols = len(M[0])
         pivots = check(M, cols)
-        assert fq_rank(ctx, M) == len(pivots)
+        assert _rank(ctx, M) == len(pivots)
         if max(map(max, M)) < q:  # F_q entries, every kind 3 among them
             # the F_q family runs on the F_{q^n} tables; the ops of F_q
             # alone must give the same pivots and product
             base_pivots = rref(*fq_ops, M, cols)[1]
             assert _echelon(ctx, M)[0] == base_pivots
-            assert fq_rank(ctx, M) == len(base_pivots)
+            if cols <= n:  # rows of at most n F_q entries, packed
+                assert fq_rank(ctx, [ctx.from_coeffs(row + [0] * (n - cols))
+                                     for row in M]) == len(base_pivots)
+            else:
+                assert _rank(ctx, M) == len(base_pivots)
             k = frng.randrange(1, 8)
             N = [[frng.randrange(q) for _ in range(k)] for _ in range(cols)]
             prod = [[0] * k for _ in M]
@@ -459,7 +510,7 @@ def test_coords_match_inverse_matrix_product(q, n):
     while True:
         alpha = [ctx.rand_elem(rng) for _ in range(n)]
         B = transpose([ctx.coeffs(a) for a in alpha])
-        if fq_rank(ctx, B) == n:
+        if _rank(ctx, B) == n:
             break
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(B)]
     rows, _ = rref(*base_ops(ctx), aug, 2 * n)

@@ -81,8 +81,8 @@ def test_every_entry_reading_door_rejects_entries_outside_its_field(q, n):
             with pytest.raises(ValueError, match=rf"entries must lie in "
                                                  rf".* = \[0, {order}\)"):
                 call(bad)
-    # FieldCtx.coeffs is the one checked scalar op: vector_rank and the
-    # CLI's text form read elements through it, off every hot path
+    # FieldCtx.coeffs is the one checked scalar op: the CLI's text form
+    # reads elements through it, off every hot path
     for bad in (-1, ctx.order):
         with pytest.raises(ValueError, match=rf"element {bad} must lie in "
                                              rf".* = \[0, {ctx.order}\)"):

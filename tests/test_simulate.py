@@ -11,7 +11,7 @@ from rankmetric import (GabidulinCode, SimConfig, SimReport, failure_bound,
                         moore_matrix, run_scenario, wilson95)
 from rankmetric import simulate
 from rankmetric.decoder import DecodeOutcome, InterleavedOutcome
-from rankmetric.linalg import fq_rank, fqn_matmul, fqn_vecmat
+from rankmetric.linalg import _rank, fqn_matmul, fqn_vecmat
 
 from oracles import echelon_supports, general_linear, rank_mod_p, transpose
 
@@ -356,7 +356,7 @@ def _paper_coupling_rank(code, a, P, Q):
     top = [[frob(v, t + 1) for v in row] for row in Mt]
     bottom = fqn_matmul(ctx, [[frob(v, t + k) for v in row] for row in Mt], Q)
     right = transpose(moore_matrix(ctx, a, t + 1))
-    return fq_rank(ctx, fqn_matmul(ctx, top + bottom, right))
+    return _rank(ctx, fqn_matmul(ctx, top + bottom, right))
 
 
 def _coupling_failures(q, n, k, t, supports, Ps):
