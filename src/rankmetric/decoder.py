@@ -124,7 +124,7 @@ def _full_root_space(ctx: FieldCtx, g) -> bool:
     return w[n:] == x
 
 
-def _extend(ctx: FieldCtx, g, s, n: int):
+def _extend(ctx: FieldCtx, g, s):
     """The n - len(s) entries that continue s by g's recurrence
     sum_j g_j s_(m-j)^(q^j) = 0.
 
@@ -137,7 +137,7 @@ def _extend(ctx: FieldCtx, g, s, n: int):
              for j, c in enumerate(g) if j and c]
     s = list(s)
     start = len(s)
-    for m in range(start, n):
+    for m in range(start, ctx.n):
         acc = 0
         for j, lc, qj in terms:
             v = s[m - j]
@@ -176,7 +176,7 @@ def _joint_decode(code: GabidulinCode, words, s1, s2, reads):
         if t in basis or not _full_root_space(ctx, gamma):
             break
         codewords = tuple(
-            code._from_gt(map(ctx.sub, yg, _extend(ctx, gamma, s, code.n)))
+            code._from_gt(map(ctx.sub, yg, _extend(ctx, gamma, s)))
             for s, yg in reads)
         errors = tuple(tuple(map(ctx.sub, y, c))
                        for y, c in zip(words, codewords))

@@ -211,6 +211,14 @@ def _pgcd(fo: _ScalarOps, f, g):
 # a packed int is a bit mask, and its product is shifts and XOR.
 # ---------------------------------------------------------------------------
 
+def _packed(base: int, digits) -> int:
+    """The int with the given digits in base base, most significant first."""
+    x = 0
+    for v in digits:
+        x = x * base + v
+    return x
+
+
 def _gf2_mulmod(a: int, b: int, f: int, d: int) -> int:
     """a * b mod f for f of degree d and a of degree below d."""
     r = 0
@@ -248,10 +256,8 @@ def _ring(fo: _ScalarOps, mod):
         return (lambda a, b: _gf2_mulmod(a, b, f, d)), coprime
 
     def mul(a, b):
-        out = 0
-        for c in reversed(_pmod(fo, _pmul(fo, unpack(a), unpack(b)), mod)):
-            out = out * base + c
-        return out
+        return _packed(base, reversed(
+            _pmod(fo, _pmul(fo, unpack(a), unpack(b)), mod)))
 
     return mul, coprime
 
@@ -541,10 +547,7 @@ class FieldCtx:
         cs = _ints(cs, "coefficient", self.q, _FQ_RANGE)
         if len(cs) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(cs)}")
-        x = 0
-        for c in reversed(cs):
-            x = x * self.q + c
-        return x
+        return _packed(self.q, reversed(cs))
 
     def rand_elem(self, rng) -> int:
         return rng.randrange(self.order)

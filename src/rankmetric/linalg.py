@@ -8,15 +8,15 @@ never leaves the subfield.
 
 There are two eliminations, one per field.  Over F_{q^n}, _insert_rows
 inserts rows one by one into an echelon basis in the log domain: _rank
-counts its pivots, and the decoder's trial-rank countdown keeps one basis
-across its trials and reads its kernel vector off it (_kernel_vector).
-Over F_q, fq_rank eliminates packed rows: a row of at most n F_q entries,
-as base-q digits, is an element of F_{q^n}, and F_q row operations are the
+counts its pivots for simulate's F_{q^n} matrices, and the decoder's
+trial-rank countdown keeps one basis across its trials and reads its
+kernel vector off it (_kernel_vector).  Every F_q rank is fq_rank's, on
+packed rows: a row of at most n F_q entries, as base-q digits
+(field._packed), is an element of F_{q^n}, and F_q row operations are the
 field's own sub and mul by a digit, one table step per row operation
-instead of one per entry.  The samplers pack their draws by lines of at
-most n entries, and vector_rank's entries come packed; an F_q matrix with
-both sides over n goes to _rank, as rank does not change under field
-extension.  Kernels, solves and basis coordinates live with the test
+instead of one per entry.  The sampler packs its draws by lines of at
+most n entries and refuses a shape with none; vector_rank's entries come
+packed.  Kernels, solves and basis coordinates live with the test
 references.
 
 Every input is read once, by a check that returns what it read:

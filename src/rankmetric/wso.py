@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 
-from .field import FieldCtx, _ints
+from .field import FieldCtx, _ints, _packed
 from .linalg import vector_rank
 
 
@@ -85,7 +85,7 @@ def _normal_scan(ctx: FieldCtx) -> int:
     mul, frob, trace = ctx.mul, ctx.frob, ctx.trace
     half = n // 2
     for tup in itertools.product(range(q), repeat=n):
-        beta = ctx.from_coeffs(tup)
+        beta = _packed(q, reversed(tup))
         if any(trace(mul(beta, frob(beta, d))) != 0 for d in range(1, half + 1)):
             continue
         if trace(mul(beta, beta)) == 0:

@@ -17,8 +17,9 @@ of that side, and its last stdout line is its result.  The script prints
 one JSON object: the resolved commits, each side's checks, and for each
 end-to-end metric of BENCHMARK.json each side's runs, median and
 quartiles, the ratio of the change's median to the parent's, the number
-of pairs in which the change was better, and the parent's interquartile
-distance over its median.  Nothing under bench/ is edited.  A revision
+of pairs in which the change was better and of tied pairs, the exact
+two-sided sign-test p-value over the untied pairs, and the parent's
+interquartile distance over its median.  Nothing under bench/ is edited.  A revision
 that is not yet committed can be exported as `git stash create`, which
 commits the working tree's tracked files without moving any branch.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -66,6 +68,14 @@ def spread(runs: list) -> dict:
             "runs": runs}
 
 
+def sign_test_p(better: int, untied: int) -> float:
+    """Exact two-sided sign-test p-value: the chance that a fair coin over
+    untied pairs splits at least as unevenly as better of them did."""
+    tail = min(better, untied - better)
+    return min(1.0, 2 * sum(math.comb(untied, i) for i in range(tail + 1))
+               / 2 ** untied)
+
+
 def summarize(results: dict, declared: list) -> dict:
     metrics = {}
     for m in declared:
@@ -73,14 +83,17 @@ def summarize(results: dict, declared: list) -> dict:
         runs = {side: [r["metrics"][name]["value"] for r in results[side]]
                 for side in SIDES}
         parent, change = spread(runs["parent"]), spread(runs["change"])
-        better = sum((c > p) if higher else (c < p)
-                     for p, c in zip(runs["parent"], runs["change"]))
+        pairs = list(zip(runs["parent"], runs["change"]))
+        better = sum((c > p) if higher else (c < p) for p, c in pairs)
+        tied = sum(c == p for p, c in pairs)
         metrics[name] = {
             "parent": parent, "change": change,
             "change_over_parent_median":
                 change["median"] / parent["median"] if parent["median"]
                 else None,
             "pairs_change_better": better,
+            "pairs_tied": tied,
+            "sign_test_p": sign_test_p(better, len(pairs) - tied),
             "parent_iqr_over_median":
                 (parent["q3"] - parent["q1"]) / parent["median"]
                 if parent["median"] else None,

@@ -252,19 +252,19 @@ def test_sampler_ranks_once_per_draw(monkeypatch, q, n, t):
     assert calls["fq_rank"] == calls["_draws"] > 600
 
 
-def test_full_rank_sampler_beyond_packed_rows(F4, monkeypatch):
+def test_full_rank_sampler_needs_a_packed_side(F4):
     # at n = 2 no line of a 3x3, 3x4 or 4x3 draw fits in an element of
-    # F_4, so the draw is ranked as a matrix; it is still of full rank and
-    # the randrange replay
-    def packed(ctx, xs):
-        raise AssertionError("fq_rank called on lines longer than n")
-
-    monkeypatch.setattr(rankmetric.channel, "fq_rank", packed)
+    # F_4: the sampler refuses the shape before it draws; a shape with a
+    # side of at most 2 is still the randrange replay
     for rows, cols in ((3, 3), (3, 4), (4, 3)):
+        rng = random.Random(rows * cols)
+        with pytest.raises(ValueError, match=f"{rows}x{cols}.*n=2"):
+            sample_full_rank(F4, rows, cols, rng)
+        assert rng.random() == random.Random(rows * cols).random()
+    for rows, cols in ((2, 3), (3, 2), (2, 2)):
         for seed in range(30):
             M = sample_full_rank(F4, rows, cols, random.Random(seed))
             assert M == _replay_full_rank(F4, rows, cols, random.Random(seed))
-            assert _oracle_rank(F4, M) == min(rows, cols)
 
 
 def test_sampler_range_validation(F256, wso256):

@@ -245,7 +245,7 @@ def test_dual_recovery_matches_oracle_recover_error(q, n, k):
         c = _rand_codeword(code, rng)
         y = _corrupt(ctx, c, e)
         yg = fqn_matmul(ctx, [y], transpose(code_matrices(code)[0]))[0]
-        assert code._from_gt(map(ctx.sub, yg, _extend(ctx, g, s, n))) == c
+        assert code._from_gt(map(ctx.sub, yg, _extend(ctx, g, s))) == c
         assert tuple(map(ctx.sub, y, c)) == e
 
 
