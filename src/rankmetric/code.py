@@ -79,8 +79,7 @@ class GabidulinCode:
     def _from_gt(self, cg) -> tuple[int, ...]:
         """The codeword c with c G^T = cg: c = c M^T D^-1 M, and c M^T is
         cg followed by c H^T = 0, so c is cg D_k^-1 encoded."""
-        mul = self.ctx.mul
-        u = [mul(v, d) for v, d in zip(cg, self._dk_inv)]
+        u = list(map(self.ctx.mul, cg, self._dk_inv))
         return fqn_vecmat(self.ctx, u, self._G)
 
     def syndromes(self, y) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -103,7 +102,8 @@ class GabidulinCode:
         y = _ints(y, "word", ctx.order, length=self.n)
         T = self._twist_map(y)
         exp, log, L = ctx._exp, ctx._log, ctx.order - 1
-        yM = [exp[log[v] * qi % L] if v else 0
-              for v, qi in zip(reversed(T), ctx._qpow)]
+        yM = []
+        for v, qi in zip(reversed(T), ctx._qpow):
+            yM.append(exp[log[v] * qi % L] if v else 0)
         k = self.k
         return y, T[:self.n - k], tuple(yM[k:]), tuple(yM[:k])

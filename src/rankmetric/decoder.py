@@ -48,6 +48,8 @@ and the set of syndromes satisfying Gamma's recurrence on rows t..n-k-1
 both have F_q dimension t n.  So every syndrome of a hit has exactly one
 error in V^n, and y G^T - e G^T is the G^T-image of the one codeword at
 rank distance at most t.
+The per-decode loops are plain loops, not comprehensions, so that their
+locals stay fast locals under Python 3.11.
 """
 
 from __future__ import annotations
@@ -85,8 +87,11 @@ def _syndrome_row(ctx: FieldCtx, logs, m: int, width: int):
     """Row m of T on columns j < width <= m + 1: s_{m-j}^(q^j), from the
     logs of s (-1 for a zero entry)."""
     exp, L, qpow = ctx._exp, ctx.order - 1, ctx._qpow
-    return [exp[logs[m - j] * qpow[j] % L] if logs[m - j] >= 0 else 0
-            for j in range(width)]
+    row = []
+    for j in range(width):
+        lv = logs[m - j]
+        row.append(exp[lv * qpow[j] % L] if lv >= 0 else 0)
+    return row
 
 
 def _full_root_space(ctx: FieldCtx, g) -> bool:
@@ -111,7 +116,10 @@ def _full_root_space(ctx: FieldCtx, g) -> bool:
     qpow, lead = ctx._qpow, log[g[t]]
     qinv = qpow[-t % n]
     # r is w[i:i + t] at step i, top coefficient first; j at w[i + t - j]
-    terms = [(t - j, log[c], qpow[j % n]) for j, c in enumerate(g[:t]) if c]
+    terms = []
+    for j in range(t):
+        if g[j]:
+            terms.append((t - j, log[g[j]], qpow[j % n]))
     x = [0] * (t - 1) + [1]
     w = x[:]
     for i in range(n):
@@ -133,8 +141,10 @@ def _extend(ctx: FieldCtx, g, s):
     x^(q^(n+r)) = x^(q^r) on F_{q^n}."""
     exp, log, L, add = ctx._exp, ctx._log, ctx.order - 1, ctx.add
     qpow, neg = ctx._qpow, L - log[g[0]] + log[ctx.neg(1)]
-    terms = [(j, (log[c] + neg) % L, qpow[j])
-             for j, c in enumerate(g) if j and c]
+    terms = []
+    for j in range(1, len(g)):
+        if g[j]:
+            terms.append((j, (log[g[j]] + neg) % L, qpow[j]))
     s = list(s)
     start = len(s)
     for m in range(start, ctx.n):
@@ -157,8 +167,8 @@ def _joint_decode(code: GabidulinCode, words, s1, s2, reads):
     ctx = code.ctx
     if not any(s1) and not any(s2):
         return "decoded", words, ((0,) * code.n,) * len(words), ()
-    log = ctx._log
-    logs = ([log[v] for v in s1], [log[v] for v in s2])
+    log = ctx._log.__getitem__
+    logs = (list(map(log, s1)), list(map(log, s2)))
     basis, trace, top = {}, [], code.n - code.k
     # trial t reads rows t..top-1, and 2m // 3 <= m - 1 for every m >= 1
     for t in range(code._tmax, 0, -1):
@@ -166,8 +176,11 @@ def _joint_decode(code: GabidulinCode, words, s1, s2, reads):
         for row in basis.values():
             if row and row[-1][0] > t:
                 row.pop()
-        _insert_rows(ctx, basis, [_syndrome_row(ctx, ls, m, t + 1)
-                                  for m in range(t, top) for ls in logs])
+        rows = []
+        for m in range(t, top):
+            for ls in logs:
+                rows.append(_syndrome_row(ctx, ls, m, t + 1))
+        _insert_rows(ctx, basis, rows)
         top = t
         trace.append((t, len(basis)))
         if len(basis) != t:
@@ -175,12 +188,12 @@ def _joint_decode(code: GabidulinCode, words, s1, s2, reads):
         gamma = _kernel_vector(ctx, basis, t)  # gamma_t = 0 iff t in basis
         if t in basis or not _full_root_space(ctx, gamma):
             break
-        codewords = tuple(
-            code._from_gt(map(ctx.sub, yg, _extend(ctx, gamma, s)))
-            for s, yg in reads)
-        errors = tuple(tuple(map(ctx.sub, y, c))
-                       for y, c in zip(words, codewords))
-        return "decoded", codewords, errors, tuple(trace)
+        sub, codewords, errors = ctx.sub, [], []
+        for y, (s, yg) in zip(words, reads):
+            c = code._from_gt(map(sub, yg, _extend(ctx, gamma, s)))
+            codewords.append(c)
+            errors.append(tuple(map(sub, y, c)))
+        return "decoded", tuple(codewords), tuple(errors), tuple(trace)
     return "failure", None, None, tuple(trace)
 
 

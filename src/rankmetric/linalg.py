@@ -17,7 +17,8 @@ field's own sub and mul by a digit, one table step per row operation
 instead of one per entry.  The sampler packs its draws by lines of at
 most n entries and refuses a shape with none; vector_rank's entries come
 packed.  Kernels, solves and basis coordinates live with the test
-references.
+references.  The per-decode loops here are plain loops, not
+comprehensions, so that their locals stay fast locals under Python 3.11.
 
 Every input is read once, by a check that returns what it read:
 field._ints, the package's one entry reader, reads the entries of words,
@@ -54,15 +55,19 @@ def _insert_rows(ctx: FieldCtx, basis, rows):
     exp, log, L, sub = ctx._exp, ctx._log, ctx.order - 1, ctx.sub
     for row in rows:
         for c, v in enumerate(row):   # reads row[c] after the updates below
-            if v and c in basis:
-                lf = log[v]
-                for j, lb in basis[c]:
-                    row[j] = sub(row[j], exp[lf + lb])
-            elif v:
-                s = L - log[v]
-                basis[c] = [(j, (log[row[j]] + s) % L)
-                            for j in range(c + 1, len(row)) if row[j]]
+            if not v:
+                continue
+            b = basis.get(c)
+            if b is None:
+                s, b = L - log[v], []
+                for j in range(c + 1, len(row)):
+                    if row[j]:
+                        b.append((j, (log[row[j]] + s) % L))
+                basis[c] = b
                 break
+            lf = log[v]
+            for j, lb in b:
+                row[j] = sub(row[j], exp[lf + lb])
 
 
 def _kernel_vector(ctx: FieldCtx, basis, t: int):
@@ -194,11 +199,12 @@ class _PackedMap:
         acc, add = 0, self._add
         for x, (lo, hi, P) in zip(xs, self._table):
             acc = add(acc, add(lo[x % P], hi[x // P]))
-        p, mask = self.p, self._mask
+        p, mask, out = self.p, self._mask, []
         if p == 2:
-            return tuple([acc >> s & mask for s in self._starts])
+            for s in self._starts:
+                out.append(acc >> s & mask)
+            return tuple(out)
         slot, inner = self._slot, self._inner
-        out = []
         for s in self._starts:
             c = acc >> s & mask
             v = 0

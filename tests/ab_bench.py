@@ -3,23 +3,32 @@
 Usage, from anywhere inside a clone:
 
     python3 tests/ab_bench.py --parent HEAD~1 --change HEAD --pairs 10 \
-        --workload sim-genuine-q2n8 --seed 1 --dir /tmp/ab
+        --workload sim-genuine-q2n8 --workload codec-q2n16 --seed 1 \
+        --dir /tmp/ab --traced --tier1 2 --out BENCH_name.json \
+        --what "what changed" --claim "what the change claims"
 
 The committed files of each revision are exported with git archive into
 DIR/parent and DIR/change, two sibling directories, so neither side runs
 from the working checkout: directory placement alone has moved q = 2
-decode times by several percent.  Pair i runs the parent first for odd i
-and the change first for even i.  Each run is the unchanged
+decode times by several percent.  Pair i runs every --workload (the option
+repeats) on both sides, the parent first for odd i and the change first
+for even i.  Each run is the unchanged
 
     python3 bench/run.py --workload W --seed S --seconds 10 --trace 0
 
 of that side, and its last stdout line is its result.  The script prints
-one JSON object: the resolved commits, each side's checks, and for each
-end-to-end metric of BENCHMARK.json each side's runs, median and
-quartiles, the ratio of the change's median to the parent's, the number
-of pairs in which the change was better and of tied pairs, the exact
-two-sided sign-test p-value over the untied pairs, and the parent's
-interquartile distance over its median.  Nothing under bench/ is edited.  A revision
+one JSON object, and writes it to --out when given, in the shared schema
+of the checked-in BENCH_*.json files: what, how and claim (the --what and
+--claim texts), and under workloads, per workload, the resolved commits,
+each side's checks, and for each end-to-end metric of BENCHMARK.json each
+side's runs, median and quartiles, the ratio of the change's median to the
+parent's, the number of pairs in which the change was better and of tied
+pairs, the exact two-sided sign-test p-value over the untied pairs, and
+the parent's interquartile distance over its median.  --traced adds
+traced_seed1: one --seed 1 --trace 1 run per side and workload, its
+per-layer metrics unscaled.  --tier1 N adds tier1: N alternating runs per
+side of the tier-1 suite in each export, their wall times and their
+passed and failed counts.  Nothing under bench/ is edited.  A revision
 that is not yet committed can be exported as `git stash create`, which
 commits the working tree's tracked files without moving any branch.
 """
@@ -29,9 +38,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,15 +62,30 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_once(root: Path, args) -> dict:
-    cmd = [sys.executable, "bench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", "10", "--trace", "0"]
+def run_once(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", "10", "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{root}: bench/run.py printed nothing\n"
                            f"{out.stderr}")
     return json.loads(lines[-1])
+
+
+def run_tier1(root: Path) -> dict:
+    """Wall time and counts of one tier-1 run in the export root."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": "src"})
+    wall = time.perf_counter() - start
+    tail = out.stdout.strip().splitlines()[-1]
+    counts = {k: int(v) for v, k in re.findall(r"(\d+) (passed|failed)", tail)}
+    return {"wall_s": round(wall, 2), "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0),
+            "failing": re.findall(r"^FAILED (\S+)", out.stdout, re.M)}
 
 
 def spread(runs: list) -> dict:
@@ -106,16 +133,31 @@ def parse_args(argv):
     ap.add_argument("--parent", required=True, help="revision A")
     ap.add_argument("--change", required=True, help="revision B")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, action="append",
+                    help="a bench/run.py workload; repeat for several")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--dir", required=True, type=Path,
                     help="new or empty directory for the two exports")
+    ap.add_argument("--out", type=Path, help="also write the report here")
+    ap.add_argument("--what", default="", help="the report's what")
+    ap.add_argument("--claim", default="", help="the report's claim")
+    ap.add_argument("--traced", action="store_true",
+                    help="add one traced seed-1 run per side and workload")
+    ap.add_argument("--tier1", type=int, default=0, metavar="N",
+                    help="add N tier-1 runs per side")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("need --pairs >= 1")
+    if args.pairs < 1 or args.tier1 < 0:
+        ap.error("need --pairs >= 1 and --tier1 >= 0")
+    if len(set(args.workload)) < len(args.workload):
+        ap.error("a --workload is named twice")
     if args.dir.exists() and any(args.dir.iterdir()):
         ap.error(f"--dir {args.dir} is not empty")
     return args
+
+
+def orders(count: int):
+    """The side order of pair 1..count: the parent first for odd pairs."""
+    return [SIDES if i % 2 else SIDES[::-1] for i in range(1, count + 1)]
 
 
 def main(argv=None) -> int:
@@ -123,27 +165,67 @@ def main(argv=None) -> int:
     roots = {side: args.dir.resolve() / side for side in SIDES}
     commits = {side: export(getattr(args, side), roots[side])
                for side in SIDES}
-    results = {side: [] for side in SIDES}
-    for i in range(1, args.pairs + 1):
-        for side in (SIDES if i % 2 else SIDES[::-1]):
-            results[side].append(run_once(roots[side], args))
-            print(f"pair {i} {side}: {json.dumps(results[side][-1])}",
-                  file=sys.stderr, flush=True)
+    results = {w: {side: [] for side in SIDES} for w in args.workload}
+    for i, order in enumerate(orders(args.pairs), 1):
+        for w in args.workload:
+            for side in order:
+                results[w][side].append(run_once(roots[side], w, args.seed))
+                print(f"pair {i} {w} {side}: "
+                      f"{json.dumps(results[w][side][-1])}",
+                      file=sys.stderr, flush=True)
     declared = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    run = ("python3 bench/run.py --workload W --seed S --seconds 10 "
+           "--trace 0")
     report = {
-        "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
-        "order": "pair i runs the parent first for odd i, the change "
-                 "first for even i",
-        "commits": commits,
-        **{side: {"all_correct": all(r["correct"] for r in results[side]),
-                  "attempted": sorted({r["attempted"]
-                                       for r in results[side]}),
-                  "failed": sorted({r["failed"] for r in results[side]})}
-           for side in SIDES},
-        "metrics": summarize(results, declared["end_to_end"]),
+        "what": args.what,
+        "how": f"tests/ab_bench.py: both revisions exported with git "
+               f"archive into sibling directories, {args.pairs} alternating "
+               f"pairs per workload of the unchanged {run}, Python "
+               f"{sys.version.split()[0]}, {os.cpu_count()} cores",
+        "claim": args.claim,
+        "workloads": {w: {
+            "seed": args.seed, "pairs": args.pairs,
+            "order": "pair i runs the parent first for odd i, the change "
+                     "first for even i",
+            "commits": commits,
+            **{side: {"all_correct": all(r["correct"] for r in res[side]),
+                      "attempted": sorted({r["attempted"]
+                                           for r in res[side]}),
+                      "failed": sorted({r["failed"] for r in res[side]})}
+               for side in SIDES},
+            "metrics": summarize(res, declared["end_to_end"]),
+        } for w, res in results.items()},
     }
-    print(json.dumps(report, indent=1))
-    return 0 if all(report[side]["all_correct"] for side in SIDES) else 1
+    ok = all(report["workloads"][w][side]["all_correct"]
+             for w in args.workload for side in SIDES)
+    if args.traced:
+        traced = report["traced_seed1"] = {
+            "command": "python3 bench/run.py --workload W --seed 1 "
+                       "--seconds 10 --trace 1, one run per side; "
+                       "per-layer times are unscaled"}
+        for w in args.workload:
+            traced[w] = {}
+            for side in SIDES:
+                r = run_once(roots[side], w, 1, trace=1)
+                ok = ok and r["correct"]
+                traced[w][side] = {
+                    "correct": r["correct"],
+                    "per_layer": {k: m["value"]
+                                  for k, m in r["metrics"].items()}}
+    if args.tier1:
+        tier1 = report["tier1"] = {
+            "command": "PYTHONPATH=src python -m pytest -q "
+                       "--continue-on-collection-errors -p no:cacheprovider, "
+                       "in each export, sides alternating",
+            **{side: [] for side in SIDES}}
+        for order in orders(args.tier1):
+            for side in order:
+                tier1[side].append(run_tier1(roots[side]))
+    text = json.dumps(report, indent=1)
+    print(text)
+    if args.out:
+        args.out.write_text(text + "\n")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -11,9 +11,10 @@ from rankmetric import (DecodeOutcome, GabidulinCode, InterleavedOutcome,
                         is_weak_self_orthogonal, make_field, phi_inv,
                         run_scenario, sample_full_rank,
                         sample_space_symmetric, vector_rank)
-from rankmetric.decoder import _extend, _full_root_space, _syndrome_row
-from rankmetric.linalg import _rank, fq_matmul, fqn_matmul, fqn_vecmat, \
-    moore_matrix
+from rankmetric.decoder import _extend, _full_root_space, _joint_decode, \
+    _syndrome_row
+from rankmetric.linalg import _PackedMap, _insert_rows, _kernel_vector, \
+    _rank, fq_matmul, fq_rank, fqn_matmul, fqn_vecmat, moore_matrix
 from rankmetric.simulate import _trial_rng
 
 from oracles import code_matrices, countdown_decode, joint_kernel, \
@@ -41,6 +42,16 @@ def _decoder_rows(ctx, s, t):
     """The rows m = t..len(s)-1 that the countdown builds at trial t."""
     logs = [ctx._log[v] for v in s]
     return [_syndrome_row(ctx, logs, m, t + 1) for m in range(t, len(s))]
+
+
+@pytest.mark.parametrize("f", [
+    _insert_rows, _kernel_vector, fq_rank, _PackedMap.__call__,
+    _syndrome_row, _full_root_space, _extend, _joint_decode,
+    GabidulinCode._read, GabidulinCode._from_gt], ids=lambda f: f.__name__)
+def test_decode_hot_loops_keep_no_closure_cells(f):
+    # a 3.11 comprehension is a nested function (PEP 709 inlines it from
+    # 3.12), so every local it reads becomes a cell, slower in every loop
+    assert f.__code__.co_cellvars == ()
 
 
 def test_build_syndrome_matrix_shape_and_entries(F256):

@@ -444,6 +444,27 @@ def _echelon(ctx, M):
     return sorted(basis), rows
 
 
+@pytest.mark.parametrize("q,n", [(2, 8), (3, 4), (4, 3)])
+def test_insert_rows_in_two_batches_matches_one_call(q, n):
+    # the countdown inserts each trial's rows into the basis the trials
+    # above left: two batches must give the one-call basis, its pivot order
+    # and its stored pairs, also past a zero row and a repeated row
+    ctx = make_field(q, n)
+    rng = random.Random(q * 1000 + n)
+    for _ in range(200):
+        M = _random_test_matrix(ctx, rng)
+        M.insert(rng.randrange(len(M) + 1), [0] * len(M[0]))
+        M.insert(rng.randrange(1, len(M) + 1), list(rng.choice(M)))
+        whole = {}
+        _insert_rows(ctx, whole, [list(r) for r in M])
+        cut = rng.randrange(len(M) + 1)
+        split = {}
+        _insert_rows(ctx, split, [list(r) for r in M[:cut]])
+        _insert_rows(ctx, split, [list(r) for r in M[cut:]])
+        assert list(split.items()) == list(whole.items())
+        assert len(whole) <= len(M) - 2  # neither added row is a pivot
+
+
 @pytest.mark.parametrize("q,n", [(2, 8), (2, 16), (3, 4), (4, 3), (9, 2)])
 def test_tabled_elimination_matches_generic(q, n):
     # the generic elimination fed the field's ops is the oracle: the echelon
