@@ -167,8 +167,8 @@ def _joint_decode(code: GabidulinCode, words, s1, s2, reads):
     ctx = code.ctx
     if not any(s1) and not any(s2):
         return "decoded", words, ((0,) * code.n,) * len(words), ()
-    log = ctx._log.__getitem__
-    logs = (list(map(log, s1)), list(map(log, s2)))
+    get = ctx._log.__getitem__
+    logs = (list(map(get, s1)), list(map(get, s2)))
     basis, trace, top = {}, [], code.n - code.k
     # trial t reads rows t..top-1, and 2m // 3 <= m - 1 for every m >= 1
     for t in range(code._tmax, 0, -1):

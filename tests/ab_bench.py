@@ -4,8 +4,7 @@ Usage, from anywhere inside a clone:
 
     python3 tests/ab_bench.py --parent HEAD~1 --change HEAD --pairs 10 \
         --workload sim-genuine-q2n8 --workload codec-q2n16 --seed 1 \
-        --dir /tmp/ab --traced --tier1 2 --out BENCH_name.json \
-        --what "what changed" --claim "what the change claims"
+        --dir /tmp/ab --tier1 2 --out BENCH_name.json
 
 The committed files of each revision are exported with git archive into
 DIR/parent and DIR/change, two sibling directories, so neither side runs
@@ -18,19 +17,18 @@ for even i.  Each run is the unchanged
 
 of that side, and its last stdout line is its result.  The script prints
 one JSON object, and writes it to --out when given, in the shared schema
-of the checked-in BENCH_*.json files: what, how and claim (the --what and
---claim texts), and under workloads, per workload, the resolved commits,
-each side's checks, and for each end-to-end metric of BENCHMARK.json each
-side's runs, median and quartiles, the ratio of the change's median to the
-parent's, the number of pairs in which the change was better and of tied
-pairs, the exact two-sided sign-test p-value over the untied pairs, and
-the parent's interquartile distance over its median.  --traced adds
-traced_seed1: one --seed 1 --trace 1 run per side and workload, its
-per-layer metrics unscaled.  --tier1 N adds tier1: N alternating runs per
-side of the tier-1 suite in each export, their wall times and their
-passed and failed counts.  Nothing under bench/ is edited.  A revision
-that is not yet committed can be exported as `git stash create`, which
-commits the working tree's tracked files without moving any branch.
+of the checked-in BENCH_*.json files: how, and under workloads, per
+workload, the resolved commits, each side's checks, and for each
+end-to-end metric of BENCHMARK.json each side's runs, median and
+quartiles, the ratio of the change's median to the parent's, the number
+of pairs in which the change was better and of tied pairs, the exact
+two-sided sign-test p-value over the untied pairs, and the parent's
+interquartile distance over its median.  --tier1 N adds tier1: N
+alternating runs per side of the tier-1 suite in each export, their wall
+times and their passed and failed counts.  The prose fields of a record,
+what and claim, are written by hand.  Nothing under bench/ is edited.  A
+revision that is not yet committed can be exported as `git stash create`,
+which commits the working tree's tracked files without moving any branch.
 """
 
 from __future__ import annotations
@@ -62,9 +60,9 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_once(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", "10", "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", "10", "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if not lines:
@@ -81,7 +79,10 @@ def run_tier1(root: Path) -> dict:
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": "src"})
     wall = time.perf_counter() - start
-    tail = out.stdout.strip().splitlines()[-1]
+    lines = out.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{root}: pytest printed nothing\n{out.stderr}")
+    tail = lines[-1]
     counts = {k: int(v) for v, k in re.findall(r"(\d+) (passed|failed)", tail)}
     return {"wall_s": round(wall, 2), "passed": counts.get("passed", 0),
             "failed": counts.get("failed", 0),
@@ -139,10 +140,6 @@ def parse_args(argv):
     ap.add_argument("--dir", required=True, type=Path,
                     help="new or empty directory for the two exports")
     ap.add_argument("--out", type=Path, help="also write the report here")
-    ap.add_argument("--what", default="", help="the report's what")
-    ap.add_argument("--claim", default="", help="the report's claim")
-    ap.add_argument("--traced", action="store_true",
-                    help="add one traced seed-1 run per side and workload")
     ap.add_argument("--tier1", type=int, default=0, metavar="N",
                     help="add N tier-1 runs per side")
     args = ap.parse_args(argv)
@@ -177,12 +174,10 @@ def main(argv=None) -> int:
     run = ("python3 bench/run.py --workload W --seed S --seconds 10 "
            "--trace 0")
     report = {
-        "what": args.what,
         "how": f"tests/ab_bench.py: both revisions exported with git "
                f"archive into sibling directories, {args.pairs} alternating "
                f"pairs per workload of the unchanged {run}, Python "
                f"{sys.version.split()[0]}, {os.cpu_count()} cores",
-        "claim": args.claim,
         "workloads": {w: {
             "seed": args.seed, "pairs": args.pairs,
             "order": "pair i runs the parent first for odd i, the change "
@@ -198,20 +193,6 @@ def main(argv=None) -> int:
     }
     ok = all(report["workloads"][w][side]["all_correct"]
              for w in args.workload for side in SIDES)
-    if args.traced:
-        traced = report["traced_seed1"] = {
-            "command": "python3 bench/run.py --workload W --seed 1 "
-                       "--seconds 10 --trace 1, one run per side; "
-                       "per-layer times are unscaled"}
-        for w in args.workload:
-            traced[w] = {}
-            for side in SIDES:
-                r = run_once(roots[side], w, 1, trace=1)
-                ok = ok and r["correct"]
-                traced[w][side] = {
-                    "correct": r["correct"],
-                    "per_layer": {k: m["value"]
-                                  for k, m in r["metrics"].items()}}
     if args.tier1:
         tier1 = report["tier1"] = {
             "command": "PYTHONPATH=src python -m pytest -q "
