@@ -2,21 +2,21 @@
 
 Vectors are tuples/lists of packed field ints, matrices are lists of row
 lists.  F_q is the subfield of F_{q^n} made of the ints below q, so
-fq_matmul takes F_q entries as F_{q^n} elements in [0, q) and shares one
-product (fqn_matmul) with the fqn_ functions: multiplying F_q matrices
-never leaves the subfield.
+fq_matmul takes F_q entries as F_{q^n} elements in [0, q) and multiplies
+row by row through fqn_vecmat, the package's one product: multiplying F_q
+matrices never leaves the subfield.
 
 There are two eliminations, one per field.  Over F_{q^n}, _insert_rows
 inserts rows one by one into an echelon basis in the log domain: _rank
-counts its pivots for simulate's F_{q^n} matrices, and the decoder's
-trial-rank countdown keeps one basis across its trials and reads its
-kernel vector off it (_kernel_vector).  Every F_q rank is fq_rank's, on
-packed rows: a row of at most n F_q entries, as base-q digits
-(field._packed), is an element of F_{q^n}, and F_q row operations are the
-field's own sub and mul by a digit, one table step per row operation
-instead of one per entry.  The sampler packs its draws by lines of at
-most n entries and refuses a shape with none; vector_rank's entries come
-packed.  Kernels, solves and basis coordinates live with the test
+counts its pivots for scenario 2's Moore rows of aP and aPQ, and the
+decoder's trial-rank countdown keeps one basis across its trials and
+reads its kernel vector off it (_kernel_vector).  Every F_q rank is
+fq_rank's, on packed rows: a row of at most n F_q entries, as base-q
+digits (field._packed), is an element of F_{q^n}, and F_q row operations
+are the field's own sub and mul by a digit, one table step per row
+operation instead of one per entry.  The sampler packs its draws by lines
+of at most n entries and refuses a shape with none; vector_rank's entries
+come packed.  Kernels, solves and basis coordinates live with the test
 references.  The per-decode loops here are plain loops, not
 comprehensions, so that their locals stay fast locals under Python 3.11.
 
@@ -126,34 +126,25 @@ def fq_rank(ctx: FieldCtx, xs) -> int:
 # Public F_q / F_{q^n} matrix operations.
 # ---------------------------------------------------------------------------
 
-def fqn_matmul(ctx: FieldCtx, X, Y):
-    """Product X Y of two matrices over F_{q^n}, in the log domain."""
-    exp, log, add = ctx._exp, ctx._log, ctx.add
-    cols = len(Y[0]) if Y else 0
-    out = []
-    for row in X:
-        orow = [0] * cols
-        for l, a in enumerate(row):
-            if a:
-                la = log[a]
-                for j, b in enumerate(Y[l]):
-                    if b:
-                        orow[j] = add(orow[j], exp[la + log[b]])
-        out.append(orow)
-    return out
-
-
 def fqn_vecmat(ctx: FieldCtx, v, M):
-    """Row vector times matrix, both over F_{q^n}."""
-    return tuple(fqn_matmul(ctx, [v], M)[0])
+    """Row vector v times matrix M, both over F_{q^n}, in the log domain."""
+    exp, log, add = ctx._exp, ctx._log, ctx.add
+    out = [0] * (len(M[0]) if M else 0)
+    for l, a in enumerate(v):
+        if a:
+            la = log[a]
+            for j, b in enumerate(M[l]):
+                if b:
+                    out[j] = add(out[j], exp[la + log[b]])
+    return tuple(out)
 
 
 def fq_matmul(ctx: FieldCtx, A, B):
-    """Product A B over F_q, entries F_q elements in [0, q)."""
+    """Product A B over F_q, entries F_q elements in [0, q), row by row."""
     (A, (r, m)), (B, (m2, c)) = _dims(A, ctx.q), _dims(B, ctx.q)
     if m != m2:
         raise ValueError(f"cannot multiply {r}x{m} by {m2}x{c} matrices")
-    return fqn_matmul(ctx, A, B)
+    return [list(fqn_vecmat(ctx, row, B)) for row in A]
 
 
 # ---------------------------------------------------------------------------

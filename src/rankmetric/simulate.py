@@ -9,7 +9,8 @@ Three trial kinds:
    when rank [Mt; Mt^(q^(k-1)) Q] differs from t.  That is the rank of the
    rewritten stacked syndrome matrix [Mt^(t+1); Mt^(t+k) Q] M_{t+1}(a)^T:
    M_{t+1}(a)^T has full row rank t, and undoing q^(t+1) entrywise fixes
-   the F_q entries of P and Q.
+   the F_q entries of P and Q.  As P and Q are over F_q, Mt = M(aP) and
+   Mt Q = M(aPQ): the trial ranks the Moore rows of aP and aPQ.
 3. Two-word interleaved channel: two errors sharing one support of
    dimension t, decoded jointly.
 
@@ -49,7 +50,7 @@ from .channel import _gaussian_binomial, sample_full_rank, \
 from .code import GabidulinCode, _radius
 from .decoder import decode, interleaved_decode
 from .field import _index, _prime_power, make_field
-from .linalg import _rank, fqn_matmul, fqn_vecmat, moore_matrix
+from .linalg import _rank, fqn_vecmat, moore_matrix
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -192,11 +193,13 @@ def _trial_genuine(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
 
 
 def _coupling_fails(code: GabidulinCode, a, P, Q) -> bool:
-    """Whether rank [M P; M^(q^(k-1)) P Q] differs from t = len(a), M the
-    Moore matrix of a with n-k-t rows."""
+    """Whether rank [M(aP); M(aPQ)^(q^(k-1))] differs from t = len(a), M
+    the Moore matrix with n-k-t rows: [M(a) P; M(a)^(q^(k-1)) P Q]'s rank."""
     ctx, n, k, t = code.ctx, code.n, code.k, len(a)
-    MP = fqn_matmul(ctx, moore_matrix(ctx, a, n - t - 1), P)
-    return _rank(ctx, MP[:n - k - t] + fqn_matmul(ctx, MP[k - 1:], Q)) != t
+    b = fqn_vecmat(ctx, a, P)
+    c = fqn_vecmat(ctx, b, Q)
+    return _rank(ctx, moore_matrix(ctx, b, n - k - t)
+                 + moore_matrix(ctx, c, n - t - 1)[k - 1:]) != t
 
 
 def _trial_uniform_coupling(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:

@@ -4,9 +4,10 @@ Deliberately independent of the library: plain mod-p elimination over lists
 and exhaustive enumeration, so they cross-check the production formulas
 rather than mirroring them.  Kernels, solves and basis coordinates over
 F_{q^n} (kernel, solve, coords) run the textbook rref below under the
-field's scalar ops, and the packed q = 2 root-space kernel runs _gf2_rref
-on bit rows, not the library's log-domain elimination.  The countdown
-reference builds its stacked syndrome rows with one ctx.frob per entry.
+field's scalar ops, products (matmul) take one scalar op per term, and
+the packed q = 2 root-space kernel runs _gf2_rref on bit rows, not the
+library's log-domain elimination.  The countdown reference builds its
+stacked syndrome rows with one ctx.frob per entry.
 The library pieces still reused are:
 
 - the trial-rank countdown reference: fqn_vecmat to turn a solve into
@@ -34,6 +35,23 @@ from rankmetric.linalg import _rank, fqn_vecmat
 
 def transpose(M):
     return [list(col) for col in zip(*M)]
+
+
+def matmul(ctx, X, Y):
+    """Schoolbook product X Y over F_{q^n}: one ctx.add and one ctx.mul per
+    term, zero terms included, and no log domain; the reference for
+    linalg.fqn_vecmat and fq_matmul."""
+    cols = len(Y[0]) if Y else 0
+    out = []
+    for row in X:
+        orow = []
+        for j in range(cols):
+            acc = 0
+            for x, yrow in zip(row, Y, strict=True):
+                acc = ctx.add(acc, ctx.mul(x, yrow[j]))
+            orow.append(acc)
+        out.append(orow)
+    return out
 
 
 def rank_mod_p(M, p):

@@ -15,11 +15,11 @@ from rankmetric import (GabidulinCode, SimConfig, failure_bound,
                         count_rank, count_space_symmetric, count_symmetric,
                         gaussian_binomial)
 from rankmetric.decoder import _syndrome_row
-from rankmetric.linalg import (_rank, fq_matmul, fqn_matmul, fqn_vecmat,
-                               moore_matrix, phi_inv)
+from rankmetric.linalg import _rank, fq_matmul, fqn_vecmat, moore_matrix, \
+    phi_inv
 
 from oracles import census, code_matrices, coords, key_equation_remainder, \
-    lin_qdeg, min_subspace_poly, sample_symmetric_invertible, \
+    lin_qdeg, matmul, min_subspace_poly, sample_symmetric_invertible, \
     subspace_count, syndrome_against, transpose, transpose_vector
 
 SEED = 20260810
@@ -159,9 +159,9 @@ def test_c5_key_equation_properties():
                    for m in range(t, 8 - k)] for s in (s1, s2))
         Ma = moore_matrix(ctx, a, 8 - k - t)
         right = [list(col) for col in zip(*moore_matrix(ctx, a, t + 1))]
-        ref1 = fqn_matmul(ctx, fqn_matmul(
+        ref1 = matmul(ctx, matmul(
             ctx, [[frob(v, t + 1) for v in row] for row in Ma], err.P), right)
-        ref2 = fqn_matmul(ctx, fqn_matmul(
+        ref2 = matmul(ctx, matmul(
             ctx, [[frob(v, t + k) for v in row] for row in Ma],
             transpose(err.P)), right)
         if S1 != ref1 or S2 != ref2:

@@ -14,14 +14,14 @@ from rankmetric import (DecodeOutcome, GabidulinCode, InterleavedOutcome,
 from rankmetric.decoder import _extend, _full_root_space, _joint_decode, \
     _syndrome_row
 from rankmetric.linalg import _PackedMap, _insert_rows, _kernel_vector, \
-    _rank, fq_matmul, fq_rank, fqn_matmul, fqn_vecmat, moore_matrix
+    _rank, fq_matmul, fq_rank, fqn_vecmat, moore_matrix
 from rankmetric.simulate import _trial_rng
 
 from oracles import code_matrices, countdown_decode, joint_kernel, \
-    key_equation_remainder, lin_compose_mod, lin_qdeg, min_subspace_poly, \
-    recover_error, right_remainder_is_x, root_space_basis, \
-    sample_symmetric_invertible, space_symmetric, syndrome_against, \
-    syndrome_matrix, transpose, transpose_vector
+    key_equation_remainder, lin_compose_mod, lin_qdeg, matmul, \
+    min_subspace_poly, recover_error, right_remainder_is_x, \
+    root_space_basis, sample_symmetric_invertible, space_symmetric, \
+    syndrome_against, syndrome_matrix, transpose, transpose_vector
 
 
 def _rand_codeword(code, rng):
@@ -47,7 +47,8 @@ def _decoder_rows(ctx, s, t):
 @pytest.mark.parametrize("f", [
     _insert_rows, _kernel_vector, fq_rank, _PackedMap.__call__,
     _syndrome_row, _full_root_space, _extend, _joint_decode,
-    GabidulinCode._read, GabidulinCode._from_gt], ids=lambda f: f.__name__)
+    GabidulinCode._read, GabidulinCode._from_gt, fqn_vecmat],
+    ids=lambda f: f.__name__)
 def test_decode_hot_loops_keep_no_closure_cells(f):
     # a 3.11 comprehension is a nested function (PEP 709 inlines it from
     # 3.12), so every local it reads becomes a cell, slower in every loop
@@ -102,9 +103,8 @@ def test_key_equation_and_decomposition(code_8_2, F256):
         Ma = moore_matrix(F256, a, 8 - k - t)
         left1 = [[F256.frob(v, t + 1) for v in row] for row in Ma]
         left2 = [[F256.frob(v, t + k) for v in row] for row in Ma]
-        assert S1 == fqn_matmul(F256, fqn_matmul(F256, left1, err.P), Mt1T)
-        assert S2 == fqn_matmul(
-            F256, fqn_matmul(F256, left2, transpose(err.P)), Mt1T)
+        assert S1 == matmul(F256, matmul(F256, left1, err.P), Mt1T)
+        assert S2 == matmul(F256, matmul(F256, left2, transpose(err.P)), Mt1T)
         for S in (S1, S2):
             for row in S:
                 acc = 0
@@ -255,7 +255,7 @@ def test_dual_recovery_matches_oracle_recover_error(q, n, k):
         assert vector_rank(ctx, e) <= t
         c = _rand_codeword(code, rng)
         y = _corrupt(ctx, c, e)
-        yg = fqn_matmul(ctx, [y], transpose(code_matrices(code)[0]))[0]
+        yg = matmul(ctx, [y], transpose(code_matrices(code)[0]))[0]
         assert code._from_gt(map(ctx.sub, yg, _extend(ctx, g, s))) == c
         assert tuple(map(ctx.sub, y, c)) == e
 

@@ -10,8 +10,8 @@ from rankmetric import (GabidulinCode, count_rank, count_space_symmetric,
                         sample_space_symmetric, vector_rank, wf_error)
 from rankmetric.linalg import _insert_rows, _rank, fq_rank, fqn_vecmat
 
-from oracles import base_ops, coords, kernel, rank_mod_p, rref, solve, \
-    transpose, transpose_vector
+from oracles import base_ops, coords, kernel, matmul, rank_mod_p, rref, \
+    solve, transpose, transpose_vector
 
 
 def _poly_basis(ctx):
@@ -302,6 +302,61 @@ def test_matmul_helpers(F4):
     assert fq_matmul(F4, A, B) == [[1, 1], [1, 0]]
     v = (2, 3)
     assert fqn_vecmat(F4, v, [[1], [1]]) == (F4.add(2, 3),)
+
+
+@pytest.mark.parametrize("q, n", [(2, 8), (3, 4), (4, 3), (9, 2)])
+def test_products_match_schoolbook(q, n):
+    # the log-domain product, which skips zero entries, against one ctx.add
+    # and ctx.mul per term: zero entries, a zero vector entry over a nonzero
+    # row, a zero row under a nonzero entry, and shapes with no rows or no
+    # columns, for F_{q^n} vectors and F_q matrices
+    ctx = make_field(q, n)
+    rng = random.Random(q * 100 + n)
+
+    def matrix(rows, cols, top):
+        M = [[rng.randrange(1, top) if rng.randrange(3) else 0
+              for _ in range(cols)] for _ in range(rows)]
+        if rows >= 2 and cols:
+            M[0][0], M[1] = rng.randrange(1, top), [0] * cols
+        return M
+
+    for rows, cols in ((0, 0), (2, 0), (1, 1), (2, 3), (4, 5), (6, 2)):
+        for _ in range(20):
+            v = matrix(1, rows, ctx.order)[0]
+            if rows >= 2:
+                v[0], v[1] = 0, rng.randrange(1, ctx.order)
+            M = matrix(rows, cols, ctx.order)
+            assert fqn_vecmat(ctx, v, M) == tuple(matmul(ctx, [v], M)[0])
+            for r in (1, 3):
+                A = matrix(r, rows, q)
+                B = matrix(rows, cols, q)
+                assert fq_matmul(ctx, A, B) == matmul(ctx, A, B)
+    assert fqn_vecmat(ctx, [], []) == ()
+    assert fq_matmul(ctx, [], []) == []
+    assert fq_matmul(ctx, [[], []], []) == [[], []]
+    assert fq_matmul(ctx, [[1, 0, 1]], [[], [], []]) == [[]]
+
+
+@pytest.mark.parametrize("q, n", [(2, 8), (3, 7), (4, 4), (9, 3)])
+def test_moore_rows_of_a_product_are_the_product_of_moore_rows(q, n):
+    # M(aP) = M(a) P for P over F_q, as Frobenius fixes F_q: scenario 2
+    # ranks the Moore rows of aP and aPQ for M(a) P and M(a) P Q.  A P
+    # with one entry outside F_q breaks it, so the check can fail.
+    ctx = make_field(q, n)
+    rng = random.Random(q * 1000 + n)
+    broken = 0
+    for _ in range(40):
+        t, s = rng.randrange(1, 5), rng.randrange(1, 5)
+        a = [ctx.rand_elem(rng) for _ in range(t)]
+        P = [[rng.randrange(q) for _ in range(s)] for _ in range(t)]
+        for r in (1, rng.randrange(1, n + 1), n):
+            assert moore_matrix(ctx, fqn_vecmat(ctx, a, P), r) == matmul(
+                ctx, moore_matrix(ctx, a, r), P)
+        if any(a):
+            P[rng.randrange(t)][0] = rng.randrange(q, ctx.order)
+            broken += moore_matrix(ctx, fqn_vecmat(ctx, a, P), n) != matmul(
+                ctx, moore_matrix(ctx, a, n), P)
+    assert broken > 0
 
 
 def test_fq_matmul_rejects_mismatched_shapes():

@@ -9,11 +9,13 @@ import pytest
 from rankmetric import (GabidulinCode, SimConfig, SimReport, failure_bound,
                         intersection_probability, make_field,
                         moore_matrix, run_scenario, wilson95)
-from rankmetric import simulate
+from rankmetric import channel, decoder, simulate
 from rankmetric.decoder import DecodeOutcome, InterleavedOutcome
-from rankmetric.linalg import _rank, fqn_matmul, fqn_vecmat
+from rankmetric.linalg import _rank, fqn_vecmat
 
-from oracles import echelon_supports, general_linear, rank_mod_p, transpose
+from oracles import echelon_supports, general_linear, matmul, rank_mod_p, \
+    transpose
+from stage_profile import calls, profiled_run
 
 
 def test_failure_bound_values():
@@ -352,11 +354,11 @@ def _paper_coupling_rank(code, a, P, Q):
     entry."""
     ctx, n, k, t = code.ctx, code.n, code.k, len(a)
     frob = ctx.frob
-    Mt = fqn_matmul(ctx, moore_matrix(ctx, a, n - k - t), P)
+    Mt = matmul(ctx, moore_matrix(ctx, a, n - k - t), P)
     top = [[frob(v, t + 1) for v in row] for row in Mt]
-    bottom = fqn_matmul(ctx, [[frob(v, t + k) for v in row] for row in Mt], Q)
+    bottom = matmul(ctx, [[frob(v, t + k) for v in row] for row in Mt], Q)
     right = transpose(moore_matrix(ctx, a, t + 1))
-    return _rank(ctx, fqn_matmul(ctx, top + bottom, right))
+    return _rank(ctx, matmul(ctx, top + bottom, right))
 
 
 def _coupling_failures(q, n, k, t, supports, Ps):
@@ -436,3 +438,17 @@ def test_odd_q_payload_pins(pin):
     cfg = SimConfig(**{key: pin[key] for key in (
         "scenario", "q", "n", "k", "t", "trials", "seed")})
     assert run_scenario(cfg).payload() == pin
+
+
+@pytest.mark.parametrize("scenario, attempts, decodes, root_checks", [
+    (1, 1273, 300, 288), (2, 2229, 0, 0), (3, 942, 300, 299)])
+def test_stage_profile_counts_are_seed_exact(scenario, attempts, decodes,
+                                             root_checks):
+    # tests/stage_profile.py's call counts of a 300-trial seed-7 run at
+    # (2,8,2,4): sampler attempts (_draws), decodes and root-space checks
+    cfg = SimConfig(scenario=scenario, q=2, n=8, k=2, t=4, trials=300,
+                    seed=7)
+    table = profiled_run(cfg)[0]
+    assert [calls(table, f)[0] for f in (
+        channel._draws, decoder._joint_decode, decoder._full_root_space)] \
+        == [attempts, decodes, root_checks]
