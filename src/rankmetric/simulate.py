@@ -50,7 +50,7 @@ from .channel import _gaussian_binomial, sample_full_rank, \
 from .code import GabidulinCode, _radius
 from .decoder import decode, interleaved_decode
 from .field import _index, _prime_power, make_field
-from .linalg import _rank, fqn_vecmat, moore_matrix
+from .linalg import _rank, fqn_vecmat
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -195,11 +195,12 @@ def _trial_genuine(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
 def _coupling_fails(code: GabidulinCode, a, P, Q) -> bool:
     """Whether rank [M(aP); M(aPQ)^(q^(k-1))] differs from t = len(a), M
     the Moore matrix with n-k-t rows: [M(a) P; M(a)^(q^(k-1)) P Q]'s rank."""
-    ctx, n, k, t = code.ctx, code.n, code.k, len(a)
+    ctx, k, t = code.ctx, code.k, len(a)
+    frob, m = ctx.frob, code.n - k - t
     b = fqn_vecmat(ctx, a, P)
     c = fqn_vecmat(ctx, b, Q)
-    return _rank(ctx, moore_matrix(ctx, b, n - k - t)
-                 + moore_matrix(ctx, c, n - t - 1)[k - 1:]) != t
+    return _rank(ctx, [[frob(x, r) for x in b] for r in range(m)] + [
+        [frob(x, r) for x in c] for r in range(k - 1, k - 1 + m)]) != t
 
 
 def _trial_uniform_coupling(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:

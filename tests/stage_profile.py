@@ -3,16 +3,19 @@
 Usage, from the root of a checkout:
 
     python3 tests/stage_profile.py
-    python3 tests/stage_profile.py --trials 300 --seed 7 --shape 2,8,2,4
 
-With the package in this checkout's src/, for each --shape q,n,k,t (the
-option repeats; default (2,8,2,4) and (3,7,1,4)) and each scenario 1-3,
-the script
+With the package in this checkout's src/, for each shape (q,n,k,t) in
+SHAPES, (2,8,2,4) and (3,7,1,4), the script
 
-- times the set-up cold: simulate._code with its cache cleared, so the
-  field, the WSO basis search and the code are built once;
-- runs the --trials trials (default 3,000) at --seed (default 7) once
-  without a profiler, for the time per trial, and once under cProfile;
+- times the set-up once: simulate._code with its cache cleared, so the
+  field, the WSO basis search and the code are built anew; one build is
+  discarded first, so that the figure leaves out the process's one-time
+  warm-up, and the median of five builds is printed;
+
+and for each scenario 1-3 at that shape
+
+- runs TRIALS trials (3,000) at SEED (7) once without a profiler, for the
+  time per trial, and once under cProfile;
 - prints, for each layer of the pipeline, each function's exact call
   count, its calls per trial, and its cumulative and self time as shares
   of the profiled run.
@@ -32,14 +35,16 @@ module.
 
 from __future__ import annotations
 
-import argparse
 import cProfile
 import pstats
+import statistics
 import sys
 import time
 from pathlib import Path
 
 SHAPES = ((2, 8, 2, 4), (3, 7, 1, 4))
+TRIALS = 3000
+SEED = 7
 
 
 def layers():
@@ -87,52 +92,53 @@ def calls(table, f, caller=None):
     return nc, ct, tt
 
 
-def report(q, n, k, t, scenario, trials, seed) -> str:
+def setup_seconds(q, n, k) -> float:
+    """Median time of five simulate._code builds, each with the cache
+    cleared, after one discarded build."""
+    from rankmetric import simulate
+    times = []
+    for _ in range(6):
+        simulate._code.cache_clear()
+        start = time.perf_counter()
+        simulate._code(q, n, k)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times[1:])
+
+
+def report(q, n, k, t, scenario) -> str:
     from rankmetric import simulate
     from rankmetric.simulate import SimConfig
-    cfg = SimConfig(scenario=scenario, q=q, n=n, k=k, t=t, trials=trials,
-                    seed=seed)
-    simulate._code.cache_clear()
-    start = time.perf_counter()
+    cfg = SimConfig(scenario=scenario, q=q, n=n, k=k, t=t, trials=TRIALS,
+                    seed=SEED)
     simulate._code(q, n, k)
-    setup = time.perf_counter() - start
     start = time.perf_counter()
-    failures = simulate._run_range(cfg, 0, trials)[0]
-    per_trial = (time.perf_counter() - start) / trials
+    failures = simulate._run_range(cfg, 0, TRIALS)[0]
+    per_trial = (time.perf_counter() - start) / TRIALS
     table, total, profiled_failures = profiled_run(cfg)
     if profiled_failures != failures:
         raise AssertionError("the profiled run failed other trials")
-    lines = [f"({q},{n},{k},{t}) scenario {scenario}, {trials} trials, seed "
-             f"{seed}: set-up {setup * 1e3:.2f} ms cold, "
-             f"{per_trial * 1e6:.1f} us/trial unprofiled, {failures} "
-             f"failures, {total:.2f} s profiled",
+    lines = [f"({q},{n},{k},{t}) scenario {scenario}, {TRIALS} trials, seed "
+             f"{SEED}: {per_trial * 1e6:.1f} us/trial unprofiled, "
+             f"{failures} failures, {total:.2f} s profiled",
              f"  {'layer':<16}{'function':<30}{'calls':>9}{'per trial':>11}"
              f"{'cum':>8}{'self':>8}"]
     for layer, f, caller in layers():
         nc, ct, tt = calls(table, f, caller)
         name = f.__qualname__ + (f" < {caller.__name__}" if caller else "")
-        lines.append(f"  {layer:<16}{name:<30}{nc:>9}{nc / trials:>11.3f}"
+        lines.append(f"  {layer:<16}{name:<30}{nc:>9}{nc / TRIALS:>11.3f}"
                      f"{ct / total:>8.1%}{tt / total:>8.1%}")
     return "\n".join(lines)
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__.split("\n\n")[0])
-    parser.add_argument("--trials", type=int, default=3000)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--shape", action="append",
-                        help="q,n,k,t (repeats; default 2,8,2,4 and 3,7,1,4)")
-    args = parser.parse_args(argv)
-    shapes = ([tuple(map(int, s.split(","))) for s in args.shape]
-              if args.shape else SHAPES)
+def main() -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    for shape in shapes:
+    for q, n, k, t in SHAPES:
+        print(f"({q},{n},{k}) set-up: {setup_seconds(q, n, k) * 1e3:.2f} ms, "
+              "median of 5 builds after a discarded one", flush=True)
         for scenario in (1, 2, 3):
-            print(report(*shape, scenario, args.trials, args.seed),
-                  flush=True)
+            print(report(q, n, k, t, scenario), flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
