@@ -5,7 +5,7 @@ matrices (a square one is invertible) by rejection from the uniform entry
 distribution, which is exactly uniform over the full-rank set and cheap at
 the field sizes used here: the acceptance probability of an invertible
 t-by-t matrix over F_q is bounded below by prod_i (1 - q^-i), about 0.289
-for q = 2.  Entries are drawn inline with the words that rng.randrange(q)
+for q = 2.  Entries are drawn into rows with the words that rng.randrange(q)
 takes, so a seed gives the matrices of one randrange(q) per entry in row
 order.  Every q, q = 2 included, draws, ranks and multiplies with the same
 code.  An attempt's rank is one call of linalg.fq_rank on its lines of at
@@ -20,6 +20,7 @@ their log2 to well below 1e-6 even for counts far beyond the float range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .field import FieldCtx, _index, _ints, _packed, _prime_power
 from .linalg import fq_rank, fqn_vecmat
@@ -41,30 +42,15 @@ class SpaceSymError:
     e: tuple[int, ...]
 
 
-def _draws(q: int, count: int, rng) -> list:
-    """count values of rng.randrange(q), drawn with the same words.
-
-    CPython's randrange(q) takes k = q.bit_length() bits (3 at q = 4) and
-    draws again while the result is >= q.
-    """
-    k = q.bit_length()
-    bits = rng.getrandbits
-    out = []
-    for _ in range(count):
-        r = bits(k)
-        while r >= q:
-            r = bits(k)
-        out.append(r)
-    return out
-
-
 def sample_full_rank(ctx: FieldCtx, rows: int, cols: int, rng):
     """Uniform matrix of full rank min(rows, cols).
 
-    Each attempt packs the lines of one side, of at most n entries each,
-    into F_{q^n} elements and ranks them with fq_rank: the longer lines,
-    the columns of an n-by-t draw and the rows of a square or t-by-n one.
-    A shape with both sides over n raises ValueError before any draw."""
+    Each attempt builds the matrix M row by row as it draws it, then packs
+    the lines of one side, of at most n entries each, into F_{q^n} elements
+    and ranks them with fq_rank: the longer lines, the columns of an n-by-t
+    draw and the rows of a square or t-by-n one.  An accepted attempt
+    returns M itself.  A shape with both sides over n raises ValueError
+    before any draw."""
     rows, cols = _index(rows, "rows"), _index(cols, "cols")
     if rows < 0 or cols < 0:
         raise ValueError(f"need rows, cols >= 0, got {rows}, {cols}")
@@ -74,11 +60,19 @@ def sample_full_rank(ctx: FieldCtx, rows: int, cols: int, rng):
         raise ValueError(f"no side of a {rows}x{cols} draw fits in n={n}")
     # pack the longer lines, so fewer elements, where they fit in n digits
     by_rows = cols <= n and (cols >= rows or rows > n)
+    # randrange(q)'s words: k = q.bit_length() bits, again while >= q
+    k, bits, pack = q.bit_length(), rng.getrandbits, partial(_packed, q)
     while True:
-        flat = _draws(q, rows * cols, rng)
-        M = [flat[r * cols:(r + 1) * cols] for r in range(rows)]
-        lines = M if by_rows else [flat[j::cols] for j in range(cols)]
-        if fq_rank(ctx, [_packed(q, line) for line in lines]) == target:
+        M = []
+        for _ in range(rows):
+            row = []
+            for _ in range(cols):
+                x = bits(k)
+                while x >= q:
+                    x = bits(k)
+                row.append(x)
+            M.append(row)
+        if fq_rank(ctx, list(map(pack, M if by_rows else zip(*M)))) == target:
             return M
 
 

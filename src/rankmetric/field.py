@@ -496,7 +496,7 @@ class FieldCtx:
         self.neg = lambda a, _sub=ops.sub: _sub(0, a)
 
         L = self.order - 1
-        qpow = [pow(q, i, L) for i in range(n)]
+        qpow = [q ** i for i in range(n)]
 
         def frob(x, i, _exp=exp, _log=log, _L=L, _qpow=qpow, _n=n):
             if x == 0:
@@ -522,12 +522,10 @@ class FieldCtx:
 
         # where a nonzero element x leads, for linalg.fq_rank: with
         # b = x.bit_length(), _top[b] is the highest c < n with q^c < 2^b,
-        # and x's top base-q digit is at c, or at c - 1 when x < q^c, as
-        # [2^(b-1), 2^b) holds at most one power of q; _place[c] = q^c
-        self._place = place = [q ** c for c in range(n)]
-        bits = (self.order - 1).bit_length()
-        self._top = [0] + [bisect_left(place, 1 << b) - 1
-                           for b in range(1, bits + 1)]
+        # and x's top base-q digit is at c, or at c - 1 when x < q^c =
+        # _qpow[c], as [2^(b-1), 2^b) holds at most one power of q
+        self._top = [0] + [bisect_left(qpow, 1 << b) - 1
+                           for b in range(1, L.bit_length() + 1)]
 
     # -- conversions -------------------------------------------------------
 

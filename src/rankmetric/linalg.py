@@ -104,16 +104,17 @@ def fq_rank(ctx: FieldCtx, xs) -> int:
     field's own sub and mul are the row operations.  basis maps a digit
     position to an element whose top digit, there, is 1; an element with
     top digit d at a basis position c is reduced to r - d basis[c] until it
-    is 0 or leads at a new position."""
+    is 0 or leads at a new position, read off the field's q-power table
+    _qpow and its bit-length table _top."""
     sub, mul, inv = ctx.sub, ctx.mul, ctx.inv
-    top, place = ctx._top, ctx._place
+    top, qpow = ctx._top, ctx._qpow
     basis = {}
     for r in xs:
         while r:
             c = top[r.bit_length()]
-            if r < place[c]:
+            if r < qpow[c]:
                 c -= 1
-            d = r // place[c]
+            d = r // qpow[c]
             b = basis.get(c)
             if b is None:
                 basis[c] = mul(inv(d), r)

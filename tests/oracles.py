@@ -19,15 +19,14 @@ The library pieces still reused are:
 - base_ops: field._prime_ops, _smallest_irreducible and _tabled, the F_q
   level of the field build, so the subfield of F_{q^n} is checked against
   F_q's own tables;
-- sample_symmetric_invertible: channel._draws, so a seed gives the draws it
-  gave as a library sampler, and linalg._rank for the rejection.
+- sample_symmetric_invertible: linalg._rank for the rejection; it draws
+  with rng.randrange(q) itself, the draws it gave as a library sampler.
 """
 
 import itertools
 from functools import reduce
 
 from rankmetric import moore_matrix, phi_inv
-from rankmetric.channel import _draws
 from rankmetric.field import _factor, _pmod, _pmul, _prime_ops, _ptrim, \
     _smallest_irreducible, _tabled
 from rankmetric.linalg import _rank, fqn_vecmat
@@ -190,11 +189,10 @@ def sample_symmetric_invertible(ctx, t, rng):
     if t < 1:
         raise ValueError("t must be >= 1")
     while True:
-        upper = iter(_draws(ctx.q, t * (t + 1) // 2, rng))
         M = [[0] * t for _ in range(t)]
         for i in range(t):
             for j in range(i, t):
-                M[i][j] = M[j][i] = next(upper)
+                M[i][j] = M[j][i] = rng.randrange(ctx.q)
         if _rank(ctx, M) == t:
             return M
 

@@ -20,13 +20,14 @@ and for each scenario 1-3 at that shape
   count, its calls per trial, and its cumulative and self time as shares
   of the profiled run.
 
-The layers are the sampler (sample_full_rank, _draws), the products
-(fqn_vecmat), the syndrome pair (GabidulinCode._read), the countdown
-(_insert_rows called from _joint_decode, _syndrome_row), the root space
-(_full_root_space), the recovery (_extend, GabidulinCode._from_gt) and
-scenario 2's rank (_rank); _joint_decode's row holds the whole decode
-after the syndrome pair.  Shares overlap: a cumulative time includes the
-functions called.  cProfile slows the trials about threefold, so times
+The layers are the per-trial generator (simulate._trial_rng), the
+sampler (sample_full_rank, and fq_rank called from it, once per attempt),
+the products (fqn_vecmat), the syndrome pair (GabidulinCode._read), the
+countdown (_insert_rows called from _joint_decode, _syndrome_row), the
+root space (_full_root_space), the recovery (_extend,
+GabidulinCode._from_gt) and scenario 2's rank (_rank); _joint_decode's
+row holds the whole decode after the syndrome pair.  Shares overlap: a
+cumulative time includes the functions called.  cProfile slows the trials about threefold, so times
 come from the run without a profiler and only shares and counts from the
 profiled one.  The counts are exact for a seed, and
 tests/test_simulate.py pins three of them.  The file is not a test
@@ -50,11 +51,12 @@ SEED = 7
 def layers():
     """(layer, function, caller or None) rows; a caller restricts the count
     and times to the calls made from it."""
-    from rankmetric import channel, decoder, linalg
+    from rankmetric import channel, decoder, linalg, simulate
     from rankmetric.code import GabidulinCode
     return [
+        ("trial rng", simulate._trial_rng, None),
         ("sampler", channel.sample_full_rank, None),
-        ("sampler", channel._draws, None),
+        ("sampler", linalg.fq_rank, channel.sample_full_rank),
         ("products", linalg.fqn_vecmat, None),
         ("syndrome pair", GabidulinCode._read, None),
         ("decode", decoder._joint_decode, None),

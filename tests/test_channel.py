@@ -225,31 +225,37 @@ def test_full_rank_sampler_empty_shapes(F9):
 def test_sampler_ranks_once_per_draw(monkeypatch, q, n, t):
     # bench/tracer.py counts the calls of linalg.fq_rank made from the
     # channel as sampler attempts; wrapped as the tracer wraps it, at every
-    # rankmetric module that binds it, it runs once per _draws call
+    # rankmetric module that binds it, it runs once per attempt of a replay
+    # that draws randrange(q) per entry in row order and rejects on the
+    # oracle rank
     ctx = make_field(q, n)
-    calls = {"fq_rank": 0, "_draws": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
+    calls = 0
     rank = rankmetric.linalg.fq_rank
-    wrapped = counted("fq_rank", rank)
+
+    def wrapped(*args):
+        nonlocal calls
+        calls += 1
+        return rank(*args)
+
     for key, mod in list(sys.modules.items()):
         if key == "rankmetric" or key.startswith("rankmetric."):
             for attr, value in list(vars(mod).items()):
                 if value is rank:
                     monkeypatch.setattr(mod, attr, wrapped)
-    monkeypatch.setattr(rankmetric.channel, "_draws",
-                        counted("_draws", rankmetric.channel._draws))
-    rng = random.Random(q * n)
+    rng, replay = random.Random(q * n), random.Random(q * n)
+    attempts = 0
     for rows, cols in ((n, t), (t, t), (t, n)):
         for _ in range(200):
-            sample_full_rank(ctx, rows, cols, rng)
+            M = sample_full_rank(ctx, rows, cols, rng)
+            while True:
+                attempts += 1
+                R = [[replay.randrange(q) for _ in range(cols)]
+                     for _ in range(rows)]
+                if _oracle_rank(ctx, R) == min(rows, cols):
+                    break
+            assert M == R
     # 600 samples, so more attempts than that: some draws were rejected
-    assert calls["fq_rank"] == calls["_draws"] > 600
+    assert calls == attempts > 600
 
 
 def test_full_rank_sampler_needs_a_packed_side(F4):

@@ -47,7 +47,8 @@ def _decoder_rows(ctx, s, t):
 @pytest.mark.parametrize("f", [
     _insert_rows, _kernel_vector, fq_rank, _PackedMap.__call__,
     _syndrome_row, _full_root_space, _extend, _joint_decode,
-    GabidulinCode._read, GabidulinCode._from_gt, fqn_vecmat],
+    GabidulinCode._read, GabidulinCode._from_gt, fqn_vecmat,
+    sample_full_rank],
     ids=lambda f: f.__name__)
 def test_decode_hot_loops_keep_no_closure_cells(f):
     # a 3.11 comprehension is a nested function (PEP 709 inlines it from

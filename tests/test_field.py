@@ -311,6 +311,12 @@ def test_frobenius_examples(F4, F256):
         assert F256.frob(x, 0) == x
         assert F256.frob(F256.frob(x, -3), 3) == x
         assert F256.frob(x, F256.n) == x
+    # frob and linalg.fq_rank read one q-power table, the plain powers q^i,
+    # which differ from their residues mod q^n - 1 only at F_2 with n = 1
+    for q, n in ((2, 1), (2, 8), (3, 7), (4, 4), (9, 3)):
+        ctx = make_field(q, n)
+        assert ctx._qpow == [q ** i for i in range(n)]
+        assert not hasattr(ctx, "_place")
 
 
 def test_frobenius_additive_and_fq_linear(F9):

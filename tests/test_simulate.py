@@ -9,7 +9,7 @@ import pytest
 from rankmetric import (GabidulinCode, SimConfig, SimReport, failure_bound,
                         intersection_probability, make_field,
                         moore_matrix, run_scenario, wilson95)
-from rankmetric import channel, decoder, simulate
+from rankmetric import channel, decoder, linalg, simulate
 from rankmetric.decoder import DecodeOutcome, InterleavedOutcome
 from rankmetric.linalg import _rank, fqn_vecmat
 
@@ -445,10 +445,12 @@ def test_odd_q_payload_pins(pin):
 def test_stage_profile_counts_are_seed_exact(scenario, attempts, decodes,
                                              root_checks):
     # tests/stage_profile.py's call counts of a 300-trial seed-7 run at
-    # (2,8,2,4): sampler attempts (_draws), decodes and root-space checks
+    # (2,8,2,4): sampler attempts (fq_rank calls from sample_full_rank),
+    # decodes and root-space checks
     cfg = SimConfig(scenario=scenario, q=2, n=8, k=2, t=4, trials=300,
                     seed=7)
     table = profiled_run(cfg)[0]
-    assert [calls(table, f)[0] for f in (
-        channel._draws, decoder._joint_decode, decoder._full_root_space)] \
+    assert [calls(table, linalg.fq_rank, channel.sample_full_rank)[0],
+            calls(table, decoder._joint_decode)[0],
+            calls(table, decoder._full_root_space)[0]] \
         == [attempts, decodes, root_checks]
