@@ -1,16 +1,23 @@
 """Error ensembles: samplers over F_q matrices and exact counting formulas.
 
-One sampler, sample_full_rank, draws the channel's n-by-t and t-by-t F_q
-matrices (a square one is invertible) by rejection from the uniform entry
+One draw loop, _draw, draws the channel's n-by-t and t-by-t F_q matrices
+(a square one is invertible) by rejection from the uniform entry
 distribution, which is exactly uniform over the full-rank set and cheap at
 the field sizes used here: the acceptance probability of an invertible
 t-by-t matrix over F_q is bounded below by prod_i (1 - q^-i), about 0.289
 for q = 2.  Entries are drawn into rows with the words that rng.randrange(q)
 takes, so a seed gives the matrices of one randrange(q) per entry in row
 order.  Every q, q = 2 included, draws, ranks and multiplies with the same
-code.  An attempt's rank is one call of linalg.fq_rank on its lines of at
-most n entries packed as F_{q^n} elements, the columns of A and the rows of
-P, so an attempt eliminates t field elements, not a matrix entry by entry.
+code.  Each entry joins its line of at most n entries, packed as an
+F_{q^n} element, as it is drawn: the columns of A and the rows of P.  An
+attempt's rank is one call of linalg.fq_rank on those lines, so an attempt
+eliminates t field elements, not a matrix entry by entry, and an accepted
+attempt hands them back with the matrix.  The simulate trials call _draw
+and read the support alpha A off A's packed columns
+(GabidulinCode._support); the public sample_full_rank is _draw's matrix
+behind the checks of its shape, and sample_space_symmetric builds its
+error with the trials' _symmetric_error, from fqn_vecmat(alpha, A) for any
+basis alpha.
 
 Counts are exact Python ints produced directly from the product formulas,
 in integer arithmetic only; math.log2, which takes ints of any size, gives
@@ -20,9 +27,8 @@ their log2 to well below 1e-6 even for counts far beyond the float range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
-from .field import FieldCtx, _index, _ints, _packed, _prime_power
+from .field import FieldCtx, _index, _ints, _prime_power
 from .linalg import fq_rank, fqn_vecmat
 
 
@@ -42,38 +48,70 @@ class SpaceSymError:
     e: tuple[int, ...]
 
 
-def sample_full_rank(ctx: FieldCtx, rows: int, cols: int, rng):
-    """Uniform matrix of full rank min(rows, cols).
+def _draw(ctx: FieldCtx, rows: int, cols: int, rng):
+    """(M, lines): a uniform rows-by-cols matrix of full rank min(rows,
+    cols), unchecked, and its ranked side's lines packed as F_{q^n}
+    elements.
 
-    Each attempt builds the matrix M row by row as it draws it, then packs
-    the lines of one side, of at most n entries each, into F_{q^n} elements
-    and ranks them with fq_rank: the longer lines, the columns of an n-by-t
-    draw and the rows of a square or t-by-n one.  An accepted attempt
-    returns M itself.  A shape with both sides over n raises ValueError
-    before any draw."""
+    The ranked side is that of the longer lines that fit in n digits: the
+    columns of an n-by-t draw with t < n, the rows of a square or t-by-n
+    one.  Each attempt draws M row by row, and each entry x joins its
+    line as it is drawn, line = line q + x, so a line is field._packed of
+    its entries.  fq_rank ranks the lines once per attempt, and an
+    accepted attempt returns M and its lines."""
+    q, n = ctx.q, ctx.n
+    target = min(rows, cols)
+    by_rows = cols <= n and (cols >= rows or rows > n)
+    # randrange(q)'s words: k = q.bit_length() bits, again while >= q
+    k, bits = q.bit_length(), rng.getrandbits
+    while True:
+        M = []
+        if by_rows:
+            lines = []
+            for _ in range(rows):
+                row, line = [], 0
+                for _ in range(cols):
+                    x = bits(k)
+                    while x >= q:
+                        x = bits(k)
+                    row.append(x)
+                    line = line * q + x
+                M.append(row)
+                lines.append(line)
+        else:
+            lines = [0] * cols
+            for _ in range(rows):
+                row = []
+                for j in range(cols):
+                    x = bits(k)
+                    while x >= q:
+                        x = bits(k)
+                    row.append(x)
+                    lines[j] = lines[j] * q + x
+                M.append(row)
+        if fq_rank(ctx, lines) == target:
+            return M, lines
+
+
+def sample_full_rank(ctx: FieldCtx, rows: int, cols: int, rng):
+    """Uniform matrix of full rank min(rows, cols), drawn by _draw.
+
+    A shape with both sides over n raises ValueError before any draw."""
     rows, cols = _index(rows, "rows"), _index(cols, "cols")
     if rows < 0 or cols < 0:
         raise ValueError(f"need rows, cols >= 0, got {rows}, {cols}")
-    q, n = ctx.q, ctx.n
-    target = min(rows, cols)
-    if target > n:
-        raise ValueError(f"no side of a {rows}x{cols} draw fits in n={n}")
-    # pack the longer lines, so fewer elements, where they fit in n digits
-    by_rows = cols <= n and (cols >= rows or rows > n)
-    # randrange(q)'s words: k = q.bit_length() bits, again while >= q
-    k, bits, pack = q.bit_length(), rng.getrandbits, partial(_packed, q)
-    while True:
-        M = []
-        for _ in range(rows):
-            row = []
-            for _ in range(cols):
-                x = bits(k)
-                while x >= q:
-                    x = bits(k)
-                row.append(x)
-            M.append(row)
-        if fq_rank(ctx, list(map(pack, M if by_rows else zip(*M)))) == target:
-            return M
+    if min(rows, cols) > ctx.n:
+        raise ValueError(f"no side of a {rows}x{cols} draw fits in n={ctx.n}")
+    return _draw(ctx, rows, cols, rng)[0]
+
+
+def _symmetric_error(ctx: FieldCtx, a, A, P):
+    """The vector form of E = A P A^T from the support a = alpha A: with
+    b = a P, entry j is sum_l A[j][l] b_l, so e = b A^T; n zeros at
+    t = 0."""
+    if not P:
+        return (0,) * len(A)
+    return fqn_vecmat(ctx, fqn_vecmat(ctx, a, P), [*zip(*A)])
 
 
 def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
@@ -82,21 +120,18 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     A and P are drawn uniformly over full-rank n-by-t and invertible t-by-t
     matrices; every such E has exactly |GL_t(F_q)| factorizations, so
     E = A P A^T is uniform over the target ensemble.  The vector form is
-    taken relative to alpha, without forming E: with b = (alpha A) P, entry
-    j of the vector form is sum_l A[j][l] b_l.  Every q takes the same
-    three vector-by-F_q-matrix products.
+    taken relative to alpha, without forming E, by _symmetric_error from
+    alpha A: every q takes the same three vector-by-F_q-matrix products.
     """
     n = ctx.n
     alpha = _ints(alpha, "basis", ctx.order, length=n)
     t = _index(t, "t")
     if not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= {n}")
-    if t == 0:
-        return SpaceSymError(0, [[] for _ in range(n)], [], (0,) * n)
-    A = sample_full_rank(ctx, n, t, rng)
-    P = sample_full_rank(ctx, t, t, rng)
-    b = fqn_vecmat(ctx, fqn_vecmat(ctx, alpha, A), P)
-    return SpaceSymError(t, A, P, fqn_vecmat(ctx, b, [*zip(*A)]))
+    A = _draw(ctx, n, t, rng)[0]
+    P = _draw(ctx, t, t, rng)[0]
+    return SpaceSymError(t, A, P, _symmetric_error(
+        ctx, fqn_vecmat(ctx, alpha, A), A, P))
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,18 @@ which commute with Frobenius, so the transposed-code syndrome is
 s1_r = sum_j alpha_j y_j^(q^(r+1)) = T_(r+1): no coordinates and no
 transposed word.  A read costs two lookups per entry of the word, in that
 entry's two half tables, and n Frobenius twists in the log domain.
+
+The code also tabulates the F_p-linear map from an F_q matrix A's packed
+column to its entry of alpha A, sum_j A[j][l] alpha_j: the unit p^u of
+base-q digit i, row n-1-i, maps to p^u alpha_(n-1-i), and a column is
+read by two lookups in the field._halves of those images
+(_support).  The simulate trials read their support alpha A there from
+the columns the sampler has packed.
 """
 
 from __future__ import annotations
 
-from .field import FieldCtx, _index, _ints
+from .field import FieldCtx, _halves, _index, _ints
 from .linalg import _PackedMap, fqn_vecmat, moore_matrix
 from .wso import find_wso_basis, is_weak_self_orthogonal
 
@@ -70,6 +77,21 @@ class GabidulinCode:
         self._twist_map = _PackedMap(ctx, [
             [[exp[log[aj] + lt] for lt in tw] for tw in twists]
             for aj in self.alpha])
+        # alpha A from A's columns packed as base-q digits, row 0 first:
+        # base-p digit u of base-q digit i is the unit p^u at row n-1-i
+        self._alpha_span = _halves(ctx.p, [
+            ctx.mul(ctx.p ** u, a) for a in reversed(alpha)
+            for u in range(ctx.e)], ctx.add)
+
+    def _support(self, cols) -> tuple[int, ...]:
+        """alpha A for the F_q matrix A given by its columns packed as
+        channel._draw packs them: entry l, sum_j A[j][l] alpha_j, is two
+        lookups of column l in the field._halves of the unit images."""
+        lo, hi, P = self._alpha_span
+        add, a = self.ctx.add, []
+        for c in cols:
+            a.append(add(lo[c % P], hi[c // P]))
+        return tuple(a)
 
     def encode(self, u) -> tuple[int, ...]:
         """Codeword u G for a length-k message over F_{q^n}."""

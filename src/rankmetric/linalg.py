@@ -14,11 +14,12 @@ reads its kernel vector off it (_kernel_vector).  Every F_q rank is
 fq_rank's, on packed rows: a row of at most n F_q entries, as base-q
 digits (field._packed), is an element of F_{q^n}, and F_q row operations
 are the field's own sub and mul by a digit, one table step per row
-operation instead of one per entry.  The sampler packs its draws by lines
-of at most n entries and refuses a shape with none; vector_rank's entries
-come packed.  Kernels, solves and basis coordinates live with the test
-references.  The per-decode loops here are plain loops, not
-comprehensions, so that their locals stay fast locals under Python 3.11.
+operation instead of one per entry.  The sampler packs each line of at
+most n entries as it draws it, line = line q + x, and refuses a shape
+with none; vector_rank's entries come packed.  Kernels, solves and basis
+coordinates live with the test references.  The per-decode loops here are
+plain loops, not comprehensions, so that their locals stay fast locals
+under Python 3.11.
 
 Every input is read once, by a check that returns what it read:
 field._ints, the package's one entry reader, reads the entries of words,
@@ -26,16 +27,18 @@ messages, bases and vectors with operator.index into a tuple of ints and
 checks their range and, where it is fixed, their number; _dims reads the
 rows of the F_q matrices that fq_matmul and phi_inv take through it.  The
 computation reads only those ints.  fq_rank and _rank read their input
-unchecked and stay out of the package's exports: the samplers call
-fq_rank per attempt, where a check would cost 0.5 to 1.1 times the rank
-itself, and the benchmark's tracer counts the samplers' calls of
-linalg.fq_rank as their attempts.
+unchecked and stay out of the package's exports: the sampler's draw loop
+(channel._draw) calls fq_rank per attempt, where a check would cost 0.5
+to 1.1 times the rank itself, and the benchmark's tracer counts the calls
+of linalg.fq_rank made from the channel's public samplers as their
+attempts.
 
 Also home to F_p-linear maps tabulated on packed ints (_PackedMap), which
 read each input from its two half tables (field._halves), as the field
-build reads its generator step and trace; the map from n-by-n matrices
-over F_q to length-n vectors over F_{q^n} relative to a basis (phi_inv);
-and Moore matrices.  The text form of vectors is cli.py's.
+build reads its generator step and trace and the code its support; the
+map from n-by-n matrices over F_q to length-n vectors over F_{q^n}
+relative to a basis (phi_inv); and Moore matrices.  The text form of
+vectors is cli.py's.
 """
 
 from __future__ import annotations

@@ -20,6 +20,13 @@ counts as a miscorrection.  That is the verdict on codeword plus error for
 any codeword, as decoding is translation-equivariant: the syndromes vanish
 on codewords, and the decoded word of c + e is c plus that of e.
 
+Every trial draws its F_q matrices with channel._draw and reads the
+support a = alpha A off the columns of A that the draw has packed, two
+lookups per column in the code's alpha table (GabidulinCode._support),
+not by an n-by-t product.  Scenario 1 builds e = (a P) A^T with
+channel._symmetric_error, the error sample_space_symmetric gives from a
+stream of the same seed, without that function's checks of its inputs.
+
 Every trial owns an RNG stream derived from (seed, trial index) through
 SHA-256, so results are identical for any shard count and shards can run
 in parallel processes; shard w of W runs trials trials * w // W up to
@@ -45,8 +52,7 @@ import time
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .channel import _gaussian_binomial, sample_full_rank, \
-    sample_space_symmetric
+from .channel import _draw, _gaussian_binomial, _symmetric_error
 from .code import GabidulinCode, _radius
 from .decoder import decode, interleaved_decode
 from .field import _index, _prime_power, make_field
@@ -187,8 +193,10 @@ def _judged(codewords) -> tuple[bool, bool]:
 
 
 def _trial_genuine(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
-    err = sample_space_symmetric(code.ctx, code.alpha, t, rng)
-    out = decode(code, err.e)
+    ctx = code.ctx
+    A, cols = _draw(ctx, code.n, t, rng)
+    P = _draw(ctx, t, t, rng)[0]
+    out = decode(code, _symmetric_error(ctx, code._support(cols), A, P))
     return _judged(None if out.codeword is None else [out.codeword])
 
 
@@ -205,22 +213,19 @@ def _coupling_fails(code: GabidulinCode, a, P, Q) -> bool:
 
 def _trial_uniform_coupling(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
     ctx = code.ctx
-    A = sample_full_rank(ctx, code.n, t, rng)
-    a = fqn_vecmat(ctx, code.alpha, A)
-    P = sample_full_rank(ctx, t, t, rng)
-    Q = sample_full_rank(ctx, t, t, rng)
+    a = code._support(_draw(ctx, code.n, t, rng)[1])
+    P = _draw(ctx, t, t, rng)[0]
+    Q = _draw(ctx, t, t, rng)[0]
     return _coupling_fails(code, a, P, Q), False
 
 
 def _trial_interleaved(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
     ctx = code.ctx
     n = code.n
-    A = sample_full_rank(ctx, n, t, rng)
-    a = fqn_vecmat(ctx, code.alpha, A)
+    a = code._support(_draw(ctx, n, t, rng)[1])
     errors = []
     for _ in range(2):
-        B = sample_full_rank(ctx, t, n, rng)
-        errors.append(fqn_vecmat(ctx, a, B))
+        errors.append(fqn_vecmat(ctx, a, _draw(ctx, t, n, rng)[0]))
     return _judged(interleaved_decode(code, *errors).codewords)
 
 

@@ -18,18 +18,24 @@ and for each scenario 1-3 at that shape
   time per trial, and once under cProfile;
 - prints, for each layer of the pipeline, each function's exact call
   count, its calls per trial, and its cumulative and self time as shares
-  of the profiled run.
+  of the profiled run;
+- times simulate._trial_rng alone, without a profiler, on the trials'
+  own (seed, index) pairs, and prints its us per call on its row.
 
 The layers are the per-trial generator (simulate._trial_rng), the
-sampler (sample_full_rank, and fq_rank called from it, once per attempt),
-the products (fqn_vecmat), the syndrome pair (GabidulinCode._read), the
+sampler (channel._draw, and fq_rank called from it, once per attempt),
+the products (fqn_vecmat, and the support alpha A read off the packed
+columns, GabidulinCode._support), the syndrome pair (GabidulinCode._read), the
 countdown (_insert_rows called from _joint_decode, _syndrome_row), the
 root space (_full_root_space), the recovery (_extend,
 GabidulinCode._from_gt) and scenario 2's rank (_rank); _joint_decode's
 row holds the whole decode after the syndrome pair.  Shares overlap: a
-cumulative time includes the functions called.  cProfile slows the trials about threefold, so times
-come from the run without a profiler and only shares and counts from the
-profiled one.  The counts are exact for a seed, and
+cumulative time includes the functions called.  cProfile slows the
+trials about threefold, so times come from the run without a profiler
+and only shares and counts from the profiled one.  It also charges a
+fixed cost to every Python call, which understates a layer that is one
+call into C, such as the seeding in _trial_rng: hence its unprofiled
+time.  The counts are exact for a seed, and
 tests/test_simulate.py pins three of them.  The file is not a test
 module.
 """
@@ -55,9 +61,10 @@ def layers():
     from rankmetric.code import GabidulinCode
     return [
         ("trial rng", simulate._trial_rng, None),
-        ("sampler", channel.sample_full_rank, None),
-        ("sampler", linalg.fq_rank, channel.sample_full_rank),
+        ("sampler", channel._draw, None),
+        ("sampler", linalg.fq_rank, channel._draw),
         ("products", linalg.fqn_vecmat, None),
+        ("products", GabidulinCode._support, None),
         ("syndrome pair", GabidulinCode._read, None),
         ("decode", decoder._joint_decode, None),
         ("countdown", linalg._insert_rows, decoder._joint_decode),
@@ -116,6 +123,10 @@ def report(q, n, k, t, scenario) -> str:
     start = time.perf_counter()
     failures = simulate._run_range(cfg, 0, TRIALS)[0]
     per_trial = (time.perf_counter() - start) / TRIALS
+    start = time.perf_counter()
+    for index in range(TRIALS):
+        simulate._trial_rng(SEED, index)
+    rng_us = (time.perf_counter() - start) / TRIALS * 1e6
     table, total, profiled_failures = profiled_run(cfg)
     if profiled_failures != failures:
         raise AssertionError("the profiled run failed other trials")
@@ -129,6 +140,8 @@ def report(q, n, k, t, scenario) -> str:
         name = f.__qualname__ + (f" < {caller.__name__}" if caller else "")
         lines.append(f"  {layer:<16}{name:<30}{nc:>9}{nc / TRIALS:>11.3f}"
                      f"{ct / total:>8.1%}{tt / total:>8.1%}")
+        if f is simulate._trial_rng:
+            lines[-1] += f"  {rng_us:.1f} us/call unprofiled"
     return "\n".join(lines)
 
 

@@ -10,6 +10,8 @@ import rankmetric.channel
 from rankmetric import (count_rank, count_space_symmetric,
                         count_symmetric, find_wso_basis, gaussian_binomial,
                         make_field, sample_full_rank, sample_space_symmetric)
+from rankmetric.channel import _draw
+from rankmetric.field import _packed
 from rankmetric.linalg import _rank, fq_matmul, phi_inv
 
 
@@ -256,6 +258,26 @@ def test_sampler_ranks_once_per_draw(monkeypatch, q, n, t):
             assert M == R
     # 600 samples, so more attempts than that: some draws were rejected
     assert calls == attempts > 600
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (3, 7), (4, 4), (9, 3)])
+def test_draw_returns_the_packed_lines_of_its_ranked_side(q, n):
+    # _draw packs each line as it draws it: the columns of an n-by-t draw
+    # with t < n and of a 2-by-(n+2) one, the rows of a square, t-by-n or
+    # (n+2)-by-2 one, each as field._packed of its entries; M is the public
+    # sampler's draw from the same seed, with the same draws after it
+    ctx, t = make_field(q, n), n // 2
+    for (rows, cols), side in (((n, t), "cols"), ((2, n + 2), "cols"),
+                               ((n, 0), "cols"), ((t, t), "rows"),
+                               ((t, n), "rows"), ((n, n), "rows"),
+                               ((n + 2, 2), "rows")):
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            M, lines = _draw(ctx, rows, cols, rng)
+            assert M == sample_full_rank(ctx, rows, cols, ref)
+            ranked = M if side == "rows" else list(zip(*M))
+            assert lines == [_packed(q, line) for line in ranked]
+            assert rng.random() == ref.random()
 
 
 def test_full_rank_sampler_needs_a_packed_side(F4):

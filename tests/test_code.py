@@ -6,6 +6,7 @@ import pytest
 from rankmetric import (GabidulinCode, find_wso_basis, make_field,
                         moore_matrix, sample_space_symmetric, vector_rank)
 from rankmetric.code import _radius
+from rankmetric.field import _packed
 from rankmetric.linalg import fq_matmul, fqn_vecmat
 
 from field_digests import code_digest, table_digest
@@ -243,6 +244,23 @@ def test_twist_map_tables_match_per_digit_packing(q, n, k):
     images = [[[ctx.mul(aj, ctx.frob(ctx.p ** u, i)) for i in range(1, n + 1)]
                for u in range(n * ctx.e)] for aj in code.alpha]
     assert code._twist_map._table == packed_map_tables(ctx, images, n * ctx.e)
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 8, 2), (3, 7, 1), (4, 4, 1),
+                                   (8, 3, 1), (9, 3, 1)])
+def test_support_read_matches_product(q, n, k):
+    # alpha A read off A's packed columns in the code's alpha table is the
+    # product alpha A, for F_q matrices of every width up to n and any
+    # rank; at q = 4, 8 and 9 each base-q digit spans e > 1 base-p units,
+    # so a wrong digit order or a wrong unit image fails here
+    ctx = make_field(q, n)
+    code = GabidulinCode(ctx, k)
+    rng = random.Random(q * n + 1)
+    for width in range(n + 1):
+        for _ in range(30):
+            A = [[rng.randrange(q) for _ in range(width)] for _ in range(n)]
+            cols = [_packed(q, col) for col in zip(*A)]
+            assert code._support(cols) == fqn_vecmat(ctx, code.alpha, A)
 
 
 # public digests (basis, G, H, Hhat) printed by tests/field_digests.py

@@ -11,6 +11,7 @@ from rankmetric import (DecodeOutcome, GabidulinCode, InterleavedOutcome,
                         is_weak_self_orthogonal, make_field, phi_inv,
                         run_scenario, sample_full_rank,
                         sample_space_symmetric, vector_rank)
+from rankmetric.channel import _draw
 from rankmetric.decoder import _extend, _full_root_space, _joint_decode, \
     _syndrome_row
 from rankmetric.linalg import _PackedMap, _insert_rows, _kernel_vector, \
@@ -47,8 +48,8 @@ def _decoder_rows(ctx, s, t):
 @pytest.mark.parametrize("f", [
     _insert_rows, _kernel_vector, fq_rank, _PackedMap.__call__,
     _syndrome_row, _full_root_space, _extend, _joint_decode,
-    GabidulinCode._read, GabidulinCode._from_gt, fqn_vecmat,
-    sample_full_rank],
+    GabidulinCode._read, GabidulinCode._from_gt, GabidulinCode._support,
+    fqn_vecmat, sample_full_rank, _draw],
     ids=lambda f: f.__name__)
 def test_decode_hot_loops_keep_no_closure_cells(f):
     # a 3.11 comprehension is a nested function (PEP 709 inlines it from

@@ -8,7 +8,8 @@ import pytest
 
 from rankmetric import (GabidulinCode, SimConfig, SimReport, failure_bound,
                         intersection_probability, make_field,
-                        moore_matrix, run_scenario, wilson95)
+                        moore_matrix, run_scenario, sample_space_symmetric,
+                        wilson95)
 from rankmetric import channel, decoder, linalg, simulate
 from rankmetric.decoder import DecodeOutcome, InterleavedOutcome
 from rankmetric.linalg import _rank, fqn_vecmat
@@ -287,6 +288,40 @@ def test_miscorrections_count_as_failures(monkeypatch):
                 (status, scenario)
 
 
+@pytest.mark.parametrize("q,n,k,t", [(2, 8, 2, 4), (3, 7, 1, 4),
+                                     (4, 4, 1, 2), (9, 3, 1, 1),
+                                     (2, 8, 2, 0)])
+def test_genuine_trial_decodes_the_public_samplers_error(monkeypatch, q, n,
+                                                         k, t):
+    # scenario 1 builds e from _draw's A and P and the code's alpha table,
+    # sample_space_symmetric from fqn_vecmat(alpha, A): each trial decodes
+    # the public sampler's error from a stream of the same seed, n zeros
+    # at t = 0, and leaves the stream where the sampler does
+    code = simulate._code(q, n, k)
+    words = []
+
+    def spy(code, y):
+        words.append(y)
+        return decoder.decode(code, y)
+
+    monkeypatch.setattr(simulate, "decode", spy)
+    for index in range(40):
+        rng, ref = simulate._trial_rng(5, index), simulate._trial_rng(5, index)
+        simulate._trial_genuine(code, t, rng)
+        err = sample_space_symmetric(code.ctx, code.alpha, t, ref)
+        assert words[-1] == err.e
+        assert rng.random() == ref.random()
+    assert len(words) == 40
+    if t == 0:
+        assert words == [(0,) * n] * 40
+
+
+def test_scenario1_at_rank_zero_decodes_every_trial():
+    cfg = SimConfig(scenario=1, q=2, n=8, k=2, t=0, trials=50, seed=3)
+    rep = run_scenario(cfg)
+    assert (rep.failures, rep.miscorrections) == (0, 0)
+
+
 def test_report_invariants():
     cfg = SimConfig(scenario=3, q=2, n=8, k=2, t=2, trials=500, seed=1)
     rep = run_scenario(cfg)
@@ -445,12 +480,12 @@ def test_odd_q_payload_pins(pin):
 def test_stage_profile_counts_are_seed_exact(scenario, attempts, decodes,
                                              root_checks):
     # tests/stage_profile.py's call counts of a 300-trial seed-7 run at
-    # (2,8,2,4): sampler attempts (fq_rank calls from sample_full_rank),
+    # (2,8,2,4): sampler attempts (fq_rank calls from channel._draw),
     # decodes and root-space checks
     cfg = SimConfig(scenario=scenario, q=2, n=8, k=2, t=4, trials=300,
                     seed=7)
     table = profiled_run(cfg)[0]
-    assert [calls(table, linalg.fq_rank, channel.sample_full_rank)[0],
+    assert [calls(table, linalg.fq_rank, channel._draw)[0],
             calls(table, decoder._joint_decode)[0],
             calls(table, decoder._full_root_space)[0]] \
         == [attempts, decodes, root_checks]
