@@ -8,16 +8,8 @@ t-by-t matrix over F_q is bounded below by prod_i (1 - q^-i), about 0.289
 for q = 2.  Entries are drawn into rows with the words that rng.randrange(q)
 takes, so a seed gives the matrices of one randrange(q) per entry in row
 order.  Every q, q = 2 included, draws, ranks and multiplies with the same
-code.  Each entry joins its line of at most n entries, packed as an
-F_{q^n} element, as it is drawn: the columns of A and the rows of P.  An
-attempt's rank is one call of linalg.fq_rank on those lines, so an attempt
-eliminates t field elements, not a matrix entry by entry, and an accepted
-attempt hands them back with the matrix.  The simulate trials call _draw
-and read the support alpha A off A's packed columns
-(GabidulinCode._support); the public sample_full_rank is _draw's matrix
-behind the checks of its shape, and sample_space_symmetric builds its
-error with the trials' _symmetric_error, from fqn_vecmat(alpha, A) for any
-basis alpha.
+code, and an attempt ranks t packed lines, not a matrix entry by entry.
+The public samplers check their inputs and draw through _draw.
 
 Counts are exact Python ints produced directly from the product formulas,
 in integer arithmetic only; math.log2, which takes ints of any size, gives
@@ -56,9 +48,8 @@ def _draw(ctx: FieldCtx, rows: int, cols: int, rng):
     The ranked side is that of the longer lines that fit in n digits: the
     columns of an n-by-t draw with t < n, the rows of a square or t-by-n
     one.  Each attempt draws M row by row, and each entry x joins its
-    line as it is drawn, line = line q + x, so a line is field._packed of
-    its entries.  fq_rank ranks the lines once per attempt, and an
-    accepted attempt returns M and its lines."""
+    line as it is drawn, line = line q + x (field._packed of its entries);
+    fq_rank ranks the lines once per attempt."""
     q, n = ctx.q, ctx.n
     target = min(rows, cols)
     by_rows = cols <= n and (cols >= rows or rows > n)
@@ -121,7 +112,7 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     matrices; every such E has exactly |GL_t(F_q)| factorizations, so
     E = A P A^T is uniform over the target ensemble.  The vector form is
     taken relative to alpha, without forming E, by _symmetric_error from
-    alpha A: every q takes the same three vector-by-F_q-matrix products.
+    alpha A.
     """
     n = ctx.n
     alpha = _ints(alpha, "basis", ctx.order, length=n)

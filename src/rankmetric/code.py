@@ -26,11 +26,8 @@ transposed word.  A read costs two lookups per entry of the word, in that
 entry's two half tables, and n Frobenius twists in the log domain.
 
 The code also tabulates the F_p-linear map from an F_q matrix A's packed
-column to its entry of alpha A, sum_j A[j][l] alpha_j: the unit p^u of
-base-q digit i, row n-1-i, maps to p^u alpha_(n-1-i), and a column is
-read by two lookups in the field._halves of those images
-(_support).  The simulate trials read their support alpha A there from
-the columns the sampler has packed.
+column to its entry of alpha A, sum_j A[j][l] alpha_j (_support): the
+unit p^u of base-q digit i, row n-1-i, maps to p^u alpha_(n-1-i).
 """
 
 from __future__ import annotations
@@ -66,29 +63,24 @@ class GabidulinCode:
         self.k = k
         self.alpha = alpha
         self._G = moore_matrix(ctx, self.alpha, k)
-        self._dk_inv = [ctx.inv(d) for d in diag[:k]]
+        self._dk_inv = [ctx._inv(d) for d in diag[:k]]
         exp, log, L = ctx._exp, ctx._log, ctx.order - 1
-        # T_i = sum_j alpha_j y_j^(q^i), i = 1..n, as one F_p-linear map of
-        # the n received entries: the unit x = p^u at position j maps to
-        # alpha_j x^(q^i), read off the logs.
         qpow = ctx._qpow[1:] + ctx._qpow[:1]  # q^1..q^n, as q^n = 1 mod L
         twists = [[log[ctx.p ** u] * qi % L for qi in qpow]
                   for u in range(n * ctx.e)]
         self._twist_map = _PackedMap(ctx, [
             [[exp[log[aj] + lt] for lt in tw] for tw in twists]
             for aj in self.alpha])
-        # alpha A from A's columns packed as base-q digits, row 0 first:
-        # base-p digit u of base-q digit i is the unit p^u at row n-1-i
         self._alpha_span = _halves(ctx.p, [
-            ctx.mul(ctx.p ** u, a) for a in reversed(alpha)
-            for u in range(ctx.e)], ctx.add)
+            ctx._mul(ctx.p ** u, a) for a in reversed(alpha)
+            for u in range(ctx.e)], ctx._add)
 
     def _support(self, cols) -> tuple[int, ...]:
         """alpha A for the F_q matrix A given by its columns packed as
         channel._draw packs them: entry l, sum_j A[j][l] alpha_j, is two
         lookups of column l in the field._halves of the unit images."""
         lo, hi, P = self._alpha_span
-        add, a = self.ctx.add, []
+        add, a = self.ctx._add, []
         for c in cols:
             a.append(add(lo[c % P], hi[c // P]))
         return tuple(a)
@@ -101,7 +93,7 @@ class GabidulinCode:
     def _from_gt(self, cg) -> tuple[int, ...]:
         """The codeword c with c G^T = cg: c = c M^T D^-1 M, and c M^T is
         cg followed by c H^T = 0, so c is cg D_k^-1 encoded."""
-        u = list(map(self.ctx.mul, cg, self._dk_inv))
+        u = list(map(self.ctx._mul, cg, self._dk_inv))
         return fqn_vecmat(self.ctx, u, self._G)
 
     def syndromes(self, y) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -116,9 +108,7 @@ class GabidulinCode:
         """(y, s1, s2, y G^T) of a received word y, from T_1..T_n.
 
         y comes back as the tuple of ints checked and read here, which is
-        all the decoder reads of the word.  s1_r = T_(r+1), and
-        T_(n-i)^(q^i) = sum_j alpha_j^(q^i) y_j is entry i of y M^T: y G^T
-        for i < k and s2_(i-k) from there on.
+        all the decoder reads of the word.
         """
         ctx = self.ctx
         y = _ints(y, "word", ctx.order, length=self.n)

@@ -32,11 +32,8 @@ inserts its rows m = t.
 At a hit the kernel vector gamma gives Gamma = sum_j gamma_j x^(q^j).
 A pivot in column t means gamma_t = 0, a q-degree below t; otherwise
 gamma_t = 1, and Gamma is accepted when its root space V in F_{q^n} has
-dimension t (_full_root_space): when Gamma right-divides x^(q^n) - x, which
-is central in F_{q^n}[x; sigma], so when Gamma left-divides it.  Each of
-the n left steps is a shift of the remainder less one multiple of Gamma,
-with no Frobenius of its coefficients, and they reject gamma_0 = 0, which
-never passes.  Decoding fails at once on a rejected hit.
+dimension t, tested by n steps of left division (_full_root_space).
+Decoding fails at once on a rejected hit.
 Each word's ordinary syndrome s = e H^T, on the Moore powers
 q^k..q^(n-1), is then continued by Gamma's recurrence to the powers
 q^n..q^(n+k-1), which act as q^0..q^(k-1) on F_{q^n}: the continuation is
@@ -112,7 +109,7 @@ def _full_root_space(ctx: FieldCtx, g) -> bool:
     step on, so the n steps reject it with no test of their own.
     """
     t = len(g) - 1
-    exp, log, L, sub, n = ctx._exp, ctx._log, ctx.order - 1, ctx.sub, ctx.n
+    exp, log, L, sub, n = ctx._exp, ctx._log, ctx.order - 1, ctx._sub, ctx.n
     qpow, lead = ctx._qpow, log[g[t]]
     qinv = qpow[-t % n]
     # r is w[i:i + t] at step i, top coefficient first; j at w[i + t - j]
@@ -134,13 +131,10 @@ def _full_root_space(ctx: FieldCtx, g) -> bool:
 
 def _extend(ctx: FieldCtx, g, s):
     """The n - len(s) entries that continue s by g's recurrence
-    sum_j g_j s_(m-j)^(q^j) = 0.
-
-    The syndrome e H^T of every error e with entries in g's root space
-    satisfies it at every m, and its continuation is e G^T, as
-    x^(q^(n+r)) = x^(q^r) on F_{q^n}."""
-    exp, log, L, add = ctx._exp, ctx._log, ctx.order - 1, ctx.add
-    qpow, neg = ctx._qpow, L - log[g[0]] + log[ctx.neg(1)]
+    sum_j g_j s_(m-j)^(q^j) = 0: e G^T, from the syndrome e H^T of an
+    error e with entries in g's root space (module notes)."""
+    exp, log, L, add = ctx._exp, ctx._log, ctx.order - 1, ctx._add
+    qpow, neg = ctx._qpow, L - log[g[0]] + log[ctx._sub(0, 1)]
     terms = []
     for j in range(1, len(g)):
         if g[j]:
@@ -188,7 +182,7 @@ def _joint_decode(code: GabidulinCode, words, s1, s2, reads):
         gamma = _kernel_vector(ctx, basis, t)  # gamma_t = 0 iff t in basis
         if t in basis or not _full_root_space(ctx, gamma):
             break
-        sub, codewords, errors = ctx.sub, [], []
+        sub, codewords, errors = ctx._sub, [], []
         for y, (s, yg) in zip(words, reads):
             c = code._from_gt(map(sub, yg, _extend(ctx, gamma, s)))
             codewords.append(c)

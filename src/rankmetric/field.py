@@ -11,13 +11,11 @@ field scalars can be fed to extension arithmetic unchanged.
 Defining polynomials are picked deterministically: the lexicographically
 smallest monic irreducible of the required degree, comparing coefficient
 tuples constant term first.  A caller-supplied modulus is verified instead;
-it is a sequence of ints in F_q (cli.py parses the text form), read like
-from_coeffs's coefficients and every word, basis, vector and matrix row
-the other modules take by _ints, the package's one entry reader.  The
-build has one polynomial arithmetic: residues modulo a polynomial are
-packed ints, like the field elements, with one product (shifts and XOR
-over F_2) and one gcd test per modulus, one square-and-multiply and one
-Rabin irreducibility test for every q.
+it is a sequence of ints in F_q, read by _ints, the package's one entry
+reader.  The build has one polynomial arithmetic: residues modulo a
+polynomial are packed ints, like the field elements, with one product
+(shifts and XOR over F_2) and one gcd test per modulus, one
+square-and-multiply and one Rabin irreducibility test for every q.
 
 Both levels (F_q when e > 1, and F_{q^n}) get exp/log tables over a fixed
 multiplicative generator, so multiplication, inversion and Frobenius powers
@@ -453,6 +451,12 @@ def _tabled(p: int, fo: _ScalarOps, mod):
 class FieldCtx:
     """Immutable description of F_q and F_{q^n} with packed-int arithmetic.
 
+    The public surface is the checked add, the conversions coeffs and
+    from_coeffs, and rand_elem.  The table ops _add, _sub, _mul, _inv,
+    _frob and _trace are private: they run unchecked, per entry, on every
+    hot path, where a check would cost about as much as the op, and each
+    caller binds them once per call.
+
     Attributes:
         p, e, q: base field characteristic, extension exponent, order (q = p^e)
         n: extension degree
@@ -492,8 +496,7 @@ class FieldCtx:
 
         ops, exp, log = _tabled(p, fo, modulus)
         self._exp, self._log = exp, log
-        _, self.add, self.sub, self.mul, self.inv = ops
-        self.neg = lambda a, _sub=ops.sub: _sub(0, a)
+        _, self._add, self._sub, self._mul, self._inv = ops
 
         L = self.order - 1
         qpow = [q ** i for i in range(n)]
@@ -518,7 +521,7 @@ class FieldCtx:
         def trace(x, _lo=lo, _hi=hi, _P=P, _add=add):
             return _add(_lo[x % _P], _hi[x // _P])
 
-        self.frob, self.trace, self._qpow = frob, trace, qpow
+        self._frob, self._trace, self._qpow = frob, trace, qpow
 
         # where a nonzero element x leads, for linalg.fq_rank: with
         # b = x.bit_length(), _top[b] is the highest c < n with q^c < 2^b,
@@ -526,6 +529,11 @@ class FieldCtx:
         # _qpow[c], as [2^(b-1), 2^b) holds at most one power of q
         self._top = [0] + [bisect_left(qpow, 1 << b) - 1
                            for b in range(1, L.bit_length() + 1)]
+
+    def add(self, a, b) -> int:
+        """a + b, both read by _ints as elements of [0, q^n)."""
+        a, b = _ints((a, b), "element", self.order)
+        return self._add(a, b)
 
     # -- conversions -------------------------------------------------------
 

@@ -7,38 +7,24 @@ row by row through fqn_vecmat, the package's one product: multiplying F_q
 matrices never leaves the subfield.
 
 There are two eliminations, one per field.  Over F_{q^n}, _insert_rows
-inserts rows one by one into an echelon basis in the log domain: _rank
-counts its pivots for scenario 2's Moore rows of aP and aPQ, and the
+inserts rows one by one into an echelon basis in the log domain: the
 decoder's trial-rank countdown keeps one basis across its trials and
-reads its kernel vector off it (_kernel_vector).  Every F_q rank is
-fq_rank's, on packed rows: a row of at most n F_q entries, as base-q
-digits (field._packed), is an element of F_{q^n}, and F_q row operations
-are the field's own sub and mul by a digit, one table step per row
-operation instead of one per entry.  The sampler packs each line of at
-most n entries as it draws it, line = line q + x, and refuses a shape
-with none; vector_rank's entries come packed.  Kernels, solves and basis
-coordinates live with the test references.  The per-decode loops here are
-plain loops, not comprehensions, so that their locals stay fast locals
-under Python 3.11.
+reads its kernel vector off it (_kernel_vector), and scenario 2 counts
+the pivots of its Moore rows.  Every F_q rank is fq_rank's, on packed
+rows: a row of at most n F_q entries, as base-q digits (field._packed),
+is an element of F_{q^n}, and F_q row operations are the field's own _sub
+and _mul by a digit, one table step per row operation instead of one per
+entry.  The per-decode loops here are plain loops, not comprehensions,
+so that their locals stay fast locals under Python 3.11.
 
-Every input is read once, by a check that returns what it read:
-field._ints, the package's one entry reader, reads the entries of words,
-messages, bases and vectors with operator.index into a tuple of ints and
-checks their range and, where it is fixed, their number; _dims reads the
-rows of the F_q matrices that fq_matmul and phi_inv take through it.  The
-computation reads only those ints.  fq_rank and _rank read their input
-unchecked and stay out of the package's exports: the sampler's draw loop
-(channel._draw) calls fq_rank per attempt, where a check would cost 0.5
-to 1.1 times the rank itself, and the benchmark's tracer counts the calls
-of linalg.fq_rank made from the channel's public samplers as their
-attempts.
+Every public function reads its input once, by field._ints or _dims,
+and computes only on the ints read.  fq_rank reads its input unchecked
+and stays out of the package's exports: the sampler calls it per
+attempt, where a check would cost 0.5 to 1.1 times the rank itself.
 
-Also home to F_p-linear maps tabulated on packed ints (_PackedMap), which
-read each input from its two half tables (field._halves), as the field
-build reads its generator step and trace and the code its support; the
+Also home to F_p-linear maps tabulated on packed ints (_PackedMap), the
 map from n-by-n matrices over F_q to length-n vectors over F_{q^n}
-relative to a basis (phi_inv); and Moore matrices.  The text form of
-vectors is cli.py's.
+relative to a basis (phi_inv), and Moore matrices.
 """
 
 from __future__ import annotations
@@ -55,7 +41,7 @@ from .field import FieldCtx, _FQ_RANGE, _halves, _index, _ints
 def _insert_rows(ctx: FieldCtx, basis, rows):
     """Add each row (a list, consumed) to basis, which maps each pivot column
     to its row's (column, log entry) pairs right of the leading 1."""
-    exp, log, L, sub = ctx._exp, ctx._log, ctx.order - 1, ctx.sub
+    exp, log, L, sub = ctx._exp, ctx._log, ctx.order - 1, ctx._sub
     for row in rows:
         for c, v in enumerate(row):   # reads row[c] after the updates below
             if not v:
@@ -78,7 +64,7 @@ def _kernel_vector(ctx: FieldCtx, basis, t: int):
 
     The kernel is one-dimensional; the vector is scaled to 1 at the one
     column without a pivot and found by back substitution from column t."""
-    exp, log, sub = ctx._exp, ctx._log, ctx.sub
+    exp, log, sub = ctx._exp, ctx._log, ctx._sub
     vec = [0] * (t + 1)
     for c in range(t, -1, -1):
         acc = 0 if c in basis else 1
@@ -89,13 +75,6 @@ def _kernel_vector(ctx: FieldCtx, basis, t: int):
     return vec
 
 
-def _rank(ctx: FieldCtx, M) -> int:
-    """Rank of a matrix over F_{q^n} (so over F_q), unchecked."""
-    basis = {}
-    _insert_rows(ctx, basis, [list(r) for r in M])
-    return len(basis)
-
-
 # ---------------------------------------------------------------------------
 # Elimination over F_q on packed rows.
 # ---------------------------------------------------------------------------
@@ -104,12 +83,12 @@ def fq_rank(ctx: FieldCtx, xs) -> int:
     """Dimension of the F_q-span of the F_{q^n} elements xs, unchecked.
 
     Each element is a row of n F_q entries, its base-q digits, and the
-    field's own sub and mul are the row operations.  basis maps a digit
+    field's own _sub and _mul are the row operations.  basis maps a digit
     position to an element whose top digit, there, is 1; an element with
     top digit d at a basis position c is reduced to r - d basis[c] until it
     is 0 or leads at a new position, read off the field's q-power table
     _qpow and its bit-length table _top."""
-    sub, mul, inv = ctx.sub, ctx.mul, ctx.inv
+    sub, mul, inv = ctx._sub, ctx._mul, ctx._inv
     top, qpow = ctx._top, ctx._qpow
     basis = {}
     for r in xs:
@@ -132,7 +111,7 @@ def fq_rank(ctx: FieldCtx, xs) -> int:
 
 def fqn_vecmat(ctx: FieldCtx, v, M):
     """Row vector v times matrix M, both over F_{q^n}, in the log domain."""
-    exp, log, add = ctx._exp, ctx._log, ctx.add
+    exp, log, add = ctx._exp, ctx._log, ctx._add
     out = [0] * (len(M[0]) if M else 0)
     for l, a in enumerate(v):
         if a:
@@ -236,7 +215,7 @@ def moore_matrix(ctx: FieldCtx, v, rows: int):
     if rows < 1:
         raise ValueError("need at least one row")
     v = _ints(v, "vector", ctx.order)
-    frob = ctx.frob
+    frob = ctx._frob
     return [[frob(x, r) for x in v] for r in range(rows)]
 
 

@@ -20,12 +20,8 @@ counts as a miscorrection.  That is the verdict on codeword plus error for
 any codeword, as decoding is translation-equivariant: the syndromes vanish
 on codewords, and the decoded word of c + e is c plus that of e.
 
-Every trial draws its F_q matrices with channel._draw and reads the
-support a = alpha A off the columns of A that the draw has packed, two
-lookups per column in the code's alpha table (GabidulinCode._support),
-not by an n-by-t product.  Scenario 1 builds e = (a P) A^T with
-channel._symmetric_error, the error sample_space_symmetric gives from a
-stream of the same seed, without that function's checks of its inputs.
+Scenario 1's error is the one sample_space_symmetric gives from a stream
+of the same seed, built without that function's checks of its inputs.
 
 Every trial owns an RNG stream derived from (seed, trial index) through
 SHA-256, so results are identical for any shard count and shards can run
@@ -33,12 +29,10 @@ in parallel processes; shard w of W runs trials trials * w // W up to
 trials * (w + 1) // W, on at most as many workers as the process may run
 on cores.  The process pool, and with it multiprocessing, is imported only
 when a run shards, so importing this module loads neither.  A process
-builds the field, WSO basis and code of a shape once (`_code`) and reuses
-them in later calls and shards at that shape, so `SimReport.wallclock`
-includes the build only on a cold call.  The
-closed-form companion quantities (random subspace intersection
-probability, one int ratio divided once, and the 4/q^n failure bound) live
-here as well.  A report is numbers; cli.py writes it as text, JSON or CSV.
+builds each shape's code once (_code), so SimReport.wallclock includes
+the build only on a cold call.  The closed-form companions, the random
+subspace intersection probability and the 4/q^n failure bound, live here
+as well.
 """
 
 from __future__ import annotations
@@ -56,7 +50,7 @@ from .channel import _draw, _gaussian_binomial, _symmetric_error
 from .code import GabidulinCode, _radius
 from .decoder import decode, interleaved_decode
 from .field import _index, _prime_power, make_field
-from .linalg import _rank, fqn_vecmat
+from .linalg import _insert_rows, fqn_vecmat
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -185,9 +179,8 @@ def _trial_rng(seed: int, index: int) -> random.Random:
 
 
 def _judged(codewords) -> tuple[bool, bool]:
-    """(failed, miscorrected) from the words decoded from the errors alone,
-    None on a failure: a failure is anything but all zero words, a
-    miscorrection a decoded nonzero word."""
+    """(failed, miscorrected) of the words decoded from the errors alone,
+    None on a failure, by the module notes' judge."""
     wrong = codewords is not None and any(map(any, codewords))
     return codewords is None or wrong, wrong
 
@@ -204,11 +197,13 @@ def _coupling_fails(code: GabidulinCode, a, P, Q) -> bool:
     """Whether rank [M(aP); M(aPQ)^(q^(k-1))] differs from t = len(a), M
     the Moore matrix with n-k-t rows: [M(a) P; M(a)^(q^(k-1)) P Q]'s rank."""
     ctx, k, t = code.ctx, code.k, len(a)
-    frob, m = ctx.frob, code.n - k - t
+    frob, m = ctx._frob, code.n - k - t
     b = fqn_vecmat(ctx, a, P)
     c = fqn_vecmat(ctx, b, Q)
-    return _rank(ctx, [[frob(x, r) for x in b] for r in range(m)] + [
-        [frob(x, r) for x in c] for r in range(k - 1, k - 1 + m)]) != t
+    basis = {}
+    _insert_rows(ctx, basis, [[frob(x, r) for x in b] for r in range(m)] + [
+        [frob(x, r) for x in c] for r in range(k - 1, k - 1 + m)])
+    return len(basis) != t
 
 
 def _trial_uniform_coupling(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
@@ -254,11 +249,7 @@ def _run_range(cfg: SimConfig, start: int, stop: int) -> tuple[int, int]:
 
 
 def run_scenario(cfg: SimConfig, shards: int = 1) -> SimReport:
-    """Run all trials of one scenario, optionally sharded across processes.
-
-    Per-trial RNG streams depend only on (seed, trial index), so the report
-    payload is identical for every shard count.
-    """
+    """Run all trials of one scenario, optionally sharded across processes."""
     shards = _index(shards, "shards")
     if shards < 1:
         raise ValueError("shards must be >= 1")

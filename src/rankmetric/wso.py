@@ -58,7 +58,7 @@ def is_weak_self_orthogonal(ctx: FieldCtx, alpha):
     """
     n = ctx.n
     alpha = _ints(alpha, "vector", ctx.order, length=n)
-    add, mul, frob = ctx.add, ctx.mul, ctx.frob
+    add, mul, frob = ctx._add, ctx._mul, ctx._frob
     half = n // 2
     S = []
     for d in range(half + 1):
@@ -82,7 +82,7 @@ def _normal_scan(ctx: FieldCtx) -> int:
     self-dual one exists wherever find_wso_basis scans, so none is a fault.
     """
     n, q = ctx.n, ctx.q
-    mul, frob, trace = ctx.mul, ctx.frob, ctx.trace
+    mul, frob, trace = ctx._mul, ctx._frob, ctx._trace
     half = n // 2
     for tup in itertools.product(range(q), repeat=n):
         beta = _packed(q, reversed(tup))
@@ -107,8 +107,8 @@ def _trace_orthonormal_basis(ctx: FieldCtx):
     The square discriminant leaves an even number of nu-pivots, rotated in
     pairs by a, b with a^2 + b^2 = 1/nu.
     """
-    n, q = ctx.n, ctx.q
-    add, sub, mul, inv, trace = ctx.add, ctx.sub, ctx.mul, ctx.inv, ctx.trace
+    n, q, trace = ctx.n, ctx.q, ctx._trace
+    add, sub, mul, inv = ctx._add, ctx._sub, ctx._mul, ctx._inv
     c = ctx._exp[1] if ctx.p != 2 and n % 2 == 0 else 1
     root = {mul(s, s): s for s in reversed(range(q))}  # smallest root wins
     nu = next((a for a in range(q) if a not in root), 1)
@@ -167,7 +167,7 @@ def find_wso_basis(ctx: FieldCtx) -> tuple[int, ...]:
     """
     if _normal_exists(ctx):
         method, beta = "normal", _normal_scan(ctx)
-        alpha = tuple(ctx.frob(beta, i) for i in range(ctx.n))
+        alpha = tuple(ctx._frob(beta, i) for i in range(ctx.n))
     else:
         method, alpha = "trace-orthonormal", _trace_orthonormal_basis(ctx)
     if not is_weak_self_orthogonal(ctx, alpha)[0]:  # an internal fault

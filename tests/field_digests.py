@@ -47,22 +47,23 @@ def _sha256(parts) -> str:
 
 
 def digest(ctx) -> str:
-    """SHA-256 of (modulus, exp[:L], log, [add(1, v) for v]) of ctx.
+    """SHA-256 of (modulus, exp[:L], log, [_add(1, v) for v]) of ctx.
 
     exp[:L] fixes the generator and the whole walk, log is its inverse, and
-    add(1, v) reads the Zech table at odd p.
+    _add(1, v) reads the Zech table at odd p.
     """
     L = ctx.order - 1
     return _sha256(list(part) for part in (
         ctx.modulus, ctx._exp[:L], ctx._log,
-        [ctx.add(1, v) for v in range(ctx.order)]))
+        [ctx._add(1, v) for v in range(ctx.order)]))
 
 
 def sub_neg_digest(ctx) -> str:
-    """SHA-256 of ([sub(1, v) for v], [neg(v) for v]) of ctx: at odd p they
-    read the Zech table through log(-1)."""
-    return _sha256(([ctx.sub(1, v) for v in range(ctx.order)],
-                    [ctx.neg(v) for v in range(ctx.order)]))
+    """SHA-256 of ([_sub(1, v) for v], [_sub(0, v) for v]) of ctx, the
+    subtraction from 1 and the negation: at odd p they read the Zech table
+    through log(-1)."""
+    return _sha256(([ctx._sub(1, v) for v in range(ctx.order)],
+                    [ctx._sub(0, v) for v in range(ctx.order)]))
 
 
 def code_digest(code) -> str:
@@ -112,7 +113,7 @@ def decode_digest(code, t: int) -> str:
 
     def noisy(e):
         c = code.encode([ctx.rand_elem(rng) for _ in range(code.k)])
-        return tuple(map(ctx.add, c, e))
+        return tuple(map(ctx._add, c, e))
 
     outcomes = []
     for i in range(3000):

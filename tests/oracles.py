@@ -7,7 +7,7 @@ F_{q^n} (kernel, solve, coords) run the textbook rref below under the
 field's scalar ops, products (matmul) take one scalar op per term, and
 the packed q = 2 root-space kernel runs _gf2_rref on bit rows, not the
 library's log-domain elimination.  The countdown reference builds its
-stacked syndrome rows with one ctx.frob per entry.
+stacked syndrome rows with one ctx._frob per entry.
 The library pieces still reused are:
 
 - the trial-rank countdown reference: fqn_vecmat to turn a solve into
@@ -19,8 +19,9 @@ The library pieces still reused are:
 - base_ops: field._prime_ops, _smallest_irreducible and _tabled, the F_q
   level of the field build, so the subfield of F_{q^n} is checked against
   F_q's own tables;
-- sample_symmetric_invertible: linalg._rank for the rejection; it draws
-  with rng.randrange(q) itself, the draws it gave as a library sampler.
+- matrix_rank: linalg._insert_rows, the log-domain elimination, counted
+  by its pivots; sample_symmetric_invertible rejects by it and draws with
+  rng.randrange(q) itself, the draws it gave as a library sampler.
 """
 
 import itertools
@@ -29,7 +30,7 @@ from functools import reduce
 from rankmetric import moore_matrix, phi_inv
 from rankmetric.field import _factor, _pmod, _pmul, _prime_ops, _ptrim, \
     _smallest_irreducible, _tabled
-from rankmetric.linalg import _rank, fqn_vecmat
+from rankmetric.linalg import _insert_rows, fqn_vecmat
 
 
 def transpose(M):
@@ -37,7 +38,7 @@ def transpose(M):
 
 
 def matmul(ctx, X, Y):
-    """Schoolbook product X Y over F_{q^n}: one ctx.add and one ctx.mul per
+    """Schoolbook product X Y over F_{q^n}: one ctx._add and one ctx._mul per
     term, zero terms included, and no log domain; the reference for
     linalg.fqn_vecmat and fq_matmul."""
     cols = len(Y[0]) if Y else 0
@@ -47,7 +48,7 @@ def matmul(ctx, X, Y):
         for j in range(cols):
             acc = 0
             for x, yrow in zip(row, Y, strict=True):
-                acc = ctx.add(acc, ctx.mul(x, yrow[j]))
+                acc = ctx._add(acc, ctx._mul(x, yrow[j]))
             orow.append(acc)
         out.append(orow)
     return out
@@ -75,7 +76,7 @@ def rank_mod_p(M, p):
 def base_ops(ctx):
     """F_q's own scalar ops (add, sub, mul, inv), built as the field builds
     them: mod p, or at e > 1 the tables of F_p[x] modulo the smallest
-    irreducible of degree e.  The subfield ops ctx.add ... on the ints
+    irreducible of degree e.  The subfield ops ctx._add ... on the ints
     below q must agree with them."""
     fo = _prime_ops(ctx.p)
     if ctx.e > 1:
@@ -113,13 +114,21 @@ def rref(add, sub, mul, inv, M, ncols):
     return rows, pivots
 
 
+def matrix_rank(ctx, M) -> int:
+    """Rank of a matrix over F_{q^n} (so over F_q): the pivot count of the
+    library's log-domain elimination on copies of its rows, unchecked."""
+    basis = {}
+    _insert_rows(ctx, basis, [list(r) for r in M])
+    return len(basis)
+
+
 def kernel(ctx, M):
     """Kernel basis of M under ctx's ops: one vector per free column of
     rref(M), ascending, with 1 there and minus that column at the pivots."""
     if not M:
         return []
     ncols = len(M[0])
-    rows, pivots = rref(ctx.add, ctx.sub, ctx.mul, ctx.inv, M, ncols)
+    rows, pivots = rref(ctx._add, ctx._sub, ctx._mul, ctx._inv, M, ncols)
     basis = []
     for free in range(ncols):
         if free in pivots:
@@ -127,7 +136,7 @@ def kernel(ctx, M):
         vec = [0] * ncols
         vec[free] = 1
         for row, pc in zip(rows, pivots):
-            vec[pc] = ctx.neg(row[free])
+            vec[pc] = ctx._sub(0, row[free])
         basis.append(vec)
     return basis
 
@@ -137,7 +146,7 @@ def solve(ctx, M, rhs):
     or None when the system is inconsistent."""
     ncols = len(M[0]) if M else 0
     aug = [list(row) + [b] for row, b in zip(M, rhs)]
-    rows, pivots = rref(ctx.add, ctx.sub, ctx.mul, ctx.inv, aug, ncols + 1)
+    rows, pivots = rref(ctx._add, ctx._sub, ctx._mul, ctx._inv, aug, ncols + 1)
     if pivots and pivots[-1] == ncols:
         return None
     x = [0] * ncols
@@ -152,7 +161,7 @@ def coords(ctx, alpha, xs):
     alpha_i) augmented by the digit columns of the xs."""
     n = ctx.n
     digits = [ctx.coeffs(x) for x in alpha] + [ctx.coeffs(x) for x in xs]
-    rows, pivots = rref(ctx.add, ctx.sub, ctx.mul, ctx.inv,
+    rows, pivots = rref(ctx._add, ctx._sub, ctx._mul, ctx._inv,
                         transpose(digits), n + len(xs))
     if pivots[:n] != list(range(n)):
         raise ValueError("alpha is not a basis")
@@ -173,12 +182,12 @@ def code_matrices(code):
 
 
 def syndrome_against(ctx, y, H):
-    """y H^T by direct products under ctx.add and ctx.mul."""
+    """y H^T by direct products under ctx._add and ctx._mul."""
     out = []
     for row in H:
         acc = 0
         for a, b in zip(y, row):
-            acc = ctx.add(acc, ctx.mul(a, b))
+            acc = ctx._add(acc, ctx._mul(a, b))
         out.append(acc)
     return tuple(out)
 
@@ -193,7 +202,7 @@ def sample_symmetric_invertible(ctx, t, rng):
         for i in range(t):
             for j in range(i, t):
                 M[i][j] = M[j][i] = rng.randrange(ctx.q)
-        if _rank(ctx, M) == t:
+        if matrix_rank(ctx, M) == t:
             return M
 
 
@@ -207,7 +216,7 @@ def lin_eval(ctx, f, x):
     acc = 0
     for i, c in enumerate(f):
         if c:
-            acc = ctx.add(acc, ctx.mul(c, ctx.frob(x, i)))
+            acc = ctx._add(acc, ctx._mul(c, ctx._frob(x, i)))
     return acc
 
 
@@ -219,7 +228,7 @@ def lin_compose_mod(ctx, outer, inner, mod_qdeg):
     """
     if mod_qdeg < 1:
         raise ValueError("mod_qdeg must be >= 1")
-    add, mul, frob = ctx.add, ctx.mul, ctx.frob
+    add, mul, frob = ctx._add, ctx._mul, ctx._frob
     out = []
     for p in range(mod_qdeg):
         acc = 0
@@ -242,8 +251,8 @@ def right_remainder_is_x(ctx, g):
     where the decoder divides on the left in the log domain.
     """
     t = len(g) - 1
-    sub, mul, frob = ctx.sub, ctx.mul, ctx.frob
-    inv_lead = ctx.inv(g[t])
+    sub, mul, frob = ctx._sub, ctx._mul, ctx._frob
+    inv_lead = ctx._inv(g[t])
     x = [1] + [0] * (t - 1)
     r = x
     for _ in range(ctx.n):
@@ -264,13 +273,13 @@ def min_subspace_poly(ctx, gens):
     are skipped, so redundant spanning sets are fine; the q-degree equals
     dim span(gens).
     """
-    sub, mul, frob = ctx.sub, ctx.mul, ctx.frob
+    sub, mul, frob = ctx._sub, ctx._mul, ctx._frob
     f = (1,)
     for g in gens:
         v = lin_eval(ctx, f, g)
         if v == 0:
             continue
-        scale = mul(frob(v, 1), ctx.inv(v))
+        scale = mul(frob(v, 1), ctx._inv(v))
         shifted = (0,) + tuple(frob(c, 1) for c in f)
         padded = tuple(f) + (0,)
         f = tuple(sub(s, mul(scale, c)) for s, c in zip(shifted, padded))
@@ -514,7 +523,7 @@ def root_space_basis(ctx, f):
     n, q = ctx.n, ctx.q
     exp, log, L = ctx._exp, ctx._log, ctx.order - 1
     terms = [(log[c], pow(q, i, L)) for i, c in enumerate(f) if c]
-    images = [reduce(ctx.add, [exp[lc + lw * qp % L] for lc, qp in terms])
+    images = [reduce(ctx._add, [exp[lc + lw * qp % L] for lc, qp in terms])
               for lw in [log[q ** j] for j in range(n)]]
     if q == 2:
         rows = [0] * n
@@ -544,7 +553,7 @@ def recover_error(code, a, s2):
     t = len(a)
     if t == 0:
         return (0,) * n
-    frob = ctx.frob
+    frob = ctx._frob
     M = [[frob(al, -j) for al in a] for j in range(n - k)]
     rhs = [frob(s2[j], -j) for j in range(n - k)]
     d = solve(ctx, M, rhs)
@@ -556,8 +565,8 @@ def recover_error(code, a, s2):
 
 def syndrome_matrix(ctx, s, t):
     """Rows m = t..len(s)-1 of T at trial rank t: entry (m, j) is
-    s_(m-j)^(q^j) for j = 0..t, one ctx.frob each."""
-    return [[ctx.frob(s[m - j], j) for j in range(t + 1)]
+    s_(m-j)^(q^j) for j = 0..t, one ctx._frob each."""
+    return [[ctx._frob(s[m - j], j) for j in range(t + 1)]
             for m in range(t, len(s))]
 
 
@@ -591,7 +600,7 @@ def countdown_decode(code, words, s1, s2, targets):
         errors = tuple(recover_error(code, roots, s) for s in targets)
         if None in errors:
             break
-        codewords = tuple(tuple(ctx.sub(a, b) for a, b in zip(y, e))
+        codewords = tuple(tuple(ctx._sub(a, b) for a, b in zip(y, e))
                           for y, e in zip(words, errors))
         return "decoded", codewords, errors, tuple(trace)
     return "failure", None, None, tuple(trace)

@@ -25,19 +25,19 @@ and for each scenario 1-3 at that shape
 The layers are the per-trial generator (simulate._trial_rng), the
 sampler (channel._draw, and fq_rank called from it, once per attempt),
 the products (fqn_vecmat, and the support alpha A read off the packed
-columns, GabidulinCode._support), the syndrome pair (GabidulinCode._read), the
-countdown (_insert_rows called from _joint_decode, _syndrome_row), the
-root space (_full_root_space), the recovery (_extend,
-GabidulinCode._from_gt) and scenario 2's rank (_rank); _joint_decode's
-row holds the whole decode after the syndrome pair.  Shares overlap: a
-cumulative time includes the functions called.  cProfile slows the
-trials about threefold, so times come from the run without a profiler
-and only shares and counts from the profiled one.  It also charges a
-fixed cost to every Python call, which understates a layer that is one
-call into C, such as the seeding in _trial_rng: hence its unprofiled
-time.  The counts are exact for a seed, and
-tests/test_simulate.py pins three of them.  The file is not a test
-module.
+columns, GabidulinCode._support), the syndrome pair
+(GabidulinCode._read), the countdown (_insert_rows called from
+_joint_decode, _syndrome_row), the root space (_full_root_space), the
+recovery (_extend, GabidulinCode._from_gt) and scenario 2's rank
+(_insert_rows called from _coupling_fails); _joint_decode's row holds
+the whole decode after the syndrome pair.  Shares overlap: a cumulative
+time includes the functions called.  cProfile slows the trials about
+threefold, so times come from the run without a profiler and only
+shares and counts from the profiled one.  It also charges a fixed cost
+to every Python call, which understates a layer that is one call into
+C, such as the seeding in _trial_rng: hence its unprofiled time.  The
+counts are exact for a seed, and tests/test_simulate.py pins three of
+them.  The file is not a test module.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def layers():
         ("root space", decoder._full_root_space, None),
         ("recovery", decoder._extend, None),
         ("recovery", GabidulinCode._from_gt, None),
-        ("scenario-2 rank", linalg._rank, None),
+        ("scenario-2 rank", linalg._insert_rows, simulate._coupling_fails),
     ]
 
 

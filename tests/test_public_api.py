@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import rankmetric
-from rankmetric import GabidulinCode, decode, find_wso_basis, fq_matmul, \
-    interleaved_decode, is_weak_self_orthogonal, make_field, moore_matrix, \
-    phi_inv, sample_space_symmetric, vector_rank
+from rankmetric import FieldCtx, GabidulinCode, decode, find_wso_basis, \
+    fq_matmul, interleaved_decode, is_weak_self_orthogonal, make_field, \
+    moore_matrix, phi_inv, sample_space_symmetric, vector_rank
 from rankmetric.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -75,6 +75,9 @@ def test_every_entry_reading_door_rejects_entries_outside_its_field(q, n):
          lambda x: interleaved_decode(code, at0(y, x), y)),
         ("interleaved_decode", ctx.order,
          lambda x: interleaved_decode(code, y, at0(y, x))),
+        ("FieldCtx.add", ctx.order, lambda x: ctx.add(x, 0)),
+        ("FieldCtx.add", ctx.order, lambda x: ctx.add(0, x)),
+        ("FieldCtx.from_coeffs", q, lambda x: ctx.from_coeffs(at0(y, x))),
     ]
     for name, order, call in doors:
         for bad in (-1, order):
@@ -87,15 +90,39 @@ def test_every_entry_reading_door_rejects_entries_outside_its_field(q, n):
         with pytest.raises(ValueError, match=rf"element {bad} must lie in "
                                              rf".* = \[0, {ctx.order}\)"):
             ctx.coeffs(bad)
-    # the exports that take a field or a code first but read no entries
-    reads_none = {"find_wso_basis", "sample_full_rank"}
+    # the exports that take a field or a code first but read no entries,
+    # and the field's own public methods: rand_elem reads none, and coeffs
+    # is checked above
+    reads_none = {"find_wso_basis", "sample_full_rank", "FieldCtx.rand_elem",
+                  "FieldCtx.coeffs"}
     takes = {name for name in rankmetric.__all__
              if callable(getattr(rankmetric, name))
              and next(iter(inspect.signature(getattr(rankmetric, name))
                            .parameters), None) in ("ctx", "code")}
-    takes |= {f"GabidulinCode.{m}" for m in vars(GabidulinCode)
-              if not m.startswith("_")}
+    takes |= {f"{cls.__name__}.{m}" for cls in (GabidulinCode, FieldCtx)
+              for m in vars(cls) if not m.startswith("_")}
     assert takes == {name for name, _, _ in doors} | reads_none
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (2, 8), (3, 7), (4, 4), (9, 3)])
+def test_field_surface_is_one_checked_op_and_the_conversions(q, n):
+    # the table ops run unchecked, per entry, on every hot path, so they
+    # are private; the one public op, add, reads both arguments as elements
+    ctx = make_field(q, n)
+    for owner in (ctx, FieldCtx):
+        assert {name for name in dir(owner) if not name.startswith("_")
+                and callable(getattr(owner, name))} \
+            == {"add", "coeffs", "from_coeffs", "rand_elem"}
+    assert ctx.add(1, ctx.order - 1) == ctx._add(1, ctx.order - 1)
+    for a, b in ((-1, 0), (0, -1), (ctx.order, 0), (0, ctx.order)):
+        with pytest.raises(ValueError, match=rf"element entries must lie in "
+                                             rf"\[0, q\^n\) = "
+                                             rf"\[0, {ctx.order}\)"):
+            ctx.add(a, b)
+    for a, b in ((1.5, 2), (2, 1.5), ("1", 0)):
+        with pytest.raises(ValueError,
+                           match="element entries must be integers"):
+            ctx.add(a, b)
 
 
 def test_readme_examples_run(capsys):

@@ -12,10 +12,10 @@ from rankmetric import (GabidulinCode, SimConfig, SimReport, failure_bound,
                         wilson95)
 from rankmetric import channel, decoder, linalg, simulate
 from rankmetric.decoder import DecodeOutcome, InterleavedOutcome
-from rankmetric.linalg import _rank, fqn_vecmat
+from rankmetric.linalg import fqn_vecmat
 
-from oracles import echelon_supports, general_linear, matmul, rank_mod_p, \
-    transpose
+from oracles import echelon_supports, general_linear, matmul, matrix_rank, \
+    rank_mod_p, transpose
 from stage_profile import calls, profiled_run
 
 
@@ -385,15 +385,15 @@ def test_scenario2_matches_closed_form():
 def _paper_coupling_rank(code, a, P, Q):
     """rank [Mt^(q^(t+1)); Mt^(q^(t+k)) Q] M_{t+1}(a)^T with Mt = M(a) P and
     M(a) the Moore matrix of a with n-k-t rows: the stacked syndrome matrix
-    of the uniform coupling as the paper writes it, one ctx.frob per
+    of the uniform coupling as the paper writes it, one ctx._frob per
     entry."""
     ctx, n, k, t = code.ctx, code.n, code.k, len(a)
-    frob = ctx.frob
+    frob = ctx._frob
     Mt = matmul(ctx, moore_matrix(ctx, a, n - k - t), P)
     top = [[frob(v, t + 1) for v in row] for row in Mt]
     bottom = matmul(ctx, [[frob(v, t + k) for v in row] for row in Mt], Q)
     right = transpose(moore_matrix(ctx, a, t + 1))
-    return _rank(ctx, matmul(ctx, top + bottom, right))
+    return matrix_rank(ctx, matmul(ctx, top + bottom, right))
 
 
 def _coupling_failures(q, n, k, t, supports, Ps):
@@ -438,6 +438,37 @@ def test_scenario2_exact_rate_per_support(q, n, k, t, draws, failures):
     identity = [[int(i == j) for j in range(t)] for i in range(t)]
     assert _coupling_failures(q, n, k, t, echelon_supports(n, t, q),
                               [identity]) == (draws, failures)
+
+
+@pytest.mark.parametrize("q, n, k, t, draws, failures", [
+    (2, 4, 1, 2, 2000, 136), (4, 4, 1, 2, 2000, 10), (2, 7, 1, 4, 2000, 14),
+    (2, 8, 2, 4, 2000, 7), (3, 7, 1, 4, 500, 0)])
+def test_scenario3_fails_exactly_when_the_beta_moore_rows_lose_rank(
+        q, n, k, t, draws, failures):
+    # e_i = a B_i, and the F_q entries of B_i commute with Frobenius, so the
+    # stacked matrix at trial t is X M_{t+1}(a)^T with X read off
+    # beta_i = B_i alpha^T; M_{t+1}(a)^T has full row rank t.  At
+    # t = t_max the first trial is trial t, so a trial fails exactly when
+    # rank [M_m(beta_1); M_m(beta_2)] < t, m = n - k - t.  The criterion is
+    # replayed on each trial's own draws; the failure counts keep it from
+    # passing on draws that never fail
+    code = GabidulinCode(make_field(q, n), k)
+    ctx, m = code.ctx, n - k - t
+    assert t == code._tmax
+    seen = 0
+    for i in range(draws):
+        rng = simulate._trial_rng(7, i)
+        channel._draw(ctx, n, t, rng)
+        rows = []
+        for _ in range(2):
+            B = channel._draw(ctx, t, n, rng)[0]
+            beta = fqn_vecmat(ctx, code.alpha, transpose(B))
+            rows += [[ctx._frob(x, r) for x in beta] for r in range(m)]
+        fails = matrix_rank(ctx, rows) < t
+        trial = simulate._trial_interleaved(code, t, simulate._trial_rng(7, i))
+        assert fails == trial[0], i
+        seen += fails
+    assert seen == failures
 
 
 # Seed-1 payloads of odd-q configurations that fail often, so that a change
