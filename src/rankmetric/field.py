@@ -539,10 +539,7 @@ class FieldCtx:
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         """Base-q coefficient tuple of x, constant term first, length n."""
-        x, q = _index(x, "element"), self.q
-        if not 0 <= x < self.order:
-            raise ValueError(
-                f"element {x} must lie in [0, q^n) = [0, {self.order})")
+        (x,), q = _ints((x,), "element", self.order), self.q
         out = []
         for _ in range(self.n):
             out.append(x % q)

@@ -9,8 +9,10 @@ Three trial kinds:
    when rank [Mt; Mt^(q^(k-1)) Q] differs from t.  That is the rank of the
    rewritten stacked syndrome matrix [Mt^(t+1); Mt^(t+k) Q] M_{t+1}(a)^T:
    M_{t+1}(a)^T has full row rank t, and undoing q^(t+1) entrywise fixes
-   the F_q entries of P and Q.  As P and Q are over F_q, Mt = M(aP) and
-   Mt Q = M(aPQ): the trial ranks the Moore rows of aP and aPQ.
+   the F_q entries of P and Q.  Multiplying on the right by P^-1 gives
+   rank [M(a); M(a)^(q^(k-1)) P Q P^-1], and P Q P^-1 is uniform when Q
+   is, so a trial draws A and Q alone and ranks the Moore rows of a and
+   aQ (M(a) Q = M(aQ), as Q is over F_q).
 3. Two-word interleaved channel: two errors sharing one support of
    dimension t, decoded jointly.
 
@@ -147,7 +149,8 @@ class SimReport:
     failures: int
     miscorrections: int
     wallclock: float
-    seed_scheme: ClassVar[str] = "sha256('<seed>:<trial index>') per trial"
+    seed_scheme: ClassVar[str] = ("sha256('<seed>:<trial index>') per trial;"
+                                  " scenario 2 draws A, then Q")
 
     @property
     def rate(self) -> float:
@@ -193,25 +196,21 @@ def _trial_genuine(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
     return _judged(None if out.codeword is None else [out.codeword])
 
 
-def _coupling_fails(code: GabidulinCode, a, P, Q) -> bool:
-    """Whether rank [M(aP); M(aPQ)^(q^(k-1))] differs from t = len(a), M
-    the Moore matrix with n-k-t rows: [M(a) P; M(a)^(q^(k-1)) P Q]'s rank."""
+def _coupling_fails(code: GabidulinCode, a, Q) -> bool:
+    """Whether rank [M(a); M(aQ)^(q^(k-1))] differs from t = len(a), M the
+    Moore matrix with n-k-t rows: scenario 2's rank, by the module notes."""
     ctx, k, t = code.ctx, code.k, len(a)
     frob, m = ctx._frob, code.n - k - t
-    b = fqn_vecmat(ctx, a, P)
-    c = fqn_vecmat(ctx, b, Q)
+    c = fqn_vecmat(ctx, a, Q)
     basis = {}
-    _insert_rows(ctx, basis, [[frob(x, r) for x in b] for r in range(m)] + [
+    _insert_rows(ctx, basis, [[frob(x, r) for x in a] for r in range(m)] + [
         [frob(x, r) for x in c] for r in range(k - 1, k - 1 + m)])
     return len(basis) != t
 
 
 def _trial_uniform_coupling(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:
-    ctx = code.ctx
-    a = code._support(_draw(ctx, code.n, t, rng)[1])
-    P = _draw(ctx, t, t, rng)[0]
-    Q = _draw(ctx, t, t, rng)[0]
-    return _coupling_fails(code, a, P, Q), False
+    a = code._support(_draw(code.ctx, code.n, t, rng)[1])
+    return _coupling_fails(code, a, _draw(code.ctx, t, t, rng)[0]), False
 
 
 def _trial_interleaved(code: GabidulinCode, t: int, rng) -> tuple[bool, bool]:

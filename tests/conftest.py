@@ -24,11 +24,6 @@ def F256():
 
 
 @pytest.fixture(scope="session")
-def F512():
-    return make_field(2, 9)
-
-
-@pytest.fixture(scope="session")
 def wso256(F256):
     return find_wso_basis(F256)
 

@@ -13,9 +13,8 @@ With the package in this checkout's src/:
   symmetric.  Every outcome must also equal that of the countdown oracle in
   tests/oracles.py.
 - Scenario 2 runs simulate._coupling_fails on one basis of every
-  3-dimensional support, P = I and every Q in GL_3(F_2); the outcome
-  depends on the support and on P Q P^-1 alone, so this covers every draw
-  in proportion.
+  3-dimensional support and every Q in GL_3(F_2); the outcome depends on
+  the support and Q alone, so this covers every draw in proportion.
 
 Exits non-zero unless every count holds: 39,060 of the 234,360 errors
 fail, all 39,060 symmetric ones and none of the other 195,300, and 1,449
@@ -69,14 +68,13 @@ def main() -> int:
           f"{counts[3]} of the {counts[2]} symmetric ones, {counts[4]} "
           f"differ from the oracle, {middle - start:.1f} s")
 
-    identity = [[int(i == j) for j in range(T)] for i in range(T)]
     gl = general_linear(T, Q)
     draws = failing = 0
     for A in echelon_supports(N, T, Q):
         a = fqn_vecmat(ctx, code.alpha, A)
         for Qm in gl:
             draws += 1
-            failing += _coupling_fails(code, a, identity, Qm)
+            failing += _coupling_fails(code, a, Qm)
     print(f"scenario 2 ({Q},{N},{K},{T}): {failing} of {draws} fail, "
           f"{time.perf_counter() - middle:.1f} s")
     return 0 if (tuple(counts), (draws, failing)) == (SCENARIO1, SCENARIO2) \

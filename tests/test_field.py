@@ -61,6 +61,8 @@ def _smallest_irreducible_gf2(n):
 
 def test_default_modulus_f4():
     assert make_field(2, 2).modulus == (1, 1, 1)
+    assert repr(make_field(2, 4)) \
+        == "FieldCtx(q=2, n=4, modulus=(1, 0, 0, 1, 1))"
 
 
 def test_default_modulus_f256_matches_trial_division_oracle():
@@ -148,6 +150,9 @@ def test_non_prime_power_rejected():
         gaussian_binomial(3, 1, 2.0)
     with pytest.raises(ValueError, match=r"degree n 4\.0 is not an integer"):
         make_field(2, 4.0)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"n={n} must be >= 1"):
+            make_field(2, n)
 
 
 def _prime_power_by_trial_division(q):
@@ -418,7 +423,7 @@ def test_every_fq_range_message_reads_one_way(q, n):
 def test_coeffs_reads_its_element_with_operator_index():
     # the range check is in test_public_api's guard
     F16 = make_field(2, 4)
-    with pytest.raises(ValueError, match="element 1.5 is not an integer"):
+    with pytest.raises(ValueError, match="element entries must be integers"):
         F16.coeffs(1.5)
     assert F16.coeffs(True) == (1, 0, 0, 0)
 

@@ -81,6 +81,9 @@ def test_fq_inputs_rejected_outside_their_field():
         with pytest.raises(ValueError, match=r"matrix entries must lie in "
                                              r"F_q = \[0, q\) = \[0, 2\)"):
             fq_matmul(F16, A, B)
+    for A in (eye[:3], [row[:3] for row in eye]):
+        with pytest.raises(ValueError, match="matrix must be 4x4"):
+            phi_inv(F16, A, (1, 2, 4, 8))
 
 
 def test_phi_roundtrip_random(F256, wso256):
@@ -340,7 +343,7 @@ def test_products_match_schoolbook(q, n):
 @pytest.mark.parametrize("q, n", [(2, 8), (3, 7), (4, 4), (9, 3)])
 def test_moore_rows_of_a_product_are_the_product_of_moore_rows(q, n):
     # M(aP) = M(a) P for P over F_q, as Frobenius fixes F_q: scenario 2
-    # ranks the Moore rows of aP and aPQ for M(a) P and M(a) P Q.  A P
+    # ranks the Moore rows of a and aQ for M(a) and M(a) Q.  A P
     # with one entry outside F_q breaks it, so the check can fail.
     ctx = make_field(q, n)
     rng = random.Random(q * 1000 + n)
