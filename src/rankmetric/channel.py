@@ -45,41 +45,35 @@ def _draw(ctx: FieldCtx, rows: int, cols: int, rng):
     cols), unchecked, and its ranked side's lines packed as F_{q^n}
     elements.
 
-    The ranked side is that of the longer lines that fit in n digits: the
-    columns of an n-by-t draw with t < n, the rows of a square or t-by-n
-    one.  Each attempt draws M row by row, and each entry x joins its
-    line as it is drawn, line = line q + x (field._packed of its entries);
-    fq_rank ranks the lines once per attempt."""
+    The ranked side is the rows when they fit in n digits (cols <= n) and
+    either are at least as long as the columns or the columns do not fit
+    (rows > n); it is the columns otherwise.  Once per call, targets lists
+    for each row the line that each of its entries joins: row i's own
+    line, or the entry's column.  Each attempt draws M row by row, and
+    each entry x joins its line j as it is drawn, lines[j] = lines[j] q + x
+    (field._packed of the line's entries); fq_rank ranks the lines once
+    per attempt."""
     q, n = ctx.q, ctx.n
-    target = min(rows, cols)
     by_rows = cols <= n and (cols >= rows or rows > n)
+    # a plain loop: a comprehension would make cols a closure cell
+    targets = [range(cols)] * rows
+    if by_rows:
+        for i in range(rows):
+            targets[i] = [i] * cols
+    width, target = (rows if by_rows else cols), min(rows, cols)
     # randrange(q)'s words: k = q.bit_length() bits, again while >= q
     k, bits = q.bit_length(), rng.getrandbits
     while True:
-        M = []
-        if by_rows:
-            lines = []
-            for _ in range(rows):
-                row, line = [], 0
-                for _ in range(cols):
+        M, lines = [], [0] * width
+        for js in targets:
+            row = []
+            for j in js:
+                x = bits(k)
+                while x >= q:
                     x = bits(k)
-                    while x >= q:
-                        x = bits(k)
-                    row.append(x)
-                    line = line * q + x
-                M.append(row)
-                lines.append(line)
-        else:
-            lines = [0] * cols
-            for _ in range(rows):
-                row = []
-                for j in range(cols):
-                    x = bits(k)
-                    while x >= q:
-                        x = bits(k)
-                    row.append(x)
-                    lines[j] = lines[j] * q + x
-                M.append(row)
+                row.append(x)
+                lines[j] = lines[j] * q + x
+            M.append(row)
         if fq_rank(ctx, lines) == target:
             return M, lines
 
@@ -116,6 +110,8 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     """
     n = ctx.n
     alpha = _ints(alpha, "basis", ctx.order, length=n)
+    if fq_rank(ctx, alpha) < n:
+        raise ValueError("alpha is not a basis")
     t = _index(t, "t")
     if not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= {n}")

@@ -203,6 +203,8 @@ def phi_inv(ctx: FieldCtx, A, alpha):
     of alpha-coordinates is column j of the F_q matrix A."""
     n = ctx.n
     alpha = _ints(alpha, "basis", ctx.order, length=n)
+    if fq_rank(ctx, alpha) < n:
+        raise ValueError("alpha is not a basis")
     A, shape = _dims(A, ctx.q)
     if shape != (n, n):
         raise ValueError(f"matrix must be {n}x{n}")

@@ -20,7 +20,11 @@ and for each scenario 1-3 at that shape
   count, its calls per trial, and its cumulative and self time as shares
   of the profiled run;
 - times simulate._trial_rng alone, without a profiler, on the trials'
-  own (seed, index) pairs, and prints its us per call on its row.
+  own (seed, index) pairs, and prints its us per call on its row;
+- times channel._draw alone, without a profiler, for each shape the
+  scenario's trial draws (n-by-t, then t-by-t in scenarios 1 and 2 or
+  t-by-n in scenario 3): one draw from each trial's own stream, seeded
+  before the clock starts, and prints its us per call on _draw's row.
 
 The layers are the per-trial generator (simulate._trial_rng), the
 sampler (channel._draw, and fq_rank called from it, once per attempt),
@@ -114,8 +118,19 @@ def setup_seconds(q, n, k) -> float:
     return statistics.median(times[1:])
 
 
+def draw_us(ctx, rows, cols) -> float:
+    """Unprofiled us per channel._draw call of a rows-by-cols draw, one on
+    each trial stream simulate._trial_rng(SEED, index), index < TRIALS."""
+    from rankmetric import channel, simulate
+    rngs = [simulate._trial_rng(SEED, index) for index in range(TRIALS)]
+    start = time.perf_counter()
+    for rng in rngs:
+        channel._draw(ctx, rows, cols, rng)
+    return (time.perf_counter() - start) / TRIALS * 1e6
+
+
 def report(q, n, k, t, scenario) -> str:
-    from rankmetric import simulate
+    from rankmetric import channel, simulate
     from rankmetric.simulate import SimConfig
     cfg = SimConfig(scenario=scenario, q=q, n=n, k=k, t=t, trials=TRIALS,
                     seed=SEED)
@@ -127,6 +142,10 @@ def report(q, n, k, t, scenario) -> str:
     for index in range(TRIALS):
         simulate._trial_rng(SEED, index)
     rng_us = (time.perf_counter() - start) / TRIALS * 1e6
+    ctx = simulate._code(q, n, k).ctx
+    drawn = ", ".join(
+        f"{draw_us(ctx, rows, cols):.1f} us/call {rows}x{cols}"
+        for rows, cols in ((n, t), (t, t) if scenario < 3 else (t, n)))
     table, total, profiled_failures = profiled_run(cfg)
     if profiled_failures != failures:
         raise AssertionError("the profiled run failed other trials")
@@ -142,6 +161,8 @@ def report(q, n, k, t, scenario) -> str:
                      f"{ct / total:>8.1%}{tt / total:>8.1%}")
         if f is simulate._trial_rng:
             lines[-1] += f"  {rng_us:.1f} us/call unprofiled"
+        if f is channel._draw:
+            lines[-1] += f"  {drawn} unprofiled"
     return "\n".join(lines)
 
 

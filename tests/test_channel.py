@@ -310,6 +310,17 @@ def test_sampler_range_validation(F256, wso256):
     for ctx, rows, cols in ((F256, -1, 3), (F81, 3, -2)):
         with pytest.raises(ValueError, match="rows, cols >= 0"):
             sample_full_rank(ctx, rows, cols, rng)
+    # a dependent basis once gave a record with t = 4 whose e had a lower
+    # rank ((1,) * 8 gave rank 1); it raises before any draw, whether every
+    # locator is 1 or the last is the sum of the first two
+    for ctx in (F256, F81, make_field(4, 4)):
+        poly = tuple(ctx.q ** j for j in range(ctx.n))
+        for alpha in ((1,) * ctx.n,
+                      poly[:-1] + (ctx.add(poly[0], poly[1]),)):
+            drawn = random.Random(59)
+            with pytest.raises(ValueError, match="alpha is not a basis"):
+                sample_space_symmetric(ctx, alpha, 4, drawn)
+            assert drawn.random() == random.Random(59).random()
     # counts are read with operator.index, once per call
     for call, what in ((lambda: sample_space_symmetric(
             F256, wso256, 4.0, rng), "t 4.0"),

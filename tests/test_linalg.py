@@ -50,6 +50,16 @@ def test_phi_inv_examples(F4):
     assert phi_inv(F4, [[0, 0], [0, 0]], alpha) == (0, 0)
     with pytest.raises(ValueError, match="basis must have 2 entries"):
         phi_inv(F4, [[1, 0], [0, 1]], alpha[:1])
+    # a dependent basis, every locator 1 or the last the sum of the first
+    # two, is no basis to expand in: it raises, as coords does
+    for q, n in ((2, 4), (3, 3), (4, 3)):
+        ctx = make_field(q, n)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        poly = _poly_basis(ctx)
+        for bad in ((1,) * n, poly[:-1] + (ctx.add(poly[0], poly[1]),)):
+            with pytest.raises(ValueError, match="alpha is not a basis"):
+                phi_inv(ctx, eye, bad)
+        assert phi_inv(ctx, eye, poly) == poly
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2)])

@@ -465,8 +465,9 @@ def test_scenario2_trial_draws_a_then_q(q, n, k, t, failures):
 
 
 @pytest.mark.parametrize("q, n, k, t, draws, failures", [
-    (2, 4, 1, 2, 2000, 136), (4, 4, 1, 2, 2000, 10), (2, 7, 1, 4, 2000, 14),
-    (2, 8, 2, 4, 2000, 7), (3, 7, 1, 4, 500, 0)])
+    (2, 4, 1, 2, 2000, 136), (3, 4, 1, 2, 2000, 23), (4, 4, 1, 2, 2000, 10),
+    (2, 5, 2, 2, 2000, 81), (2, 7, 1, 4, 2000, 14), (2, 8, 2, 4, 2000, 7),
+    (3, 7, 1, 4, 500, 0)])
 def test_scenario3_fails_exactly_when_the_beta_moore_rows_lose_rank(
         q, n, k, t, draws, failures):
     # e_i = a B_i, and the F_q entries of B_i commute with Frobenius, so the
@@ -493,6 +494,31 @@ def test_scenario3_fails_exactly_when_the_beta_moore_rows_lose_rank(
         assert fails == trial[0], i
         seen += fails
     assert seen == failures
+
+
+@pytest.mark.parametrize("q, n, k, t, rate", [
+    (2, 4, 1, 2, Fraction(1, 14)), (3, 4, 1, 2, Fraction(1, 78)),
+    (4, 4, 1, 2, Fraction(1, 252)), (2, 5, 2, 2, Fraction(1, 30))])
+def test_scenario3_rate_is_one_over_q_to_the_n_minus_q_at_one_moore_row(
+        q, n, k, t, rate):
+    # at n - k = 3 and t = 2 = t_max, m = n - k - t = 1, so by the test
+    # above's criterion a trial fails exactly when beta_2 is an
+    # F_{q^n}-multiple of beta_1, and the q^n - 1 nonzero multiples of an
+    # F_q-independent pair are independent: (q^n - 1) failing of the
+    # (q^n - 1)(q^n - q) independent beta_2, for every beta_1.  Counted
+    # here by that criterion for beta_1 = (1, w), w the generator
+    ctx = make_field(q, n)
+    assert (t, n - k - t) == (GabidulinCode(ctx, k)._tmax, 1)
+    w, N = ctx._exp[1], ctx.order
+    failing, independent = set(), 0
+    for beta in itertools.product(range(N), repeat=2):
+        if linalg.fq_rank(ctx, beta) == 2:
+            independent += 1
+            if matrix_rank(ctx, [[1, w], list(beta)]) < 2:
+                failing.add(beta)
+    assert failing == {(c, ctx._mul(c, w)) for c in range(1, N)}
+    assert independent == (N - 1) * (N - q)
+    assert Fraction(len(failing), independent) == rate == Fraction(1, N - q)
 
 
 # Seed-1 payloads of odd-q configurations that fail often, so that a change
