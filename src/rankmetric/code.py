@@ -23,7 +23,9 @@ puts sum_j alpha_j c_m(y_j) at position m, c_m the F_q alpha-coordinates,
 which commute with Frobenius, so the transposed-code syndrome is
 s1_r = sum_j alpha_j y_j^(q^(r+1)) = T_(r+1): no coordinates and no
 transposed word.  A read costs two lookups per entry of the word, in that
-entry's two half tables, and n Frobenius twists in the log domain.
+entry's two half tables, one read of the n values out of the packed sum
+(one int(., p) each when the slots are bytes, which covers (3,7)) and n
+Frobenius twists in the log domain.
 
 The code also tabulates the F_p-linear map from an F_q matrix A's packed
 column to its entry of alpha A, sum_j A[j][l] alpha_j (_support): the

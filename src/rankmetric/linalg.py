@@ -145,19 +145,29 @@ class _PackedMap:
     images weighted by the base-p digits of u, so a call makes two lookups
     per input.  At p = 2, S = 1 and images combine by XOR, so the packed
     int is the output values laid end to end.  At odd p the entries are
-    integer sums, S is wide enough that the m n e digit-times-image terms
-    of at most (p - 1)^2 in a slot never carry, the _halves of the slot
-    units spread a value's digits into slots, and a call reads slots mod p.
+    integer sums, and the _halves of the slot units spread a value's
+    digits into slots.  A slot holds at most m D digit-times-image terms
+    of at most (p - 1)^2, so it never carries in S bits.  S is 8 when that
+    bound is below 256 (so p < 16, and p <= 7 for a code, where m, D >= 2):
+    a call maps every slot byte to the digit of its value mod p with one
+    bytes.translate and parses each output with one int(., p).  Otherwise S
+    is the bound's bit length and a call reads the slots digit by digit.
     """
 
     def __init__(self, ctx: FieldCtx, images):
         p = self.p = ctx.p
-        D = ctx.n * ctx.e
-        S = 1 if p == 2 else (len(images) * D * (p - 1) ** 2).bit_length()
-        starts = self._starts = [r * D * S for r in range(len(images[0][0]))]
+        D = self._D = ctx.n * ctx.e
+        bound = len(images) * D * (p - 1) ** 2
+        S = 1 if p == 2 else 8 if bound < 256 else bound.bit_length()
+        R = len(images[0][0])
+        starts = self._starts = [r * D * S for r in range(R)]
         self._mask, self._slot = (1 << D * S) - 1, (1 << S) - 1
         self._inner = [t * S for t in reversed(range(D))]
-        add = self._add = operator.xor if p == 2 else operator.add
+        self._digits = None
+        if p > 2 and S == 8:  # byte slots: byte v reads as digit v mod p
+            self._digits = (b"0123456789abcdef"[:p] * (256 // p + 1))[:256]
+            self._bytes, self._ends = R * D, range((R - 1) * D, -1, -D)
+        add = operator.xor if p == 2 else operator.add
         if p > 2:  # each value's digits into S-bit slots, by two lookups
             lo, hi, P = _halves(p, [1 << t * S for t in range(D)], add)
             images = [[[lo[v % P] + hi[v // P] for v in vals] for vals in col]
@@ -170,15 +180,23 @@ class _PackedMap:
     def __call__(self, xs) -> tuple[int, ...]:
         """The output values of the map at the inputs xs: the packed sum of
         the images of their base-p digits, read back value by value."""
-        acc, add = 0, self._add
-        for x, (lo, hi, P) in zip(xs, self._table):
-            acc = add(acc, add(lo[x % P], hi[x // P]))
-        p, mask, out = self.p, self._mask, []
+        acc, p, out = 0, self.p, []
         if p == 2:
+            for x, (lo, hi, P) in zip(xs, self._table):
+                acc ^= lo[x % P] ^ hi[x // P]
+            mask = self._mask
             for s in self._starts:
                 out.append(acc >> s & mask)
             return tuple(out)
-        slot, inner = self._slot, self._inner
+        for x, (lo, hi, P) in zip(xs, self._table):
+            acc += lo[x % P] + hi[x // P]
+        if self._digits is not None:  # output 0 is in the low bytes
+            D = self._D
+            b = acc.to_bytes(self._bytes, "big").translate(self._digits)
+            for i in self._ends:
+                out.append(int(b[i:i + D], p))
+            return tuple(out)
+        mask, slot, inner = self._mask, self._slot, self._inner
         for s in self._starts:
             c = acc >> s & mask
             v = 0

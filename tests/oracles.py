@@ -317,14 +317,16 @@ def packed_map_tables(ctx, images, D):
 
     images[j][u] lists the output values, of D base-p digits, of the unit
     p^u at input j.  Digit t of output r goes in the S-bit slot at bit
-    (r D + t) S: S = 1 at p = 2, else the bit length of m n e (p - 1)^2 for
-    m inputs.  With a = N // 2 for the N = n e units of an input and
-    P = p^a, entry u of lo combines the packed images of the low a units
-    weighted by the base-p digits of u, and entry u of hi those of the
-    other N - a units: by XOR at p = 2, by integer sums at odd p.
+    (r D + t) S: S = 1 at p = 2, else 8 when the slot bound m n e (p - 1)^2
+    for m inputs is below 256, and its bit length otherwise.  With
+    a = N // 2 for the N = n e units of an input and P = p^a, entry u of
+    lo combines the packed images of the low a units weighted by the
+    base-p digits of u, and entry u of hi those of the other N - a units:
+    by XOR at p = 2, by integer sums at odd p.
     """
     p, N = ctx.p, ctx.n * ctx.e
-    S = 1 if p == 2 else (len(images) * N * (p - 1) ** 2).bit_length()
+    bound = len(images) * N * (p - 1) ** 2
+    S = 1 if p == 2 else 8 if bound < 256 else bound.bit_length()
     a = N // 2
 
     def packed(vals):

@@ -24,7 +24,10 @@ and for each scenario 1-3 at that shape
 - times channel._draw alone, without a profiler, for each shape the
   scenario's trial draws (n-by-t, then t-by-t in scenarios 1 and 2 or
   t-by-n in scenario 3): one draw from each trial's own stream, seeded
-  before the clock starts, and prints its us per call on _draw's row.
+  before the clock starts, and prints its us per call on _draw's row;
+- times GabidulinCode._read alone, without a profiler, on the received
+  words that the trials pass it (recorded in one more run of them; a
+  scenario-2 trial reads none), and prints its us per call on its row.
 
 The layers are the per-trial generator (simulate._trial_rng), the
 sampler (channel._draw, and fq_rank called from it, once per attempt),
@@ -129,8 +132,33 @@ def draw_us(ctx, rows, cols) -> float:
     return (time.perf_counter() - start) / TRIALS * 1e6
 
 
+def read_us(cfg):
+    """Unprofiled us per GabidulinCode._read call on the received words of
+    the trials of cfg, recorded in one run; None if the trials read none."""
+    from rankmetric import simulate
+    from rankmetric.code import GabidulinCode
+    code, words = simulate._code(cfg.q, cfg.n, cfg.k), []
+
+    def record(y):
+        words.append(y)
+        return GabidulinCode._read(code, y)
+
+    code._read = record
+    try:
+        simulate._run_range(cfg, 0, cfg.trials)
+    finally:
+        del code._read
+    if not words:
+        return None
+    start = time.perf_counter()
+    for y in words:
+        code._read(y)
+    return (time.perf_counter() - start) / len(words) * 1e6
+
+
 def report(q, n, k, t, scenario) -> str:
     from rankmetric import channel, simulate
+    from rankmetric.code import GabidulinCode
     from rankmetric.simulate import SimConfig
     cfg = SimConfig(scenario=scenario, q=q, n=n, k=k, t=t, trials=TRIALS,
                     seed=SEED)
@@ -146,6 +174,7 @@ def report(q, n, k, t, scenario) -> str:
     drawn = ", ".join(
         f"{draw_us(ctx, rows, cols):.1f} us/call {rows}x{cols}"
         for rows, cols in ((n, t), (t, t) if scenario < 3 else (t, n)))
+    read = read_us(cfg)
     table, total, profiled_failures = profiled_run(cfg)
     if profiled_failures != failures:
         raise AssertionError("the profiled run failed other trials")
@@ -163,6 +192,8 @@ def report(q, n, k, t, scenario) -> str:
             lines[-1] += f"  {rng_us:.1f} us/call unprofiled"
         if f is channel._draw:
             lines[-1] += f"  {drawn} unprofiled"
+        if f is GabidulinCode._read and read is not None:
+            lines[-1] += f"  {read:.1f} us/call unprofiled"
     return "\n".join(lines)
 
 

@@ -204,14 +204,23 @@ def test_syndrome_map_matches_transposed_products(q, n, k):
 
 @pytest.mark.parametrize("q,n,k", [(2, 6, 2), (2, 8, 2), (3, 7, 1),
                                    (3, 4, 2), (5, 3, 1), (4, 3, 1),
-                                   (9, 3, 1)])
+                                   (9, 3, 1), (25, 2, 1), (7, 3, 1),
+                                   (3, 8, 1), (37, 2, 1)])
 def test_twist_map_matches_direct_sums(q, n, k):
     # T_i = sum_j alpha_j y_j^(q^i) for i = 1..n straight from the packed
     # map, which reads each entry from its two half tables (n e = 7 and 3
     # leave a longer high half); the reader's twists of T must be y H^T
-    # and y G^T
+    # and y G^T.  At odd p the map reads byte slots when the slot bound
+    # n * n e * (p - 1)^2 is below 256 (196 at (3,7,1), 128 at
+    # (25,2,1)) and digit by digit otherwise (256 at (3,8,1), 324 at
+    # (7,3,1), and (37,2,1), whose p has no int base).  The all-(q^n - 1)
+    # word sets every input digit to p - 1, which gives every slot its
+    # largest sum (122 of the bound 196 at (3,7,1))
     ctx = make_field(q, n)
     code = GabidulinCode(ctx, k)
+    p, tmap = ctx.p, code._twist_map
+    byte_read = p > 2 and n * n * ctx.e * (p - 1) ** 2 < 256
+    assert (tmap._digits is not None) == byte_read == (tmap._slot == 255)
     G, H, _ = code_matrices(code)
     h_t, g_t = transpose(H), transpose(G)
     rng = random.Random(q * n)
@@ -286,7 +295,7 @@ def test_support_read_matches_product(q, n, k):
      "1766f7fc1aff28863b699fccc392df69379c92dce2ebdeda44fa74a5b9fe568e"),
     (9, 3, 1,
      "88c32fb83ee08ba1dccffdc530f1b0afe2afd02b5a7dfc19c0e645b2590138c4",
-     "d8508920b94d8a26cb80178c0020d83fbbccab02fa838adb430ab56891bbd6f9"),
+     "b01a40eb6577b4be93b1ba1a55d224af1d4452ec7abda1c83489d80031ef1464"),
 ], ids=["2-8-2", "2-16-4", "3-7-1", "4-4-1", "9-3-1"])
 def test_code_tables_match_pinned_digests(q, n, k, public, tables):
     ctx = make_field(q, n)
