@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import FieldCtx, _index, _ints, _prime_power
-from .linalg import fq_rank, fqn_vecmat
+from .field import FieldCtx, _index, _prime_power
+from .linalg import _basis, fq_rank, fqn_vecmat
 
 
 @dataclass(frozen=True)
@@ -108,14 +108,11 @@ def sample_space_symmetric(ctx: FieldCtx, alpha, t: int, rng) -> SpaceSymError:
     taken relative to alpha, without forming E, by _symmetric_error from
     alpha A.
     """
-    n = ctx.n
-    alpha = _ints(alpha, "basis", ctx.order, length=n)
-    if fq_rank(ctx, alpha) < n:
-        raise ValueError("alpha is not a basis")
+    alpha = _basis(ctx, alpha)
     t = _index(t, "t")
-    if not 0 <= t <= n:
-        raise ValueError(f"need 0 <= t <= {n}")
-    A = _draw(ctx, n, t, rng)[0]
+    if not 0 <= t <= ctx.n:
+        raise ValueError(f"need 0 <= t <= {ctx.n}")
+    A = _draw(ctx, ctx.n, t, rng)[0]
     P = _draw(ctx, t, t, rng)[0]
     return SpaceSymError(t, A, P, _symmetric_error(
         ctx, fqn_vecmat(ctx, alpha, A), A, P))

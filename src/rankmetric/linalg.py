@@ -216,16 +216,21 @@ def _dims(M, q):
     return M, (len(M), max(widths, default=0))
 
 
+def _basis(ctx: FieldCtx, alpha):
+    """alpha read by field._ints; raises unless it is a basis over F_q."""
+    alpha = _ints(alpha, "basis", ctx.order, length=ctx.n)
+    if fq_rank(ctx, alpha) < ctx.n:
+        raise ValueError("alpha is not a basis")
+    return alpha
+
+
 def phi_inv(ctx: FieldCtx, A, alpha):
     """Vector a with a_j = sum_i alpha_i A[i][j], the vector whose column j
     of alpha-coordinates is column j of the F_q matrix A."""
-    n = ctx.n
-    alpha = _ints(alpha, "basis", ctx.order, length=n)
-    if fq_rank(ctx, alpha) < n:
-        raise ValueError("alpha is not a basis")
+    alpha = _basis(ctx, alpha)
     A, shape = _dims(A, ctx.q)
-    if shape != (n, n):
-        raise ValueError(f"matrix must be {n}x{n}")
+    if shape != (ctx.n, ctx.n):
+        raise ValueError(f"matrix must be {ctx.n}x{ctx.n}")
     return fqn_vecmat(ctx, alpha, A)
 
 

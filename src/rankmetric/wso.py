@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 
 from .field import FieldCtx, _ints, _packed
-from .linalg import vector_rank
+from .linalg import _basis
 
 
 def is_weak_self_orthogonal(ctx: FieldCtx, alpha):
@@ -69,8 +69,7 @@ def is_weak_self_orthogonal(ctx: FieldCtx, alpha):
     d = next((d for d in range(1, half + 1) if S[d]), None)
     if d is None and S[0]:
         return True, tuple(frob(S[0], i) for i in range(n))
-    if vector_rank(ctx, alpha) != n:
-        raise ValueError("alpha is not a basis")
+    _basis(ctx, alpha)
     return False, (0, d)
 
 

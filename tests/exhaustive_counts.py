@@ -10,15 +10,18 @@ With the package in this checkout's src/:
 - Scenario 1 decodes every space-symmetric rank-3 error over F_2 at n = 6,
   each as the received word of the zero codeword, and counts the failures
   (a miscorrection counts as one), split by whether the error matrix is
-  symmetric.  Every outcome must also equal that of the countdown oracle in
-  tests/oracles.py.
-- Scenario 2 runs simulate._coupling_fails on one basis of every
-  3-dimensional support and every Q in GL_3(F_2); the outcome depends on
-  the support and Q alone, so this covers every draw in proportion.
+  symmetric.  Every outcome must also equal oracles.oracle_decode's, the
+  countdown oracle that tests/test_decoder.py checks the decoder against.
+- Scenario 2 runs oracles.coupling_failures, as
+  tests/test_simulate.py does at smaller shapes: simulate._coupling_fails
+  on one basis of every 3-dimensional support and every Q in GL_3(F_2),
+  each verdict checked against the paper's three-factor rank
+  (oracles.paper_coupling_rank).  The outcome depends on the support and
+  Q alone, so this covers every draw in proportion.
 
 Exits non-zero unless every count holds: 39,060 of the 234,360 errors
 fail, all 39,060 symmetric ones and none of the other 195,300, and 1,449
-of the 234,360 scenario-2 draws fail (23/3,720).  It takes about two
+of the 234,360 scenario-2 draws fail (23/3,720).  It takes about 1.5
 minutes, so the file is not a test module; tests/test_decoder.py and
 tests/test_simulate.py pin the smaller cases.
 """
@@ -39,12 +42,9 @@ SCENARIO2 = (234_360, 1_449)
 def main() -> int:
     here = Path(__file__).resolve().parent
     sys.path[:0] = [str(here.parent / "src"), str(here)]
-    from oracles import countdown_decode, echelon_supports, general_linear, \
+    from oracles import coupling_failures, echelon_supports, oracle_decode, \
         space_symmetric
-    from rankmetric import DecodeOutcome, GabidulinCode, decode, make_field, \
-        phi_inv
-    from rankmetric.linalg import fqn_vecmat
-    from rankmetric.simulate import _coupling_fails
+    from rankmetric import GabidulinCode, decode, make_field, phi_inv
 
     start = time.perf_counter()
     ctx = make_field(Q, N)
@@ -53,28 +53,18 @@ def main() -> int:
     for E in space_symmetric(N, T, Q):
         y = phi_inv(ctx, E, code.alpha)
         out = decode(code, y)
-        s1, s2 = code.syndromes(y)
-        status, codewords, found, trace = countdown_decode(
-            code, (y,), s1, s2, (s2,))
-        oracle = DecodeOutcome(status, codewords and codewords[0],
-                               found and found[0], trace)
         failing = not out.decoded or any(out.codeword)
         symmetric = all(E[i][j] == E[j][i] for i in range(N) for j in range(i))
         for i, hit in enumerate((True, failing, symmetric,
-                                 symmetric and failing, out != oracle)):
+                                 symmetric and failing,
+                                 out != oracle_decode(code, y))):
             counts[i] += hit
     middle = time.perf_counter()
     print(f"scenario 1 ({Q},{N},{K},{T}): {counts[1]} of {counts[0]} fail, "
           f"{counts[3]} of the {counts[2]} symmetric ones, {counts[4]} "
           f"differ from the oracle, {middle - start:.1f} s")
 
-    gl = general_linear(T, Q)
-    draws = failing = 0
-    for A in echelon_supports(N, T, Q):
-        a = fqn_vecmat(ctx, code.alpha, A)
-        for Qm in gl:
-            draws += 1
-            failing += _coupling_fails(code, a, Qm)
+    draws, failing = coupling_failures(Q, N, K, T, echelon_supports(N, T, Q))
     print(f"scenario 2 ({Q},{N},{K},{T}): {failing} of {draws} fail, "
           f"{time.perf_counter() - middle:.1f} s")
     return 0 if (tuple(counts), (draws, failing)) == (SCENARIO1, SCENARIO2) \

@@ -1,4 +1,5 @@
-"""Brute-force oracles shared by the test modules.
+"""Brute-force oracles shared by the test modules and the scripts beside
+them (tests/exhaustive_counts.py), one copy of each.
 
 Deliberately independent of the library: plain mod-p elimination over lists
 and exhaustive enumeration, so they cross-check the production formulas
@@ -7,7 +8,9 @@ F_{q^n} (kernel, solve, coords) run the textbook rref below under the
 field's scalar ops, products (matmul) take one scalar op per term, and
 the packed q = 2 root-space kernel runs _gf2_rref on bit rows, not the
 library's log-domain elimination.  The countdown reference builds its
-stacked syndrome rows with one ctx._frob per entry.
+stacked syndrome rows with one ctx._frob per entry.  fq_matrix_rank,
+subspaces and Index run no library code; span_orbits runs only the
+field's _add, _mul and _frob.
 The library pieces still reused are:
 
 - the trial-rank countdown reference: fqn_vecmat to turn a solve into
@@ -21,16 +24,35 @@ The library pieces still reused are:
   F_q's own tables;
 - matrix_rank: linalg._insert_rows, the log-domain elimination, counted
   by its pivots; sample_symmetric_invertible rejects by it and draws with
-  rng.randrange(q) itself, the draws it gave as a library sampler.
+  rng.randrange(q) itself, the draws it gave as a library sampler;
+- oracle_decode: the code's syndromes, y's own and its transpose's, and
+  DecodeOutcome around countdown_decode's result;
+- coupling_failures: make_field, GabidulinCode and fqn_vecmat for the
+  support a = alpha A, and simulate._coupling_fails, the code under test,
+  whose every verdict it checks against paper_coupling_rank (moore_matrix
+  and matrix_rank around matmul).
 """
 
 import itertools
 from functools import reduce
 
-from rankmetric import moore_matrix, phi_inv
+from rankmetric import DecodeOutcome, GabidulinCode, make_field, \
+    moore_matrix, phi_inv
 from rankmetric.field import _factor, _pmod, _pmul, _prime_ops, _ptrim, \
     _smallest_irreducible, _tabled
 from rankmetric.linalg import _insert_rows, fqn_vecmat
+from rankmetric.simulate import _coupling_fails
+
+
+class Index:
+    """An integer by __index__ alone, with no truth value, equality or
+    arithmetic of its own: Index(0) is truthy and unequal to 0."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
 
 
 def transpose(M):
@@ -112,6 +134,15 @@ def rref(add, sub, mul, inv, M, ncols):
         if r == nrows:
             break
     return rows, pivots
+
+
+def fq_matrix_rank(ctx, M) -> int:
+    """Rank of a matrix over F_q, entries in [0, q): plain mod-p
+    elimination at q = p, or rref under F_q's own ops (base_ops) at
+    q = p^e."""
+    if ctx.q == ctx.p:
+        return rank_mod_p(M, ctx.p)
+    return len(rref(*base_ops(ctx), M, len(M[0]))[1])
 
 
 def matrix_rank(ctx, M) -> int:
@@ -407,8 +438,9 @@ def census(n, q):
     return by_rank, sym, spsym
 
 
-def subspace_count(n, t, q):
-    """Number of distinct t-dimensional subspaces of F_q^n by enumeration."""
+def subspaces(n, t, q):
+    """Every t-dimensional subspace of F_q^n (q prime), each a frozenset of
+    its vectors as tuples, by enumeration of independent t-tuples."""
     vectors = list(itertools.product(range(q), repeat=n))
     spans = set()
     for combo in itertools.combinations(vectors[1:], t):
@@ -420,7 +452,43 @@ def subspace_count(n, t, q):
                   for i in range(n))
             for coeffs in itertools.product(range(q), repeat=t))
         spans.add(span)
-    return len(spans)
+    return spans
+
+
+def subspace_count(n, t, q):
+    """Number of distinct t-dimensional subspaces of F_q^n by enumeration."""
+    return len(subspaces(n, t, q))
+
+
+def span_orbits(ctx, t):
+    """(basis, orbit size) for each orbit of the t-dimensional
+    F_q-subspaces U of F_{q^n} under U -> lambda sigma^i(U), lambda nonzero
+    and sigma(x) = x^q.
+
+    A span is every sum of c_i b_i with each c_i in F_q, each c_i b_i one
+    ctx._mul: adding b to itself c times is not c b at q = 4, where
+    b + b = 0 and 2 is an element of F_4.  The first basis of each orbit,
+    in the order of itertools.combinations of the nonzero elements, stands
+    for it.
+    """
+    add, mul, frob = ctx._add, ctx._mul, ctx._frob
+
+    def span(basis):
+        out = {0}
+        for b in basis:
+            out = {add(x, mul(c, b)) for x in out for c in range(ctx.q)}
+        return frozenset(out)
+
+    seen, orbits = set(), []
+    for basis in itertools.combinations(range(1, ctx.order), t):
+        U = span(basis)
+        if len(U) < ctx.q ** t or U in seen:
+            continue
+        orbit = {frozenset(mul(lam, frob(x, i)) for x in U)
+                 for lam in range(1, ctx.order) for i in range(ctx.n)}
+        seen |= orbit
+        orbits.append((basis, len(orbit)))
+    return orbits
 
 
 def general_linear(t, q):
@@ -606,3 +674,51 @@ def countdown_decode(code, words, s1, s2, targets):
                           for y, e in zip(words, errors))
         return "decoded", codewords, errors, tuple(trace)
     return "failure", None, None, tuple(trace)
+
+
+def oracle_decode(code, y):
+    """decode with the countdown oracle in place of the echelon countdown."""
+    y = tuple(y)
+    s1, s2 = code.syndromes(y)
+    status, codewords, errors, trace = countdown_decode(code, (y,), s1, s2,
+                                                        (s2,))
+    if codewords is None:
+        return DecodeOutcome(status, None, None, trace)
+    return DecodeOutcome(status, codewords[0], errors[0], trace)
+
+
+def paper_coupling_rank(code, a, P, Q):
+    """rank [Mt^(q^(t+1)); Mt^(q^(t+k)) Q] M_{t+1}(a)^T with Mt = M(a) P and
+    M(a) the Moore matrix of a with n-k-t rows: the stacked syndrome matrix
+    of the uniform coupling as the paper writes it, one ctx._frob per
+    entry."""
+    ctx, n, k, t = code.ctx, code.n, code.k, len(a)
+    frob = ctx._frob
+    Mt = matmul(ctx, moore_matrix(ctx, a, n - k - t), P)
+    top = [[frob(v, t + 1) for v in row] for row in Mt]
+    bottom = matmul(ctx, [[frob(v, t + k) for v in row] for row in Mt], Q)
+    right = transpose(moore_matrix(ctx, a, t + 1))
+    return matrix_rank(ctx, matmul(ctx, top + bottom, right))
+
+
+def coupling_failures(q, n, k, t, supports, every_p=False):
+    """(draws, failures) over every support matrix A in supports and Q in
+    GL_t(F_q), with every_p over every P in GL_t(F_q) too: each draw's
+    simulate._coupling_fails on P Q P^-1 (Q for P = I) must be the verdict
+    of paper_coupling_rank on (A, P, Q)."""
+    ctx = make_field(q, n)
+    code = GabidulinCode(ctx, k)
+    gl = general_linear(t, q)
+    eye = [[int(i == j) for j in range(t)] for i in range(t)]
+    draws = failures = 0
+    for A in supports:
+        a = fqn_vecmat(ctx, code.alpha, A)
+        for P in gl if every_p else [eye]:
+            inverse = next(R for R in gl if matmul(ctx, P, R) == eye)
+            for Q in gl:
+                fails = _coupling_fails(
+                    code, a, matmul(ctx, matmul(ctx, P, Q), inverse))
+                assert fails == (paper_coupling_rank(code, a, P, Q) != t)
+                draws += 1
+                failures += fails
+    return draws, failures

@@ -121,15 +121,22 @@ def setup_seconds(q, n, k) -> float:
     return statistics.median(times[1:])
 
 
+def per_call_us(f, calls) -> float:
+    """Unprofiled us per call of f(*args), args running over calls, a
+    prepared list of argument tuples."""
+    start = time.perf_counter()
+    for args in calls:
+        f(*args)
+    return (time.perf_counter() - start) / len(calls) * 1e6
+
+
 def draw_us(ctx, rows, cols) -> float:
     """Unprofiled us per channel._draw call of a rows-by-cols draw, one on
     each trial stream simulate._trial_rng(SEED, index), index < TRIALS."""
     from rankmetric import channel, simulate
-    rngs = [simulate._trial_rng(SEED, index) for index in range(TRIALS)]
-    start = time.perf_counter()
-    for rng in rngs:
-        channel._draw(ctx, rows, cols, rng)
-    return (time.perf_counter() - start) / TRIALS * 1e6
+    return per_call_us(channel._draw, [
+        (ctx, rows, cols, simulate._trial_rng(SEED, index))
+        for index in range(TRIALS)])
 
 
 def read_us(cfg):
@@ -148,12 +155,7 @@ def read_us(cfg):
         simulate._run_range(cfg, 0, cfg.trials)
     finally:
         del code._read
-    if not words:
-        return None
-    start = time.perf_counter()
-    for y in words:
-        code._read(y)
-    return (time.perf_counter() - start) / len(words) * 1e6
+    return per_call_us(code._read, [(y,) for y in words]) if words else None
 
 
 def report(q, n, k, t, scenario) -> str:
@@ -166,10 +168,8 @@ def report(q, n, k, t, scenario) -> str:
     start = time.perf_counter()
     failures = simulate._run_range(cfg, 0, TRIALS)[0]
     per_trial = (time.perf_counter() - start) / TRIALS
-    start = time.perf_counter()
-    for index in range(TRIALS):
-        simulate._trial_rng(SEED, index)
-    rng_us = (time.perf_counter() - start) / TRIALS * 1e6
+    rng_us = per_call_us(simulate._trial_rng,
+                         [(SEED, index) for index in range(TRIALS)])
     ctx = simulate._code(q, n, k).ctx
     drawn = ", ".join(
         f"{draw_us(ctx, rows, cols):.1f} us/call {rows}x{cols}"

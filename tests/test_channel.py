@@ -1,5 +1,4 @@
 import fractions
-import itertools
 import math
 import random
 import sys
@@ -16,8 +15,8 @@ from rankmetric.linalg import fq_matmul, phi_inv
 
 
 from oracles import census as _census
-from oracles import base_ops, coords, matrix_rank, rank_mod_p, rref, \
-    sample_symmetric_invertible, transpose
+from oracles import coords, fq_matrix_rank, matrix_rank, \
+    sample_symmetric_invertible, span_orbits, transpose
 from oracles import subspace_count as _subspace_count
 
 
@@ -36,6 +35,11 @@ def test_gaussian_binomial_examples_and_census():
     assert gaussian_binomial(4, 2, 2) == 35
     for n, t, q in ((2, 1, 2), (3, 1, 2), (3, 2, 2), (4, 2, 2), (2, 1, 3)):
         assert gaussian_binomial(n, t, q) == _subspace_count(n, t, q)
+    # the orbits of F_q-subspaces of F_{q^n} under U -> lambda sigma^i(U)
+    # partition them, q = 4 included
+    for q, n, t in ((2, 6, 3), (3, 4, 2), (4, 4, 2)):
+        sizes = [size for _, size in span_orbits(make_field(q, n), t)]
+        assert sum(sizes) == gaussian_binomial(n, t, q)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -253,7 +257,7 @@ def test_sampler_ranks_once_per_draw(monkeypatch, q, n, t):
                 attempts += 1
                 R = [[replay.randrange(q) for _ in range(cols)]
                      for _ in range(rows)]
-                if _oracle_rank(ctx, R) == min(rows, cols):
+                if fq_matrix_rank(ctx, R) == min(rows, cols):
                     break
             assert M == R
     # 600 samples, so more attempts than that: some draws were rejected
@@ -330,18 +334,12 @@ def test_sampler_range_validation(F256, wso256):
             call()
 
 
-def _oracle_rank(ctx, M):
-    if ctx.q == ctx.p:
-        return rank_mod_p(M, ctx.p)
-    return len(rref(*base_ops(ctx), M, len(M[0]))[1])
-
-
 def _replay_full_rank(ctx, rows, cols, rng):
     """The full-rank draw written out: entries row by row with
     randrange(q), rejection on the oracle rank."""
     while True:
         M = [[rng.randrange(ctx.q) for _ in range(cols)] for _ in range(rows)]
-        if _oracle_rank(ctx, M) == min(rows, cols):
+        if fq_matrix_rank(ctx, M) == min(rows, cols):
             return M
 
 
@@ -352,7 +350,7 @@ def _replay_symmetric(ctx, t, rng):
         for i in range(t):
             for j in range(i, t):
                 M[i][j] = M[j][i] = rng.randrange(ctx.q)
-        if _oracle_rank(ctx, M) == t:
+        if fq_matrix_rank(ctx, M) == t:
             return M
 
 

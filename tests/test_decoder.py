@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from rankmetric import (DecodeOutcome, GabidulinCode, InterleavedOutcome,
-                        SimConfig, count_space_symmetric, count_symmetric,
-                        decode, interleaved_decode,
-                        is_weak_self_orthogonal, make_field, phi_inv,
-                        run_scenario, sample_full_rank,
+from rankmetric import (GabidulinCode, InterleavedOutcome, SimConfig,
+                        count_space_symmetric, count_symmetric, decode,
+                        interleaved_decode, is_weak_self_orthogonal,
+                        make_field, phi_inv, run_scenario, sample_full_rank,
                         sample_space_symmetric, vector_rank)
 from rankmetric.channel import _draw
 from rankmetric.decoder import _extend, _full_root_space, _joint_decode, \
@@ -18,11 +17,12 @@ from rankmetric.linalg import _PackedMap, _insert_rows, _kernel_vector, \
     fq_matmul, fq_rank, fqn_vecmat, moore_matrix
 from rankmetric.simulate import _trial_rng
 
-from oracles import code_matrices, countdown_decode, joint_kernel, \
+from oracles import Index, code_matrices, countdown_decode, joint_kernel, \
     key_equation_remainder, lin_compose_mod, lin_qdeg, matmul, \
-    matrix_rank, min_subspace_poly, recover_error, right_remainder_is_x, \
-    root_space_basis, sample_symmetric_invertible, space_symmetric, \
-    syndrome_against, syndrome_matrix, transpose, transpose_vector
+    matrix_rank, min_subspace_poly, oracle_decode, recover_error, \
+    right_remainder_is_x, root_space_basis, sample_symmetric_invertible, \
+    space_symmetric, syndrome_against, syndrome_matrix, transpose, \
+    transpose_vector
 
 
 def _rand_codeword(code, rng):
@@ -401,14 +401,6 @@ def test_decode_rejects_out_of_range_entries(code_8_2):
             interleaved_decode(code_8_2, (0,) * 8, y)
 
 
-class _Index:
-    def __init__(self, v):
-        self.v = v
-
-    def __index__(self):
-        return self.v
-
-
 def test_outcomes_hold_ints_for_bool_and_index_input(code_8_2, F256):
     # the all-zero-syndrome path returned the caller's own entries: decode
     # of (False,) * 8 had the codeword (False,) * 8
@@ -416,7 +408,7 @@ def test_outcomes_hold_ints_for_bool_and_index_input(code_8_2, F256):
     c = _rand_codeword(code_8_2, rng)
     z, one = (0,) * 8, (1,) + (0,) * 7
     for y in (z, one, c, _corrupt(F256, c, one)):
-        kinds = [list, lambda w: [_Index(x) for x in w]]
+        kinds = [list, lambda w: [Index(x) for x in w]]
         if max(y) <= 1:
             kinds.append(lambda w: [bool(x) for x in w])
         want = decode(code_8_2, y)
@@ -500,17 +492,6 @@ def test_scenario1_exact_failure_counts(q, n, k, t, errors, failing,
     assert counts[3] == (counts[2] if 2 * t > n - 1 else 0)
 
 
-def _oracle_decode(code, y):
-    """decode with the countdown oracle in place of the echelon countdown."""
-    y = tuple(y)
-    s1, s2 = code.syndromes(y)
-    status, codewords, errors, trace = countdown_decode(code, (y,), s1, s2,
-                                                        (s2,))
-    if codewords is None:
-        return DecodeOutcome(status, None, None, trace)
-    return DecodeOutcome(status, codewords[0], errors[0], trace)
-
-
 @pytest.mark.parametrize("q,n,k,t,errors", [
     (2, 7, 1, 2, 16002),
     (3, 7, 1, 1, 2186),
@@ -522,7 +503,7 @@ def test_countdown_matches_oracle_on_every_error(q, n, k, t, errors):
     seen = 0
     for E in space_symmetric(n, t, q):
         y = phi_inv(ctx, E, code.alpha)
-        assert decode(code, y) == _oracle_decode(code, y)
+        assert decode(code, y) == oracle_decode(code, y)
         seen += 1
     assert seen == errors
 
@@ -551,7 +532,7 @@ def test_countdown_matches_oracle_on_sampled_words(q, n, k, count, ranks):
     later_hits = failures = 0
     for y in _words(code, random.Random(77), count, ranks):
         out = decode(code, y)
-        assert out == _oracle_decode(code, y)
+        assert out == oracle_decode(code, y)
         later_hits += out.decoded and len(out.trial_trace) > 1
         failures += not out.decoded
     # the sampled pool mostly hits below t_max; random words mostly fail
@@ -589,7 +570,7 @@ def test_countdown_matches_oracle_on_mixed_words(q, n, k):
     decoded = 0
     for y in _mixed_words(code, random.Random(79), 300):
         out = decode(code, y)
-        assert out == _oracle_decode(code, y)
+        assert out == oracle_decode(code, y)
         decoded += out.decoded
     assert 100 < decoded < 300
 

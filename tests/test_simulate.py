@@ -7,15 +7,15 @@ from fractions import Fraction
 import pytest
 
 from rankmetric import (GabidulinCode, SimConfig, SimReport, failure_bound,
-                        intersection_probability, make_field,
-                        moore_matrix, run_scenario, sample_space_symmetric,
+                        gaussian_binomial, intersection_probability,
+                        make_field, run_scenario, sample_space_symmetric,
                         wilson95)
 from rankmetric import channel, decoder, linalg, simulate
 from rankmetric.decoder import DecodeOutcome, InterleavedOutcome
 from rankmetric.linalg import fqn_vecmat
 
-from oracles import echelon_supports, general_linear, matmul, matrix_rank, \
-    rank_mod_p, transpose
+from oracles import coupling_failures, echelon_supports, matrix_rank, \
+    rank_mod_p, span_orbits, subspaces, transpose
 from stage_profile import calls, profiled_run
 
 
@@ -65,43 +65,10 @@ def test_intersection_probability_edges():
             intersection_probability(4, 2, 1, Qbase)
 
 
-def _subspaces(t, ell, q):
-    """All ell-dimensional subspaces of F_q^t as frozensets of tuples."""
-    vectors = list(itertools.product(range(q), repeat=t))
-
-    def rank(rows):
-        rows = [list(r) for r in rows]
-        rk = 0
-        for c in range(t):
-            piv = next((r for r in range(rk, len(rows)) if rows[r][c] % q), None)
-            if piv is None:
-                continue
-            rows[rk], rows[piv] = rows[piv], rows[rk]
-            inv = pow(rows[rk][c], q - 2, q)
-            rows[rk] = [(v * inv) % q for v in rows[rk]]
-            for r in range(len(rows)):
-                if r != rk and rows[r][c] % q:
-                    f = rows[r][c]
-                    rows[r] = [(a - f * b) % q for a, b in zip(rows[r], rows[rk])]
-            rk += 1
-        return rk
-
-    spans = set()
-    for combo in itertools.combinations(vectors[1:], ell):
-        if rank(combo) != ell:
-            continue
-        span = frozenset(
-            tuple(sum(c * v[i] for c, v in zip(coeffs, combo)) % q
-                  for i in range(t))
-            for coeffs in itertools.product(range(q), repeat=ell))
-        spans.add(span)
-    return spans
-
-
 def test_intersection_probability_against_subspace_enumeration():
     # t = 3, ell = 1, over F_2: exact enumeration of subspace pairs
     t, ell, q = 3, 1, 2
-    subs = _subspaces(t, ell, q)
+    subs = subspaces(t, ell, q)
     pairs = [(u, v) for u in subs for v in subs]
     for omega in (0, 1):
         hits = sum(1 for u, v in pairs
@@ -382,49 +349,12 @@ def test_scenario2_matches_closed_form():
     assert abs(rep.rate - want) <= 4 * sigma
 
 
-def _paper_coupling_rank(code, a, P, Q):
-    """rank [Mt^(q^(t+1)); Mt^(q^(t+k)) Q] M_{t+1}(a)^T with Mt = M(a) P and
-    M(a) the Moore matrix of a with n-k-t rows: the stacked syndrome matrix
-    of the uniform coupling as the paper writes it, one ctx._frob per
-    entry."""
-    ctx, n, k, t = code.ctx, code.n, code.k, len(a)
-    frob = ctx._frob
-    Mt = matmul(ctx, moore_matrix(ctx, a, n - k - t), P)
-    top = [[frob(v, t + 1) for v in row] for row in Mt]
-    bottom = matmul(ctx, [[frob(v, t + k) for v in row] for row in Mt], Q)
-    right = transpose(moore_matrix(ctx, a, t + 1))
-    return matrix_rank(ctx, matmul(ctx, top + bottom, right))
-
-
-def _coupling_failures(q, n, k, t, supports, every_p=False):
-    """(draws, failures) over every support matrix A in supports and Q in
-    GL_t(F_q), with every_p over every P in GL_t(F_q) too: each draw's
-    simulate._coupling_fails on P Q P^-1 (Q for P = I) must be the verdict
-    of _paper_coupling_rank on (A, P, Q)."""
-    ctx = make_field(q, n)
-    code = GabidulinCode(ctx, k)
-    gl = general_linear(t, q)
-    eye = [[int(i == j) for j in range(t)] for i in range(t)]
-    draws = failures = 0
-    for A in supports:
-        a = fqn_vecmat(ctx, code.alpha, A)
-        for P in gl if every_p else [eye]:
-            inverse = next(R for R in gl if matmul(ctx, P, R) == eye)
-            for Q in gl:
-                fails = simulate._coupling_fails(
-                    code, a, matmul(ctx, matmul(ctx, P, Q), inverse))
-                assert fails == (_paper_coupling_rank(code, a, P, Q) != t)
-                draws += 1
-                failures += fails
-    return draws, failures
-
-
 def test_scenario2_exact_rate_over_every_draw():
     # every full-rank 4-by-2 A over F_2 (210), P and Q in GL_2(F_2) (6 each)
     supports = [A for A in ([list(e[2 * i:2 * i + 2]) for i in range(4)]
                             for e in itertools.product(range(2), repeat=8))
                 if rank_mod_p(A, 2) == 2]
-    draws, failures = _coupling_failures(2, 4, 1, 2, supports, every_p=True)
+    draws, failures = coupling_failures(2, 4, 1, 2, supports, every_p=True)
     assert (len(supports), draws, failures) == (210, 7560, 1620)
     assert Fraction(failures, draws) == Fraction(3, 14)
 
@@ -438,7 +368,7 @@ def test_scenario2_exact_rate_per_support(q, n, k, t, draws, failures):
     # the outcome depends on the support and on Q alone, so one basis per
     # support covers every draw in proportion; (2,6,1,3) is in
     # tests/exhaustive_counts.py
-    assert _coupling_failures(q, n, k, t, echelon_supports(n, t, q)) \
+    assert coupling_failures(q, n, k, t, echelon_supports(n, t, q)) \
         == (draws, failures)
 
 
@@ -519,6 +449,45 @@ def test_scenario3_rate_is_one_over_q_to_the_n_minus_q_at_one_moore_row(
     assert failing == {(c, ctx._mul(c, w)) for c in range(1, N)}
     assert independent == (N - 1) * (N - q)
     assert Fraction(len(failing), independent) == rate == Fraction(1, N - q)
+
+
+def test_scenario3_rate_is_one_over_3720_at_two_moore_rows():
+    # at (2,6,1,3), t = t_max = 3 and m = n - k - t = 2, so by the
+    # per-draw criterion above a trial fails exactly when
+    # [M_2(beta_1); M_2(beta_2)] has rank below 3.  The failing beta_2 for
+    # a beta_1 depend only on span(beta_1) up to U -> lambda sigma^i(U):
+    # scaling either beta scales rows of its Moore rows; beta_i -> beta_i G
+    # on both, G in GL_t(F_q), is the right factor G, as G's entries commute
+    # with Frobenius; Frobenius on both is a field automorphism.  Each of
+    # these maps the independent beta_2, and their classes up to scale,
+    # onto themselves, and span(beta_1) is uniform over the subspaces.  So
+    # the beta_2 are counted up to scale, as those with first entry 1
+    # (62 * 60 = 3,720 classes), against one beta_1 per orbit, and weighed
+    # by orbit size: the one failing class is beta_1's own, in every orbit
+    q, n, k, t = 2, 6, 1, 3
+    ctx = make_field(q, n)
+    m = n - k - t
+    assert (t, m) == (GabidulinCode(ctx, k)._tmax, 2)
+
+    def moore(beta):
+        return [[ctx._frob(x, r) for x in beta] for r in range(m)]
+
+    classes = [(1, x, y) for x, y in itertools.product(range(ctx.order),
+                                                       repeat=2)
+               if linalg.fq_rank(ctx, (1, x, y)) == t]
+    assert len(classes) == 3720
+    orbits = span_orbits(ctx, t)
+    assert sorted(size for _, size in orbits) \
+        == [9, 126, 126, 189, 189, 378, 378]
+    failing = 0
+    for beta1, size in orbits:
+        rows = moore(beta1)
+        found = [b for b in classes if matrix_rank(ctx, rows + moore(b)) < t]
+        assert found == [tuple(ctx._mul(ctx._inv(beta1[0]), x)
+                               for x in beta1)]
+        failing += size * len(found)
+    assert Fraction(failing, gaussian_binomial(n, t, q) * len(classes)) \
+        == Fraction(1, 3720)
 
 
 # Seed-1 payloads of odd-q configurations that fail often, so that a change
